@@ -66,10 +66,6 @@ from .workloads import graph_database_for, make_testcase
 
 __version__ = "0.2.0"
 
-#: Pre-façade entry points kept as deprecation shims (repro.api.compat):
-#: accessing them from the package root warns but works unchanged.
-_DEPRECATED_SHIMS = ("run_engine_safely", "executor_for")
-
 #: repro.net names resolved on first access — `import repro` must not
 #: pull in the networking package (matching the lazy `tcp`/`remote`
 #: registrations in the transport and backend registries).
@@ -77,9 +73,6 @@ _LAZY_NET = ("RemoteExecutor", "TcpTransport", "WorkerAgent")
 
 
 def __getattr__(name: str):
-    if name in _DEPRECATED_SHIMS:
-        from .api import compat
-        return getattr(compat, name)
     if name in _LAZY_NET:
         from . import net
         return getattr(net, name)
@@ -110,7 +103,6 @@ __all__ = [
     "HCubeJCache",
     "SparkSQLJoin",
     "YannakakisJoin",
-    "run_engine_safely",
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
@@ -124,7 +116,6 @@ __all__ = [
     "get_logger",
     "configure_logging",
     "create_executor",
-    "executor_for",
     "optimal_hypertree",
     "Atom",
     "JoinQuery",

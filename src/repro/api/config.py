@@ -16,8 +16,7 @@ Environment variables::
     REPRO_BACKEND      serial | threads | processes | remote
                                                       (default serial)
     REPRO_TRANSPORT    pickle | shm | tcp — resolved by the transport
-                       layer at executor creation, not here (an env-set
-                       transport alone does not force the runtime path)
+                       layer at executor creation, not here
     REPRO_HOSTS        worker hosts for the remote backend, e.g.
                        "127.0.0.1:7070,127.0.0.1:7071,local:2"
     REPRO_SAMPLES      optimizer sample budget        (default 100)
@@ -27,7 +26,6 @@ Environment variables::
     REPRO_KERNEL       join kernel: wcoj | binary | adaptive
                                                       (default adaptive)
     REPRO_MEMORY_TUPLES per-worker memory budget      (default None)
-    REPRO_PIPELINE     pipelined epochs: on | off     (default on)
     REPRO_PROFILE      EXPLAIN ANALYZE profiles: on | off  (default off)
     REPRO_TRACE        Chrome-trace output path       (default None)
     REPRO_LOG          log level for the repro.* loggers
@@ -56,14 +54,12 @@ from ..errors import ConfigError
 from ..kernels import KERNEL_ENV_VAR, default_kernel, kernel_spec
 from ..obs.log import LOG_ENV_VAR, resolve_level
 from ..obs.tracing import TRACE_ENV_VAR
-from ..runtime.executor import PIPELINE_ENV_VAR, default_pipeline
 
 __all__ = ["RunConfig", "EngineOptions", "ENV_CATALOG", "default_backend",
            "default_hosts", "default_kernel", "default_log_level",
-           "default_pipeline", "default_profile", "default_samples",
+           "default_profile", "default_samples",
            "default_seed", "default_trace_path", "KERNEL_ENV_VAR",
-           "LOG_ENV_VAR", "PIPELINE_ENV_VAR", "PROFILE_ENV_VAR",
-           "TRACE_ENV_VAR"]
+           "LOG_ENV_VAR", "PROFILE_ENV_VAR", "TRACE_ENV_VAR"]
 
 
 HOSTS_ENV_VAR = "REPRO_HOSTS"
@@ -82,7 +78,6 @@ ENV_CATALOG: tuple[str, ...] = (
     "REPRO_WORK_BUDGET",
     "REPRO_KERNEL",
     "REPRO_MEMORY_TUPLES",
-    "REPRO_PIPELINE",
     "REPRO_PROFILE",
     "REPRO_TRACE",
     "REPRO_LOG",
@@ -192,10 +187,9 @@ class RunConfig:
     workers: int = field(default_factory=default_workers)
     #: Runtime backend: serial | threads | processes (REPRO_BACKEND).
     backend: str = field(default_factory=default_backend)
-    #: Data-plane transport name; None keeps the inline (simulated) path
-    #: on the serial backend and defers to REPRO_TRANSPORT when an
-    #: executor is created.  Setting it explicitly forces the runtime
-    #: path even on the serial backend, mirroring the CLI.
+    #: Data-plane transport name; None defers to REPRO_TRANSPORT when
+    #: the executor is created (``pickle``, or ``tcp`` for the remote
+    #: backend).
     transport: str | None = None
     #: Worker hosts for the ``remote`` backend (REPRO_HOSTS): a tuple of
     #: ``"host:port"`` agent addresses and/or ``"local[:slots]"``
@@ -221,11 +215,6 @@ class RunConfig:
     #: (REPRO_MEMORY_TUPLES).
     memory_tuples: float | None = field(
         default_factory=lambda: _env_int(MEMORY_ENV_VAR, None, minimum=1))
-    #: Pipelined epochs (REPRO_PIPELINE, default on): overlap routing/
-    #: publish with task execution on runtime backends.  ``False``
-    #: restores the strict route -> publish -> execute barriers
-    #: (the A/B baseline; results are count-identical either way).
-    pipeline: bool = field(default_factory=default_pipeline)
     #: EXPLAIN ANALYZE by default: every ``QueryJob.run`` assembles a
     #: :class:`repro.obs.profile.QueryProfile` onto the result
     #: (``REPRO_PROFILE``, default off — profiling records spans into a
@@ -274,16 +263,6 @@ class RunConfig:
     def make_cluster(self) -> Cluster:
         return Cluster(num_workers=self.workers, runtime=self.backend,
                        memory_tuples_per_worker=self.memory_tuples)
-
-    @property
-    def uses_runtime(self) -> bool:
-        """Whether engine runs go through a real executor.
-
-        Mirrors the CLI rule: any non-serial backend, or an explicitly
-        chosen transport (which exercises the data plane even under
-        serial), takes the runtime path.
-        """
-        return self.backend != "serial" or self.transport is not None
 
     def engine_options(self, options: EngineOptions | None = None,
                        **overrides) -> EngineOptions:

@@ -133,36 +133,27 @@ class ClusterContext:
         """Whether the lazy base executor exists yet (telemetry/testing)."""
         return self._executor is not None
 
-    def executor(self) -> Executor | None:
-        """The shared base executor, created on first call.
-
-        None on the pure-serial path (no runtime configured), which
-        keeps the historical inline evaluation.
-        """
+    def executor(self) -> Executor:
+        """The shared base executor, created on first call (a
+        :class:`~repro.runtime.SerialExecutor` for the serial backend)."""
         with self._lock:
             self._check_open()
-            if not self.config.uses_runtime:
-                return None
             if self._executor is None:
                 self._executor = executor_for(
                     self.cluster, transport=self.config.transport,
-                    hosts=self.config.hosts,
-                    pipeline=self.config.pipeline)
+                    hosts=self.config.hosts)
             return self._executor
 
-    def checkout(self) -> Executor | None:
+    def checkout(self) -> Executor:
         """A per-query :class:`ExecutorView` over the shared executor.
 
         The view delegates execution to the shared pool but owns a
         private transport stamped with a fresh epoch id, so concurrent
         queries never interleave published blocks, ``TransportStats``
         or frozen ``last_epoch`` counters.  Engines tear the view's
-        transport down as usual; the pool stays warm.  None on the
-        pure-serial path.
+        transport down as usual; the pool stays warm.
         """
         base = self.executor()
-        if base is None:
-            return None
         with self._lock:
             self._epoch_seq += 1
             epoch = f"e{self._epoch_seq:04d}"

@@ -47,7 +47,6 @@ from ..obs.tracing import NOOP_TRACER, Tracer, write_chrome_trace
 from ..query.parser import parse_query
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
-from ..runtime.transport import default_transport_name
 from ..workloads.generators import make_testcase
 from .config import RunConfig
 from .context import ClusterContext
@@ -71,7 +70,6 @@ class JoinSession:
                  work_budget: int | None = None,
                  kernel: str | None = None,
                  memory_tuples: float | None = None,
-                 pipeline: bool | None = None,
                  profile: bool | None = None,
                  trace_path: str | None = None,
                  log_level: str | None = None,
@@ -89,8 +87,8 @@ class JoinSession:
         ``context`` attaches this session to a shared
         :class:`ClusterContext` instead of creating a private one.
         Resource-owning knobs (``workers``, ``backend``, ``transport``,
-        ``hosts``, ``memory_tuples``, ``pipeline``, ``config``,
-        ``cluster``) then belong to the context and cannot be
+        ``hosts``, ``memory_tuples``, ``config``, ``cluster``) then
+        belong to the context and cannot be
         overridden here; per-caller knobs (``samples``, ``seed``,
         ``scale``, ``work_budget``, ``kernel``, ``profile``,
         ``trace_path``, ``log_level``) still apply.
@@ -99,7 +97,6 @@ class JoinSession:
             owned = {"workers": workers, "backend": backend,
                      "transport": transport, "hosts": hosts,
                      "memory_tuples": memory_tuples,
-                     "pipeline": pipeline,
                      "config": config, "cluster": cluster}
             conflicts = sorted(k for k, v in owned.items()
                                if v is not None)
@@ -123,7 +120,7 @@ class JoinSession:
             hosts=hosts, samples=samples, seed=seed, scale=scale,
             work_budget=work_budget, kernel=kernel,
             memory_tuples=memory_tuples,
-            pipeline=pipeline, profile=profile, trace_path=trace_path,
+            profile=profile, trace_path=trace_path,
             log_level=log_level)
         if cluster is not None:
             self.config = self.config.replace(
@@ -175,31 +172,19 @@ class JoinSession:
 
     @property
     def transport_label(self) -> str:
-        """What carries task payloads: a transport name, or ``inline``."""
-        if not self.config.uses_runtime:
-            return "inline"
-        if self.config.transport:
-            return self.config.transport
-        # Mirror RemoteExecutor's default: the remote backend rides the
-        # tcp block store unless REPRO_TRANSPORT says otherwise.
-        if self.config.backend == "remote":
-            return default_transport_name(fallback="tcp")
-        return default_transport_name()
+        """Name of the transport that carries task payloads."""
+        return self._context.transport_name()
 
-    def executor(self) -> Executor | None:
+    def executor(self) -> Executor:
         """The executor runs should use, created on first call.
 
-        Returns None on the pure-serial path (no explicit transport),
-        which keeps the historical inline evaluation.  A private
-        session hands back the context's base executor (the historical
-        single-caller behaviour); a session attached to a *shared*
-        context gets a fresh per-query
+        A private session hands back the context's base executor (the
+        historical single-caller behaviour); a session attached to a
+        *shared* context gets a fresh per-query
         :class:`~repro.runtime.executor.ExecutorView`, so concurrent
         runs never interleave epochs.
         """
         self._check_open()
-        if not self.config.uses_runtime:
-            return None
         if self._owns_context:
             return self._context.executor()
         return self._context.checkout()

@@ -40,6 +40,7 @@ from .api import JoinSession, RunConfig
 from .data import DATASETS, dataset_names, default_scale, load_dataset
 from .distributed.cluster import RUNTIME_BACKENDS
 from .engines import registry
+from .errors import ConfigError
 from .kernels import available_kernels
 from .query import PAPER_QUERIES
 from .runtime.transport import available_transports
@@ -68,14 +69,11 @@ def _session_for(args) -> JoinSession:
     Every flag defaults to None so precedence is flag > REPRO_* env
     (RunConfig's default factories) > built-in default.
     """
-    pipeline_flag = getattr(args, "pipeline", None)
     config = RunConfig().replace(
         workers=args.workers, backend=args.backend,
         transport=args.transport, hosts=getattr(args, "hosts", None),
         samples=args.samples, scale=_resolve_scale(args.scale),
         kernel=getattr(args, "kernel", None),
-        pipeline=(None if pipeline_flag is None
-                  else pipeline_flag == "on"),
         # store_true flags can only opt in; absence defers to
         # REPRO_PROFILE via RunConfig's default factory.
         profile=(True if getattr(args, "profile", False) else None),
@@ -146,7 +144,6 @@ def _cmd_run(args) -> int:
               f"edges/relation, {session.cluster.num_workers} workers, "
               f"backend={session.config.backend}, "
               f"transport={session.transport_label}, "
-              f"pipeline={'on' if session.config.pipeline else 'off'}, "
               f"kernel={session.config.kernel}")
         print(f"{'engine':14} {'count':>12} {'opt':>8} {'pre':>8} "
               f"{'comm':>8} {'comp':>8} {'total':>8} {'wall':>8} "
@@ -468,12 +465,9 @@ def _cmd_serve_sql(args) -> int:
     from .obs.log import configure_logging
 
     configure_logging(args.log_level)
-    pipeline_flag = getattr(args, "pipeline", None)
     config = RunConfig().replace(
         workers=args.workers, backend=args.backend,
-        transport=args.transport, hosts=args.hosts, kernel=args.kernel,
-        pipeline=(None if pipeline_flag is None
-                  else pipeline_flag == "on"))
+        transport=args.transport, hosts=args.hosts, kernel=args.kernel)
     port = args.port if args.port is not None else default_service_port()
     server = QueryServer(
         host=args.host, port=port, config=config,
@@ -623,7 +617,6 @@ def _cmd_lint(args) -> int:
     # never need the analysis package.
     from .analysis import (DEFAULT_BASELINE_NAME, LintConfig,
                            available_checkers, checker_spec, run)
-    from .errors import ConfigError
 
     if args.list_rules:
         for rule in available_checkers():
@@ -642,12 +635,8 @@ def _cmd_lint(args) -> int:
     rules = [r.strip() for r in args.rules.split(",") if r.strip()] \
         if args.rules else None
 
-    try:
-        findings = run(paths, rules=rules, baseline=baseline,
-                       config=LintConfig(root=root))
-    except ConfigError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+    findings = run(paths, rules=rules, baseline=baseline,
+                   config=LintConfig(root=root))
 
     if args.json:
         print(_json.dumps({"version": 1, "count": len(findings),
@@ -749,12 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "vectorized hash joins, 'adaptive' picks per "
                             "subquery (default: $REPRO_KERNEL or "
                             "adaptive); see docs/kernels.md")
-        p.add_argument("--pipeline", default=None,
-                       choices=["on", "off"],
-                       help="pipelined epochs: overlap routing/publish "
-                            "with task execution ('off' restores the "
-                            "strict barriers for A/B; default: "
-                            "$REPRO_PIPELINE or on)")
 
     run_p = sub.add_parser("run", help="run engines on a test-case")
     common(run_p)
@@ -976,7 +959,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "query": _cmd_query,
         "lint": _cmd_lint,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigError as exc:
+        # Bad flag/env values and unreachable hosts are user errors,
+        # not crashes: one line on stderr, exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,6 +18,7 @@ from ..distributed.cluster import Cluster
 from ..distributed.metrics import CostLedger
 from ..errors import PlanError
 from ..ghd.decomposition import Hypertree, optimal_hypertree
+from ..kernels import create_kernel, select_kernel
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
 from .base import EngineResult
@@ -41,7 +42,7 @@ class ADJ:
     def __init__(self, num_samples: int = 200, seed: int = 0,
                  work_budget: int | None = None,
                  hypertree: Hypertree | None = None,
-                 kernel: str | None = None):
+                 kernel: str = "wcoj"):
         self.num_samples = num_samples
         self.seed = seed
         self.work_budget = work_budget
@@ -77,27 +78,16 @@ class ADJ:
     def _precompute(self, plan: QueryPlan, db: Database, cluster: Cluster,
                     ledger: CostLedger) -> Database:
         """Materialize every chosen candidate relation."""
-        from ..wcoj.leapfrog import leapfrog_join
-
         params = cluster.params
         working = Database(
             Relation(rel.name, rel.attributes, rel.data, dedup=False)
             for rel in db)
         for cand in plan.candidates:
-            if self.kernel is not None:
-                from ..kernels import create_kernel
-                from ..kernels.adaptive import select_kernel
-
-                choice = select_kernel(self.kernel, cand.subquery, db,
-                                       scope=f"precompute:{cand.name}")
-                result = create_kernel(choice.key).execute(
-                    cand.subquery, db, cand.attributes, materialize=True,
-                    budget=self.work_budget)
-            else:
-                result = leapfrog_join(cand.subquery, db,
-                                       order=cand.attributes,
-                                       materialize=True,
-                                       budget=self.work_budget)
+            choice = select_kernel(self.kernel, cand.subquery, db,
+                                   scope=f"precompute:{cand.name}")
+            result = create_kernel(choice.key).execute(
+                cand.subquery, db, cand.attributes, materialize=True,
+                budget=self.work_budget)
             rel = Relation(cand.name, cand.attributes,
                            result.relation.data, dedup=False)
             if rel.name in working:
@@ -149,14 +139,11 @@ class ADJ:
             "leapfrog_work": outcome.leapfrog_work,
             "worker_work": outcome.worker_work,
             "worker_loads": outcome.worker_loads,
+            "kernel": outcome.kernel,
+            "kernel_reason": outcome.kernel_reason,
+            "telemetry": outcome.telemetry,
+            "data_plane": outcome.data_plane,
         }
-        if outcome.kernel is not None:
-            extra["kernel"] = outcome.kernel
-            extra["kernel_reason"] = outcome.kernel_reason
-        if outcome.telemetry is not None:
-            extra["telemetry"] = outcome.telemetry
-        if outcome.data_plane is not None:
-            extra["data_plane"] = outcome.data_plane
         if optimizer_report is not None:
             extra["explored_configurations"] = \
                 optimizer_report.explored_configurations

@@ -15,8 +15,9 @@ from ..distributed.metrics import CostBreakdown
 from ..errors import BudgetExceeded, ConfigError, OutOfMemory, WorkerCrashed
 from ..ghd.decomposition import Hypertree
 from ..query.query import JoinQuery
-from ..runtime.executor import Executor
+from ..runtime.executor import Executor, SerialExecutor
 from ..runtime.telemetry import RuntimeTelemetry
+from ..runtime.transport import PickleTransport
 
 __all__ = ["EngineResult", "Engine", "EngineOptions", "run_engine_safely",
            "engine_from_options", "attach_degree_order"]
@@ -50,7 +51,7 @@ class EngineOptions:
     hypertree: Hypertree | None = None
     #: :mod:`repro.kernels` key (``wcoj`` | ``binary`` | ``adaptive``)
     #: for per-bag/per-cube join execution; None keeps each engine's
-    #: historical pure-Leapfrog path.
+    #: default (``wcoj``).
     kernel: str | None = None
 
     def merged_with(self, other: "EngineOptions | None" = None,
@@ -113,12 +114,13 @@ class EngineResult:
 
     @property
     def telemetry(self) -> RuntimeTelemetry | None:
-        """Measured wall-clock telemetry, when the run used a backend."""
+        """Measured wall-clock telemetry (None only on a failed run)."""
         return self.extra.get("telemetry")
 
     @property
     def data_plane(self) -> dict | None:
-        """Physical data-plane counters, when the run used a backend.
+        """Physical data-plane counters (None only on a run that failed
+        before it published anything).
 
         Keys follow :class:`repro.runtime.transport.TransportStats`
         (``published_bytes``, ``shipped_bytes``, ``fetched_bytes``,
@@ -169,13 +171,23 @@ class Engine(Protocol):
         """Evaluate the query; raises OutOfMemory / BudgetExceeded.
 
         ``executor`` selects the :mod:`repro.runtime` backend carrying
-        the local per-worker computation; None keeps the historical
-        inline (simulated) evaluation.
+        the local per-worker computation; None runs the same tasks on a
+        private in-process :class:`~repro.runtime.SerialExecutor`.
         """
         ...
 
 
-def _failure_extra(executor: Executor | None, baseline, **extra) -> dict:
+def _resolve_executor(executor: Executor | None) -> Executor:
+    """The executor a run dispatches its tasks on.
+
+    ``None`` becomes a private :class:`SerialExecutor` over a
+    :class:`PickleTransport`: in-process, no pool and no staged blocks,
+    so there is nothing to close or leak when the run ends.
+    """
+    return executor or SerialExecutor(transport=PickleTransport())
+
+
+def _failure_extra(executor: Executor, baseline, **extra) -> dict:
     """Extra payload for a failed run: real data-plane counters included.
 
     The engine's own ``finally`` has already torn the epoch down by the
@@ -187,13 +199,12 @@ def _failure_extra(executor: Executor | None, baseline, **extra) -> dict:
     epoch down (it failed before touching the transport) and reporting
     the previous run's counters would be a lie — report nothing.
     """
-    if executor is not None:
-        transport = executor.transport
-        epoch = transport.last_epoch
-        if epoch is not baseline and (epoch.published_blocks
-                                      or epoch.shipped_refs):
-            extra["data_plane"] = dict(epoch.as_dict(),
-                                       transport=transport.name)
+    transport = executor.transport
+    epoch = transport.last_epoch
+    if epoch is not baseline and (epoch.published_blocks
+                                  or epoch.shipped_refs):
+        extra["data_plane"] = dict(epoch.as_dict(),
+                                   transport=transport.name)
     return extra
 
 
@@ -203,12 +214,10 @@ def run_engine_safely(engine: Engine, query: JoinQuery, db: Database,
     """Run an engine, converting the paper's two failure modes into a
     failed :class:`EngineResult` (missing bar / frame-top bar).  Runtime
     worker crashes surface the same way (``failure="crash"``)."""
-    baseline = executor.transport.last_epoch if executor is not None \
-        else None
+    executor = _resolve_executor(executor)
+    baseline = executor.transport.last_epoch
     try:
-        if executor is not None:
-            return engine.run(query, db, cluster, executor=executor)
-        return engine.run(query, db, cluster)
+        return engine.run(query, db, cluster, executor=executor)
     except OutOfMemory:
         return EngineResult(engine=engine.name, query=query.name, count=-1,
                             breakdown=CostBreakdown(), failure="oom",

@@ -12,13 +12,13 @@ The per-round binding counts equal Leapfrog's per-level intermediate
 tuple counts, so the engine executes one instrumented Leapfrog pass and
 charges one shuffle round per attribute from the recorded levels.
 
-With a :mod:`repro.runtime` executor the Leapfrog pass runs *physically
-parallel*: the value space of the order's first attribute is partitioned
-across workers (an HCube grid that spends the whole share budget on that
-attribute, so relations containing it split and the rest replicate), and
-each worker explores its disjoint slice of the binding tree.  The merged
-per-level counts equal the global pass exactly, so the modeled
-round-per-attribute accounting is unchanged — only wall-clock improves.
+The Leapfrog pass runs on the :mod:`repro.runtime` executor: the value
+space of the order's first attribute is partitioned across workers (an
+HCube grid that spends the whole share budget on that attribute, so
+relations containing it split and the rest replicate), and each worker
+explores its disjoint slice of the binding tree.  The merged per-level
+counts equal a global pass exactly, so the modeled round-per-attribute
+accounting does not depend on the backend — only wall-clock does.
 """
 
 from __future__ import annotations
@@ -29,17 +29,14 @@ from ..distributed.hcube import HypercubeGrid, hcube_route
 from ..distributed.metrics import ShuffleStats
 from ..errors import BudgetExceeded, OutOfMemory
 from ..query.query import JoinQuery
-from ..runtime.executor import Executor
+from ..runtime.executor import Executor, available_parallelism
 from ..runtime.scheduler import (
-    build_routed_tasks,
     iter_routed_tasks,
     merge_task_results,
     run_streamed_tasks,
-    run_worker_tasks,
 )
 from ..runtime.telemetry import RuntimeTelemetry
-from ..wcoj.leapfrog import leapfrog_join
-from .base import EngineResult, attach_degree_order
+from .base import EngineResult, _resolve_executor, attach_degree_order
 
 __all__ = ["BigJoin"]
 
@@ -55,7 +52,7 @@ class BigJoin:
     def __init__(self, budget_bindings: int | None = None,
                  work_budget: int | None = None,
                  order: tuple[str, ...] | None = None,
-                 kernel: str | None = None):
+                 kernel: str = "wcoj"):
         #: Cap on total shuffled bindings (timeout analogue).
         self.budget_bindings = budget_bindings
         self.work_budget = work_budget
@@ -74,33 +71,21 @@ class BigJoin:
         modeled communication (the model charges the round-per-attribute
         shuffles below), so its stats are not booked on the ledger.
         """
-        from ..runtime.executor import available_parallelism
-
-        pipelined = getattr(executor, "pipeline", False)
         shares = {a: 1 for a in query.attributes}
         shares[order[0]] = cluster.num_workers
         grid = HypercubeGrid(query, shares, cluster.num_workers)
         with telemetry.measure("shuffle"):
             routing = hcube_route(
                 query, db, grid, impl="pull",
-                routing_threads=(available_parallelism()
-                                 if pipelined else None))
+                routing_threads=available_parallelism())
         transport = executor.transport
         try:
-            if pipelined:
-                results = run_streamed_tasks(
-                    executor,
-                    iter_routed_tasks(routing, db, order,
-                                      budget=self.work_budget,
-                                      transport=transport),
-                    telemetry=telemetry)
-            else:
-                with telemetry.measure("publish"):
-                    tasks = build_routed_tasks(routing, db, order,
-                                               budget=self.work_budget,
-                                               transport=transport)
-                results = run_worker_tasks(executor, tasks,
-                                           telemetry=telemetry)
+            results = run_streamed_tasks(
+                executor,
+                iter_routed_tasks(routing, db, order,
+                                  budget=self.work_budget,
+                                  transport=transport),
+                telemetry=telemetry)
             merged = merge_task_results(results, len(order),
                                         budget=self.work_budget)
         finally:
@@ -112,28 +97,18 @@ class BigJoin:
 
     def run(self, query: JoinQuery, db: Database, cluster: Cluster,
             executor: Executor | None = None) -> EngineResult:
+        executor = _resolve_executor(executor)
         ledger = cluster.new_ledger()
         order = self.order or attach_degree_order(query, db)
         ledger.charge_seconds(
             query.num_atoms * query.num_attributes
             / cluster.params.beta_work, "optimization")
-        telemetry = None
-        data_plane = None
-        if executor is not None:
-            telemetry = RuntimeTelemetry(backend=executor.name,
-                                         num_workers=cluster.num_workers)
-            merged, data_plane = self._parallel_pass(query, db, cluster,
-                                                     order, executor,
-                                                     telemetry)
-            count = merged.count
-            level_tuples = merged.level_tuples
-            intersection_work = merged.total_work
-        else:
-            result = leapfrog_join(query, db, order,
-                                   budget=self.work_budget)
-            count = result.count
-            level_tuples = result.stats.level_tuples
-            intersection_work = result.stats.intersection_work
+        telemetry = RuntimeTelemetry(backend=executor.name,
+                                     num_workers=cluster.num_workers)
+        merged, data_plane = self._parallel_pass(query, db, cluster,
+                                                 order, executor,
+                                                 telemetry)
+        level_tuples = merged.level_tuples
         n = len(order)
         memory = cluster.memory_tuples_per_worker
         total_bindings = 0
@@ -155,26 +130,23 @@ class BigJoin:
                 if per_worker > memory:
                     raise OutOfMemory(0, int(per_worker), int(memory))
         ledger.charge_seconds(
-            intersection_work
+            merged.total_work
             / (cluster.params.beta_work * cluster.num_workers),
             "computation")
         extra = {
             "order": order,
             "level_tuples": level_tuples,
             "total_bindings": total_bindings,
+            "kernel": "wcoj",
+            "kernel_reason": ("pinned: round-per-attribute model "
+                              "needs per-level binding counts"),
+            "telemetry": telemetry,
+            "data_plane": data_plane,
         }
-        if self.kernel is not None:
-            extra["kernel"] = "wcoj"
-            extra["kernel_reason"] = ("pinned: round-per-attribute model "
-                                      "needs per-level binding counts")
-        if telemetry is not None:
-            extra["telemetry"] = telemetry
-        if data_plane is not None:
-            extra["data_plane"] = data_plane
         return EngineResult(
             engine=self.name,
             query=query.name,
-            count=count,
+            count=merged.count,
             breakdown=ledger.breakdown(),
             shuffled_tuples=ledger.tuples_shuffled,
             rounds=n,

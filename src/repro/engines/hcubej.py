@@ -30,7 +30,7 @@ class HCubeJ:
 
     def __init__(self, work_budget: int | None = None,
                  order: tuple[str, ...] | None = None,
-                 kernel: str | None = None):
+                 kernel: str = "wcoj"):
         self.work_budget = work_budget
         self.order = order
         self.kernel = kernel
@@ -62,14 +62,11 @@ class HCubeJ:
             "max_worker_tuples": outcome.max_worker_tuples,
             "worker_work": outcome.worker_work,
             "worker_loads": outcome.worker_loads,
+            "kernel": outcome.kernel,
+            "kernel_reason": outcome.kernel_reason,
+            "telemetry": outcome.telemetry,
+            "data_plane": outcome.data_plane,
         }
-        if outcome.kernel is not None:
-            extra["kernel"] = outcome.kernel
-            extra["kernel_reason"] = outcome.kernel_reason
-        if outcome.telemetry is not None:
-            extra["telemetry"] = outcome.telemetry
-        if outcome.data_plane is not None:
-            extra["data_plane"] = outcome.data_plane
         return EngineResult(
             engine=self.name,
             query=query.name,

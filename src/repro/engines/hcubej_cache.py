@@ -62,14 +62,11 @@ class HCubeJCache(HCubeJ):
             "leapfrog_work": outcome.leapfrog_work,
             "cache_hits": outcome.cache_hits,
             "cache_misses": outcome.cache_misses,
+            "kernel": outcome.kernel,
+            "kernel_reason": outcome.kernel_reason,
+            "telemetry": outcome.telemetry,
+            "data_plane": outcome.data_plane,
         }
-        if outcome.kernel is not None:
-            extra["kernel"] = outcome.kernel
-            extra["kernel_reason"] = outcome.kernel_reason
-        if outcome.telemetry is not None:
-            extra["telemetry"] = outcome.telemetry
-        if outcome.data_plane is not None:
-            extra["data_plane"] = outcome.data_plane
         return EngineResult(
             engine=self.name,
             query=query.name,

@@ -4,23 +4,18 @@ Used by HCubeJ, HCubeJ+Cache and ADJ — they differ only in the shuffle
 implementation, the attribute order, the presence of an intersection
 cache, and (for ADJ) the pre-computed relations in the database.
 
-Two execution paths produce identical counts and identical modeled
-costs:
-
-- the **inline path** (default, ``executor=None``) evaluates every cube
-  in the calling process, exactly the historical simulated behaviour;
-- the **runtime path** (any :class:`repro.runtime.Executor`) computes
-  routing assignments only (:func:`repro.distributed.hcube.hcube_route`),
-  publishes the source columns through the executor's data-plane
-  transport, and ships workers per-cube descriptors — workers slice
-  their own partitions, so under the ``shm`` transport large arrays
-  never cross the process boundary through pickle.  Measured wall-clock
-  telemetry and physical data-plane stats are recorded next to the
-  modeled ledger.
+One execution path, on every backend: compute routing assignments only
+(:func:`repro.distributed.hcube.hcube_route`), publish the source
+columns through the executor's data-plane transport, and stream workers
+per-cube descriptors — workers slice their own partitions, so under the
+``shm`` transport large arrays never cross the process boundary through
+pickle.  Measured wall-clock telemetry and physical data-plane stats are
+recorded next to the modeled ledger.  With no executor the same tasks
+run on a private in-process ``SerialExecutor``.
 
 Intersection caches (HCubeJ+Cache) are worker-local: the coordinator
 ships a capacity, each worker builds its own per-cube cache, and the
-merged hit/miss counters equal the inline path's.
+merged hit/miss counters are the same on every backend.
 """
 
 from __future__ import annotations
@@ -34,20 +29,17 @@ from ..distributed.cluster import Cluster
 from ..distributed.hcube import HypercubeGrid, hcube_route
 from ..distributed.metrics import CostLedger, ShuffleStats
 from ..distributed.partitioner import optimize_shares
-from ..errors import BudgetExceeded
+from ..kernels import select_kernel
 from ..obs.tracing import current_tracer
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor, available_parallelism
 from ..runtime.scheduler import (
-    build_routed_tasks,
     iter_routed_tasks,
     merge_task_results,
     run_streamed_tasks,
-    run_worker_tasks,
 )
 from ..runtime.telemetry import RuntimeTelemetry
-from ..wcoj.cache import IntersectionCache
-from ..wcoj.leapfrog import LeapfrogStats, leapfrog_join
+from .base import _resolve_executor
 
 __all__ = ["OneRoundOutcome", "one_round_execute"]
 
@@ -66,12 +58,12 @@ class OneRoundOutcome:
     worker_work: dict[int, float] | None = None
     worker_loads: dict[int, int] | None = None
     telemetry: RuntimeTelemetry | None = None
-    #: Concrete :mod:`repro.kernels` key the cubes ran with (None on the
-    #: historical kernel-less path) and the chooser's reason.
+    #: Concrete :mod:`repro.kernels` key the cubes ran with and the
+    #: chooser's reason.
     kernel: str | None = None
     kernel_reason: str | None = None
-    #: Physical data-plane movement (runtime path only): what the
-    #: coordinator actually serialized into task payloads.  Under the
+    #: Physical data-plane movement: what the coordinator actually
+    #: serialized into task payloads.  Under the
     #: shm transport ``data_plane_stats.bytes_copied`` counts descriptor
     #: bytes, not full array bytes — the modeled ``ShuffleStats`` are
     #: transport-independent.
@@ -86,8 +78,7 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
                       work_budget: int | None = None,
                       comm_phase: str = "communication",
                       executor: Executor | None = None,
-                      telemetry: RuntimeTelemetry | None = None,
-                      kernel: str | None = None) -> OneRoundOutcome:
+                      kernel: str = "wcoj") -> OneRoundOutcome:
     """Shuffle with HCube, then run Leapfrog on every cube.
 
     ``cache_capacity(worker_load)`` sizes a per-cube intersection cache
@@ -98,40 +89,32 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
     shuffles under pre-computing.
 
     ``executor`` selects the runtime backend for the per-cube Leapfrog
-    work; its :attr:`~repro.runtime.Executor.transport` carries the
-    payloads and is torn down (segments released) when the run finishes,
-    successfully or not.
+    work (None: a private in-process serial one); its
+    :attr:`~repro.runtime.Executor.transport` carries the payloads and
+    is torn down (segments released) when the run finishes, successfully
+    or not.
 
     ``kernel`` is a :mod:`repro.kernels` key (``adaptive`` resolves to a
     concrete kernel once, on the coordinator, against the full database
-    — every cube then runs the same choice).  ``None`` keeps the
-    historical pure-Leapfrog path, bit-identical to the seed counters.
+    — every cube then runs the same choice).  ``wcoj`` is pure Leapfrog,
+    bit-identical to the seed counters.
     """
-    kernel_choice = None
-    if kernel is not None:
-        from ..kernels.adaptive import select_kernel
-
-        kernel_choice = select_kernel(kernel, query, db,
-                                      scope=f"one_round:{impl}")
-    kernel_key = kernel_choice.key if kernel_choice is not None else "wcoj"
-    if telemetry is None and executor is not None:
-        telemetry = RuntimeTelemetry(backend=executor.name,
-                                     num_workers=cluster.num_workers)
-    # Pipelined epochs (default on): route atoms on a coordinator thread
-    # pool, then stream tasks so publish/mint overlaps execution.
-    pipelined = executor is not None and getattr(executor, "pipeline",
-                                                 False)
+    executor = _resolve_executor(executor)
+    kernel_choice = select_kernel(kernel, query, db,
+                                  scope=f"one_round:{impl}")
+    telemetry = RuntimeTelemetry(backend=executor.name,
+                                 num_workers=cluster.num_workers)
     sizes = {a.relation: len(db[a.relation]) for a in query.atoms}
     shares = optimize_shares(query, sizes, cluster.num_workers,
                              memory_tuples=cluster.memory_tuples_per_worker)
     grid = HypercubeGrid(query, shares, cluster.num_workers)
+    # Pipelined epochs: route atoms on a coordinator thread pool, then
+    # stream tasks so publish/mint overlaps execution.
     shuffle_start = time.perf_counter()
     routing = hcube_route(query, db, grid, impl=impl,
                           memory_tuples=cluster.memory_tuples_per_worker,
-                          routing_threads=(available_parallelism()
-                                           if pipelined else None))
-    if telemetry is not None:
-        telemetry.record("shuffle", time.perf_counter() - shuffle_start)
+                          routing_threads=available_parallelism())
+    telemetry.record("shuffle", time.perf_counter() - shuffle_start)
     ledger.charge_shuffle(routing.stats, impl, phase=comm_phase)
     # Local trie construction (skipped cost-wise by Merge: blocks arrive
     # as pre-built tries and only need merging).
@@ -142,123 +125,50 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
         rate=rate, phase="computation")
 
     order = tuple(order)
-    if executor is not None:
-        # Runtime path: routing assignments + transport descriptors.
-        transport = executor.transport
-        try:
-            if pipelined:
-                # Streamed: workers start on the first tasks while the
-                # coordinator is still publishing/slicing later ones.
-                task_stream = iter_routed_tasks(
-                    routing, db, order, budget=work_budget,
-                    transport=transport, cache_capacity=cache_capacity,
-                    kernel=kernel_key)
-                results = run_streamed_tasks(executor, task_stream,
-                                             telemetry=telemetry)
-            else:
-                publish_start = time.perf_counter()
-                tasks = build_routed_tasks(routing, db, order,
-                                           budget=work_budget,
-                                           transport=transport,
-                                           cache_capacity=cache_capacity,
-                                           kernel=kernel_key)
-                if telemetry is not None:
-                    telemetry.record("publish",
-                                     time.perf_counter() - publish_start)
-                results = run_worker_tasks(executor, tasks,
-                                           telemetry=telemetry)
-            with current_tracer().span("merge", cat="schedule",
-                                       tasks=len(results)):
-                merged = merge_task_results(results, len(order),
-                                            budget=work_budget)
-        finally:
-            with current_tracer().span("teardown", cat="transport",
-                                       transport=transport.name):
-                transport.teardown()
-        # Read the epoch snapshot *after* teardown so the report includes
-        # teardown-time counters (blocks freed, bytes workers fetched
-        # back out of a tcp block store).
-        epoch = transport.last_epoch
-        data_plane = dict(epoch.as_dict(), transport=transport.name)
-        data_plane_stats = ShuffleStats(
-            tuple_copies=routing.stats.tuple_copies,
-            blocks_fetched=epoch.shipped_refs,
-            bytes_copied=epoch.shipped_bytes,
-            max_worker_tuples=routing.stats.max_worker_tuples)
-        worker_work = {w: 0.0 for w in range(cluster.num_workers)}
-        worker_work.update(merged.worker_work)
-        ledger.charge_worker_work(worker_work, phase="computation")
-        return OneRoundOutcome(
-            count=merged.count,
-            level_tuples=merged.level_tuples,
-            leapfrog_work=merged.total_work,
-            shuffled_tuples=routing.stats.tuple_copies,
-            max_worker_tuples=routing.stats.max_worker_tuples,
-            cache_hits=merged.cache_hits,
-            cache_misses=merged.cache_misses,
-            worker_work=worker_work,
-            worker_loads=dict(routing.worker_loads),
-            telemetry=telemetry,
-            data_plane=data_plane,
-            data_plane_stats=data_plane_stats,
-            kernel=kernel_choice.key if kernel_choice else None,
-            kernel_reason=(kernel_choice.reason if kernel_choice
-                           else None),
-        )
-
-    shuffle = routing.materialize(db)
-    local_query = shuffle.local_query
-    kern = None
-    if kernel_key != "wcoj":
-        from ..kernels import create_kernel
-
-        kern = create_kernel(kernel_key)
-    count = 0
-    total_work = 0
-    level_tuples = [0] * len(order)
-    worker_work: dict[int, float] = {w: 0.0 for w in
-                                     range(cluster.num_workers)}
-    cache_hits = cache_misses = 0
-    join_start = time.perf_counter()
-    for cube, cube_db in enumerate(shuffle.cube_databases):
-        worker = grid.worker_of_cube(cube)
-        cache = None
-        if cache_capacity is not None and kern is None:
-            cache = IntersectionCache(int(cache_capacity(
-                shuffle.worker_loads.get(worker, 0))))
-        remaining = None if work_budget is None \
-            else max(0, work_budget - total_work)
-        if remaining == 0:
-            raise BudgetExceeded(total_work, work_budget)
-        if kern is not None:
-            result = kern.execute(local_query, cube_db, order,
-                                  budget=remaining)
-        else:
-            result = leapfrog_join(local_query, cube_db, order,
-                                   cache=cache, budget=remaining)
-        count += result.count
-        stats: LeapfrogStats = result.stats
-        total_work += stats.intersection_work
-        worker_work[worker] += stats.intersection_work
-        for d in range(len(order)):
-            level_tuples[d] += stats.level_tuples[d]
-        if cache is not None:
-            cache_hits += cache.hits
-            cache_misses += cache.misses
-    if telemetry is not None:
-        telemetry.record("local_join", time.perf_counter() - join_start)
+    transport = executor.transport
+    try:
+        # Workers start on the first tasks while the coordinator is
+        # still publishing/slicing later ones.
+        task_stream = iter_routed_tasks(
+            routing, db, order, budget=work_budget,
+            transport=transport, cache_capacity=cache_capacity,
+            kernel=kernel_choice.key)
+        results = run_streamed_tasks(executor, task_stream,
+                                     telemetry=telemetry)
+        with current_tracer().span("merge", cat="schedule",
+                                   tasks=len(results)):
+            merged = merge_task_results(results, len(order),
+                                        budget=work_budget)
+    finally:
+        with current_tracer().span("teardown", cat="transport",
+                                   transport=transport.name):
+            transport.teardown()
+    # Read the epoch snapshot *after* teardown so the report includes
+    # teardown-time counters (blocks freed, bytes workers fetched
+    # back out of a tcp block store).
+    epoch = transport.last_epoch
+    data_plane = dict(epoch.as_dict(), transport=transport.name)
+    data_plane_stats = ShuffleStats(
+        tuple_copies=routing.stats.tuple_copies,
+        blocks_fetched=epoch.shipped_refs,
+        bytes_copied=epoch.shipped_bytes,
+        max_worker_tuples=routing.stats.max_worker_tuples)
+    worker_work = {w: 0.0 for w in range(cluster.num_workers)}
+    worker_work.update(merged.worker_work)
     ledger.charge_worker_work(worker_work, phase="computation")
     return OneRoundOutcome(
-        count=count,
-        level_tuples=level_tuples,
-        leapfrog_work=total_work,
-        shuffled_tuples=shuffle.stats.tuple_copies,
-        max_worker_tuples=shuffle.stats.max_worker_tuples,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        count=merged.count,
+        level_tuples=merged.level_tuples,
+        leapfrog_work=merged.total_work,
+        shuffled_tuples=routing.stats.tuple_copies,
+        max_worker_tuples=routing.stats.max_worker_tuples,
+        cache_hits=merged.cache_hits,
+        cache_misses=merged.cache_misses,
         worker_work=worker_work,
-        worker_loads=dict(shuffle.worker_loads),
+        worker_loads=dict(routing.worker_loads),
         telemetry=telemetry,
-        kernel=kernel_choice.key if kernel_choice else None,
-        kernel_reason=kernel_choice.reason if kernel_choice else None,
+        data_plane=data_plane,
+        data_plane_stats=data_plane_stats,
+        kernel=kernel_choice.key,
+        kernel_reason=kernel_choice.reason,
     )

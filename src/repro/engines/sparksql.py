@@ -7,15 +7,15 @@ relation becomes the next step's left input — so on cyclic queries the
 shuffled volume explodes, producing the Fig. 1(a) gap and the missing
 bars of Fig. 12.
 
-With a :mod:`repro.runtime` executor each step really is that plan: both
-sides are hash-partitioned *by routing assignment only*, the columns go
-through the executor's data-plane transport (full partitions under
-``pickle``, zero-copy shared-memory descriptors under ``shm``), one
-:func:`repro.runtime.worker.join_partition_pair_task` per worker joins
-its partition pair, and the coordinator concatenates the (disjoint)
-partition outputs.  Counts and modeled costs are identical to the inline
-path; measured telemetry and physical data-plane stats are recorded
-alongside.
+Each keyed step really is that plan on the :mod:`repro.runtime`
+executor: both sides are hash-partitioned *by routing assignment only*,
+the columns go through the executor's data-plane transport (full
+partitions under ``pickle``, zero-copy shared-memory descriptors under
+``shm``), one :func:`repro.runtime.worker.join_partition_pair_task` per
+worker joins its partition pair, and the coordinator concatenates the
+(disjoint) partition outputs.  Counts and modeled costs are the same on
+every backend; measured telemetry and physical data-plane stats are
+recorded alongside.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from ..distributed.shuffle import hash_partition_rows
 from ..errors import BudgetExceeded, OutOfMemory
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
+from ..runtime.scheduler import run_streamed
 from ..runtime.telemetry import RuntimeTelemetry
 from ..kernels.binary import hash_join
 from ..runtime.worker import PartitionJoinTask, join_partition_pair_task
 from ..wcoj.binary_join import greedy_left_deep_plan
-from .base import EngineResult
+from .base import EngineResult, _resolve_executor
 
 __all__ = ["SparkSQLJoin"]
 
@@ -49,7 +50,7 @@ class SparkSQLJoin:
                    "kernel": "kernel"}
 
     def __init__(self, budget_tuples: int | None = None,
-                 kernel: str | None = None):
+                 kernel: str = "wcoj"):
         #: Cap on total intermediate tuples (the 12-hour-timeout analogue).
         self.budget_tuples = budget_tuples
         #: Accepted for session-level uniformity, but pinned to binary:
@@ -62,7 +63,7 @@ class SparkSQLJoin:
                           executor: Executor,
                           telemetry: RuntimeTelemetry,
                           data_plane: dict) -> Relation:
-        """One join step on the runtime: route, ship refs, join, concat.
+        """One keyed join step: route, ship refs, join, concat.
 
         Both sides hash on the same key order, so matching tuples land in
         the same partition and partition outputs are disjoint (equal
@@ -95,24 +96,12 @@ class SparkSQLJoin:
                             right_attrs=right.attributes,
                             right_name=right.name)
 
-            if getattr(executor, "pipeline", False):
-                # Stream pairs: the first partitions join while later
-                # descriptors are still being sliced/minted.
-                from ..runtime.scheduler import run_streamed
-
-                joined = run_streamed(
-                    executor, join_partition_pair_task,
-                    partition_tasks(), telemetry=telemetry,
-                    mint_phase="partition", run_phase="local_join")
-            else:
-                t1 = time.perf_counter()
-                tasks = list(partition_tasks())
-                telemetry.record("partition",
-                                 time.perf_counter() - t1)
-                t2 = time.perf_counter()
-                joined = executor.map_tasks(join_partition_pair_task,
-                                            tasks)
-                telemetry.record("local_join", time.perf_counter() - t2)
+            # Stream pairs: the first partitions join while later
+            # descriptors are still being sliced/minted.
+            joined = run_streamed(
+                executor, join_partition_pair_task,
+                partition_tasks(), telemetry=telemetry,
+                mint_phase="partition", run_phase="local_join")
         finally:
             transport.teardown()
         # Each step is one epoch; sum the post-teardown snapshots so the
@@ -129,17 +118,15 @@ class SparkSQLJoin:
 
     def run(self, query: JoinQuery, db: Database, cluster: Cluster,
             executor: Executor | None = None) -> EngineResult:
+        executor = _resolve_executor(executor)
         ledger = cluster.new_ledger()
         plan = greedy_left_deep_plan(query, db)
         # Plan selection itself is cheap (statistics lookups).
         ledger.charge_seconds(
             query.num_atoms ** 2 / cluster.params.beta_work, "optimization")
-        telemetry = None
-        data_plane: dict = {}
-        if executor is not None:
-            telemetry = RuntimeTelemetry(backend=executor.name,
-                                         num_workers=cluster.num_workers)
-            data_plane["transport"] = executor.transport.name
+        telemetry = RuntimeTelemetry(backend=executor.name,
+                                     num_workers=cluster.num_workers)
+        data_plane: dict = {"transport": executor.transport.name}
 
         def atom_relation(i: int) -> Relation:
             atom = query.atoms[i]
@@ -164,11 +151,12 @@ class SparkSQLJoin:
                              blocks_fetched=cluster.num_workers,
                              bytes_copied=moved * 8),
                 impl="pull")
-            if telemetry is not None and common:
+            if common:
                 out = self._partitioned_join(current, right, common,
                                              cluster, executor, telemetry,
                                              data_plane)
             else:
+                # Broadcast step: nothing to co-partition on.
                 out = hash_join(current, right)
             work = len(current) + len(right) + len(out)
             ledger.charge_seconds(
@@ -186,14 +174,12 @@ class SparkSQLJoin:
         extra = {
             "plan": plan.atom_order,
             "intermediate_tuples": total_intermediate,
+            "kernel": "binary",
+            "kernel_reason": ("pinned: the pairwise hash-join "
+                              "baseline is the binary kernel"),
+            "telemetry": telemetry,
+            "data_plane": data_plane,
         }
-        if self.kernel is not None:
-            extra["kernel"] = "binary"
-            extra["kernel_reason"] = ("pinned: the pairwise hash-join "
-                                      "baseline is the binary kernel")
-        if telemetry is not None:
-            extra["telemetry"] = telemetry
-            extra["data_plane"] = data_plane
         return EngineResult(
             engine=self.name,
             query=query.name,

@@ -7,12 +7,12 @@ bag is materialized (memory!), two distributed semijoin sweeps prune
 dangling tuples (extra rounds!), and the final joins are output-bounded.
 Used by the ablation benches against ADJ.
 
-With a :mod:`repro.runtime` executor the bag-materialization phase — the
-WCOJ-heavy part — runs as one task per bag on the chosen backend.  Source
-relations travel through the executor's data-plane transport (whole-array
-descriptors: under ``shm`` the broadcast to every bag is zero-copy), the
-semijoin sweeps and bottom-up joins stay coordinator-side, and counts,
-bag statistics and modeled costs are identical to the inline path.
+The bag-materialization phase — the WCOJ-heavy part — runs as one task
+per bag on the :mod:`repro.runtime` executor.  Source relations travel
+through the executor's data-plane transport (whole-array descriptors:
+under ``shm`` the broadcast to every bag is zero-copy), the semijoin
+sweeps and bottom-up joins stay coordinator-side, and counts, bag
+statistics and modeled costs are the same on every backend.
 """
 
 from __future__ import annotations
@@ -25,19 +25,15 @@ from ..distributed.cluster import Cluster
 from ..distributed.metrics import ShuffleStats
 from ..errors import BudgetExceeded, OutOfMemory, WorkerCrashed
 from ..ghd.decomposition import Hypertree, optimal_hypertree
+from ..kernels import select_kernel
 from ..obs.tracing import trace_context
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
-from ..runtime.scheduler import absorb_result_observability
+from ..runtime.scheduler import absorb_result_observability, run_streamed
 from ..runtime.telemetry import RuntimeTelemetry
 from ..runtime.worker import BagTask, materialize_bag_task
-from ..wcoj.yannakakis import (
-    YannakakisStats,
-    full_reducer,
-    join_reduced,
-    materialize_bags,
-)
-from .base import EngineResult
+from ..wcoj.yannakakis import YannakakisStats, full_reducer, join_reduced
+from .base import EngineResult, _resolve_executor
 
 __all__ = ["YannakakisJoin"]
 
@@ -51,7 +47,7 @@ class YannakakisJoin:
 
     def __init__(self, work_budget: int | None = None,
                  hypertree: Hypertree | None = None,
-                 kernel: str | None = None):
+                 kernel: str = "wcoj"):
         self.work_budget = work_budget
         self.hypertree = hypertree
         self.kernel = kernel
@@ -63,8 +59,6 @@ class YannakakisJoin:
         Each bag is its own subquery, so ``adaptive`` may pick binary
         for an acyclic bag and wcoj for a cyclic one within one run.
         """
-        from ..kernels.adaptive import select_kernel
-
         choices: dict[int, str] = {}
         for bag in tree.bags:
             sub = JoinQuery([query.atoms[i] for i in bag.atom_indices],
@@ -84,7 +78,7 @@ class YannakakisJoin:
         """One bag-materialization task per GHD bag, via the transport.
 
         Results come back in bag order, so ``stats.bag_sizes`` and
-        ``bag_materialize_work`` accumulate exactly like the inline
+        ``bag_materialize_work`` accumulate exactly like the sequential
         :func:`~repro.wcoj.yannakakis.materialize_bags`.  Bags are
         attributed to workers round-robin (the scheduler's cube
         convention), so telemetry and crash reports carry worker ids
@@ -106,26 +100,16 @@ class YannakakisJoin:
                         f"rel:{a.relation}", db[a.relation].data))
                     for a in sub.atoms),
                 budget=self.work_budget, trace=ctx,
-                kernel=bag_kernels.get(bag.index, "wcoj"))
+                kernel=bag_kernels[bag.index])
 
         try:
-            if getattr(executor, "pipeline", False):
-                # Stream bags: the first bag's WCOJ starts while later
-                # bags' source relations are still being published.
-                from ..runtime.scheduler import run_streamed
-
-                results = run_streamed(
-                    executor, materialize_bag_task,
-                    (bag_task(bag) for bag in tree.bags),
-                    telemetry=telemetry,
-                    mint_phase="publish", run_phase="precompute")
-            else:
-                t0 = time.perf_counter()
-                tasks = [bag_task(bag) for bag in tree.bags]
-                telemetry.record("publish", time.perf_counter() - t0)
-                t1 = time.perf_counter()
-                results = executor.map_tasks(materialize_bag_task, tasks)
-                telemetry.record("precompute", time.perf_counter() - t1)
+            # Stream bags: the first bag's WCOJ starts while later
+            # bags' source relations are still being published.
+            results = run_streamed(
+                executor, materialize_bag_task,
+                (bag_task(bag) for bag in tree.bags),
+                telemetry=telemetry,
+                mint_phase="publish", run_phase="precompute")
         finally:
             transport.teardown()
         # Post-teardown snapshot: includes blocks freed / bytes fetched.
@@ -151,6 +135,7 @@ class YannakakisJoin:
 
     def run(self, query: JoinQuery, db: Database, cluster: Cluster,
             executor: Executor | None = None) -> EngineResult:
+        executor = _resolve_executor(executor)
         ledger = cluster.new_ledger()
         params = cluster.params
         tree = self.hypertree or optimal_hypertree(query)
@@ -159,21 +144,12 @@ class YannakakisJoin:
         stats = YannakakisStats()
 
         # Phase 1: materialize bags (pre-computing: shuffle inputs + WCOJ).
-        bag_kernels: dict[int, str] = {}
-        if self.kernel is not None:
-            bag_kernels = self._bag_kernels(query, db, tree)
-        telemetry = None
-        data_plane = None
-        if executor is not None:
-            telemetry = RuntimeTelemetry(backend=executor.name,
-                                         num_workers=cluster.num_workers)
-            bags, data_plane = self._materialize_parallel(
-                query, db, tree, executor, stats, telemetry,
-                cluster.num_workers, bag_kernels)
-        else:
-            bags = materialize_bags(query, db, tree, stats=stats,
-                                    budget=self.work_budget,
-                                    bag_kernels=bag_kernels)
+        bag_kernels = self._bag_kernels(query, db, tree)
+        telemetry = RuntimeTelemetry(backend=executor.name,
+                                     num_workers=cluster.num_workers)
+        bags, data_plane = self._materialize_parallel(
+            query, db, tree, executor, stats, telemetry,
+            cluster.num_workers, bag_kernels)
         input_tuples = sum(len(db[a.relation]) for a in query.atoms)
         ledger.charge_seconds(input_tuples / params.alpha_pull, "precompute")
         ledger.charge_seconds(
@@ -189,8 +165,7 @@ class YannakakisJoin:
         # Phase 2: full reducer — each semijoin is a repartition round.
         t_reduce = time.perf_counter()
         reduced = full_reducer(tree, bags, stats=stats)
-        if telemetry is not None:
-            telemetry.record("semijoin", time.perf_counter() - t_reduce)
+        telemetry.record("semijoin", time.perf_counter() - t_reduce)
         ledger.charge_shuffle(
             ShuffleStats(tuple_copies=stats.semijoin_tuples_scanned,
                          blocks_fetched=stats.semijoin_rounds
@@ -204,8 +179,7 @@ class YannakakisJoin:
         # Phase 3: bottom-up joins over the reduced bags.
         t_join = time.perf_counter()
         result = join_reduced(query, tree, reduced, stats=stats)
-        if telemetry is not None:
-            telemetry.record("local_join", time.perf_counter() - t_join)
+        telemetry.record("local_join", time.perf_counter() - t_join)
         join_work = stats.join_intermediate_tuples + sum(
             len(r) for r in reduced.values())
         ledger.charge_shuffle(
@@ -221,13 +195,10 @@ class YannakakisJoin:
             "bag_sizes": stats.bag_sizes,
             "semijoin_rounds": stats.semijoin_rounds,
             "join_intermediates": stats.join_intermediate_tuples,
+            "kernel_decisions": dict(sorted(bag_kernels.items())),
+            "telemetry": telemetry,
+            "data_plane": data_plane,
         }
-        if bag_kernels:
-            extra["kernel_decisions"] = dict(sorted(bag_kernels.items()))
-        if telemetry is not None:
-            extra["telemetry"] = telemetry
-        if data_plane is not None:
-            extra["data_plane"] = data_plane
         return EngineResult(
             engine=self.name,
             query=query.name,

@@ -36,7 +36,7 @@ def hash_join(left: Relation, right: Relation,
     """Vectorized hash-style natural join (probe = gathered row groups).
 
     The single join primitive shared by this kernel, the SparkSQL
-    engine's inline path and the partitioned
+    engine's unkeyed (broadcast) steps and the partitioned
     :func:`repro.runtime.worker.join_partition_pair_task`.
     """
     return left.natural_join(right, name=name)

@@ -227,7 +227,6 @@ class RemoteExecutor(_PoolExecutor):
 
     def __init__(self, max_workers: int | None = None,
                  transport: "Transport | str | None" = None,
-                 pipeline: bool | None = None,
                  hosts=None, heartbeat_interval: float = 5.0,
                  connect_timeout: float = 10.0,
                  slot_timeout: float = 60.0):
@@ -235,8 +234,7 @@ class RemoteExecutor(_PoolExecutor):
             # The remote backend's natural data plane is the block
             # store; an explicit REPRO_TRANSPORT still wins.
             transport = os.environ.get(TRANSPORT_ENV_VAR, "tcp")
-        super().__init__(max_workers, transport=transport,
-                         pipeline=pipeline)
+        super().__init__(max_workers, transport=transport)
         self.host_specs = parse_host_specs(
             hosts if hosts is not None else default_hosts())
         self.heartbeat_interval = heartbeat_interval
@@ -400,17 +398,13 @@ class RemoteExecutor(_PoolExecutor):
         self._slots.put((kind, conn))
         return result
 
-    def map_tasks(self, fn, tasks):
-        # The partial stays in this process: super() runs it on a local
-        # thread pool, and only (fn.__name__, task) crosses the wire.
-        # repro: lint-ignore[spawn-safety] the partial never pickles; the thread pool calls it in-process and ships the task by name
-        return super().map_tasks(partial(self._run_one, fn), tasks)
-
     def submit_tasks(self, fn, tasks):
-        # Streamed tasks ride the same free-slot queue: each streamed
-        # task grabs whichever agent slot frees first, so remote hosts
-        # start executing while the coordinator is still routing and
-        # publishing later relations (network overlap, not just memcpy).
+        # Each streamed task grabs whichever agent slot frees first, so
+        # remote hosts start executing while the coordinator is still
+        # routing and publishing later relations (network overlap, not
+        # just memcpy).  The partial stays in this process: super() runs
+        # it on a local thread pool, and only (fn.__name__, task)
+        # crosses the wire.
         # repro: lint-ignore[spawn-safety] the partial never pickles; the thread pool calls it in-process and ships the task by name
         return super().submit_tasks(partial(self._run_one, fn), tasks)
 

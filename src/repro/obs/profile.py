@@ -38,7 +38,7 @@ PROFILE_SCHEMA_VERSION = 1
 #: to.  ``communication`` is the shuffle/route + publish wall;
 #: ``computation`` is task execution (plus engine-specific phases such
 #: as sparksql's ``partition``); ``optimization``/``precompute`` happen
-#: on the coordinator before the runtime path starts and have no
+#: on the coordinator before any task is dispatched and have no
 #: telemetry counterpart.
 _PHASE_MAP: dict[str, tuple[str, ...]] = {
     "optimization": (),
@@ -54,8 +54,8 @@ class PhaseRow:
 
     name: str
     modeled: float
-    #: Measured wall-clock seconds; None when the run never touched the
-    #: runtime path (pure-serial, no transport) or the phase has no
+    #: Measured wall-clock seconds; None when the run carries no
+    #: telemetry (it failed before reporting any) or the phase has no
     #: measured counterpart (optimization/precompute).
     measured: float | None = None
     #: The telemetry phases folded into ``measured`` (e.g. shuffle +

@@ -16,7 +16,6 @@ rules.
 """
 
 from .executor import (
-    PIPELINE_ENV_VAR,
     Executor,
     ExecutorView,
     ProcessExecutor,
@@ -25,18 +24,14 @@ from .executor import (
     available_backends,
     available_parallelism,
     create_executor,
-    default_pipeline,
     executor_for,
 )
 from .scheduler import (
     MergedOutcome,
-    build_routed_tasks,
-    build_worker_tasks,
     iter_routed_tasks,
     merge_task_results,
     run_streamed,
     run_streamed_tasks,
-    run_worker_tasks,
 )
 from .telemetry import RuntimeTelemetry, modeled_vs_measured
 from .transport import (
@@ -59,7 +54,6 @@ from .worker import (
     WorkerTaskResult,
     execute_worker_task,
     join_partition_pair_task,
-    join_partition_task,
     materialize_bag_task,
 )
 
@@ -72,17 +66,12 @@ __all__ = [
     "available_backends",
     "available_parallelism",
     "create_executor",
-    "default_pipeline",
     "executor_for",
-    "PIPELINE_ENV_VAR",
     "MergedOutcome",
-    "build_routed_tasks",
-    "build_worker_tasks",
     "iter_routed_tasks",
     "merge_task_results",
     "run_streamed",
     "run_streamed_tasks",
-    "run_worker_tasks",
     "RuntimeTelemetry",
     "modeled_vs_measured",
     "ArrayRef",
@@ -102,6 +91,5 @@ __all__ = [
     "WorkerTaskResult",
     "execute_worker_task",
     "join_partition_pair_task",
-    "join_partition_task",
     "materialize_bag_task",
 ]

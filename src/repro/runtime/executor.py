@@ -2,9 +2,9 @@
 
 One interface, three implementations:
 
-- ``serial``    — tasks run inline in the calling process, in submission
-  order.  Semantically identical to the historical simulated behaviour
-  and the default everywhere.
+- ``serial``    — tasks run in the calling process, each the moment the
+  task source produces it.  The default everywhere: an engine handed no
+  executor runs on a private one.
 - ``threads``   — a ``ThreadPoolExecutor``.  Cheap to start and shares
   memory, but Leapfrog is Python/numpy-bound so the GIL caps speedup;
   useful for overlap with I/O and for testing task plumbing.
@@ -13,20 +13,19 @@ One interface, three implementations:
   to worker processes, so task functions must be importable top-level
   functions (spawn/fork safe — see docs/runtime.md).
 
-Two submission APIs share one failure contract:
+One dispatcher, two spellings:
 
-- ``map_tasks(fn, tasks)`` — the barrier API: every task is known up
-  front, results come back as one ordered list.
-- ``submit_tasks(fn, tasks)`` — the streaming API: ``tasks`` may be a
-  *lazy* iterable (e.g. the scheduler's
-  :func:`~repro.runtime.scheduler.iter_routed_tasks` generator, which
-  publishes relations and mints descriptors as it goes).  Pool backends
-  submit each task the moment the iterable produces it, so the first
-  tasks execute while later ones are still being routed/published —
-  the pipelined-epoch overlap.  Results are yielded in submission
-  order.
+- ``submit_tasks(fn, tasks)`` — ``tasks`` may be a *lazy* iterable (e.g.
+  the scheduler's :func:`~repro.runtime.scheduler.iter_routed_tasks`
+  generator, which publishes relations and mints descriptors as it
+  goes).  Pool backends submit each task the moment the iterable
+  produces it, so the first tasks execute while later ones are still
+  being routed/published — the pipelined-epoch overlap.  Results are
+  yielded in submission order.
+- ``map_tasks(fn, tasks)`` — ``list(submit_tasks(fn, tasks))``, for
+  callers that hold every task up front and want one ordered list.
 
-Failure contract (both APIs): a task that raises anything other than a
+Failure contract: a task that raises anything other than a
 :class:`repro.errors.ReproError` — or a worker process that dies — is
 converted into :class:`repro.errors.WorkerCrashed` so engines fail
 cleanly instead of hanging or leaking backend internals.  A recoverable
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import os
 import threading
-from abc import ABC, abstractmethod
 from concurrent.futures import (
     FIRST_EXCEPTION,
     BrokenExecutor,
@@ -56,7 +54,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import ConfigError, ReproError, WorkerCrashed
 from ..obs.tracing import current_tracer
@@ -72,32 +70,10 @@ __all__ = [
     "create_executor",
     "executor_for",
     "available_parallelism",
-    "PIPELINE_ENV_VAR",
-    "default_pipeline",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Environment variable toggling pipelined epochs (default on).
-PIPELINE_ENV_VAR = "REPRO_PIPELINE"
-
-_PIPELINE_VALUES = {"on": True, "1": True, "true": True, "yes": True,
-                    "off": False, "0": False, "false": False, "no": False}
-
-
-def default_pipeline() -> bool:
-    """Pipelined-epoch default from ``REPRO_PIPELINE`` (on unless set)."""
-    raw = os.environ.get(PIPELINE_ENV_VAR)
-    if raw is None:
-        return True
-    value = _PIPELINE_VALUES.get(raw.strip().lower())
-    if value is None:
-        raise ConfigError(
-            f"{PIPELINE_ENV_VAR} must be one of "
-            f"{sorted(_PIPELINE_VALUES)}, got {raw!r}")
-    return value
-
 
 def available_parallelism() -> int:
     """CPUs this process may actually use (affinity-aware)."""
@@ -107,7 +83,7 @@ def available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
-class Executor(ABC):
+class Executor:
     """Runs a batch of worker tasks and returns their results in order."""
 
     name: str = "abstract"
@@ -118,8 +94,7 @@ class Executor(ABC):
     concurrent: bool = False
 
     def __init__(self, max_workers: int | None = None,
-                 transport: "Transport | str | None" = None,
-                 pipeline: bool | None = None):
+                 transport: "Transport | str | None" = None):
         if max_workers is None:
             max_workers = 1
         max_workers = int(max_workers)
@@ -127,11 +102,6 @@ class Executor(ABC):
             raise ConfigError(
                 f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        #: Whether engines should stream tasks through ``submit_tasks``
-        #: (pipelined epochs) instead of the ``map_tasks`` barrier;
-        #: None defers to ``REPRO_PIPELINE`` (default on).
-        self.pipeline = default_pipeline() if pipeline is None \
-            else bool(pipeline)
         self._transport: Transport | None = (
             create_transport(transport) if transport is not None else None)
 
@@ -146,18 +116,18 @@ class Executor(ABC):
             self._transport = create_transport()
         return self._transport
 
-    @abstractmethod
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
+    def map_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
                   ) -> list[R]:
         """Apply ``fn`` to every task; results keep submission order.
 
-        Raises :class:`ReproError` subclasses from tasks unchanged and
-        wraps everything else in :class:`WorkerCrashed`.
+        The one definition for every backend: :meth:`submit_tasks`,
+        drained — same dispatcher, same failure contract.
         """
+        return list(self.submit_tasks(fn, tasks))
 
     def submit_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
                      ) -> Iterator[R]:
-        """Streaming variant of :meth:`map_tasks` for *lazy* task sources.
+        """Run ``fn`` over a (possibly *lazy*) task source.
 
         Consumes ``tasks`` (which may be a generator doing real work —
         publishing relations, minting descriptors) and yields results in
@@ -166,10 +136,9 @@ class Executor(ABC):
         behaviour); pool backends override this to submit tasks as they
         stream in, so execution overlaps with task production.
 
-        Same failure contract as :meth:`map_tasks`: ReproError
-        subclasses propagate unchanged, everything else becomes
-        :class:`WorkerCrashed`, and neither outcome tears down the
-        transport — the caller owns the epoch.
+        Failure contract: ReproError subclasses propagate unchanged,
+        everything else becomes :class:`WorkerCrashed`, and neither
+        outcome tears down the transport — the caller owns the epoch.
         """
         with current_tracer().span("submit_tasks", cat="executor",
                                    backend=self.name):
@@ -209,24 +178,9 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """Inline execution — today's simulated behaviour, zero overhead."""
+    """In-process execution: each task runs the moment it is minted."""
 
     name = "serial"
-
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
-                  ) -> list[R]:
-        out: list[R] = []
-        with current_tracer().span("map_tasks", cat="executor",
-                                   backend=self.name, tasks=len(tasks)):
-            for i, task in enumerate(tasks):
-                try:
-                    out.append(fn(task))
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise WorkerCrashed(
-                        i, f"{type(exc).__name__}: {exc}") from exc
-        return out
 
 
 class _PoolExecutor(Executor):
@@ -235,14 +189,12 @@ class _PoolExecutor(Executor):
     concurrent = True
 
     def __init__(self, max_workers: int | None = None,
-                 transport: "Transport | str | None" = None,
-                 pipeline: bool | None = None):
-        super().__init__(max_workers, transport=transport,
-                         pipeline=pipeline)
+                 transport: "Transport | str | None" = None):
+        super().__init__(max_workers, transport=transport)
         self._pool = None
         # Guards pool creation/teardown: concurrent queries sharing one
         # warm executor (through ExecutorViews) may race to the first
-        # map_tasks call; without the lock two pools get built and one
+        # submit_tasks call; without the lock two pools get built and one
         # leaks its worker threads/processes.  Reentrant because a
         # failing ``_make_pool`` (e.g. RemoteExecutor with an
         # unreachable host) cleans up via ``close`` -> ``_shutdown_pool``
@@ -303,40 +255,6 @@ class _PoolExecutor(Executor):
             futures.index(failed),
             f"{type(exc).__name__}: {exc}") from exc
 
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
-                  ) -> list[R]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        with current_tracer().span("map_tasks", cat="executor",
-                                   backend=self.name, tasks=len(tasks)):
-            try:
-                futures = [pool.submit(fn, t) for t in tasks]
-            except Exception as exc:
-                if isinstance(exc, BrokenExecutor):
-                    self._shutdown_pool()
-                raise WorkerCrashed(
-                    -1, f"task submission failed: "
-                        f"{type(exc).__name__}: {exc}") from exc
-            # Block until everything finished or something failed —
-            # healthy long runs never time out.  On failure, report the
-            # future that actually holds the exception (not whichever
-            # healthy task is still running) and cancel the rest.
-            done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = next(
-                (f for f in done if not f.cancelled()
-                 and f.exception() is not None), None)
-            if failed is not None:
-                for f in pending:
-                    f.cancel()
-                self._raise_failure(futures, failed)
-            self._raise_if_cancelled(futures)
-            # No exception => FIRST_EXCEPTION degenerated to
-            # ALL_COMPLETED, so every result is ready and result()
-            # cannot block.
-            return [future.result() for future in futures]
-
     def submit_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
                      ) -> Iterator[R]:
         """Submit tasks as the (possibly lazy) iterable produces them.
@@ -362,16 +280,28 @@ class _PoolExecutor(Executor):
                 for task in tasks:
                     if abort.is_set():
                         break
-                    future = pool.submit(fn, task)
+                    try:
+                        future = pool.submit(fn, task)
+                    except Exception as exc:
+                        if isinstance(exc, BrokenExecutor):
+                            self._shutdown_pool()
+                        raise WorkerCrashed(
+                            -1, f"task submission failed: "
+                                f"{type(exc).__name__}: {exc}") from exc
                     future.add_done_callback(_watch)
                     futures.append(future)
             except Exception:
-                # The task *source* failed (publish error, routing bug):
-                # don't leave orphan tasks running against an epoch the
-                # caller is about to tear down.
+                # The task *source* failed (publish error, routing bug)
+                # or the pool refused a task: don't leave orphan tasks
+                # running against an epoch the caller is about to tear
+                # down.
                 for f in futures:
                     f.cancel()
                 raise
+            # Block until everything finished or something failed —
+            # healthy long runs never time out.  On failure, report the
+            # future that actually holds the exception (not whichever
+            # healthy task is still running) and cancel the rest.
             done, pending = wait(futures, return_when=FIRST_EXCEPTION)
             failed = next(
                 (f for f in done if not f.cancelled()
@@ -381,6 +311,9 @@ class _PoolExecutor(Executor):
                     f.cancel()
                 self._raise_failure(futures, failed)
             self._raise_if_cancelled(futures)
+            # No exception => FIRST_EXCEPTION degenerated to
+            # ALL_COMPLETED, so every result is ready and result()
+            # cannot block.
             for future in futures:
                 yield future.result()
 
@@ -406,10 +339,8 @@ class ProcessExecutor(_PoolExecutor):
 
     def __init__(self, max_workers: int | None = None,
                  transport: "Transport | str | None" = None,
-                 pipeline: bool | None = None,
                  start_method: str | None = None):
-        super().__init__(max_workers, transport=transport,
-                         pipeline=pipeline)
+        super().__init__(max_workers, transport=transport)
         self.start_method = start_method
 
     def _make_pool(self):
@@ -428,9 +359,10 @@ class ExecutorView(Executor):
     publish an epoch, tear it down in ``finally``, read the frozen
     ``last_epoch`` counters.  A warm cluster serving concurrent queries
     breaks that single-run assumption, so each query gets a *view*:
-    ``map_tasks``/``submit_tasks`` delegate to the shared base executor
-    (one worker pool, amortized across queries) while :attr:`transport`
-    is a private instance stamped with a per-query epoch id.  Published
+    ``submit_tasks`` (and so ``map_tasks``) delegates to the shared base
+    executor (one worker pool, amortized across queries) while
+    :attr:`transport` is a private instance stamped with a per-query
+    epoch id.  Published
     blocks, :class:`~repro.runtime.transport.TransportStats` and the
     frozen ``last_epoch`` of interleaved queries therefore never mix,
     and engines need no changes to run concurrently.
@@ -442,8 +374,7 @@ class ExecutorView(Executor):
 
     def __init__(self, base: Executor, transport: "Transport | str | None"
                  = None, epoch: str | None = None):
-        super().__init__(base.max_workers, transport=transport,
-                         pipeline=base.pipeline)
+        super().__init__(base.max_workers, transport=transport)
         self._base = base
         self.name = base.name
         self.concurrent = base.concurrent
@@ -455,10 +386,6 @@ class ExecutorView(Executor):
     def base(self) -> Executor:
         """The shared executor this view delegates execution to."""
         return self._base
-
-    def map_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]
-                  ) -> list[R]:
-        return self._base.map_tasks(fn, tasks)
 
     def submit_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
                      ) -> Iterator[R]:
@@ -499,15 +426,13 @@ def available_backends() -> tuple[str, ...]:
 
 def create_executor(backend: str, max_workers: int | None = None,
                     transport: "Transport | str | None" = None,
-                    pipeline: bool | None = None,
                     **kwargs) -> Executor:
     """Instantiate a backend by name
     (``serial``/``threads``/``processes``/``remote``).
 
     ``transport`` names (or supplies) the data plane; ``None`` defers to
     ``REPRO_TRANSPORT`` at first use (the ``remote`` backend defaults to
-    ``tcp`` instead).  ``pipeline`` toggles pipelined epochs; ``None``
-    defers to ``REPRO_PIPELINE`` (default on).
+    ``tcp`` instead).
     """
     cls = _BACKENDS.get(backend)
     if cls is None and backend in _LAZY_BACKENDS:
@@ -519,14 +444,12 @@ def create_executor(backend: str, max_workers: int | None = None,
         raise ConfigError(
             f"unknown runtime backend {backend!r}; "
             f"choose from {available_backends()}")
-    return cls(max_workers, transport=transport, pipeline=pipeline,
-               **kwargs)
+    return cls(max_workers, transport=transport, **kwargs)
 
 
 def executor_for(cluster,
                  transport: "Transport | str | None" = None,
-                 hosts=None,
-                 pipeline: bool | None = None) -> Executor:
+                 hosts=None) -> Executor:
     """Executor matching a :class:`repro.distributed.Cluster`'s hint.
 
     The pool size is the cluster's worker count capped at the CPUs the
@@ -542,5 +465,4 @@ def executor_for(cluster,
     if cluster.runtime == "remote":
         kwargs["hosts"] = hosts
     return create_executor(cluster.runtime, max_workers=workers,
-                           transport=transport, pipeline=pipeline,
-                           **kwargs)
+                           transport=transport, **kwargs)

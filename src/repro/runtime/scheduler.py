@@ -1,13 +1,13 @@
-"""Scheduler: turn an HCube shuffle result into per-worker tasks.
+"""Scheduler: turn HCube routing assignments into per-worker tasks.
 
 The HCube locality property guarantees every output tuple is produced by
 exactly one cube, so per-worker evaluation is embarrassingly parallel:
 group each worker's cubes into one :class:`WorkerTask` (partition →
-build tries → run Leapfrog locally → merge counts), hand the batch to an
-:class:`repro.runtime.Executor`, and sum the results.  The same merged
-counters the simulated path accumulates inline (counts, per-level
-intermediate tuples, per-worker intersection work) come back here, so
-modeled cost accounting is identical across backends.
+build tries → run Leapfrog locally → merge counts), stream the tasks to
+an :class:`repro.runtime.Executor` as they are minted, and sum the
+results.  The merged counters (counts, per-level intermediate tuples,
+per-worker intersection work) are the same on every backend, so modeled
+cost accounting is backend-independent.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..data.database import Database
-from ..distributed.hcube import HCubeRouting, HCubeShuffleResult
+from ..distributed.hcube import HCubeRouting
 from ..errors import BudgetExceeded, WorkerCrashed
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer, trace_context
@@ -27,8 +27,7 @@ from .transport import PickleTransport, Transport
 from .worker import WorkerTask, WorkerTaskResult, execute_worker_task
 
 __all__ = ["MergedOutcome", "absorb_result_observability",
-           "build_worker_tasks", "build_routed_tasks",
-           "iter_routed_tasks", "merge_task_results", "run_worker_tasks",
+           "iter_routed_tasks", "merge_task_results",
            "run_streamed", "run_streamed_tasks"]
 
 
@@ -43,32 +42,6 @@ class MergedOutcome:
     cache_hits: int = 0
     cache_misses: int = 0
     tasks: int = 0
-
-
-def build_worker_tasks(shuffle: HCubeShuffleResult,
-                       order: Sequence[str],
-                       budget: int | None = None) -> list[WorkerTask]:
-    """One :class:`WorkerTask` per worker that owns at least one cube.
-
-    ``budget`` is the engine's *global* intersection-work cap; each task
-    receives it whole and the coordinator re-checks the summed work after
-    the run (see :func:`merge_task_results`), so a budget violation is
-    detected whether it happens inside one worker or only in aggregate.
-    """
-    grid = shuffle.grid
-    local_query = shuffle.local_query
-    order = tuple(order)
-    tasks: dict[int, WorkerTask] = {}
-    for cube, cube_db in enumerate(shuffle.cube_databases):
-        worker = grid.worker_of_cube(cube)
-        task = tasks.get(worker)
-        if task is None:
-            task = WorkerTask(worker=worker, query=local_query,
-                              order=order, budget=budget)
-            tasks[worker] = task
-        task.cubes.append(tuple(
-            cube_db[atom.relation].data for atom in local_query.atoms))
-    return [tasks[w] for w in sorted(tasks)]
 
 
 def iter_routed_tasks(routing: HCubeRouting, db: Database,
@@ -86,9 +59,16 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     this generator through
     :meth:`~repro.runtime.executor.Executor.submit_tasks` starts
     executing the first workers' tasks while later tasks are still
-    being published and sliced.  Task order, contents and transport
-    totals are identical to the barrier :func:`build_routed_tasks`
-    (which is implemented on top of this generator).
+    being published and sliced.  Each source relation is published
+    exactly once; tasks carry one
+    :class:`~repro.runtime.transport.ArrayRef` per (atom, cube) instead
+    of a materialized partition matrix, so partitioning happens on the
+    worker that owns the cube.
+
+    ``budget`` is the engine's *global* intersection-work cap; each task
+    receives it whole and the coordinator re-checks the summed work after
+    the run (see :func:`merge_task_results`), so a budget violation is
+    detected whether it happens inside one worker or only in aggregate.
 
     ``cache_capacity(worker_load)`` sizes an optional worker-local
     intersection cache (HCubeJ+Cache).  ``kernel`` is the
@@ -139,26 +119,6 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
         yield task
 
 
-def build_routed_tasks(routing: HCubeRouting, db: Database,
-                       order: Sequence[str],
-                       budget: int | None = None,
-                       transport: Transport | None = None,
-                       cache_capacity: Callable[[int], int] | None = None,
-                       kernel: str = "wcoj") -> list[WorkerTask]:
-    """Worker tasks from routing assignments, payloads via ``transport``.
-
-    Each source relation is published exactly once; tasks carry one
-    :class:`~repro.runtime.transport.ArrayRef` per (atom, cube) instead
-    of a materialized partition matrix, so partitioning happens on the
-    worker that owns the cube.  The barrier counterpart of
-    :func:`iter_routed_tasks` — same tasks, fully materialized.
-    """
-    return list(iter_routed_tasks(routing, db, order, budget=budget,
-                                  transport=transport,
-                                  cache_capacity=cache_capacity,
-                                  kernel=kernel))
-
-
 def absorb_result_observability(results: Sequence) -> None:
     """Fold task results into the tracer and the metrics registry.
 
@@ -184,21 +144,6 @@ def absorb_result_observability(results: Sequence) -> None:
             METRICS.counter("runtime.tasks_completed").inc()
 
 
-def run_worker_tasks(executor: Executor, tasks: Sequence[WorkerTask],
-                     telemetry: RuntimeTelemetry | None = None
-                     ) -> list[WorkerTaskResult]:
-    """Execute tasks on ``executor``, recording measured phase times."""
-    start = time.perf_counter()
-    results = executor.map_tasks(execute_worker_task, tasks)
-    elapsed = time.perf_counter() - start
-    absorb_result_observability(results)
-    if telemetry is not None:
-        telemetry.record("local_join", elapsed)
-        for res in results:
-            telemetry.record_worker(res.worker, res.total_seconds)
-    return results
-
-
 def run_streamed(executor: Executor, fn: Callable,
                  tasks: Iterable,
                  telemetry: RuntimeTelemetry | None = None,
@@ -214,11 +159,9 @@ def run_streamed(executor: Executor, fn: Callable,
 
     Telemetry: coordinator time spent inside the generator is recorded
     under ``mint_phase`` and the remaining wall-clock of the phase under
-    ``run_phase`` — so their sum stays comparable to the barrier path's
-    two phases.  The *overlap window* — the wall-clock between the first
-    task's submission and the completion of minting, i.e. how long task
-    production and task execution coexisted (zero, by construction, on
-    the barrier path) — accumulates into
+    ``run_phase``.  The *overlap window* — the wall-clock between the
+    first task's submission and the completion of minting, i.e. how long
+    task production and task execution coexisted — accumulates into
     :attr:`~repro.runtime.telemetry.RuntimeTelemetry.overlap_seconds`.
     Overlap is only recorded for executors that actually run streamed
     tasks concurrently (``executor.concurrent``): the serial backend
@@ -263,10 +206,10 @@ def run_streamed_tasks(executor: Executor,
                        tasks: Iterable[WorkerTask],
                        telemetry: RuntimeTelemetry | None = None
                        ) -> list[WorkerTaskResult]:
-    """Streamed counterpart of :func:`run_worker_tasks`.
+    """Execute a worker-task stream, recording measured phase times.
 
-    Same result list and worker telemetry; additionally records the
-    mint/execute overlap (see :func:`run_streamed`).
+    :func:`run_streamed` with the worker task function, plus per-worker
+    telemetry and the tasks' spans/metrics folded into the coordinator.
     """
     results = run_streamed(executor, execute_worker_task, tasks,
                            telemetry=telemetry,

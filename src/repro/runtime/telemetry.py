@@ -41,7 +41,7 @@ class RuntimeTelemetry:
     #: coexisted — the pipelined-epoch overlap window.  Not a phase:
     #: it measures concurrency between phases, so it is excluded from
     #: :attr:`total` (which would double-count it).  Zero on the
-    #: barrier path by construction.
+    #: serial backend, which runs each task between mints.
     overlap_seconds: float = 0.0
 
     @property

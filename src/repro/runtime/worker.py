@@ -43,8 +43,7 @@ from .transport import resolve_array_ref
 
 __all__ = ["WorkerTask", "WorkerTaskResult", "execute_worker_task",
            "BagTask", "BagTaskResult", "materialize_bag_task",
-           "PartitionJoinTask", "join_partition_pair_task",
-           "join_partition_task"]
+           "PartitionJoinTask", "join_partition_pair_task"]
 
 
 @dataclass
@@ -151,8 +150,8 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
             if task.kernel == "wcoj" and task.cache_capacity is not None:
                 cache = IntersectionCache(task.cache_capacity)
             t0 = time.perf_counter()
-            # With a cache, leapfrog builds its own tries (mirrors the
-            # inline cached path exactly, so hit/miss counts match).
+            # With a cache, leapfrog builds its own tries (so hit/miss
+            # counts equal a plain cached leapfrog_join per cube).
             # Non-wcoj kernels build no tries (and have no cache).
             tries = None
             if task.kernel == "wcoj" and cache is None:
@@ -326,14 +325,4 @@ def join_partition_pair_task(task: PartitionJoinTask) -> Relation:
                     resolve_array_ref(task.left), dedup=False)
     right = Relation(task.right_name, task.right_attrs,
                      resolve_array_ref(task.right), dedup=False)
-    return hash_join(left, right)
-
-
-def join_partition_task(pair: tuple[Relation, Relation]) -> Relation:
-    """Natural-join one co-partitioned (left, right) pair of Relations.
-
-    Legacy entry point predating the transport data plane; kept for
-    callers that already hold materialized partitions.
-    """
-    left, right = pair
     return hash_join(left, right)

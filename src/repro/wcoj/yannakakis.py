@@ -57,30 +57,15 @@ def _root_and_order(tree: Hypertree) -> tuple[int, list[tuple[int, int]]]:
 
 def materialize_bags(query: JoinQuery, db: Database, tree: Hypertree,
                      stats: YannakakisStats | None = None,
-                     budget: int | None = None,
-                     bag_kernels: dict[int, str] | None = None
-                     ) -> dict[int, Relation]:
-    """Worst-case-optimally materialize every bag's join.
-
-    ``bag_kernels`` maps bag index to a :mod:`repro.kernels` key; bags
-    not in the map (or when None) run the historical Leapfrog path.
-    """
+                     budget: int | None = None) -> dict[int, Relation]:
+    """Worst-case-optimally materialize every bag's join."""
     out: dict[int, Relation] = {}
     for bag in tree.bags:
         attrs = tuple(a for a in query.attributes if a in bag.attributes)
         sub = JoinQuery([query.atoms[i] for i in bag.atom_indices],
                         name=f"bag{bag.index}")
-        key = (bag_kernels or {}).get(bag.index, "wcoj")
-        if key != "wcoj":
-            # Lazy: repro.kernels imports this module's siblings.
-            from ..kernels import create_kernel
-
-            res = create_kernel(key).execute(sub, db, attrs,
-                                             materialize=True,
-                                             budget=budget)
-        else:
-            res = leapfrog_join(sub, db, order=attrs, materialize=True,
-                                budget=budget)
+        res = leapfrog_join(sub, db, order=attrs, materialize=True,
+                            budget=budget)
         rel = Relation(f"bag{bag.index}", attrs, res.relation.data,
                        dedup=False)
         out[bag.index] = rel

@@ -3,8 +3,8 @@
 Covers the acceptance round-trip (all registered engines agree through
 ``JoinSession``), lifecycle guarantees (lazy executor, teardown even on
 worker crash), the laziness of ``explain``/``estimate`` (verified by
-data-plane counters), configuration precedence (explicit > env >
-defaults), and the deprecation shims for the pre-façade entry points.
+data-plane counters) and configuration precedence (explicit > env >
+defaults).
 """
 
 import warnings
@@ -28,6 +28,7 @@ from repro.engines import (
 from repro.engines.base import EngineResult, engine_from_options
 from repro.errors import ConfigError, WorkerCrashed
 from repro.query import paper_query
+from repro.runtime.transport import default_transport_name
 from repro.wcoj import leapfrog_join
 
 ALL_ENGINES = ("sparksql", "bigjoin", "hcubej", "hcubej-cache", "adj",
@@ -117,7 +118,6 @@ class TestRunConfig:
         assert cfg.transport is None
         assert cfg.samples == 100
         assert cfg.seed == 0
-        assert not cfg.uses_runtime
 
     def test_env_beats_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -127,7 +127,6 @@ class TestRunConfig:
         cfg = RunConfig()
         assert (cfg.workers, cfg.backend, cfg.samples, cfg.seed) == \
             (3, "threads", 17, 5)
-        assert cfg.uses_runtime
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -150,9 +149,6 @@ class TestRunConfig:
         cfg = RunConfig(workers=4)
         assert cfg.replace(workers=None) is cfg
         assert cfg.replace(workers=6).workers == 6
-
-    def test_explicit_transport_forces_runtime(self):
-        assert RunConfig(transport="pickle").uses_runtime
 
     def test_engine_options_fold_session_defaults(self):
         cfg = RunConfig(samples=33, seed=2, work_budget=99)
@@ -209,14 +205,17 @@ class TestJoinSession:
                 "Q(a, b, c) :- R1(a, b), R2(b, c), R3(a, c)", db)
             assert job.query.num_atoms == 3
 
-    def test_serial_path_has_no_executor(self):
+    def test_serial_session_owns_a_serial_executor(self):
         query, db = graph_case("Q1")
         with JoinSession(workers=2) as session:
+            assert not session.executor_created
             result = session.query_from(query, db).run("hcubej")
             assert result.ok
-            assert session.executor() is None
-            assert not session.executor_created
-            assert session.transport_label == "inline"
+            assert session.executor_created
+            assert session.executor().name == "serial"
+            assert result.telemetry.backend == "serial"
+            assert result.data_plane["transport"] \
+                == session.transport_label == default_transport_name()
 
     def test_executor_is_lazy_and_cached(self):
         with JoinSession(workers=2, backend="threads") as session:
@@ -246,8 +245,6 @@ class TestJoinSession:
         def crashing_run(executor, tasks, telemetry=None):
             raise WorkerCrashed(0, "simulated death")
 
-        monkeypatch.setattr(one_round_mod, "run_worker_tasks",
-                            crashing_run)
         monkeypatch.setattr(one_round_mod, "run_streamed_tasks",
                             crashing_run)
         query, db = graph_case("Q1", seed=3)
@@ -363,7 +360,7 @@ class TestQueryJobLaziness:
         assert "DISAGREEMENT" in report.describe()
 
 
-# -- top-level exports + deprecation shims ------------------------------------
+# -- top-level exports --------------------------------------------------------
 
 class TestTopLevelApi:
     def test_new_exports(self):
@@ -375,28 +372,6 @@ class TestTopLevelApi:
         for name in ("JoinSession", "RunConfig", "EngineOptions",
                      "YannakakisJoin", "registry"):
             assert name in repro.__all__
-
-    def test_run_engine_safely_shim_warns_and_works(self):
-        """The old call shape works unchanged — plus a warning."""
-        query, db = graph_case("Q1", seed=8)
-        cluster = Cluster(num_workers=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = repro.run_engine_safely(
-                ADJ(num_samples=10), query, db, cluster, executor=None)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   and "JoinSession" in str(w.message) for w in caught)
-        assert result.ok
-        assert result.count == leapfrog_join(query, db).count
-
-    def test_executor_for_shim_warns_and_works(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            executor = repro.executor_for(
-                Cluster(num_workers=2, runtime="threads"))
-        executor.close()
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
 
     def test_deep_imports_do_not_warn(self):
         """Library-internal plumbing stays warning-free."""

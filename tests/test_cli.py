@@ -1,8 +1,8 @@
 """Smoke tests for the CLI (python -m repro) through main(argv).
 
 Exercises every subcommand at tiny scale, the engines-disagree exit
-code, registry-driven --engine choices, and executor cleanup on the
-``--engine all`` runtime path.
+code, registry-driven --engine choices, config errors as one-line
+exits, and executor cleanup on ``--engine all`` runs.
 """
 
 import pytest
@@ -11,7 +11,8 @@ from repro.cli import build_parser, main
 from repro.distributed.metrics import CostBreakdown
 from repro.engines import registry
 from repro.engines.base import EngineResult
-from repro.runtime.executor import Executor
+from repro.runtime.executor import Executor, SerialExecutor
+from repro.runtime.transport import default_transport_name
 
 SMALL = ["--scale", "1e-5", "--samples", "10"]
 
@@ -32,7 +33,7 @@ class TestSmoke:
         assert main(["run", "wb", "Q1", "--engine", "adj", *SMALL]) == 0
         out = capsys.readouterr().out
         assert "ADJ" in out
-        assert "transport=inline" in out
+        assert f"transport={default_transport_name()}" in out
 
     def test_run_all_engines(self, capsys):
         assert main(["run", "wb", "Q1", "--engine", "all", *SMALL]) == 0
@@ -169,7 +170,7 @@ class TestExecutorCleanup:
         assert closed, "executor was never closed"
         assert all(ex._pool is None for ex in closed)
 
-    def test_serial_run_creates_no_executor(self, monkeypatch):
+    def test_serial_run_creates_only_a_serial_executor(self, monkeypatch):
         created = []
         original_init = Executor.__init__
 
@@ -180,4 +181,27 @@ class TestExecutorCleanup:
         monkeypatch.setattr(Executor, "__init__", tracking_init)
         assert main(["run", "wb", "Q1", "--engine", "hcubej",
                      *SMALL]) == 0
-        assert not created
+        assert [type(ex) for ex in created] == [SerialExecutor]
+
+
+class TestConfigErrors:
+    """A ConfigError is a user error: ``error: <message>``, exit 2."""
+
+    def test_bad_worker_count(self, capsys):
+        assert main(["run", "wb", "Q1", "--workers", "0", *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: workers must be >= 1")
+        assert "Traceback" not in captured.err
+
+    def test_remote_backend_without_hosts(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_HOSTS", raising=False)
+        assert main(["run", "wb", "Q1", "--backend", "remote",
+                     *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "--hosts" in captured.err
+
+    def test_bad_env_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "eight")
+        assert main(["plan", "wb", "Q1", *SMALL]) == 2
+        assert "REPRO_WORKERS" in capsys.readouterr().err

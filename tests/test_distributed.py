@@ -17,6 +17,7 @@ from repro.distributed import (
     enumerate_share_vectors,
     frac_factor,
     hash_partition,
+    hcube_route,
     hcube_shuffle,
     localized_query,
     mix_hash,
@@ -27,8 +28,8 @@ from repro.distributed import local_atom_name
 from repro.errors import OutOfMemory, PlanError
 from repro.query import paper_query
 from repro.runtime import (
-    build_worker_tasks,
     execute_worker_task,
+    iter_routed_tasks,
     merge_task_results,
 )
 from repro.wcoj import leapfrog_join
@@ -356,8 +357,8 @@ class TestShuffleProperties:
         """Per-worker grid evaluation == global join (runtime path)."""
         q, db = triangle_case(seed=seed, n=60, dom=9)
         grid = HypercubeGrid(q, {"a": pa, "b": pb, "c": pc}, workers)
-        res = hcube_shuffle(q, db, grid)
-        tasks = build_worker_tasks(res, q.attributes)
+        tasks = list(iter_routed_tasks(hcube_route(q, db, grid), db,
+                                       q.attributes))
         merged = merge_task_results(
             [execute_worker_task(t) for t in tasks], q.num_attributes)
         assert merged.count == leapfrog_join(q, db).count

@@ -1,12 +1,15 @@
-"""Pipelined epochs: streaming submit_tasks, parity with the barrier
-path, and the failure-path regressions the barrier was hiding.
+"""Pipelined epochs: the one execution path every engine runs.
 
-The headline invariant: for every engine, every transport and every
-query, ``pipeline=on`` (streamed tasks, parallel routing, overlapped
-publish) produces bit-identical counts, ``level_tuples`` and data-plane
-totals to ``pipeline=off`` (the historical route -> publish -> execute
-barriers).  Failure paths must leave the pool reusable after recoverable
-errors and must never zero the epoch's data-plane counters.
+Streaming ``submit_tasks``, the failure-path regressions, and the two
+headline invariants: for every engine and every query, a run with no
+executor (a private in-process serial one) is bit-identical to the
+parent commit's inline evaluation and to ``threads`` / ``processes`` /
+``remote`` runs under every transport; and results do not depend on how
+minting and execution interleave — draining the task stream before
+dispatch (what ``benchmarks/e2e`` does to time publish and execute
+apart) changes no count, ``level_tuples`` or data-plane total.  Failure
+paths must leave the pool reusable after recoverable errors and must
+never zero the epoch's data-plane counters.
 """
 
 import threading
@@ -32,19 +35,15 @@ from repro.engines import (
 from repro.errors import BudgetExceeded, ConfigError, WorkerCrashed
 from repro.query import paper_query
 from repro.runtime import (
+    ExecutorView,
     SerialExecutor,
     ThreadExecutor,
-    build_routed_tasks,
     create_executor,
     iter_routed_tasks,
     merge_task_results,
     run_streamed_tasks,
 )
-from repro.runtime.executor import default_pipeline
-from repro.runtime.transport import (
-    PickleTransport,
-    SharedMemoryTransport,
-)
+from repro.runtime.transport import SharedMemoryTransport
 from repro.wcoj import leapfrog_join
 
 TRANSPORTS = ("pickle", "shm", "tcp")
@@ -215,21 +214,21 @@ class TestFailurePathRegressions:
         """Inline execution between mints is not concurrency: the
         serial backend must report overlap_seconds == 0."""
         query, db = graph_case("Q1", seed=7)
-        with create_executor("serial", 2, transport="shm",
-                             pipeline=True) as ex:
+        with create_executor("serial", 2, transport="shm") as ex:
             result = HCubeJ().run(query, db, Cluster(num_workers=2),
                                   executor=ex)
         assert result.ok
         assert result.telemetry.overlap_seconds == 0.0
 
-    @pytest.mark.parametrize("pipeline", (False, True))
-    def test_budget_tripped_run_reports_real_data_plane(self, pipeline):
+    @pytest.mark.parametrize("pooled", (False, True))
+    def test_budget_tripped_run_reports_real_data_plane(self, pooled):
         """Regression: a budget-failed run must report what it actually
-        published, not zeros."""
+        published, not zeros — on the in-process dispatcher and on the
+        pool one."""
         query, db = graph_case("Q1", seed=7, n=300, dom=40)
         cluster = Cluster(num_workers=2)
-        with create_executor("threads", 2, transport="shm",
-                             pipeline=pipeline) as ex:
+        with create_executor("threads" if pooled else "serial", 2,
+                             transport="shm") as ex:
             result = run_engine_safely(HCubeJ(work_budget=3), query, db,
                                        cluster, executor=ex)
             assert result.failure == "budget"
@@ -253,23 +252,6 @@ def _routing(query_name="Q1", workers=3, seed=1):
 
 
 class TestStreamedScheduler:
-    def test_iter_routed_tasks_equals_build_routed_tasks(self):
-        query, db, routing = _routing()
-        t_barrier, t_stream = PickleTransport(), PickleTransport()
-        barrier = build_routed_tasks(routing, db, query.attributes,
-                                     transport=t_barrier)
-        streamed = list(iter_routed_tasks(routing, db, query.attributes,
-                                          transport=t_stream))
-        assert [t.worker for t in streamed] == \
-            [t.worker for t in barrier]
-        for ts, tb in zip(streamed, barrier):
-            assert len(ts.cubes) == len(tb.cubes)
-            for cs, cb in zip(ts.cubes, tb.cubes):
-                for rs, rb in zip(cs, cb):
-                    assert rs.num_rows == rb.num_rows
-                    np.testing.assert_array_equal(rs.data, rb.data)
-        assert t_stream.stats.as_dict() == t_barrier.stats.as_dict()
-
     def test_streamed_results_match_barrier_results(self):
         query, db, routing = _routing("Q9")
         truth = leapfrog_join(query, db).count
@@ -322,10 +304,17 @@ class TestStreamedScheduler:
             == narrow.stats.tuple_copies * 2 * 4
 
 
-# -- engine parity: pipelined ≡ barrier ---------------------------------------
+# -- engine parity: streamed ≡ drained-first -----------------------------------
 
-#: data_plane keys that must be identical between the two paths
-#: (fetch counters are excluded: worker-side tcp fetch caching is
+class _DrainFirst(ExecutorView):
+    """A view that mints every task before dispatching any of them."""
+
+    def submit_tasks(self, fn, tasks):
+        return self.base.submit_tasks(fn, list(tasks))
+
+
+#: data_plane keys that must be identical between the two dispatch
+#: orders (fetch counters are excluded: worker-side tcp fetch caching is
 #: per-process and timing-dependent under streaming).
 _PLANE_KEYS = ("published_blocks", "published_bytes", "shipped_refs",
                "shipped_bytes", "transport")
@@ -336,54 +325,130 @@ class TestPipelineParity:
     @pytest.mark.parametrize("query_name", ["Q1", "Q9"])
     def test_all_engines_identical_to_barrier(self, query_name,
                                               transport):
-        """Counts, level_tuples, modeled costs and data-plane totals are
-        identical with the pipeline on and off, for all six engines."""
+        """Counts, level_tuples, modeled costs and data-plane totals do
+        not depend on whether tasks are dispatched as they are minted or
+        only after the whole stream is drained, for all six engines."""
         query, db = graph_case(query_name, seed=11)
         truth = leapfrog_join(query, db).count
         cluster = Cluster(num_workers=3)
         outcomes = {}
-        for pipeline in (False, True):
-            with create_executor("threads", 2, transport=transport,
-                                 pipeline=pipeline) as ex:
-                assert ex.pipeline is pipeline
+        with create_executor("threads", 2) as pool:
+            for view in (ExecutorView, _DrainFirst):
+                ex = view(pool, transport=transport)
                 for engine in engine_lineup():
                     result = run_engine_safely(engine, query, db,
                                                cluster, executor=ex)
-                    assert result.ok, (engine.name, transport, pipeline,
+                    assert result.ok, (engine.name, transport, view,
                                        result.failure)
-                    outcomes[(engine.name, pipeline)] = result
+                    outcomes[(engine.name, view)] = result
         for engine in engine_lineup():
-            off = outcomes[(engine.name, False)]
-            on = outcomes[(engine.name, True)]
-            assert on.count == off.count == truth, engine.name
-            assert on.breakdown.total == pytest.approx(
-                off.breakdown.total), engine.name
-            if "level_tuples" in off.extra:
-                assert on.extra["level_tuples"] \
-                    == off.extra["level_tuples"], engine.name
-            plane_on, plane_off = on.data_plane, off.data_plane
-            assert plane_on is not None and plane_off is not None
+            drained = outcomes[(engine.name, _DrainFirst)]
+            streamed = outcomes[(engine.name, ExecutorView)]
+            assert streamed.count == drained.count == truth, engine.name
+            assert streamed.breakdown.total == pytest.approx(
+                drained.breakdown.total), engine.name
+            if "level_tuples" in drained.extra:
+                assert streamed.extra["level_tuples"] \
+                    == drained.extra["level_tuples"], engine.name
             for key in _PLANE_KEYS:
-                assert plane_on[key] == plane_off[key], \
+                assert streamed.data_plane[key] == drained.data_plane[key], \
                     (engine.name, transport, key)
-            # Overlap telemetry exists only on the pipelined path.
-            assert off.telemetry.overlap_seconds == 0.0
-            assert on.telemetry.overlap_seconds >= 0.0
 
     def test_cache_hit_stats_match_barrier(self):
         query, db = graph_case("Q1", seed=13)
         cluster = Cluster(num_workers=2)
-        results = {}
-        for pipeline in (False, True):
-            with create_executor("serial", 2, transport="shm",
-                                 pipeline=pipeline) as ex:
-                results[pipeline] = HCubeJCache().run(query, db, cluster,
-                                                      executor=ex)
-        assert results[True].count == results[False].count
-        assert results[True].extra["cache_hits"] \
-            == results[False].extra["cache_hits"]
-        assert results[True].extra["cache_misses"] \
-            == results[False].extra["cache_misses"]
+        with create_executor("serial", 2) as base:
+            streamed, drained = (
+                HCubeJCache().run(query, db, cluster,
+                                  executor=view(base, transport="shm"))
+                for view in (ExecutorView, _DrainFirst))
+        assert streamed.count == drained.count
+        assert streamed.extra["cache_hits"] == drained.extra["cache_hits"]
+        assert streamed.extra["cache_misses"] \
+            == drained.extra["cache_misses"]
+
+
+# -- one execution path: default run ≡ parent's inline ≡ every backend ---------
+
+#: What the parent commit's *inline* path (``executor=None``, before it
+#: was deleted) produced on ``graph_case(query, seed=11)`` with 3
+#: workers: (count, breakdown.total, level_tuples, leapfrog_work,
+#: cache_hits, cache_misses); None where the engine reports no such key.
+_PARENT_INLINE = {
+    ("Q1", "HCubeJ"): (188, 0.0143685, [68, 136, 188], 2479, None, None),
+    ("Q1", "HCubeJ+Cache"): (188, 0.0143685, [68, 136, 188], 2479, 0, 207),
+    ("Q1", "BigJoin"): (188, 0.009444066666666666, [25, 136, 188],
+                        None, None, None),
+    ("Q1", "SparkSQL"): (188, 0.006575300000000001, None, None, None, None),
+    ("Q1", "Yannakakis"): (188, 0.003503766666666667, None, None, None,
+                           None),
+    ("Q1", "ADJ"): (188, 0.010051100000000002, [68, 347, 188], 3483,
+                    None, None),
+    ("Q9", "HCubeJ"): (864, 0.024499000000000003, [63, 136, 731, 864],
+                       12715, None, None),
+    ("Q9", "HCubeJ+Cache"): (864, 0.023721500000000003,
+                             [63, 136, 731, 864], 8175, 225, 708),
+    ("Q9", "BigJoin"): (864, 0.014307599999999998, [25, 136, 731, 864],
+                        None, None, None),
+    ("Q9", "SparkSQL"): (864, 0.011817066666666667, None, None, None, None),
+    ("Q9", "Yannakakis"): (864, 0.0053743, None, None, None, None),
+    ("Q9", "ADJ"): (864, 0.017373466666666667, [63, 343, 1652, 864],
+                    18255, None, None),
+}
+
+
+def _fingerprint(result):
+    extra = result.extra
+    return (result.count, result.breakdown.total,
+            extra.get("level_tuples"), extra.get("leapfrog_work"),
+            extra.get("cache_hits"), extra.get("cache_misses"))
+
+
+def _assert_fingerprint(result, expected, context):
+    count, total, *counters = _fingerprint(result)
+    assert [count, *counters] == [expected[0], *expected[2:]], context
+    assert total == pytest.approx(expected[1]), context
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """One warm pool per non-serial backend, shared by the module."""
+    from repro.net import WorkerAgent
+
+    with WorkerAgent(slots=2, mode="inline") as agent, \
+            create_executor("threads", 2) as threads, \
+            create_executor("processes", 2) as processes, \
+            create_executor("remote", 2, hosts=(
+                f"127.0.0.1:{agent.port}",)) as remote:
+        yield threads, processes, remote
+
+
+class TestOneExecutionPath:
+    @pytest.mark.parametrize("engine_index", range(6),
+                             ids=[e.name for e in engine_lineup()])
+    @pytest.mark.parametrize("query_name", ["Q1", "Q9"])
+    def test_default_run_matches_every_backend(self, query_name,
+                                               engine_index, pools):
+        """``engine.run(q, db, cluster)`` reproduces the parent commit's
+        inline numbers, and so does every backend x transport."""
+        query, db = graph_case(query_name, seed=11)
+        cluster = Cluster(num_workers=3)
+        engine = engine_lineup()[engine_index]
+        default = engine.run(query, db, cluster)
+        _assert_fingerprint(default,
+                            _PARENT_INLINE[(query_name, engine.name)],
+                            "default")
+        assert default.telemetry.backend == "serial"
+        assert default.data_plane["transport"] == "pickle"
+        for pool in pools:
+            for transport in TRANSPORTS:
+                result = engine.run(query, db, cluster,
+                                    executor=ExecutorView(
+                                        pool, transport=transport))
+                _assert_fingerprint(result, _fingerprint(default),
+                                    (pool.name, transport))
+                assert result.telemetry.backend == pool.name
+                assert result.data_plane["transport"] == transport
 
 
 class TestCrashMidStream:
@@ -399,8 +464,7 @@ class TestCrashMidStream:
                             crashing_task)
         query, db = graph_case("Q1", seed=8)
         transport = SharedMemoryTransport()
-        with ThreadExecutor(2, transport=transport,
-                            pipeline=True) as ex:
+        with ThreadExecutor(2, transport=transport) as ex:
             result = run_engine_safely(HCubeJ(), query, db,
                                        Cluster(num_workers=2),
                                        executor=ex)
@@ -421,8 +485,7 @@ class TestCrashMidStream:
                             crashing_task)
         query, db = graph_case("Q1", seed=9)
         transport = TcpTransport()
-        with ThreadExecutor(2, transport=transport,
-                            pipeline=True) as ex:
+        with ThreadExecutor(2, transport=transport) as ex:
             result = run_engine_safely(HCubeJ(), query, db,
                                        Cluster(num_workers=2),
                                        executor=ex)
@@ -438,39 +501,30 @@ class TestCrashMidStream:
 
 class TestPipelineConfig:
     def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        assert default_pipeline() is True
-        monkeypatch.setenv("REPRO_PIPELINE", "off")
-        assert default_pipeline() is False
-        monkeypatch.setenv("REPRO_PIPELINE", "ON")
-        assert default_pipeline() is True
+        """``REPRO_PIPELINE`` is no longer read: even a value the old
+        parser rejected changes nothing, and the catalog drops it."""
+        from repro.api.config import ENV_CATALOG
+
+        assert "REPRO_PIPELINE" not in ENV_CATALOG
         monkeypatch.setenv("REPRO_PIPELINE", "sideways")
-        with pytest.raises(ConfigError, match="REPRO_PIPELINE"):
-            default_pipeline()
+        query, db = graph_case("Q1", seed=7)
+        with create_executor("threads", 2) as ex:
+            result = HCubeJ().run(query, db, Cluster(num_workers=2),
+                                  executor=ex)
+        assert result.count == leapfrog_join(query, db).count
 
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIPELINE", "off")
-        with create_executor("serial", 1, pipeline=True) as ex:
-            assert ex.pipeline is True
-        with create_executor("serial", 1) as ex:
-            assert ex.pipeline is False
+    def test_run_config_field(self):
+        """The knob is gone from every constructor that carried it."""
+        from repro.api import JoinSession, RunConfig
 
-    def test_run_config_field(self, monkeypatch):
-        from repro.api import RunConfig
-
-        monkeypatch.delenv("REPRO_PIPELINE", raising=False)
-        assert RunConfig().pipeline is True
-        monkeypatch.setenv("REPRO_PIPELINE", "off")
-        assert RunConfig().pipeline is False
-        assert RunConfig(pipeline=True).pipeline is True
-
-    def test_session_plumbs_pipeline_to_executor(self):
-        from repro.api import JoinSession
-
-        with JoinSession(workers=2, backend="threads",
-                         transport="pickle", pipeline=False) as session:
-            assert session.config.pipeline is False
-            assert session.executor().pipeline is False
+        assert "pipeline" not in RunConfig.__dataclass_fields__
+        with pytest.raises(TypeError):
+            RunConfig(pipeline=True)
+        with pytest.raises(TypeError):
+            create_executor("serial", pipeline=True)
+        with pytest.raises(TypeError):
+            JoinSession(workers=2, pipeline=False)
+        assert not hasattr(SerialExecutor(1), "pipeline")
 
     def test_bad_max_workers_rejected(self):
         """Satellite: silent coercion of max_workers<1 is gone."""
@@ -482,15 +536,13 @@ class TestPipelineConfig:
         assert SerialExecutor(None).max_workers == 1
 
     def test_cli_pipeline_flag(self, capsys):
+        """``--pipeline`` is rejected and the run header drops the row."""
         from repro.cli import main
 
+        with pytest.raises(SystemExit):
+            main(["run", "wb", "Q1", "--pipeline", "off"])
+        capsys.readouterr()
         assert main(["run", "wb", "Q1", "--engine", "hcubej",
                      "--scale", "1e-5", "--samples", "10",
-                     "--backend", "threads", "--pipeline", "off"]) == 0
-        out = capsys.readouterr().out
-        assert "pipeline=off" in out
-        assert main(["run", "wb", "Q1", "--engine", "hcubej",
-                     "--scale", "1e-5", "--samples", "10",
-                     "--backend", "threads", "--pipeline", "on"]) == 0
-        out = capsys.readouterr().out
-        assert "pipeline=on" in out
+                     "--backend", "threads"]) == 0
+        assert "pipeline" not in capsys.readouterr().out

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.data import Database, Relation
-from repro.distributed import Cluster, HypercubeGrid, hcube_shuffle
+from repro.distributed import Cluster, HypercubeGrid, hcube_route
 from repro.engines import (
     ADJ,
     BigJoin,
@@ -24,18 +24,21 @@ from repro.engines import (
 from repro.errors import BudgetExceeded, ConfigError, WorkerCrashed
 from repro.query import paper_query
 from repro.runtime import (
+    Executor,
+    ExecutorView,
     ProcessExecutor,
     RuntimeTelemetry,
     SerialExecutor,
     ThreadExecutor,
     WorkerTask,
     available_parallelism,
-    build_worker_tasks,
     create_executor,
     execute_worker_task,
     executor_for,
+    iter_routed_tasks,
     merge_task_results,
-    run_worker_tasks,
+    resolve_array_ref,
+    run_streamed_tasks,
 )
 from repro.wcoj import leapfrog_join
 
@@ -66,6 +69,11 @@ def _exit_task(x):
     os._exit(13)  # simulates a worker process dying mid-task
 
 
+def _repro_error_task(x):
+    # A ReproError whose args survive pickling out of a pool child.
+    raise ConfigError(f"recoverable on {x}")
+
+
 def _slow_or_boom(x):
     if x == "boom":
         raise RuntimeError("boom fast")
@@ -87,6 +95,25 @@ class TestExecutors:
         with create_executor(backend, 2) as ex:
             with pytest.raises(WorkerCrashed, match="boom"):
                 ex.map_tasks(_raise_task, [7])
+
+    @pytest.mark.parametrize("backend", (*BACKENDS, "remote"))
+    def test_map_tasks_is_one_definition_with_one_contract(self, backend):
+        """No backend overrides ``map_tasks``: it is ``submit_tasks``
+        drained, so the failure contract is the dispatcher's — a crash
+        becomes WorkerCrashed, a ReproError passes through and leaves
+        the pool usable."""
+        # ``local`` slots keep the remote backend in-process here; agent
+        # round-trips are tests/test_net.py's subject.
+        kwargs = {"hosts": ("local:2",)} if backend == "remote" else {}
+        with create_executor(backend, 2, **kwargs) as ex:
+            assert type(ex).map_tasks is Executor.map_tasks
+            assert ExecutorView.map_tasks is Executor.map_tasks
+            with pytest.raises(ConfigError, match="recoverable"):
+                ex.map_tasks(_repro_error_task, [1, 2])
+            assert ex.map_tasks(_ok_task, iter([3])) == [6]
+            with pytest.raises(WorkerCrashed, match="boom"):
+                ex.map_tasks(_raise_task, [7])
+            assert ex.map_tasks(_ok_task, [4]) == [8]
 
     def test_failure_reported_before_slow_healthy_tasks(self):
         """The crashed task is named, without waiting out healthy ones."""
@@ -138,9 +165,9 @@ class TestScheduler:
         shares[query.attributes[0]] = 2
         shares[query.attributes[1]] = 2
         grid = HypercubeGrid(query, shares, workers)
-        shuffle = hcube_shuffle(query, db, grid)
-        return (build_worker_tasks(shuffle, query.attributes,
-                                   budget=budget),
+        routing = hcube_route(query, db, grid)
+        return (list(iter_routed_tasks(routing, db, query.attributes,
+                                       budget=budget)),
                 leapfrog_join(query, db).count, query)
 
     def test_tasks_cover_all_cubes(self):
@@ -160,8 +187,8 @@ class TestScheduler:
         query, db = graph_case("Q9")
         grid = HypercubeGrid(query, {a: 1 for a in query.attributes[:-1]}
                              | {query.attributes[-1]: 3}, 3)
-        shuffle = hcube_shuffle(query, db, grid)
-        tasks = build_worker_tasks(shuffle, query.attributes)
+        tasks = list(iter_routed_tasks(hcube_route(query, db, grid), db,
+                                       query.attributes))
         merged = merge_task_results(
             [execute_worker_task(t) for t in tasks], query.num_attributes)
         assert merged.count == leapfrog_join(query, db).count
@@ -177,7 +204,7 @@ class TestScheduler:
         tasks, _, query = self._tasks()
         # Corrupt one payload: arity mismatch makes the worker fail.
         tasks[0].cubes[0] = tuple(
-            arr[:, :1] for arr in tasks[0].cubes[0])
+            resolve_array_ref(ref)[:, :1] for ref in tasks[0].cubes[0])
         results = [execute_worker_task(t) for t in tasks]
         assert any(r.failure == "crash" for r in results)
         with pytest.raises(WorkerCrashed):
@@ -194,7 +221,7 @@ class TestScheduler:
         tasks, truth, query = self._tasks()
         telemetry = RuntimeTelemetry(backend="serial", num_workers=4)
         with SerialExecutor(4) as ex:
-            results = run_worker_tasks(ex, tasks, telemetry=telemetry)
+            results = run_streamed_tasks(ex, tasks, telemetry=telemetry)
         merged = merge_task_results(results, query.num_attributes)
         assert merged.count == truth
         assert "local_join" in telemetry.phase_seconds
@@ -230,10 +257,12 @@ class TestEngineBackends:
             inline.breakdown.total)
         assert routed.extra["level_tuples"] == inline.extra["level_tuples"]
 
-    def test_telemetry_attached_only_with_executor(self):
+    def test_telemetry_attached_to_every_run(self):
         query, db = graph_case("Q1", seed=4)
         cluster = Cluster(num_workers=2)
-        assert HCubeJ().run(query, db, cluster).telemetry is None
+        default = HCubeJ().run(query, db, cluster)
+        assert default.telemetry.backend == "serial"
+        assert default.data_plane["transport"] == "pickle"
         with ThreadExecutor(2) as ex:
             result = HCubeJ().run(query, db, cluster, executor=ex)
         tel = result.telemetry
@@ -358,8 +387,6 @@ class TestEngineBackends:
             raise WorkerCrashed(0, "simulated death")
 
         import repro.engines.one_round as one_round_mod
-        monkeypatch.setattr(one_round_mod, "run_worker_tasks",
-                            crashing_run)
         monkeypatch.setattr(one_round_mod, "run_streamed_tasks",
                             crashing_run)
         query, db = graph_case("Q1", seed=8)

@@ -19,10 +19,10 @@ from repro.runtime import (
     SerialExecutor,
     SharedMemoryTransport,
     ThreadExecutor,
-    build_routed_tasks,
     create_executor,
     create_transport,
     execute_worker_task,
+    iter_routed_tasks,
     merge_task_results,
     resolve_array_ref,
 )
@@ -183,8 +183,8 @@ class TestRoutedTasks:
         query, db, routing = self._routing()
         truth = leapfrog_join(query, db).count
         with create_transport(transport_name) as t:
-            tasks = build_routed_tasks(routing, db, query.attributes,
-                                       transport=t)
+            tasks = list(iter_routed_tasks(routing, db, query.attributes,
+                                           transport=t))
             results = [execute_worker_task(task) for task in tasks]
         merged = merge_task_results(results, query.num_attributes)
         assert merged.count == truth
@@ -196,8 +196,6 @@ class TestRoutedTasks:
         def crashing_run(executor, tasks, telemetry=None):
             raise WorkerCrashed(0, "simulated death")
 
-        monkeypatch.setattr(one_round_mod, "run_worker_tasks",
-                            crashing_run)
         monkeypatch.setattr(one_round_mod, "run_streamed_tasks",
                             crashing_run)
         query, db, _ = self._routing()
