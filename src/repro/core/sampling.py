@@ -2,8 +2,9 @@
 
 The estimator writes |T| = |val(A)| * E[|T_{A=a}|] where ``A`` is the
 first attribute of the order, ``val(A)`` is the intersection of the
-A-projections of all atoms containing A, and each |T_{A=a}| is obtained
-by a Leapfrog run with A fixed to a sampled value.  Lemma 2
+A-projections of all atoms containing A, and the |T_{A=a}| of all
+sampled values come from one Leapfrog run whose root frontier is the
+sample (:func:`repro.wcoj.leapfrog.leapfrog_sample_counts`).  Lemma 2
 (Chernoff-Hoeffding) bounds the error: with
 ``k = ceil(0.5 * p**-2 * ln(2/delta))`` samples, the estimate of the mean
 deviates by more than ``p * b`` with probability at most ``delta``.
@@ -27,7 +28,7 @@ from ..data.database import Database
 from ..data.relation import Relation
 from ..errors import EstimationError
 from ..query.query import Atom, JoinQuery
-from ..wcoj.leapfrog import build_tries, leapfrog_join
+from ..wcoj.leapfrog import leapfrog_sample_counts
 
 __all__ = ["required_samples", "SampleEstimate", "CardinalityEstimator",
            "DistributedSampler", "DistributedSampleReport"]
@@ -151,22 +152,9 @@ class CardinalityEstimator:
             chosen = vals
         else:
             chosen = rng.choice(vals, size=k_req, replace=True)
-        tries = build_tries(query, self.db, order)
-        counts = np.empty(chosen.shape[0], dtype=np.float64)
-        level_tuples = np.zeros(n)
-        level_work = np.zeros(n)
-        level_ext = np.zeros(n)
-        work = 0
-        for i, a in enumerate(chosen):
-            result = leapfrog_join(
-                query, self.db, order, fixed={attr: int(a)}, tries=tries,
-                budget=self.work_budget_per_sample)
-            counts[i] = result.count
-            stats = result.stats
-            level_tuples += stats.level_tuples
-            level_work += stats.level_work
-            level_ext += stats.level_extensions
-            work += stats.intersection_work
+        counts, stats = leapfrog_sample_counts(
+            query, self.db, order, chosen,
+            budget=self.work_budget_per_sample)
         k = int(chosen.shape[0])
         mean = float(counts.mean())
         scale = val_size / k
@@ -178,10 +166,12 @@ class CardinalityEstimator:
             sample_max=int(counts.max()),
             exact=exact,
             attribute=attr,
-            work=work,
-            level_tuples=tuple(float(t) * scale for t in level_tuples),
-            level_work=tuple(float(w) * scale for w in level_work),
-            level_extensions=tuple(float(e) * scale for e in level_ext),
+            work=stats.intersection_work,
+            level_tuples=tuple(float(t) * scale
+                               for t in stats.level_tuples),
+            level_work=tuple(float(w) * scale for w in stats.level_work),
+            level_extensions=tuple(float(e) * scale
+                                   for e in stats.level_extensions),
         )
 
 

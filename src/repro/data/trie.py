@@ -4,28 +4,81 @@ A trie over a relation with column order ``(A1, ..., Ak)`` is the
 lexicographically sorted, deduplicated tuple array.  A *node* at depth
 ``d`` is a contiguous row range ``[lo, hi)`` sharing the first ``d``
 column values; its children are the runs of distinct values in column
-``d`` inside that range.  All navigation is binary search on column
-slices, so the trie costs nothing beyond one sort at build time —
-mirroring the array-based tries of Leapfrog implementations (and the
-"three arrays" block-trie representation of the paper's Merge HCube).
+``d`` inside that range.  Row-range navigation (:meth:`Trie.children`,
+:class:`TrieIterator`) is binary search on column slices.
+
+:meth:`Trie.levels` adds the node-indexed view the frontier Leapfrog
+kernel runs on — the "three arrays" block-trie of the paper's Merge
+HCube, one triple per depth (:class:`TrieLevels`): the distinct values
+under every parent concatenated (``vals``), CSR child pointers
+(``ptr``) and a globally sorted ``parent * width + value`` key array
+(``keys``) that turns "which child of node p holds value v", for a
+whole array of ``(p, v)`` pairs, into one ``np.searchsorted``.  It is
+built from the sorted rows with one change-mask pass per column and
+memoized.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import SchemaError
 from .relation import Relation, lexsorted_rows
 
-__all__ = ["Trie", "TrieIterator"]
+__all__ = ["Trie", "TrieIterator", "TrieLevels"]
+
+# ``parent * width + offset`` keys must stay clear of the int64 range.
+_KEY_LIMIT = 2 ** 62
+
+
+class TrieLevels(NamedTuple):
+    """Per-depth CSR arrays of a :class:`Trie`.
+
+    A *node* of level ``l`` is a distinct prefix of length ``l + 1``,
+    numbered in lexicographic order; ``vals[l][i]`` is the last value of
+    node ``i``.  The children of node ``i`` are the level ``l + 1`` nodes
+    ``ptr[l][i] .. ptr[l][i + 1]``, so their values are the sorted slice
+    ``vals[l + 1][ptr[l][i]:ptr[l][i + 1]]``.  For ``l >= 1``,
+    ``keys[l][j] = parent(j) * width[l] + (vals[l][j] - vmin[l])`` is
+    globally sorted; it is ``None`` at level 0 (``vals[0]`` is itself
+    sorted and distinct) and when the encoding would leave int64.
+    """
+
+    vals: tuple[np.ndarray, ...]
+    ptr: tuple[np.ndarray, ...]
+    keys: tuple[np.ndarray | None, ...]
+    vmin: tuple[int, ...]
+    width: tuple[int, ...]
+
+    def probe(self, level: int, parents: np.ndarray | None,
+              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Look ``values[i]`` up among the children of ``parents[i]``.
+
+        ``parents`` are level ``level - 1`` node indices (ignored at
+        level 0, whose only parent is the root).  Returns ``(nodes,
+        found)``: the level-``level`` node index of every hit, and the
+        hit mask; ``nodes`` is meaningless where ``found`` is False.
+        """
+        if level == 0:
+            hay, needles = self.vals[0], values
+        else:
+            hay = self.keys[level]
+            vmin = self.vmin[level]
+            in_range = (values >= vmin) & (values < vmin + self.width[level])
+            # -1 sorts before every key and matches none.
+            needles = np.where(
+                in_range, parents * self.width[level] + (values - vmin), -1)
+        nodes = np.searchsorted(hay, needles)
+        np.minimum(nodes, hay.shape[0] - 1, out=nodes)
+        return nodes, hay[nodes] == needles
 
 
 class Trie:
     """A read-only trie index over a relation for a fixed column order."""
 
-    __slots__ = ("name", "attributes", "data", "_columns")
+    __slots__ = ("name", "attributes", "data", "_columns", "_levels")
 
     def __init__(self, relation: Relation, order: Sequence[str] | None = None):
         order = tuple(order) if order is not None else relation.attributes
@@ -51,6 +104,7 @@ class Trie:
             np.ascontiguousarray(self.data[:, j])
             for j in range(self.data.shape[1])
         )
+        self._levels: TrieLevels | None = None
 
     # -- basic protocol ---------------------------------------------------------
 
@@ -134,6 +188,42 @@ class Trie:
 
     def iterator(self) -> "TrieIterator":
         return TrieIterator(self)
+
+    def levels(self) -> TrieLevels:
+        """The node-indexed level arrays (built once, then memoized)."""
+        if self._levels is None:
+            self._levels = self._build_levels()
+        return self._levels
+
+    def _build_levels(self) -> TrieLevels:
+        rows = self.data.shape[0]
+        vals, ptr, keys, vmins, widths = [], [], [], [], []
+        # change[r]: row r starts a new prefix of the current length.
+        change = np.zeros(rows, dtype=bool)
+        change[:1] = True
+        parent_starts = None
+        for col in self._columns:
+            np.logical_or(change[1:], col[1:] != col[:-1], out=change[1:])
+            starts = np.flatnonzero(change)
+            level_vals = col[starts]
+            vmin = int(level_vals.min()) if rows else 0
+            width = int(level_vals.max()) - vmin + 1 if rows else 1
+            level_keys = None
+            if parent_starts is not None:
+                first_child = np.searchsorted(starts, parent_starts)
+                ptr.append(np.append(first_child, starts.shape[0]))
+                if parent_starts.shape[0] * width < _KEY_LIMIT:
+                    parent = np.repeat(
+                        np.arange(parent_starts.shape[0], dtype=np.int64),
+                        np.diff(ptr[-1]))
+                    level_keys = parent * width + (level_vals - vmin)
+            vals.append(level_vals)
+            keys.append(level_keys)
+            vmins.append(vmin)
+            widths.append(width)
+            parent_starts = starts
+        return TrieLevels(tuple(vals), tuple(ptr), tuple(keys),
+                          tuple(vmins), tuple(widths))
 
     def to_relation(self, name: str | None = None) -> Relation:
         return Relation(name or self.name, self.attributes, self.data,

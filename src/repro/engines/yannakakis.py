@@ -53,19 +53,20 @@ class YannakakisJoin:
         self.kernel = kernel
 
     def _bag_kernels(self, query: JoinQuery, db: Database,
-                     tree: Hypertree) -> dict[int, str]:
-        """Resolve a concrete kernel per bag, on the coordinator.
+                     tree: Hypertree) -> dict[int, tuple[str, str]]:
+        """Resolve a concrete ``(kernel key, reason)`` per bag, on the
+        coordinator — the shape ``ExplainReport.kernel_decisions`` has.
 
         Each bag is its own subquery, so ``adaptive`` may pick binary
         for an acyclic bag and wcoj for a cyclic one within one run.
         """
-        choices: dict[int, str] = {}
+        choices: dict[int, tuple[str, str]] = {}
         for bag in tree.bags:
             sub = JoinQuery([query.atoms[i] for i in bag.atom_indices],
                             name=f"bag{bag.index}")
             choice = select_kernel(self.kernel, sub, db,
                                    scope=f"bag{bag.index}")
-            choices[bag.index] = choice.key
+            choices[bag.index] = (choice.key, choice.reason)
         return choices
 
     def _materialize_parallel(self, query: JoinQuery, db: Database,
@@ -73,7 +74,7 @@ class YannakakisJoin:
                               stats: YannakakisStats,
                               telemetry: RuntimeTelemetry,
                               num_workers: int,
-                              bag_kernels: dict[int, str]
+                              bag_kernels: dict[int, tuple[str, str]]
                               ) -> tuple[dict[int, Relation], dict]:
         """One bag-materialization task per GHD bag, via the transport.
 
@@ -100,7 +101,7 @@ class YannakakisJoin:
                         f"rel:{a.relation}", db[a.relation].data))
                     for a in sub.atoms),
                 budget=self.work_budget, trace=ctx,
-                kernel=bag_kernels[bag.index])
+                kernel=bag_kernels[bag.index][0])
 
         try:
             # Stream bags: the first bag's WCOJ starts while later

@@ -8,6 +8,8 @@ map onto :class:`OutOfMemory` and :class:`BudgetExceeded`).
 
 from __future__ import annotations
 
+from functools import partial
+
 
 class ReproError(Exception):
     """Base class for every error raised by the repro library."""
@@ -58,6 +60,13 @@ class OutOfMemory(ReproError):
             f"budget {budget} tuples"
         )
 
+    # Exceptions pickle as ``cls(*self.args)`` — the formatted message —
+    # which does not fit a structured constructor; each such class
+    # rebuilds itself from its fields so it survives the trip out of a
+    # pool child or a remote agent.
+    def __reduce__(self):
+        return type(self), (self.server_id, self.used, self.budget)
+
 
 class WorkerCrashed(ReproError):
     """A runtime worker task died unexpectedly.
@@ -74,6 +83,9 @@ class WorkerCrashed(ReproError):
         self.worker = worker
         self.reason = reason
         super().__init__(f"worker {worker} crashed: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.worker, self.reason)
 
 
 class NetError(ReproError):
@@ -96,8 +108,12 @@ class BlockNotFound(NetError):
 
     def __init__(self, block: str, detail: str = ""):
         self.block = block
+        self.detail = detail
         msg = f"block {block!r} is not in the store"
         super().__init__(f"{msg} ({detail})" if detail else msg)
+
+    def __reduce__(self):
+        return type(self), (self.block, self.detail)
 
 
 class AdmissionError(ReproError):
@@ -116,6 +132,10 @@ class AdmissionError(ReproError):
         self.tenant = tenant
         super().__init__(message)
 
+    def __reduce__(self):
+        return (partial(type(self), reason=self.reason, tenant=self.tenant),
+                self.args)
+
 
 class BudgetExceeded(ReproError):
     """An engine exceeded its work budget.
@@ -131,3 +151,6 @@ class BudgetExceeded(ReproError):
         super().__init__(
             f"work budget exceeded: {work_done} work units > budget {budget}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.work_done, self.budget)

@@ -1,10 +1,11 @@
-"""The ``wcoj`` kernel: vectorized Leapfrog triejoin.
+"""The ``wcoj`` kernel: frontier-at-a-time Leapfrog triejoin.
 
 A thin adapter over :func:`repro.wcoj.leapfrog.leapfrog_join` — the
 worst-case-optimal path every engine used exclusively before the kernel
-layer existed.  ``kernel="wcoj"`` therefore reproduces the seed counters
-(``level_tuples``, ``intersection_work``) exactly; the regression tests
-pin this.
+layer existed.  Work is accounted from trie segment lengths, not from
+the elements the vectorized evaluation touches, so ``kernel="wcoj"``
+reproduces the seed counters (``level_tuples``, ``intersection_work``)
+exactly; the regression tests pin this.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from .leapfrog import (
     intersect_sorted,
     leapfrog_join,
     leapfrog_reference,
+    leapfrog_sample_counts,
 )
 from .reference import brute_force_join
 from .yannakakis import (
@@ -46,5 +47,6 @@ __all__ = [
     "intersect_sorted",
     "leapfrog_join",
     "leapfrog_reference",
+    "leapfrog_sample_counts",
     "brute_force_join",
 ]

@@ -1,15 +1,26 @@
 """Leapfrog triejoin (Algorithm 1 of the paper; Veldhuizen 2012).
 
-Two implementations are provided:
+- :func:`leapfrog_join` — the production path, evaluated
+  *frontier-at-a-time*: a frontier is a batch of partial bindings plus,
+  per atom, the trie node each binding sits on; one step binds the next
+  attribute for the whole batch over the tries' CSR level arrays
+  (:meth:`repro.data.trie.Trie.levels`).  Per binding the participant
+  with the shortest child segment *drives*: only its values are
+  gathered, and each is probed in the other participants with one
+  ``np.searchsorted`` per participant.  Frontiers are cut into chunks of
+  at most ``_CHUNK`` gathered candidates and processed depth-first, so
+  memory is bounded by depth x chunk and rows come out in lexicographic
+  order.  Work is *accounted* from the segment lengths of all
+  participants (the paper's cost unit, what Fig. 6 / Fig. 8 plot), not
+  from what was touched.  Supports fixed-value constraints (the
+  sampler's ``T_{A=a}``) and a deterministic work budget (the paper's
+  12-hour timeout analogue).  An intersection cache (CacheTrieJoin), an
+  ``emit`` callback or tries too wide for the int64 key encoding run the
+  per-binding recursion (:class:`_Recursion`) instead, with the same
+  counters.
 
-- :func:`leapfrog_join` — the production path: per attribute, the sorted
-  distinct candidate arrays of all participating tries are intersected
-  with vectorized binary searches, and the recursion batches the deepest
-  level.  It is instrumented with the per-level intermediate-tuple
-  counters the paper plots in Fig. 6 / Fig. 8, supports a fixed-value
-  constraint (the sampler's ``T_{A=a}``), an optional intersection cache
-  (CacheTrieJoin behaviour) and a deterministic work budget (the paper's
-  12-hour timeout analogue).
+- :func:`leapfrog_sample_counts` — ``|T_{A=a}|`` for many values ``a``
+  in one frontier evaluation (the sampler's probe).
 
 - :func:`leapfrog_reference` — a faithful transcription of the classic
   iterator-based leapfrog search (seek/next on :class:`TrieIterator`),
@@ -25,7 +36,7 @@ import numpy as np
 
 from ..data.database import Database
 from ..data.relation import Relation
-from ..data.trie import Trie
+from ..data.trie import Trie, TrieLevels
 from ..errors import BudgetExceeded, PlanError
 from ..query.query import JoinQuery
 from .cache import IntersectionCache
@@ -35,9 +46,15 @@ __all__ = [
     "JoinResult",
     "build_tries",
     "leapfrog_join",
+    "leapfrog_sample_counts",
     "leapfrog_reference",
     "intersect_sorted",
 ]
+
+# Most candidates one chunk of a frontier gathers.  A constant, not a
+# setting: 2**14..2**19 measure within noise of each other on latency
+# (larger only costs resident memory), so there is nothing to tune.
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -66,6 +83,15 @@ class LeapfrogStats:
     @property
     def total_tuples(self) -> int:
         return sum(self.level_tuples)
+
+    def add(self, other: "LeapfrogStats") -> None:
+        """Accumulate another run's counters (same attribute order)."""
+        for name in ("level_tuples", "level_work", "level_extensions"):
+            setattr(self, name, [a + b for a, b in zip(
+                getattr(self, name), getattr(other, name))])
+        self.intersection_work += other.intersection_work
+        self.extensions += other.extensions
+        self.emitted += other.emitted
 
     def level_fractions(self) -> list[float]:
         """Per-level share of all produced tuples (Fig. 6's percentages)."""
@@ -110,8 +136,9 @@ def build_tries(query: JoinQuery, db: Database, order: Sequence[str]
             raise PlanError(
                 f"atom {atom} arity mismatch with relation {rel.name}")
         renamed = Relation(rel.name, atom.attributes, rel.data, dedup=False)
-        tries.append(Trie(renamed, order=_atom_trie_order(
-            atom.attributes, order)))
+        trie = Trie(renamed, order=_atom_trie_order(atom.attributes, order))
+        trie.levels()   # index construction, not the join, pays for these
+        tries.append(trie)
     return tries
 
 
@@ -139,41 +166,10 @@ def intersect_sorted(arrays: Sequence[np.ndarray],
     return result
 
 
-def leapfrog_join(query: JoinQuery, db: Database,
-                  order: Sequence[str] | None = None, *,
-                  materialize: bool = False,
-                  fixed: Mapping[str, int] | None = None,
-                  cache: IntersectionCache | None = None,
-                  budget: int | None = None,
-                  emit: Callable[[list[int], np.ndarray], None] | None = None,
-                  tries: Sequence[Trie] | None = None,
-                  stats: LeapfrogStats | None = None) -> JoinResult:
-    """Evaluate ``query`` over ``db`` with Leapfrog triejoin.
-
-    Parameters
-    ----------
-    order:
-        Global attribute order (defaults to the query's base order).
-    materialize:
-        Collect result tuples into a relation (attributes = ``order``).
-    fixed:
-        Attribute -> value constraints (the sampler fixes the first
-        attribute: ``T_{A=a}``).
-    cache:
-        Optional :class:`IntersectionCache`; intersections are memoized
-        per (depth, participant ranges).
-    budget:
-        Maximum intersection work before :class:`BudgetExceeded`.
-    emit:
-        Callback ``(prefix, values)`` invoked per full-binding batch:
-        the output rows are ``prefix + [v]`` for v in values.
-    tries:
-        Pre-built tries (one per atom, orders consistent with ``order``);
-        built on the fly when omitted.
-    stats:
-        Caller-owned stats object, reset and populated in place — useful
-        to inspect partial counts after a :class:`BudgetExceeded`.
-    """
+def _plan(query: JoinQuery, db: Database, order: Sequence[str] | None,
+          tries: Sequence[Trie] | None, stats: LeapfrogStats | None):
+    """Validate ``order``, build missing tries, reset ``stats`` and list
+    every level's participants as ``(atom index, local trie depth)``."""
     order = tuple(order) if order is not None else query.attributes
     if set(order) != set(query.attributes):
         raise PlanError(
@@ -191,131 +187,326 @@ def leapfrog_join(query: JoinQuery, db: Database,
     stats.intersection_work = 0
     stats.extensions = 0
     stats.emitted = 0
-    fixed = dict(fixed or {})
-    for attr in fixed:
-        if attr not in order:
-            raise PlanError(f"fixed attribute {attr!r} not in query")
-
-    # participants[d] = [(atom index, local trie depth)] for order[d].
     participants: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ai, atom in enumerate(query.atoms):
-        trie_order = tries[ai].attributes
-        for local_depth, attr in enumerate(trie_order):
+    for ai, trie in enumerate(tries):
+        for local_depth, attr in enumerate(trie.attributes):
             participants[order.index(attr)].append((ai, local_depth))
     for d, parts in enumerate(participants):
         if not parts:
             raise PlanError(f"attribute {order[d]!r} appears in no atom")
+    return order, tries, stats, participants
 
-    ranges: list[tuple[int, int]] = [t.root for t in tries]
-    out_chunks: list[np.ndarray] = []
-    count = 0
-    prefix: list[int] = [0] * n
 
-    # The deepest two levels are batched: one numpy pass replaces the
-    # per-binding Python recursion into ``expand(n - 1)``.  Disabled
-    # whenever a feature needs the per-binding structure (budget checks
-    # between bindings, the intersection cache's per-node keys, emit
-    # callbacks, or a fixed value at the last attribute).  Counters stay
-    # bit-identical to the recursive path.
-    batch_leaf = (n >= 2 and budget is None and cache is None
-                  and emit is None and order[n - 1] not in fixed)
-    prev_pos = ({ai: p for p, (ai, _) in enumerate(participants[n - 2])}
-                if n >= 2 else {})
+def _level_arrays(tries: Sequence[Trie],
+                  participants: list[list[tuple[int, int]]]
+                  ) -> list[TrieLevels] | None:
+    """Every trie's level arrays, or None when a key array a probe would
+    need does not fit int64 (the caller falls back to the recursion)."""
+    levels = [t.levels() for t in tries]
+    for parts in participants:
+        for ai, depth in parts:
+            if depth and levels[ai].keys[depth] is None:
+                return None
+    return levels
 
-    def expand_leaf_batch(vals: np.ndarray, resolved: list) -> bool:
-        """Evaluate the last level for every binding of level ``n - 2``.
 
-        ``vals``/``resolved`` are the candidates of level ``n - 2``.  Per
-        last-level participant the candidate values of *all* ``k``
-        bindings are gathered in one shot (the trie's last local column
-        is sorted and distinct inside each child range), the k
-        intersections run as one sorted-set intersection over
-        ``binding_index * width + value`` keys, and the result chunk is
-        written column-wise.  Returns False when the value range would
-        overflow the int64 key encoding — the caller falls back to the
-        recursive path.
-        """
-        nonlocal count
-        k = int(vals.shape[0])
-        parts = participants[n - 1]
-        pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (seg, values)
-        work_total = 0
-        vmin = vmax = 0
-        for ai, ldepth in parts:
-            col = tries[ai]._columns[ldepth]
-            p = prev_pos.get(ai)
-            if p is not None:
-                # Varying trie: one child range per binding.
-                starts, ends = resolved[p]
-                lengths = ends - starts
-                total = int(lengths.sum())
-                seg = np.repeat(np.arange(k, dtype=np.int64), lengths)
-                offsets = np.concatenate(
-                    ([0], np.cumsum(lengths)[:-1])).astype(np.int64)
-                pos = (np.arange(total, dtype=np.int64)
-                       - np.repeat(offsets, lengths)
-                       + np.repeat(starts, lengths))
-                values = col[pos]
-            else:
-                # Constant trie: its range did not move at level n - 2.
-                lo, hi = ranges[ai]
-                block = col[lo:hi]
-                total = int(block.shape[0]) * k
-                seg = np.repeat(np.arange(k, dtype=np.int64),
-                                block.shape[0])
-                values = np.tile(block, k)
-            work_total += total
-            lo_v, hi_v = int(values.min()), int(values.max())
-            if not pairs:
-                vmin, vmax = lo_v, hi_v
-            else:
-                vmin, vmax = min(vmin, lo_v), max(vmax, hi_v)
-            pairs.append((seg, values))
-        width = vmax - vmin + 1
-        if len(pairs) > 1 and k * width >= 2 ** 62:
-            return False
-        stats.extensions += k
-        stats.level_extensions[n - 1] += k
-        stats.intersection_work += work_total
-        stats.level_work[n - 1] += work_total
-        if len(pairs) == 1:
-            out_seg, out_val = pairs[0]
+def leapfrog_join(query: JoinQuery, db: Database,
+                  order: Sequence[str] | None = None, *,
+                  materialize: bool = False,
+                  fixed: Mapping[str, int] | None = None,
+                  cache: IntersectionCache | None = None,
+                  budget: int | None = None,
+                  emit: Callable[[list[int], np.ndarray], None] | None = None,
+                  tries: Sequence[Trie] | None = None,
+                  stats: LeapfrogStats | None = None) -> JoinResult:
+    """Evaluate ``query`` over ``db`` with Leapfrog triejoin.
+
+    Parameters
+    ----------
+    order:
+        Global attribute order (defaults to the query's base order).
+    materialize:
+        Collect result tuples into a relation (attributes = ``order``,
+        rows in lexicographic order).
+    fixed:
+        Attribute -> value constraints (``T_{A=a}``).
+    cache:
+        Optional :class:`IntersectionCache`; intersections are memoized
+        per (depth, participant ranges).  Runs the per-binding recursion.
+    budget:
+        Maximum intersection work: a run whose total work stays within
+        it never trips, one that goes over raises
+        :class:`BudgetExceeded` with the partial ``stats`` filled in.
+    emit:
+        Callback ``(prefix, values)`` invoked per full-binding batch:
+        the output rows are ``prefix + [v]`` for v in values.  Runs the
+        per-binding recursion.
+    tries:
+        Pre-built tries (one per atom, orders consistent with ``order``);
+        built on the fly when omitted.
+    stats:
+        Caller-owned stats object, reset and populated in place — useful
+        to inspect partial counts after a :class:`BudgetExceeded`.
+    """
+    order, tries, stats, participants = _plan(query, db, order, tries, stats)
+    fixed_levels = {}
+    for attr, value in (fixed or {}).items():
+        if attr not in order:
+            raise PlanError(f"fixed attribute {attr!r} not in query")
+        fixed_levels[order.index(attr)] = int(value)
+    n = len(order)
+    rows: list[np.ndarray] | None = [] if materialize else None
+    if all(len(t) for t in tries):
+        levels = None
+        if cache is None and emit is None:
+            levels = _level_arrays(tries, participants)
+        if levels is not None:
+            run = _Frontier(levels, participants, fixed_levels, budget,
+                            stats, rows, None)
+            _extend(run, 0, 1, [None] * len(tries), [], None)
         else:
-            # Keys are sorted (binding-major, values ascending inside a
-            # binding), so the standard smallest-first searchsorted
-            # intersection applies; work was accounted above.
-            keys = sorted((seg * width + (values - np.int64(vmin))
-                           for seg, values in pairs), key=len)
-            result = keys[0]
-            for other in keys[1:]:
-                if result.shape[0] == 0:
-                    break
-                idx = np.searchsorted(other, result)
-                idx[idx == other.shape[0]] = other.shape[0] - 1
-                result = result[other[idx] == result]
-            out_seg = result // width
-            out_val = result % width + vmin
-        t = int(out_val.shape[0])
-        stats.level_tuples[n - 1] += t
-        count += t
-        stats.emitted += t
-        if materialize and t:
-            chunk = np.empty((t, n), dtype=np.int64)
-            for j in range(n - 2):
-                chunk[:, j] = prefix[j]
-            chunk[:, n - 2] = vals[out_seg]
-            chunk[:, n - 1] = out_val
-            out_chunks.append(chunk)
-        return True
+            _Recursion(tries, participants, fixed_levels, budget, stats,
+                       rows, cache, emit).expand(0)
+    relation = None
+    if rows is not None:
+        data = np.vstack(rows) if rows else np.empty((0, n), dtype=np.int64)
+        relation = Relation(f"{query.name}_result", order, data, dedup=False)
+    return JoinResult(count=stats.emitted, stats=stats, relation=relation)
 
-    def candidates_at(d: int) -> tuple[np.ndarray, list]:
+
+def leapfrog_sample_counts(query: JoinQuery, db: Database,
+                           order: Sequence[str] | None,
+                           values: np.ndarray, *,
+                           budget: int | None = None
+                           ) -> tuple[np.ndarray, LeapfrogStats]:
+    """``|T_{A=a}|`` for every ``a`` in ``values``, ``A = order[0]``.
+
+    All values (duplicates included) form the root frontier of *one*
+    evaluation; the per-value counts come back as a bincount of the root
+    id carried through the frontier, and the returned stats are the sums
+    of what one ``leapfrog_join(fixed={A: a})`` per value would report.
+    ``budget`` is a per-value work budget; enforcing it (or tries too
+    wide for the frontier) takes exactly that one-join-per-value loop.
+    """
+    order, tries, total, participants = _plan(query, db, order, None, None)
+    values = np.asarray(values, dtype=np.int64)
+    counts = np.zeros(values.shape[0], dtype=np.int64)
+    if not values.shape[0] or not all(len(t) for t in tries):
+        return counts, total
+    levels = _level_arrays(tries, participants) if budget is None else None
+    if levels is not None:
+        run = _Frontier(levels, participants, {0: values}, None, total,
+                        None, counts)
+        _extend(run, 0, values.shape[0], [None] * len(tries), [],
+                np.arange(values.shape[0], dtype=np.int64))
+        return counts, total
+    for i, a in enumerate(values):
+        result = leapfrog_join(query, db, order, fixed={order[0]: int(a)},
+                               tries=tries, budget=budget)
+        counts[i] = result.count
+        total.add(result.stats)
+    return counts, total
+
+
+# -- frontier evaluation --------------------------------------------------------
+#
+# Module-level functions over a plain state object, not closures: a
+# closure that calls itself is a reference cycle, and the tries, level
+# arrays and result chunks it captures then live until a gen-2 GC.
+
+@dataclass(slots=True)
+class _Frontier:
+    """What every step of one frontier evaluation shares."""
+
+    levels: list[TrieLevels]
+    participants: list[list[tuple[int, int]]]
+    fixed: dict[int, int | np.ndarray]   # level -> value (array: per root)
+    budget: int | None
+    stats: LeapfrogStats
+    rows: list[np.ndarray] | None        # result chunks when materializing
+    root_counts: np.ndarray | None       # per-root result counts, if asked
+
+
+def _extend(run: _Frontier, d: int, k: int,
+            nodes: list[np.ndarray | None], cols: list[np.ndarray],
+            root: np.ndarray | None) -> None:
+    """Bind attribute ``d`` under each of ``k`` partial bindings.
+
+    ``nodes[ai][b]`` is the node atom ``ai``'s trie sits on under binding
+    ``b`` (None: still at its root, or never read again); ``cols`` are
+    the bound prefix columns (materializing runs), ``root`` the root
+    binding each binding descends from (multi-root runs).  Work is
+    accounted from the participants' child-segment lengths — ``ptr``
+    reads, no element touched.  Then, chunk by chunk and depth-first,
+    every binding's shortest segment is gathered and each candidate is
+    probed in the other participants.
+    """
+    stats = run.stats
+    parts = run.participants[d]
+    fixed = run.fixed.get(d)
+    if fixed is None:
+        starts, lens = [], []
+        for ai, depth in parts:
+            lv = run.levels[ai]
+            if depth == 0:
+                starts.append(np.zeros(k, dtype=np.int64))
+                lens.append(np.full(k, lv.vals[0].shape[0], dtype=np.int64))
+            else:
+                ptr = lv.ptr[depth - 1]
+                starts.append(ptr[nodes[ai]])
+                lens.append(ptr[nodes[ai] + 1] - starts[-1])
+        seg = np.stack(lens)
+        work = int(seg.sum())
+    else:
+        work = len(parts) * k
+    stats.extensions += k
+    stats.level_extensions[d] += k
+    stats.intersection_work += work
+    stats.level_work[d] += work
+    if run.budget is not None and stats.intersection_work > run.budget:
+        raise BudgetExceeded(stats.intersection_work, run.budget)
+    if fixed is not None:
+        value = (fixed if isinstance(fixed, np.ndarray)
+                 else np.full(k, fixed, dtype=np.int64))
+        bind = np.arange(k, dtype=np.int64)
+        _descend(run, d, nodes, cols, root,
+                 *_probe(run, d, nodes, bind, value, None, None))
+        return
+    driver = seg.argmin(axis=0)
+    shortest = seg.min(axis=0)
+    gathered = np.cumsum(shortest)
+    lo = 0
+    while lo < k:
+        limit = (int(gathered[lo - 1]) if lo else 0) + _CHUNK
+        hi = max(lo + 1, int(np.searchsorted(gathered, limit, side="right")))
+        groups = []
+        for p, (ai, depth) in enumerate(parts):
+            sel = np.flatnonzero(driver[lo:hi] == p) + lo
+            if not sel.shape[0]:
+                continue
+            length = shortest[sel]
+            ends = np.cumsum(length)
+            pos = (np.arange(int(ends[-1]), dtype=np.int64)
+                   + np.repeat(starts[p][sel] - (ends - length), length))
+            groups.append(_probe(
+                run, d, nodes, np.repeat(sel, length),
+                run.levels[ai].vals[depth][pos], p, pos))
+        if len(groups) == 1:
+            bind, value, children = groups[0]
+        else:
+            # Each binding has one driver, so a stable sort by binding
+            # restores lexicographic order across the driver groups.
+            bind = np.concatenate([g[0] for g in groups])
+            by_binding = np.argsort(bind, kind="stable")
+            bind = bind[by_binding]
+            value = np.concatenate([g[1] for g in groups])[by_binding]
+            children = [
+                None if group_children[0] is None
+                else np.concatenate(group_children)[by_binding]
+                for group_children in zip(*(g[2] for g in groups))]
+        _descend(run, d, nodes, cols, root, bind, value, children)
+        lo = hi
+
+
+def _probe(run: _Frontier, d: int, nodes: list[np.ndarray | None],
+           bind: np.ndarray, value: np.ndarray, driver: int | None,
+           driver_child: np.ndarray | None):
+    """Drop the candidates ``(bind[i], value[i])`` some participant of
+    level ``d`` other than ``driver`` lacks.
+
+    Returns the surviving ``bind``/``value`` and, per participant, the
+    child node each survivor leads to — None for a participant whose
+    trie ends at this level.
+    """
+    parts = run.participants[d]
+    deeper = [depth + 1 < len(run.levels[ai].vals) for ai, depth in parts]
+    children: list[np.ndarray | None] = [None] * len(parts)
+    if driver is not None and deeper[driver]:
+        children[driver] = driver_child
+    for p, (ai, depth) in enumerate(parts):
+        if p == driver:
+            continue
+        parents = nodes[ai][bind] if depth else None
+        child, found = run.levels[ai].probe(depth, parents, value)
+        if not found.all():
+            bind, value, child = bind[found], value[found], child[found]
+            children = [c if c is None else c[found] for c in children]
+        if deeper[p]:
+            children[p] = child
+    return bind, value, children
+
+
+def _descend(run: _Frontier, d: int, nodes: list[np.ndarray | None],
+             cols: list[np.ndarray], root: np.ndarray | None,
+             bind: np.ndarray, value: np.ndarray,
+             children: list[np.ndarray | None]) -> None:
+    """Record the bindings that survived level ``d`` and extend them."""
+    stats = run.stats
+    t = int(value.shape[0])
+    stats.level_tuples[d] += t
+    if not t:
+        return
+    n = len(run.participants)
+    if d == n - 1:
+        stats.emitted += t
+        if run.rows is not None:
+            chunk = np.empty((t, n), dtype=np.int64)
+            for j, col in enumerate(cols):
+                chunk[:, j] = col[bind]
+            chunk[:, d] = value
+            run.rows.append(chunk)
+        if root is not None:
+            run.root_counts += np.bincount(
+                root[bind], minlength=run.root_counts.shape[0])
+        return
+    # A participant moves to its child (None once its trie is used up);
+    # everyone else stays on the node its binding had.
+    moved = {ai: child for (ai, _), child in zip(run.participants[d],
+                                                 children)}
+    below = [moved[ai] if ai in moved
+             else None if held is None else held[bind]
+             for ai, held in enumerate(nodes)]
+    if run.rows is not None:
+        cols = [col[bind] for col in cols] + [value]
+    _extend(run, d + 1, t, below, cols,
+            None if root is None else root[bind])
+
+
+# -- per-binding recursion ---------------------------------------------------------
+
+class _Recursion:
+    """Leapfrog as a per-binding recursion over trie row ranges.
+
+    What ``cache=`` (CacheTrieJoin keys its LRU on the row ranges one
+    binding reaches), ``emit=`` and tries too wide for the frontier's
+    key encoding run on.  Counters equal the frontier evaluation's.
+    """
+
+    def __init__(self, tries: Sequence[Trie],
+                 participants: list[list[tuple[int, int]]],
+                 fixed: dict[int, int], budget: int | None,
+                 stats: LeapfrogStats, rows: list[np.ndarray] | None,
+                 cache: IntersectionCache | None,
+                 emit: Callable[[list[int], np.ndarray], None] | None):
+        self.tries = tries
+        self.participants = participants
+        self.fixed = fixed
+        self.budget = budget
+        self.stats = stats
+        self.rows = rows
+        self.cache = cache
+        self.emit = emit
+        self.ranges: list[tuple[int, int]] = [t.root for t in tries]
+        self.prefix: list[int] = [0] * len(participants)
+
+    def candidates_at(self, d: int) -> tuple[np.ndarray, list]:
         """Intersected values at depth d plus per-participant child spans."""
-        parts = participants[d]
-        attr = order[d]
-        if attr in fixed:
-            # Fast path for the sampler: seek the fixed value directly
-            # instead of materializing every participant's candidate array.
-            v = int(fixed[attr])
+        parts = self.participants[d]
+        stats, tries, ranges = self.stats, self.tries, self.ranges
+        if d in self.fixed:
+            # Seek the fixed value directly instead of materializing
+            # every participant's candidate array.
+            v = self.fixed[d]
             resolved = []
             stats.intersection_work += len(parts)
             for ai, ldepth in parts:
@@ -327,9 +518,9 @@ def leapfrog_join(query: JoinQuery, db: Database,
                                  np.array([h2], dtype=np.int64)))
             return np.array([v], dtype=np.int64), resolved
         key = None
-        if cache is not None:
+        if self.cache is not None:
             key = (d,) + tuple(ranges[ai] for ai, _ in parts)
-            hit = cache.get(key)
+            hit = self.cache.get(key)
             if hit is not None:
                 stats.cache_hits += 1
                 return hit
@@ -348,56 +539,45 @@ def leapfrog_join(query: JoinQuery, db: Database,
             idx = np.searchsorted(values, vals)
             resolved.append((starts[idx], ends[idx]))
         result = (vals, resolved)
-        if cache is not None and key is not None:
-            cache.put(key, result)
+        if key is not None:
+            self.cache.put(key, result)
         return result
 
-    def expand(d: int) -> None:
-        nonlocal count
-        if budget is not None and stats.intersection_work > budget:
-            raise BudgetExceeded(stats.intersection_work, budget)
+    def expand(self, d: int) -> None:
+        stats, prefix, ranges = self.stats, self.prefix, self.ranges
+        if self.budget is not None and stats.intersection_work > self.budget:
+            raise BudgetExceeded(stats.intersection_work, self.budget)
         stats.extensions += 1
         stats.level_extensions[d] += 1
         work_before = stats.intersection_work
-        vals, resolved = candidates_at(d)
+        vals, resolved = self.candidates_at(d)
         stats.level_work[d] += stats.intersection_work - work_before
         k = int(vals.shape[0])
         stats.level_tuples[d] += k
         if k == 0:
             return
+        n = len(prefix)
         if d == n - 1:
-            count += k
             stats.emitted += k
-            if emit is not None:
-                emit(prefix[:d], vals)
-            if materialize:
+            if self.emit is not None:
+                self.emit(prefix[:d], vals)
+            if self.rows is not None:
                 chunk = np.empty((k, n), dtype=np.int64)
                 for j in range(d):
                     chunk[:, j] = prefix[j]
                 chunk[:, d] = vals
-                out_chunks.append(chunk)
+                self.rows.append(chunk)
             return
-        if batch_leaf and d == n - 2 and expand_leaf_batch(vals, resolved):
-            return
-        parts = participants[d]
+        parts = self.participants[d]
         saved = [ranges[ai] for ai, _ in parts]
         for i in range(k):
             prefix[d] = int(vals[i])
             for p, (ai, _) in enumerate(parts):
                 starts, ends = resolved[p]
                 ranges[ai] = (int(starts[i]), int(ends[i]))
-            expand(d + 1)
+            self.expand(d + 1)
         for p, (ai, _) in enumerate(parts):
             ranges[ai] = saved[p]
-
-    if all(len(t) for t in tries):
-        expand(0)
-    relation = None
-    if materialize:
-        data = np.vstack(out_chunks) if out_chunks else np.empty(
-            (0, n), dtype=np.int64)
-        relation = Relation(f"{query.name}_result", order, data, dedup=False)
-    return JoinResult(count=count, stats=stats, relation=relation)
 
 
 def leapfrog_reference(query: JoinQuery, db: Database,

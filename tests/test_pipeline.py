@@ -126,6 +126,16 @@ class TestSubmitTasks:
             with pytest.raises(BudgetExceeded):
                 list(ex.submit_tasks(_budget_trip, iter([1])))
 
+    def test_reproerror_survives_the_trip_out_of_a_pool_child(self):
+        """A structured ReproError raised in a ``processes`` child must
+        unpickle in the coordinator (not break the result handler), and
+        the pool must still be usable afterwards."""
+        with create_executor("processes", 2) as ex:
+            with pytest.raises(BudgetExceeded) as info:
+                ex.map_tasks(_budget_trip, [1, 2])
+            assert (info.value.work_done, info.value.budget) == (100, 10)
+            assert ex.map_tasks(_double, [3, 4]) == [6, 8]
+
     def test_failure_stops_consuming_the_stream(self):
         """A mid-stream failure cancels pending work: the source is not
         drained to the end once a submitted task has failed."""
@@ -449,6 +459,42 @@ class TestOneExecutionPath:
                                     (pool.name, transport))
                 assert result.telemetry.backend == pool.name
                 assert result.data_plane["transport"] == transport
+
+
+# ADJ at the parent of the frontier-Leapfrog change (sampler looping one
+# recursive join per sample): the batched sampler must hand Algorithm 2
+# the same estimates, hence the same plan and the same modeled seconds.
+_PARENT_ADJ = {
+    "Q5": dict(
+        plan="plan[Q5]: traversal=(2, 1, 0), precompute=R1_R5_R6, R2_R3, "
+             "ord=b<d<e<c<a",
+        order=("b", "d", "e", "c", "a"), precomputed=("R1_R5_R6", "R2_R3"),
+        count=309, level_tuples=[25, 100, 91, 187, 309], leapfrog_work=2705,
+        explored_configurations=10,
+        breakdown=(0.003986333333333333, 0.0006996666666666667,
+                   0.0121423, 0.0005600000000000001)),
+    "Q9": dict(
+        plan="plan[Q9]: traversal=(0,), precompute=(none), ord=a<b<c<d",
+        order=("a", "b", "c", "d"), precomputed=(),
+        count=864, level_tuples=[63, 343, 1652, 864], leapfrog_work=18255,
+        explored_configurations=2,
+        breakdown=(0.0016836666666666666, 0.0, 0.0121088,
+                   0.0035810000000000004)),
+}
+
+
+class TestAdjPlanUnchanged:
+    @pytest.mark.parametrize("query_name", ["Q5", "Q9"])
+    def test_adj_reports_the_parent_plan_and_ledger(self, query_name):
+        query, db = graph_case(query_name, seed=11)
+        result = ADJ(num_samples=10).run(query, db, Cluster(num_workers=3))
+        expected = dict(_PARENT_ADJ[query_name])
+        breakdown = expected.pop("breakdown")
+        assert result.count == expected.pop("count")
+        assert {k: result.extra[k] for k in expected} == expected
+        b = result.breakdown
+        assert (b.optimization, b.precompute, b.communication,
+                b.computation) == pytest.approx(breakdown)
 
 
 class TestCrashMidStream:

@@ -280,6 +280,21 @@ class TestProfileCli:
                        if row["measured"] is not None)
         assert measured == pytest.approx(doc["measured_total"])
 
+    def test_profile_yannakakis_reports_per_bag_decisions(self, capsys):
+        """The engine stores ``(key, reason)`` per bag — the one shape
+        ``build_profile`` and ``ExplainReport`` share."""
+        from repro.cli import main
+
+        assert main(["profile", "wb", "Q9", "--engine", "yannakakis",
+                     "--scale", "1e-5", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["version"] == PROFILE_SCHEMA_VERSION
+        assert doc["ok"] is True and doc["engine"] == "Yannakakis"
+        assert doc["kernel_decisions"]
+        for dec in doc["kernel_decisions"]:
+            assert set(dec) >= {"bag", "kernel", "reason"}
+            assert dec["kernel"] in ("wcoj", "binary") and dec["reason"]
+
     def test_run_profile_flag_appends_tree_per_engine(self, capsys):
         from repro.cli import main
 

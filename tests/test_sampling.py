@@ -159,6 +159,46 @@ class TestCardinalityEstimator:
         assert violations / trials <= delta + 0.15
 
 
+class TestBatchedEqualsLooped:
+    """One frontier run over all samples vs one join per sample (the
+    path a per-sample budget takes): the same ``SampleEstimate``."""
+
+    @staticmethod
+    def _skewed_triangle():
+        q = paper_query("Q1")
+        rng = np.random.default_rng(21)
+        edges = rng.integers(0, 120, size=(900, 2))
+        edges[:250, 0] = 0          # a hub: samples differ 100x in work
+        db = Database([Relation(f"R{i}", ("x", "y"), edges)
+                       for i in (1, 2, 3)])
+        return q, db
+
+    @pytest.mark.parametrize("samples", [5, 50, 10_000])
+    @pytest.mark.parametrize("case", ["skewed-triangle", "wb-Q5"])
+    def test_estimates_equal_field_for_field(self, case, samples):
+        from repro.workloads import make_testcase
+
+        q, db = (self._skewed_triangle() if case == "skewed-triangle"
+                 else make_testcase("wb", "Q5", scale=5e-5))
+        batched = CardinalityEstimator(db, num_samples=samples, seed=4)
+        looped = CardinalityEstimator(db, num_samples=samples, seed=4,
+                                      work_budget_per_sample=10 ** 15)
+        for order in (q.attributes, q.attributes[::-1]):
+            a, b = batched.estimate(q, order), looped.estimate(q, order)
+            assert a == b
+            assert a.exact == (samples >= a.val_size)
+            assert a.work > 0
+        assert batched.total_work == looped.total_work
+
+    def test_per_sample_budget_still_trips(self):
+        from repro.errors import BudgetExceeded
+
+        q, db = self._skewed_triangle()
+        with pytest.raises(BudgetExceeded):
+            CardinalityEstimator(db, num_samples=20,
+                                 work_budget_per_sample=3).estimate(q)
+
+
 class TestDistributedSampler:
     def test_reduction_saves_shuffle_volume(self):
         q, db = triangle_case(seed=5, n=600, dom=80)

@@ -84,6 +84,55 @@ class TestNavigation:
         assert t.prefix_count(1) == 0
 
 
+class TestLevels:
+    """The node-indexed level arrays agree with row-range navigation."""
+
+    @given(rows=st.lists(st.tuples(st.integers(-3, 4), st.integers(0, 5),
+                                   st.integers(2, 6)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_levels_match_children(self, rows):
+        t = make_trie(rows, attrs=("a", "b", "c"))
+        lv = t.levels()
+        assert t.levels() is lv                     # memoized
+        assert [len(v) for v in lv.vals] \
+            == [t.prefix_count(d + 1) for d in range(3)]
+        spans = [t.root]          # row range of every node, level by level
+        for depth in range(3):
+            got_vals, below = [], []
+            for lo, hi in spans:
+                values, starts, ends = t.children(depth, lo, hi)
+                got_vals.append(values)
+                below.extend(zip(starts.tolist(), ends.tolist()))
+            if depth:             # CSR: node i owns ptr[i]:ptr[i + 1]
+                assert lv.ptr[depth - 1].tolist() == np.concatenate(
+                    [[0], np.cumsum([len(v) for v in got_vals])]).tolist()
+                assert np.all(np.diff(lv.keys[depth]) > 0)
+            assert lv.vals[depth].tolist() \
+                == np.concatenate(got_vals or [[]]).tolist()
+            spans = below
+
+    def test_probe_finds_exactly_the_children(self):
+        t = make_trie([(1, 5), (1, 7), (2, 5), (4, -3)])
+        lv = t.levels()
+        nodes, found = lv.probe(0, None, np.array([0, 1, 4, 9]))
+        assert found.tolist() == [False, True, True, False]
+        assert nodes[found].tolist() == [0, 2]
+        parents = np.array([0, 0, 1, 2, 2, 1])
+        values = np.array([7, 6, 5, -3, 100, -100])
+        nodes, found = lv.probe(1, parents, values)
+        assert found.tolist() == [True, False, True, True, False, False]
+        assert lv.vals[1][nodes[found]].tolist() == [7, 5, -3]
+
+    def test_empty_trie_has_empty_levels(self):
+        lv = make_trie([]).levels()
+        assert [v.shape[0] for v in lv.vals] == [0, 0]
+        assert lv.ptr[0].tolist() == [0]
+
+    def test_keys_absent_when_they_would_overflow(self):
+        lv = make_trie([(0, 0), (1, 2 ** 62)]).levels()
+        assert lv.keys == (None, None)
+
+
 class TestMerge:
     def test_merge_equals_union(self):
         t1 = make_trie([(1, 1), (2, 2)])
