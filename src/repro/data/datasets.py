@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .relation import Relation
+from .relation import Relation, sorted_set_rows
 
 __all__ = [
     "DatasetSpec",
@@ -105,7 +105,7 @@ def _dedup_edges(edges: np.ndarray) -> np.ndarray:
     edges = edges[edges[:, 0] != edges[:, 1]]
     if edges.shape[0] == 0:
         return edges
-    return np.unique(edges, axis=0)
+    return sorted_set_rows(edges)
 
 
 def generate_power_law_edges(num_edges: int, num_nodes: int | None = None,

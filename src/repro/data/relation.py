@@ -7,6 +7,23 @@ indexes built from relations.
 
 Values are ``int64``.  The tuple set is deduplicated on construction (the
 paper works with set semantics — natural joins of edge relations).
+
+Sorting and matching go through one **packed key**: a row becomes a
+single ``int64``, mixed radix over ``value - min`` per column, so that
+row order is key order and row equality is key equality.  A set is then
+one ``np.sort`` of a 1-D array (:func:`sorted_set_rows`) and a join
+probe one ``searchsorted``; when the radix product would reach
+``2**62`` the key does not fit and the same functions fall back to
+``np.lexsort`` / :func:`row_group_ids`.
+
+A relation remembers when its rows are a lexsorted set (the private
+``_sorted`` slot): the ``dedup=True`` constructor and
+:meth:`Relation.natural_join` establish it, row filters and renames keep
+it, column permutations drop it.  Nothing that knows it re-sorts.
+:class:`JoinProbe` is the binary-join step on top of both: sort the
+right side once by (join columns, remaining columns), probe it with the
+left keys, and know the output size — and that the output is born a
+lexsorted set — before a single output row is gathered.
 """
 
 from __future__ import annotations
@@ -17,7 +34,12 @@ import numpy as np
 
 from ..errors import SchemaError
 
-__all__ = ["Relation", "row_group_ids", "lexsorted_rows"]
+__all__ = ["Relation", "JoinProbe", "row_group_ids", "lexsorted_rows",
+           "sorted_set_rows"]
+
+#: Packed keys stay clear of the int64 range (the guard ``TrieLevels.keys``
+#: uses); rows whose radix product reaches it take the fallback paths.
+_KEY_LIMIT = 2 ** 62
 
 
 def _as_data(data, arity: int) -> np.ndarray:
@@ -81,6 +103,84 @@ def row_group_ids(*arrays: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _radix(*arrays: np.ndarray) -> tuple[list[int], list[int]] | None:
+    """Per-column ``(mins, widths)`` over the rows of all ``arrays``.
+
+    ``None`` when the product of the widths reaches :data:`_KEY_LIMIT`,
+    i.e. the rows do not pack into one int64.  At least one array must
+    have rows; all must have the same number of columns.
+    """
+    arrays = tuple(a for a in arrays if a.shape[0])
+    mins: list[int] = []
+    widths: list[int] = []
+    span = 1
+    for j in range(arrays[0].shape[1]):
+        lo = min(int(a[:, j].min()) for a in arrays)
+        hi = max(int(a[:, j].max()) for a in arrays)
+        mins.append(lo)
+        widths.append(hi - lo + 1)
+        span *= hi - lo + 1
+    return (mins, widths) if span < _KEY_LIMIT else None
+
+
+def _pack(arr: np.ndarray, mins: list[int], widths: list[int]) -> np.ndarray:
+    """Mixed-radix key of every row: row order is key order."""
+    key = arr[:, 0] - mins[0]
+    for j in range(1, arr.shape[1]):
+        key *= widths[j]
+        key += arr[:, j] - mins[j]
+    return key
+
+
+def _unpack(key: np.ndarray, mins: list[int],
+            widths: list[int]) -> np.ndarray:
+    """Inverse of :func:`_pack`: the rows as an (n, k) array."""
+    out = np.empty((key.shape[0], len(mins)), dtype=np.int64)
+    for j in range(len(mins) - 1, 0, -1):
+        key, out[:, j] = np.divmod(key, widths[j])
+    out[:, 0] = key
+    out += np.asarray(mins, dtype=np.int64)
+    return out
+
+
+def _sorted_rows(arr: np.ndarray, dedup: bool) -> np.ndarray:
+    """Rows in lexicographic order, optionally without duplicates.
+
+    One ``np.sort`` of the packed key, decoded back into columns; rows
+    too wide to pack take ``np.lexsort``.
+    """
+    if arr.shape[0] <= 1:
+        return arr
+    radix = _radix(arr)
+    if radix is None:
+        arr = lexsorted_rows(arr)
+        return _dedup_sorted(arr) if dedup else arr
+    key = _pack(arr, *radix)
+    key.sort()
+    if dedup:
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return _unpack(key, *radix)
+
+
+def sorted_set_rows(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, k) int64 array in lexicographic order."""
+    return _sorted_rows(arr, dedup=True)
+
+
+def _joint_keys(a: np.ndarray, b: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """1-D keys for the rows of ``a`` and ``b`` over their joint range.
+
+    Rows are equal iff their keys are, and ordered as their keys are —
+    packed keys, or lexicographic group ranks when they do not fit.
+    """
+    radix = _radix(a, b)
+    if radix is None:
+        a_ids, b_ids = row_group_ids(a, b)
+        return a_ids, b_ids
+    return _pack(a, *radix), _pack(b, *radix)
+
+
 class Relation:
     """An immutable named relation over integer attributes.
 
@@ -93,11 +193,12 @@ class Relation:
     data:
         Anything coercible to an ``(n, len(attributes))`` int64 array.
     dedup:
-        Deduplicate rows (set semantics).  Callers that already hold a
+        Deduplicate rows (set semantics); the rows are then a lexsorted
+        set and the relation knows it.  Callers that already hold a
         deduplicated array may pass ``False`` to skip the sort.
     """
 
-    __slots__ = ("name", "attributes", "data", "_distinct")
+    __slots__ = ("name", "attributes", "data", "_distinct", "_sorted")
 
     def __init__(self, name: str, attributes: Sequence[str], data=(),
                  dedup: bool = True):
@@ -109,15 +210,41 @@ class Relation:
         self.name = name
         self.attributes = attributes
         arr = _as_data(data, len(attributes))
-        if dedup and arr.shape[0] > 1:
-            arr = _dedup_sorted(lexsorted_rows(arr))
+        if dedup:
+            arr = sorted_set_rows(arr)
         self.data = arr
         self.data.setflags(write=False)
+        #: True when the rows are known to be a lexsorted set (sorted by
+        #: ``attributes``, no duplicates); False means unknown.
+        self._sorted = dedup or arr.shape[0] <= 1
         #: Memoized per-column distinct counts (column index -> count);
         #: shared across rename (same data) and remapped by reorder/project.
         self._distinct: dict[int, int] = {}
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def _of(cls, name: str, attributes: Sequence[str], data,
+            sorted_set: bool) -> "Relation":
+        """Wrap ``data`` as is; ``sorted_set`` vouches for its order."""
+        out = cls(name, attributes, data, dedup=False)
+        out._sorted = out._sorted or sorted_set
+        return out
+
+    def sorted_set(self, attrs: Sequence[str] | None = None) -> "Relation":
+        """This relation as a lexsorted set in column order ``attrs``.
+
+        ``self`` when it already is one in that order; otherwise the one
+        sort (which also deduplicates) happens here.
+        """
+        attrs = self.attributes if attrs is None else tuple(attrs)
+        if attrs == self.attributes:
+            if self._sorted:
+                return self
+            data = self.data
+        else:
+            data = self.data[:, [self.column_index(a) for a in attrs]]
+        return Relation(self.name, attrs, data, dedup=True)
 
     @classmethod
     def from_tuples(cls, name: str, attributes: Sequence[str],
@@ -167,8 +294,8 @@ class Relation:
             return False
         if len(self) != len(other):
             return False
-        a = lexsorted_rows(self.data)
-        b = lexsorted_rows(other.data)
+        a, b = (r.data if r._sorted else _sorted_rows(r.data, dedup=False)
+                for r in (self, other))
         return bool(np.array_equal(a, b))
 
     def __hash__(self):  # pragma: no cover - relations are not dict keys
@@ -247,7 +374,7 @@ class Relation:
     def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
         """Rename attributes via ``mapping`` (missing attrs stay)."""
         attrs = tuple(mapping.get(a, a) for a in self.attributes)
-        out = Relation(name or self.name, attrs, self.data, dedup=False)
+        out = Relation._of(name or self.name, attrs, self.data, self._sorted)
         out._distinct = self._distinct  # same data, same column order
         return out
 
@@ -259,24 +386,25 @@ class Relation:
                 f"{attrs} is not a permutation of {self.attributes}"
             )
         idx = [self.column_index(a) for a in attrs]
+        # Only the identity keeps the rows lexsorted by the new schema.
         return self._share_distinct(
-            Relation(name or self.name, attrs, self.data[:, idx],
-                     dedup=False),
+            Relation._of(name or self.name, attrs, self.data[:, idx],
+                         self._sorted and attrs == self.attributes),
             idx)
 
     def select_equals(self, attr: str, value: int, name: str | None = None) -> "Relation":
         """Selection sigma_{attr = value}."""
         col = self.column(attr)
-        return Relation(name or self.name, self.attributes,
-                        self.data[col == np.int64(value)], dedup=False)
+        return Relation._of(name or self.name, self.attributes,
+                            self.data[col == np.int64(value)], self._sorted)
 
     def select_in(self, attr: str, values: np.ndarray,
                   name: str | None = None) -> "Relation":
         """Selection sigma_{attr in values}."""
         values = np.asarray(values, dtype=np.int64)
         mask = np.isin(self.column(attr), values)
-        return Relation(name or self.name, self.attributes,
-                        self.data[mask], dedup=False)
+        return Relation._of(name or self.name, self.attributes,
+                            self.data[mask], self._sorted)
 
     def common_attributes(self, other: "Relation") -> tuple[str, ...]:
         return tuple(a for a in self.attributes if a in other.attributes)
@@ -284,60 +412,25 @@ class Relation:
     def semijoin(self, other: "Relation", name: str | None = None) -> "Relation":
         """Keep tuples whose projection on the shared attrs appears in ``other``."""
         common = self.common_attributes(other)
-        if not common:
-            # No shared attributes: semijoin keeps everything unless other
-            # is empty (then the join would be empty too).
-            if len(other) == 0:
-                return Relation(name or self.name, self.attributes, (),
-                                dedup=False)
-            return Relation(name or self.name, self.attributes, self.data,
-                            dedup=False)
-        left = self.data[:, [self.column_index(a) for a in common]]
-        right = other.data[:, [other.column_index(a) for a in common]]
-        ids_left, ids_right = row_group_ids(left, right)
-        mask = np.isin(ids_left, ids_right)
-        return Relation(name or self.name, self.attributes,
-                        self.data[mask], dedup=False)
+        if common and len(self) and len(other):
+            mine, theirs = _joint_keys(
+                self.data[:, [self.column_index(a) for a in common]],
+                other.data[:, [other.column_index(a) for a in common]])
+            kept = self.data[np.isin(mine, theirs)]
+        else:
+            # Nothing shared keeps everything — unless ``other`` is
+            # empty: then the join would be empty too.
+            kept = self.data if len(other) else self.data[:0]
+        return Relation._of(name or self.name, self.attributes, kept,
+                            self._sorted)
 
     def natural_join(self, other: "Relation", name: str | None = None) -> "Relation":
-        """Natural join (sort-merge on the shared attributes)."""
-        common = self.common_attributes(other)
-        out_attrs = self.attributes + tuple(
-            a for a in other.attributes if a not in common)
-        out_name = name or f"({self.name}><{other.name})"
-        if not len(self) or not len(other):
-            return Relation(out_name, out_attrs, (), dedup=False)
-        if not common:
-            # Cartesian product.
-            n, m = len(self), len(other)
-            left = np.repeat(self.data, m, axis=0)
-            right = np.tile(other.data, (n, 1))
-            return Relation(out_name, out_attrs,
-                            np.hstack([left, right]), dedup=True)
-        left_keys = self.data[:, [self.column_index(a) for a in common]]
-        right_keys = other.data[:, [other.column_index(a) for a in common]]
-        ids_left, ids_right = row_group_ids(left_keys, right_keys)
-        order = np.argsort(ids_right, kind="stable")
-        sorted_right_ids = ids_right[order]
-        lo = np.searchsorted(sorted_right_ids, ids_left, side="left")
-        hi = np.searchsorted(sorted_right_ids, ids_left, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return Relation(out_name, out_attrs, (), dedup=False)
-        left_idx = np.repeat(np.arange(len(self)), counts)
-        # For each output row, the offset of the matching right tuple within
-        # its run of equal keys.
-        starts = np.repeat(lo, counts)
-        run_offsets = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        right_idx = order[starts + run_offsets]
-        rest_cols = [other.column_index(a) for a in other.attributes
-                     if a not in common]
-        pieces = [self.data[left_idx]]
-        if rest_cols:
-            pieces.append(other.data[right_idx][:, rest_cols])
-        return Relation(out_name, out_attrs, np.hstack(pieces), dedup=True)
+        """Natural join under set semantics (sort-once merge probe).
+
+        The output is a lexsorted set by construction; see
+        :class:`JoinProbe`.
+        """
+        return JoinProbe(self, other).rows(name)
 
     def union(self, other: "Relation", name: str | None = None) -> "Relation":
         """Set union; schemas must match exactly."""
@@ -352,3 +445,69 @@ class Relation:
     def as_set(self) -> frozenset[tuple[int, ...]]:
         """The tuple set as a frozenset (test helper; O(n) python objects)."""
         return frozenset(map(tuple, self.data.tolist()))
+
+
+class JoinProbe:
+    """One binary join step: probed and sized, output not yet gathered.
+
+    Both sides are taken as sets.  ``left`` is sorted only if it is not
+    already known to be a lexsorted set; ``right`` is sorted **once**, by
+    (join columns, remaining columns), which deduplicates it in the same
+    pass.  The left rows' join keys then probe the right's with
+    ``searchsorted``: left row ``i`` matches the ``counts[i]`` right rows
+    from ``starts[i]`` on.  ``size = counts.sum()`` is the output size, so
+    a count — or a budget check — needs no output row.
+
+    :meth:`rows` gathers left rows in order times their right rests in
+    order.  Because both inputs are sets, that output is a set and is
+    born lexsorted by ``left.attributes + rest``: no output sort or
+    dedup.  With no shared attribute every left row matches the whole
+    right side (cartesian product), through the same gather.
+    """
+
+    __slots__ = ("left", "right", "common", "starts", "counts", "size")
+
+    def __init__(self, left: Relation, right: Relation):
+        common = left.common_attributes(right)
+        rest = tuple(a for a in right.attributes if a not in common)
+        left = left.sorted_set()
+        right = right.sorted_set(common + rest)
+        n, m = len(left), len(right)
+        starts = np.zeros(n, dtype=np.intp)
+        counts = np.zeros(n, dtype=np.intp)
+        if not common:
+            counts += m    # cartesian: every left row meets all of right
+        elif n and m:
+            keys, hay = _joint_keys(
+                left.data[:, [left.column_index(a) for a in common]],
+                right.data[:, :len(common)])
+            # ``hay`` is non-decreasing (right is sorted join columns
+            # first); probing it in key order keeps both sides sequential.
+            order = np.argsort(keys)
+            keys = keys[order]
+            lo = np.searchsorted(hay, keys, side="left")
+            starts[order] = lo
+            counts[order] = np.searchsorted(hay, keys, side="right") - lo
+        self.left = left
+        self.right = right
+        self.common = common
+        self.starts = starts
+        self.counts = counts
+        self.size = int(counts.sum())
+
+    def rows(self, name: str | None = None) -> Relation:
+        """Gather the output relation (a lexsorted set)."""
+        left, right = self.left, self.right
+        width = len(self.common)
+        attrs = left.attributes + right.attributes[width:]
+        out = np.empty((self.size, len(attrs)), dtype=np.int64)
+        out[:, :left.arity] = np.repeat(left.data, self.counts, axis=0)
+        if right.arity > width:
+            # Output row r of left row i reads right row
+            # starts[i] + (r - first output row of i).
+            first = np.cumsum(self.counts) - self.counts
+            idx = np.repeat(self.starts - first, self.counts)
+            idx += np.arange(self.size)
+            out[:, left.arity:] = right.data[idx, width:]
+        return Relation._of(name or f"({left.name}><{right.name})", attrs,
+                            out, True)

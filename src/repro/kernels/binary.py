@@ -1,19 +1,25 @@
-"""The ``binary`` kernel: fully vectorized left-deep hash joins.
+"""The ``binary`` kernel: a left-deep chain of sort-once merge joins.
 
 Atom order comes from the greedy System-R style planner in
 :mod:`repro.wcoj.binary_join` (estimates served by the memoized
-:meth:`Relation.distinct_count` catalog stats); each step is one
-:func:`hash_join` — :meth:`Relation.natural_join`'s vectorized
-``row_group_ids`` + ``searchsorted`` probe with run-expansion gathers,
-no per-tuple Python loops anywhere.
+:meth:`Relation.distinct_count` catalog stats, and only where the plan
+has a choice); the chain itself is that module's one step loop,
+:func:`~repro.wcoj.binary_join.run_left_deep`.  Each step is a
+:class:`~repro.data.relation.JoinProbe`: the right side sorted once
+through a packed 1-D key, probed by the left keys with ``searchsorted``,
+the output born a lexsorted set — no per-tuple Python loops, no
+re-sort of an intermediate, and with ``materialize=False`` the last
+step is only *sized* (``counts.sum()``), never gathered.
 
 Work accounting: every join step charges ``len(right) + len(output)``
-(plus the initial ``len(left)``) to ``stats.intersection_work`` — the
-tuples the step touched — so engine work budgets keep tripping
-deterministically under this kernel too, just in binary-join units
-rather than Leapfrog intersection units.  ``level_tuples`` gets the
-final count in its last slot (intermediate levels are a Leapfrog notion
-and stay zero).
+(plus the initial ``len(left)``; lengths under set semantics) to
+``stats.intersection_work`` — the tuples the step touched — so engine
+work budgets keep tripping deterministically under this kernel too,
+just in binary-join units rather than Leapfrog intersection units.  A
+step's output size is known before its rows exist, so an over-budget
+step raises before allocating them.  ``level_tuples`` gets the final
+count in its last slot (intermediate levels are a Leapfrog notion and
+stay zero).
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..data.database import Database
-from ..data.relation import Relation
+from ..data.relation import JoinProbe, Relation
 from ..errors import BudgetExceeded, PlanError
 from ..query.query import JoinQuery
-from ..wcoj.binary_join import greedy_left_deep_plan
+from ..wcoj.binary_join import greedy_left_deep_plan, run_left_deep
 from ..wcoj.cache import IntersectionCache
 from ..wcoj.leapfrog import JoinResult, LeapfrogStats
 
@@ -33,7 +39,7 @@ __all__ = ["BinaryKernel", "hash_join"]
 
 def hash_join(left: Relation, right: Relation,
               name: str | None = None) -> Relation:
-    """Vectorized hash-style natural join (probe = gathered row groups).
+    """Vectorized natural join (:meth:`Relation.natural_join`).
 
     The single join primitive shared by this kernel, the SparkSQL
     engine's unkeyed (broadcast) steps and the partitioned
@@ -43,7 +49,7 @@ def hash_join(left: Relation, right: Relation,
 
 
 class BinaryKernel:
-    """Left-deep pairwise hash joins behind :class:`JoinKernel`."""
+    """Left-deep pairwise joins behind :class:`JoinKernel`."""
 
     key = "binary"
 
@@ -69,30 +75,21 @@ class BinaryKernel:
         stats.extensions = 0
         stats.emitted = 0
 
-        def atom_relation(i: int) -> Relation:
-            atom = query.atoms[i]
-            rel = db[atom.relation]
-            if rel.arity != atom.arity:
-                raise PlanError(
-                    f"atom {atom} arity mismatch with relation {rel.name}")
-            # dedup=True matches the trie's set semantics, so counts
-            # agree with the wcoj kernel even on duplicated input rows.
-            return Relation(f"{atom.relation}#{i}", atom.attributes,
-                            rel.data, dedup=True)
-
-        plan = greedy_left_deep_plan(query, db)
-        current = atom_relation(plan.atom_order[0])
-        stats.intersection_work += len(current)
-        for i in plan.atom_order[1:]:
-            right = atom_relation(i)
-            current = hash_join(current, right)
+        def account(probe: JoinProbe) -> None:
+            if not stats.extensions:
+                stats.intersection_work += len(probe.left)
             stats.extensions += 1
-            stats.intersection_work += len(right) + len(current)
+            stats.intersection_work += len(probe.right) + probe.size
             if budget is not None and stats.intersection_work > budget:
                 raise BudgetExceeded(stats.intersection_work, budget)
-        result = current.reorder(order, name=f"{query.name}_result")
-        count = len(result)
+
+        result, count = run_left_deep(
+            query, db, greedy_left_deep_plan(query, db), account,
+            materialize=materialize)
+        if not stats.extensions:     # a single atom: no step accounted it
+            stats.intersection_work = count
         stats.level_tuples[n - 1] = count
         stats.emitted = count
-        return JoinResult(count=count, stats=stats,
-                          relation=result if materialize else None)
+        if result is not None:
+            result = result.reorder(order, name=f"{query.name}_result")
+        return JoinResult(count=count, stats=stats, relation=result)
