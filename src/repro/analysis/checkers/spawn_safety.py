@@ -10,10 +10,9 @@ pickle or silently rebinds to the wrong state on the worker.  The rule:
 - the ``fn`` handed to ``Executor.map_tasks`` / ``submit_tasks`` must be
   a module-level function (``functools.partial`` is allowed only around
   one);
-- arguments stamped onto task payloads (``WorkerTask``, ``BagTask``,
-  ``PartitionJoinTask``) must not be lambdas or locally-defined
-  callables — plain data and strings only (this is why ``kernel`` rides
-  as a registry key, not a kernel object).
+- arguments stamped onto the task payload (``WorkerTask``) must not be
+  lambdas or locally-defined callables — plain data and strings only
+  (this is why ``kernel`` rides as a registry key, not a kernel object).
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ RULE = "spawn-safety"
 #: Executor methods whose first argument travels to worker processes.
 _SEAM_METHODS = {"map_tasks", "submit_tasks"}
 
-#: Task payload classes shipped through executors (docs/runtime.md).
-_TASK_CLASSES = {"WorkerTask", "BagTask", "PartitionJoinTask"}
+#: The task payload class shipped through executors (docs/runtime.md).
+_TASK_CLASSES = {"WorkerTask"}
 
 _HINT = ("move the callable to module scope (spawned workers import it "
          "by reference), or ship plain data/registry keys instead")

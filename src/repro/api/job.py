@@ -171,11 +171,8 @@ class QueryJob:
 
         decisions: dict[int, tuple[str, str]] = {}
         for bag in tree.bags:
-            sub = JoinQuery(
-                [self.query.atoms[i] for i in bag.atom_indices],
-                name=f"bag{bag.index}")
-            choice = choose_kernel(self.session.config.kernel, sub,
-                                   self.db)
+            choice = choose_kernel(self.session.config.kernel,
+                                   bag.subquery(self.query)[0], self.db)
             decisions[bag.index] = (choice.key, choice.reason)
         return ExplainReport(query=self.query, hypertree=tree,
                              report=report, cost_breakdown=breakdown,

@@ -43,10 +43,8 @@ def candidate_relation_for(query: JoinQuery, bag: Bag) -> CandidateRelation:
     order restricted to the bag, and its name concatenates the member
     relations (R2, R3 -> ``R2_R3``), mirroring the paper's R23.
     """
-    atoms = [query.atoms[i] for i in bag.atom_indices]
-    name = "_".join(a.relation for a in atoms)
-    attrs = tuple(a for a in query.attributes if a in bag.attributes)
-    sub = JoinQuery(atoms, name=f"bag{bag.index}")
+    sub, attrs = bag.subquery(query)
+    name = "_".join(a.relation for a in sub.atoms)
     return CandidateRelation(bag.index, name, sub, attrs)
 
 

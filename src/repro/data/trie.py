@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from .relation import Relation, lexsorted_rows
+from .relation import Relation
 
 __all__ = ["Trie", "TrieIterator", "TrieLevels"]
 
@@ -89,15 +89,9 @@ class Trie:
             )
         self.name = relation.name
         self.attributes = order
-        reordered = relation.reorder(order).data
-        data = lexsorted_rows(reordered)
-        if data.shape[0] > 1:
-            keep = np.empty(data.shape[0], dtype=bool)
-            keep[0] = True
-            np.any(data[1:] != data[:-1], axis=1, out=keep[1:])
-            data = data[keep]
-        self.data = np.ascontiguousarray(data)
-        self.data.setflags(write=False)
+        # The relation's one sort path; a known sorted set in trie order
+        # comes back as is (its data is contiguous and read-only).
+        self.data = relation.sorted_set(order).data
         # Pre-sliced contiguous columns: searchsorted on a contiguous 1-d
         # array is much faster than on a strided column view.
         self._columns = tuple(

@@ -190,8 +190,8 @@ def _resolve_executor(executor: Executor | None) -> Executor:
 def _failure_extra(executor: Executor, baseline, **extra) -> dict:
     """Extra payload for a failed run: real data-plane counters included.
 
-    The engine's own ``finally`` has already torn the epoch down by the
-    time the failure reaches here, freezing its true counters into the
+    :func:`repro.runtime.scheduler.run_epoch` has already torn the epoch
+    down by the time the failure reaches here, freezing its true counters into the
     transport's ``last_epoch`` — so failed runs report what they
     actually published/shipped instead of zeros.  ``baseline`` is the
     ``last_epoch`` object observed *before* the run: every teardown

@@ -30,11 +30,7 @@ from ..distributed.metrics import ShuffleStats
 from ..errors import BudgetExceeded, OutOfMemory
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor, available_parallelism
-from ..runtime.scheduler import (
-    iter_routed_tasks,
-    merge_task_results,
-    run_streamed_tasks,
-)
+from ..runtime.scheduler import iter_routed_tasks, run_epoch
 from ..runtime.telemetry import RuntimeTelemetry
 from .base import EngineResult, _resolve_executor, attach_degree_order
 
@@ -78,22 +74,11 @@ class BigJoin:
             routing = hcube_route(
                 query, db, grid, impl="pull",
                 routing_threads=available_parallelism())
-        transport = executor.transport
-        try:
-            results = run_streamed_tasks(
-                executor,
-                iter_routed_tasks(routing, db, order,
-                                  budget=self.work_budget,
-                                  transport=transport),
-                telemetry=telemetry)
-            merged = merge_task_results(results, len(order),
-                                        budget=self.work_budget)
-        finally:
-            transport.teardown()
-        # Post-teardown snapshot: includes blocks freed / bytes fetched.
-        data_plane = dict(transport.last_epoch.as_dict(),
-                          transport=transport.name)
-        return merged, data_plane
+        return run_epoch(
+            executor,
+            iter_routed_tasks(routing, db, order, budget=self.work_budget,
+                              transport=executor.transport),
+            len(order), budget=self.work_budget, telemetry=telemetry)
 
     def run(self, query: JoinQuery, db: Database, cluster: Cluster,
             executor: Executor | None = None) -> EngineResult:
@@ -105,9 +90,8 @@ class BigJoin:
             / cluster.params.beta_work, "optimization")
         telemetry = RuntimeTelemetry(backend=executor.name,
                                      num_workers=cluster.num_workers)
-        merged, data_plane = self._parallel_pass(query, db, cluster,
-                                                 order, executor,
-                                                 telemetry)
+        merged = self._parallel_pass(query, db, cluster, order, executor,
+                                     telemetry)
         level_tuples = merged.level_tuples
         n = len(order)
         memory = cluster.memory_tuples_per_worker
@@ -141,7 +125,7 @@ class BigJoin:
             "kernel_reason": ("pinned: round-per-attribute model "
                               "needs per-level binding counts"),
             "telemetry": telemetry,
-            "data_plane": data_plane,
+            "data_plane": merged.data_plane,
         }
         return EngineResult(
             engine=self.name,

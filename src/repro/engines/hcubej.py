@@ -9,13 +9,15 @@ this is exactly the strategy the paper improves on.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..data.database import Database
 from ..distributed.cluster import Cluster
 from ..distributed.partitioner import enumerate_share_vectors
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
 from .base import EngineResult, attach_degree_order
-from .one_round import one_round_execute
+from .one_round import OneRoundOutcome, one_round_execute
 
 __all__ = ["HCubeJ"]
 
@@ -46,17 +48,15 @@ class HCubeJ:
             vectors * query.num_atoms / cluster.params.beta_work,
             "optimization")
 
-    def run(self, query: JoinQuery, db: Database, cluster: Cluster,
-            executor: Executor | None = None) -> EngineResult:
-        ledger = cluster.new_ledger()
-        self._charge_optimization(query, cluster, ledger)
-        order = self.order or attach_degree_order(query, db)
-        outcome = one_round_execute(
-            query, db, cluster, order, ledger, impl=self.hcube_impl,
-            work_budget=self.work_budget, executor=executor,
-            kernel=self.kernel)
-        extra = {
-            "order": order,
+    def _cache_capacity(self, cluster: Cluster
+                        ) -> Callable[[int], int] | None:
+        """``worker_load -> capacity`` of a worker-local intersection
+        cache; None (this engine) runs without one."""
+        return None
+
+    def _extra(self, outcome: OneRoundOutcome) -> dict:
+        """The run's ``EngineResult.extra`` counters."""
+        return {
             "level_tuples": outcome.level_tuples,
             "leapfrog_work": outcome.leapfrog_work,
             "max_worker_tuples": outcome.max_worker_tuples,
@@ -67,6 +67,17 @@ class HCubeJ:
             "telemetry": outcome.telemetry,
             "data_plane": outcome.data_plane,
         }
+
+    def run(self, query: JoinQuery, db: Database, cluster: Cluster,
+            executor: Executor | None = None) -> EngineResult:
+        ledger = cluster.new_ledger()
+        self._charge_optimization(query, cluster, ledger)
+        order = self.order or attach_degree_order(query, db)
+        outcome = one_round_execute(
+            query, db, cluster, order, ledger, impl=self.hcube_impl,
+            cache_capacity=self._cache_capacity(cluster),
+            work_budget=self.work_budget, executor=executor,
+            kernel=self.kernel)
         return EngineResult(
             engine=self.name,
             query=query.name,
@@ -74,5 +85,5 @@ class HCubeJ:
             breakdown=ledger.breakdown(),
             shuffled_tuples=outcome.shuffled_tuples,
             rounds=1,
-            extra=extra,
+            extra={"order": order, **self._extra(outcome)},
         )

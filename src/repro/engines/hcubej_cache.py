@@ -9,13 +9,11 @@ ADJ; on LJ/OK the shuffle consumes the budget and caching stops helping.
 
 from __future__ import annotations
 
-from ..data.database import Database
+from typing import Callable
+
 from ..distributed.cluster import Cluster
-from ..query.query import JoinQuery
-from ..runtime.executor import Executor
-from .base import EngineResult, attach_degree_order
 from .hcubej import HCubeJ
-from .one_round import one_round_execute
+from .one_round import OneRoundOutcome
 
 __all__ = ["HCubeJCache"]
 
@@ -39,11 +37,7 @@ class HCubeJCache(HCubeJ):
     # Non-wcoj kernels have no intersection cache; the capacity is
     # computed but ignored on those paths.
 
-    def run(self, query: JoinQuery, db: Database, cluster: Cluster,
-            executor: Executor | None = None) -> EngineResult:
-        ledger = cluster.new_ledger()
-        self._charge_optimization(query, cluster, ledger)
-        order = self.order or attach_degree_order(query, db)
+    def _cache_capacity(self, cluster: Cluster) -> Callable[[int], int]:
         budget = cluster.memory_tuples_per_worker
 
         def cache_capacity(worker_load: int) -> int:
@@ -52,27 +46,9 @@ class HCubeJCache(HCubeJ):
             # Values of leftover memory after the shuffle (>= 0).
             return max(0, int(budget) - worker_load)
 
-        outcome = one_round_execute(
-            query, db, cluster, order, ledger, impl=self.hcube_impl,
-            cache_capacity=cache_capacity, work_budget=self.work_budget,
-            executor=executor, kernel=self.kernel)
-        extra = {
-            "order": order,
-            "level_tuples": outcome.level_tuples,
-            "leapfrog_work": outcome.leapfrog_work,
-            "cache_hits": outcome.cache_hits,
-            "cache_misses": outcome.cache_misses,
-            "kernel": outcome.kernel,
-            "kernel_reason": outcome.kernel_reason,
-            "telemetry": outcome.telemetry,
-            "data_plane": outcome.data_plane,
-        }
-        return EngineResult(
-            engine=self.name,
-            query=query.name,
-            count=outcome.count,
-            breakdown=ledger.breakdown(),
-            shuffled_tuples=outcome.shuffled_tuples,
-            rounds=1,
-            extra=extra,
-        )
+        return cache_capacity
+
+    def _extra(self, outcome: OneRoundOutcome) -> dict:
+        return dict(super()._extra(outcome),
+                    cache_hits=outcome.cache_hits,
+                    cache_misses=outcome.cache_misses)

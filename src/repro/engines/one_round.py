@@ -30,14 +30,9 @@ from ..distributed.hcube import HypercubeGrid, hcube_route
 from ..distributed.metrics import CostLedger, ShuffleStats
 from ..distributed.partitioner import optimize_shares
 from ..kernels import select_kernel
-from ..obs.tracing import current_tracer
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor, available_parallelism
-from ..runtime.scheduler import (
-    iter_routed_tasks,
-    merge_task_results,
-    run_streamed_tasks,
-)
+from ..runtime.scheduler import iter_routed_tasks, run_epoch
 from ..runtime.telemetry import RuntimeTelemetry
 from .base import _resolve_executor
 
@@ -125,33 +120,19 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
         rate=rate, phase="computation")
 
     order = tuple(order)
-    transport = executor.transport
-    try:
-        # Workers start on the first tasks while the coordinator is
-        # still publishing/slicing later ones.
-        task_stream = iter_routed_tasks(
-            routing, db, order, budget=work_budget,
-            transport=transport, cache_capacity=cache_capacity,
-            kernel=kernel_choice.key)
-        results = run_streamed_tasks(executor, task_stream,
-                                     telemetry=telemetry)
-        with current_tracer().span("merge", cat="schedule",
-                                   tasks=len(results)):
-            merged = merge_task_results(results, len(order),
-                                        budget=work_budget)
-    finally:
-        with current_tracer().span("teardown", cat="transport",
-                                   transport=transport.name):
-            transport.teardown()
-    # Read the epoch snapshot *after* teardown so the report includes
-    # teardown-time counters (blocks freed, bytes workers fetched
-    # back out of a tcp block store).
-    epoch = transport.last_epoch
-    data_plane = dict(epoch.as_dict(), transport=transport.name)
+    # Workers start on the first tasks while the coordinator is still
+    # publishing/slicing later ones.
+    merged = run_epoch(
+        executor,
+        iter_routed_tasks(routing, db, order, budget=work_budget,
+                          transport=executor.transport,
+                          cache_capacity=cache_capacity,
+                          kernel=kernel_choice.key),
+        len(order), budget=work_budget, telemetry=telemetry)
     data_plane_stats = ShuffleStats(
         tuple_copies=routing.stats.tuple_copies,
-        blocks_fetched=epoch.shipped_refs,
-        bytes_copied=epoch.shipped_bytes,
+        blocks_fetched=merged.data_plane["shipped_refs"],
+        bytes_copied=merged.data_plane["shipped_bytes"],
         max_worker_tuples=routing.stats.max_worker_tuples)
     worker_work = {w: 0.0 for w in range(cluster.num_workers)}
     worker_work.update(merged.worker_work)
@@ -167,7 +148,7 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
         worker_work=worker_work,
         worker_loads=dict(routing.worker_loads),
         telemetry=telemetry,
-        data_plane=data_plane,
+        data_plane=merged.data_plane,
         data_plane_stats=data_plane_stats,
         kernel=kernel_choice.key,
         kernel_reason=kernel_choice.reason,

@@ -11,16 +11,14 @@ Each keyed step really is that plan on the :mod:`repro.runtime`
 executor: both sides are hash-partitioned *by routing assignment only*,
 the columns go through the executor's data-plane transport (full
 partitions under ``pickle``, zero-copy shared-memory descriptors under
-``shm``), one :func:`repro.runtime.worker.join_partition_pair_task` per
-worker joins its partition pair, and the coordinator concatenates the
-(disjoint) partition outputs.  Counts and modeled costs are the same on
-every backend; measured telemetry and physical data-plane stats are
-recorded alongside.
+``shm``), one pair-shaped :class:`repro.runtime.worker.WorkerTask` per
+worker joins its partition pair with the ``binary`` kernel, and the
+coordinator concatenates the (disjoint) partition outputs.  Counts and
+modeled costs are the same on every backend; measured telemetry and
+physical data-plane stats are recorded alongside.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -30,12 +28,12 @@ from ..distributed.cluster import Cluster
 from ..distributed.metrics import ShuffleStats
 from ..distributed.shuffle import hash_partition_rows
 from ..errors import BudgetExceeded, OutOfMemory
-from ..query.query import JoinQuery
+from ..obs.tracing import trace_context
+from ..query.query import Atom, JoinQuery
 from ..runtime.executor import Executor
-from ..runtime.scheduler import run_streamed
+from ..runtime.scheduler import run_epoch
 from ..runtime.telemetry import RuntimeTelemetry
-from ..kernels.binary import hash_join
-from ..runtime.worker import PartitionJoinTask, join_partition_pair_task
+from ..runtime.worker import WorkerTask
 from ..wcoj.binary_join import greedy_left_deep_plan
 from .base import EngineResult, _resolve_executor
 
@@ -69,50 +67,44 @@ class SparkSQLJoin:
         the same partition and partition outputs are disjoint (equal
         output rows agree on the key, hence on the partition) — the
         concatenation below needs no re-deduplication.  Each step is one
-        transport epoch: sources are published once, workers receive
-        descriptors, and segments are released before the next step.
+        transport epoch: sources are published once, every worker gets
+        its partition pair as a two-atom materializing
+        :class:`~repro.runtime.worker.WorkerTask` of descriptors, and
+        segments are released before the next step.
         """
         transport = executor.transport
-        try:
-            t0 = time.perf_counter()
+        out_attrs = current.attributes + tuple(
+            a for a in right.attributes if a not in common)
+        out_name = f"({current.name}><{right.name})"
+        pair = JoinQuery([Atom(current.name, current.attributes),
+                          Atom(right.name, right.attributes)],
+                         name=out_name)
+        ctx = trace_context()
+
+        def partition_tasks():
             left_rows, _ = hash_partition_rows(current, common,
                                                cluster.num_workers)
             right_rows, _ = hash_partition_rows(right, common,
                                                 cluster.num_workers)
-            telemetry.record("partition", time.perf_counter() - t0)
+            lkey = transport.publish(f"step:{current.name}", current.data)
+            rkey = transport.publish(f"step:{right.name}", right.data)
+            for worker, (lr, rr) in enumerate(zip(left_rows, right_rows)):
+                if lr.shape[0] and rr.shape[0]:
+                    yield WorkerTask(
+                        worker=worker, query=pair, order=out_attrs,
+                        cubes=[(transport.make_ref(lkey, lr),
+                                transport.make_ref(rkey, rr))],
+                        trace=ctx, kernel="binary", materialize=True)
 
-            def partition_tasks():
-                lkey = transport.publish(f"step:{current.name}",
-                                         current.data)
-                rkey = transport.publish(f"step:{right.name}",
-                                         right.data)
-                for lr, rr in zip(left_rows, right_rows):
-                    if lr.shape[0] and rr.shape[0]:
-                        yield PartitionJoinTask(
-                            left=transport.make_ref(lkey, lr),
-                            left_attrs=current.attributes,
-                            left_name=current.name,
-                            right=transport.make_ref(rkey, rr),
-                            right_attrs=right.attributes,
-                            right_name=right.name)
-
-            # Stream pairs: the first partitions join while later
-            # descriptors are still being sliced/minted.
-            joined = run_streamed(
-                executor, join_partition_pair_task,
-                partition_tasks(), telemetry=telemetry,
-                mint_phase="partition", run_phase="local_join")
-        finally:
-            transport.teardown()
-        # Each step is one epoch; sum the post-teardown snapshots so the
-        # run's report includes blocks freed / bytes fetched per step.
-        for k, v in transport.last_epoch.as_dict().items():
-            data_plane[k] = data_plane.get(k, 0) + v
-        out_attrs = current.attributes + tuple(
-            a for a in right.attributes if a not in common)
-        out_name = f"({current.name}><{right.name})"
-        chunks = [rel.reorder(out_attrs).data for rel in joined if len(rel)]
-        data = np.vstack(chunks) if chunks else np.empty(
+        # Stream pairs: the first partitions join while later
+        # descriptors are still being sliced/minted.
+        merged = run_epoch(executor, partition_tasks(), len(out_attrs),
+                           telemetry=telemetry, mint_phase="partition")
+        # Sum the per-step snapshots into the run's report.
+        for k, v in merged.data_plane.items():
+            if k != "transport":
+                data_plane[k] = data_plane.get(k, 0) + v
+        data = np.vstack(merged.rows) if merged.rows else np.empty(
             (0, len(out_attrs)), dtype=np.int64)
         return Relation(out_name, out_attrs, data, dedup=False)
 
@@ -157,7 +149,7 @@ class SparkSQLJoin:
                                              data_plane)
             else:
                 # Broadcast step: nothing to co-partition on.
-                out = hash_join(current, right)
+                out = current.natural_join(right)
             work = len(current) + len(right) + len(out)
             ledger.charge_seconds(
                 work / (params.beta_work * cluster.num_workers),

@@ -7,8 +7,9 @@ bag is materialized (memory!), two distributed semijoin sweeps prune
 dangling tuples (extra rounds!), and the final joins are output-bounded.
 Used by the ablation benches against ADJ.
 
-The bag-materialization phase — the WCOJ-heavy part — runs as one task
-per bag on the :mod:`repro.runtime` executor.  Source relations travel
+The bag-materialization phase — the WCOJ-heavy part — runs as one
+materializing :class:`~repro.runtime.worker.WorkerTask` per bag on the
+:mod:`repro.runtime` executor.  Source relations travel
 through the executor's data-plane transport (whole-array descriptors:
 under ``shm`` the broadcast to every bag is zero-copy), the semijoin
 sweeps and bottom-up joins stay coordinator-side, and counts, bag
@@ -22,20 +23,24 @@ import time
 from ..data.database import Database
 from ..data.relation import Relation
 from ..distributed.cluster import Cluster
+from ..distributed.hcube import localized_query
 from ..distributed.metrics import ShuffleStats
-from ..errors import BudgetExceeded, OutOfMemory, WorkerCrashed
+from ..errors import OutOfMemory
 from ..ghd.decomposition import Hypertree, optimal_hypertree
 from ..kernels import select_kernel
 from ..obs.tracing import trace_context
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
-from ..runtime.scheduler import absorb_result_observability, run_streamed
+from ..runtime.scheduler import MergedOutcome, run_epoch
 from ..runtime.telemetry import RuntimeTelemetry
-from ..runtime.worker import BagTask, materialize_bag_task
+from ..runtime.worker import WorkerTask
 from ..wcoj.yannakakis import YannakakisStats, full_reducer, join_reduced
 from .base import EngineResult, _resolve_executor
 
 __all__ = ["YannakakisJoin"]
+
+#: Bag index -> (the bag's subquery, its attributes in query order).
+_BagQueries = dict[int, tuple[JoinQuery, tuple[str, ...]]]
 
 
 class YannakakisJoin:
@@ -52,8 +57,8 @@ class YannakakisJoin:
         self.hypertree = hypertree
         self.kernel = kernel
 
-    def _bag_kernels(self, query: JoinQuery, db: Database,
-                     tree: Hypertree) -> dict[int, tuple[str, str]]:
+    def _bag_kernels(self, db: Database, subqueries: _BagQueries
+                     ) -> dict[int, tuple[str, str]]:
         """Resolve a concrete ``(kernel key, reason)`` per bag, on the
         coordinator — the shape ``ExplainReport.kernel_decisions`` has.
 
@@ -61,78 +66,45 @@ class YannakakisJoin:
         for an acyclic bag and wcoj for a cyclic one within one run.
         """
         choices: dict[int, tuple[str, str]] = {}
-        for bag in tree.bags:
-            sub = JoinQuery([query.atoms[i] for i in bag.atom_indices],
-                            name=f"bag{bag.index}")
+        for index, (sub, _) in subqueries.items():
             choice = select_kernel(self.kernel, sub, db,
-                                   scope=f"bag{bag.index}")
-            choices[bag.index] = (choice.key, choice.reason)
+                                   scope=f"bag{index}")
+            choices[index] = (choice.key, choice.reason)
         return choices
 
-    def _materialize_parallel(self, query: JoinQuery, db: Database,
-                              tree: Hypertree, executor: Executor,
-                              stats: YannakakisStats,
+    def _materialize_parallel(self, db: Database, subqueries: _BagQueries,
+                              bag_kernels: dict[int, tuple[str, str]],
+                              executor: Executor,
                               telemetry: RuntimeTelemetry,
-                              num_workers: int,
-                              bag_kernels: dict[int, tuple[str, str]]
-                              ) -> tuple[dict[int, Relation], dict]:
-        """One bag-materialization task per GHD bag, via the transport.
+                              num_workers: int) -> MergedOutcome:
+        """One materializing task per GHD bag, via the transport.
 
-        Results come back in bag order, so ``stats.bag_sizes`` and
-        ``bag_materialize_work`` accumulate exactly like the sequential
-        :func:`~repro.wcoj.yannakakis.materialize_bags`.  Bags are
-        attributed to workers round-robin (the scheduler's cube
-        convention), so telemetry and crash reports carry worker ids
-        within ``num_workers`` even when there are more bags.
+        A bag is a :class:`~repro.runtime.worker.WorkerTask` with a
+        single group of whole-array refs.  Rows come back in bag order
+        (``merged.rows``).  Bags are attributed to workers round-robin
+        (the scheduler's cube convention), so telemetry and crash
+        reports carry worker ids within ``num_workers`` even when there
+        are more bags.  The work budget applies per bag.
         """
         transport = executor.transport
-
         ctx = trace_context()
 
-        def bag_task(bag) -> BagTask:
-            attrs = tuple(a for a in query.attributes
-                          if a in bag.attributes)
-            sub = JoinQuery([query.atoms[i] for i in bag.atom_indices],
-                            name=f"bag{bag.index}")
-            return BagTask(
-                index=bag.index, query=sub, order=attrs,
-                arrays=tuple(
+        def bag_tasks():
+            # Streamed: the first bag's join starts while later bags'
+            # source relations are still being published.
+            for index, (sub, attrs) in subqueries.items():
+                refs = tuple(
                     transport.make_ref(transport.publish(
                         f"rel:{a.relation}", db[a.relation].data))
-                    for a in sub.atoms),
-                budget=self.work_budget, trace=ctx,
-                kernel=bag_kernels[bag.index][0])
+                    for a in sub.atoms)
+                yield WorkerTask(
+                    worker=index % num_workers,
+                    query=localized_query(sub), order=attrs, cubes=[refs],
+                    budget=self.work_budget, trace=ctx,
+                    kernel=bag_kernels[index][0], materialize=True)
 
-        try:
-            # Stream bags: the first bag's WCOJ starts while later
-            # bags' source relations are still being published.
-            results = run_streamed(
-                executor, materialize_bag_task,
-                (bag_task(bag) for bag in tree.bags),
-                telemetry=telemetry,
-                mint_phase="publish", run_phase="precompute")
-        finally:
-            transport.teardown()
-        # Post-teardown snapshot: includes blocks freed / bytes fetched.
-        data_plane = dict(transport.last_epoch.as_dict(),
-                          transport=transport.name)
-        absorb_result_observability(results)
-        bags: dict[int, Relation] = {}
-        for res in results:
-            if res.failure == "crash":
-                reason = res.failure_info[0] if res.failure_info \
-                    else "unknown"
-                raise WorkerCrashed(res.index % num_workers, reason)
-            if res.failure == "budget":
-                raise BudgetExceeded(*res.failure_info)
-            rel = Relation(f"bag{res.index}", res.attrs, res.data,
-                           dedup=False)
-            bags[res.index] = rel
-            stats.bag_materialize_work += res.work
-            stats.bag_sizes.append(len(rel))
-            telemetry.record_worker(res.index % num_workers,
-                                    res.total_seconds)
-        return bags, data_plane
+        return run_epoch(executor, bag_tasks(), 0, telemetry=telemetry,
+                         run_phase="precompute")
 
     def run(self, query: JoinQuery, db: Database, cluster: Cluster,
             executor: Executor | None = None) -> EngineResult:
@@ -145,12 +117,18 @@ class YannakakisJoin:
         stats = YannakakisStats()
 
         # Phase 1: materialize bags (pre-computing: shuffle inputs + WCOJ).
-        bag_kernels = self._bag_kernels(query, db, tree)
+        subqueries = {bag.index: bag.subquery(query) for bag in tree.bags}
+        bag_kernels = self._bag_kernels(db, subqueries)
         telemetry = RuntimeTelemetry(backend=executor.name,
                                      num_workers=cluster.num_workers)
-        bags, data_plane = self._materialize_parallel(
-            query, db, tree, executor, stats, telemetry,
-            cluster.num_workers, bag_kernels)
+        merged = self._materialize_parallel(
+            db, subqueries, bag_kernels, executor, telemetry,
+            cluster.num_workers)
+        bags = {index: Relation(f"bag{index}", attrs, rows, dedup=False)
+                for (index, (_, attrs)), rows
+                in zip(subqueries.items(), merged.rows)}
+        stats.bag_materialize_work = merged.total_work
+        stats.bag_sizes = [len(rel) for rel in bags.values()]
         input_tuples = sum(len(db[a.relation]) for a in query.atoms)
         ledger.charge_seconds(input_tuples / params.alpha_pull, "precompute")
         ledger.charge_seconds(
@@ -198,7 +176,7 @@ class YannakakisJoin:
             "join_intermediates": stats.join_intermediate_tuples,
             "kernel_decisions": dict(sorted(bag_kernels.items())),
             "telemetry": telemetry,
-            "data_plane": data_plane,
+            "data_plane": merged.data_plane,
         }
         return EngineResult(
             engine=self.name,

@@ -45,6 +45,16 @@ class Bag:
     def is_single_atom(self) -> bool:
         return len(self.atom_indices) == 1
 
+    def subquery(self, query: JoinQuery
+                 ) -> tuple[JoinQuery, tuple[str, ...]]:
+        """The bag's join over ``query``'s atoms (named ``bag<index>``)
+        and the bag's attributes in the query's base order — the column
+        order of the bag once materialized."""
+        sub = JoinQuery([query.atoms[i] for i in self.atom_indices],
+                        name=f"bag{self.index}")
+        return sub, tuple(a for a in query.attributes
+                          if a in self.attributes)
+
     def __str__(self) -> str:
         return f"v{self.index}{{{','.join(sorted(self.attributes))}}}"
 

@@ -26,7 +26,7 @@ from .base import (
     kernel_spec,
     register_kernel,
 )
-from .binary import BinaryKernel, hash_join
+from .binary import BinaryKernel
 from .wcoj import WcojKernel
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "WcojKernel",
     "BinaryKernel",
     "AdaptiveKernel",
-    "hash_join",
     "register_kernel",
     "available_kernels",
     "kernel_spec",

@@ -27,25 +27,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..data.database import Database
-from ..data.relation import JoinProbe, Relation
+from ..data.relation import JoinProbe
 from ..errors import BudgetExceeded, PlanError
 from ..query.query import JoinQuery
 from ..wcoj.binary_join import greedy_left_deep_plan, run_left_deep
 from ..wcoj.cache import IntersectionCache
 from ..wcoj.leapfrog import JoinResult, LeapfrogStats
 
-__all__ = ["BinaryKernel", "hash_join"]
-
-
-def hash_join(left: Relation, right: Relation,
-              name: str | None = None) -> Relation:
-    """Vectorized natural join (:meth:`Relation.natural_join`).
-
-    The single join primitive shared by this kernel, the SparkSQL
-    engine's unkeyed (broadcast) steps and the partitioned
-    :func:`repro.runtime.worker.join_partition_pair_task`.
-    """
-    return left.natural_join(right, name=name)
+__all__ = ["BinaryKernel"]
 
 
 class BinaryKernel:
@@ -68,12 +57,7 @@ class BinaryKernel:
         n = len(order)
         if stats is None:
             stats = LeapfrogStats()
-        stats.level_tuples = [0] * n
-        stats.level_work = [0] * n
-        stats.level_extensions = [0] * n
-        stats.intersection_work = 0
-        stats.extensions = 0
-        stats.emitted = 0
+        stats.reset(n)
 
         def account(probe: JoinProbe) -> None:
             if not stats.extensions:

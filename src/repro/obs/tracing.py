@@ -3,11 +3,11 @@
 A :class:`Tracer` records :class:`Span` objects — named wall-clock
 intervals tagged with process/thread/host — from every layer of the
 runtime: the scheduler's routing pass, the transports' publish/fetch
-paths, the executors' submit/map loops, and the per-task worker
-functions.  Because spans carry ``(pid, tid, host)``, a single merged
-span list *is* the epoch timeline: the pipelined overlap window shows
-up as worker-task spans whose intervals intersect the coordinator's
-publish spans on different threads.
+paths, the executors' submit/map loops, and the one worker task
+function (and the kernels it calls).  Because spans carry ``(pid, tid,
+host)``, a single merged span list *is* the epoch timeline: the
+pipelined overlap window shows up as worker-task spans whose intervals
+intersect the coordinator's publish spans on different threads.
 
 Design rules (these are load-bearing — see the overhead test in
 tests/test_observability.py):
@@ -312,8 +312,9 @@ def use_tracer(tracer: "Tracer | NoopTracer"):
 def trace_context() -> dict | None:
     """The propagation context tasks carry to workers (None = off).
 
-    Minted by the scheduler into ``WorkerTask.trace`` / ``BagTask
-    .trace`` and by the remote executor into TASK frame meta.  Workers
+    Minted into ``WorkerTask.trace`` by whoever mints the task (the
+    scheduler, an engine) and by the remote executor into TASK frame
+    meta.  Workers
     treat any truthy context as "record and ship spans back".
     """
     tracer = current_tracer()

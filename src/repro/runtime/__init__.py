@@ -5,10 +5,12 @@ simulated shuffles).  This subsystem adds the missing execution
 substrate: an :class:`Executor` abstraction with ``serial``, ``threads``,
 ``processes`` and ``remote`` (:mod:`repro.net`) backends, a pluggable
 data-plane :class:`Transport` (``pickle`` payloads, zero-copy ``shm``
-descriptors, or multi-machine ``tcp`` block refs), a scheduler that
-turns HCube routing assignments into per-worker :class:`WorkerTask`
-batches, spawn-safe worker task functions, and wall-clock telemetry
-recorded next to the modeled cost breakdowns.
+descriptors, or multi-machine ``tcp`` block refs), one task shape
+(:class:`WorkerTask` — cubes, a GHD bag or a partition pair — run by the
+spawn-safe :func:`execute_worker_task`), a scheduler that mints tasks
+from HCube routing assignments and runs any task stream as one epoch
+(:func:`run_epoch`), and wall-clock telemetry recorded next to the
+modeled cost breakdowns.
 
 See docs/runtime.md for backend selection and spawn-safety rules, and
 docs/data_plane.md for transport selection and shared-memory lifetime
@@ -30,7 +32,7 @@ from .scheduler import (
     MergedOutcome,
     iter_routed_tasks,
     merge_task_results,
-    run_streamed,
+    run_epoch,
     run_streamed_tasks,
 )
 from .telemetry import RuntimeTelemetry, modeled_vs_measured
@@ -46,16 +48,7 @@ from .transport import (
     register_transport,
     resolve_array_ref,
 )
-from .worker import (
-    BagTask,
-    BagTaskResult,
-    PartitionJoinTask,
-    WorkerTask,
-    WorkerTaskResult,
-    execute_worker_task,
-    join_partition_pair_task,
-    materialize_bag_task,
-)
+from .worker import WorkerTask, WorkerTaskResult, execute_worker_task
 
 __all__ = [
     "Executor",
@@ -70,7 +63,7 @@ __all__ = [
     "MergedOutcome",
     "iter_routed_tasks",
     "merge_task_results",
-    "run_streamed",
+    "run_epoch",
     "run_streamed_tasks",
     "RuntimeTelemetry",
     "modeled_vs_measured",
@@ -84,12 +77,7 @@ __all__ = [
     "default_transport_name",
     "register_transport",
     "resolve_array_ref",
-    "BagTask",
-    "BagTaskResult",
-    "PartitionJoinTask",
     "WorkerTask",
     "WorkerTaskResult",
     "execute_worker_task",
-    "join_partition_pair_task",
-    "materialize_bag_task",
 ]

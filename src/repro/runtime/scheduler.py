@@ -1,13 +1,19 @@
-"""Scheduler: turn HCube routing assignments into per-worker tasks.
+"""Scheduler: mint worker tasks, run them as one epoch, merge the results.
 
 The HCube locality property guarantees every output tuple is produced by
 exactly one cube, so per-worker evaluation is embarrassingly parallel:
-group each worker's cubes into one :class:`WorkerTask` (partition →
-build tries → run Leapfrog locally → merge counts), stream the tasks to
-an :class:`repro.runtime.Executor` as they are minted, and sum the
-results.  The merged counters (counts, per-level intermediate tuples,
-per-worker intersection work) are the same on every backend, so modeled
-cost accounting is backend-independent.
+:func:`iter_routed_tasks` groups each worker's cubes into one
+:class:`WorkerTask`; engines with other fragments (GHD bags, partition
+pairs) mint the same task shape themselves.  :func:`run_epoch` is the
+one sequence every engine runs per transport epoch — stream the tasks to
+an :class:`repro.runtime.Executor` as they are minted
+(:func:`run_streamed_tasks`), merge the results
+(:func:`merge_task_results`, the only place a failed result becomes
+:class:`~repro.errors.WorkerCrashed` / :class:`~repro.errors
+.BudgetExceeded`), tear the transport epoch down whatever happened, and
+snapshot its counters.  The merged counters (counts, per-level
+intermediate tuples, per-worker intersection work) are the same on
+every backend, so modeled cost accounting is backend-independent.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from ..data.database import Database
 from ..distributed.hcube import HCubeRouting
@@ -27,8 +35,8 @@ from .transport import PickleTransport, Transport
 from .worker import WorkerTask, WorkerTaskResult, execute_worker_task
 
 __all__ = ["MergedOutcome", "absorb_result_observability",
-           "iter_routed_tasks", "merge_task_results",
-           "run_streamed", "run_streamed_tasks"]
+           "iter_routed_tasks", "merge_task_results", "run_epoch",
+           "run_streamed_tasks"]
 
 
 @dataclass
@@ -42,6 +50,11 @@ class MergedOutcome:
     cache_hits: int = 0
     cache_misses: int = 0
     tasks: int = 0
+    #: Materializing tasks' rows, in task order (empty for count-only).
+    rows: list[np.ndarray] = field(default_factory=list)
+    #: The epoch's post-teardown transport counters plus ``transport``
+    #: (filled by :func:`run_epoch`).
+    data_plane: dict = field(default_factory=dict)
 
 
 def iter_routed_tasks(routing: HCubeRouting, db: Database,
@@ -85,7 +98,7 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     # Per-query epoch id (stamped on ExecutorView transports): namespace
     # publish keys so interleaved epochs from concurrent queries sharing
     # one staging area never collide.
-    epoch = getattr(transport, "epoch", None)
+    epoch = transport.epoch
     prefix = f"{epoch}/" if epoch else ""
 
     def key_for(ai: int) -> str:
@@ -119,7 +132,8 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
         yield task
 
 
-def absorb_result_observability(results: Sequence) -> None:
+def absorb_result_observability(results: Sequence[WorkerTaskResult]
+                                ) -> None:
     """Fold task results into the tracer and the metrics registry.
 
     Called on the coordinator as soon as results exist — before
@@ -130,38 +144,40 @@ def absorb_result_observability(results: Sequence) -> None:
     tracer = current_tracer()
     durations = METRICS.histogram("runtime.task_seconds")
     for res in results:
-        tracer.merge_payload(getattr(res, "spans", None))
-        total = getattr(res, "total_seconds", None)
-        if total is not None:
-            durations.observe(total)
-        work = getattr(res, "intersection_work", None) or \
-            getattr(res, "work", None)
-        if work:
-            METRICS.counter("runtime.intersection_work").inc(work)
-        if getattr(res, "failure", None):
+        tracer.merge_payload(res.spans)
+        durations.observe(res.total_seconds)
+        if res.intersection_work:
+            METRICS.counter("runtime.intersection_work").inc(
+                res.intersection_work)
+        if res.failure:
             METRICS.counter("runtime.tasks_failed").inc()
         else:
             METRICS.counter("runtime.tasks_completed").inc()
 
 
-def run_streamed(executor: Executor, fn: Callable,
-                 tasks: Iterable,
-                 telemetry: RuntimeTelemetry | None = None,
-                 mint_phase: str = "publish",
-                 run_phase: str = "local_join") -> list:
+def run_streamed_tasks(executor: Executor,
+                       tasks: Iterable[WorkerTask],
+                       telemetry: RuntimeTelemetry | None = None,
+                       mint_phase: str = "publish",
+                       run_phase: str = "local_join"
+                       ) -> list[WorkerTaskResult]:
     """Execute a *lazy* task stream, overlapping minting with execution.
 
-    ``tasks`` is typically a generator that does real coordinator work
-    per task (publishing source arrays, slicing partition refs).  The
-    stream is fed to :meth:`~repro.runtime.executor.Executor
-    .submit_tasks`, so pool backends execute early tasks while later
-    ones are still being minted.
+    The only runner: ``tasks`` is typically a generator that does real
+    coordinator work per task (publishing source arrays, slicing
+    partition refs).  The stream is fed to
+    :meth:`~repro.runtime.executor.Executor.submit_tasks`, so pool
+    backends execute early tasks while later ones are still being
+    minted.  The tasks' spans and metrics are folded into the
+    coordinator (:func:`absorb_result_observability`) whatever shape
+    they had.
 
     Telemetry: coordinator time spent inside the generator is recorded
-    under ``mint_phase`` and the remaining wall-clock of the phase under
-    ``run_phase``.  The *overlap window* — the wall-clock between the
-    first task's submission and the completion of minting, i.e. how long
-    task production and task execution coexisted — accumulates into
+    under ``mint_phase``, the remaining wall-clock of the phase under
+    ``run_phase``, and every task's seconds under its worker.  The
+    *overlap window* — the wall-clock between the first task's
+    submission and the completion of minting, i.e. how long task
+    production and task execution coexisted — accumulates into
     :attr:`~repro.runtime.telemetry.RuntimeTelemetry.overlap_seconds`.
     Overlap is only recorded for executors that actually run streamed
     tasks concurrently (``executor.concurrent``): the serial backend
@@ -191,31 +207,15 @@ def run_streamed(executor: Executor, fn: Callable,
                 first_submit = now
             yield task
 
-    results = list(executor.submit_tasks(fn, timed_stream()))
+    results = list(executor.submit_tasks(execute_worker_task,
+                                         timed_stream()))
     elapsed = time.perf_counter() - start
+    absorb_result_observability(results)
     if telemetry is not None:
         telemetry.record(mint_phase, mint_seconds)
         telemetry.record(run_phase, max(0.0, elapsed - mint_seconds))
-        if first_submit is not None and getattr(executor, "concurrent",
-                                                False):
+        if first_submit is not None and executor.concurrent:
             telemetry.record_overlap(max(0.0, last_mint - first_submit))
-    return results
-
-
-def run_streamed_tasks(executor: Executor,
-                       tasks: Iterable[WorkerTask],
-                       telemetry: RuntimeTelemetry | None = None
-                       ) -> list[WorkerTaskResult]:
-    """Execute a worker-task stream, recording measured phase times.
-
-    :func:`run_streamed` with the worker task function, plus per-worker
-    telemetry and the tasks' spans/metrics folded into the coordinator.
-    """
-    results = run_streamed(executor, execute_worker_task, tasks,
-                           telemetry=telemetry,
-                           mint_phase="publish", run_phase="local_join")
-    absorb_result_observability(results)
-    if telemetry is not None:
         for res in results:
             telemetry.record_worker(res.worker, res.total_seconds)
     return results
@@ -244,6 +244,8 @@ def merge_task_results(results: Sequence[WorkerTaskResult],
         for d in range(min(num_levels, len(res.level_tuples))):
             merged.level_tuples[d] += res.level_tuples[d]
         merged.tasks += 1
+        if res.rows is not None:
+            merged.rows.append(res.rows)
     # Per-worker budget failures and the aggregate check share one cap.
     for res in results:
         if res.failure == "budget":
@@ -253,4 +255,35 @@ def merge_task_results(results: Sequence[WorkerTaskResult],
                                  int(cap))
     if budget is not None and merged.total_work > budget:
         raise BudgetExceeded(merged.total_work, budget)
+    return merged
+
+
+def run_epoch(executor: Executor, tasks: Iterable[WorkerTask],
+              num_levels: int, budget: int | None = None,
+              telemetry: RuntimeTelemetry | None = None,
+              mint_phase: str = "publish",
+              run_phase: str = "local_join") -> MergedOutcome:
+    """One transport epoch: stream ``tasks``, merge, tear down, snapshot.
+
+    Whatever the tasks published is released when the epoch ends,
+    successfully or not (a failure leaves the frozen counters in the
+    transport's ``last_epoch`` for the failed result to report).  The
+    snapshot is read *after* teardown so ``data_plane`` includes
+    teardown-time counters (blocks freed, bytes workers fetched back
+    out of a tcp block store).
+    """
+    transport = executor.transport
+    tracer = current_tracer()
+    try:
+        results = run_streamed_tasks(executor, tasks, telemetry=telemetry,
+                                     mint_phase=mint_phase,
+                                     run_phase=run_phase)
+        with tracer.span("merge", cat="schedule", tasks=len(results)):
+            merged = merge_task_results(results, num_levels, budget=budget)
+    finally:
+        with tracer.span("teardown", cat="transport",
+                         transport=transport.name):
+            transport.teardown()
+    merged.data_plane = dict(transport.last_epoch.as_dict(),
+                             transport=transport.name)
     return merged

@@ -29,6 +29,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -38,6 +39,7 @@ from ..data.database import Database
 from ..data.relation import Relation
 from ..data.trie import Trie, TrieLevels
 from ..errors import BudgetExceeded, PlanError
+from ..obs.tracing import current_tracer
 from ..query.query import JoinQuery
 from .cache import IntersectionCache
 
@@ -74,6 +76,21 @@ class LeapfrogStats:
     emitted: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Wall-clock the run spent building its own tries (0 when the
+    #: caller passed ``tries=``, and under kernels that build none).
+    #: A measurement, not a counter: two runs with equal counters are
+    #: equal.
+    build_seconds: float = field(default=0.0, compare=False)
+
+    def reset(self, num_levels: int) -> None:
+        """Zero the counters a run over ``num_levels`` attributes fills."""
+        self.level_tuples = [0] * num_levels
+        self.level_work = [0] * num_levels
+        self.level_extensions = [0] * num_levels
+        self.intersection_work = 0
+        self.extensions = 0
+        self.emitted = 0
+        self.build_seconds = 0.0
 
     @property
     def total_intermediate(self) -> int:
@@ -135,7 +152,9 @@ def build_tries(query: JoinQuery, db: Database, order: Sequence[str]
         if rel.arity != atom.arity:
             raise PlanError(
                 f"atom {atom} arity mismatch with relation {rel.name}")
-        renamed = Relation(rel.name, atom.attributes, rel.data, dedup=False)
+        # A rename keeps the relation's "known sorted set" flag, so a
+        # trie in the stored column order is built without a sort.
+        renamed = rel.rename(dict(zip(rel.attributes, atom.attributes)))
         trie = Trie(renamed, order=_atom_trie_order(atom.attributes, order))
         trie.levels()   # index construction, not the join, pays for these
         tries.append(trie)
@@ -168,25 +187,27 @@ def intersect_sorted(arrays: Sequence[np.ndarray],
 
 def _plan(query: JoinQuery, db: Database, order: Sequence[str] | None,
           tries: Sequence[Trie] | None, stats: LeapfrogStats | None):
-    """Validate ``order``, build missing tries, reset ``stats`` and list
-    every level's participants as ``(atom index, local trie depth)``."""
+    """Validate ``order``, build (and time) missing tries, reset ``stats``
+    and list every level's participants as ``(atom index, local trie
+    depth)``."""
     order = tuple(order) if order is not None else query.attributes
     if set(order) != set(query.attributes):
         raise PlanError(
             f"order {order} is not a permutation of query attributes "
             f"{query.attributes}"
         )
+    build_seconds = 0.0
     if tries is None:
-        tries = build_tries(query, db, order)
+        t0 = time.perf_counter()
+        with current_tracer().span("build_tries", cat="task",
+                                   query=query.name):
+            tries = build_tries(query, db, order)
+        build_seconds = time.perf_counter() - t0
     n = len(order)
     if stats is None:
         stats = LeapfrogStats()
-    stats.level_tuples = [0] * n
-    stats.level_work = [0] * n
-    stats.level_extensions = [0] * n
-    stats.intersection_work = 0
-    stats.extensions = 0
-    stats.emitted = 0
+    stats.reset(n)
+    stats.build_seconds = build_seconds
     participants: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for ai, trie in enumerate(tries):
         for local_depth, attr in enumerate(trie.attributes):

@@ -61,9 +61,7 @@ def materialize_bags(query: JoinQuery, db: Database, tree: Hypertree,
     """Worst-case-optimally materialize every bag's join."""
     out: dict[int, Relation] = {}
     for bag in tree.bags:
-        attrs = tuple(a for a in query.attributes if a in bag.attributes)
-        sub = JoinQuery([query.atoms[i] for i in bag.atom_indices],
-                        name=f"bag{bag.index}")
+        sub, attrs = bag.subquery(query)
         res = leapfrog_join(sub, db, order=attrs, materialize=True,
                             budget=budget)
         rel = Relation(f"bag{bag.index}", attrs, res.relation.data,

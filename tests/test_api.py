@@ -240,12 +240,12 @@ class TestJoinSession:
     def test_teardown_even_on_worker_crash(self, monkeypatch):
         """The executor (and its transport) is reclaimed when a worker
         dies mid-run."""
-        import repro.engines.one_round as one_round_mod
+        import repro.runtime.scheduler as scheduler_mod
 
-        def crashing_run(executor, tasks, telemetry=None):
+        def crashing_run(executor, tasks, **kwargs):
             raise WorkerCrashed(0, "simulated death")
 
-        monkeypatch.setattr(one_round_mod, "run_streamed_tasks",
+        monkeypatch.setattr(scheduler_mod, "run_streamed_tasks",
                             crashing_run)
         query, db = graph_case("Q1", seed=3)
         with JoinSession(workers=2, backend="threads",

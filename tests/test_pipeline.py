@@ -422,15 +422,16 @@ def _assert_fingerprint(result, expected, context):
 
 @pytest.fixture(scope="module")
 def pools():
-    """One warm pool per non-serial backend, shared by the module."""
+    """One warm executor per backend, shared by the module."""
     from repro.net import WorkerAgent
 
     with WorkerAgent(slots=2, mode="inline") as agent, \
+            create_executor("serial", 2) as serial, \
             create_executor("threads", 2) as threads, \
             create_executor("processes", 2) as processes, \
             create_executor("remote", 2, hosts=(
                 f"127.0.0.1:{agent.port}",)) as remote:
-        yield threads, processes, remote
+        yield serial, threads, processes, remote
 
 
 class TestOneExecutionPath:

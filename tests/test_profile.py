@@ -145,6 +145,26 @@ class TestProfileContents:
         assert all(e["args"].get("query_id") == qid for e in events)
         assert any(e["name"] == "worker_task" for e in events)
 
+    @pytest.mark.parametrize("engine", ["sparksql", "yannakakis"])
+    def test_pair_and_bag_tasks_are_observable_from_pool_children(
+            self, engine):
+        """Every task shape ships its spans home and counts in the
+        metrics window (SparkSQL's partition pairs used to do neither)."""
+        import os
+
+        with JoinSession(workers=2, backend="processes",
+                         transport="shm") as session:
+            result = session.query("wb", "Q9", scale=1e-5).run(
+                engine, profile=True)
+        assert result.ok, result.failure
+        tasks = [e for e in result.trace["traceEvents"]
+                 if e["ph"] == "X" and e["name"] == "worker_task"]
+        assert tasks and all(e["pid"] != os.getpid() for e in tasks)
+        assert len(tasks) == result.telemetry.tasks_executed
+        window = result.profile.metrics
+        assert window["runtime.tasks_completed"] == len(tasks)
+        assert window["runtime.task_seconds"]["count"] == len(tasks)
+
     def test_metrics_window_is_scoped_to_the_run(self):
         # Pollute the global registry first: the window must not see it.
         METRICS.counter("runtime.tasks_completed").inc(999)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.data import Database, Relation
+from repro.data.relation import sorted_set_rows
 from repro.distributed import Cluster, HypercubeGrid, hcube_route
+from repro.distributed.hcube import localized_query
 from repro.engines import (
     ADJ,
     BigJoin,
@@ -22,7 +24,7 @@ from repro.engines import (
     run_engine_safely,
 )
 from repro.errors import BudgetExceeded, ConfigError, WorkerCrashed
-from repro.query import paper_query
+from repro.query import Atom, JoinQuery, paper_query
 from repro.runtime import (
     Executor,
     ExecutorView,
@@ -31,6 +33,7 @@ from repro.runtime import (
     SerialExecutor,
     ThreadExecutor,
     WorkerTask,
+    WorkerTaskResult,
     available_parallelism,
     create_executor,
     execute_worker_task,
@@ -383,11 +386,10 @@ class TestEngineBackends:
         """A worker that dies mid-run must yield failure='crash'."""
         import repro.runtime.scheduler as scheduler_mod
 
-        def crashing_run(executor, tasks, telemetry=None):
+        def crashing_run(executor, tasks, **kwargs):
             raise WorkerCrashed(0, "simulated death")
 
-        import repro.engines.one_round as one_round_mod
-        monkeypatch.setattr(one_round_mod, "run_streamed_tasks",
+        monkeypatch.setattr(scheduler_mod, "run_streamed_tasks",
                             crashing_run)
         query, db = graph_case("Q1", seed=8)
         cluster = Cluster(num_workers=2)
@@ -476,3 +478,128 @@ class TestWorkerTaskPayload:
         clone = pickle.loads(pickle.dumps(task))
         res = execute_worker_task(clone)
         assert res.ok and res.count == leapfrog_join(query, db).count
+
+
+# -- one task shape: cubes, bags and partition pairs ---------------------------
+
+def _crashed_result(task):
+    return WorkerTaskResult(worker=task.worker, failure="crash",
+                            failure_info=("Boom: simulated", ""))
+
+
+class TestOneTaskShape:
+    """A GHD bag and a SparkSQL partition pair are ``WorkerTask``s too."""
+
+    def _bag(self, kernel, **fields):
+        """Q1 as one bag: a single group of whole arrays, materialized
+        in a non-default attribute order."""
+        query, db = graph_case("Q1", seed=21, n=120, dom=20)
+        task = WorkerTask(
+            worker=1, query=localized_query(query),
+            order=query.attributes[::-1],
+            cubes=[tuple(db[a.relation].data for a in query.atoms)],
+            kernel=kernel, materialize=True, **fields)
+        return query, db, task
+
+    def test_bag_task_rows_equal_materializing_leapfrog(self):
+        query, db, task = self._bag("wcoj")
+        truth = leapfrog_join(query, db, task.order, materialize=True)
+        assert truth.count > 0
+        res = execute_worker_task(task)
+        assert res.ok and res.cubes_run == 1
+        assert res.count == truth.count
+        assert np.array_equal(res.rows, truth.relation.data)
+        assert res.intersection_work == truth.stats.intersection_work
+        assert res.build_seconds > 0.0      # reported by the kernel
+        binary = execute_worker_task(self._bag("binary")[2])
+        assert binary.ok and binary.count == truth.count
+        assert np.array_equal(sorted_set_rows(binary.rows),
+                              truth.relation.data)
+        assert binary.build_seconds == 0.0  # no tries under binary
+
+    def test_count_only_task_ships_no_rows(self):
+        _, _, task = self._bag("wcoj")
+        task.materialize = False
+        res = execute_worker_task(task)
+        assert res.ok and res.count > 0 and res.rows is None
+
+    def test_pair_task_rows_equal_natural_join(self):
+        rng = np.random.default_rng(22)
+        left = Relation("(R1#0><R2#1)", ("a", "b"),
+                        rng.integers(0, 15, size=(80, 2)))
+        right = Relation("R3#2", ("b", "c"),
+                         rng.integers(0, 15, size=(60, 2)))
+        truth = left.natural_join(right)
+        task = WorkerTask(
+            worker=0,
+            query=JoinQuery([Atom(left.name, left.attributes),
+                             Atom(right.name, right.attributes)]),
+            order=truth.attributes, cubes=[(left.data, right.data)],
+            kernel="binary", materialize=True)
+        res = execute_worker_task(task)
+        assert res.ok and res.count == len(truth) > 0
+        assert Relation("out", truth.attributes, res.rows,
+                        dedup=False) == truth
+        merged = merge_task_results([res], len(task.order))
+        assert merged.count == len(truth) and len(merged.rows) == 1
+
+    def test_materializing_failures_are_encoded_then_typed_by_merge(self):
+        _, _, over = self._bag("wcoj", budget=3)
+        res = execute_worker_task(over)          # encoded, never raised
+        assert res.failure == "budget" and res.rows is None
+        with pytest.raises(BudgetExceeded):
+            merge_task_results([res], 0)
+        _, _, broken = self._bag("binary")
+        broken.cubes[0] = tuple(a[:, :1] for a in broken.cubes[0])
+        res = execute_worker_task(broken)
+        assert res.failure == "crash" and res.rows is None
+        with pytest.raises(WorkerCrashed) as exc:
+            merge_task_results([res], 0)
+        assert exc.value.worker == broken.worker
+
+    @pytest.mark.parametrize("engine", [YannakakisJoin, SparkSQLJoin],
+                             ids=lambda e: e.name)
+    def test_engine_failures_surface_through_the_one_merge(
+            self, engine, monkeypatch):
+        """Q5 has more bags than the cluster has workers; the crash
+        report still names a worker of the cluster."""
+        import repro.runtime.scheduler as scheduler_mod
+
+        query, db = graph_case("Q5", seed=23, n=120, dom=20)
+        cluster = Cluster(num_workers=2)
+        monkeypatch.setattr(scheduler_mod, "execute_worker_task",
+                            _crashed_result)
+        with pytest.raises(WorkerCrashed) as exc:
+            engine().run(query, db, cluster)
+        assert 0 <= exc.value.worker < cluster.num_workers
+        assert "simulated" in exc.value.reason
+
+    def test_yannakakis_bag_budget_is_a_clean_engine_failure(self):
+        query, db = graph_case("Q9", seed=24)
+        result = run_engine_safely(YannakakisJoin(work_budget=3), query,
+                                   db, Cluster(num_workers=2))
+        assert result.failure == "budget"
+
+    def test_full_task_survives_pickle_and_a_spawned_pool(self):
+        import multiprocessing
+        import pickle
+
+        _, _, task = self._bag(
+            "wcoj", budget=10 ** 9, cache_capacity=64,
+            trace={"enabled": True, "origin": "test"})
+        clone = pickle.loads(pickle.dumps(task))
+        for name in ("worker", "query", "order", "budget",
+                     "cache_capacity", "trace", "kernel", "materialize"):
+            assert getattr(clone, name) == getattr(task, name), name
+        inline = execute_worker_task(clone)
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            spawned = pool.apply(execute_worker_task, (task,))
+        assert inline.ok and spawned.ok
+        assert spawned.count == inline.count > 0
+        assert np.array_equal(spawned.rows, inline.rows)
+        assert (spawned.cache_hits, spawned.cache_misses) \
+            == (inline.cache_hits, inline.cache_misses)
+        assert inline.cache_misses > 0
+        # The trace context made the child record and ship its spans.
+        names = {span["name"] for span in spawned.spans}
+        assert {"worker_task", "kernel", "build_tries"} <= names

@@ -191,12 +191,12 @@ class TestRoutedTasks:
 
     def test_shm_cleanup_survives_worker_crash(self, monkeypatch):
         """Segments are released even when the run dies mid-flight."""
-        import repro.engines.one_round as one_round_mod
+        import repro.runtime.scheduler as scheduler_mod
 
-        def crashing_run(executor, tasks, telemetry=None):
+        def crashing_run(executor, tasks, **kwargs):
             raise WorkerCrashed(0, "simulated death")
 
-        monkeypatch.setattr(one_round_mod, "run_streamed_tasks",
+        monkeypatch.setattr(scheduler_mod, "run_streamed_tasks",
                             crashing_run)
         query, db, _ = self._routing()
         t = SharedMemoryTransport()

@@ -39,6 +39,41 @@ class TestTrieBuild:
         with pytest.raises(ValueError):
             t.data[0, 0] = 5
 
+    def test_known_sorted_set_is_never_sorted_again(self, monkeypatch):
+        """One sort path: a relation that knows it is a lexsorted set in
+        trie order is the trie's data, through renames too."""
+        import repro.data.relation as relation_mod
+        from repro.data import Database
+        from repro.query import Atom, JoinQuery
+        from repro.wcoj import build_tries
+
+        rel = Relation.from_tuples("R", ("a", "b"),
+                                   [(2, 1), (1, 2), (1, 2), (1, 1)])
+
+        def resorted(*args, **kwargs):
+            raise AssertionError("sorted a known sorted set again")
+
+        monkeypatch.setattr(relation_mod, "_sorted_rows", resorted)
+        assert Trie(rel).data is rel.data
+        (trie,) = build_tries(JoinQuery([Atom("R", ("x", "y"))]),
+                              Database([rel]), ("x", "y"))
+        assert trie.attributes == ("x", "y") and trie.data is rel.data
+        with pytest.raises(AssertionError):     # another order must sort
+            Trie(rel, order=("b", "a"))
+
+    @pytest.mark.parametrize("order", [("a", "b", "c"), ("c", "a", "b")])
+    def test_values_too_wide_to_pack_take_the_lexsort_fallback(self, order):
+        rng = np.random.default_rng(0)
+        rows = rng.choice(np.array([-2 ** 61, -1, 0, 7, 2 ** 61]),
+                          size=(200, 3))
+        t = Trie(Relation("R", ("a", "b", "c"), rows, dedup=False),
+                 order=order)
+        cols = rows[:, ["abc".index(x) for x in order]]
+        np.testing.assert_array_equal(t.data, np.unique(cols, axis=0))
+        np.testing.assert_array_equal(t.levels().vals[0],
+                                      np.unique(cols[:, 0]))
+        assert not t.data.flags.writeable
+
 
 class TestNavigation:
     def test_candidates_at_root(self):
