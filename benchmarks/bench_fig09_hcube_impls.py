@@ -8,8 +8,7 @@ Merge because tries arrive pre-built.
 import pytest
 
 from repro.data import dataset_names
-from repro.distributed import HypercubeGrid, hcube_shuffle, optimize_shares
-from repro.wcoj import leapfrog_join
+from repro.engines import one_round_execute
 
 from .common import bench_cluster, fmt_table, load_case, report
 
@@ -17,21 +16,9 @@ IMPLS = ["push", "pull", "merge"]
 
 
 def _run_impl(query, db, cluster, impl):
-    sizes = {a.relation: len(db[a.relation]) for a in query.atoms}
-    shares = optimize_shares(query, sizes, cluster.num_workers)
-    grid = HypercubeGrid(query, shares, cluster.num_workers)
     ledger = cluster.new_ledger()
-    shuffle = hcube_shuffle(query, db, grid, impl=impl)
-    ledger.charge_shuffle(shuffle.stats, impl)
-    rate = (cluster.params.trie_merge_rate if shuffle.prebuilt_tries
-            else cluster.params.trie_build_rate)
-    ledger.charge_worker_work(
-        {w: float(l) for w, l in shuffle.worker_loads.items()}, rate=rate)
-    worker_work = {w: 0.0 for w in range(cluster.num_workers)}
-    for cube, cdb in enumerate(shuffle.cube_databases):
-        res = leapfrog_join(shuffle.local_query, cdb)
-        worker_work[grid.worker_of_cube(cube)] += res.stats.intersection_work
-    ledger.charge_worker_work(worker_work)
+    one_round_execute(query, db, cluster, query.attributes, ledger,
+                      impl=impl)
     return ledger.comm_seconds, ledger.comp_seconds
 
 

@@ -2,15 +2,14 @@
 
 Run with:  python examples/cardinality_estimation.py
 
-Shows the Lemma 2 sample-size bound, the accuracy/cost trade-off of the
-estimator, and the communication saved by the semijoin-reduced
-distributed sampling procedure.
+Shows the Lemma 2 sample-size bound and the accuracy/cost trade-off of
+the estimator.
 """
 
 import time
 
 from repro import JoinSession
-from repro.core import DistributedSampler, required_samples
+from repro.core import required_samples
 from repro.data import generate_power_law_edges
 from repro.query import paper_query
 from repro.wcoj import leapfrog_join
@@ -47,17 +46,6 @@ def main() -> None:
             print(f"{k:>8} {est.estimate:>12.0f} {hi / lo:>7.3f} "
                   f"{elapsed:>8.3f}{tag}")
         assert not session.executor_created
-
-    # -- distributed sampling: the semijoin reduction -------------------------
-    report = DistributedSampler(db, num_samples=100, seed=1).sample(query)
-    saved = (1 - report.reduced_shuffle_tuples
-             / max(1, report.naive_shuffle_tuples))
-    print("\ndistributed sampling (Sec. IV):")
-    print(f"  naive shuffle:   {report.naive_shuffle_tuples:>8} tuples")
-    print(f"  reduced shuffle: {report.reduced_shuffle_tuples:>8} tuples "
-          f"({saved:.0%} saved by the semijoin reduction)")
-    print(f"  estimate: {report.estimate.estimate:.0f} "
-          f"(true {true})")
 
 
 if __name__ == "__main__":

@@ -23,9 +23,7 @@ Checkers live in a string-keyed registry mirroring
 from __future__ import annotations
 
 from .base import Checker, ModuleContext
-from .baseline import Baseline, load_baseline, write_baseline
-from .engine import (DEFAULT_BASELINE_NAME, LintConfig, collect_files,
-                     lint_file, run)
+from .engine import LintConfig, collect_files, lint_file, run
 from .findings import Finding
 from .registry import (available_checkers, checker_spec, create_checker,
                        register_checker)
@@ -34,9 +32,7 @@ from .suppress import SUPPRESSION_RULE
 from . import checkers  # noqa: F401  (registers the built-in rules)
 
 __all__ = [
-    "Baseline",
     "Checker",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "LintConfig",
     "ModuleContext",
@@ -46,8 +42,6 @@ __all__ = [
     "collect_files",
     "create_checker",
     "lint_file",
-    "load_baseline",
     "register_checker",
     "run",
-    "write_baseline",
 ]

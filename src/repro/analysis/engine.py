@@ -9,9 +9,8 @@ query service — can gate code programmatically::
 
 The pipeline per file: parse → run every selected checker → drop
 findings suppressed by a reasoned ``# repro: lint-ignore[RULE] reason``
-comment → drop findings covered by the baseline.  Malformed
-suppressions surface as ``lint-ignore`` findings and are never
-suppressed themselves.
+comment.  Malformed suppressions surface as ``lint-ignore`` findings
+and are never suppressed themselves.
 """
 
 from __future__ import annotations
@@ -24,16 +23,11 @@ from typing import Iterable, Iterator, Sequence
 
 from ..errors import ConfigError
 from .base import Checker, ModuleContext, module_name_for
-from .baseline import Baseline, load_baseline
 from .findings import Finding
 from .registry import available_checkers, create_checker
 from .suppress import SUPPRESSION_RULE, parse_suppressions
 
-__all__ = ["LintConfig", "run", "lint_file", "collect_files",
-           "DEFAULT_BASELINE_NAME"]
-
-#: File name the CLI looks for next to the lint root.
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
+__all__ = ["LintConfig", "run", "lint_file", "collect_files"]
 
 #: Directories never descended into.
 _SKIP_DIRS = {".git", "__pycache__", ".venv", "venv", "node_modules",
@@ -53,8 +47,7 @@ class LintConfig:
     exercised on synthetic files without the real repo around them.
     """
 
-    #: Root the reports are relative to, and where docs/ and the
-    #: default baseline live.
+    #: Root the reports are relative to, and where docs/ lives.
     root: Path = field(default_factory=Path.cwd)
     #: Declared REPRO_* environment variables; None loads
     #: :data:`repro.api.config.ENV_CATALOG` on first use.
@@ -170,15 +163,12 @@ def lint_file(path: "Path | str", config: LintConfig,
 
 def run(paths: Iterable["Path | str"], *,
         rules: "Sequence[str] | None" = None,
-        baseline: "Baseline | Path | str | None" = None,
         root: "Path | str | None" = None,
         config: "LintConfig | None" = None) -> list[Finding]:
     """Lint ``paths`` and return the surviving findings, sorted.
 
     ``rules`` restricts the checker lineup (default: all registered).
-    ``baseline`` subtracts grandfathered findings — pass a loaded
-    :class:`Baseline` or a path to the JSON file.  An empty return
-    value means the tree is clean.
+    An empty return value means the tree is clean.
     """
     if config is None:
         config = LintConfig(root=Path(root) if root is not None
@@ -187,8 +177,4 @@ def run(paths: Iterable["Path | str"], *,
     findings: list[Finding] = []
     for path in collect_files(paths):
         findings.extend(lint_file(path, config, checkers))
-    if baseline is not None:
-        if not isinstance(baseline, Baseline):
-            baseline = load_baseline(baseline)
-        findings = baseline.filter(findings)
     return sorted(findings)

@@ -1,9 +1,9 @@
 """The unit of lint output: one :class:`Finding` per violated invariant.
 
 A finding names the rule, the file, the position and a human message;
-its :attr:`~Finding.fingerprint` deliberately excludes line/column so a
-baselined finding keeps matching while unrelated edits move it around
-the file (the same trick ruff's and ESLint's baselines use).
+its :attr:`~Finding.fingerprint` deliberately excludes line/column so
+tooling reading the ``--json`` report can recognize the same finding
+while unrelated edits move it around the file.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (position-independent)."""
+        """Stable, position-independent identity (``--json`` consumers)."""
         raw = f"{self.rule}::{self.path}::{self.message}"
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 

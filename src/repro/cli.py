@@ -615,8 +615,8 @@ def _cmd_lint(args) -> int:
 
     # Imported lazily like the net subsystem: most CLI invocations
     # never need the analysis package.
-    from .analysis import (DEFAULT_BASELINE_NAME, LintConfig,
-                           available_checkers, checker_spec, run)
+    from .analysis import (LintConfig, available_checkers, checker_spec,
+                           run)
 
     if args.list_rules:
         for rule in available_checkers():
@@ -628,15 +628,10 @@ def _cmd_lint(args) -> int:
     if not paths:
         paths = [p for p in (root / "src" / "repro", root / "benchmarks")
                  if p.exists()] or [root]
-    baseline = args.baseline
-    if baseline is None:
-        default = root / DEFAULT_BASELINE_NAME
-        baseline = default if default.exists() else None
     rules = [r.strip() for r in args.rules.split(",") if r.strip()] \
         if args.rules else None
 
-    findings = run(paths, rules=rules, baseline=baseline,
-                   config=LintConfig(root=root))
+    findings = run(paths, rules=rules, config=LintConfig(root=root))
 
     if args.json:
         print(_json.dumps({"version": 1, "count": len(findings),
@@ -917,15 +912,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "src/repro and benchmarks under --root)")
     lint_p.add_argument("--root", default=".",
                         help="directory findings are reported relative "
-                             "to; docs/api.md and the default baseline "
-                             "are looked up here (default: .)")
+                             "to; docs/api.md is looked up here "
+                             "(default: .)")
     lint_p.add_argument("--rules", default=None,
                         help="comma-separated rule subset (default: all; "
                              "see --list-rules)")
-    lint_p.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline JSON of grandfathered findings "
-                             "(default: <root>/lint-baseline.json when "
-                             "present)")
     lint_p.add_argument("--json", action="store_true",
                         help="machine-readable findings on stdout")
     lint_p.add_argument("--list-rules", action="store_true",

@@ -17,8 +17,6 @@ from .plan import (
 )
 from .sampling import (
     CardinalityEstimator,
-    DistributedSampleReport,
-    DistributedSampler,
     SampleEstimate,
     required_samples,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "candidate_relation_for",
     "projected_database",
     "CardinalityEstimator",
-    "DistributedSampleReport",
-    "DistributedSampler",
     "SampleEstimate",
     "required_samples",
 ]

@@ -15,9 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from ..data.database import Database
 from ..data.relation import Relation
+from ..distributed.hcube import HypercubeGrid, hcube_route
 from ..distributed.metrics import CostModelParams
-from ..distributed.shuffle import hash_partition
+from ..query.query import Atom, JoinQuery
 from ..wcoj.leapfrog import LeapfrogStats, intersect_sorted
 
 __all__ = ["measure_alpha", "measure_beta", "calibrate"]
@@ -25,12 +27,18 @@ __all__ = ["measure_alpha", "measure_beta", "calibrate"]
 
 def measure_alpha(num_tuples: int = 200_000, num_workers: int = 8,
                   seed: int = 0) -> float:
-    """Tuples per second through the hash-partition shuffle kernel."""
+    """Tuples per second through HCube routing on a one-attribute grid.
+
+    The routing path the engines use (a hash partition on ``a``), not a
+    materializing copy of it.
+    """
     rng = np.random.default_rng(seed)
     rel = Relation("calib", ("a", "b"),
                    rng.integers(0, 1 << 30, size=(num_tuples, 2)))
+    query = JoinQuery([Atom("calib", ("a", "b"))], name="calib")
+    grid = HypercubeGrid(query, {"a": num_workers, "b": 1}, num_workers)
     t0 = time.perf_counter()
-    hash_partition(rel, ("a",), num_workers)
+    hcube_route(query, Database([rel]), grid)
     elapsed = max(1e-9, time.perf_counter() - t0)
     return len(rel) / elapsed
 

@@ -9,29 +9,26 @@ sample (:func:`repro.wcoj.leapfrog.leapfrog_sample_counts`).  Lemma 2
 ``k = ceil(0.5 * p**-2 * ln(2/delta))`` samples, the estimate of the mean
 deviates by more than ``p * b`` with probability at most ``delta``.
 
-``DistributedSampler`` adds the paper's cost-reduction trick: instead of
-HCube-shuffling the whole database for sampling, the A-projections are
-shuffled first to compute val(A); the database is then semijoin-reduced
-by the chosen sample before the (much smaller) shuffle.  Both the naive
-and the reduced communication costs are reported so the benefit is
-measurable.
+The paper's cost-reduction trick — shuffle the A-projections first to
+compute val(A), then semijoin-reduce the database by the chosen sample
+before the (much smaller) shuffle — is charged by ``ADJ._optimize`` (the
+projection exchange); the reduction itself is a ``select_in`` on the
+sampled values wherever the sampling task's inputs are cut.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.database import Database
-from ..data.relation import Relation
 from ..errors import EstimationError
-from ..query.query import Atom, JoinQuery
+from ..query.query import JoinQuery
 from ..wcoj.leapfrog import leapfrog_sample_counts
 
-__all__ = ["required_samples", "SampleEstimate", "CardinalityEstimator",
-           "DistributedSampler", "DistributedSampleReport"]
+__all__ = ["required_samples", "SampleEstimate", "CardinalityEstimator"]
 
 
 def required_samples(error: float, confidence_delta: float) -> int:
@@ -174,91 +171,3 @@ class CardinalityEstimator:
                                    for e in stats.level_extensions),
         )
 
-
-@dataclass
-class DistributedSampleReport:
-    """Cost accounting of the distributed sampling pass (Sec. IV)."""
-
-    estimate: SampleEstimate
-    naive_shuffle_tuples: int      # shuffling the full database (naive)
-    reduced_shuffle_tuples: int    # after the semijoin reduction
-    projection_shuffle_tuples: int  # the Pi_A(R) exchange to build val(A)
-    sampling_work: int = field(default=0)
-
-    @property
-    def total_shuffle_tuples(self) -> int:
-        return self.reduced_shuffle_tuples + self.projection_shuffle_tuples
-
-
-class DistributedSampler:
-    """The paper's semijoin-reduced distributed sampling procedure.
-
-    1. ship the A-projections of every atom containing A (cheap);
-    2. intersect them into val(A) and pick the sample S';
-    3. semijoin-reduce every atom containing A by S';
-    4. shuffle the *reduced* database and sample on it.
-
-    The simulation executes the reduction for real and accounts both the
-    naive and the reduced shuffle volumes.
-    """
-
-    def __init__(self, db: Database, num_samples: int = 500, seed: int = 0):
-        self.db = db
-        self.num_samples = num_samples
-        self.seed = seed
-
-    def sample(self, query: JoinQuery,
-               order: tuple[str, ...] | None = None
-               ) -> DistributedSampleReport:
-        order = tuple(order) if order is not None else query.attributes
-        attr = order[0]
-        base = CardinalityEstimator(self.db, num_samples=self.num_samples,
-                                    seed=self.seed)
-        vals = base._values_of(query, attr)
-        projection_tuples = 0
-        for atom in query.atoms_with(attr):
-            rel = self.db[atom.relation]
-            col = atom.attributes.index(attr)
-            projection_tuples += int(np.unique(rel.data[:, col]).shape[0])
-        rng = np.random.default_rng(self.seed)
-        if vals.shape[0] and self.num_samples < vals.shape[0]:
-            sample_values = np.unique(
-                rng.choice(vals, size=self.num_samples, replace=True))
-        else:
-            sample_values = vals
-        # Per-atom reduced slices (unique names: two atoms may reference the
-        # same stored relation and be reduced differently).
-        reduced = Database()
-        reduced_atoms: list[Atom] = []
-        reduced_tuples = 0
-        for i, atom in enumerate(query.atoms):
-            rel = self.db[atom.relation]
-            if attr in atom.attributes:
-                col_name = rel.attributes[atom.attributes.index(attr)]
-                rel = rel.select_in(col_name, sample_values)
-            local = Relation(f"{atom.relation}@{i}", rel.attributes,
-                             rel.data, dedup=False)
-            reduced.add(local)
-            reduced_atoms.append(Atom(local.name, atom.attributes))
-            reduced_tuples += len(local)
-        reduced_query = JoinQuery(reduced_atoms, name=query.name)
-        naive_tuples = sum(
-            len(self.db[a.relation]) for a in query.atoms)
-        estimator = CardinalityEstimator(
-            reduced, num_samples=self.num_samples, seed=self.seed)
-        estimate = estimator.estimate(reduced_query, order)
-        # The reduced database changes val(A) to the sample itself, so the
-        # scale factor must come from the *full* val(A).
-        if estimate.val_size:
-            corrected = estimate.sample_mean * vals.shape[0]
-        else:
-            corrected = 0.0
-        estimate.estimate = corrected
-        estimate.val_size = int(vals.shape[0])
-        return DistributedSampleReport(
-            estimate=estimate,
-            naive_shuffle_tuples=naive_tuples,
-            reduced_shuffle_tuples=reduced_tuples,
-            projection_shuffle_tuples=projection_tuples,
-            sampling_work=estimate.work,
-        )

@@ -1,4 +1,4 @@
-"""Distributed substrate: cluster simulator, HCube, hash shuffles, metrics."""
+"""Distributed substrate: cluster simulator, HCube routing, metrics."""
 
 from .cluster import Cluster, default_workers
 from .hcube import (
@@ -6,7 +6,6 @@ from .hcube import (
     HCubeShuffleResult,
     HypercubeGrid,
     hcube_route,
-    hcube_shuffle,
     local_atom_name,
     localized_query,
     mix_hash,
@@ -20,7 +19,6 @@ from .partitioner import (
     frac_factor,
     optimize_shares,
 )
-from .shuffle import broadcast_stats, hash_partition, hash_partition_rows
 from .skew import SkewReport, skew_report, straggler_slowdown
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "HCubeShuffleResult",
     "HypercubeGrid",
     "hcube_route",
-    "hcube_shuffle",
     "local_atom_name",
     "localized_query",
     "mix_hash",
@@ -47,7 +44,4 @@ __all__ = [
     "enumerate_share_vectors",
     "frac_factor",
     "optimize_shares",
-    "broadcast_stats",
-    "hash_partition",
-    "hash_partition_rows",
 ]

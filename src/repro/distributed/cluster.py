@@ -3,9 +3,9 @@
 Mirrors the paper's setup (Sec. VII-A): a number of workers (they use 28,
 4 per slave x 7 slaves), a per-worker memory budget, and calibrated
 communication/computation rates.  The cluster itself is a small value
-object — data movement happens in :mod:`repro.distributed.hcube` and
-:mod:`repro.distributed.shuffle`; the cluster supplies the parameters and
-fresh cost ledgers.
+object — tuples are assigned to workers in :mod:`repro.distributed.hcube`
+(the one partitioner); the cluster supplies the parameters and fresh cost
+ledgers.
 
 The ``runtime`` field is a *hint* naming the execution backend
 (:mod:`repro.runtime`) that should carry local per-cube computation:

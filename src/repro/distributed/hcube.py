@@ -46,7 +46,6 @@ __all__ = [
     "localized_query",
     "local_atom_name",
     "hcube_route",
-    "hcube_shuffle",
     "MEMORY_FOOTPRINT",
 ]
 
@@ -179,8 +178,8 @@ class HCubeRouting:
     relation that belong to ``cube``.  No tuple is materialized — the
     data plane (:mod:`repro.runtime.transport`) decides whether those
     assignments become pickled partition matrices or shared-memory
-    descriptors.  Stats are identical to the materializing shuffle by
-    construction (:func:`hcube_shuffle` is implemented on top of this).
+    descriptors; :meth:`materialize` copies them into per-cube
+    databases for callers that join cubes in-process.
     """
 
     grid: HypercubeGrid
@@ -305,10 +304,13 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
                 routing_threads: int | None = None) -> HCubeRouting:
     """Compute per-cube routing assignments without copying any tuple.
 
-    Returns row indices per (atom, cube) plus the same
-    :class:`ShuffleStats` / OOM accounting as the materializing
-    :func:`hcube_shuffle` — the modeled cluster's data movement does not
-    depend on which physical transport later carries it.
+    The only function that assigns tuples to workers: a hash partition
+    on a join key is the grid whose whole share budget sits on that one
+    attribute.  Returns row indices per (atom, cube) plus the
+    :class:`ShuffleStats` / OOM accounting of the chosen implementation
+    — the modeled cluster's data movement does not depend on which
+    physical transport later carries it.  Cube-local relation names
+    follow :func:`local_atom_name`.
 
     ``routing_threads`` > 1 routes atoms concurrently on a coordinator
     thread pool (the hashing/argsort work is per-atom independent);
@@ -374,17 +376,3 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
         prebuilt_tries=(impl == "merge"),
     )
 
-
-def hcube_shuffle(query: JoinQuery, db: Database, grid: HypercubeGrid,
-                  impl: str = "pull",
-                  memory_tuples: float | None = None) -> HCubeShuffleResult:
-    """Route every atom's tuples to the cubes that need them.
-
-    Returns per-cube local databases (relation names follow
-    :func:`local_atom_name`, columns renamed to query variables) plus the
-    :class:`ShuffleStats` for the chosen implementation's accounting.
-    Implemented as :func:`hcube_route` + materialization, so routing
-    assignments and materialized partitions can never diverge.
-    """
-    return hcube_route(query, db, grid, impl=impl,
-                       memory_tuples=memory_tuples).materialize(db)

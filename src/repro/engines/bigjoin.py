@@ -12,11 +12,12 @@ The per-round binding counts equal Leapfrog's per-level intermediate
 tuple counts, so the engine executes one instrumented Leapfrog pass and
 charges one shuffle round per attribute from the recorded levels.
 
-The Leapfrog pass runs on the :mod:`repro.runtime` executor: the value
-space of the order's first attribute is partitioned across workers (an
-HCube grid that spends the whole share budget on that attribute, so
-relations containing it split and the rest replicate), and each worker
-explores its disjoint slice of the binding tree.  The merged per-level
+The Leapfrog pass runs on the :mod:`repro.runtime` executor through
+:func:`~repro.engines.one_round.routed_epoch`: the value space of the
+order's first attribute is partitioned across workers (an HCube grid
+that spends the whole share budget on that attribute, so relations
+containing it split and the rest replicate), and each worker explores
+its disjoint slice of the binding tree.  The merged per-level
 counts equal a global pass exactly, so the modeled round-per-attribute
 accounting does not depend on the backend — only wall-clock does.
 """
@@ -25,14 +26,14 @@ from __future__ import annotations
 
 from ..data.database import Database
 from ..distributed.cluster import Cluster
-from ..distributed.hcube import HypercubeGrid, hcube_route
+from ..distributed.hcube import HypercubeGrid
 from ..distributed.metrics import ShuffleStats
 from ..errors import BudgetExceeded, OutOfMemory
 from ..query.query import JoinQuery
-from ..runtime.executor import Executor, available_parallelism
-from ..runtime.scheduler import iter_routed_tasks, run_epoch
+from ..runtime.executor import Executor
 from ..runtime.telemetry import RuntimeTelemetry
 from .base import EngineResult, _resolve_executor, attach_degree_order
+from .one_round import routed_epoch
 
 __all__ = ["BigJoin"]
 
@@ -70,15 +71,9 @@ class BigJoin:
         shares = {a: 1 for a in query.attributes}
         shares[order[0]] = cluster.num_workers
         grid = HypercubeGrid(query, shares, cluster.num_workers)
-        with telemetry.measure("shuffle"):
-            routing = hcube_route(
-                query, db, grid, impl="pull",
-                routing_threads=available_parallelism())
-        return run_epoch(
-            executor,
-            iter_routed_tasks(routing, db, order, budget=self.work_budget,
-                              transport=executor.transport),
-            len(order), budget=self.work_budget, telemetry=telemetry)
+        _, merged = routed_epoch(query, db, grid, order, executor,
+                                 telemetry, budget=self.work_budget)
+        return merged
 
     def run(self, query: JoinQuery, db: Database, cluster: Cluster,
             executor: Executor | None = None) -> EngineResult:

@@ -1,17 +1,22 @@
-"""Shared one-round execution: HCube shuffle + per-cube Leapfrog.
+"""The routed epoch, and the one-round execution built on it.
 
-Used by HCubeJ, HCubeJ+Cache and ADJ — they differ only in the shuffle
-implementation, the attribute order, the presence of an intersection
-cache, and (for ADJ) the pre-computed relations in the database.
-
-One execution path, on every backend: compute routing assignments only
-(:func:`repro.distributed.hcube.hcube_route`), publish the source
-columns through the executor's data-plane transport, and stream workers
+:func:`routed_epoch` is the only place the sequence *route → mint →
+run* is spelled: :func:`repro.distributed.hcube.hcube_route` assigns
+tuples to cubes (assignments only, timed as ``shuffle``),
+:func:`repro.runtime.scheduler.iter_routed_tasks` publishes the source
+columns through the executor's data-plane transport and streams workers
 per-cube descriptors — workers slice their own partitions, so under the
 ``shm`` transport large arrays never cross the process boundary through
-pickle.  Measured wall-clock telemetry and physical data-plane stats are
-recorded next to the modeled ledger.  With no executor the same tasks
-run on a private in-process ``SerialExecutor``.
+pickle — and :func:`repro.runtime.scheduler.run_epoch` runs, merges and
+tears down.  What differs per engine is the grid and the kernel: HCubeJ,
+HCubeJ+Cache and ADJ take optimized shares (:func:`one_round_execute`,
+which also charges the modeled ledger), BigJoin spends the whole share
+budget on its order's first attribute, SparkSQL on a step's join key.
+
+One execution path, on every backend: measured wall-clock telemetry and
+physical data-plane stats are recorded next to the modeled ledger; with
+no executor the same tasks run on a private in-process
+``SerialExecutor``.
 
 Intersection caches (HCubeJ+Cache) are worker-local: the coordinator
 ships a capacity, each worker builds its own per-cube cache, and the
@@ -20,23 +25,22 @@ merged hit/miss counters are the same on every backend.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..data.database import Database
 from ..distributed.cluster import Cluster
-from ..distributed.hcube import HypercubeGrid, hcube_route
-from ..distributed.metrics import CostLedger, ShuffleStats
+from ..distributed.hcube import HCubeRouting, HypercubeGrid, hcube_route
+from ..distributed.metrics import CostLedger
 from ..distributed.partitioner import optimize_shares
 from ..kernels import select_kernel
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor, available_parallelism
-from ..runtime.scheduler import iter_routed_tasks, run_epoch
+from ..runtime.scheduler import MergedOutcome, iter_routed_tasks, run_epoch
 from ..runtime.telemetry import RuntimeTelemetry
 from .base import _resolve_executor
 
-__all__ = ["OneRoundOutcome", "one_round_execute"]
+__all__ = ["OneRoundOutcome", "one_round_execute", "routed_epoch"]
 
 
 @dataclass
@@ -58,12 +62,41 @@ class OneRoundOutcome:
     kernel: str | None = None
     kernel_reason: str | None = None
     #: Physical data-plane movement: what the coordinator actually
-    #: serialized into task payloads.  Under the
-    #: shm transport ``data_plane_stats.bytes_copied`` counts descriptor
-    #: bytes, not full array bytes — the modeled ``ShuffleStats`` are
-    #: transport-independent.
+    #: serialized into task payloads (descriptor bytes under shm, not
+    #: full array bytes — the modeled ``ShuffleStats`` are
+    #: transport-independent).
     data_plane: dict | None = None
-    data_plane_stats: ShuffleStats | None = None
+
+
+def routed_epoch(query: JoinQuery, db: Database, grid: HypercubeGrid,
+                 order: Sequence[str], executor: Executor,
+                 telemetry: RuntimeTelemetry, *, impl: str = "pull",
+                 memory_tuples: float | None = None,
+                 budget: int | None = None,
+                 cache_capacity: Callable[[int], int] | None = None,
+                 kernel: str = "wcoj", materialize: bool = False
+                 ) -> tuple[HCubeRouting, MergedOutcome]:
+    """Route ``query`` over ``grid``, mint one task per worker, run them.
+
+    Atoms route on a coordinator thread pool (timed as ``shuffle``);
+    tasks then stream, so publishing/slicing later tasks (``publish``)
+    overlaps the first workers' execution (``local_join``).  The
+    transport epoch is torn down when the run finishes, successfully or
+    not.
+    """
+    with telemetry.measure("shuffle"):
+        routing = hcube_route(query, db, grid, impl=impl,
+                              memory_tuples=memory_tuples,
+                              routing_threads=available_parallelism())
+    order = tuple(order)
+    merged = run_epoch(
+        executor,
+        iter_routed_tasks(routing, db, order, budget=budget,
+                          transport=executor.transport,
+                          cache_capacity=cache_capacity, kernel=kernel,
+                          materialize=materialize),
+        len(order), budget=budget, telemetry=telemetry)
+    return routing, merged
 
 
 def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
@@ -103,13 +136,10 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
     shares = optimize_shares(query, sizes, cluster.num_workers,
                              memory_tuples=cluster.memory_tuples_per_worker)
     grid = HypercubeGrid(query, shares, cluster.num_workers)
-    # Pipelined epochs: route atoms on a coordinator thread pool, then
-    # stream tasks so publish/mint overlaps execution.
-    shuffle_start = time.perf_counter()
-    routing = hcube_route(query, db, grid, impl=impl,
-                          memory_tuples=cluster.memory_tuples_per_worker,
-                          routing_threads=available_parallelism())
-    telemetry.record("shuffle", time.perf_counter() - shuffle_start)
+    routing, merged = routed_epoch(
+        query, db, grid, order, executor, telemetry, impl=impl,
+        memory_tuples=cluster.memory_tuples_per_worker, budget=work_budget,
+        cache_capacity=cache_capacity, kernel=kernel_choice.key)
     ledger.charge_shuffle(routing.stats, impl, phase=comm_phase)
     # Local trie construction (skipped cost-wise by Merge: blocks arrive
     # as pre-built tries and only need merging).
@@ -118,22 +148,6 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
     ledger.charge_worker_work(
         {w: float(load) for w, load in routing.worker_loads.items()},
         rate=rate, phase="computation")
-
-    order = tuple(order)
-    # Workers start on the first tasks while the coordinator is still
-    # publishing/slicing later ones.
-    merged = run_epoch(
-        executor,
-        iter_routed_tasks(routing, db, order, budget=work_budget,
-                          transport=executor.transport,
-                          cache_capacity=cache_capacity,
-                          kernel=kernel_choice.key),
-        len(order), budget=work_budget, telemetry=telemetry)
-    data_plane_stats = ShuffleStats(
-        tuple_copies=routing.stats.tuple_copies,
-        blocks_fetched=merged.data_plane["shipped_refs"],
-        bytes_copied=merged.data_plane["shipped_bytes"],
-        max_worker_tuples=routing.stats.max_worker_tuples)
     worker_work = {w: 0.0 for w in range(cluster.num_workers)}
     worker_work.update(merged.worker_work)
     ledger.charge_worker_work(worker_work, phase="computation")
@@ -149,7 +163,6 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
         worker_loads=dict(routing.worker_loads),
         telemetry=telemetry,
         data_plane=merged.data_plane,
-        data_plane_stats=data_plane_stats,
         kernel=kernel_choice.key,
         kernel_reason=kernel_choice.reason,
     )

@@ -8,14 +8,16 @@ shuffled volume explodes, producing the Fig. 1(a) gap and the missing
 bars of Fig. 12.
 
 Each keyed step really is that plan on the :mod:`repro.runtime`
-executor: both sides are hash-partitioned *by routing assignment only*,
-the columns go through the executor's data-plane transport (full
-partitions under ``pickle``, zero-copy shared-memory descriptors under
-``shm``), one pair-shaped :class:`repro.runtime.worker.WorkerTask` per
-worker joins its partition pair with the ``binary`` kernel, and the
-coordinator concatenates the (disjoint) partition outputs.  Counts and
-modeled costs are the same on every backend; measured telemetry and
-physical data-plane stats are recorded alongside.
+executor, through the same :func:`~repro.engines.one_round.routed_epoch`
+as every routed engine: the step is a two-atom query whose HCube grid
+spends the whole share budget on the first join attribute (a hash
+partition on the key is exactly that grid), the columns go through the
+executor's data-plane transport (full partitions under ``pickle``,
+zero-copy shared-memory descriptors under ``shm``), every worker joins
+its partition pair with the ``binary`` kernel, and the coordinator
+concatenates the (disjoint) partition outputs.  Counts and modeled
+costs are the same on every backend; measured telemetry and physical
+data-plane stats are recorded alongside.
 """
 
 from __future__ import annotations
@@ -25,17 +27,15 @@ import numpy as np
 from ..data.database import Database
 from ..data.relation import Relation
 from ..distributed.cluster import Cluster
+from ..distributed.hcube import HypercubeGrid
 from ..distributed.metrics import ShuffleStats
-from ..distributed.shuffle import hash_partition_rows
 from ..errors import BudgetExceeded, OutOfMemory
-from ..obs.tracing import trace_context
 from ..query.query import Atom, JoinQuery
 from ..runtime.executor import Executor
-from ..runtime.scheduler import run_epoch
 from ..runtime.telemetry import RuntimeTelemetry
-from ..runtime.worker import WorkerTask
 from ..wcoj.binary_join import greedy_left_deep_plan
 from .base import EngineResult, _resolve_executor
+from .one_round import routed_epoch
 
 __all__ = ["SparkSQLJoin"]
 
@@ -63,43 +63,28 @@ class SparkSQLJoin:
                           data_plane: dict) -> Relation:
         """One keyed join step: route, ship refs, join, concat.
 
-        Both sides hash on the same key order, so matching tuples land in
-        the same partition and partition outputs are disjoint (equal
-        output rows agree on the key, hence on the partition) — the
-        concatenation below needs no re-deduplication.  Each step is one
-        transport epoch: sources are published once, every worker gets
-        its partition pair as a two-atom materializing
-        :class:`~repro.runtime.worker.WorkerTask` of descriptors, and
-        segments are released before the next step.
+        The step is the pair query ``current >< right`` routed by the
+        grid ``{common[0]: num_workers, everything else: 1}``.  Both
+        sides contain that attribute, so every tuple lands in exactly
+        one cube, matching tuples land in the same one, and partition
+        outputs are disjoint (equal output rows agree on the key, hence
+        on the cube) — the concatenation below needs no
+        re-deduplication.  Each step is one transport epoch: sources are
+        published once, every worker gets its partition pair as
+        descriptors, and segments are released before the next step.
         """
-        transport = executor.transport
         out_attrs = current.attributes + tuple(
             a for a in right.attributes if a not in common)
         out_name = f"({current.name}><{right.name})"
         pair = JoinQuery([Atom(current.name, current.attributes),
                           Atom(right.name, right.attributes)],
                          name=out_name)
-        ctx = trace_context()
-
-        def partition_tasks():
-            left_rows, _ = hash_partition_rows(current, common,
-                                               cluster.num_workers)
-            right_rows, _ = hash_partition_rows(right, common,
-                                                cluster.num_workers)
-            lkey = transport.publish(f"step:{current.name}", current.data)
-            rkey = transport.publish(f"step:{right.name}", right.data)
-            for worker, (lr, rr) in enumerate(zip(left_rows, right_rows)):
-                if lr.shape[0] and rr.shape[0]:
-                    yield WorkerTask(
-                        worker=worker, query=pair, order=out_attrs,
-                        cubes=[(transport.make_ref(lkey, lr),
-                                transport.make_ref(rkey, rr))],
-                        trace=ctx, kernel="binary", materialize=True)
-
-        # Stream pairs: the first partitions join while later
-        # descriptors are still being sliced/minted.
-        merged = run_epoch(executor, partition_tasks(), len(out_attrs),
-                           telemetry=telemetry, mint_phase="partition")
+        shares = {a: 1 for a in pair.attributes}
+        shares[common[0]] = cluster.num_workers
+        _, merged = routed_epoch(
+            pair, Database([current, right]),
+            HypercubeGrid(pair, shares, cluster.num_workers), out_attrs,
+            executor, telemetry, kernel="binary", materialize=True)
         # Sum the per-step snapshots into the run's report.
         for k, v in merged.data_plane.items():
             if k != "transport":

@@ -36,15 +36,14 @@ PROFILE_SCHEMA_VERSION = 1
 
 #: Modeled cost phase -> the measured telemetry phases it corresponds
 #: to.  ``communication`` is the shuffle/route + publish wall;
-#: ``computation`` is task execution (plus engine-specific phases such
-#: as sparksql's ``partition``); ``optimization``/``precompute`` happen
-#: on the coordinator before any task is dispatched and have no
+#: ``computation`` is task execution; ``optimization``/``precompute``
+#: happen on the coordinator before any task is dispatched and have no
 #: telemetry counterpart.
 _PHASE_MAP: dict[str, tuple[str, ...]] = {
     "optimization": (),
     "precompute": (),
     "communication": ("shuffle", "publish"),
-    "computation": ("local_join", "partition"),
+    "computation": ("local_join",),
 }
 
 

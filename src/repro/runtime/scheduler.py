@@ -3,8 +3,9 @@
 The HCube locality property guarantees every output tuple is produced by
 exactly one cube, so per-worker evaluation is embarrassingly parallel:
 :func:`iter_routed_tasks` groups each worker's cubes into one
-:class:`WorkerTask`; engines with other fragments (GHD bags, partition
-pairs) mint the same task shape themselves.  :func:`run_epoch` is the
+:class:`WorkerTask` — the mint of every routed fragment (cubes,
+co-partitioned pairs); only Yannakakis, whose bags are whole relations,
+mints the same task shape itself.  :func:`run_epoch` is the
 one sequence every engine runs per transport epoch — stream the tasks to
 an :class:`repro.runtime.Executor` as they are minted
 (:func:`run_streamed_tasks`), merge the results
@@ -62,7 +63,8 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
                       budget: int | None = None,
                       transport: Transport | None = None,
                       cache_capacity: Callable[[int], int] | None = None,
-                      kernel: str = "wcoj") -> Iterator[WorkerTask]:
+                      kernel: str = "wcoj",
+                      materialize: bool = False) -> Iterator[WorkerTask]:
     """Stream worker tasks: yield each task as soon as its refs exist.
 
     The pipelined-epoch task source.  Source relations are published
@@ -86,7 +88,9 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     ``cache_capacity(worker_load)`` sizes an optional worker-local
     intersection cache (HCubeJ+Cache).  ``kernel`` is the
     :mod:`repro.kernels` key each task executes with — a plain string so
-    it survives spawned process pools and remote agents.
+    it survives spawned process pools and remote agents.  ``materialize``
+    makes every task ship its joined rows home (a SparkSQL step needs
+    the intermediate relation; cube counts do not).
     """
     transport = transport or PickleTransport()
     grid = routing.grid
@@ -123,7 +127,7 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
         task = WorkerTask(worker=worker, query=local_query,
                           order=order, budget=budget,
                           cache_capacity=capacity, trace=ctx,
-                          kernel=kernel)
+                          kernel=kernel, materialize=materialize)
         for cube in cubes_by_worker[worker]:
             task.cubes.append(tuple(
                 transport.make_ref(key_for(ai),
@@ -158,7 +162,6 @@ def absorb_result_observability(results: Sequence[WorkerTaskResult]
 def run_streamed_tasks(executor: Executor,
                        tasks: Iterable[WorkerTask],
                        telemetry: RuntimeTelemetry | None = None,
-                       mint_phase: str = "publish",
                        run_phase: str = "local_join"
                        ) -> list[WorkerTaskResult]:
     """Execute a *lazy* task stream, overlapping minting with execution.
@@ -173,7 +176,7 @@ def run_streamed_tasks(executor: Executor,
     they had.
 
     Telemetry: coordinator time spent inside the generator is recorded
-    under ``mint_phase``, the remaining wall-clock of the phase under
+    under ``publish``, the remaining wall-clock of the phase under
     ``run_phase``, and every task's seconds under its worker.  The
     *overlap window* — the wall-clock between the first task's
     submission and the completion of minting, i.e. how long task
@@ -212,7 +215,7 @@ def run_streamed_tasks(executor: Executor,
     elapsed = time.perf_counter() - start
     absorb_result_observability(results)
     if telemetry is not None:
-        telemetry.record(mint_phase, mint_seconds)
+        telemetry.record("publish", mint_seconds)
         telemetry.record(run_phase, max(0.0, elapsed - mint_seconds))
         if first_submit is not None and executor.concurrent:
             telemetry.record_overlap(max(0.0, last_mint - first_submit))
@@ -261,7 +264,6 @@ def merge_task_results(results: Sequence[WorkerTaskResult],
 def run_epoch(executor: Executor, tasks: Iterable[WorkerTask],
               num_levels: int, budget: int | None = None,
               telemetry: RuntimeTelemetry | None = None,
-              mint_phase: str = "publish",
               run_phase: str = "local_join") -> MergedOutcome:
     """One transport epoch: stream ``tasks``, merge, tear down, snapshot.
 
@@ -276,7 +278,6 @@ def run_epoch(executor: Executor, tasks: Iterable[WorkerTask],
     tracer = current_tracer()
     try:
         results = run_streamed_tasks(executor, tasks, telemetry=telemetry,
-                                     mint_phase=mint_phase,
                                      run_phase=run_phase)
         with tracer.span("merge", cat="schedule", tasks=len(results)):
             merged = merge_task_results(results, num_levels, budget=budget)

@@ -1,6 +1,6 @@
 """Tests for repro.analysis: every rule fires on a bad fixture and
-stays quiet on a good one, suppressions need reasons, the baseline
-grandfathers findings, and the repository itself lints clean."""
+stays quiet on a good one, suppressions need reasons, and the
+repository itself lints clean."""
 
 from __future__ import annotations
 
@@ -13,10 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Baseline, Finding, LintConfig,
-                            available_checkers, checker_spec,
-                            load_baseline, register_checker, run,
-                            write_baseline)
+from repro.analysis import (Finding, LintConfig, available_checkers,
+                            checker_spec, register_checker, run)
 from repro.analysis.registry import create_checker
 from repro.errors import ConfigError
 
@@ -399,58 +397,14 @@ def test_suppression_only_silences_named_rule(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# finding identity
 
 
-def test_baseline_grandfathers_and_catches_new(tmp_path):
-    source = """
-        def check(x):
-            raise ValueError("negative")
-    """
-    findings = lint_source(tmp_path, source, rules=["error-taxonomy"])
-    assert len(findings) == 1
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, findings, "pre-dates the taxonomy")
-    config = LintConfig(root=tmp_path,
-                        env_catalog_override=frozenset(),
-                        registry_keys_override={},
-                        documented_env_override=frozenset())
-    clean = run([tmp_path / "mod.py"], rules=["error-taxonomy"],
-                baseline=baseline_path, config=config)
-    assert clean == []
-    # A *new* finding in the same file is not grandfathered.
-    (tmp_path / "mod.py").write_text(textwrap.dedent(source) + textwrap.dedent("""
-        def other(y):
-            raise RuntimeError("boom")
-    """), encoding="utf-8")
-    fresh = run([tmp_path / "mod.py"], rules=["error-taxonomy"],
-                baseline=baseline_path, config=config)
-    assert len(fresh) == 1
-    assert "RuntimeError" in fresh[0].message
-
-
-def test_baseline_entry_without_reason_rejected(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "version": 1,
-        "findings": [{"rule": "lazy-net", "path": "x.py",
-                      "fingerprint": "ab", "reason": "  "}],
-    }), encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_baseline(path)
-
-
-def test_write_baseline_requires_reason(tmp_path):
-    with pytest.raises(ConfigError):
-        write_baseline(tmp_path / "b.json", [], "   ")
-
-
-def test_baseline_fingerprint_ignores_line_numbers():
+def test_fingerprint_ignores_line_numbers():
     a = Finding(path="x.py", line=3, col=0, rule="lazy-net", message="m")
     b = Finding(path="x.py", line=99, col=4, rule="lazy-net", message="m")
     assert a.fingerprint == b.fingerprint
-    baseline = Baseline(entries={(a.rule, a.path, a.fingerprint): "why"})
-    assert baseline.covers(b)
+    assert a.as_dict()["fingerprint"] == a.fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +428,6 @@ def test_missing_path_is_config_error(tmp_path):
 def test_repository_lints_clean():
     config = LintConfig(root=REPO_ROOT)
     findings = run([REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"],
-                   baseline=REPO_ROOT / "lint-baseline.json",
                    config=config)
     assert findings == [], "\n".join(f.render() for f in findings)
 

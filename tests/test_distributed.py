@@ -1,4 +1,4 @@
-"""Tests for repro.distributed: metrics, shares, HCube, hash shuffle."""
+"""Tests for repro.distributed: metrics, shares, HCube routing."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from repro.distributed import (
     dup_factor,
     enumerate_share_vectors,
     frac_factor,
-    hash_partition,
     hcube_route,
-    hcube_shuffle,
     localized_query,
     mix_hash,
     modulo_hash,
@@ -27,12 +25,25 @@ from repro.distributed import (
 from repro.distributed import local_atom_name
 from repro.errors import OutOfMemory, PlanError
 from repro.query import paper_query
+from repro.query.query import Atom, JoinQuery
 from repro.runtime import (
     execute_worker_task,
     iter_routed_tasks,
     merge_task_results,
 )
 from repro.wcoj import leapfrog_join
+
+
+def one_attribute_partition(rel, key, workers):
+    """Per-cube slices and stats of ``rel`` routed on ``key`` alone."""
+    q = JoinQuery([Atom(rel.name, rel.attributes)], name="partition")
+    shares = {a: 1 for a in rel.attributes}
+    shares[key] = workers
+    db = Database([rel])
+    routing = hcube_route(q, db, HypercubeGrid(q, shares, workers))
+    name = local_atom_name(q.atoms[0], 0)
+    return ([cdb[name] for cdb in routing.materialize(db).cube_databases],
+            routing.stats)
 
 
 def triangle_case(seed=0, n=150, dom=20):
@@ -228,7 +239,7 @@ class TestHCubeShuffle:
         """Union of per-cube joins == global join (the HCube property)."""
         q, db = triangle_case(seed=3)
         grid = HypercubeGrid(q, {"a": 2, "b": 2, "c": 2}, 4)
-        res = hcube_shuffle(q, db, grid)
+        res = hcube_route(q, db, grid).materialize(db)
         local = res.local_query
         total = sum(leapfrog_join(local, cdb).count
                     for cdb in res.cube_databases)
@@ -238,7 +249,7 @@ class TestHCubeShuffle:
         q, db = triangle_case(seed=4)
         shares = {"a": 2, "b": 2, "c": 2}
         grid = HypercubeGrid(q, shares, 8)
-        res = hcube_shuffle(q, db, grid, impl="push")
+        res = hcube_route(q, db, grid, impl="push")
         expected = sum(len(db[a.relation]) * dup_factor(a.attributes, shares)
                        for a in q.atoms)
         assert res.stats.tuple_copies == expected
@@ -248,7 +259,6 @@ class TestHCubeShuffle:
         atom's arity (it used to be overwritten with the *last* atom's
         arity applied to all copies, misaccounting mixed-arity queries).
         """
-        from repro.query.query import Atom, JoinQuery
         q = JoinQuery([Atom("R", ("a", "b")), Atom("S", ("b",))],
                       name="mixed")
         rng = np.random.default_rng(8)
@@ -257,7 +267,7 @@ class TestHCubeShuffle:
             Relation("S", ("x",), rng.integers(0, 10, size=(25, 1))),
         ])
         grid = HypercubeGrid(q, {"a": 2, "b": 2}, 4)
-        res = hcube_shuffle(q, db, grid, impl="push")
+        res = hcube_route(q, db, grid, impl="push")
         # Push routes each atom's tuples to every matching cube, so the
         # per-atom copy counts are the dup-factor products.
         shares = {"a": 2, "b": 2}
@@ -269,28 +279,28 @@ class TestHCubeShuffle:
     def test_pull_not_more_than_push(self):
         q, db = triangle_case(seed=5)
         grid = HypercubeGrid(q, {"a": 2, "b": 2, "c": 2}, 4)
-        push = hcube_shuffle(q, db, grid, impl="push")
-        pull = hcube_shuffle(q, db, grid, impl="pull")
+        push = hcube_route(q, db, grid, impl="push")
+        pull = hcube_route(q, db, grid, impl="pull")
         assert pull.stats.tuple_copies <= push.stats.tuple_copies
         assert pull.stats.blocks_fetched > 0
 
     def test_merge_marks_prebuilt(self):
         q, db = triangle_case(seed=6)
         grid = HypercubeGrid(q, {"a": 1, "b": 1, "c": 1}, 1)
-        assert hcube_shuffle(q, db, grid, impl="merge").prebuilt_tries
-        assert not hcube_shuffle(q, db, grid, impl="pull").prebuilt_tries
+        assert hcube_route(q, db, grid, impl="merge").prebuilt_tries
+        assert not hcube_route(q, db, grid, impl="pull").prebuilt_tries
 
     def test_oom_raised(self):
         q, db = triangle_case(seed=7)
         grid = HypercubeGrid(q, {"a": 1, "b": 1, "c": 1}, 1)
         with pytest.raises(OutOfMemory):
-            hcube_shuffle(q, db, grid, memory_tuples=10)
+            hcube_route(q, db, grid, memory_tuples=10)
 
     def test_unknown_impl_rejected(self):
         q, db = triangle_case()
         grid = HypercubeGrid(q, {"a": 1, "b": 1, "c": 1}, 1)
         with pytest.raises(PlanError):
-            hcube_shuffle(q, db, grid, impl="zap")
+            hcube_route(q, db, grid, impl="zap")
 
     def test_localized_query_names(self):
         q, _ = triangle_case()
@@ -303,7 +313,7 @@ class TestHCubeShuffle:
     def test_locality_invariant_property(self, seed, pa, pb, pc):
         q, db = triangle_case(seed=seed, n=60, dom=9)
         grid = HypercubeGrid(q, {"a": pa, "b": pb, "c": pc}, 2)
-        res = hcube_shuffle(q, db, grid)
+        res = hcube_route(q, db, grid).materialize(db)
         total = sum(leapfrog_join(res.local_query, cdb).count
                     for cdb in res.cube_databases)
         assert total == leapfrog_join(q, db).count
@@ -314,14 +324,15 @@ class TestShuffleProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), workers=st.integers(1, 6),
-           num_keys=st.integers(1, 2))
+           key=st.sampled_from(("a", "b")))
     def test_hash_partition_disjoint_and_multiset_preserving(
-            self, seed, workers, num_keys):
+            self, seed, workers, key):
+        """A hash partition on ``key`` is the one-attribute grid."""
         rng = np.random.default_rng(seed)
         rel = Relation("R", ("a", "b"),
                        rng.integers(-25, 25, size=(80, 2)))
-        parts, stats = hash_partition(rel, ("a", "b")[:num_keys], workers)
-        # Disjoint and complete: every tuple lands on exactly one worker.
+        parts, stats = one_attribute_partition(rel, key, workers)
+        # Disjoint and complete: every tuple lands in exactly one cube.
         assert sum(len(p) for p in parts) == len(rel)
         assert stats.tuple_copies == len(rel)
         merged = np.vstack([p.data for p in parts if len(p)]) \
@@ -339,7 +350,7 @@ class TestShuffleProperties:
         q, db = triangle_case(seed=seed, n=60, dom=9)
         shares = {"a": pa, "b": pb, "c": pc}
         grid = HypercubeGrid(q, shares, 2)
-        res = hcube_shuffle(q, db, grid, impl="push")
+        res = hcube_route(q, db, grid, impl="push").materialize(db)
         for ai, atom in enumerate(q.atoms):
             rel = db[atom.relation]
             name = local_atom_name(atom, ai)
@@ -365,26 +376,43 @@ class TestShuffleProperties:
 
 
 class TestHashPartition:
+    """The key partition is ``hcube_route`` on a one-attribute grid."""
+
     def test_partitions_disjoint_and_complete(self):
         rng = np.random.default_rng(0)
         rel = Relation("R", ("a", "b"), rng.integers(0, 50, size=(200, 2)))
-        parts, stats = hash_partition(rel, ("a",), 4)
+        parts, stats = one_attribute_partition(rel, "a", 4)
         assert sum(len(p) for p in parts) == len(rel)
         assert stats.tuple_copies == len(rel)
 
     def test_same_key_same_worker(self):
         rel = Relation("R", ("a", "b"),
                        [(7, 1), (7, 2), (7, 3), (9, 1)])
-        parts, _ = hash_partition(rel, ("a",), 3)
+        parts, _ = one_attribute_partition(rel, "a", 3)
         holders = [i for i, p in enumerate(parts)
                    if any(t[0] == 7 for t in p)]
         assert len(holders) == 1
 
-    def test_empty_keys_rejected(self):
-        rel = Relation("R", ("a",), [(1,)])
-        from repro.errors import SchemaError
-        with pytest.raises(SchemaError):
-            hash_partition(rel, (), 2)
+
+    def test_pair_on_shared_attribute_routes_every_tuple_once(self):
+        """SparkSQL's co-partition: both atoms contain the grid's one
+        attribute, so nothing replicates and matching keys share a cube."""
+        rng = np.random.default_rng(2)
+        left = Relation("L", ("a", "b"), rng.integers(0, 20, size=(90, 2)))
+        right = Relation("R", ("b", "c"), rng.integers(0, 20, size=(70, 2)))
+        q = JoinQuery([Atom("L", ("a", "b")), Atom("R", ("b", "c"))],
+                      name="pair")
+        db = Database([left, right])
+        grid = HypercubeGrid(q, {"a": 1, "b": 4, "c": 1}, 4)
+        routing = hcube_route(q, db, grid)
+        assert routing.stats.tuple_copies == len(left) + len(right)
+        res = routing.materialize(db)
+        total = 0
+        for cdb in res.cube_databases:
+            lpart, rpart = (cdb[local_atom_name(a, i)]
+                            for i, a in enumerate(q.atoms))
+            total += len(lpart.natural_join(rpart))
+        assert total == len(left.natural_join(right)) > 0
 
 
 class TestCluster:

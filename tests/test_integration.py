@@ -8,7 +8,7 @@ from repro.data import Database, Relation
 from repro.distributed import (
     Cluster,
     HypercubeGrid,
-    hcube_shuffle,
+    hcube_route,
     modulo_hash,
     optimize_shares,
 )
@@ -65,7 +65,7 @@ class TestPaperExample2:
         shares = {"a": 1, "b": 2, "c": 2, "d": 1, "e": 1}
         grid = HypercubeGrid(query, shares, num_workers=4,
                              hash_fn=modulo_hash)
-        res = hcube_shuffle(query, qex_db, grid)
+        res = hcube_route(query, qex_db, grid).materialize(qex_db)
         total = sum(leapfrog_join(res.local_query, cdb).count
                     for cdb in res.cube_databases)
         assert total == leapfrog_join(query, qex_db).count

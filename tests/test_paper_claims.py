@@ -13,7 +13,7 @@ from repro.data import Database, Relation
 from repro.distributed import (
     Cluster,
     HypercubeGrid,
-    hcube_shuffle,
+    hcube_route,
     optimize_shares,
 )
 from repro.engines import ADJ, HCubeJ, SparkSQLJoin, run_engine_safely
@@ -107,7 +107,7 @@ class TestSectionVClaims:
         for impl in ("push", "pull", "merge"):
             ledger = cluster.new_ledger()
             ledger.charge_shuffle(
-                hcube_shuffle(q, db, grid, impl=impl).stats, impl)
+                hcube_route(q, db, grid, impl=impl).stats, impl)
             seconds[impl] = ledger.comm_seconds
         assert seconds["pull"] < seconds["push"]
         assert seconds["merge"] <= seconds["pull"]

@@ -462,6 +462,102 @@ class TestOneExecutionPath:
                 assert result.data_plane["transport"] == transport
 
 
+class TestRoutedEpoch:
+    """The one route → mint → run sequence and its one partitioner."""
+
+    @pytest.mark.parametrize("query_name", ["Q1", "Q9"])
+    def test_counters_match_parent_one_round_internals(self, query_name):
+        """``routed_epoch`` over the optimized-share grid merges to the
+        numbers the parent's ``one_round_execute`` body produced."""
+        from repro.distributed import optimize_shares
+        from repro.engines.one_round import routed_epoch
+        from repro.runtime import RuntimeTelemetry
+
+        query, db = graph_case(query_name, seed=11)
+        sizes = {a.relation: len(db[a.relation]) for a in query.atoms}
+        grid = HypercubeGrid(query, optimize_shares(query, sizes, 3), 3)
+        order = HCubeJ().run(query, db, Cluster(num_workers=3)).extra["order"]
+        telemetry = RuntimeTelemetry(backend="serial", num_workers=3)
+        with SerialExecutor(3) as ex:
+            routing, merged = routed_epoch(query, db, grid, order, ex,
+                                           telemetry, impl="push")
+        count, _, level_tuples, work, _, _ = \
+            _PARENT_INLINE[(query_name, "HCubeJ")]
+        assert (merged.count, merged.level_tuples, merged.total_work) \
+            == (count, level_tuples, work)
+        assert merged.tasks == 3 and merged.rows == []
+        assert routing.stats.tuple_copies >= sum(sizes.values())
+        assert set(telemetry.phase_seconds) \
+            == {"shuffle", "publish", "local_join"}
+
+    @pytest.mark.parametrize("backend,transport", [("serial", "pickle"),
+                                                   ("processes", "shm")])
+    def test_sparksql_two_attribute_key_equals_natural_join(self, backend,
+                                                            transport):
+        """A keyed step co-partitions on the *first* join attribute only;
+        matching on the rest of the key is the binary kernel's job."""
+        from repro.data.relation import lexsorted_rows
+        from repro.runtime import RuntimeTelemetry
+
+        rng = np.random.default_rng(17)
+        left = Relation("L", ("a", "b", "c"),
+                        rng.integers(0, 6, size=(120, 3)))
+        right = Relation("R", ("b", "d", "a"),
+                         rng.integers(0, 6, size=(120, 3)))
+        common = left.common_attributes(right)
+        assert len(common) == 2
+        expected = left.natural_join(right)
+        cluster = Cluster(num_workers=3)
+        with create_executor(backend, 2, transport=transport) as ex:
+            telemetry = RuntimeTelemetry(backend=ex.name, num_workers=3)
+            data_plane = {}
+            out = SparkSQLJoin._partitioned_join(
+                left, right, common, cluster, ex, telemetry, data_plane)
+            # The step's epoch is torn down before the next one starts.
+            assert getattr(ex.transport, "active_segments", ()) == ()
+        assert out.attributes == expected.attributes
+        assert len(expected) > 0
+        assert np.array_equal(lexsorted_rows(out.data.copy()),
+                              lexsorted_rows(expected.data.copy()))
+        # One task per worker, empty slices included.
+        assert telemetry.tasks_executed == 3
+        assert data_plane["shipped_refs"] == 6
+
+    def test_sparksql_step_with_an_empty_side_yields_an_empty_relation(self):
+        """Every worker gets a task, empty slices included; the step's
+        output keeps the joined schema."""
+        from repro.runtime import RuntimeTelemetry
+
+        left = Relation("L", ("a", "b"), [(1, 2), (3, 4)])
+        right = Relation("R", ("b", "c"), np.empty((0, 2), dtype=np.int64))
+        with SerialExecutor(2) as ex:
+            telemetry = RuntimeTelemetry(backend=ex.name, num_workers=2)
+            out = SparkSQLJoin._partitioned_join(
+                left, right, ("b",), Cluster(num_workers=2), ex, telemetry,
+                {})
+        assert out.attributes == ("a", "b", "c")
+        assert out.data.shape == (0, 3)
+        assert telemetry.tasks_executed == 2
+
+    def test_materializing_routed_tasks_survive_a_spawned_pool(self):
+        import multiprocessing
+
+        from repro.runtime import execute_worker_task
+
+        query, db, routing = _routing("Q1", workers=2, seed=5)
+        tasks = list(iter_routed_tasks(routing, db, query.attributes,
+                                       kernel="binary", materialize=True))
+        assert all(t.materialize and t.kernel == "binary" for t in tasks)
+        inline = [execute_worker_task(t) for t in tasks]
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            spawned = pool.map(execute_worker_task, tasks)
+        truth = leapfrog_join(query, db)
+        assert sum(r.count for r in spawned) == truth.count > 0
+        for here, there in zip(inline, spawned):
+            assert there.ok and there.rows.shape == (there.count, 3)
+            assert np.array_equal(here.rows, there.rows)
+
+
 # ADJ at the parent of the frontier-Leapfrog change (sampler looping one
 # recursive join per sample): the batched sampler must hand Algorithm 2
 # the same estimates, hence the same plan and the same modeled seconds.

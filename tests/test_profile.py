@@ -165,6 +165,21 @@ class TestProfileContents:
         assert window["runtime.tasks_completed"] == len(tasks)
         assert window["runtime.task_seconds"]["count"] == len(tasks)
 
+    def test_sparksql_phase_rows_are_the_common_vocabulary(self):
+        """Routing books as ``shuffle``, minting as ``publish`` (both
+        communication), joining as ``local_join`` — no ``partition``."""
+        with JoinSession(workers=2) as session:
+            result = session.query("wb", "Q9", scale=1e-5).run(
+                "sparksql", profile=True)
+        assert result.ok, result.failure
+        assert set(result.telemetry.phase_seconds) \
+            == {"shuffle", "publish", "local_join"}
+        rows = {row.name: row for row in result.profile.phases}
+        assert set(rows) == {"optimization", "precompute",
+                             "communication", "computation"}
+        assert set(rows["communication"].parts) == {"shuffle", "publish"}
+        assert set(rows["computation"].parts) == {"local_join"}
+
     def test_metrics_window_is_scoped_to_the_run(self):
         # Pollute the global registry first: the window must not see it.
         METRICS.counter("runtime.tasks_completed").inc(999)

@@ -9,7 +9,7 @@ from repro.data import Database, Relation, Trie
 from repro.distributed import (
     HypercubeGrid,
     dup_factor,
-    hcube_shuffle,
+    hcube_route,
     optimize_shares,
 )
 from repro.query import Predicate, SPJQuery, evaluate_spj, paper_query
@@ -109,7 +109,7 @@ class TestHCubeProperties:
         sizes = {a.relation: len(db[a.relation]) for a in q.atoms}
         shares = optimize_shares(q, sizes, num_cubes=workers)
         grid = HypercubeGrid(q, shares, workers)
-        res = hcube_shuffle(q, db, grid)
+        res = hcube_route(q, db, grid).materialize(db)
         total = sum(leapfrog_join(res.local_query, cdb).count
                     for cdb in res.cube_databases)
         assert total == leapfrog_join(q, db).count
@@ -120,14 +120,13 @@ class TestHCubeProperties:
            qname=st.sampled_from(["Q1", "Q4"]))
     def test_routing_equals_materializing_shuffle(self, seed, workers,
                                                   impl, qname):
-        """Routing-only shuffle ≡ materializing shuffle, oracle-checked.
+        """Routed rows ≡ their materialization, oracle-checked.
 
-        Same partitions (each routed row set reproduces the relation
-        slice whose block id matches the cube's coordinate — recomputed
-        here independently of the shuffle code path) and the same
-        ``ShuffleStats`` accounting.
+        Each routed row set reproduces the relation slice whose block id
+        matches the cube's coordinate — recomputed here independently of
+        the routing code path — and ``materialize`` copies exactly those
+        rows, carrying the same ``ShuffleStats`` accounting.
         """
-        from repro.distributed import hcube_route
         from repro.distributed.hcube import local_atom_name
         q = paper_query(qname)
         rng = np.random.default_rng(seed)
@@ -136,10 +135,9 @@ class TestHCubeProperties:
         shares = optimize_shares(q, sizes, num_cubes=workers)
         grid = HypercubeGrid(q, shares, workers)
         routing = hcube_route(q, db, grid, impl=impl)
-        shuffle = hcube_shuffle(q, db, grid, impl=impl)
-        assert routing.stats.tuple_copies == shuffle.stats.tuple_copies
-        assert routing.stats.bytes_copied == shuffle.stats.bytes_copied
-        assert routing.worker_loads == shuffle.worker_loads
+        shuffle = routing.materialize(db)
+        assert shuffle.stats is routing.stats
+        assert shuffle.worker_loads == routing.worker_loads
         coords = [grid.coordinate_of(c) for c in range(grid.num_cubes)]
         for ai, atom in enumerate(q.atoms):
             data = db[atom.relation].data

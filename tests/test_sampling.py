@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CardinalityEstimator,
-    DistributedSampler,
     required_samples,
 )
 from repro.data import Database, Relation
@@ -198,22 +197,3 @@ class TestBatchedEqualsLooped:
             CardinalityEstimator(db, num_samples=20,
                                  work_budget_per_sample=3).estimate(q)
 
-
-class TestDistributedSampler:
-    def test_reduction_saves_shuffle_volume(self):
-        q, db = triangle_case(seed=5, n=600, dom=80)
-        report = DistributedSampler(db, num_samples=10, seed=0).sample(q)
-        assert report.reduced_shuffle_tuples <= report.naive_shuffle_tuples
-
-    def test_estimate_close_to_local_sampling(self):
-        q, db = triangle_case(seed=6, n=300, dom=30)
-        true = leapfrog_join(q, db).count
-        report = DistributedSampler(db, num_samples=10_000, seed=0).sample(q)
-        assert report.estimate.estimate == pytest.approx(true)
-
-    def test_report_totals(self):
-        q, db = triangle_case(seed=7)
-        report = DistributedSampler(db, num_samples=5, seed=0).sample(q)
-        assert report.total_shuffle_tuples == (
-            report.reduced_shuffle_tuples
-            + report.projection_shuffle_tuples)
