@@ -4,7 +4,9 @@ The estimator writes |T| = |val(A)| * E[|T_{A=a}|] where ``A`` is the
 first attribute of the order, ``val(A)`` is the intersection of the
 A-projections of all atoms containing A, and the |T_{A=a}| of all
 sampled values come from one Leapfrog run whose root frontier is the
-sample (:func:`repro.wcoj.leapfrog.leapfrog_sample_counts`).  Lemma 2
+sample (:func:`repro.wcoj.leapfrog.leapfrog_sample_counts`), never a
+join per value; its work is bounded by the sample size ``k``, not by a
+per-sample budget, and reported as ``SampleEstimate.work``.  Lemma 2
 (Chernoff-Hoeffding) bounds the error: with
 ``k = ceil(0.5 * p**-2 * ln(2/delta))`` samples, the estimate of the mean
 deviates by more than ``p * b`` with probability at most ``delta``.
@@ -79,13 +81,12 @@ class CardinalityEstimator:
     """
 
     def __init__(self, db: Database, num_samples: int = 500,
-                 seed: int = 0, work_budget_per_sample: int | None = None):
+                 seed: int = 0):
         if num_samples < 1:
             raise EstimationError("need at least one sample")
         self.db = db
         self.num_samples = num_samples
         self.seed = seed
-        self.work_budget_per_sample = work_budget_per_sample
         self.total_work = 0
         self.calls = 0
         self._cache: dict[tuple, SampleEstimate] = {}
@@ -149,9 +150,7 @@ class CardinalityEstimator:
             chosen = vals
         else:
             chosen = rng.choice(vals, size=k_req, replace=True)
-        counts, stats = leapfrog_sample_counts(
-            query, self.db, order, chosen,
-            budget=self.work_budget_per_sample)
+        counts, stats = leapfrog_sample_counts(query, self.db, order, chosen)
         k = int(chosen.shape[0])
         mean = float(counts.mean())
         scale = val_size / k

@@ -11,11 +11,13 @@ column values; its children are the runs of distinct values in column
 kernel runs on — the "three arrays" block-trie of the paper's Merge
 HCube, one triple per depth (:class:`TrieLevels`): the distinct values
 under every parent concatenated (``vals``), CSR child pointers
-(``ptr``) and a globally sorted ``parent * width + value`` key array
-(``keys``) that turns "which child of node p holds value v", for a
-whole array of ``(p, v)`` pairs, into one ``np.searchsorted``.  It is
-built from the sorted rows with one change-mask pass per column and
-memoized.
+(``ptr``) and a globally sorted ``parent * width + code(value)`` key
+array (``keys``) that turns "which child of node p holds value v", for
+a whole array of ``(p, v)`` pairs, into one ``np.searchsorted``.  A
+value's code is its offset from the level's minimum, or — where that
+would leave int64 — its rank among the level's distinct values, so
+every level below the root has keys.  It is built from the sorted rows
+with one change-mask pass per column and memoized.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .relation import Relation
 
 __all__ = ["Trie", "TrieIterator", "TrieLevels"]
 
-# ``parent * width + offset`` keys must stay clear of the int64 range.
+# ``parent * width + offset`` keys must stay clear of the int64 range;
+# a level whose offsets would not switches to ranks.
 _KEY_LIMIT = 2 ** 62
 
 
@@ -41,9 +44,13 @@ class TrieLevels(NamedTuple):
     node ``i``.  The children of node ``i`` are the level ``l + 1`` nodes
     ``ptr[l][i] .. ptr[l][i + 1]``, so their values are the sorted slice
     ``vals[l + 1][ptr[l][i]:ptr[l][i + 1]]``.  For ``l >= 1``,
-    ``keys[l][j] = parent(j) * width[l] + (vals[l][j] - vmin[l])`` is
-    globally sorted; it is ``None`` at level 0 (``vals[0]`` is itself
-    sorted and distinct) and when the encoding would leave int64.
+    ``keys[l][j] = parent(j) * width[l] + code(vals[l][j])`` is globally
+    sorted, where ``code(v) = v - vmin[l]``, or, when ``parents *
+    (max - min + 1)`` would reach ``2**62``, ``v``'s rank in
+    ``distinct[l]`` (the level's sorted distinct values; ``width[l]`` is
+    then their number).  ``keys[0]`` and ``distinct`` of an offset
+    level are ``None``; ``vals[0]`` is itself sorted and distinct.
+    :meth:`probe` is the one reader of the encoding.
     """
 
     vals: tuple[np.ndarray, ...]
@@ -51,6 +58,7 @@ class TrieLevels(NamedTuple):
     keys: tuple[np.ndarray | None, ...]
     vmin: tuple[int, ...]
     width: tuple[int, ...]
+    distinct: tuple[np.ndarray | None, ...]
 
     def probe(self, level: int, parents: np.ndarray | None,
               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,12 +72,17 @@ class TrieLevels(NamedTuple):
         if level == 0:
             hay, needles = self.vals[0], values
         else:
-            hay = self.keys[level]
-            vmin = self.vmin[level]
-            in_range = (values >= vmin) & (values < vmin + self.width[level])
+            hay, width = self.keys[level], self.width[level]
+            distinct = self.distinct[level]
+            if distinct is None:
+                vmin = self.vmin[level]
+                code = values - vmin
+                known = (values >= vmin) & (values < vmin + width)
+            else:
+                code = np.minimum(np.searchsorted(distinct, values), width - 1)
+                known = distinct[code] == values
             # -1 sorts before every key and matches none.
-            needles = np.where(
-                in_range, parents * self.width[level] + (values - vmin), -1)
+            needles = np.where(known, parents * width + code, -1)
         nodes = np.searchsorted(hay, needles)
         np.minimum(nodes, hay.shape[0] - 1, out=nodes)
         return nodes, hay[nodes] == needles
@@ -118,23 +131,7 @@ class Trie:
         """The row range of the root node (whole relation)."""
         return (0, int(self.data.shape[0]))
 
-    @property
-    def num_values(self) -> int:
-        return int(self.data.size)
-
     # -- navigation -------------------------------------------------------------
-
-    def candidates(self, depth: int, lo: int, hi: int) -> np.ndarray:
-        """Sorted distinct values of column ``depth`` within ``[lo, hi)``."""
-        col = self._columns[depth][lo:hi]
-        if col.shape[0] == 0:
-            return col
-        # The slice is sorted because rows are lexicographically sorted and
-        # all rows in [lo, hi) agree on columns < depth.
-        keep = np.empty(col.shape[0], dtype=bool)
-        keep[0] = True
-        np.not_equal(col[1:], col[:-1], out=keep[1:])
-        return col[keep]
 
     def children(self, depth: int, lo: int, hi: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,21 +162,6 @@ class Trie:
         right = lo + int(np.searchsorted(col[lo:hi], value, side="right"))
         return (left, right)
 
-    def count_distinct(self, depth: int, lo: int, hi: int) -> int:
-        return int(self.candidates(depth, lo, hi).shape[0])
-
-    def prefix_count(self, depth: int) -> int:
-        """Number of distinct prefixes of length ``depth`` in the trie."""
-        if depth == 0:
-            return 1 if len(self) else 0
-        if depth >= self.arity:
-            return len(self)
-        sub = self.data[:, :depth]
-        if sub.shape[0] <= 1:
-            return int(sub.shape[0])
-        change = np.any(sub[1:] != sub[:-1], axis=1)
-        return int(change.sum()) + 1
-
     def iterator(self) -> "TrieIterator":
         return TrieIterator(self)
 
@@ -191,7 +173,7 @@ class Trie:
 
     def _build_levels(self) -> TrieLevels:
         rows = self.data.shape[0]
-        vals, ptr, keys, vmins, widths = [], [], [], [], []
+        vals, ptr, keys, vmins, widths, distinct = [], [], [], [], [], []
         # change[r]: row r starts a new prefix of the current length.
         change = np.zeros(rows, dtype=bool)
         change[:1] = True
@@ -202,50 +184,28 @@ class Trie:
             level_vals = col[starts]
             vmin = int(level_vals.min()) if rows else 0
             width = int(level_vals.max()) - vmin + 1 if rows else 1
-            level_keys = None
+            level_keys = level_distinct = None
             if parent_starts is not None:
                 first_child = np.searchsorted(starts, parent_starts)
                 ptr.append(np.append(first_child, starts.shape[0]))
+                parent = np.repeat(
+                    np.arange(parent_starts.shape[0], dtype=np.int64),
+                    np.diff(ptr[-1]))
                 if parent_starts.shape[0] * width < _KEY_LIMIT:
-                    parent = np.repeat(
-                        np.arange(parent_starts.shape[0], dtype=np.int64),
-                        np.diff(ptr[-1]))
-                    level_keys = parent * width + (level_vals - vmin)
+                    offset = level_vals - vmin
+                else:
+                    level_distinct = np.unique(level_vals)
+                    width = int(level_distinct.shape[0])
+                    offset = np.searchsorted(level_distinct, level_vals)
+                level_keys = parent * width + offset
             vals.append(level_vals)
             keys.append(level_keys)
             vmins.append(vmin)
             widths.append(width)
+            distinct.append(level_distinct)
             parent_starts = starts
         return TrieLevels(tuple(vals), tuple(ptr), tuple(keys),
-                          tuple(vmins), tuple(widths))
-
-    def to_relation(self, name: str | None = None) -> Relation:
-        return Relation(name or self.name, self.attributes, self.data,
-                        dedup=False)
-
-    # -- merging (HCube "Merge" implementation) ----------------------------------
-
-    @classmethod
-    def merge(cls, tries: Sequence["Trie"], name: str | None = None) -> "Trie":
-        """Union of several tries sharing a schema, as a new trie.
-
-        Used by the Merge HCube variant: a server's local trie is the merge
-        of the pre-built block tries it pulled.  The cost *model* charges
-        this as a cheap merge (Sec. V); here we simply re-sort, which is
-        semantically identical.
-        """
-        if not tries:
-            raise SchemaError("cannot merge zero tries")
-        first = tries[0]
-        for t in tries[1:]:
-            if t.attributes != first.attributes:
-                raise SchemaError(
-                    f"cannot merge tries with schemas {t.attributes} and "
-                    f"{first.attributes}"
-                )
-        data = np.vstack([t.data for t in tries])
-        rel = Relation(name or first.name, first.attributes, data, dedup=True)
-        return cls(rel)
+                          tuple(vmins), tuple(widths), tuple(distinct))
 
 
 class TrieIterator:

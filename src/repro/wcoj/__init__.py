@@ -2,10 +2,7 @@
 
 from .agm import agm_bound, fractional_edge_cover_number
 from .binary_join import (
-    BinaryJoinStats,
     BinaryPlan,
-    binary_plan_join,
-    execute_binary_plan,
     greedy_left_deep_plan,
 )
 from .cache import IntersectionCache
@@ -35,10 +32,7 @@ __all__ = [
     "yannakakis_join",
     "agm_bound",
     "fractional_edge_cover_number",
-    "BinaryJoinStats",
     "BinaryPlan",
-    "binary_plan_join",
-    "execute_binary_plan",
     "greedy_left_deep_plan",
     "IntersectionCache",
     "JoinResult",

@@ -1,27 +1,30 @@
-"""Pairwise (binary) join plans — the substrate of the SparkSQL baseline.
+"""Pairwise (binary) join plans: the greedy left-deep planner and the
+one left-deep step loop.
 
-The paper's multi-round competitor decomposes a complex join into a
-sequence of binary joins and shuffles every intermediate result.  This
-module provides the sequential machinery: greedy left-deep plan selection
-and plan execution with intermediate-size tracking (the quantity that
-explodes on cyclic queries and produces the Fig. 1(a)/Fig. 12 failures).
+:func:`greedy_left_deep_plan` orders the atoms System-R style;
+:func:`run_left_deep` runs that order as a chain of
+:class:`~repro.data.relation.JoinProbe` steps, showing every step's
+output size to a callback before it is gathered (the quantity that
+explodes on cyclic queries and produces the Fig. 1(a)/Fig. 12
+failures).  The ``binary`` kernel (:mod:`repro.kernels.binary`) is the
+loop's one caller; SparkSQL takes its step order from the planner and
+runs each keyed step with that kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..data.database import Database
 from ..data.relation import JoinProbe, Relation
-from ..errors import BudgetExceeded, PlanError
+from ..errors import PlanError
 from ..query.query import JoinQuery
 
-__all__ = ["BinaryPlan", "BinaryJoinStats", "greedy_left_deep_plan",
-           "greedy_plan_with_estimates", "run_left_deep",
-           "execute_binary_plan", "binary_plan_join"]
+__all__ = ["BinaryPlan", "greedy_left_deep_plan",
+           "greedy_plan_with_estimates", "run_left_deep"]
 
 
 @dataclass(frozen=True)
@@ -33,18 +36,6 @@ class BinaryPlan:
     def __post_init__(self):
         if len(set(self.atom_order)) != len(self.atom_order):
             raise PlanError("plan repeats an atom")
-
-
-@dataclass
-class BinaryJoinStats:
-    """Sizes of every intermediate relation (the shuffled payloads)."""
-
-    intermediate_sizes: list[int] = field(default_factory=list)
-    total_intermediate_tuples: int = 0
-
-    def record(self, size: int) -> None:
-        self.intermediate_sizes.append(size)
-        self.total_intermediate_tuples += size
 
 
 def _estimate_join_size(left_size: int, left_attrs: set[str],
@@ -173,25 +164,3 @@ def run_left_deep(query: JoinQuery, db: Database, plan: BinaryPlan,
             return None, probe.size
         current = probe.rows()
     return (current if materialize else None), len(current)
-
-
-def execute_binary_plan(query: JoinQuery, db: Database, plan: BinaryPlan,
-                        *, budget: int | None = None,
-                        stats: BinaryJoinStats | None = None) -> Relation:
-    """Run the plan with real joins, tracking intermediate sizes."""
-    stats = stats if stats is not None else BinaryJoinStats()
-
-    def record(probe: JoinProbe) -> None:
-        stats.record(probe.size)
-        if budget is not None and stats.total_intermediate_tuples > budget:
-            raise BudgetExceeded(stats.total_intermediate_tuples, budget)
-
-    result, _ = run_left_deep(query, db, plan, record)
-    return result.reorder(query.attributes, name=f"{query.name}_result")
-
-
-def binary_plan_join(query: JoinQuery, db: Database,
-                     budget: int | None = None) -> Relation:
-    """Greedy plan + execution in one call (reference implementation)."""
-    return execute_binary_plan(query, db, greedy_left_deep_plan(query, db),
-                               budget=budget)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-import numpy as np
-
 from ..errors import ConfigError
 
 __all__ = ["IntersectionCache"]
@@ -52,8 +50,10 @@ class IntersectionCache:
 
     def put(self, key: tuple, entry: tuple) -> None:
         size = self._entry_size(entry)
-        if size > self.capacity_values:
-            return  # larger than the whole cache: never admit
+        if size > self.capacity_values or not self.capacity_values:
+            # Larger than the whole cache, or no cache at all (an empty
+            # intersection has size 0): never admit.
+            return
         if key in self._store:
             self._used_values -= self._entry_size(self._store.pop(key))
         while self._used_values + size > self.capacity_values and self._store:

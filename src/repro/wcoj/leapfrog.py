@@ -14,10 +14,11 @@
   participants (the paper's cost unit, what Fig. 6 / Fig. 8 plot), not
   from what was touched.  Supports fixed-value constraints (the
   sampler's ``T_{A=a}``) and a deterministic work budget (the paper's
-  12-hour timeout analogue).  An intersection cache (CacheTrieJoin), an
-  ``emit`` callback or tries too wide for the int64 key encoding run the
-  per-binding recursion (:class:`_Recursion`) instead, with the same
-  counters.
+  12-hour timeout analogue).  With ``cache=`` it runs HCubeJ+Cache's
+  CacheTrieJoin [28] instead: the per-binding recursion
+  (:class:`_Recursion`), whose LRU is keyed on the row ranges one
+  binding reaches; with a cache that admits nothing its counters equal
+  the frontier's.
 
 - :func:`leapfrog_sample_counts` — ``|T_{A=a}|`` for many values ``a``
   in one frontier evaluation (the sampler's probe).
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -218,26 +219,12 @@ def _plan(query: JoinQuery, db: Database, order: Sequence[str] | None,
     return order, tries, stats, participants
 
 
-def _level_arrays(tries: Sequence[Trie],
-                  participants: list[list[tuple[int, int]]]
-                  ) -> list[TrieLevels] | None:
-    """Every trie's level arrays, or None when a key array a probe would
-    need does not fit int64 (the caller falls back to the recursion)."""
-    levels = [t.levels() for t in tries]
-    for parts in participants:
-        for ai, depth in parts:
-            if depth and levels[ai].keys[depth] is None:
-                return None
-    return levels
-
-
 def leapfrog_join(query: JoinQuery, db: Database,
                   order: Sequence[str] | None = None, *,
                   materialize: bool = False,
                   fixed: Mapping[str, int] | None = None,
                   cache: IntersectionCache | None = None,
                   budget: int | None = None,
-                  emit: Callable[[list[int], np.ndarray], None] | None = None,
                   tries: Sequence[Trie] | None = None,
                   stats: LeapfrogStats | None = None) -> JoinResult:
     """Evaluate ``query`` over ``db`` with Leapfrog triejoin.
@@ -253,15 +240,12 @@ def leapfrog_join(query: JoinQuery, db: Database,
         Attribute -> value constraints (``T_{A=a}``).
     cache:
         Optional :class:`IntersectionCache`; intersections are memoized
-        per (depth, participant ranges).  Runs the per-binding recursion.
+        per (depth, participant ranges) — HCubeJ+Cache's CacheTrieJoin,
+        run on the per-binding recursion.
     budget:
         Maximum intersection work: a run whose total work stays within
         it never trips, one that goes over raises
         :class:`BudgetExceeded` with the partial ``stats`` filled in.
-    emit:
-        Callback ``(prefix, values)`` invoked per full-binding batch:
-        the output rows are ``prefix + [v]`` for v in values.  Runs the
-        per-binding recursion.
     tries:
         Pre-built tries (one per atom, orders consistent with ``order``);
         built on the fly when omitted.
@@ -278,16 +262,13 @@ def leapfrog_join(query: JoinQuery, db: Database,
     n = len(order)
     rows: list[np.ndarray] | None = [] if materialize else None
     if all(len(t) for t in tries):
-        levels = None
-        if cache is None and emit is None:
-            levels = _level_arrays(tries, participants)
-        if levels is not None:
-            run = _Frontier(levels, participants, fixed_levels, budget,
-                            stats, rows, None)
-            _extend(run, 0, 1, [None] * len(tries), [], None)
-        else:
+        if cache is not None:
             _Recursion(tries, participants, fixed_levels, budget, stats,
-                       rows, cache, emit).expand(0)
+                       rows, cache).expand(0)
+        else:
+            run = _Frontier([t.levels() for t in tries], participants,
+                            fixed_levels, budget, stats, rows, None)
+            _extend(run, 0, 1, [None] * len(tries), [], None)
     relation = None
     if rows is not None:
         data = np.vstack(rows) if rows else np.empty((0, n), dtype=np.int64)
@@ -297,8 +278,7 @@ def leapfrog_join(query: JoinQuery, db: Database,
 
 def leapfrog_sample_counts(query: JoinQuery, db: Database,
                            order: Sequence[str] | None,
-                           values: np.ndarray, *,
-                           budget: int | None = None
+                           values: np.ndarray
                            ) -> tuple[np.ndarray, LeapfrogStats]:
     """``|T_{A=a}|`` for every ``a`` in ``values``, ``A = order[0]``.
 
@@ -306,26 +286,16 @@ def leapfrog_sample_counts(query: JoinQuery, db: Database,
     evaluation; the per-value counts come back as a bincount of the root
     id carried through the frontier, and the returned stats are the sums
     of what one ``leapfrog_join(fixed={A: a})`` per value would report.
-    ``budget`` is a per-value work budget; enforcing it (or tries too
-    wide for the frontier) takes exactly that one-join-per-value loop.
     """
     order, tries, total, participants = _plan(query, db, order, None, None)
     values = np.asarray(values, dtype=np.int64)
     counts = np.zeros(values.shape[0], dtype=np.int64)
     if not values.shape[0] or not all(len(t) for t in tries):
         return counts, total
-    levels = _level_arrays(tries, participants) if budget is None else None
-    if levels is not None:
-        run = _Frontier(levels, participants, {0: values}, None, total,
-                        None, counts)
-        _extend(run, 0, values.shape[0], [None] * len(tries), [],
-                np.arange(values.shape[0], dtype=np.int64))
-        return counts, total
-    for i, a in enumerate(values):
-        result = leapfrog_join(query, db, order, fixed={order[0]: int(a)},
-                               tries=tries, budget=budget)
-        counts[i] = result.count
-        total.add(result.stats)
+    run = _Frontier([t.levels() for t in tries], participants,
+                    {0: values}, None, total, None, counts)
+    _extend(run, 0, values.shape[0], [None] * len(tries), [],
+            np.arange(values.shape[0], dtype=np.int64))
     return counts, total
 
 
@@ -496,19 +466,21 @@ def _descend(run: _Frontier, d: int, nodes: list[np.ndarray | None],
 # -- per-binding recursion ---------------------------------------------------------
 
 class _Recursion:
-    """Leapfrog as a per-binding recursion over trie row ranges.
+    """HCubeJ+Cache's CacheTrieJoin [28]: Leapfrog as a per-binding
+    recursion over trie row ranges, memoizing each level's intersection
+    in an LRU keyed on the row ranges one binding reaches.
 
-    What ``cache=`` (CacheTrieJoin keys its LRU on the row ranges one
-    binding reaches), ``emit=`` and tries too wide for the frontier's
-    key encoding run on.  Counters equal the frontier evaluation's.
+    Only ``cache=`` runs here.  A hit skips the intersection's work, so
+    the pinned HCubeJ+Cache counters depend on what this LRU admits and
+    evicts; with a cache that admits nothing every counter equals the
+    frontier evaluation's.
     """
 
     def __init__(self, tries: Sequence[Trie],
                  participants: list[list[tuple[int, int]]],
                  fixed: dict[int, int], budget: int | None,
                  stats: LeapfrogStats, rows: list[np.ndarray] | None,
-                 cache: IntersectionCache | None,
-                 emit: Callable[[list[int], np.ndarray], None] | None):
+                 cache: IntersectionCache):
         self.tries = tries
         self.participants = participants
         self.fixed = fixed
@@ -516,7 +488,6 @@ class _Recursion:
         self.stats = stats
         self.rows = rows
         self.cache = cache
-        self.emit = emit
         self.ranges: list[tuple[int, int]] = [t.root for t in tries]
         self.prefix: list[int] = [0] * len(participants)
 
@@ -538,14 +509,12 @@ class _Recursion:
                 resolved.append((np.array([l2], dtype=np.int64),
                                  np.array([h2], dtype=np.int64)))
             return np.array([v], dtype=np.int64), resolved
-        key = None
-        if self.cache is not None:
-            key = (d,) + tuple(ranges[ai] for ai, _ in parts)
-            hit = self.cache.get(key)
-            if hit is not None:
-                stats.cache_hits += 1
-                return hit
-            stats.cache_misses += 1
+        key = (d,) + tuple(ranges[ai] for ai, _ in parts)
+        hit = self.cache.get(key)
+        if hit is not None:
+            stats.cache_hits += 1
+            return hit
+        stats.cache_misses += 1
         spans = []
         arrays = []
         for ai, ldepth in parts:
@@ -560,8 +529,7 @@ class _Recursion:
             idx = np.searchsorted(values, vals)
             resolved.append((starts[idx], ends[idx]))
         result = (vals, resolved)
-        if key is not None:
-            self.cache.put(key, result)
+        self.cache.put(key, result)
         return result
 
     def expand(self, d: int) -> None:
@@ -580,8 +548,6 @@ class _Recursion:
         n = len(prefix)
         if d == n - 1:
             stats.emitted += k
-            if self.emit is not None:
-                self.emit(prefix[:d], vals)
             if self.rows is not None:
                 chunk = np.empty((k, n), dtype=np.int64)
                 for j in range(d):

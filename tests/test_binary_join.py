@@ -21,11 +21,9 @@ from repro.kernels import create_kernel
 from repro.query import Atom, JoinQuery, paper_query
 from repro.wcoj import LeapfrogStats, leapfrog_reference
 from repro.wcoj.binary_join import (
-    BinaryJoinStats,
-    binary_plan_join,
-    execute_binary_plan,
     greedy_left_deep_plan,
     greedy_plan_with_estimates,
+    run_left_deep,
 )
 from repro.workloads import graph_database_for
 
@@ -101,6 +99,14 @@ def join_queries(draw):
             relation, tuple(f"c{j}" for j in range(arity)),
             np.vstack([data, data[: n // 2]]), dedup=False))
     return JoinQuery(atoms), Database(relations)
+
+
+def step_sizes(query, db) -> list[int]:
+    """Every intermediate size of the greedy plan's left-deep loop."""
+    sizes = []
+    run_left_deep(query, db, greedy_left_deep_plan(query, db),
+                  lambda probe: sizes.append(probe.size))
+    return sizes
 
 
 def reference_join(left: Relation, right: Relation) -> set:
@@ -249,9 +255,12 @@ class TestBinaryKernel:
         # Rows are sorted in join order, columns permuted to the query's.
         assert sorted(map(tuple, full.relation.data.tolist())) == expected
         assert counted.stats == full.stats
-        # The reference planner's path runs the same loop on the same
-        # duplicated rows.
-        assert binary_plan_join(query, db).as_set() == set(expected)
+        # The planner's step loop, run directly on the same duplicated
+        # rows, gives the same set (columns in join order).
+        plan_join, _ = run_left_deep(query, db,
+                                     greedy_left_deep_plan(query, db),
+                                     lambda probe: None)
+        assert plan_join.reorder(query.attributes).as_set() == set(expected)
 
     def test_chain_sorts_each_input_once(self, monkeypatch):
         query, db = skewed_case("Q4", seed=3)
@@ -283,10 +292,7 @@ class TestBinaryKernel:
             assert result.stats.level_tuples == [0] * (n - 1) + [count]
             assert result.stats.extensions == query.num_atoms - 1
         assert len(result.relation) == count
-        stats = BinaryJoinStats()
-        execute_binary_plan(query, db, greedy_left_deep_plan(query, db),
-                            stats=stats)
-        assert stats.intermediate_sizes == sizes
+        assert step_sizes(query, db) == sizes
 
     def test_single_atom_query(self):
         db = Database([Relation("R", ("x", "y"), [[1, 2], [1, 2], [0, 3]],
@@ -315,20 +321,6 @@ class TestBudget:
                 == (work_done, budget)
             assert stats.intersection_work == work_done
 
-    def test_plan_budget_contract(self):
-        query, db = skewed_case("Q4", seed=3)
-        plan = greedy_left_deep_plan(query, db)
-        stats = BinaryJoinStats()
-        execute_binary_plan(query, db, plan, stats=stats)
-        total = stats.total_intermediate_tuples
-        assert total == 47094
-        assert len(execute_binary_plan(query, db, plan, budget=total)) == 8114
-        for budget, work_done in ((total - 1, total), (5, 548)):
-            with pytest.raises(BudgetExceeded) as info:
-                execute_binary_plan(query, db, plan, budget=budget)
-            assert (info.value.work_done, info.value.budget) \
-                == (work_done, budget)
-
     def test_an_over_budget_step_is_never_gathered(self, monkeypatch):
         query, db = skewed_case("Q4", seed=3)
         gathered = []
@@ -340,11 +332,6 @@ class TestBudget:
         # Step 3 would produce 23147 rows; the budget stops at its size.
         with pytest.raises(BudgetExceeded):
             create_kernel("binary").execute(query, db, budget=20_000)
-        assert gathered == [548, 3550]
-        del gathered[:]
-        with pytest.raises(BudgetExceeded):
-            execute_binary_plan(query, db, greedy_left_deep_plan(query, db),
-                                budget=5_000)
         assert gathered == [548, 3550]
         del gathered[:]
         # Count-only: the last step is sized, not gathered.

@@ -1,7 +1,7 @@
 """The frontier-at-a-time Leapfrog evaluation (repro.wcoj.leapfrog).
 
 Two oracles: ``leapfrog_reference`` for results, and the per-binding
-recursion — reached through ``emit=``, which caches nothing — for every
+recursion — reached through a cache that admits nothing — for every
 ``LeapfrogStats`` counter.  Work is accounted from segment lengths, so
 the counters must be the same integers on both paths.
 """
@@ -18,12 +18,17 @@ from repro.data import Database, Relation
 from repro.errors import BudgetExceeded
 from repro.query import Atom, JoinQuery, paper_query
 from repro.wcoj import (
+    IntersectionCache,
     LeapfrogStats,
     leapfrog_join,
     leapfrog_reference,
     leapfrog_sample_counts,
 )
 from repro.workloads import graph_database_for
+
+# ``parents * (max - min + 1)`` reaches 2**62: these levels are keyed by
+# rank, not by offset.
+WIDE = np.array([-2 ** 61, -1, 0, 7, 2 ** 61])
 
 COUNTERS = ("level_tuples", "level_work", "level_extensions",
             "intersection_work", "extensions", "emitted")
@@ -35,9 +40,12 @@ def counters(result):
 
 
 def recursion(query, db, order=None, **kwargs):
-    """The per-binding recursion: ``emit=`` forces it, caching nothing."""
-    return leapfrog_join(query, db, order,
-                         emit=lambda prefix, values: None, **kwargs)
+    """The per-binding recursion: ``cache=`` runs it; capacity 0 caches
+    nothing, so every intersection is computed and accounted."""
+    cache = IntersectionCache(0)
+    result = leapfrog_join(query, db, order, cache=cache, **kwargs)
+    assert len(cache) == cache.hits == 0
+    return result
 
 
 def skewed_case(query_name, seed, n=160, dom=14):
@@ -54,7 +62,9 @@ def skewed_case(query_name, seed, n=160, dom=14):
 @st.composite
 def hypergraphs(draw):
     """A random join query with self-joins, arity 1-3 atoms, empty
-    relations and a heavy-hitter first column, plus an attribute order."""
+    relations, a heavy-hitter first column and values too wide for an
+    offset key (rank-encoded trie levels), plus an attribute order and
+    one ``fixed`` constraint."""
     pool = "abcde"[: draw(st.integers(1, 5))]
     arities: dict[str, int] = {}
     atoms = []
@@ -66,16 +76,20 @@ def hypergraphs(draw):
         atoms.append(Atom(relation, tuple(draw(st.permutations(pool))[:arity])))
     query = JoinQuery(atoms)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    wide = draw(st.booleans())
     relations = []
     for relation, arity in arities.items():
         rows = draw(st.sampled_from([0, 6, 40]))
-        data = rng.integers(0, 7, size=(rows, arity))
+        data = (rng.choice(WIDE, size=(rows, arity)) if wide
+                else rng.integers(0, 7, size=(rows, arity)))
         if draw(st.booleans()):
             data[: rows // 2, 0] = 3
         relations.append(Relation(
             relation, tuple(f"c{j}" for j in range(arity)), data))
     order = tuple(draw(st.permutations(query.attributes)))
-    return query, Database(relations), order
+    fixed = {draw(st.sampled_from(order)):
+             int(draw(st.sampled_from(WIDE if wide else range(8))))}
+    return query, Database(relations), order, fixed
 
 
 class TestCounterParity:
@@ -88,11 +102,19 @@ class TestCounterParity:
     @settings(max_examples=120, deadline=None)
     @given(case=hypergraphs())
     def test_random_hypergraphs(self, case):
-        query, db, order = case
+        query, db, order, fixed = case
         frontier = leapfrog_join(query, db, order, materialize=True)
         assert counters(frontier) == counters(recursion(query, db, order))
+        expected = leapfrog_reference(query, db, order)
         assert [tuple(row) for row in frontier.relation.data.tolist()] \
-            == leapfrog_reference(query, db, order)
+            == expected
+        (attr, value), = fixed.items()
+        pinned = leapfrog_join(query, db, order, fixed=fixed,
+                               materialize=True)
+        assert counters(pinned) \
+            == counters(recursion(query, db, order, fixed=fixed))
+        assert [tuple(row) for row in pinned.relation.data.tolist()] \
+            == [row for row in expected if row[order.index(attr)] == value]
 
 
 class TestChunking:

@@ -20,8 +20,9 @@ from repro.engines import (
     SparkSQLJoin,
     one_round_execute,
 )
+from repro.kernels import create_kernel
 from repro.query import Atom, JoinQuery, example_query, paper_query
-from repro.wcoj import binary_plan_join, brute_force_join, leapfrog_join
+from repro.wcoj import leapfrog_join
 from repro.workloads import graph_database_for
 
 
@@ -120,7 +121,7 @@ class TestAllCatalogQueriesAgainstOracle:
         rng = np.random.default_rng(17)
         db = graph_database_for(query, rng.integers(0, 12, size=(90, 2)))
         assert leapfrog_join(query, db).count == \
-            len(binary_plan_join(query, db))
+            create_kernel("binary").execute(query, db).count
 
     def test_q3_small_instance(self):
         # The 5-clique has 10 atoms: the Cartesian oracle is hopeless
@@ -129,7 +130,7 @@ class TestAllCatalogQueriesAgainstOracle:
         rng = np.random.default_rng(5)
         db = graph_database_for(query, rng.integers(0, 6, size=(30, 2)))
         assert leapfrog_join(query, db).count == \
-            len(binary_plan_join(query, db))
+            create_kernel("binary").execute(query, db).count
 
 
 class TestMemoryConstrainedCluster:

@@ -40,7 +40,12 @@ from repro.kernels import (
 from repro.kernels.adaptive import choose_kernel
 from repro.obs.metrics import METRICS
 from repro.query import paper_query
-from repro.wcoj import build_tries, leapfrog_join, leapfrog_reference
+from repro.wcoj import (
+    IntersectionCache,
+    build_tries,
+    leapfrog_join,
+    leapfrog_reference,
+)
 
 TRANSPORTS = ("pickle", "shm", "tcp")
 
@@ -358,34 +363,40 @@ class TestDistinctCountCache:
 
 
 class TestBatchedLeafFallback:
-    def test_huge_values_fall_back_to_recursive_path(self):
-        """``parent * width + value`` keys would overflow int64 near
-        2**62; such tries carry no key array and the join falls back to
-        the per-binding recursion, same answer."""
+    def test_huge_values_run_on_the_frontier_with_rank_keys(self):
+        """``parent * width + offset`` keys would overflow int64 near
+        2**62; such levels key a value by its rank among the level's
+        distinct values, so the frontier still runs, same answer."""
         big = 2 ** 61
         query = paper_query("Q1")
-        edges = np.array([[0, big], [0, 0], [1, big], [1, 0], [big, 0]],
-                         dtype=np.int64)
+        edges = np.array([[0, big], [0, 0], [1, big], [1, 0], [big, 0],
+                          [-big, 0], [0, -big]], dtype=np.int64)
         db = graph_db(query, edges)
         expected = leapfrog_reference(query, db)
         tries = build_tries(query, db, query.attributes)
-        assert all(t.levels().keys[1] is None for t in tries)
+        assert all(t.levels().distinct[1] is not None for t in tries)
+        assert all(t.levels().keys[1] is not None for t in tries)
         result = leapfrog_join(query, db, materialize=True)
-        assert result.count == len(expected)
+        assert result.count == len(expected) > 0
         assert result_tuples(result) == expected
 
     def test_small_values_batch_and_recursive_agree_on_counters(self):
-        """With cache/emit unset the frontier path is active; its
-        counters must equal the per-binding recursion's (forced here via
-        an ``emit`` callback, which caches nothing).  tests/test_frontier
+        """Without ``cache=`` the frontier path is active; its counters
+        must equal the per-binding recursion's (forced here via a cache
+        that admits nothing; it still counts misses, so the comparison
+        is over the counters both paths fill).  tests/test_frontier
         holds the randomized version of this."""
         query = paper_query("Q9")
         rng = np.random.default_rng(2)
         db = graph_db(query, rng.integers(0, 15, size=(120, 2)))
         batched = leapfrog_join(query, db)
-        recursive = leapfrog_join(query, db, emit=lambda prefix, vals: None)
+        recursive = leapfrog_join(query, db, cache=IntersectionCache(0))
         assert batched.count == recursive.count
-        assert batched.stats == recursive.stats
+        assert recursive.stats.cache_hits == 0
+        for name in ("level_tuples", "level_work", "level_extensions",
+                     "intersection_work", "extensions", "emitted"):
+            assert getattr(batched.stats, name) \
+                == getattr(recursive.stats, name), name
 
 
 class TestEngineKernelOptions:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.data import Database, Relation
 from repro.errors import BudgetExceeded, PlanError
-from repro.query import JoinQuery, PAPER_QUERIES, paper_query, parse_query
+from repro.query import PAPER_QUERIES, paper_query, parse_query
 from repro.wcoj import (
     IntersectionCache,
     brute_force_join,
@@ -27,6 +27,10 @@ def db_for(query, edges):
         seen.add(atom.relation)
         rels.append(Relation(atom.relation, ("x", "y"), edges))
     return Database(rels)
+
+
+COUNTERS = ("level_tuples", "level_work", "level_extensions",
+            "intersection_work", "extensions", "emitted")
 
 
 def random_edges(seed, n=50, dom=8):
@@ -118,18 +122,6 @@ class TestLeapfrogBasics:
         ])
         assert leapfrog_join(q, db).count == len(brute_force_join(q, db))
 
-    def test_emit_callback_receives_all(self):
-        q = paper_query("Q1")
-        db = db_for(q, random_edges(7))
-        collected = []
-
-        def emit(prefix, vals):
-            collected.extend(tuple(prefix) + (int(v),) for v in vals)
-
-        res = leapfrog_join(q, db, emit=emit)
-        assert len(collected) == res.count
-        assert set(collected) == brute_force_join(q, db)
-
 
 class TestLeapfrogInstrumentation:
     def test_level_tuples_lengths(self):
@@ -204,8 +196,23 @@ class TestLeapfrogWithCache:
         db = db_for(q, random_edges(16))
         cache = IntersectionCache(capacity_values=0)
         res = leapfrog_join(q, db, cache=cache)
-        assert res.count == leapfrog_join(q, db).count
+        plain = leapfrog_join(q, db)
+        assert res.count == plain.count
         assert cache.hits == 0
+        for name in COUNTERS:
+            assert getattr(res.stats, name) == getattr(plain.stats, name)
+
+    def test_zero_capacity_cache_admits_no_empty_intersection(self):
+        """An empty intersection has size 0; a cache of capacity 0 used
+        to admit it, and a later hit skipped that intersection's work."""
+        q = paper_query("Q9")
+        db = db_for(q, np.random.default_rng(0).integers(0, 10, size=(25, 2)))
+        cache = IntersectionCache(capacity_values=0)
+        res = leapfrog_join(q, db, cache=cache)
+        plain = leapfrog_join(q, db)
+        assert (len(cache), cache.hits, res.stats.cache_hits) == (0, 0, 0)
+        for name in COUNTERS:
+            assert getattr(res.stats, name) == getattr(plain.stats, name)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,11 +1,10 @@
 """Cross-cutting property-based tests (hypothesis)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import Database, Relation, Trie
+from repro.data import Relation
 from repro.distributed import (
     HypercubeGrid,
     dup_factor,
@@ -63,16 +62,6 @@ class TestRelationAlgebraProperties:
         semi = r.semijoin(s)
         via_join = r.natural_join(s).project(("x", "y"))
         assert semi.as_set() == via_join.as_set()
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=edge_arrays)
-    def test_trie_merge_of_split_is_identity(self, a):
-        r = rel("R", ("x", "y"), a)
-        half = len(r) // 2
-        t1 = Trie(Relation("R", ("x", "y"), r.data[:half], dedup=False))
-        t2 = Trie(Relation("R", ("x", "y"), r.data[half:], dedup=False))
-        merged = Trie.merge([t1, t2])
-        assert np.array_equal(merged.data, Trie(r).data)
 
 
 class TestEngineEquivalenceProperties:

@@ -78,12 +78,14 @@ class TestTrieBuild:
 class TestNavigation:
     def test_candidates_at_root(self):
         t = make_trie([(1, 5), (1, 6), (3, 1), (2, 2)])
-        assert t.candidates(0, *t.root).tolist() == [1, 2, 3]
+        assert t.children(0, *t.root)[0].tolist() == [1, 2, 3]
 
     def test_candidates_within_range(self):
         t = make_trie([(1, 5), (1, 6), (2, 2)])
         lo, hi = t.child_range(0, *t.root, 1)
-        assert t.candidates(1, lo, hi).tolist() == [5, 6]
+        values, starts, ends = t.children(1, lo, hi)
+        assert values.tolist() == [5, 6]
+        assert (starts.tolist(), ends.tolist()) == ([0, 1], [1, 2])
 
     def test_child_range_missing_value_empty(self):
         t = make_trie([(1, 5), (2, 2)])
@@ -105,18 +107,17 @@ class TestNavigation:
 
     def test_count_distinct(self):
         t = make_trie([(1, 5), (1, 6), (2, 2)])
-        assert t.count_distinct(0, *t.root) == 2
+        assert len(t.children(0, *t.root)[0]) == 2
 
     def test_prefix_count(self):
+        """Level ``l`` holds one node per distinct prefix of length
+        ``l + 1``."""
         t = make_trie([(1, 5), (1, 6), (2, 2)])
-        assert t.prefix_count(0) == 1
-        assert t.prefix_count(1) == 2
-        assert t.prefix_count(2) == 3
+        assert [len(v) for v in t.levels().vals] == [2, 3]
 
     def test_prefix_count_empty(self):
         t = Trie(Relation("R", ("a", "b")))
-        assert t.prefix_count(0) == 0
-        assert t.prefix_count(1) == 0
+        assert [len(v) for v in t.levels().vals] == [0, 0]
 
 
 class TestLevels:
@@ -130,7 +131,7 @@ class TestLevels:
         lv = t.levels()
         assert t.levels() is lv                     # memoized
         assert [len(v) for v in lv.vals] \
-            == [t.prefix_count(d + 1) for d in range(3)]
+            == [len({row[: d + 1] for row in rows}) for d in range(3)]
         spans = [t.root]          # row range of every node, level by level
         for depth in range(3):
             got_vals, below = [], []
@@ -163,27 +164,30 @@ class TestLevels:
         assert [v.shape[0] for v in lv.vals] == [0, 0]
         assert lv.ptr[0].tolist() == [0]
 
-    def test_keys_absent_when_they_would_overflow(self):
-        lv = make_trie([(0, 0), (1, 2 ** 62)]).levels()
-        assert lv.keys == (None, None)
-
-
-class TestMerge:
-    def test_merge_equals_union(self):
-        t1 = make_trie([(1, 1), (2, 2)])
-        t2 = make_trie([(2, 2), (3, 3)])
-        merged = Trie.merge([t1, t2])
-        assert merged.data.tolist() == [[1, 1], [2, 2], [3, 3]]
-
-    def test_merge_schema_mismatch(self):
-        t1 = make_trie([(1, 1)])
-        t2 = make_trie([(1, 1)], attrs=("a", "c"))
-        with pytest.raises(SchemaError):
-            Trie.merge([t1, t2])
-
-    def test_merge_empty_list(self):
-        with pytest.raises(SchemaError):
-            Trie.merge([])
+    def test_keys_rank_encoded_when_offsets_would_overflow(self):
+        """``parents * (max - min + 1)`` reaches 2**62: the level keys a
+        value by its rank among the level's distinct values, and
+        ``probe`` still finds exactly the children."""
+        big = 2 ** 62
+        t = make_trie([(0, 0), (0, big), (1, big), (1, -big // 2), (2, 5)])
+        lv = t.levels()
+        assert lv.keys[0] is None and lv.distinct[0] is None
+        assert lv.distinct[1].tolist() == [-big // 2, 0, 5, big]
+        assert lv.keys[1] is not None
+        assert np.all(np.diff(lv.keys[1]) > 0)
+        parents = np.array([0, 0, 0, 1, 1, 2, 2, 0, 1, 2])
+        values = np.array([0, big, 5, -big // 2, 0, 5,
+                           6,                 # between two ranks
+                           1,                 # between two ranks
+                           -big,              # below the level
+                           2 ** 63 - 1])      # above the level
+        nodes, found = lv.probe(1, parents, values)
+        assert found.tolist() == [True, True, False, True, False, True,
+                                  False, False, False, False]
+        assert lv.vals[1][nodes[found]].tolist() == [0, big, -big // 2, 5]
+        hit_parents, hit_nodes = parents[found], nodes[found]
+        assert np.all((lv.ptr[0][hit_parents] <= hit_nodes)
+                      & (hit_nodes < lv.ptr[0][hit_parents + 1]))
 
 
 class TestTrieIterator:

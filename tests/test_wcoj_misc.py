@@ -1,24 +1,22 @@
 """Tests for repro.wcoj: cache, binary joins, AGM bound."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.data import Database, Relation
 from repro.errors import BudgetExceeded, PlanError
-from repro.query import JoinQuery, paper_query, parse_query
+from repro.kernels import create_kernel
+from repro.query import paper_query, parse_query
 from repro.wcoj import (
     BinaryPlan,
     IntersectionCache,
     agm_bound,
-    binary_plan_join,
     brute_force_join,
-    execute_binary_plan,
     fractional_edge_cover_number,
     greedy_left_deep_plan,
     leapfrog_join,
 )
+from repro.wcoj.binary_join import run_left_deep
 
 
 def _entry(num_values):
@@ -69,6 +67,11 @@ class TestIntersectionCache:
         with pytest.raises(ValueError):
             IntersectionCache(-1)
 
+    def test_zero_capacity_admits_nothing(self):
+        c = IntersectionCache(0)
+        c.put(("empty",), _entry(0))
+        assert len(c) == 0 and c.get(("empty",)) is None
+
 
 class TestBinaryJoin:
     def _db(self, seed=0):
@@ -80,8 +83,8 @@ class TestBinaryJoin:
 
     def test_matches_bruteforce(self):
         q, db = self._db()
-        out = binary_plan_join(q, db)
-        assert out.as_set() == brute_force_join(q, db)
+        out = create_kernel("binary").execute(q, db, materialize=True)
+        assert out.relation.as_set() == brute_force_join(q, db)
 
     def test_matches_leapfrog_on_q2(self):
         q = paper_query("Q2")
@@ -89,7 +92,8 @@ class TestBinaryJoin:
         edges = rng.integers(0, 10, size=(80, 2))
         db = Database([Relation(f"R{i}", ("x", "y"), edges)
                        for i in range(1, 7)])
-        assert len(binary_plan_join(q, db)) == leapfrog_join(q, db).count
+        assert create_kernel("binary").execute(q, db).count \
+            == leapfrog_join(q, db).count
 
     def test_plan_covers_all_atoms(self):
         q, db = self._db()
@@ -99,7 +103,7 @@ class TestBinaryJoin:
     def test_incomplete_plan_rejected(self):
         q, db = self._db()
         with pytest.raises(PlanError):
-            execute_binary_plan(q, db, BinaryPlan((0, 1)))
+            run_left_deep(q, db, BinaryPlan((0, 1)), lambda probe: None)
 
     def test_duplicate_plan_rejected(self):
         with pytest.raises(PlanError):
@@ -108,16 +112,18 @@ class TestBinaryJoin:
     def test_budget_enforced(self):
         q, db = self._db()
         with pytest.raises(BudgetExceeded):
-            binary_plan_join(q, db, budget=1)
+            create_kernel("binary").execute(q, db, budget=1)
 
     def test_stats_record_intermediates(self):
-        from repro.wcoj import BinaryJoinStats
+        """``run_left_deep`` shows every step's probe to ``on_step``; the
+        last step's size is the result's."""
         q, db = self._db()
-        stats = BinaryJoinStats()
-        execute_binary_plan(q, db, greedy_left_deep_plan(q, db), stats=stats)
-        assert len(stats.intermediate_sizes) == 2
-        assert stats.total_intermediate_tuples == sum(
-            stats.intermediate_sizes)
+        sizes = []
+        result, count = run_left_deep(
+            q, db, greedy_left_deep_plan(q, db),
+            lambda probe: sizes.append(probe.size))
+        assert len(sizes) == 2
+        assert sizes[-1] == count == len(result)
 
     def test_disconnected_query_cartesian(self):
         q = parse_query("R(a,b), S(x,y)")
@@ -125,8 +131,8 @@ class TestBinaryJoin:
             Relation("R", ("a", "b"), [(1, 2)]),
             Relation("S", ("x", "y"), [(3, 4), (5, 6)]),
         ])
-        out = binary_plan_join(q, db)
-        assert len(out) == 2
+        out = create_kernel("binary").execute(q, db, materialize=True)
+        assert out.count == len(out.relation) == 2
 
 
 class TestAGM:
