@@ -19,7 +19,8 @@ def _run_impl(query, db, cluster, impl):
     ledger = cluster.new_ledger()
     one_round_execute(query, db, cluster, query.attributes, ledger,
                       impl=impl)
-    return ledger.comm_seconds, ledger.comp_seconds
+    b = ledger.breakdown()
+    return b.communication, b.computation
 
 
 def test_fig09_hcube_implementations(benchmark):

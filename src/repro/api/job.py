@@ -156,14 +156,11 @@ class QueryJob:
                               hcube_impl=ADJ.hcube_impl)
         report = optimizer.run()
         plan = report.plan
-        model = optimizer.cost_model
-        breakdown = {
-            "precompute": sum(model.cost_m(i) for i in plan.precompute),
-            "communication": model.cost_c(plan.precompute),
-            "computation": sum(
-                model.cost_e(idx, plan.precompute, plan.traversal[:i])
-                for i, idx in enumerate(plan.traversal)),
-        }
+        costs = optimizer.cost_model.plan_breakdown(plan.precompute,
+                                                    plan.traversal)
+        breakdown = {"precompute": costs.precompute,
+                     "communication": costs.communication,
+                     "computation": costs.computation}
         # Per-bag kernel decisions (pure — no spans/metrics recorded):
         # what repro.kernels would pick for each bag's subquery under
         # the session's configured kernel.

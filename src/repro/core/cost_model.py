@@ -13,8 +13,11 @@ a (partial) traversal order O, the model prices:
   beta_i is fast (a trie lookup) when bag i is pre-computed, else the
   work-per-extension rate observed while sampling.
 
-All cardinalities come from :class:`CardinalityEstimator`; all rate
-constants from :class:`CostModelParams`.  Everything is cached because
+All cardinalities come from :class:`CardinalityEstimator`.  The model
+only counts: each cost is the same :class:`~repro.distributed.metrics.Moved`
+/ :class:`~repro.distributed.metrics.Work` records an engine would put on
+its ledger, priced by :func:`~repro.distributed.metrics.price` — the one
+place the cluster's rates are applied.  Everything is cached because
 Algorithm 2 revisits the same configurations O(n*^2) times.
 """
 
@@ -25,6 +28,7 @@ from typing import Iterable
 
 from ..data.database import Database
 from ..distributed.cluster import Cluster
+from ..distributed.metrics import CostBreakdown, Moved, Work, price
 from ..distributed.partitioner import optimize_shares
 from ..errors import OutOfMemory, PlanError
 from ..ghd.decomposition import Hypertree
@@ -56,7 +60,6 @@ class CostModel:
         self.hypertree = hypertree
         self.estimator = estimator or CardinalityEstimator(db)
         self.hcube_impl = hcube_impl
-        self.params = cluster.params
         self._bag_size_cache: dict[int, float] = {}
         self._prefix_cache: dict[frozenset[str], float] = {}
         self._bag_stats_cache: dict[int, _BagStats] | None = None
@@ -155,8 +158,9 @@ class CostModel:
                 # No feasible share vector: prohibitively expensive.
                 self._cost_c_cache[key] = float("inf")
                 return self._cost_c_cache[key]
-            alpha = self.params.alpha_for(self.hcube_impl)
-            self._cost_c_cache[key] = shares.tuple_copies / alpha
+            self._cost_c_cache[key] = price(
+                [Moved("communication", shares.tuple_copies,
+                       self.hcube_impl)], self.cluster.params).communication
         return self._cost_c_cache[key]
 
     def cost_m(self, bag_index: int) -> float:
@@ -167,13 +171,13 @@ class CostModel:
         cand = candidate_relation_for(self.query, bag)
         input_tuples = sum(len(self.db[a.relation])
                            for a in cand.subquery.atoms)
-        comm = input_tuples / self.params.alpha_for(self.hcube_impl)
         # Join work: the bag output plus its inputs must be touched at
         # least once; sampling gives the output estimate.
         out = self.bag_size(bag_index)
-        work = input_tuples + out
-        comp = work / (self.params.beta_work * self.cluster.num_workers)
-        return comm + comp
+        return price([Moved("precompute", input_tuples, self.hcube_impl),
+                      Work("precompute", input_tuples + out,
+                           workers=self.cluster.num_workers)],
+                     self.cluster.params).precompute
 
     def cost_e(self, bag_index: int, precompute: Iterable[int],
                earlier_bags: Iterable[int]) -> float:
@@ -184,18 +188,27 @@ class CostModel:
         for idx in earlier:
             attrs |= self._bags[idx].attributes
         bindings = self.prefix_cardinality(frozenset(attrs)) if earlier else 1.0
-        pre = frozenset(precompute)
-        if bag_index in pre:
-            rate = self.params.beta_trie_lookup
-            seconds = bindings / (rate * self.cluster.num_workers)
+        if bag_index in frozenset(precompute):
+            units, rate = bindings, "trie_lookup"
         else:
             stats = self._bag_stats().get(bag_index)
-            work_per_ext = stats.work_per_extension if stats else 1.0
-            seconds = (bindings * work_per_ext
-                       / (self.params.beta_work * self.cluster.num_workers))
-        return seconds
+            units = bindings * (stats.work_per_extension if stats else 1.0)
+            rate = "work"
+        return price([Work("computation", units, rate=rate,
+                           workers=self.cluster.num_workers)],
+                     self.cluster.params).computation
 
     # -- convenience ---------------------------------------------------------------
+
+    def plan_breakdown(self, precompute: frozenset[int],
+                       traversal: tuple[int, ...]) -> CostBreakdown:
+        """The plan's costs per phase: sum costM (pre-computing), costC
+        (communication), sum costE^i (computation)."""
+        return CostBreakdown(
+            precompute=sum((self.cost_m(i) for i in precompute), 0.0),
+            communication=self.cost_c(precompute),
+            computation=sum((self.cost_e(idx, precompute, traversal[:i])
+                             for i, idx in enumerate(traversal)), 0.0))
 
     def plan_cost(self, precompute: frozenset[int],
                   traversal: tuple[int, ...]) -> float:

@@ -11,7 +11,15 @@ from .hcube import (
     mix_hash,
     modulo_hash,
 )
-from .metrics import CostBreakdown, CostLedger, CostModelParams, ShuffleStats
+from .metrics import (
+    CostBreakdown,
+    CostLedger,
+    CostModelParams,
+    Moved,
+    ShuffleStats,
+    Work,
+    price,
+)
 from .partitioner import (
     Shares,
     dup_factor,
@@ -38,7 +46,10 @@ __all__ = [
     "CostBreakdown",
     "CostLedger",
     "CostModelParams",
+    "Moved",
     "ShuffleStats",
+    "Work",
+    "price",
     "Shares",
     "dup_factor",
     "enumerate_share_vectors",

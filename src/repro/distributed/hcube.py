@@ -16,7 +16,8 @@ Three implementations are modelled after Sec. V (Fig. 9):
   counted per (tuple, worker) and per-block latency applies.
 - ``merge`` — like pull but blocks are pre-built tries (three arrays),
   which serialize better and spare the worker the local trie build; the
-  cost model charges ``trie_merge_rate`` instead of ``trie_build_rate``.
+  worker loads are priced at the trie-merge rate instead of the
+  trie-build rate.
 
 All three move identical data — the implementations differ only in the
 accounted cost, exactly like the paper's Spark prototype.
@@ -34,7 +35,7 @@ from ..data.relation import Relation
 from ..errors import OutOfMemory, PlanError
 from ..obs.tracing import current_tracer
 from ..query.query import Atom, JoinQuery
-from .metrics import ShuffleStats
+from .metrics import HCUBE_IMPLS, ShuffleStats
 from .partitioner import Shares
 
 __all__ = [
@@ -317,7 +318,7 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
     counters are merged in atom order afterwards, so the result —
     routing assignments *and* stats — is identical to the serial pass.
     """
-    if impl not in ("push", "pull", "merge"):
+    if impl not in HCUBE_IMPLS:
         raise PlanError(f"unknown HCube implementation {impl!r}")
     stats = ShuffleStats()
     num_cubes = grid.num_cubes

@@ -1,4 +1,4 @@
-"""Cost accounting: counters, model parameters, and cost breakdowns.
+"""Cost accounting: counted quantities, model parameters, and pricing.
 
 The paper's evaluation reports *seconds* per phase (Tables II-IV:
 Optimization / Pre-Computing / Communication / Computation / Total), all
@@ -9,20 +9,35 @@ derived from counted quantities through two calibrated rates (Sec. III-B):
 - ``beta`` — partial bindings extended per second, measured by timing
   trie queries / reusing sampling statistics.
 
-Our cluster is simulated, so we keep the same structure: every shuffle
-and every Leapfrog run updates deterministic counters, and
-:class:`CostModelParams` converts them into model-seconds.  Parameters
-are pinned by default (reproducible numbers); :mod:`repro.core.calibration`
-can measure real rates of the running process instead.
+Our cluster is simulated, so we keep the same structure, split in two:
+engines and the optimizer's cost model only *count* — a
+:class:`CostLedger` is an append-only list of :class:`Moved` (tuples
+shipped with one HCube implementation, plus fetched blocks) and
+:class:`Work` (units at a named rate, shared by some workers, or a
+per-worker dict priced as its makespan) records, each tagged with a
+phase — and :func:`price` is the only place a :class:`CostModelParams`
+rate is applied to turn them into model-seconds.  Parameters are pinned
+by default (reproducible numbers); :mod:`repro.core.calibration` can
+measure real rates of the running process instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Union
 
 from ..errors import ConfigError
 
-__all__ = ["CostModelParams", "ShuffleStats", "CostBreakdown", "CostLedger"]
+__all__ = ["CostModelParams", "ShuffleStats", "CostBreakdown", "Moved",
+           "Work", "price", "CostLedger"]
+
+#: The four phases of the paper's Tables II-IV, in ``CostBreakdown`` order.
+PHASES = ("optimization", "precompute", "communication", "computation")
+#: HCube implementations; each ships tuples at its own alpha.
+HCUBE_IMPLS = ("push", "pull", "merge")
+#: Named work rates (beta): Leapfrog work, trie construction by
+#: Push/Pull, trie merging by Merge, lookups on a pre-computed bag.
+WORK_RATES = ("work", "trie_build", "trie_merge", "trie_lookup")
 
 
 @dataclass(frozen=True)
@@ -54,16 +69,6 @@ class CostModelParams:
     #: optimizer's beta_i for pre-computed nodes).
     beta_trie_lookup: float = 1.0e6
 
-    def alpha_for(self, impl: str) -> float:
-        try:
-            return {"push": self.alpha_push,
-                    "pull": self.alpha_pull,
-                    "merge": self.alpha_merge}[impl]
-        except KeyError:
-            raise ConfigError(
-                f"unknown HCube implementation {impl!r}; "
-                "expected push/pull/merge") from None
-
 
 @dataclass
 class ShuffleStats:
@@ -73,13 +78,6 @@ class ShuffleStats:
     blocks_fetched: int = 0
     bytes_copied: int = 0
     max_worker_tuples: int = 0   # heaviest destination (memory / skew)
-
-    def merge_in(self, other: "ShuffleStats") -> None:
-        self.tuple_copies += other.tuple_copies
-        self.blocks_fetched += other.blocks_fetched
-        self.bytes_copied += other.bytes_copied
-        self.max_worker_tuples = max(self.max_worker_tuples,
-                                     other.max_worker_tuples)
 
 
 @dataclass
@@ -114,62 +112,81 @@ class CostBreakdown:
         }
 
 
+def _check(kind: str, value: str, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise ConfigError(f"unknown {kind} {value!r}; expected "
+                          + "/".join(allowed))
+
+
+@dataclass(frozen=True)
+class Moved:
+    """Tuples shipped with one HCube implementation, plus fetched blocks."""
+
+    phase: str
+    tuples: float
+    impl: str
+    blocks: int = 0
+
+    def __post_init__(self) -> None:
+        _check("phase", self.phase, PHASES)
+        _check("HCube implementation", self.impl, HCUBE_IMPLS)
+
+
+@dataclass(frozen=True)
+class Work:
+    """Work units at a named rate, spread evenly over ``workers`` — or a
+    per-worker dict, priced as its makespan (the busiest worker)."""
+
+    phase: str
+    units: Union[float, Mapping[int, float]]
+    rate: str = "work"
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        _check("phase", self.phase, PHASES)
+        _check("work rate", self.rate, WORK_RATES)
+
+
+Charge = Union[Moved, Work]
+
+
+def price(charges: Iterable[Charge], params: CostModelParams
+          ) -> CostBreakdown:
+    """Model-seconds per phase: tuples / alpha + blocks * latency for
+    :class:`Moved`, units / (beta * workers) for :class:`Work`, summed
+    per phase in record order.  The only reader of ``params``' rates."""
+    alpha = {"push": params.alpha_push, "pull": params.alpha_pull,
+             "merge": params.alpha_merge}
+    beta = {"work": params.beta_work, "trie_build": params.trie_build_rate,
+            "trie_merge": params.trie_merge_rate,
+            "trie_lookup": params.beta_trie_lookup}
+    seconds = dict.fromkeys(PHASES, 0.0)
+    for c in charges:
+        if isinstance(c, Moved):
+            seconds[c.phase] += (c.tuples / alpha[c.impl]
+                                 + c.blocks * params.block_latency)
+        else:
+            units = (max(c.units.values(), default=0.0)
+                     if isinstance(c.units, Mapping) else c.units)
+            seconds[c.phase] += units / (beta[c.rate] * c.workers)
+    return CostBreakdown(**seconds)
+
+
 @dataclass
 class CostLedger:
-    """Mutable counters accumulated over one engine run."""
+    """Append-only record of the quantities one engine run counted."""
 
     params: CostModelParams = field(default_factory=CostModelParams)
-    tuples_shuffled: int = 0
-    blocks_fetched: int = 0
-    rounds: int = 0
-    worker_work: dict[int, float] = field(default_factory=dict)
-    comm_seconds: float = 0.0
-    comp_seconds: float = 0.0
-    precompute_seconds: float = 0.0
-    optimization_seconds: float = 0.0
+    charges: list[Charge] = field(default_factory=list)
 
-    def charge_shuffle(self, stats: ShuffleStats, impl: str,
-                       phase: str = "communication") -> float:
-        """Convert a shuffle into model-seconds and accumulate them."""
-        alpha = self.params.alpha_for(impl)
-        seconds = stats.tuple_copies / alpha \
-            + stats.blocks_fetched * self.params.block_latency
-        self.tuples_shuffled += stats.tuple_copies
-        self.blocks_fetched += stats.blocks_fetched
-        self.rounds += 1
-        self._add_phase(phase, seconds)
-        return seconds
+    def record(self, *charges: Charge) -> None:
+        self.charges.extend(charges)
 
-    def charge_worker_work(self, work_by_worker: dict[int, float],
-                           rate: float | None = None,
-                           phase: str = "computation") -> float:
-        """Parallel computation: the makespan of per-worker work."""
-        rate = rate if rate is not None else self.params.beta_work
-        for w, units in work_by_worker.items():
-            self.worker_work[w] = self.worker_work.get(w, 0.0) + units
-        seconds = max(work_by_worker.values(), default=0.0) / rate
-        self._add_phase(phase, seconds)
-        return seconds
-
-    def charge_seconds(self, seconds: float, phase: str) -> None:
-        self._add_phase(phase, seconds)
-
-    def _add_phase(self, phase: str, seconds: float) -> None:
-        if phase == "communication":
-            self.comm_seconds += seconds
-        elif phase == "computation":
-            self.comp_seconds += seconds
-        elif phase == "precompute":
-            self.precompute_seconds += seconds
-        elif phase == "optimization":
-            self.optimization_seconds += seconds
-        else:
-            raise ConfigError(f"unknown phase {phase!r}")
+    @property
+    def shuffled_tuples(self) -> int:
+        """Tuples moved by the run's communication phase."""
+        return sum(c.tuples for c in self.charges
+                   if isinstance(c, Moved) and c.phase == "communication")
 
     def breakdown(self) -> CostBreakdown:
-        return CostBreakdown(
-            optimization=self.optimization_seconds,
-            precompute=self.precompute_seconds,
-            communication=self.comm_seconds,
-            computation=self.comp_seconds,
-        )
+        return price(self.charges, self.params)

@@ -4,8 +4,9 @@ Pipeline: (1) sample-based optimization picks a plan (which bags to
 pre-compute, bag traversal order, attribute order); (2) the chosen bags
 are joined and materialized (pre-computing phase); (3) the rewritten
 query is HCube-shuffled with the optimized Merge implementation and every
-cube runs Leapfrog under the plan's attribute order.  Each phase charges
-its own ledger line so the Tables II-IV breakdown falls out directly.
+cube runs Leapfrog under the plan's attribute order.  Each phase records
+its own quantities on the ledger, tagged with that phase, so the
+Tables II-IV breakdown falls out of one pricing pass.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from ..data.database import Database
 from ..data.relation import Relation
 from ..distributed.cluster import Cluster
-from ..distributed.metrics import CostLedger
+from ..distributed.metrics import CostLedger, Moved, Work
 from ..errors import PlanError
 from ..ghd.decomposition import Hypertree, optimal_hypertree
 from ..kernels import create_kernel, select_kernel
@@ -59,11 +60,9 @@ class ADJ:
         report = Optimizer(query, db, cluster, hypertree=tree,
                            estimator=estimator,
                            hcube_impl=self.hcube_impl).run()
-        params = cluster.params
         # Sampling runs distributed: Leapfrog probes spread over workers.
-        ledger.charge_seconds(
-            report.sampling_work / (params.beta_work * cluster.num_workers),
-            "optimization")
+        ledger.record(Work("optimization", report.sampling_work,
+                           workers=cluster.num_workers))
         # The semijoin-reduced sampling shuffle (Sec. IV): the dominant
         # communication is exchanging the first attribute's projections.
         attr = query.attributes[0]
@@ -71,14 +70,12 @@ class ADJ:
             db[a.relation].distinct_count(
                 db[a.relation].attributes[a.attributes.index(attr)])
             for a in query.atoms_with(attr))
-        ledger.charge_seconds(projection_tuples / params.alpha_pull,
-                              "optimization")
+        ledger.record(Moved("optimization", projection_tuples, "pull"))
         return report
 
     def _precompute(self, plan: QueryPlan, db: Database, cluster: Cluster,
                     ledger: CostLedger) -> Database:
         """Materialize every chosen candidate relation."""
-        params = cluster.params
         working = Database(
             Relation(rel.name, rel.attributes, rel.data, dedup=False)
             for rel in db)
@@ -95,13 +92,10 @@ class ADJ:
             working.add(rel)
             input_tuples = sum(len(db[a.relation])
                                for a in cand.subquery.atoms)
-            ledger.charge_seconds(
-                input_tuples / params.alpha_for(self.hcube_impl),
-                "precompute")
-            ledger.charge_seconds(
-                result.stats.intersection_work
-                / (params.beta_work * cluster.num_workers),
-                "precompute")
+            ledger.record(
+                Moved("precompute", input_tuples, self.hcube_impl),
+                Work("precompute", result.stats.intersection_work,
+                     workers=cluster.num_workers))
         return working
 
     # -- entry points --------------------------------------------------------------
@@ -153,7 +147,7 @@ class ADJ:
             query=plan.query.name,
             count=outcome.count,
             breakdown=ledger.breakdown(),
-            shuffled_tuples=outcome.shuffled_tuples,
+            shuffled_tuples=ledger.shuffled_tuples,
             rounds=1,
             extra=extra,
         )

@@ -10,7 +10,7 @@ Fig. 12 behaviour.
 
 The per-round binding counts equal Leapfrog's per-level intermediate
 tuple counts, so the engine executes one instrumented Leapfrog pass and
-charges one shuffle round per attribute from the recorded levels.
+records one shuffle round per attribute from the counted levels.
 
 The Leapfrog pass runs on the :mod:`repro.runtime` executor through
 :func:`~repro.engines.one_round.routed_epoch`: the value space of the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from ..data.database import Database
 from ..distributed.cluster import Cluster
 from ..distributed.hcube import HypercubeGrid
-from ..distributed.metrics import ShuffleStats
+from ..distributed.metrics import Moved, Work
 from ..errors import BudgetExceeded, OutOfMemory
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
@@ -43,21 +43,15 @@ class BigJoin:
 
     name = "BigJoin"
     options_map = {"budget_bindings": "budget_bindings",
-                   "work_budget": "work_budget", "order": "order",
-                   "kernel": "kernel"}
+                   "work_budget": "work_budget", "order": "order"}
 
     def __init__(self, budget_bindings: int | None = None,
                  work_budget: int | None = None,
-                 order: tuple[str, ...] | None = None,
-                 kernel: str = "wcoj"):
+                 order: tuple[str, ...] | None = None):
         #: Cap on total shuffled bindings (timeout analogue).
         self.budget_bindings = budget_bindings
         self.work_budget = work_budget
         self.order = order
-        #: Accepted for session-level uniformity, but pinned to wcoj:
-        #: the round-per-attribute cost model charges shuffles from the
-        #: per-level binding counts only Leapfrog produces.
-        self.kernel = kernel
 
     def _parallel_pass(self, query: JoinQuery, db: Database,
                        cluster: Cluster, order: tuple[str, ...],
@@ -80,9 +74,8 @@ class BigJoin:
         executor = _resolve_executor(executor)
         ledger = cluster.new_ledger()
         order = self.order or attach_degree_order(query, db)
-        ledger.charge_seconds(
-            query.num_atoms * query.num_attributes
-            / cluster.params.beta_work, "optimization")
+        ledger.record(Work("optimization",
+                           query.num_atoms * query.num_attributes))
         telemetry = RuntimeTelemetry(backend=executor.name,
                                      num_workers=cluster.num_workers)
         merged = self._parallel_pass(query, db, cluster, order, executor,
@@ -95,11 +88,8 @@ class BigJoin:
         # workers owning the round's index partitions.
         for d in range(n):
             inbound = 1 if d == 0 else level_tuples[d - 1]
-            ledger.charge_shuffle(
-                ShuffleStats(tuple_copies=inbound,
-                             blocks_fetched=cluster.num_workers,
-                             bytes_copied=inbound * 8 * max(1, d)),
-                impl="pull")
+            ledger.record(Moved("communication", inbound, "pull",
+                                blocks=cluster.num_workers))
             total_bindings += level_tuples[d]
             if self.budget_bindings is not None \
                     and total_bindings > self.budget_bindings:
@@ -108,10 +98,8 @@ class BigJoin:
                 per_worker = level_tuples[d] / cluster.num_workers
                 if per_worker > memory:
                     raise OutOfMemory(0, int(per_worker), int(memory))
-        ledger.charge_seconds(
-            merged.total_work
-            / (cluster.params.beta_work * cluster.num_workers),
-            "computation")
+        ledger.record(Work("computation", merged.total_work,
+                           workers=cluster.num_workers))
         extra = {
             "order": order,
             "level_tuples": level_tuples,
@@ -127,7 +115,7 @@ class BigJoin:
             query=query.name,
             count=merged.count,
             breakdown=ledger.breakdown(),
-            shuffled_tuples=ledger.tuples_shuffled,
+            shuffled_tuples=ledger.shuffled_tuples,
             rounds=n,
             extra=extra,
         )

@@ -13,6 +13,7 @@ from typing import Callable
 
 from ..data.database import Database
 from ..distributed.cluster import Cluster
+from ..distributed.metrics import CostLedger, Work
 from ..distributed.partitioner import enumerate_share_vectors
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
@@ -37,16 +38,14 @@ class HCubeJ:
         self.order = order
         self.kernel = kernel
 
-    def _charge_optimization(self, query: JoinQuery, cluster: Cluster,
-                             ledger) -> None:
-        """Share enumeration is the only optimization HCubeJ does; charge
-        it at the generic work rate (it is tiny — the paper's Tables
+    def _record_optimization(self, query: JoinQuery, cluster: Cluster,
+                             ledger: CostLedger) -> None:
+        """Share enumeration is the only optimization HCubeJ does; it is
+        priced at the generic work rate (it is tiny — the paper's Tables
         II-IV report seconds, versus hundreds for co-optimization)."""
         vectors = sum(1 for _ in enumerate_share_vectors(
             query.num_attributes, cluster.num_workers))
-        ledger.charge_seconds(
-            vectors * query.num_atoms / cluster.params.beta_work,
-            "optimization")
+        ledger.record(Work("optimization", vectors * query.num_atoms))
 
     def _cache_capacity(self, cluster: Cluster
                         ) -> Callable[[int], int] | None:
@@ -71,7 +70,7 @@ class HCubeJ:
     def run(self, query: JoinQuery, db: Database, cluster: Cluster,
             executor: Executor | None = None) -> EngineResult:
         ledger = cluster.new_ledger()
-        self._charge_optimization(query, cluster, ledger)
+        self._record_optimization(query, cluster, ledger)
         order = self.order or attach_degree_order(query, db)
         outcome = one_round_execute(
             query, db, cluster, order, ledger, impl=self.hcube_impl,
@@ -83,7 +82,7 @@ class HCubeJ:
             query=query.name,
             count=outcome.count,
             breakdown=ledger.breakdown(),
-            shuffled_tuples=outcome.shuffled_tuples,
+            shuffled_tuples=ledger.shuffled_tuples,
             rounds=1,
             extra={"order": order, **self._extra(outcome)},
         )

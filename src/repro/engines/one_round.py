@@ -10,8 +10,9 @@ per-cube descriptors — workers slice their own partitions, so under the
 pickle — and :func:`repro.runtime.scheduler.run_epoch` runs, merges and
 tears down.  What differs per engine is the grid and the kernel: HCubeJ,
 HCubeJ+Cache and ADJ take optimized shares (:func:`one_round_execute`,
-which also charges the modeled ledger), BigJoin spends the whole share
-budget on its order's first attribute, SparkSQL on a step's join key.
+which also records what was moved and worked on the ledger), BigJoin
+spends the whole share budget on its order's first attribute, SparkSQL
+on a step's join key.
 
 One execution path, on every backend: measured wall-clock telemetry and
 physical data-plane stats are recorded next to the modeled ledger; with
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 from ..data.database import Database
 from ..distributed.cluster import Cluster
 from ..distributed.hcube import HCubeRouting, HypercubeGrid, hcube_route
-from ..distributed.metrics import CostLedger
+from ..distributed.metrics import CostLedger, Moved, Work
 from ..distributed.partitioner import optimize_shares
 from ..kernels import select_kernel
 from ..query.query import JoinQuery
@@ -50,7 +51,6 @@ class OneRoundOutcome:
     count: int
     level_tuples: list[int]
     leapfrog_work: int
-    shuffled_tuples: int
     max_worker_tuples: int
     cache_hits: int = 0
     cache_misses: int = 0
@@ -104,7 +104,6 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
                       impl: str = "push",
                       cache_capacity: Callable[[int], int] | None = None,
                       work_budget: int | None = None,
-                      comm_phase: str = "communication",
                       executor: Executor | None = None,
                       kernel: str = "wcoj") -> OneRoundOutcome:
     """Shuffle with HCube, then run Leapfrog on every cube.
@@ -113,8 +112,6 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
     from the memory left after the shuffle (HCubeJ+Cache); it must be a
     coordinator-side callable returning plain ints so the capacity —
     never the cache object — crosses the process boundary.
-    Communication is charged to ``comm_phase`` so ADJ can book the bag
-    shuffles under pre-computing.
 
     ``executor`` selects the runtime backend for the per-cube Leapfrog
     work (None: a private in-process serial one); its
@@ -140,22 +137,21 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
         query, db, grid, order, executor, telemetry, impl=impl,
         memory_tuples=cluster.memory_tuples_per_worker, budget=work_budget,
         cache_capacity=cache_capacity, kernel=kernel_choice.key)
-    ledger.charge_shuffle(routing.stats, impl, phase=comm_phase)
+    ledger.record(Moved("communication", routing.stats.tuple_copies, impl,
+                        blocks=routing.stats.blocks_fetched))
     # Local trie construction (skipped cost-wise by Merge: blocks arrive
     # as pre-built tries and only need merging).
-    rate = (cluster.params.trie_merge_rate if routing.prebuilt_tries
-            else cluster.params.trie_build_rate)
-    ledger.charge_worker_work(
-        {w: float(load) for w, load in routing.worker_loads.items()},
-        rate=rate, phase="computation")
     worker_work = {w: 0.0 for w in range(cluster.num_workers)}
     worker_work.update(merged.worker_work)
-    ledger.charge_worker_work(worker_work, phase="computation")
+    ledger.record(
+        Work("computation",
+             {w: float(load) for w, load in routing.worker_loads.items()},
+             rate="trie_merge" if routing.prebuilt_tries else "trie_build"),
+        Work("computation", worker_work))
     return OneRoundOutcome(
         count=merged.count,
         level_tuples=merged.level_tuples,
         leapfrog_work=merged.total_work,
-        shuffled_tuples=routing.stats.tuple_copies,
         max_worker_tuples=routing.stats.max_worker_tuples,
         cache_hits=merged.cache_hits,
         cache_misses=merged.cache_misses,

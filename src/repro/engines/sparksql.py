@@ -28,7 +28,7 @@ from ..data.database import Database
 from ..data.relation import Relation
 from ..distributed.cluster import Cluster
 from ..distributed.hcube import HypercubeGrid
-from ..distributed.metrics import ShuffleStats
+from ..distributed.metrics import Moved, Work
 from ..errors import BudgetExceeded, OutOfMemory
 from ..query.query import Atom, JoinQuery
 from ..runtime.executor import Executor
@@ -44,16 +44,11 @@ class SparkSQLJoin:
     """Cost-ordered left-deep distributed hash join."""
 
     name = "SparkSQL"
-    options_map = {"budget_tuples": "budget_tuples",
-                   "kernel": "kernel"}
+    options_map = {"budget_tuples": "budget_tuples"}
 
-    def __init__(self, budget_tuples: int | None = None,
-                 kernel: str = "wcoj"):
+    def __init__(self, budget_tuples: int | None = None):
         #: Cap on total intermediate tuples (the 12-hour-timeout analogue).
         self.budget_tuples = budget_tuples
-        #: Accepted for session-level uniformity, but pinned to binary:
-        #: this engine *is* the pairwise hash-join baseline.
-        self.kernel = kernel
 
     @staticmethod
     def _partitioned_join(current: Relation, right: Relation,
@@ -99,8 +94,7 @@ class SparkSQLJoin:
         ledger = cluster.new_ledger()
         plan = greedy_left_deep_plan(query, db)
         # Plan selection itself is cheap (statistics lookups).
-        ledger.charge_seconds(
-            query.num_atoms ** 2 / cluster.params.beta_work, "optimization")
+        ledger.record(Work("optimization", query.num_atoms ** 2))
         telemetry = RuntimeTelemetry(backend=executor.name,
                                      num_workers=cluster.num_workers)
         data_plane: dict = {"transport": executor.transport.name}
@@ -114,7 +108,6 @@ class SparkSQLJoin:
         current = atom_relation(plan.atom_order[0])
         total_intermediate = 0
         memory = cluster.memory_tuples_per_worker
-        params = cluster.params
         for step, i in enumerate(plan.atom_order[1:], start=1):
             right = atom_relation(i)
             common = current.common_attributes(right)
@@ -123,11 +116,8 @@ class SparkSQLJoin:
             else:
                 # No shared key: broadcast the smaller side.
                 moved = min(len(current), len(right)) * cluster.num_workers
-            ledger.charge_shuffle(
-                ShuffleStats(tuple_copies=moved,
-                             blocks_fetched=cluster.num_workers,
-                             bytes_copied=moved * 8),
-                impl="pull")
+            ledger.record(Moved("communication", moved, "pull",
+                                blocks=cluster.num_workers))
             if common:
                 out = self._partitioned_join(current, right, common,
                                              cluster, executor, telemetry,
@@ -136,9 +126,8 @@ class SparkSQLJoin:
                 # Broadcast step: nothing to co-partition on.
                 out = current.natural_join(right)
             work = len(current) + len(right) + len(out)
-            ledger.charge_seconds(
-                work / (params.beta_work * cluster.num_workers),
-                "computation")
+            ledger.record(Work("computation", work,
+                               workers=cluster.num_workers))
             total_intermediate += len(out)
             if self.budget_tuples is not None \
                     and total_intermediate > self.budget_tuples:
@@ -162,7 +151,7 @@ class SparkSQLJoin:
             query=query.name,
             count=len(current),
             breakdown=ledger.breakdown(),
-            shuffled_tuples=ledger.tuples_shuffled,
+            shuffled_tuples=ledger.shuffled_tuples,
             rounds=query.num_atoms - 1,
             extra=extra,
         )

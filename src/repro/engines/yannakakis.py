@@ -24,7 +24,7 @@ from ..data.database import Database
 from ..data.relation import Relation
 from ..distributed.cluster import Cluster
 from ..distributed.hcube import localized_query
-from ..distributed.metrics import ShuffleStats
+from ..distributed.metrics import Moved, Work
 from ..errors import OutOfMemory
 from ..ghd.decomposition import Hypertree, optimal_hypertree
 from ..kernels import select_kernel
@@ -110,10 +110,8 @@ class YannakakisJoin:
             executor: Executor | None = None) -> EngineResult:
         executor = _resolve_executor(executor)
         ledger = cluster.new_ledger()
-        params = cluster.params
         tree = self.hypertree or optimal_hypertree(query)
-        ledger.charge_seconds(
-            tree.num_bags ** 2 / params.beta_work, "optimization")
+        ledger.record(Work("optimization", tree.num_bags ** 2))
         stats = YannakakisStats()
 
         # Phase 1: materialize bags (pre-computing: shuffle inputs + WCOJ).
@@ -130,10 +128,9 @@ class YannakakisJoin:
         stats.bag_materialize_work = merged.total_work
         stats.bag_sizes = [len(rel) for rel in bags.values()]
         input_tuples = sum(len(db[a.relation]) for a in query.atoms)
-        ledger.charge_seconds(input_tuples / params.alpha_pull, "precompute")
-        ledger.charge_seconds(
-            stats.bag_materialize_work
-            / (params.beta_work * cluster.num_workers), "precompute")
+        ledger.record(Moved("precompute", input_tuples, "pull"),
+                      Work("precompute", stats.bag_materialize_work,
+                           workers=cluster.num_workers))
         # Memory check: bags live in memory, spread over the cluster.
         if cluster.memory_tuples_per_worker is not None:
             per_worker = sum(stats.bag_sizes) / cluster.num_workers
@@ -145,15 +142,11 @@ class YannakakisJoin:
         t_reduce = time.perf_counter()
         reduced = full_reducer(tree, bags, stats=stats)
         telemetry.record("semijoin", time.perf_counter() - t_reduce)
-        ledger.charge_shuffle(
-            ShuffleStats(tuple_copies=stats.semijoin_tuples_scanned,
-                         blocks_fetched=stats.semijoin_rounds
-                         * cluster.num_workers,
-                         bytes_copied=stats.semijoin_tuples_scanned * 16),
-            impl="pull")
-        ledger.charge_seconds(
-            stats.semijoin_tuples_scanned
-            / (params.beta_work * cluster.num_workers), "computation")
+        ledger.record(
+            Moved("communication", stats.semijoin_tuples_scanned, "pull",
+                  blocks=stats.semijoin_rounds * cluster.num_workers),
+            Work("computation", stats.semijoin_tuples_scanned,
+                 workers=cluster.num_workers))
 
         # Phase 3: bottom-up joins over the reduced bags.
         t_join = time.perf_counter()
@@ -161,14 +154,10 @@ class YannakakisJoin:
         telemetry.record("local_join", time.perf_counter() - t_join)
         join_work = stats.join_intermediate_tuples + sum(
             len(r) for r in reduced.values())
-        ledger.charge_shuffle(
-            ShuffleStats(tuple_copies=stats.join_intermediate_tuples,
-                         blocks_fetched=cluster.num_workers,
-                         bytes_copied=stats.join_intermediate_tuples * 16),
-            impl="pull")
-        ledger.charge_seconds(
-            join_work / (params.beta_work * cluster.num_workers),
-            "computation")
+        ledger.record(
+            Moved("communication", stats.join_intermediate_tuples, "pull",
+                  blocks=cluster.num_workers),
+            Work("computation", join_work, workers=cluster.num_workers))
 
         extra = {
             "bag_sizes": stats.bag_sizes,
@@ -183,7 +172,7 @@ class YannakakisJoin:
             query=query.name,
             count=len(result),
             breakdown=ledger.breakdown(),
-            shuffled_tuples=ledger.tuples_shuffled,
+            shuffled_tuples=ledger.shuffled_tuples,
             rounds=1 + stats.semijoin_rounds + (tree.num_bags - 1),
             extra=extra,
         )

@@ -313,6 +313,19 @@ class TestQueryJobLaziness:
             result = job.run("adj")
         assert result.extra["plan"] == explain.plan.describe()
 
+    @pytest.mark.parametrize("query_name,expected", [
+        ("Q5", (0.00035625, 0.0004688, 0.0004937223639455783)),
+        ("Q9", (0.0, 0.00024, 1.1891300298062593e-06)),
+    ])
+    def test_explain_costs_equal_the_parent(self, query_name, expected):
+        """explain()'s per-phase costs (precompute, communication,
+        computation) on wb at scale 1e-5, bit for bit."""
+        with JoinSession(workers=8, samples=100, seed=0,
+                         scale=1e-5) as session:
+            costs = session.query("wb", query_name).explain().cost_breakdown
+        assert (costs["precompute"], costs["communication"],
+                costs["computation"]) == expected
+
     def test_estimate_uses_session_defaults(self):
         query, db = graph_case("Q1", seed=5)
         with JoinSession(workers=2, samples=25, seed=1) as session:

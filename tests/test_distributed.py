@@ -11,8 +11,9 @@ from repro.distributed import (
     CostLedger,
     CostModelParams,
     HypercubeGrid,
-    ShuffleStats,
+    Moved,
     Shares,
+    Work,
     dup_factor,
     enumerate_share_vectors,
     frac_factor,
@@ -21,9 +22,10 @@ from repro.distributed import (
     mix_hash,
     modulo_hash,
     optimize_shares,
+    price,
 )
 from repro.distributed import local_atom_name
-from repro.errors import OutOfMemory, PlanError
+from repro.errors import ConfigError, OutOfMemory, PlanError
 from repro.query import paper_query
 from repro.query.query import Atom, JoinQuery
 from repro.runtime import (
@@ -56,14 +58,16 @@ def triangle_case(seed=0, n=150, dom=20):
 
 class TestCostModelParams:
     def test_alpha_lookup(self):
+        """Each HCube implementation ships tuples at its own alpha."""
         p = CostModelParams()
-        assert p.alpha_for("push") == p.alpha_push
-        assert p.alpha_for("pull") == p.alpha_pull
-        assert p.alpha_for("merge") == p.alpha_merge
+        for impl, alpha in (("push", p.alpha_push), ("pull", p.alpha_pull),
+                            ("merge", p.alpha_merge)):
+            b = price([Moved("communication", 1000, impl)], p)
+            assert b.communication == 1000 / alpha
 
     def test_unknown_impl(self):
-        with pytest.raises(ValueError):
-            CostModelParams().alpha_for("teleport")
+        with pytest.raises(ConfigError):
+            Moved("communication", 10, "teleport")
 
     def test_relative_magnitudes(self):
         # Push must be much slower per tuple (the Fig. 9 gap).
@@ -75,29 +79,55 @@ class TestCostModelParams:
 
 class TestCostLedger:
     def test_shuffle_charges_comm(self):
+        p = CostModelParams()
+        ledger = CostLedger(params=p)
+        ledger.record(Moved("communication", 1000, "pull", blocks=2))
+        assert ledger.breakdown().communication \
+            == 1000 / p.alpha_pull + 2 * p.block_latency
+        assert ledger.shuffled_tuples == 1000
+
+    def test_only_communication_counts_as_shuffled(self):
         ledger = CostLedger()
-        sec = ledger.charge_shuffle(
-            ShuffleStats(tuple_copies=1000, blocks_fetched=2), "pull")
-        assert sec > 0
-        assert ledger.comm_seconds == pytest.approx(sec)
-        assert ledger.tuples_shuffled == 1000
+        ledger.record(Moved("precompute", 50, "pull"),
+                      Moved("optimization", 7, "pull"),
+                      Moved("communication", 3, "merge"))
+        assert ledger.shuffled_tuples == 3
 
     def test_worker_work_is_makespan(self):
-        ledger = CostLedger()
-        sec = ledger.charge_worker_work({0: 100.0, 1: 300.0}, rate=100.0)
-        assert sec == pytest.approx(3.0)
+        params = CostModelParams(beta_work=100.0)
+        b = price([Work("computation", {0: 100.0, 1: 300.0})], params)
+        assert b.computation == 3.0
+        assert price([Work("computation", {})], params).computation == 0.0
+
+    def test_work_shared_by_workers(self):
+        params = CostModelParams(trie_build_rate=10.0)
+        b = price([Work("computation", 600, rate="trie_build", workers=3)],
+                  params)
+        assert b.computation == 20.0
 
     def test_phase_routing(self):
-        ledger = CostLedger()
-        ledger.charge_seconds(1.0, "optimization")
-        ledger.charge_seconds(2.0, "precompute")
+        params = CostModelParams(beta_work=1.0)
+        ledger = CostLedger(params=params)
+        ledger.record(Work("optimization", 1.0), Work("precompute", 2.0))
         b = ledger.breakdown()
         assert b.optimization == 1.0 and b.precompute == 2.0
+        assert b.communication == b.computation == 0.0
         assert b.total == pytest.approx(3.0)
+        assert ledger.shuffled_tuples == 0
 
     def test_unknown_phase(self):
-        with pytest.raises(ValueError):
-            CostLedger().charge_seconds(1.0, "meditation")
+        with pytest.raises(ConfigError):
+            Work("meditation", 1.0)
+
+    def test_unknown_impl(self):
+        ledger = CostLedger()
+        with pytest.raises(ConfigError):
+            ledger.record(Moved("communication", 10, "teleport"))
+        assert ledger.charges == []
+
+    def test_unknown_rate(self):
+        with pytest.raises(ConfigError):
+            Work("computation", 1.0, rate="vibes")
 
     def test_breakdown_addition(self):
         from repro.distributed import CostBreakdown

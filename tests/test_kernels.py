@@ -411,8 +411,7 @@ class TestEngineKernelOptions:
         query = paper_query("Q7")
         rng = np.random.default_rng(0)
         db = graph_db(query, rng.integers(0, 30, size=(100, 2)))
-        res = SparkSQLJoin(kernel="adaptive").run(query, db,
-                                                  Cluster(num_workers=2))
+        res = SparkSQLJoin().run(query, db, Cluster(num_workers=2))
         assert res.extra["kernel"] == "binary"
 
     def test_bigjoin_reports_pinned_wcoj(self):
@@ -421,6 +420,5 @@ class TestEngineKernelOptions:
         query = paper_query("Q1")
         rng = np.random.default_rng(0)
         db = graph_db(query, rng.integers(0, 20, size=(80, 2)))
-        res = BigJoin(kernel="adaptive").run(query, db,
-                                             Cluster(num_workers=2))
+        res = BigJoin().run(query, db, Cluster(num_workers=2))
         assert res.extra["kernel"] == "wcoj"

@@ -12,6 +12,7 @@ from repro.core import CardinalityEstimator, optimize_plan
 from repro.distributed import (
     Cluster,
     HypercubeGrid,
+    Moved,
     hcube_route,
     optimize_shares,
 )
@@ -104,10 +105,11 @@ class TestSectionVClaims:
         grid = HypercubeGrid(q, shares, cluster.num_workers)
         seconds = {}
         for impl in ("push", "pull", "merge"):
+            stats = hcube_route(q, db, grid, impl=impl).stats
             ledger = cluster.new_ledger()
-            ledger.charge_shuffle(
-                hcube_route(q, db, grid, impl=impl).stats, impl)
-            seconds[impl] = ledger.comm_seconds
+            ledger.record(Moved("communication", stats.tuple_copies, impl,
+                                blocks=stats.blocks_fetched))
+            seconds[impl] = ledger.breakdown().communication
         assert seconds["pull"] < seconds["push"]
         assert seconds["merge"] <= seconds["pull"]
 

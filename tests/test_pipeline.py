@@ -594,6 +594,52 @@ class TestAdjPlanUnchanged:
                 b.computation) == pytest.approx(breakdown)
 
 
+#: The parent commit's priced ledger, exactly, on ``graph_case(query,
+#: seed=11)`` with 3 workers: ((optimization, precompute, communication,
+#: computation), shuffled_tuples).  Pricing moved behind one function;
+#: every float must survive the move bit for bit.
+_PARENT_PHASES = {
+    ("Q1", "HCubeJ"): ((1.05e-05, 0.0, 0.0136, 0.000758), 680),
+    ("Q1", "HCubeJ+Cache"): ((1.05e-05, 0.0, 0.0136, 0.000758), 680),
+    ("Q1", "BigJoin"): ((4.5e-06, 0.0, 0.0090324, 0.0004071666666666667), 162),
+    ("Q1", "SparkSQL"): ((4.5e-06, 0.0, 0.0062278, 0.000343), 1139),
+    ("Q1", "Yannakakis"): ((5e-07, 0.0004719333333333334, 0.003, 3.1333333333333334e-05), 0),
+    ("Q1", "ADJ"): ((0.000311, 0.0, 0.009068000000000001, 0.0006720999999999999), 680),
+    ("Q9", "HCubeJ"): ((1.8e-05, 0.0, 0.02176, 0.002721), 1088),
+    ("Q9", "HCubeJ+Cache"): ((1.8e-05, 0.0, 0.02176, 0.0019435), 1088),
+    ("Q9", "BigJoin"): ((8e-06, 0.0, 0.0121786, 0.002121), 893),
+    ("Q9", "SparkSQL"): ((8e-06, 0.0, 0.010033400000000001, 0.0017756666666666667), 5167),
+    ("Q9", "Yannakakis"): ((5e-07, 0.0022298, 0.003, 0.000144), 0),
+    ("Q9", "ADJ"): ((0.0016836666666666666, 0.0, 0.0121088, 0.0035810000000000004), 1088),
+}
+
+#: ADJ's ``plan.estimated_cost`` for ``TestAdjPlanUnchanged``'s cases.
+_PARENT_ADJ_ESTIMATED_COST = {"Q5": 0.0005875189054726367,
+                              "Q9": 0.00011115065543071161}
+
+
+class TestPhasesPinned:
+    @pytest.mark.parametrize("engine_index", range(6),
+                             ids=[e.name for e in engine_lineup()])
+    @pytest.mark.parametrize("query_name", ["Q1", "Q9"])
+    def test_every_phase_and_shuffle_equal_the_parent(self, query_name,
+                                                      engine_index):
+        query, db = graph_case(query_name, seed=11)
+        engine = engine_lineup()[engine_index]
+        result = engine.run(query, db, Cluster(num_workers=3))
+        b = result.breakdown
+        assert ((b.optimization, b.precompute, b.communication,
+                 b.computation), result.shuffled_tuples) \
+            == _PARENT_PHASES[(query_name, engine.name)]
+
+    @pytest.mark.parametrize("query_name", ["Q5", "Q9"])
+    def test_adj_estimated_cost_equals_the_parent(self, query_name):
+        query, db = graph_case(query_name, seed=11)
+        result = ADJ(num_samples=10).run(query, db, Cluster(num_workers=3))
+        assert result.extra["estimated_cost"] \
+            == _PARENT_ADJ_ESTIMATED_COST[query_name]
+
+
 class TestCrashMidStream:
     def test_segments_reclaimed_after_midstream_crash(self, monkeypatch):
         """A crash while tasks are still streaming cancels pending work
