@@ -58,7 +58,6 @@ BIGJOIN_INPUT_FACTOR = 8
 #: The Fig. 12 headline lineup (the paper's five methods, in order).
 #: A newly registered engine must not silently join the figure, so this
 #: is deliberately pinned rather than derived from the registry.
-# repro: lint-ignore[registry-consistency] Fig. 12 is the paper's fixed five-method lineup in publication order
 FIG12_ENGINES = ("sparksql", "bigjoin", "hcubej", "hcubej-cache", "adj")
 
 

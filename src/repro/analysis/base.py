@@ -2,8 +2,8 @@
 
 A checker sees one parsed module at a time (:class:`ModuleContext`) plus
 the run-wide :class:`LintConfig`, and yields
-:class:`~repro.analysis.findings.Finding` objects.  Checkers are pure
-AST consumers — they never import the module under analysis — so linting
+:class:`~repro.analysis.findings.Finding` objects.  Checkers register in
+:data:`CHECKERS` and are pure AST consumers — they never import the module under analysis — so linting
 broken or half-written code is safe.
 """
 
@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from ..registry import Registry
 from .findings import Finding
 from .suppress import Suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import LintConfig
 
-__all__ = ["ModuleContext", "Checker", "iter_with_parents",
+__all__ = ["ModuleContext", "Checker", "CHECKERS", "iter_with_parents",
            "module_name_for"]
 
 
@@ -107,3 +108,8 @@ class Checker(ABC):
     def check(self, ctx: ModuleContext,
               config: "LintConfig") -> Iterable[Finding]:
         """Yield findings for one module."""
+
+
+#: Every lint rule, keyed by rule id: the ``--rules`` / ``--list-rules``
+#: lineup, the suppression validator and the default checker set.
+CHECKERS = Registry("lint rule")

@@ -1,7 +1,7 @@
 """Built-in domain checkers.
 
 Importing this package registers every built-in rule with
-:mod:`repro.analysis.registry` — the same pattern
+:data:`repro.analysis.base.CHECKERS` — the same pattern
 :mod:`repro.engines.registry` and :mod:`repro.kernels` use for their
 built-ins.  Each module registers exactly one rule at its bottom.
 """
@@ -13,9 +13,8 @@ from . import (  # noqa: F401  (imported for registration side effects)
     error_taxonomy,
     lazy_net,
     lock_discipline,
-    registry_consistency,
     spawn_safety,
 )
 
 __all__ = ["spawn_safety", "lazy_net", "lock_discipline", "env_registry",
-           "registry_consistency", "error_taxonomy"]
+           "error_taxonomy"]

@@ -1,128 +1,69 @@
-"""env-registry: every ``REPRO_*`` environment read is declared.
+"""env-registry: under ``repro.*`` only the knob module reads the environment.
 
-``RunConfig`` is the single front door for configuration; its
-``ENV_CATALOG`` (repro.api.config) declares every environment variable
-the stack honours, and docs/api.md documents them.  An env read that
-bypasses the catalog is configuration the user cannot discover — it
-works on the author's machine and silently defaults everywhere else.
-
-Two patterns count as a read of a literal name:
-
-- direct reads: ``os.environ.get("REPRO_X")``, ``os.environ["REPRO_X"]``,
-  ``os.getenv("REPRO_X")``;
-- the repo's declaration idiom: a module-level ``FOO_ENV_VAR =
-  "REPRO_X"`` constant (the actual read then goes through the name).
-
-Each literal must appear in ``ENV_CATALOG`` and — when the lint root
-has a ``docs/api.md`` — in that file's env-var table.
+Every ``REPRO_*`` variable is a row of :data:`repro.knobs.TABLE`, and
+:func:`repro.knobs.env` is the one reader: it applies the shared parse
+rule and the error message that names the variable.  Anywhere else in
+the package, ``os.environ`` or ``os.getenv`` is a knob nobody can
+discover and a parse rule of its own.  The benchmark harness
+(``REPRO_BENCH_*``, outside the package) is not checked.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
-from ..base import Checker, ModuleContext
+from ..base import CHECKERS, Checker, ModuleContext
 from ..findings import Finding
-from ..registry import register_checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine import LintConfig
 
 RULE = "env-registry"
 
-_PREFIX = "REPRO_"
+_KNOB_MODULE = "repro.knobs"
+_READERS = ("environ", "getenv")
 
-#: Benchmark-harness knobs (REPRO_BENCH_*) configure the measurement
-#: scripts under benchmarks/, not the library; they are documented in
-#: benchmarks/common.py and deliberately not part of RunConfig's
-#: catalog.
-_EXEMPT_PREFIX = "REPRO_BENCH_"
-
-_HINT = ("declare the variable in ENV_CATALOG (repro.api.config) and "
-         "document it in docs/api.md so RunConfig stays the single "
-         "front door for configuration")
-
-
-def _dotted(node: ast.expr) -> str:
-    """Best-effort dotted name of an expression ("os.environ", ...)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return f"{base}.{node.attr}" if base else node.attr
-    return ""
-
-
-def _literal_env_name(node: ast.expr) -> "str | None":
-    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-            and node.value.startswith(_PREFIX):
-        return node.value
-    return None
-
-
-def _env_reads(tree: ast.Module) -> Iterator[tuple[ast.AST, str, str]]:
-    """Yield (node, env_name, how) for every literal REPRO_* read."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = _dotted(node.func)
-            is_get = func.endswith("environ.get") or \
-                func in ("os.getenv", "getenv")
-            if is_get and node.args:
-                name = _literal_env_name(node.args[0])
-                if name:
-                    yield node, name, f"{func}(...)"
-        elif isinstance(node, ast.Subscript):
-            if _dotted(node.value).endswith("environ"):
-                name = _literal_env_name(node.slice)
-                if name:
-                    yield node, name, "os.environ[...]"
-
-
-def _env_var_constants(tree: ast.Module
-                       ) -> Iterator[tuple[ast.AST, str, str]]:
-    """Module-level ``FOO_ENV_VAR = "REPRO_X"`` declarations."""
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        name = _literal_env_name(node.value)
-        if name is None:
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and \
-                    target.id.endswith("_ENV_VAR"):
-                yield node, name, f"{target.id} constant"
+_HINT = ("add a row to repro.knobs.TABLE, document it in docs/api.md and "
+         "read it with repro.knobs.env()")
 
 
 class EnvRegistryChecker(Checker):
     rule = RULE
-    summary = ("every REPRO_* env read is declared in ENV_CATALOG and "
-               "documented in docs/api.md")
+    summary = ("under repro.*, os.environ / os.getenv appear only in "
+               "repro.knobs")
 
     def check(self, ctx: ModuleContext,
               config: "LintConfig") -> Iterable[Finding]:
-        catalog = config.env_catalog()
-        documented = config.documented_env_vars()
-        # The catalog module itself declares names as literals; its own
-        # reads are still checked, only the declaration list is not.
-        declares_catalog = ctx.module == "repro.api.config"
-        sites = list(_env_reads(ctx.tree))
-        if not declares_catalog:
-            sites += list(_env_var_constants(ctx.tree))
-        for node, name, how in sites:
-            if name.startswith(_EXEMPT_PREFIX):
-                continue
-            if name not in catalog:
+        if ctx.module.partition(".")[0] != "repro" or \
+                ctx.module == _KNOB_MODULE:
+            return
+        for node in ast.walk(ctx.tree):
+            imported = isinstance(node, ast.ImportFrom) and \
+                node.module == "os" and \
+                any(alias.name in _READERS for alias in node.names)
+            if imported or (isinstance(node, ast.Attribute)
+                            and node.attr in _READERS):
+                name = _literal_env_name(ctx, node)
                 yield ctx.finding(
                     node, self.rule,
-                    f"{how} reads {name!r} which is not declared in "
-                    f"ENV_CATALOG", hint=_HINT)
-            elif documented is not None and name not in documented:
-                yield ctx.finding(
-                    node, self.rule,
-                    f"{name!r} is declared but not documented in "
-                    f"docs/api.md", hint=_HINT)
+                    f"{name or 'the environment'} is read outside "
+                    f"{_KNOB_MODULE}", hint=_HINT)
 
 
-register_checker(RULE, EnvRegistryChecker,
-                 summary=EnvRegistryChecker.summary)
+def _literal_env_name(ctx: ModuleContext, node: ast.AST) -> str | None:
+    """The ``REPRO_X`` literal an environment read names, if any."""
+    parent = ctx.parent_map().get(node)
+    if isinstance(parent, ast.Attribute):      # os.environ.get(...)
+        parent = ctx.parent_map().get(parent)
+    args = (parent.args[:1] if isinstance(parent, ast.Call)
+            else [parent.slice] if isinstance(parent, ast.Subscript)
+            else [])
+    for arg in args:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return arg.value
+    return None
+
+
+CHECKERS.register(RULE, EnvRegistryChecker,
+                  summary=EnvRegistryChecker.summary)

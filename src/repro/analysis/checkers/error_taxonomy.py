@@ -24,9 +24,8 @@ import ast
 import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..base import Checker, ModuleContext
+from ..base import CHECKERS, Checker, ModuleContext
 from ..findings import Finding
-from ..registry import register_checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine import LintConfig
@@ -132,5 +131,5 @@ class ErrorTaxonomyChecker(Checker):
                     f"token", hint=_NAME_HINT)
 
 
-register_checker(RULE, ErrorTaxonomyChecker,
-                 summary=ErrorTaxonomyChecker.summary)
+CHECKERS.register(RULE, ErrorTaxonomyChecker,
+                  summary=ErrorTaxonomyChecker.summary)

@@ -1,10 +1,10 @@
 """lazy-net: ``import repro`` must never pull in :mod:`repro.net`.
 
-PR 4's rule: the networking package (sockets, agents, block stores) is
-registered lazily everywhere — ``"tcp"`` resolves through a
-``module:attr`` string, the ``remote`` backend through
-``_LAZY_BACKENDS`` — so that importing the library, or any non-remote
-path through it, stays light and never touches socket machinery.  The
+The networking package (sockets, agents, block stores) is registered
+lazily everywhere — the ``tcp`` transport and the ``remote`` backend are
+``lazy="module:attr"`` :class:`repro.registry.Registry` entries — so
+that importing the library, or any non-remote path through it, stays
+light and never touches socket machinery.  The
 three legitimate call sites import :mod:`repro.net` *function-locally*
 (``cli._cmd_serve``, ``resolve_array_ref``, ``RunConfig.__post_init__``).
 
@@ -18,9 +18,8 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable
 
-from ..base import Checker, ModuleContext
+from ..base import CHECKERS, Checker, ModuleContext
 from ..findings import Finding
-from ..registry import register_checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine import LintConfig
@@ -92,4 +91,4 @@ class LazyNetChecker(Checker):
                     hint=_HINT)
 
 
-register_checker(RULE, LazyNetChecker, summary=LazyNetChecker.summary)
+CHECKERS.register(RULE, LazyNetChecker, summary=LazyNetChecker.summary)

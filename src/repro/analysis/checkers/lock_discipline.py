@@ -20,9 +20,8 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..base import Checker, ModuleContext
+from ..base import CHECKERS, Checker, ModuleContext
 from ..findings import Finding
-from ..registry import register_checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine import LintConfig
@@ -151,5 +150,5 @@ class LockDisciplineChecker(Checker):
         return False
 
 
-register_checker(RULE, LockDisciplineChecker,
-                 summary=LockDisciplineChecker.summary)
+CHECKERS.register(RULE, LockDisciplineChecker,
+                  summary=LockDisciplineChecker.summary)

@@ -20,9 +20,8 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..base import Checker, ModuleContext
+from ..base import CHECKERS, Checker, ModuleContext
 from ..findings import Finding
-from ..registry import register_checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine import LintConfig
@@ -126,5 +125,4 @@ class SpawnSafetyChecker(Checker):
                     f"pools and remote agents", hint=_HINT)
 
 
-register_checker(RULE, SpawnSafetyChecker,
-                 summary=SpawnSafetyChecker.summary)
+CHECKERS.register(RULE, SpawnSafetyChecker, summary=SpawnSafetyChecker.summary)

@@ -16,15 +16,13 @@ and are never suppressed themselves.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import ConfigError
-from .base import Checker, ModuleContext, module_name_for
+from .base import CHECKERS, Checker, ModuleContext, module_name_for
 from .findings import Finding
-from .registry import available_checkers, create_checker
 from .suppress import SUPPRESSION_RULE, parse_suppressions
 
 __all__ = ["LintConfig", "run", "lint_file", "collect_files"]
@@ -34,74 +32,13 @@ _SKIP_DIRS = {".git", "__pycache__", ".venv", "venv", "node_modules",
               "build", "dist", ".mypy_cache", ".ruff_cache",
               ".pytest_cache", ".claude", "results"}
 
-_ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
-
 
 @dataclass
 class LintConfig:
-    """Run-wide knobs and cross-file facts the checkers consult.
+    """Run-wide settings the checkers consult."""
 
-    The three ``*_override`` fields exist for fixture tests: they
-    replace the live catalogs (RunConfig's env registry, the engine/
-    kernel/transport registries, docs/api.md) so a checker can be
-    exercised on synthetic files without the real repo around them.
-    """
-
-    #: Root the reports are relative to, and where docs/ lives.
+    #: Root the reports are relative to.
     root: Path = field(default_factory=Path.cwd)
-    #: Declared REPRO_* environment variables; None loads
-    #: :data:`repro.api.config.ENV_CATALOG` on first use.
-    env_catalog_override: "frozenset[str] | None" = None
-    #: ``{"engines": {...}, "kernels": {...}, "transports": {...}}``;
-    #: None loads the live registries on first use.
-    registry_keys_override: "dict[str, frozenset[str]] | None" = None
-    #: REPRO_* names considered documented; None parses
-    #: ``<root>/docs/api.md`` on first use (missing file -> no check).
-    documented_env_override: "frozenset[str] | None" = None
-
-    _env_catalog: "frozenset[str] | None" = field(default=None,
-                                                  repr=False)
-    _registry_keys: "dict[str, frozenset[str]] | None" = field(
-        default=None, repr=False)
-    _documented: "frozenset[str] | None" = field(default=None, repr=False)
-
-    def env_catalog(self) -> frozenset[str]:
-        """Every declared REPRO_* variable name."""
-        if self.env_catalog_override is not None:
-            return self.env_catalog_override
-        if self._env_catalog is None:
-            from ..api.config import ENV_CATALOG
-
-            self._env_catalog = frozenset(ENV_CATALOG)
-        return self._env_catalog
-
-    def registry_keys(self) -> dict[str, frozenset[str]]:
-        """Registered keys per registry kind (live unless overridden)."""
-        if self.registry_keys_override is not None:
-            return self.registry_keys_override
-        if self._registry_keys is None:
-            from ..engines import registry as engines_registry
-            from ..kernels import available_kernels
-            from ..runtime.transport import available_transports
-
-            self._registry_keys = {
-                "engines": frozenset(engines_registry.available()),
-                "kernels": frozenset(available_kernels()),
-                "transports": frozenset(available_transports()),
-            }
-        return self._registry_keys
-
-    def documented_env_vars(self) -> "frozenset[str] | None":
-        """REPRO_* names documented in docs/api.md (None: docs absent)."""
-        if self.documented_env_override is not None:
-            return self.documented_env_override
-        if self._documented is None:
-            doc = self.root / "docs" / "api.md"
-            if not doc.exists():
-                return None
-            self._documented = frozenset(
-                _ENV_VAR_RE.findall(doc.read_text(encoding="utf-8")))
-        return self._documented
 
 
 def collect_files(paths: Iterable["Path | str"]) -> list[Path]:
@@ -129,8 +66,8 @@ def _relpath(path: Path, root: Path) -> str:
 
 
 def _resolve_checkers(rules: "Sequence[str] | None") -> list[Checker]:
-    names = tuple(rules) if rules is not None else available_checkers()
-    return [create_checker(name) for name in names]
+    names = tuple(rules) if rules is not None else CHECKERS.keys()
+    return [CHECKERS.create(name) for name in names]
 
 
 def lint_file(path: "Path | str", config: LintConfig,
@@ -147,7 +84,7 @@ def lint_file(path: "Path | str", config: LintConfig,
                       col=(exc.offset or 1) - 1, rule="parse-error",
                       message=f"file does not parse: {exc.msg}")
         return
-    known = (*available_checkers(), SUPPRESSION_RULE, "parse-error")
+    known = (*CHECKERS.keys(), SUPPRESSION_RULE, "parse-error")
     suppressions = parse_suppressions(relpath, source, known)
     ctx = ModuleContext(path=path, relpath=relpath,
                         module=module_name_for(path), source=source,

@@ -25,11 +25,11 @@ behaviour, bit for bit.
 
 from __future__ import annotations
 
-import os
 import threading
 
 from ..distributed.cluster import Cluster
 from ..errors import ConfigError
+from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..runtime.executor import Executor, ExecutorView, executor_for
 from ..runtime.transport import create_transport, default_transport_name
@@ -189,10 +189,9 @@ class ClusterContext:
             self._check_open()
             if self._store is None:
                 from ..net.blockstore import BlockStoreServer
-                from ..net.transport import BIND_HOST_ENV_VAR
 
-                bind = os.environ.get(BIND_HOST_ENV_VAR, "127.0.0.1")
-                self._store = BlockStoreServer(host=bind).start()
+                self._store = BlockStoreServer(
+                    host=env("REPRO_BIND_HOST")).start()
                 log.info("shared block store started %s",
                          kv(host=self._store.host, port=self._store.port))
             return self._store.address

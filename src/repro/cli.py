@@ -24,9 +24,11 @@ Examples::
     python -m repro query 127.0.0.1:7075     # interactive REPL
 
 Every command goes through :class:`repro.api.JoinSession`, so the
-``--engine`` choices come from :mod:`repro.engines.registry`, the
-``--transport`` choices from the transport registry, and executor /
-transport lifecycle is owned by the session (flags > env > defaults).
+``--engine`` choices come from :mod:`repro.engines.registry` and executor /
+transport lifecycle is owned by the session.  The config flags
+(``--workers``, ``--backend``, ``--kernel``, ...) are built from the knob
+table (:mod:`repro.knobs`) and folded into one :class:`RunConfig` (flags >
+env > defaults).
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ import sys
 from typing import Sequence
 
 from .api import JoinSession, RunConfig
-from .data import DATASETS, dataset_names, default_scale, load_dataset
-from .distributed.cluster import RUNTIME_BACKENDS
+from .data import DATASETS, dataset_names, load_dataset
 from .engines import registry
 from .errors import ConfigError
-from .kernels import available_kernels
+from .knobs import TABLE, env
 from .query import PAPER_QUERIES
-from .runtime.transport import available_transports
 from .wcoj import leapfrog_join
 
 __all__ = ["main"]
@@ -55,31 +55,36 @@ __all__ = ["main"]
 _CLI_DEFAULT_SCALE = 2e-5
 
 
-def _resolve_scale(flag: float | None) -> float | None:
-    if flag is not None:
-        return flag
-    if os.environ.get("REPRO_SCALE"):
-        return None  # defer to the datasets layer, which reads the env
-    return _CLI_DEFAULT_SCALE
+def _config_flags(parser, *fields: str) -> None:
+    """Add the knob table's CLI flags for the RunConfig ``fields``.
+
+    Every flag defaults to None, so :func:`_run_config` keeps the
+    precedence flag > ``REPRO_*`` env > built-in default.
+    """
+    for knob in TABLE.values():
+        if knob.field not in fields:
+            continue
+        shown = f" or {knob.shown_default}" if knob.shown_default else ""
+        kind = ({"action": "store_true"} if knob.kind == "onoff"
+                else {"type": int} if knob.kind == "int"
+                else {"choices": knob.choice_keys()} if knob.choices
+                else {})
+        parser.add_argument(
+            knob.flag, dest=knob.field, default=None,
+            help=f"{knob.doc} (default: ${knob.name}{shown})", **kind)
+
+
+def _run_config(args, **extra) -> RunConfig:
+    """The RunConfig the parsed config flags (and ``extra``) describe."""
+    flags = {knob.field: getattr(args, knob.field, None)
+             for knob in TABLE.values() if knob.flag}
+    return RunConfig().replace(**flags, **extra)
 
 
 def _session_for(args) -> JoinSession:
-    """A session configured from CLI flags.
-
-    Every flag defaults to None so precedence is flag > REPRO_* env
-    (RunConfig's default factories) > built-in default.
-    """
-    config = RunConfig().replace(
-        workers=args.workers, backend=args.backend,
-        transport=args.transport, hosts=getattr(args, "hosts", None),
-        samples=args.samples, scale=_resolve_scale(args.scale),
-        kernel=getattr(args, "kernel", None),
-        # store_true flags can only opt in; absence defers to
-        # REPRO_PROFILE via RunConfig's default factory.
-        profile=(True if getattr(args, "profile", False) else None),
-        trace_path=getattr(args, "trace", None),
-        log_level=getattr(args, "log_level", None))
-    return JoinSession(config=config)
+    scale = args.scale if args.scale is not None else \
+        env("REPRO_SCALE", _CLI_DEFAULT_SCALE)
+    return JoinSession(config=_run_config(args, scale=scale))
 
 
 def _parse_host_port(spec: str) -> tuple[str, int]:
@@ -91,7 +96,7 @@ def _parse_host_port(spec: str) -> tuple[str, int]:
 
 
 def _cmd_datasets(args) -> int:
-    scale = args.scale if args.scale is not None else default_scale()
+    scale = args.scale if args.scale is not None else env("REPRO_SCALE")
     print(f"{'key':>4} {'paper edges':>12} {'scaled':>8}  description")
     for key in dataset_names():
         spec = DATASETS[key]
@@ -387,6 +392,47 @@ def _cmd_top(args) -> int:
     return 0 if any(r["status"] == "up" for r in rows) else 1
 
 
+def _serve(server, args, name: str, details: str, summary) -> int:
+    """Stand ``server`` up, serve until Ctrl-C, SIGTERM or
+    ``--max-seconds``, then stop it — the one loop behind ``serve`` and
+    ``serve-sql``; ``details`` and ``summary()`` fill the status lines."""
+    import signal
+    import time
+
+    try:
+        server.start()
+    except OSError as exc:
+        print(f"cannot listen on {server.host}:{server.port}: {exc}",
+              file=sys.stderr)
+        server.stop()
+        return 1
+    print(f"repro {name} listening on {server.host}:{server.port} "
+          f"({details}, pid={os.getpid()})", flush=True)
+    if args.expo_port is not None:
+        print(f"metrics exposition on "
+              f"http://{server.host}:{args.expo_port}/metrics", flush=True)
+
+    # `kill <pid>` (how CI stops servers) should shut down as cleanly as
+    # Ctrl-C does.
+    def _sigterm(_signum, _frame):  # pragma: no cover - signal path
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _sigterm)
+    deadline = None if args.max_seconds is None else \
+        time.monotonic() + args.max_seconds
+    try:
+        while server.running and (deadline is None
+                                  or time.monotonic() < deadline):
+            time.sleep(0.2)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
+        print(f"{name} on {server.host}:{server.port} stopped "
+              f"({summary()})", flush=True)
+    return 0
+
+
 def _cmd_serve(args) -> int:
     """Stand up a worker agent and serve until interrupted."""
     from .net import WorkerAgent
@@ -396,51 +442,10 @@ def _cmd_serve(args) -> int:
     agent = WorkerAgent(host=args.host, port=args.port, slots=args.slots,
                         mode="inline" if args.inline else "processes",
                         expo_port=args.expo_port)
-    try:
-        agent.start()
-    except OSError as exc:
-        print(f"cannot listen on {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"repro worker agent listening on {agent.host}:{agent.port} "
-          f"(slots={agent.slots}, pid={os.getpid()})", flush=True)
-    if args.expo_port is not None:
-        print(f"metrics exposition on "
-              f"http://{agent.host}:{args.expo_port}/metrics", flush=True)
-
-    # `kill <pid>` (how CI stops agents) should shut the task pool down
-    # as cleanly as Ctrl-C does.
-    def _sigterm(_signum, _frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    import signal
-
-    signal.signal(signal.SIGTERM, _sigterm)
-    try:
-        _serve_wait(agent, args.max_seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        agent.stop()
-        print(f"worker agent on {agent.host}:{agent.port} stopped "
-              f"({agent.tasks_run} tasks run, "
-              f"{agent.tasks_failed} failed)", flush=True)
-    return 0
-
-
-def _serve_wait(agent, max_seconds: float | None) -> None:
-    """Block while the agent serves (bounded when ``max_seconds`` set).
-
-    Separated out so tests can drive the loop without signals.
-    """
-    import time
-
-    deadline = None if max_seconds is None else \
-        time.monotonic() + max_seconds
-    while agent.running:
-        if deadline is not None and time.monotonic() >= deadline:
-            return
-        time.sleep(0.2)
+    return _serve(agent, args, "worker agent",
+                  f"slots={agent.slots}",
+                  lambda: f"{agent.tasks_run} tasks run, "
+                          f"{agent.tasks_failed} failed")
 
 
 def _parse_tenant_budgets(specs) -> dict[str, int] | None:
@@ -460,17 +465,15 @@ def _parse_tenant_budgets(specs) -> dict[str, int] | None:
 
 def _cmd_serve_sql(args) -> int:
     """Stand up the query-service front door and serve until stopped."""
-    from .api import RunConfig
-    from .net.service import QueryServer, default_service_port
+    from .net.service import QueryServer
     from .obs.log import configure_logging
 
     configure_logging(args.log_level)
-    config = RunConfig().replace(
-        workers=args.workers, backend=args.backend,
-        transport=args.transport, hosts=args.hosts, kernel=args.kernel)
-    port = args.port if args.port is not None else default_service_port()
+    config = _run_config(args)
     server = QueryServer(
-        host=args.host, port=port, config=config,
+        host=args.host, config=config,
+        port=args.port if args.port is not None
+        else env("REPRO_SERVICE_PORT"),
         expo_port=args.expo_port,
         max_concurrent=args.max_concurrent,
         queue_depth=args.queue_depth,
@@ -478,43 +481,13 @@ def _cmd_serve_sql(args) -> int:
         budget_policy=args.budget_policy,
         budget_window=args.budget_window,
         result_cache_bytes=args.result_cache_bytes)
-    try:
-        server.start()
-    except OSError as exc:
-        print(f"cannot listen on {args.host}:{port}: {exc}",
-              file=sys.stderr)
-        server.service.close()
-        return 1
     svc = server.service
-    print(f"repro query service listening on "
-          f"{server.host}:{server.port} "
-          f"(max_concurrent={svc.max_concurrent}, "
-          f"queue_depth={svc.queue_depth}, "
-          f"policy={svc.budget_policy}, "
-          f"backend={config.backend}, pid={os.getpid()})", flush=True)
-    if args.expo_port is not None:
-        print(f"metrics exposition on "
-              f"http://{server.host}:{args.expo_port}/metrics",
-              flush=True)
-
-    def _sigterm(_signum, _frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    import signal
-
-    signal.signal(signal.SIGTERM, _sigterm)
-    try:
-        _serve_wait(server, args.max_seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stats = server.service.stats()
-        server.stop()
-        print(f"query service on {server.host}:{server.port} stopped "
-              f"(plan_cache={stats['plan_cache_entries']}, "
-              f"result_cache={stats['result_cache_entries']})",
-              flush=True)
-    return 0
+    return _serve(server, args, "query service",
+                  f"max_concurrent={svc.max_concurrent}, "
+                  f"queue_depth={svc.queue_depth}, "
+                  f"policy={svc.budget_policy}, backend={config.backend}",
+                  lambda: "plan_cache={plan_cache_entries}, result_cache="
+                          "{result_cache_entries}".format(**svc.stats()))
 
 
 def _print_wire_result(meta: dict) -> None:
@@ -615,12 +588,11 @@ def _cmd_lint(args) -> int:
 
     # Imported lazily like the net subsystem: most CLI invocations
     # never need the analysis package.
-    from .analysis import (LintConfig, available_checkers, checker_spec,
-                           run)
+    from .analysis import CHECKERS, LintConfig, run
 
     if args.list_rules:
-        for rule in available_checkers():
-            print(f"{rule:22} {checker_spec(rule).summary}")
+        for rule in CHECKERS.keys():
+            print(f"{rule:22} {CHECKERS.summary(rule)}")
         return 0
 
     root = Path(args.root)
@@ -645,7 +617,7 @@ def _cmd_lint(args) -> int:
         summary = "clean" if not findings else \
             f"{len(findings)} finding{'s' if len(findings) != 1 else ''}"
         print(f"lint: {summary} "
-              f"({len(available_checkers() if rules is None else rules)} "
+              f"({len(CHECKERS.keys() if rules is None else rules)} "
               f"rules)", file=sys.stderr)
     return 1 if findings else 0
 
@@ -694,60 +666,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=None,
                        help="dataset scale (default: $REPRO_SCALE or "
                             "2e-5)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count (default: $REPRO_WORKERS or 8)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="optimizer samples (default: $REPRO_SAMPLES "
-                            "or 100)")
-        p.add_argument("--log-level", default=None, dest="log_level",
-                       choices=["debug", "info", "warning", "error"],
-                       help="level for the repro.* structured loggers "
-                            "(default: $REPRO_LOG or warning)")
-        p.set_defaults(backend=None, transport=None)
+        _config_flags(p, "workers", "samples", "log_level")
 
-    def runtime_flags(p):
-        """Backend/data-plane flags shared by `run` and `profile`."""
-        p.add_argument("--backend", default=None,
-                       choices=list(RUNTIME_BACKENDS),
-                       help="runtime backend for per-worker computation: "
-                            "serial/threads/processes run locally, "
-                            "'remote' drives worker agents from --hosts "
-                            "(default: $REPRO_BACKEND or serial)")
-        p.add_argument("--transport", default=None,
-                       choices=sorted(available_transports()),
-                       help="data plane carrying task payloads: 'pickle' "
-                            "ships partition matrices, 'shm' ships "
-                            "shared-memory descriptors, 'tcp' ships "
-                            "block-store descriptors remote workers "
-                            "fetch themselves (default: $REPRO_TRANSPORT; "
-                            "pickle, or tcp for --backend remote)")
-        p.add_argument("--hosts", default=None,
-                       help="comma-separated worker hosts for --backend "
-                            "remote: 'host:port' agents (python -m repro "
-                            "serve) and/or 'local[:slots]' (default: "
-                            "$REPRO_HOSTS)")
-        p.add_argument("--kernel", default=None,
-                       choices=list(available_kernels()),
-                       help="join kernel for per-cube/per-bag execution: "
-                            "'wcoj' is pure Leapfrog, 'binary' chains "
-                            "vectorized hash joins, 'adaptive' picks per "
-                            "subquery (default: $REPRO_KERNEL or "
-                            "adaptive); see docs/kernels.md")
+    runtime = ("backend", "transport", "hosts", "kernel")
+
+    def serve_flags(p):
+        """Flags shared by the two long-running servers."""
+        p.add_argument("--host", default="127.0.0.1",
+                       help="interface to bind (default 127.0.0.1; use "
+                            "0.0.0.0 only on trusted networks — frames "
+                            "are pickled)")
+        p.add_argument("--max-seconds", type=float, default=None,
+                       help="exit after this long (CI convenience; "
+                            "default: serve until Ctrl-C)")
+        p.add_argument("--expo-port", type=int, default=None,
+                       dest="expo_port", metavar="PORT",
+                       help="also serve Prometheus-style text metrics "
+                            "over HTTP on this port (GET /metrics)")
+        _config_flags(p, "log_level")
 
     run_p = sub.add_parser("run", help="run engines on a test-case")
     common(run_p)
     run_p.add_argument("--engine", default="adj",
                        choices=["all", *registry.available()])
-    runtime_flags(run_p)
-    run_p.add_argument("--profile", action="store_true",
-                       help="EXPLAIN ANALYZE: print a per-phase modeled "
-                            "vs measured profile tree after the run "
-                            "table (default: $REPRO_PROFILE)")
-    run_p.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a Chrome trace-event JSON timeline of "
-                            "the run (route, publish, every worker task "
-                            "— load in Perfetto / chrome://tracing; "
-                            "default: $REPRO_TRACE)")
+    _config_flags(run_p, *runtime, "profile", "trace_path")
 
     profile_p = sub.add_parser(
         "profile", help="EXPLAIN ANALYZE one engine run: per-phase "
@@ -756,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(profile_p)
     profile_p.add_argument("--engine", default="adj",
                            choices=list(registry.available()))
-    runtime_flags(profile_p)
+    _config_flags(profile_p, *runtime)
     profile_p.add_argument("--json", action="store_true",
                            help="emit the profile as JSON "
                                 "(schema docs/observability.md)")
@@ -793,30 +735,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=7070,
                          help="port to listen on (0 picks an ephemeral "
                               "port, printed on startup; default 7070)")
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="interface to bind (default 127.0.0.1; "
-                              "use 0.0.0.0 only on trusted networks — "
-                              "task frames are pickled)")
+    serve_flags(serve_p)
     serve_p.add_argument("--slots", type=int, default=None,
                          help="task slots to advertise (default: usable "
                               "CPU count)")
-    serve_p.add_argument("--max-seconds", type=float, default=None,
-                         help="exit after this long (CI convenience; "
-                              "default: serve until Ctrl-C)")
-    serve_p.add_argument("--expo-port", type=int, default=None,
-                         dest="expo_port", metavar="PORT",
-                         help="also serve Prometheus-style text metrics "
-                              "over HTTP on this port (GET /metrics; "
-                              "default: frames-only, EXPO opcode still "
-                              "answers)")
     serve_p.add_argument("--inline", action="store_true",
                          help="run tasks on the connection thread "
                               "instead of the process pool (debugging; "
                               "GIL-bound)")
-    serve_p.add_argument("--log-level", default=None, dest="log_level",
-                         choices=["debug", "info", "warning", "error"],
-                         help="level for the repro.* structured loggers "
-                              "(default: $REPRO_LOG or warning)")
 
     sql_p = sub.add_parser(
         "serve-sql", help="stand up the multi-tenant query service "
@@ -825,12 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
     sql_p.add_argument("--port", type=int, default=None,
                        help="port to listen on (0 picks an ephemeral "
                             "port; default: $REPRO_SERVICE_PORT or 7075)")
-    sql_p.add_argument("--host", default="127.0.0.1",
-                       help="interface to bind (default 127.0.0.1)")
-    sql_p.add_argument("--workers", type=int, default=None,
-                       help="worker count for the shared cluster "
-                            "(default: $REPRO_WORKERS or 8)")
-    runtime_flags(sql_p)
+    serve_flags(sql_p)
+    _config_flags(sql_p, "workers", *runtime)
     sql_p.add_argument("--max-concurrent", type=int, default=None,
                        dest="max_concurrent", metavar="N",
                        help="queries executing at once (default: "
@@ -860,17 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="result_cache_bytes", metavar="BYTES",
                        help="result-cache budget; 0 disables (default: "
                             "$REPRO_RESULT_CACHE_BYTES or 64 MiB)")
-    sql_p.add_argument("--expo-port", type=int, default=None,
-                       dest="expo_port", metavar="PORT",
-                       help="also serve Prometheus-style text metrics "
-                            "over HTTP on this port (GET /metrics)")
-    sql_p.add_argument("--max-seconds", type=float, default=None,
-                       help="exit after this long (CI convenience; "
-                            "default: serve until Ctrl-C)")
-    sql_p.add_argument("--log-level", default=None, dest="log_level",
-                       choices=["debug", "info", "warning", "error"],
-                       help="level for the repro.* structured loggers "
-                            "(default: $REPRO_LOG or warning)")
 
     query_p = sub.add_parser(
         "query", help="run a query against a serve-sql endpoint "
@@ -912,8 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "src/repro and benchmarks under --root)")
     lint_p.add_argument("--root", default=".",
                         help="directory findings are reported relative "
-                             "to; docs/api.md is looked up here "
-                             "(default: .)")
+                             "to (default: .)")
     lint_p.add_argument("--rules", default=None,
                         help="comma-separated rule subset (default: all; "
                              "see --list-rules)")

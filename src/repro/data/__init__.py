@@ -5,7 +5,6 @@ from .datasets import (
     DATASETS,
     DatasetSpec,
     dataset_names,
-    default_scale,
     generate_erdos_renyi_edges,
     generate_power_law_edges,
     load_dataset,
@@ -19,7 +18,6 @@ __all__ = [
     "DATASETS",
     "DatasetSpec",
     "dataset_names",
-    "default_scale",
     "generate_erdos_renyi_edges",
     "generate_power_law_edges",
     "load_dataset",

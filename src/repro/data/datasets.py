@@ -19,29 +19,23 @@ used for every measured number.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..knobs import env
 from .relation import Relation, sorted_set_rows
 
 __all__ = [
     "DatasetSpec",
     "DATASETS",
     "dataset_names",
-    "default_scale",
     "generate_power_law_edges",
     "generate_erdos_renyi_edges",
     "load_dataset",
     "load_graph_relation",
 ]
 
-#: Environment variable overriding the default edge-count scale factor.
-SCALE_ENV_VAR = "REPRO_SCALE"
-
-_DEFAULT_SCALE = 1e-4
 _MIN_EDGES = 200
 
 
@@ -87,17 +81,6 @@ DATASETS: dict[str, DatasetSpec] = {
 def dataset_names() -> tuple[str, ...]:
     """Dataset keys in the paper's Table I order."""
     return tuple(DATASETS)
-
-
-def default_scale() -> float:
-    """Scale factor, overridable through the REPRO_SCALE env var."""
-    raw = os.environ.get(SCALE_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_SCALE
-    value = float(raw)
-    if value <= 0:
-        raise ConfigError(f"{SCALE_ENV_VAR} must be positive, got {raw!r}")
-    return value
 
 
 def _dedup_edges(edges: np.ndarray) -> np.ndarray:
@@ -179,7 +162,7 @@ def load_dataset(name: str, scale: float | None = None,
             f"unknown dataset {name!r}; choose from {dataset_names()}")
     spec = DATASETS[key]
     if scale is None:
-        scale = default_scale()
+        scale = env("REPRO_SCALE")
     edges = spec.scaled_edges(scale)
     nodes = max(8, int(round(edges / spec.avg_degree)))
     return generate_power_law_edges(

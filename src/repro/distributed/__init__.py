@@ -1,6 +1,6 @@
 """Distributed substrate: cluster simulator, HCube routing, metrics."""
 
-from .cluster import Cluster, default_workers
+from .cluster import Cluster
 from .hcube import (
     HCubeRouting,
     HCubeShuffleResult,
@@ -34,7 +34,6 @@ __all__ = [
     "skew_report",
     "straggler_slowdown",
     "Cluster",
-    "default_workers",
     "HCubeRouting",
     "HCubeShuffleResult",
     "HypercubeGrid",

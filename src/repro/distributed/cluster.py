@@ -19,58 +19,34 @@ The hint is resolved into an :class:`repro.runtime.Executor` by
 from __future__ import annotations
 
 import dataclasses
-import os
+import functools
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
+from ..knobs import env
 from .metrics import CostLedger, CostModelParams
 
-__all__ = ["Cluster", "default_workers", "RUNTIME_BACKENDS"]
-
-#: Environment variable overriding the default worker count.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-_DEFAULT_WORKERS = 8
-
-#: Execution backends understood by :mod:`repro.runtime` (``remote``
-#: resolves to :class:`repro.net.executor.RemoteExecutor` lazily).
-RUNTIME_BACKENDS = ("serial", "threads", "processes", "remote")
-
-
-def default_workers() -> int:
-    """Worker count, overridable through REPRO_WORKERS."""
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_WORKERS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {raw!r}")
-    return value
+__all__ = ["Cluster"]
 
 
 @dataclass(frozen=True)
 class Cluster:
     """A simulated cluster configuration."""
 
-    num_workers: int = field(default_factory=default_workers)
+    num_workers: int = field(
+        default_factory=functools.partial(env, "REPRO_WORKERS"))
     params: CostModelParams = field(default_factory=CostModelParams)
     #: Per-worker memory budget in tuples; None disables OOM checking.
     memory_tuples_per_worker: float | None = None
-    #: Execution backend hint: one of :data:`RUNTIME_BACKENDS`.
+    #: Execution backend hint: a :data:`repro.runtime.BACKENDS` key.
     runtime: str = "serial"
 
     def __post_init__(self):
+        from ..runtime.executor import BACKENDS
+
         if self.num_workers < 1:
             raise ConfigError("a cluster needs at least one worker")
-        if self.runtime not in RUNTIME_BACKENDS:
-            raise ConfigError(
-                f"unknown runtime {self.runtime!r}; "
-                f"choose from {RUNTIME_BACKENDS}")
+        BACKENDS.check(self.runtime)
 
     def new_ledger(self) -> CostLedger:
         return CostLedger(params=self.params)

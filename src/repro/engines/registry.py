@@ -1,8 +1,7 @@
-"""String-keyed engine registry: one source of truth for engine names.
+"""The engine lineup: :data:`ENGINES`, one :class:`repro.registry.Registry`.
 
-The CLI ``--engine`` choices, the benchmark lineups and the
-:class:`repro.api.JoinSession` façade all used to carry their own
-hand-rolled ``{"adj": ADJ, ...}`` tables.  This module replaces them:
+The CLI ``--engine`` choices, the benchmark lineups and
+:class:`repro.api.JoinSession` all read it:
 
 >>> from repro.engines import registry
 >>> registry.available()
@@ -12,17 +11,13 @@ hand-rolled ``{"adj": ADJ, ...}`` tables.  This module replaces them:
 ``create`` accepts an :class:`~repro.engines.base.EngineOptions` (plus
 field-name keyword overrides) and translates it through each engine's
 ``options_map``, so callers never need per-engine constructor keywords.
-
-New engines register with :func:`register` — as a plain call or a class
-decorator — and immediately show up in the CLI, the benches and
-``JoinSession.engines()``.
+New engines call :func:`register` and immediately show up in the CLI,
+the benches and ``JoinSession.engines()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..errors import ConfigError
+from ..registry import Registry
 from .adj import ADJ
 from .base import Engine, EngineOptions, engine_from_options
 from .bigjoin import BigJoin
@@ -31,62 +26,16 @@ from .hcubej_cache import HCubeJCache
 from .sparksql import SparkSQLJoin
 from .yannakakis import YannakakisJoin
 
-__all__ = ["EngineSpec", "register", "create", "available", "spec",
-           "display_name"]
+__all__ = ["ENGINES", "register", "create", "available", "display_name"]
 
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered engine: key, class, one-line summary."""
-
-    key: str
-    cls: type
-    summary: str = ""
-
-    @property
-    def display_name(self) -> str:
-        """The engine's human-facing name (``ADJ``, ``HCubeJ+Cache``...)."""
-        return getattr(self.cls, "name", self.key)
-
-
-_REGISTRY: dict[str, EngineSpec] = {}
-
-
-def register(key: str, cls: type | None = None, *, summary: str = ""):
-    """Register an engine class under ``key``.
-
-    Usable as a call (``register("adj", ADJ)``) or a decorator
-    (``@register("myengine")``).  Re-registering an existing key is an
-    error — remove the old entry first (tests may monkeypatch
-    ``_REGISTRY`` instead).
-    """
-    def _add(c: type) -> type:
-        if key in _REGISTRY:
-            raise ConfigError(f"engine {key!r} is already registered")
-        _REGISTRY[key] = EngineSpec(key=key, cls=c, summary=summary)
-        return c
-
-    if cls is None:
-        return _add
-    return _add(cls)
-
-
-def available() -> tuple[str, ...]:
-    """Registered engine keys, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def spec(key: str) -> EngineSpec:
-    """The :class:`EngineSpec` for ``key`` (raises ConfigError)."""
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise ConfigError(
-            f"unknown engine {key!r}; choose from {available()}") from None
+ENGINES = Registry("engine")
+register = ENGINES.register
+available = ENGINES.keys
 
 
 def display_name(key: str) -> str:
-    return spec(key).display_name
+    """The engine's human-facing name (``ADJ``, ``HCubeJ+Cache``...)."""
+    return getattr(ENGINES.get(key), "name", key)
 
 
 def create(key: str, options: EngineOptions | None = None,
@@ -99,10 +48,10 @@ def create(key: str, options: EngineOptions | None = None,
     declare in its ``options_map`` are silently ignored, so one options
     object can drive a whole multi-engine lineup.
     """
-    engine_spec = spec(key)
+    cls = ENGINES.get(key)
     if overrides:
         options = (options or EngineOptions()).merged_with(**overrides)
-    return engine_from_options(engine_spec.cls, options)
+    return engine_from_options(cls, options)
 
 
 # -- the six built-in engines (Sec. VII lineup + Yannakakis) -----------------

@@ -15,43 +15,27 @@ from .adaptive import (
     choose_kernel,
     select_kernel,
 )
-from .base import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV_VAR,
-    JoinKernel,
-    KernelSpec,
-    available_kernels,
-    create_kernel,
-    default_kernel,
-    kernel_spec,
-    register_kernel,
-)
+from .base import KERNELS, JoinKernel, create_kernel
 from .binary import BinaryKernel
 from .wcoj import WcojKernel
 
 __all__ = [
     "JoinKernel",
-    "KernelSpec",
+    "KERNELS",
     "KernelChoice",
     "WcojKernel",
     "BinaryKernel",
     "AdaptiveKernel",
-    "register_kernel",
-    "available_kernels",
-    "kernel_spec",
     "create_kernel",
-    "default_kernel",
     "choose_kernel",
     "select_kernel",
     "BLOWUP_FACTOR",
-    "KERNEL_ENV_VAR",
-    "DEFAULT_KERNEL",
 ]
 
-register_kernel("wcoj", WcojKernel,
-                summary="vectorized Leapfrog triejoin (worst-case optimal)")
-register_kernel("binary", BinaryKernel,
-                summary="left-deep vectorized hash joins (greedy plan)")
-register_kernel("adaptive", AdaptiveKernel,
-                summary="per-subquery choice: binary when acyclic/low-"
-                        "blowup, wcoj otherwise")
+KERNELS.register("wcoj", WcojKernel,
+                 summary="vectorized Leapfrog triejoin (worst-case optimal)")
+KERNELS.register("binary", BinaryKernel,
+                 summary="left-deep vectorized hash joins (greedy plan)")
+KERNELS.register("adaptive", AdaptiveKernel,
+                 summary="per-subquery choice: binary when acyclic/low-"
+                         "blowup, wcoj otherwise")

@@ -37,7 +37,7 @@ from ..query.query import JoinQuery
 from ..wcoj.binary_join import greedy_plan_with_estimates
 from ..wcoj.cache import IntersectionCache
 from ..wcoj.leapfrog import JoinResult, LeapfrogStats
-from .base import create_kernel, kernel_spec
+from .base import KERNELS, create_kernel
 
 __all__ = ["AdaptiveKernel", "KernelChoice", "choose_kernel",
            "select_kernel", "BLOWUP_FACTOR"]
@@ -62,7 +62,7 @@ def choose_kernel(requested: str, query: JoinQuery, db: Database
                   ) -> KernelChoice:
     """Resolve ``requested`` to a concrete kernel for ``query`` (pure)."""
     if requested != "adaptive":
-        kernel_spec(requested)  # validate the key
+        KERNELS.check(requested)
         return KernelChoice(key=requested, requested=requested,
                             reason="forced")
     if not Hypergraph.of_query(query).is_alpha_acyclic():

@@ -1,8 +1,8 @@
-"""String-keyed join-kernel registry: one source of truth for kernel names.
+"""The join-kernel interface and lineup (:data:`KERNELS`).
 
-Mirrors :mod:`repro.engines.registry` (and the transport registry): the
-CLI ``run --kernel`` choices, :class:`repro.api.RunConfig` validation and
-the worker task functions all resolve kernels here.
+:data:`KERNELS` is a :class:`repro.registry.Registry`: the CLI
+``run --kernel`` choices, :class:`repro.api.RunConfig` validation and the
+worker task functions all resolve kernels through it.
 
 A *kernel* is the physical join strategy that evaluates one localized
 subquery — a worker's HCube cube, a GHD bag, or an inline query — behind
@@ -19,11 +19,9 @@ docs/kernels.md).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
-from ..errors import ConfigError
+from ..registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.database import Database
@@ -31,12 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..wcoj.cache import IntersectionCache
     from ..wcoj.leapfrog import JoinResult, LeapfrogStats
 
-__all__ = ["JoinKernel", "KernelSpec", "register_kernel",
-           "available_kernels", "kernel_spec", "create_kernel",
-           "default_kernel", "KERNEL_ENV_VAR", "DEFAULT_KERNEL"]
-
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-DEFAULT_KERNEL = "adaptive"
+__all__ = ["JoinKernel", "KERNELS", "create_kernel"]
 
 
 class JoinKernel(Protocol):
@@ -62,60 +55,9 @@ class JoinKernel(Protocol):
         ...  # pragma: no cover - protocol
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """One registered kernel: key, zero-arg factory, one-line summary."""
-
-    key: str
-    factory: Callable[[], JoinKernel]
-    summary: str = ""
-
-
-_REGISTRY: dict[str, KernelSpec] = {}
-
-
-def register_kernel(key: str, factory: Callable[[], JoinKernel] | None = None,
-                    *, summary: str = ""):
-    """Register a kernel factory under ``key``.
-
-    Usable as a call (``register_kernel("wcoj", WcojKernel)``) or a
-    decorator (``@register_kernel("mykernel")``).  Re-registering an
-    existing key is an error.
-    """
-    def _add(f: Callable[[], JoinKernel]):
-        if key in _REGISTRY:
-            raise ConfigError(f"kernel {key!r} is already registered")
-        _REGISTRY[key] = KernelSpec(key=key, factory=f, summary=summary)
-        return f
-
-    if factory is None:
-        return _add
-    return _add(factory)
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Registered kernel keys, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def kernel_spec(key: str) -> KernelSpec:
-    """The :class:`KernelSpec` for ``key`` (raises ConfigError)."""
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise ConfigError(
-            f"unknown kernel {key!r}; choose from {available_kernels()}"
-        ) from None
+KERNELS = Registry("kernel")
 
 
 def create_kernel(key: str) -> JoinKernel:
     """Instantiate the kernel registered under ``key``."""
-    return kernel_spec(key).factory()
-
-
-def default_kernel() -> str:
-    """Kernel key, overridable through REPRO_KERNEL (validated here)."""
-    raw = os.environ.get(KERNEL_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_KERNEL
-    return kernel_spec(raw.strip()).key
+    return KERNELS.create(key)

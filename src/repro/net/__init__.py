@@ -33,15 +33,9 @@ from .blockstore import (
     BlockStoreStats,
     fetch_block_array,
 )
-from .executor import (
-    HOSTS_ENV_VAR,
-    HostSpec,
-    RemoteExecutor,
-    default_hosts,
-    parse_host_specs,
-)
+from .executor import HostSpec, RemoteExecutor, parse_host_specs
 from .protocol import PROTOCOL_VERSION, FrameServer
-from .service import QueryServer, ServiceClient, default_service_port
+from .service import QueryServer, ServiceClient
 from .transport import TcpTransport
 
 __all__ = [
@@ -56,10 +50,7 @@ __all__ = [
     "agent_stats",
     "QueryServer",
     "ServiceClient",
-    "default_service_port",
     "RemoteExecutor",
     "HostSpec",
     "parse_host_specs",
-    "default_hosts",
-    "HOSTS_ENV_VAR",
 ]

@@ -25,7 +25,6 @@ store leaves no listening port.
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 from collections import OrderedDict
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NetError
+from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer
@@ -227,11 +227,9 @@ class BlockStoreClient:
 #: one GET per block per worker process.  Block ids embed a per-epoch
 #: uuid (see TcpTransport.publish), so stale entries can never be
 #: requested again and FIFO eviction is safe.  The cap is in *bytes*
-#: (REPRO_NET_CACHE_BYTES, default 256 MiB): long-lived worker
+#: (REPRO_NET_CACHE_BYTES, read per miss): long-lived worker
 #: processes see a fresh set of block ids every epoch, so an
 #: entry-count cap would let large dead blocks pile up indefinitely.
-_FETCH_CACHE_MAX_BYTES = int(float(os.environ.get(
-    "REPRO_NET_CACHE_BYTES", 256 * 1024 * 1024)))
 _fetch_cache: OrderedDict[tuple[str, int, str], np.ndarray] = OrderedDict()
 _fetch_cache_bytes = 0
 _fetch_lock = threading.Lock()
@@ -269,12 +267,13 @@ def fetch_block_array(host: str, port: int, block: str, *,
                 cached = client.get(block)
         METRICS.counter("net.fetched_blocks").inc()
         METRICS.counter("net.fetched_bytes").inc(cached.nbytes)
-        if cached.nbytes <= _FETCH_CACHE_MAX_BYTES:
+        limit = env("REPRO_NET_CACHE_BYTES")
+        if cached.nbytes <= limit:
             with _fetch_lock:
                 if key not in _fetch_cache:
                     _fetch_cache[key] = cached
                     _fetch_cache_bytes += cached.nbytes
-                while _fetch_cache_bytes > _FETCH_CACHE_MAX_BYTES \
+                while _fetch_cache_bytes > limit \
                         and len(_fetch_cache) > 1:
                     _, evicted = _fetch_cache.popitem(last=False)
                     _fetch_cache_bytes -= evicted.nbytes

@@ -29,7 +29,6 @@ every agent runs on the coordinator's machine.
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue
 import threading
@@ -38,11 +37,12 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..errors import ConfigError, NetError, WorkerCrashed
+from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer, trace_context
 from ..runtime.executor import _PoolExecutor
-from ..runtime.transport import TRANSPORT_ENV_VAR, Transport
+from ..runtime.transport import Transport, default_transport_name
 from .protocol import (
     OP_BYE,
     OP_HELLO,
@@ -54,23 +54,9 @@ from .protocol import (
     send_frame,
 )
 
-__all__ = ["RemoteExecutor", "HostSpec", "parse_host_specs",
-           "HOSTS_ENV_VAR", "default_hosts"]
+__all__ = ["RemoteExecutor", "HostSpec", "parse_host_specs"]
 
 log = get_logger("repro.net.executor")
-
-#: Environment variable naming the cluster, e.g.
-#: ``REPRO_HOSTS=127.0.0.1:7070,127.0.0.1:7071,local:2``.
-HOSTS_ENV_VAR = "REPRO_HOSTS"
-
-
-def default_hosts() -> tuple[str, ...] | None:
-    """Host specs from ``REPRO_HOSTS`` (None when unset/empty)."""
-    raw = os.environ.get(HOSTS_ENV_VAR)
-    if raw is None:
-        return None
-    specs = tuple(part.strip() for part in raw.split(",") if part.strip())
-    return specs or None
 
 
 @dataclass(frozen=True)
@@ -92,10 +78,10 @@ def parse_host_specs(hosts) -> tuple[HostSpec, ...]:
     """Parse ``"h:p,local:2"`` (or an iterable of specs) into HostSpecs."""
     if hosts is None:
         raise ConfigError(
-            f"the remote backend needs worker hosts; set "
-            f"RunConfig.hosts / {HOSTS_ENV_VAR} / --hosts, e.g. "
-            f"'127.0.0.1:7070,127.0.0.1:7071' (start agents with "
-            f"'python -m repro serve --port 7070')")
+            "the remote backend needs worker hosts; set "
+            "RunConfig.hosts / REPRO_HOSTS / --hosts, e.g. "
+            "'127.0.0.1:7070,127.0.0.1:7071' (start agents with "
+            "'python -m repro serve --port 7070')")
     if isinstance(hosts, str):
         hosts = [part.strip() for part in hosts.split(",") if part.strip()]
     specs: list[HostSpec] = []
@@ -233,10 +219,10 @@ class RemoteExecutor(_PoolExecutor):
         if transport is None:
             # The remote backend's natural data plane is the block
             # store; an explicit REPRO_TRANSPORT still wins.
-            transport = os.environ.get(TRANSPORT_ENV_VAR, "tcp")
+            transport = default_transport_name(fallback="tcp")
         super().__init__(max_workers, transport=transport)
         self.host_specs = parse_host_specs(
-            hosts if hosts is not None else default_hosts())
+            hosts if hosts is not None else env("REPRO_HOSTS"))
         self.heartbeat_interval = heartbeat_interval
         self.connect_timeout = connect_timeout
         #: How long a task waits for a free slot before concluding the

@@ -71,35 +71,13 @@ from .protocol import (
     send_frame,
 )
 
-__all__ = ["QueryServer", "ServiceClient", "SERVICE_PORT_ENV_VAR",
-           "default_service_port", "result_to_meta"]
+__all__ = ["QueryServer", "ServiceClient", "result_to_meta"]
 
 log = get_logger("repro.net.service")
-
-#: Environment variable for the default ``repro serve-sql`` port.
-SERVICE_PORT_ENV_VAR = "REPRO_SERVICE_PORT"
-
-_DEFAULT_SERVICE_PORT = 7075
 
 #: Dataset scale used when a QUERY frame names no scale — matches the
 #: CLI's interactive default so ad-hoc queries finish in seconds.
 DEFAULT_WIRE_SCALE = 2e-5
-
-
-def default_service_port() -> int:
-    """Port for ``repro serve-sql`` from ``REPRO_SERVICE_PORT``."""
-    raw = os.environ.get(SERVICE_PORT_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_SERVICE_PORT
-    try:
-        port = int(raw)
-    except ValueError:
-        raise ConfigError(f"{SERVICE_PORT_ENV_VAR} must be an integer, "
-                          f"got {raw!r}") from None
-    if not 0 <= port <= 65535:
-        raise ConfigError(f"{SERVICE_PORT_ENV_VAR} must be a port "
-                          f"number, got {raw!r}")
-    return port
 
 
 def result_to_meta(result: EngineResult) -> dict:

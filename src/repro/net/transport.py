@@ -30,12 +30,12 @@ exactly when binding a wildcard interface.
 
 from __future__ import annotations
 
-import os
 import uuid
 
 import numpy as np
 
 from ..errors import BlockNotFound, NetError
+from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..obs.tracing import current_tracer
 from ..runtime.transport import ArrayRef, Transport
@@ -43,10 +43,7 @@ from .blockstore import BlockStoreClient, BlockStoreServer
 
 log = get_logger("repro.net.transport")
 
-__all__ = ["TcpTransport", "BIND_HOST_ENV_VAR", "ADVERTISE_HOST_ENV_VAR"]
-
-BIND_HOST_ENV_VAR = "REPRO_BIND_HOST"
-ADVERTISE_HOST_ENV_VAR = "REPRO_ADVERTISE_HOST"
+__all__ = ["TcpTransport"]
 
 
 def _parse_addr(store) -> tuple[str, int] | None:
@@ -70,10 +67,8 @@ class TcpTransport(Transport):
         super().__init__()
         #: External store address; None means this transport owns one.
         self._external = _parse_addr(store)
-        self._bind_host = bind_host or os.environ.get(
-            BIND_HOST_ENV_VAR, "127.0.0.1")
-        self._advertise = advertise_host or os.environ.get(
-            ADVERTISE_HOST_ENV_VAR)
+        self._bind_host = bind_host or env("REPRO_BIND_HOST")
+        self._advertise = advertise_host or env("REPRO_ADVERTISE_HOST")
         self._server: BlockStoreServer | None = None
         self._client: BlockStoreClient | None = None
         self._addr: tuple[str, int] | None = None

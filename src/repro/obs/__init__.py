@@ -21,20 +21,19 @@ See docs/observability.md for the span model, metric names, and usage.
 
 from .expo import CONTENT_TYPE_TEXT, prometheus_text, \
     start_http_exposition
-from .log import (LOG_ENV_VAR, KeyValueFormatter, configure_logging,
-                  get_logger, kv)
+from .log import KeyValueFormatter, configure_logging, get_logger, kv
 from .metrics import (METRICS, Counter, Gauge, Histogram,
                       MetricsRegistry, MetricsScope, snapshot_delta)
 from .profile import PROFILE_SCHEMA_VERSION, PhaseRow, QueryProfile, \
     build_profile
-from .tracing import (NOOP_TRACER, TRACE_ENV_VAR, NoopTracer, Span,
+from .tracing import (NOOP_TRACER, NoopTracer, Span,
                       Tracer, chrome_trace_events, current_tracer,
                       set_thread_tracer, set_tracer, task_tracer,
                       trace_context, use_tracer, write_chrome_trace)
 
 __all__ = [
     # tracing
-    "TRACE_ENV_VAR", "Span", "Tracer", "NoopTracer", "NOOP_TRACER",
+    "Span", "Tracer", "NoopTracer", "NOOP_TRACER",
     "current_tracer", "set_tracer", "set_thread_tracer", "use_tracer",
     "trace_context", "task_tracer", "chrome_trace_events",
     "write_chrome_trace",
@@ -47,6 +46,6 @@ __all__ = [
     # exposition
     "prometheus_text", "start_http_exposition", "CONTENT_TYPE_TEXT",
     # logging
-    "LOG_ENV_VAR", "get_logger", "kv", "configure_logging",
+    "get_logger", "kv", "configure_logging",
     "KeyValueFormatter",
 ]

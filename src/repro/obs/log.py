@@ -19,16 +19,13 @@ applications keep control of their own handlers.
 from __future__ import annotations
 
 import logging
-import os
 import time
 
 from ..errors import ConfigError
+from ..knobs import env
 
-__all__ = ["LOG_ENV_VAR", "get_logger", "kv", "configure_logging",
-           "resolve_level", "KeyValueFormatter"]
-
-#: Environment variable naming the default log level (e.g. ``debug``).
-LOG_ENV_VAR = "REPRO_LOG"
+__all__ = ["get_logger", "kv", "configure_logging", "resolve_level",
+           "KeyValueFormatter"]
 
 _ROOT = "repro"
 
@@ -71,7 +68,7 @@ class KeyValueFormatter(logging.Formatter):
 def resolve_level(level: str | int | None) -> int:
     """Flag > ``REPRO_LOG`` env > WARNING, as a logging level int."""
     if level is None:
-        level = os.environ.get(LOG_ENV_VAR) or "warning"
+        level = env("REPRO_LOG") or "warning"
     if isinstance(level, int):
         return level
     parsed = logging.getLevelName(str(level).strip().upper())

@@ -45,7 +45,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = [
-    "TRACE_ENV_VAR",
     "Span",
     "Tracer",
     "NoopTracer",
@@ -59,11 +58,6 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
 ]
-
-#: Environment variable naming a default trace output path — setting it
-#: makes ``QueryJob.run`` record and ``JoinSession.close`` write the
-#: file, exactly like ``RunConfig.trace_path`` / CLI ``--trace``.
-TRACE_ENV_VAR = "REPRO_TRACE"
 
 _HOSTNAME = socket.gethostname()
 

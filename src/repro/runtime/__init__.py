@@ -18,12 +18,12 @@ rules.
 """
 
 from .executor import (
+    BACKENDS,
     Executor,
     ExecutorView,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    available_backends,
     available_parallelism,
     create_executor,
     executor_for,
@@ -37,15 +37,14 @@ from .scheduler import (
 )
 from .telemetry import RuntimeTelemetry, modeled_vs_measured
 from .transport import (
+    TRANSPORTS,
     ArrayRef,
     PickleTransport,
     SharedMemoryTransport,
     Transport,
     TransportStats,
-    available_transports,
     create_transport,
     default_transport_name,
-    register_transport,
     resolve_array_ref,
 )
 from .worker import WorkerTask, WorkerTaskResult, execute_worker_task
@@ -56,7 +55,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "available_backends",
+    "BACKENDS",
     "available_parallelism",
     "create_executor",
     "executor_for",
@@ -72,10 +71,9 @@ __all__ = [
     "TransportStats",
     "PickleTransport",
     "SharedMemoryTransport",
-    "available_transports",
+    "TRANSPORTS",
     "create_transport",
     "default_transport_name",
-    "register_transport",
     "resolve_array_ref",
     "WorkerTask",
     "WorkerTaskResult",

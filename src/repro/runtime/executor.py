@@ -1,6 +1,7 @@
 """Executor backends: where worker tasks actually run.
 
-One interface, three implementations:
+One interface, three implementations here plus ``remote``
+(:mod:`repro.net`, registered lazily), all in :data:`BACKENDS`:
 
 - ``serial``    — tasks run in the calling process, each the moment the
   task source produces it.  The default everywhere: an engine handed no
@@ -58,6 +59,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import ConfigError, ReproError, WorkerCrashed
 from ..obs.tracing import current_tracer
+from ..registry import Registry
 from .transport import Transport, create_transport
 
 __all__ = [
@@ -66,7 +68,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "available_backends",
+    "BACKENDS",
     "create_executor",
     "executor_for",
     "available_parallelism",
@@ -406,22 +408,15 @@ class ExecutorView(Executor):
                 f"epoch={self.epoch!r})")
 
 
-_BACKENDS: dict[str, type[Executor]] = {
-    "serial": SerialExecutor,
-    "threads": ThreadExecutor,
-    "processes": ProcessExecutor,
-}
-
-#: Backends resolved on first use, so importing the runtime never pulls
-#: in :mod:`repro.net` (and its sockets).
-_LAZY_BACKENDS: dict[str, tuple[str, str]] = {
-    "remote": ("repro.net.executor", "RemoteExecutor"),
-}
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered executor backend names."""
-    return (*_BACKENDS, *_LAZY_BACKENDS)
+BACKENDS = Registry("backend")
+BACKENDS.register("serial", SerialExecutor,
+                  summary="tasks run in the calling process")
+BACKENDS.register("threads", ThreadExecutor,
+                  summary="a thread pool (shared memory, GIL-bound)")
+BACKENDS.register("processes", ProcessExecutor,
+                  summary="a process pool (pickled task payloads)")
+BACKENDS.register("remote", lazy="repro.net.executor:RemoteExecutor",
+                  summary="worker agents on other machines (repro.net)")
 
 
 def create_executor(backend: str, max_workers: int | None = None,
@@ -434,17 +429,8 @@ def create_executor(backend: str, max_workers: int | None = None,
     ``REPRO_TRANSPORT`` at first use (the ``remote`` backend defaults to
     ``tcp`` instead).
     """
-    cls = _BACKENDS.get(backend)
-    if cls is None and backend in _LAZY_BACKENDS:
-        import importlib
-
-        module, attr = _LAZY_BACKENDS[backend]
-        cls = getattr(importlib.import_module(module), attr)
-    if cls is None:
-        raise ConfigError(
-            f"unknown runtime backend {backend!r}; "
-            f"choose from {available_backends()}")
-    return cls(max_workers, transport=transport, **kwargs)
+    return BACKENDS.create(backend, max_workers, transport=transport,
+                           **kwargs)
 
 
 def executor_for(cluster,

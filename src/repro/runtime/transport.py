@@ -12,9 +12,8 @@ copy-heavy data plane the HCube design is meant to avoid.  A
 - :func:`resolve_array_ref` (top-level, spawn-safe) turns a descriptor
   back into a concrete array on the worker.
 
-Three backends, looked up through a string-keyed registry
-(:func:`register_transport` / :func:`available_transports`, mirroring
-:mod:`repro.engines.registry`):
+Three backends, looked up through :data:`TRANSPORTS` (a
+:class:`repro.registry.Registry`):
 
 - :class:`PickleTransport` — descriptors carry the sliced partition
   inline; semantically identical to the historical behaviour (arrays are
@@ -40,7 +39,6 @@ does — fancy indexing copies) and never unlink.
 
 from __future__ import annotations
 
-import os
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -49,11 +47,12 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..errors import ConfigError
+from ..knobs import env
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer
+from ..registry import Registry
 
 __all__ = [
-    "TRANSPORT_ENV_VAR",
     "REF_HEADER_BYTES",
     "ArrayRef",
     "resolve_array_ref",
@@ -61,16 +60,10 @@ __all__ = [
     "Transport",
     "PickleTransport",
     "SharedMemoryTransport",
-    "TransportSpec",
-    "register_transport",
-    "available_transports",
-    "transport_class",
+    "TRANSPORTS",
     "default_transport_name",
     "create_transport",
 ]
-
-#: Environment variable selecting the default transport backend.
-TRANSPORT_ENV_VAR = "REPRO_TRANSPORT"
 
 #: Accounted fixed size of one descriptor (kind, block name, dtype,
 #: shape) — the part of a ref that is not the payload.
@@ -409,76 +402,12 @@ class SharedMemoryTransport(Transport):
             super().teardown()
 
 
-@dataclass(frozen=True)
-class TransportSpec:
-    """One registered transport: key, class path, one-line summary.
-
-    ``module``/``attr`` keep the registration lazy — registering ``tcp``
-    must not import :mod:`repro.net` (and certainly not open sockets)
-    until someone actually asks for it.
-    """
-
-    key: str
-    module: str
-    attr: str
-    summary: str = ""
-
-    def load(self) -> type:
-        import importlib
-
-        return getattr(importlib.import_module(self.module), self.attr)
-
-
-_TRANSPORT_REGISTRY: dict[str, TransportSpec] = {}
-
-
-def register_transport(key: str, cls: type | None = None, *,
-                       lazy: str | None = None, summary: str = "") -> None:
-    """Register a transport class under ``key``.
-
-    Pass either a concrete ``cls`` or a ``lazy`` ``"module:attr"`` path
-    (resolved on first :func:`create_transport` call).  Mirrors
-    :mod:`repro.engines.registry`: re-registering an existing key is a
-    :class:`ConfigError`.
-    """
-    if key in _TRANSPORT_REGISTRY:
-        raise ConfigError(f"transport {key!r} is already registered")
-    if (cls is None) == (lazy is None):
-        raise ConfigError("register_transport needs exactly one of "
-                          "cls= or lazy='module:attr'")
-    if cls is not None:
-        # Already imported, so load() is a cheap sys.modules lookup.
-        module, attr = cls.__module__, cls.__qualname__
-    else:
-        module, _, attr = lazy.partition(":")
-    _TRANSPORT_REGISTRY[key] = TransportSpec(key=key, module=module,
-                                             attr=attr, summary=summary)
-
-
-def available_transports() -> tuple[str, ...]:
-    """Registered transport keys, in registration order."""
-    return tuple(_TRANSPORT_REGISTRY)
-
-
-def transport_class(name: str) -> type:
-    """The :class:`Transport` subclass registered under ``name``."""
-    try:
-        spec = _TRANSPORT_REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown transport {name!r}; "
-            f"choose from {available_transports()}") from None
-    return spec.load()
+TRANSPORTS = Registry("transport")
 
 
 def default_transport_name(fallback: str = "pickle") -> str:
     """Transport name from ``REPRO_TRANSPORT`` (default ``fallback``)."""
-    name = os.environ.get(TRANSPORT_ENV_VAR, fallback)
-    if name not in _TRANSPORT_REGISTRY:
-        raise ConfigError(
-            f"{TRANSPORT_ENV_VAR} must be one of {available_transports()}, "
-            f"got {name!r}")
-    return name
+    return env("REPRO_TRANSPORT") or fallback
 
 
 def create_transport(name: "str | Transport | None" = None) -> Transport:
@@ -493,12 +422,12 @@ def create_transport(name: "str | Transport | None" = None) -> Transport:
         return name
     if name is None:
         name = default_transport_name()
-    return transport_class(name)()
+    return TRANSPORTS.create(name)
 
 
-register_transport("pickle", PickleTransport,
-                   summary="partitions travel inside pickled payloads")
-register_transport("shm", SharedMemoryTransport,
-                   summary="zero-copy shared-memory blocks, same host")
-register_transport("tcp", lazy="repro.net.transport:TcpTransport",
-                   summary="TCP block store for multi-machine clusters")
+TRANSPORTS.register("pickle", PickleTransport,
+                    summary="partitions travel inside pickled payloads")
+TRANSPORTS.register("shm", SharedMemoryTransport,
+                    summary="zero-copy shared-memory blocks, same host")
+TRANSPORTS.register("tcp", lazy="repro.net.transport:TcpTransport",
+                    summary="TCP block store for multi-machine clusters")

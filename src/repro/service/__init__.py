@@ -21,9 +21,7 @@ docs/service.md for the architecture tour.
 from ..api.context import ClusterContext
 from ..errors import AdmissionError
 from .cache import PlanCache, ResultCache, plan_key, result_key
-from .service import (BUDGET_POLICIES, MAX_CONCURRENT_ENV_VAR,
-                      RESULT_CACHE_ENV_VAR, QueryRequest, QueryService,
-                      default_max_concurrent, default_result_cache_bytes)
+from .service import BUDGET_POLICIES, QueryRequest, QueryService
 
 __all__ = [
     "QueryService",
@@ -35,8 +33,4 @@ __all__ = [
     "plan_key",
     "result_key",
     "BUDGET_POLICIES",
-    "MAX_CONCURRENT_ENV_VAR",
-    "RESULT_CACHE_ENV_VAR",
-    "default_max_concurrent",
-    "default_result_cache_bytes",
 ]

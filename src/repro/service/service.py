@@ -38,7 +38,6 @@ scrape them via the agent EXPO endpoint or ``session.metrics()``.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -50,6 +49,7 @@ from ..data.database import Database
 from ..engines.base import EngineOptions, EngineResult
 from ..errors import AdmissionError, ConfigError
 from ..ghd.decomposition import optimal_hypertree
+from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..query.parser import parse_query
@@ -58,43 +58,9 @@ from .cache import PlanCache, ResultCache, plan_key, result_key
 
 log = get_logger("repro.service")
 
-__all__ = ["QueryService", "QueryRequest", "BUDGET_POLICIES",
-           "MAX_CONCURRENT_ENV_VAR", "RESULT_CACHE_ENV_VAR",
-           "default_max_concurrent", "default_result_cache_bytes"]
-
-#: Environment variable bounding concurrent query execution.
-MAX_CONCURRENT_ENV_VAR = "REPRO_MAX_CONCURRENT"
-#: Environment variable bounding the result cache (bytes; 0 disables).
-RESULT_CACHE_ENV_VAR = "REPRO_RESULT_CACHE_BYTES"
+__all__ = ["QueryService", "QueryRequest", "BUDGET_POLICIES"]
 
 BUDGET_POLICIES = ("reject", "queue", "downgrade")
-
-_DEFAULT_MAX_CONCURRENT = 4
-_DEFAULT_RESULT_CACHE_BYTES = 64 << 20
-
-
-def _env_int(var: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    try:
-        value = int(float(raw))
-    except ValueError:
-        raise ConfigError(f"{var} must be a number, got {raw!r}") from None
-    if value < minimum:
-        raise ConfigError(f"{var} must be >= {minimum}, got {raw!r}")
-    return value
-
-
-def default_max_concurrent() -> int:
-    """Concurrent-query bound from ``REPRO_MAX_CONCURRENT`` (default 4)."""
-    return _env_int(MAX_CONCURRENT_ENV_VAR, _DEFAULT_MAX_CONCURRENT, 1)
-
-
-def default_result_cache_bytes() -> int:
-    """Result-cache budget from ``REPRO_RESULT_CACHE_BYTES``
-    (default 64 MiB; 0 disables caching)."""
-    return _env_int(RESULT_CACHE_ENV_VAR, _DEFAULT_RESULT_CACHE_BYTES, 0)
 
 
 @dataclass
@@ -149,7 +115,7 @@ class QueryService:
                 f"got {budget_policy!r}")
         if context is not None and config is not None:
             raise ConfigError("pass either context= or config=, not both")
-        self.max_concurrent = (default_max_concurrent()
+        self.max_concurrent = (env("REPRO_MAX_CONCURRENT")
                                if max_concurrent is None
                                else max(1, int(max_concurrent)))
         self.queue_depth = (2 * self.max_concurrent if queue_depth is None
@@ -159,7 +125,7 @@ class QueryService:
         self.queue_timeout = queue_timeout
         self.plan_cache = PlanCache(capacity=plan_cache_size)
         self.result_cache = ResultCache(
-            max_bytes=default_result_cache_bytes()
+            max_bytes=env("REPRO_RESULT_CACHE_BYTES")
             if result_cache_bytes is None else result_cache_bytes)
         self._context = (context or ClusterContext(config)).acquire()
         self._session = JoinSession(context=self._context)

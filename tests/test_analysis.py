@@ -13,9 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Finding, LintConfig, available_checkers,
-                            checker_spec, register_checker, run)
-from repro.analysis.registry import create_checker
+from repro.analysis import CHECKERS, Finding, LintConfig, run
 from repro.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,9 +31,6 @@ def lint_source(tmp_path, source, *, rules=None, name="mod.py",
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source), encoding="utf-8")
-    config_kwargs.setdefault("env_catalog_override", frozenset())
-    config_kwargs.setdefault("registry_keys_override", {})
-    config_kwargs.setdefault("documented_env_override", frozenset())
     config = LintConfig(root=tmp_path, **config_kwargs)
     return run([path], rules=rules, config=config)
 
@@ -48,20 +43,18 @@ def rules_of(findings):
 # registry
 
 
-def test_all_six_rules_registered():
-    rules = available_checkers()
+def test_all_builtin_rules_registered():
+    rules = CHECKERS.keys()
     assert set(rules) >= {"spawn-safety", "lazy-net", "lock-discipline",
-                          "env-registry", "registry-consistency",
-                          "error-taxonomy"}
+                          "env-registry", "error-taxonomy"}
     for rule in rules:
-        spec = checker_spec(rule)
-        assert spec.summary
-        assert create_checker(rule).rule == rule
+        assert CHECKERS.summary(rule)
+        assert CHECKERS.create(rule).rule == rule
 
 
 def test_duplicate_checker_registration_rejected():
-    with pytest.raises(ConfigError):
-        register_checker("spawn-safety", object)
+    with pytest.raises(ConfigError, match="already registered"):
+        CHECKERS.register("spawn-safety", object)
 
 
 def test_unknown_rule_rejected(tmp_path):
@@ -216,33 +209,30 @@ def test_lock_discipline_ignores_non_transport_classes(tmp_path):
 # env-registry
 
 
+def _repro_package(tmp_path):
+    (tmp_path / "repro").mkdir()
+    (tmp_path / "repro" / "__init__.py").write_text("")
+
+
 def test_env_registry_fires_on_undeclared_read(tmp_path):
+    _repro_package(tmp_path)
     findings = lint_source(tmp_path, """
         import os
+        from os import getenv
         value = os.environ.get("REPRO_MYSTERY")
-    """, rules=["env-registry"])
+    """, rules=["env-registry"], name="repro/mod.py")
     assert rules_of(findings) == {"env-registry"}
-    assert "REPRO_MYSTERY" in findings[0].message
-
-
-def test_env_registry_fires_on_undocumented_constant(tmp_path):
-    findings = lint_source(tmp_path, """
-        DEMO_ENV_VAR = "REPRO_DEMO"
-    """, rules=["env-registry"],
-        env_catalog_override=frozenset({"REPRO_DEMO"}),
-        documented_env_override=frozenset())
-    assert rules_of(findings) == {"env-registry"}
-    assert "not documented" in findings[0].message
+    assert len(findings) == 2
+    assert any("REPRO_MYSTERY" in f.message for f in findings)
 
 
 def test_env_registry_clean_when_declared_and_documented(tmp_path):
+    """The knob module is the one sanctioned reader."""
+    _repro_package(tmp_path)
     findings = lint_source(tmp_path, """
         import os
-        DEMO_ENV_VAR = "REPRO_DEMO"
         value = os.environ["REPRO_DEMO"]
-    """, rules=["env-registry"],
-        env_catalog_override=frozenset({"REPRO_DEMO"}),
-        documented_env_override=frozenset({"REPRO_DEMO"}))
+    """, rules=["env-registry"], name="repro/knobs.py")
     assert findings == []
 
 
@@ -251,52 +241,6 @@ def test_env_registry_exempts_bench_namespace(tmp_path):
         import os
         scale = os.environ.get("REPRO_BENCH_SCALE", "1")
     """, rules=["env-registry"])
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# registry-consistency
-
-
-def test_registry_consistency_fires_on_dynamic_key(tmp_path):
-    findings = lint_source(tmp_path, """
-        def install(name, cls):
-            register_kernel(name, cls)
-    """, rules=["registry-consistency"])
-    assert rules_of(findings) == {"registry-consistency"}
-
-
-def test_registry_consistency_fires_on_duplicate_key(tmp_path):
-    findings = lint_source(tmp_path, """
-        register_kernel("wcoj", A)
-        register_kernel("wcoj", B)
-    """, rules=["registry-consistency"])
-    assert len(findings) == 1
-    assert "again" in findings[0].message
-
-
-def test_registry_consistency_fires_on_hand_rolled_lineup(tmp_path):
-    findings = lint_source(
-        tmp_path, 'LINEUP = ("adj", "hcubej")\n',
-        rules=["registry-consistency"],
-        registry_keys_override={
-            "engines": frozenset({"adj", "hcubej", "sparksql"})})
-    assert rules_of(findings) == {"registry-consistency"}
-
-
-def test_registry_consistency_clean_on_constants_and_home(tmp_path):
-    (tmp_path / "repro").mkdir()
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (tmp_path / "repro" / "engines").mkdir()
-    (tmp_path / "repro" / "engines" / "__init__.py").write_text("")
-    findings = lint_source(tmp_path, """
-        RULE = "adj"
-        BUILTINS = ("adj", "hcubej")
-        register_engine(RULE, object)
-    """, rules=["registry-consistency"],
-        registry_keys_override={
-            "engines": frozenset({"adj", "hcubej", "sparksql"})},
-        name="repro/engines/builtin.py")
     assert findings == []
 
 
@@ -461,6 +405,5 @@ def test_cli_lint_list_rules():
         env=_cli_env(), timeout=120)
     assert proc.returncode == 0
     for rule in ("spawn-safety", "lazy-net", "lock-discipline",
-                 "env-registry", "registry-consistency",
-                 "error-taxonomy"):
+                 "env-registry", "error-taxonomy"):
         assert rule in proc.stdout

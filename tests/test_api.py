@@ -88,14 +88,14 @@ class TestRegistry:
             registry.register("adj", ADJ)
 
     def test_register_new_engine_shows_up(self, monkeypatch):
-        monkeypatch.setattr(registry, "_REGISTRY",
-                            dict(registry._REGISTRY))
+        monkeypatch.setattr(registry.ENGINES, "_entries",
+                            dict(registry.ENGINES._entries))
 
-        @registry.register("custom", summary="test engine")
         class Custom:
             name = "Custom"
             options_map = {}
 
+        registry.register("custom", Custom, summary="test engine")
         assert "custom" in registry.available()
         assert isinstance(registry.create("custom"), Custom)
         assert registry.display_name("custom") == "Custom"

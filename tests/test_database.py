@@ -8,13 +8,13 @@ from repro.data import (
     Database,
     Relation,
     dataset_names,
-    default_scale,
     generate_erdos_renyi_edges,
     generate_power_law_edges,
     load_dataset,
     load_graph_relation,
 )
 from repro.errors import SchemaError
+from repro.knobs import env
 
 
 def rel(name, attrs=("a", "b"), rows=((1, 2),)):
@@ -201,10 +201,10 @@ class TestDatasetRegistry:
 
     def test_default_scale_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.5")
-        assert default_scale() == 0.5
+        assert env("REPRO_SCALE") == 0.5
         monkeypatch.setenv("REPRO_SCALE", "-1")
         with pytest.raises(ValueError):
-            default_scale()
+            env("REPRO_SCALE")
 
     def test_relative_order_of_scaled_analogues(self):
         wb = load_dataset("wb", scale=3e-5).shape[0]

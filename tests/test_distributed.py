@@ -447,12 +447,11 @@ class TestHashPartition:
 
 class TestCluster:
     def test_default_workers_env(self, monkeypatch):
-        from repro.distributed import default_workers
         monkeypatch.setenv("REPRO_WORKERS", "12")
-        assert default_workers() == 12
+        assert Cluster().num_workers == 12
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(ValueError):
-            default_workers()
+            Cluster()
 
     def test_with_workers(self):
         c = Cluster(num_workers=4)

@@ -29,14 +29,8 @@ from repro.distributed import Cluster
 from repro.engines import ADJ, HCubeJ, SparkSQLJoin, YannakakisJoin
 from repro.engines.base import EngineOptions
 from repro.errors import ConfigError
-from repro.kernels import (
-    KERNEL_ENV_VAR,
-    available_kernels,
-    create_kernel,
-    default_kernel,
-    kernel_spec,
-    register_kernel,
-)
+from repro.kernels import KERNELS, create_kernel
+from repro.knobs import env
 from repro.kernels.adaptive import choose_kernel
 from repro.obs.metrics import METRICS
 from repro.query import paper_query
@@ -63,11 +57,11 @@ def result_tuples(result) -> list:
 
 class TestRegistry:
     def test_available_lists_all_three_in_order(self):
-        assert available_kernels() == ("wcoj", "binary", "adaptive")
+        assert KERNELS.keys() == ("wcoj", "binary", "adaptive")
 
     def test_unknown_kernel_names_choices(self):
         with pytest.raises(ConfigError, match="wcoj.*binary.*adaptive"):
-            kernel_spec("hash")
+            KERNELS.get("hash")
 
     def test_create_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError, match="unknown kernel"):
@@ -75,37 +69,37 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
-            register_kernel("wcoj", lambda: None)
+            KERNELS.register("wcoj", lambda: None)
 
     def test_specs_have_summaries(self):
-        for key in available_kernels():
-            assert kernel_spec(key).summary
+        for key in KERNELS.keys():
+            assert KERNELS.summary(key)
 
     def test_default_kernel_unset_env(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert default_kernel() == "adaptive"
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        assert env("REPRO_KERNEL") == "adaptive"
 
     def test_default_kernel_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "binary")
-        assert default_kernel() == "binary"
+        monkeypatch.setenv("REPRO_KERNEL", "binary")
+        assert env("REPRO_KERNEL") == "binary"
 
     def test_default_kernel_invalid_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
+        monkeypatch.setenv("REPRO_KERNEL", "turbo")
         with pytest.raises(ConfigError, match="unknown kernel"):
-            default_kernel()
+            env("REPRO_KERNEL")
 
 
 class TestConfigPlumbing:
     def test_runconfig_default_is_adaptive(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert RunConfig().kernel == "adaptive"
 
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "wcoj")
+        monkeypatch.setenv("REPRO_KERNEL", "wcoj")
         assert RunConfig().kernel == "wcoj"
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "wcoj")
+        monkeypatch.setenv("REPRO_KERNEL", "wcoj")
         assert RunConfig(kernel="binary").kernel == "binary"
 
     def test_unknown_kernel_rejected_naming_choices(self):
@@ -122,14 +116,14 @@ class TestConfigPlumbing:
             JoinSession(workers=2, kernel="nope")
 
     def test_cli_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "binary")
+        monkeypatch.setenv("REPRO_KERNEL", "binary")
         assert main(["run", "wb", "Q1", "--scale", "1e-5",
                      "--samples", "10", "--kernel", "wcoj",
                      "--engine", "hcubej"]) == 0
         assert "kernel=wcoj" in capsys.readouterr().out
 
     def test_cli_env_applies_without_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "binary")
+        monkeypatch.setenv("REPRO_KERNEL", "binary")
         assert main(["run", "wb", "Q1", "--scale", "1e-5",
                      "--samples", "10", "--engine", "hcubej"]) == 0
         assert "kernel=binary" in capsys.readouterr().out
@@ -148,7 +142,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(7)
         db = graph_db(query, rng.integers(0, 30, size=(200, 2)))
         expected = leapfrog_reference(query, db)
-        for key in available_kernels():
+        for key in KERNELS.keys():
             result = create_kernel(key).execute(query, db,
                                                 query.attributes,
                                                 materialize=True)
@@ -166,7 +160,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(seed)
         db = graph_db(query, rng.integers(0, dom, size=(n, 2)))
         expected = leapfrog_reference(query, db)
-        for key in available_kernels():
+        for key in KERNELS.keys():
             result = create_kernel(key).execute(query, db,
                                                 query.attributes,
                                                 materialize=True)
@@ -177,7 +171,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("pooled", [True, False])
     def test_kernels_agree_across_transports(self, transport, pooled):
         counts = {}
-        for kernel in available_kernels():
+        for kernel in KERNELS.keys():
             with JoinSession(workers=2, transport=transport,
                              backend="threads" if pooled else "serial",
                              kernel=kernel,
@@ -199,7 +193,7 @@ class TestKernelEquivalence:
         assert res.count == base.count
         decisions = res.extra["kernel_decisions"]
         assert {key for key, _ in decisions.values()} \
-            <= set(available_kernels())
+            <= set(KERNELS.keys())
         assert all(reason for _, reason in decisions.values())
 
 
@@ -327,7 +321,7 @@ class TestAdaptiveChoice:
             report = session.query("wb", "Q7").explain()
         assert report.kernel_decisions
         for key, reason in report.kernel_decisions.values():
-            assert key in available_kernels()
+            assert key in KERNELS.keys()
             assert reason
         assert "kernel decisions:" in report.describe()
 

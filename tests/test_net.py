@@ -38,7 +38,7 @@ from repro.net.protocol import (
     send_frame,
 )
 from repro.runtime import (
-    available_transports,
+    TRANSPORTS,
     create_executor,
     create_transport,
     resolve_array_ref,
@@ -312,7 +312,7 @@ class TestTcpTransport:
 
 class TestTransportRegistry:
     def test_tcp_is_registered(self):
-        assert "tcp" in available_transports()
+        assert "tcp" in TRANSPORTS.keys()
         t = create_transport("tcp")
         assert t.name == "tcp"
         t.teardown()
@@ -613,7 +613,7 @@ class TestSessionAcceptance:
         """The remote backend runs every registered transport on
         loopback (shm only works because the agents share the host)."""
         counts = set()
-        for transport in available_transports():
+        for transport in TRANSPORTS.keys():
             with JoinSession(workers=2, backend="remote",
                              hosts=hosts_of(agents), transport=transport,
                              scale=1e-5, samples=10) as session:

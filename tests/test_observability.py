@@ -17,7 +17,6 @@ import pytest
 
 from repro.distributed.metrics import CostBreakdown
 from repro.errors import ConfigError
-from repro.obs import log as obs_log
 from repro.obs import tracing
 from repro.obs.log import (
     KeyValueFormatter,
@@ -526,9 +525,9 @@ class TestLogging:
         assert line.startswith("ts=")
 
     def test_resolve_level_precedence(self, monkeypatch):
-        monkeypatch.delenv(obs_log.LOG_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_LOG", raising=False)
         assert resolve_level(None) == logging.WARNING
-        monkeypatch.setenv(obs_log.LOG_ENV_VAR, "info")
+        monkeypatch.setenv("REPRO_LOG", "info")
         assert resolve_level(None) == logging.INFO
         assert resolve_level("debug") == logging.DEBUG   # flag beats env
         with pytest.raises(ValueError):
@@ -628,7 +627,7 @@ class TestConfigWiring:
     def test_trace_path_env_default(self, monkeypatch):
         from repro.api.config import RunConfig
 
-        monkeypatch.setenv(tracing.TRACE_ENV_VAR, "/tmp/via-env.json")
+        monkeypatch.setenv("REPRO_TRACE", "/tmp/via-env.json")
         assert RunConfig().trace_path == "/tmp/via-env.json"
         assert RunConfig(trace_path="/tmp/flag.json").trace_path == \
             "/tmp/flag.json"
@@ -640,14 +639,14 @@ class TestConfigWiring:
             RunConfig(log_level="chatty")
 
     def test_profile_env_default(self, monkeypatch):
-        from repro.api.config import PROFILE_ENV_VAR, RunConfig
+        from repro.api.config import RunConfig
 
-        monkeypatch.delenv(PROFILE_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
         assert RunConfig().profile is False
-        monkeypatch.setenv(PROFILE_ENV_VAR, "on")
+        monkeypatch.setenv("REPRO_PROFILE", "on")
         assert RunConfig().profile is True
         assert RunConfig(profile=False).profile is False  # flag wins
-        monkeypatch.setenv(PROFILE_ENV_VAR, "sometimes")
+        monkeypatch.setenv("REPRO_PROFILE", "sometimes")
         with pytest.raises(ConfigError):
             RunConfig()
 

@@ -421,13 +421,12 @@ class TestClusterRuntime:
             Cluster(num_workers=2, runtime="teleport")
 
     def test_default_workers_non_integer_is_config_error(self, monkeypatch):
-        from repro.distributed import default_workers
         monkeypatch.setenv("REPRO_WORKERS", "eight")
         with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-            default_workers()
+            Cluster()
         # ConfigError doubles as ValueError for legacy callers.
         with pytest.raises(ValueError):
-            default_workers()
+            Cluster()
 
 
 class TestTelemetry:

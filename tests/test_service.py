@@ -20,11 +20,10 @@ from repro.distributed.metrics import CostBreakdown
 from repro.engines import registry
 from repro.engines.base import EngineOptions, EngineResult
 from repro.errors import AdmissionError, ConfigError, NetError
+from repro.knobs import env
 from repro.query import paper_query
 from repro.runtime.executor import ExecutorView
 from repro.service import PlanCache, ResultCache, result_key
-from repro.service.service import (default_max_concurrent,
-                                   default_result_cache_bytes)
 from repro.wcoj import leapfrog_join
 
 
@@ -47,9 +46,9 @@ def threads_config(transport="pickle", workers=2):
 @pytest.fixture
 def slow_engine(monkeypatch):
     """A temporarily registered engine that sleeps, then counts."""
-    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(registry.ENGINES, "_entries",
+                        dict(registry.ENGINES._entries))
 
-    @registry.register("slow", summary="sleepy test engine")
     class Slow:
         name = "Slow"
         options_map = {}
@@ -63,6 +62,7 @@ def slow_engine(monkeypatch):
                                 count=leapfrog_join(query, db).count,
                                 breakdown=CostBreakdown())
 
+    registry.register("slow", Slow, summary="sleepy test engine")
     Slow.release.set()   # default: only a trivial pause
     return Slow
 
@@ -402,18 +402,18 @@ class TestQueryService:
     def test_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_CONCURRENT", raising=False)
         monkeypatch.delenv("REPRO_RESULT_CACHE_BYTES", raising=False)
-        assert default_max_concurrent() == 4
-        assert default_result_cache_bytes() == 64 << 20
+        assert env("REPRO_MAX_CONCURRENT") == 4
+        assert env("REPRO_RESULT_CACHE_BYTES") == 64 << 20
         monkeypatch.setenv("REPRO_MAX_CONCURRENT", "9")
         monkeypatch.setenv("REPRO_RESULT_CACHE_BYTES", "1024")
-        assert default_max_concurrent() == 9
-        assert default_result_cache_bytes() == 1024
+        assert env("REPRO_MAX_CONCURRENT") == 9
+        assert env("REPRO_RESULT_CACHE_BYTES") == 1024
         monkeypatch.setenv("REPRO_MAX_CONCURRENT", "zero")
         with pytest.raises(ConfigError, match="REPRO_MAX_CONCURRENT"):
-            default_max_concurrent()
+            env("REPRO_MAX_CONCURRENT")
         monkeypatch.setenv("REPRO_MAX_CONCURRENT", "0")
         with pytest.raises(ConfigError, match=">= 1"):
-            default_max_concurrent()
+            env("REPRO_MAX_CONCURRENT")
 
 
 # -- cache unit behaviour -----------------------------------------------------
@@ -572,15 +572,13 @@ class TestWireService:
                 ServiceClient(store.host, store.port)
 
     def test_default_service_port(self, monkeypatch):
-        from repro.net.service import default_service_port
-
         monkeypatch.delenv("REPRO_SERVICE_PORT", raising=False)
-        assert default_service_port() == 7075
+        assert env("REPRO_SERVICE_PORT") == 7075
         monkeypatch.setenv("REPRO_SERVICE_PORT", "7100")
-        assert default_service_port() == 7100
+        assert env("REPRO_SERVICE_PORT") == 7100
         monkeypatch.setenv("REPRO_SERVICE_PORT", "notaport")
         with pytest.raises(ConfigError, match="REPRO_SERVICE_PORT"):
-            default_service_port()
+            env("REPRO_SERVICE_PORT")
         monkeypatch.setenv("REPRO_SERVICE_PORT", "70000")
-        with pytest.raises(ConfigError, match="port"):
-            default_service_port()
+        with pytest.raises(ConfigError, match="PORT"):
+            env("REPRO_SERVICE_PORT")
