@@ -11,7 +11,7 @@ from .datasets import (
     load_graph_relation,
 )
 from .relation import Relation, lexsorted_rows, row_group_ids
-from .trie import Trie, TrieIterator
+from .trie import Trie
 
 __all__ = [
     "Database",
@@ -24,7 +24,6 @@ __all__ = [
     "load_graph_relation",
     "Relation",
     "Trie",
-    "TrieIterator",
     "lexsorted_rows",
     "row_group_ids",
 ]

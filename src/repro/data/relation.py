@@ -34,8 +34,8 @@ import numpy as np
 
 from ..errors import SchemaError
 
-__all__ = ["Relation", "JoinProbe", "row_group_ids", "lexsorted_rows",
-           "sorted_set_rows"]
+__all__ = ["Relation", "JoinProbe", "row_group_ids", "row_keys",
+           "lexsorted_rows", "sorted_set_rows"]
 
 #: Packed keys stay clear of the int64 range (the guard ``TrieLevels.keys``
 #: uses); rows whose radix product reaches it take the fallback paths.
@@ -167,18 +167,17 @@ def sorted_set_rows(arr: np.ndarray) -> np.ndarray:
     return _sorted_rows(arr, dedup=True)
 
 
-def _joint_keys(a: np.ndarray, b: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """1-D keys for the rows of ``a`` and ``b`` over their joint range.
+def row_keys(*arrays: np.ndarray) -> list[np.ndarray]:
+    """1-D keys for the rows of ``arrays`` over their joint range.
 
     Rows are equal iff their keys are, and ordered as their keys are —
-    packed keys, or lexicographic group ranks when they do not fit.
+    packed keys, or lexicographic group ranks when they do not fit.  At
+    least one array must have rows.
     """
-    radix = _radix(a, b)
+    radix = _radix(*arrays)
     if radix is None:
-        a_ids, b_ids = row_group_ids(a, b)
-        return a_ids, b_ids
-    return _pack(a, *radix), _pack(b, *radix)
+        return row_group_ids(*arrays)
+    return [_pack(a, *radix) for a in arrays]
 
 
 class Relation:
@@ -413,7 +412,7 @@ class Relation:
         """Keep tuples whose projection on the shared attrs appears in ``other``."""
         common = self.common_attributes(other)
         if common and len(self) and len(other):
-            mine, theirs = _joint_keys(
+            mine, theirs = row_keys(
                 self.data[:, [self.column_index(a) for a in common]],
                 other.data[:, [other.column_index(a) for a in common]])
             kept = self.data[np.isin(mine, theirs)]
@@ -478,7 +477,7 @@ class JoinProbe:
         if not common:
             counts += m    # cartesian: every left row meets all of right
         elif n and m:
-            keys, hay = _joint_keys(
+            keys, hay = row_keys(
                 left.data[:, [left.column_index(a) for a in common]],
                 right.data[:, :len(common)])
             # ``hay`` is non-decreasing (right is sorted join columns

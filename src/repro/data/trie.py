@@ -2,12 +2,11 @@
 
 A trie over a relation with column order ``(A1, ..., Ak)`` is the
 lexicographically sorted, deduplicated tuple array.  A *node* at depth
-``d`` is a contiguous row range ``[lo, hi)`` sharing the first ``d``
-column values; its children are the runs of distinct values in column
-``d`` inside that range.  Row-range navigation (:meth:`Trie.children`,
-:class:`TrieIterator`) is binary search on column slices.
+``d`` is a contiguous row range sharing the first ``d`` column values;
+its children are the runs of distinct values in column ``d`` inside
+that range.
 
-:meth:`Trie.levels` adds the node-indexed view the frontier Leapfrog
+:meth:`Trie.levels` is the node-indexed view the frontier Leapfrog
 kernel runs on — the "three arrays" block-trie of the paper's Merge
 HCube, one triple per depth (:class:`TrieLevels`): the distinct values
 under every parent concatenated (``vals``), CSR child pointers
@@ -29,7 +28,7 @@ import numpy as np
 from ..errors import SchemaError
 from .relation import Relation
 
-__all__ = ["Trie", "TrieIterator", "TrieLevels"]
+__all__ = ["Trie", "TrieLevels"]
 
 # ``parent * width + offset`` keys must stay clear of the int64 range;
 # a level whose offsets would not switches to ranks.
@@ -91,7 +90,7 @@ class TrieLevels(NamedTuple):
 class Trie:
     """A read-only trie index over a relation for a fixed column order."""
 
-    __slots__ = ("name", "attributes", "data", "_columns", "_levels")
+    __slots__ = ("name", "attributes", "data", "_levels")
 
     def __init__(self, relation: Relation, order: Sequence[str] | None = None):
         order = tuple(order) if order is not None else relation.attributes
@@ -105,12 +104,6 @@ class Trie:
         # The relation's one sort path; a known sorted set in trie order
         # comes back as is (its data is contiguous and read-only).
         self.data = relation.sorted_set(order).data
-        # Pre-sliced contiguous columns: searchsorted on a contiguous 1-d
-        # array is much faster than on a strided column view.
-        self._columns = tuple(
-            np.ascontiguousarray(self.data[:, j])
-            for j in range(self.data.shape[1])
-        )
         self._levels: TrieLevels | None = None
 
     # -- basic protocol ---------------------------------------------------------
@@ -126,45 +119,6 @@ class Trie:
         return (f"Trie({self.name}[{', '.join(self.attributes)}], "
                 f"{len(self)} tuples)")
 
-    @property
-    def root(self) -> tuple[int, int]:
-        """The row range of the root node (whole relation)."""
-        return (0, int(self.data.shape[0]))
-
-    # -- navigation -------------------------------------------------------------
-
-    def children(self, depth: int, lo: int, hi: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct values plus their child sub-ranges.
-
-        Returns ``(values, starts, ends)`` where child ``i`` spans rows
-        ``[starts[i], ends[i])``.
-        """
-        col = self._columns[depth][lo:hi]
-        if col.shape[0] == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        change = np.empty(col.shape[0], dtype=bool)
-        change[0] = True
-        np.not_equal(col[1:], col[:-1], out=change[1:])
-        starts = np.flatnonzero(change).astype(np.int64) + lo
-        values = self._columns[depth][starts]
-        ends = np.empty_like(starts)
-        ends[:-1] = starts[1:]
-        ends[-1] = hi
-        return values, starts, ends
-
-    def child_range(self, depth: int, lo: int, hi: int, value: int
-                    ) -> tuple[int, int]:
-        """Row range of the child with ``value`` at ``depth`` (may be empty)."""
-        col = self._columns[depth]
-        left = lo + int(np.searchsorted(col[lo:hi], value, side="left"))
-        right = lo + int(np.searchsorted(col[lo:hi], value, side="right"))
-        return (left, right)
-
-    def iterator(self) -> "TrieIterator":
-        return TrieIterator(self)
-
     def levels(self) -> TrieLevels:
         """The node-indexed level arrays (built once, then memoized)."""
         if self._levels is None:
@@ -178,7 +132,8 @@ class Trie:
         change = np.zeros(rows, dtype=bool)
         change[:1] = True
         parent_starts = None
-        for col in self._columns:
+        for j in range(self.data.shape[1]):
+            col = np.ascontiguousarray(self.data[:, j])
             np.logical_or(change[1:], col[1:] != col[:-1], out=change[1:])
             starts = np.flatnonzero(change)
             level_vals = col[starts]
@@ -206,96 +161,3 @@ class Trie:
             parent_starts = starts
         return TrieLevels(tuple(vals), tuple(ptr), tuple(keys),
                           tuple(vmins), tuple(widths), tuple(distinct))
-
-
-class TrieIterator:
-    """Linear-iterator interface over a :class:`Trie` (LFTJ-style).
-
-    Implements the classic Leapfrog Triejoin iterator contract:
-    ``open`` / ``up`` move vertically, ``next`` / ``seek`` move through the
-    sorted distinct values at the current depth, ``key`` reads the current
-    value and ``at_end`` reports exhaustion at the current depth.
-    """
-
-    __slots__ = ("trie", "_stack", "_pos", "_end", "at_end")
-
-    def __init__(self, trie: Trie):
-        self.trie = trie
-        # Stack of (lo, hi) ranges; the top is the current node's range.
-        self._stack: list[tuple[int, int]] = [trie.root]
-        self._pos = 0   # start row of the current value's run
-        self._end = 0   # end row of the current value's run
-        self.at_end = True
-
-    @property
-    def depth(self) -> int:
-        """Current depth; 0 means positioned at the root (no open column)."""
-        return len(self._stack) - 1
-
-    def key(self) -> int:
-        """Value at the current position (undefined when ``at_end``)."""
-        return int(self.trie._columns[self.depth - 1][self._pos])
-
-    def open(self) -> None:
-        """Descend to the first value of the next column."""
-        lo, hi = (self._pos, self._end) if self.depth else self._stack[-1]
-        self._stack.append((lo, hi))
-        d = self.depth - 1
-        if lo >= hi:
-            self.at_end = True
-            self._pos = self._end = lo
-            return
-        self._pos = lo
-        col = self.trie._columns[d]
-        self._end = lo + int(
-            np.searchsorted(col[lo:hi], col[lo], side="right"))
-        self.at_end = False
-
-    def up(self) -> None:
-        """Return to the parent depth, restoring its position there.
-
-        The range pushed by ``open`` is exactly the parent's current value
-        run, so popping it restores the parent position.  After returning
-        to depth 0 the iterator has no current value (``key`` is undefined).
-        """
-        if self.depth == 0:
-            raise IndexError("cannot go above the trie root")
-        popped = self._stack.pop()
-        if self.depth == 0:
-            self._pos, self._end = self._stack[-1]
-            self.at_end = False
-            return
-        self._pos, self._end = popped
-        self.at_end = False
-
-    def next(self) -> None:
-        """Advance to the next distinct value at the current depth."""
-        node_lo, node_hi = self._stack[-1]
-        if self._end >= node_hi:
-            self.at_end = True
-            return
-        d = self.depth - 1
-        col = self.trie._columns[d]
-        self._pos = self._end
-        self._end = self._pos + int(np.searchsorted(
-            col[self._pos:node_hi], col[self._pos], side="right"))
-
-    def seek(self, value: int) -> None:
-        """Position at the least value >= ``value`` at the current depth."""
-        node_lo, node_hi = self._stack[-1]
-        d = self.depth - 1
-        col = self.trie._columns[d]
-        lo = self._pos + int(np.searchsorted(
-            col[self._pos:node_hi], value, side="left"))
-        if lo >= node_hi:
-            self.at_end = True
-            self._pos = self._end = node_hi
-            return
-        self._pos = lo
-        self._end = lo + int(np.searchsorted(
-            col[lo:node_hi], col[lo], side="right"))
-        self.at_end = False
-
-    def child_span(self) -> tuple[int, int]:
-        """Row range of the subtree under the current value."""
-        return (self._pos, self._end)

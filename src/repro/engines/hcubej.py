@@ -49,8 +49,8 @@ class HCubeJ:
 
     def _cache_capacity(self, cluster: Cluster
                         ) -> Callable[[int], int] | None:
-        """``worker_load -> capacity`` of a worker-local intersection
-        cache; None (this engine) runs without one."""
+        """``worker_load -> capacity`` (values) of the Leapfrog
+        intersection cache; None (this engine) runs without one."""
         return None
 
     def _extra(self, outcome: OneRoundOutcome) -> dict:

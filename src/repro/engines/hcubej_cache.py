@@ -1,8 +1,11 @@
 """HCubeJ + Cache: one-round join with CacheTrieJoin-style caching [28].
 
-Identical to HCubeJ except each cube's Leapfrog memoizes intersection
-results in an LRU cache.  The cache capacity is whatever memory the HCube
-shuffle left on the worker — the paper's central observation about this
+Identical to HCubeJ except each cube's Leapfrog reuses intersections:
+within a frontier chunk, bindings whose level participants sit on the
+same trie nodes are extended once, and a repeat of a cached key skips
+its work (:func:`repro.wcoj.leapfrog.leapfrog_join` with
+``cache_capacity=``).  The capacity is whatever memory the HCube shuffle
+left on the worker — the paper's central observation about this
 baseline: on small datasets (AS) there is plenty left and caching rivals
 ADJ; on LJ/OK the shuffle consumes the budget and caching stops helping.
 """
@@ -23,12 +26,12 @@ _DEFAULT_CAPACITY_FACTOR = 4
 
 
 class HCubeJCache(HCubeJ):
-    """HCubeJ with a bounded per-cube intersection cache.
+    """HCubeJ with a bounded intersection cache per frontier chunk.
 
-    Caches are worker-local: the coordinator only computes a *capacity*
-    per worker (from the memory the shuffle left), and each worker — on
-    any runtime backend — builds its own per-cube cache.  Hit/miss
-    totals are deterministic and identical across backends.
+    The coordinator only computes a *capacity* per worker (from the
+    memory the shuffle left); each worker — on any runtime backend —
+    runs its cubes with it.  Hit/miss totals are deterministic and
+    identical across backends.
     """
 
     name = "HCubeJ+Cache"

@@ -19,9 +19,9 @@ physical data-plane stats are recorded next to the modeled ledger; with
 no executor the same tasks run on a private in-process
 ``SerialExecutor``.
 
-Intersection caches (HCubeJ+Cache) are worker-local: the coordinator
-ships a capacity, each worker builds its own per-cube cache, and the
-merged hit/miss counters are the same on every backend.
+Intersection caching (HCubeJ+Cache) happens inside each worker's
+Leapfrog: the coordinator ships only a capacity, and the merged hit/miss
+counters are the same on every backend.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
                       kernel: str = "wcoj") -> OneRoundOutcome:
     """Shuffle with HCube, then run Leapfrog on every cube.
 
-    ``cache_capacity(worker_load)`` sizes a per-cube intersection cache
-    from the memory left after the shuffle (HCubeJ+Cache); it must be a
-    coordinator-side callable returning plain ints so the capacity —
-    never the cache object — crosses the process boundary.
+    ``cache_capacity(worker_load)`` sizes the intersection cache from
+    the memory left after the shuffle (HCubeJ+Cache); it must be a
+    coordinator-side callable returning plain ints — only the capacity
+    crosses the process boundary.
 
     ``executor`` selects the runtime backend for the per-cube Leapfrog
     work (None: a private in-process serial one); its

@@ -63,7 +63,7 @@ register("bigjoin", BigJoin,
 register("hcubej", HCubeJ,
          summary="one-round HCube + Leapfrog, communication-first")
 register("hcubej-cache", HCubeJCache,
-         summary="HCubeJ with bounded per-cube intersection caches")
+         summary="HCubeJ with a bounded intersection cache")
 register("adj", ADJ,
          summary="the paper's co-optimized one-round engine")
 register("yannakakis", YannakakisJoin,

@@ -35,7 +35,6 @@ from ..obs.tracing import current_tracer
 from ..query.hypergraph import Hypergraph
 from ..query.query import JoinQuery
 from ..wcoj.binary_join import greedy_plan_with_estimates
-from ..wcoj.cache import IntersectionCache
 from ..wcoj.leapfrog import JoinResult, LeapfrogStats
 from .base import KERNELS, create_kernel
 
@@ -112,9 +111,9 @@ class AdaptiveKernel:
                 order: Sequence[str] | None = None, *,
                 materialize: bool = False,
                 budget: int | None = None,
-                cache: IntersectionCache | None = None,
+                cache_capacity: int | None = None,
                 stats: LeapfrogStats | None = None) -> JoinResult:
         choice = select_kernel("adaptive", query, db, scope="execute")
         return create_kernel(choice.key).execute(
             query, db, order, materialize=materialize, budget=budget,
-            cache=cache, stats=stats)
+            cache_capacity=cache_capacity, stats=stats)

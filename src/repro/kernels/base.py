@@ -26,7 +26,6 @@ from ..registry import Registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.database import Database
     from ..query.query import JoinQuery
-    from ..wcoj.cache import IntersectionCache
     from ..wcoj.leapfrog import JoinResult, LeapfrogStats
 
 __all__ = ["JoinKernel", "KERNELS", "create_kernel"]
@@ -41,7 +40,7 @@ class JoinKernel(Protocol):
     populated in place (pass a caller-owned ``stats`` to inspect partial
     work after a :class:`~repro.errors.BudgetExceeded`), and materializes
     the result relation (attributes = ``order``) only when asked.
-    Kernels without an intersection cache ignore ``cache``.
+    Kernels without an intersection cache ignore ``cache_capacity``.
     """
 
     key: str
@@ -50,7 +49,7 @@ class JoinKernel(Protocol):
                 order: Sequence[str] | None = None, *,
                 materialize: bool = False,
                 budget: int | None = None,
-                cache: "IntersectionCache | None" = None,
+                cache_capacity: int | None = None,
                 stats: "LeapfrogStats | None" = None) -> "JoinResult":
         ...  # pragma: no cover - protocol
 

@@ -31,7 +31,6 @@ from ..data.relation import JoinProbe
 from ..errors import BudgetExceeded, PlanError
 from ..query.query import JoinQuery
 from ..wcoj.binary_join import greedy_left_deep_plan, run_left_deep
-from ..wcoj.cache import IntersectionCache
 from ..wcoj.leapfrog import JoinResult, LeapfrogStats
 
 __all__ = ["BinaryKernel"]
@@ -46,7 +45,7 @@ class BinaryKernel:
                 order: Sequence[str] | None = None, *,
                 materialize: bool = False,
                 budget: int | None = None,
-                cache: IntersectionCache | None = None,
+                cache_capacity: int | None = None,
                 stats: LeapfrogStats | None = None) -> JoinResult:
         order = tuple(order) if order is not None else query.attributes
         if set(order) != set(query.attributes):

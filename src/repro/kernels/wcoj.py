@@ -14,7 +14,6 @@ from typing import Sequence
 
 from ..data.database import Database
 from ..query.query import JoinQuery
-from ..wcoj.cache import IntersectionCache
 from ..wcoj.leapfrog import JoinResult, LeapfrogStats, leapfrog_join
 
 
@@ -27,7 +26,8 @@ class WcojKernel:
                 order: Sequence[str] | None = None, *,
                 materialize: bool = False,
                 budget: int | None = None,
-                cache: IntersectionCache | None = None,
+                cache_capacity: int | None = None,
                 stats: LeapfrogStats | None = None) -> JoinResult:
         return leapfrog_join(query, db, order, materialize=materialize,
-                             cache=cache, budget=budget, stats=stats)
+                             cache_capacity=cache_capacity, budget=budget,
+                             stats=stats)

@@ -241,6 +241,7 @@ class WorkerAgent(FrameServer):
         with self._counter_lock:
             self.tasks_active += 1
         start = time.perf_counter()
+        reply = None
         try:
             try:
                 with recorder.span("agent_task", cat="agent",
@@ -251,37 +252,48 @@ class WorkerAgent(FrameServer):
                     reply = pickle.dumps(result,
                                          protocol=pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
-                with self._counter_lock:
-                    self.tasks_failed += 1
                 log.warning("task failed %s",
                             kv(slot=meta.get("slot", -1),
                                error=type(exc).__name__, message=exc))
-                err_meta = {"error": type(exc).__name__,
-                            "message": str(exc)}
-                if tracer.enabled:
-                    err_meta["spans"] = tracer.export_payload()
-                send_frame(sock, OP_ERR, err_meta)
+                reply_meta = {"error": type(exc).__name__,
+                              "message": str(exc)}
             else:
-                with self._counter_lock:
-                    self.tasks_run += 1
                 log.debug("task done %s",
                           kv(slot=meta.get("slot", -1),
                              reply_bytes=len(reply)))
-                ok_meta = {}
-                if tracer.enabled:
-                    ok_meta["spans"] = tracer.export_payload()
-                send_frame(sock, OP_DATA, ok_meta, reply)
-                METRICS.counter("agent.reply_bytes").inc(len(reply))
+                reply_meta = {}
+            finally:
+                self._task_done(start, reply)
+            if tracer.enabled:
+                reply_meta["spans"] = tracer.export_payload()
+            if reply is None:
+                send_frame(sock, OP_ERR, reply_meta)
+            else:
+                send_frame(sock, OP_DATA, reply_meta, reply)
         finally:
-            # The agent-process view of task latency/load — recorded
-            # here (not in the pool child) so STAT/EXPO serve it in
-            # both pool modes; what `repro top`'s p95 column reads.
-            METRICS.histogram("agent.task_seconds").observe(
-                time.perf_counter() - start)
-            with self._counter_lock:
-                self.tasks_active -= 1
             if tracer.enabled:
                 set_thread_tracer(previous)
+
+    def _task_done(self, start: float, reply: bytes | None) -> None:
+        """Record a finished task (``reply`` None: it failed).
+
+        Runs *before* the reply is sent, so a STAT that follows the
+        reply always sees the task; ``agent.task_seconds`` therefore
+        excludes the reply send.  This is the agent-process view of
+        task latency/load — recorded here (not in the pool child) so
+        STAT/EXPO serve it in both pool modes; what `repro top`'s p95
+        column reads.
+        """
+        METRICS.histogram("agent.task_seconds").observe(
+            time.perf_counter() - start)
+        if reply is not None:
+            METRICS.counter("agent.reply_bytes").inc(len(reply))
+        with self._counter_lock:
+            self.tasks_active -= 1
+            if reply is None:
+                self.tasks_failed += 1
+            else:
+                self.tasks_run += 1
 
     def handle(self, sock: socket.socket, op: int, meta: dict,
                payload: bytes) -> bool:

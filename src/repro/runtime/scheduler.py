@@ -85,7 +85,7 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     the run (see :func:`merge_task_results`), so a budget violation is
     detected whether it happens inside one worker or only in aggregate.
 
-    ``cache_capacity(worker_load)`` sizes an optional worker-local
+    ``cache_capacity(worker_load)`` sizes an optional Leapfrog
     intersection cache (HCubeJ+Cache).  ``kernel`` is the
     :mod:`repro.kernels` key each task executes with — a plain string so
     it survives spawned process pools and remote agents.  ``materialize``

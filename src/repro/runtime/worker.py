@@ -15,7 +15,9 @@ coordinator's business:
 
 For every kernel key the worker makes the same call,
 ``create_kernel(task.kernel).execute(...)`` — the kernel builds (and
-times) whatever index it needs.
+times) whatever index it needs.  HCubeJ+Cache's cache is only an
+integer, ``cache_capacity``, handed to that call; hits and misses come
+back in the kernel's stats like every other counter.
 
 Everything here must stay pickle-friendly and importable from a fresh
 interpreter: process backends ship :class:`WorkerTask` objects to
@@ -52,7 +54,6 @@ from ..errors import BudgetExceeded
 from ..kernels import create_kernel
 from ..obs.tracing import current_tracer, set_thread_tracer, task_tracer
 from ..query.query import JoinQuery
-from ..wcoj.cache import IntersectionCache
 from ..wcoj.leapfrog import LeapfrogStats
 from .transport import resolve_array_ref
 
@@ -70,10 +71,10 @@ class WorkerTask:
     outputs are disjoint (HCube locality; a bag or a partition pair is a
     single group), so counts add up and materialized rows concatenate.
 
-    ``cache_capacity`` (values) builds a fresh per-group
-    :class:`~repro.wcoj.cache.IntersectionCache` on the worker — caches
-    are worker-local state and never cross the process boundary; kernels
-    without one ignore it.
+    ``cache_capacity`` (values) runs every group as HCubeJ+Cache's
+    CacheTrieJoin with that much cache per chunk
+    (:func:`~repro.wcoj.leapfrog.leapfrog_join`); only the integer
+    crosses the process boundary, and kernels without a cache ignore it.
     """
 
     worker: int
@@ -81,7 +82,7 @@ class WorkerTask:
     order: tuple[str, ...]
     cubes: list[tuple] = field(default_factory=list)
     budget: int | None = None             # intersection-work cap (total)
-    cache_capacity: int | None = None     # per-group intersection cache
+    cache_capacity: int | None = None     # CacheTrieJoin values per chunk
     trace: dict | None = None             # obs.tracing trace context
     kernel: str = "wcoj"                  # repro.kernels key (plain str
                                           # so it survives spawn/remote)
@@ -169,9 +170,6 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
                 if remaining <= 0:
                     raise BudgetExceeded(result.intersection_work,
                                          task.budget)
-            cache = None
-            if task.cache_capacity is not None:
-                cache = IntersectionCache(task.cache_capacity)
             stats = LeapfrogStats()
             t0 = time.perf_counter()
             try:
@@ -180,7 +178,7 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
                     join = kernel.execute(
                         task.query, db, task.order,
                         materialize=task.materialize, budget=remaining,
-                        cache=cache, stats=stats)
+                        cache_capacity=task.cache_capacity, stats=stats)
             finally:
                 # Partial work still counts toward the budget on failure.
                 elapsed = time.perf_counter() - t0
@@ -189,9 +187,8 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
                     result.level_tuples[d] += t
                 result.build_seconds += stats.build_seconds
                 result.join_seconds += elapsed - stats.build_seconds
-                if cache is not None:
-                    result.cache_hits += cache.hits
-                    result.cache_misses += cache.misses
+                result.cache_hits += stats.cache_hits
+                result.cache_misses += stats.cache_misses
             result.count += join.count
             result.cubes_run += 1
             if join.relation is not None:

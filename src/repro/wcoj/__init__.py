@@ -5,17 +5,15 @@ from .binary_join import (
     BinaryPlan,
     greedy_left_deep_plan,
 )
-from .cache import IntersectionCache
 from .leapfrog import (
     JoinResult,
     LeapfrogStats,
     build_tries,
     intersect_sorted,
     leapfrog_join,
-    leapfrog_reference,
     leapfrog_sample_counts,
 )
-from .reference import brute_force_join
+from .reference import brute_force_join, leapfrog_reference
 from .yannakakis import (
     YannakakisStats,
     full_reducer,
@@ -34,7 +32,6 @@ __all__ = [
     "fractional_edge_cover_number",
     "BinaryPlan",
     "greedy_left_deep_plan",
-    "IntersectionCache",
     "JoinResult",
     "LeapfrogStats",
     "build_tries",

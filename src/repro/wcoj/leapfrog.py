@@ -14,18 +14,18 @@
   participants (the paper's cost unit, what Fig. 6 / Fig. 8 plot), not
   from what was touched.  Supports fixed-value constraints (the
   sampler's ``T_{A=a}``) and a deterministic work budget (the paper's
-  12-hour timeout analogue).  With ``cache=`` it runs HCubeJ+Cache's
-  CacheTrieJoin [28] instead: the per-binding recursion
-  (:class:`_Recursion`), whose LRU is keyed on the row ranges one
-  binding reaches; with a cache that admits nothing its counters equal
-  the frontier's.
+  12-hour timeout analogue).  With ``cache_capacity=`` it is
+  HCubeJ+Cache's CacheTrieJoin [28]: within a chunk, bindings whose
+  level participants sit on the same trie nodes have the same
+  candidates, so each distinct node tuple is extended once and its
+  children are scattered back to every binding; a binding whose tuple
+  was admitted earlier in its chunk is a cache hit and is not charged.
 
 - :func:`leapfrog_sample_counts` — ``|T_{A=a}|`` for many values ``a``
   in one frontier evaluation (the sampler's probe).
 
-- :func:`leapfrog_reference` — a faithful transcription of the classic
-  iterator-based leapfrog search (seek/next on :class:`TrieIterator`),
-  used by the test-suite to cross-validate the production path.
+The textbook iterator-based search and a per-binding counter walk, the
+test-suite's oracles, live in :mod:`repro.wcoj.reference`.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..data.database import Database
-from ..data.relation import Relation
+from ..data.relation import Relation, row_keys
 from ..data.trie import Trie, TrieLevels
-from ..errors import BudgetExceeded, PlanError
+from ..errors import BudgetExceeded, ConfigError, PlanError
 from ..obs.tracing import current_tracer
 from ..query.query import JoinQuery
-from .cache import IntersectionCache
 
 __all__ = [
     "LeapfrogStats",
@@ -50,7 +49,6 @@ __all__ = [
     "build_tries",
     "leapfrog_join",
     "leapfrog_sample_counts",
-    "leapfrog_reference",
     "intersect_sorted",
 ]
 
@@ -75,8 +73,8 @@ class LeapfrogStats:
     intersection_work: int = 0     # elements touched while intersecting
     extensions: int = 0            # partial bindings that were extended
     emitted: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    cache_hits: int = 0            # bindings a cached run did not charge
+    cache_misses: int = 0          # bindings a cached run charged
     #: Wall-clock the run spent building its own tries (0 when the
     #: caller passed ``tries=``, and under kernels that build none).
     #: A measurement, not a counter: two runs with equal counters are
@@ -91,6 +89,8 @@ class LeapfrogStats:
         self.intersection_work = 0
         self.extensions = 0
         self.emitted = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
         self.build_seconds = 0.0
 
     @property
@@ -107,9 +107,9 @@ class LeapfrogStats:
         for name in ("level_tuples", "level_work", "level_extensions"):
             setattr(self, name, [a + b for a, b in zip(
                 getattr(self, name), getattr(other, name))])
-        self.intersection_work += other.intersection_work
-        self.extensions += other.extensions
-        self.emitted += other.emitted
+        for name in ("intersection_work", "extensions", "emitted",
+                     "cache_hits", "cache_misses"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def level_fractions(self) -> list[float]:
         """Per-level share of all produced tuples (Fig. 6's percentages)."""
@@ -223,7 +223,7 @@ def leapfrog_join(query: JoinQuery, db: Database,
                   order: Sequence[str] | None = None, *,
                   materialize: bool = False,
                   fixed: Mapping[str, int] | None = None,
-                  cache: IntersectionCache | None = None,
+                  cache_capacity: int | None = None,
                   budget: int | None = None,
                   tries: Sequence[Trie] | None = None,
                   stats: LeapfrogStats | None = None) -> JoinResult:
@@ -238,10 +238,11 @@ def leapfrog_join(query: JoinQuery, db: Database,
         rows in lexicographic order).
     fixed:
         Attribute -> value constraints (``T_{A=a}``).
-    cache:
-        Optional :class:`IntersectionCache`; intersections are memoized
-        per (depth, participant ranges) — HCubeJ+Cache's CacheTrieJoin,
-        run on the per-binding recursion.
+    cache_capacity:
+        Run HCubeJ+Cache's CacheTrieJoin with this many values of cache
+        per chunk (None: no cache).  Changes ``cache_hits`` /
+        ``cache_misses`` and the work counters, never the result;
+        capacity 0 admits nothing.  Negative raises :class:`ConfigError`.
     budget:
         Maximum intersection work: a run whose total work stays within
         it never trips, one that goes over raises
@@ -253,6 +254,9 @@ def leapfrog_join(query: JoinQuery, db: Database,
         Caller-owned stats object, reset and populated in place — useful
         to inspect partial counts after a :class:`BudgetExceeded`.
     """
+    if cache_capacity is not None and cache_capacity < 0:
+        raise ConfigError(
+            f"cache capacity must be >= 0, got {cache_capacity}")
     order, tries, stats, participants = _plan(query, db, order, tries, stats)
     fixed_levels = {}
     for attr, value in (fixed or {}).items():
@@ -262,13 +266,10 @@ def leapfrog_join(query: JoinQuery, db: Database,
     n = len(order)
     rows: list[np.ndarray] | None = [] if materialize else None
     if all(len(t) for t in tries):
-        if cache is not None:
-            _Recursion(tries, participants, fixed_levels, budget, stats,
-                       rows, cache).expand(0)
-        else:
-            run = _Frontier([t.levels() for t in tries], participants,
-                            fixed_levels, budget, stats, rows, None)
-            _extend(run, 0, 1, [None] * len(tries), [], None)
+        run = _Frontier([t.levels() for t in tries], participants,
+                        fixed_levels, budget, stats, rows, None,
+                        cache_capacity)
+        _extend(run, 0, 1, [None] * len(tries), [], None)
     relation = None
     if rows is not None:
         data = np.vstack(rows) if rows else np.empty((0, n), dtype=np.int64)
@@ -293,7 +294,7 @@ def leapfrog_sample_counts(query: JoinQuery, db: Database,
     if not values.shape[0] or not all(len(t) for t in tries):
         return counts, total
     run = _Frontier([t.levels() for t in tries], participants,
-                    {0: values}, None, total, None, counts)
+                    {0: values}, None, total, None, counts, None)
     _extend(run, 0, values.shape[0], [None] * len(tries), [],
             np.arange(values.shape[0], dtype=np.int64))
     return counts, total
@@ -316,6 +317,7 @@ class _Frontier:
     stats: LeapfrogStats
     rows: list[np.ndarray] | None        # result chunks when materializing
     root_counts: np.ndarray | None       # per-root result counts, if asked
+    capacity: int | None                 # cache values per chunk, if cached
 
 
 def _extend(run: _Frontier, d: int, k: int,
@@ -328,13 +330,15 @@ def _extend(run: _Frontier, d: int, k: int,
     the bound prefix columns (materializing runs), ``root`` the root
     binding each binding descends from (multi-root runs).  Work is
     accounted from the participants' child-segment lengths — ``ptr``
-    reads, no element touched.  Then, chunk by chunk and depth-first,
-    every binding's shortest segment is gathered and each candidate is
-    probed in the other participants.
+    reads, no element touched — less the cache hits of a cached run.
+    Then, chunk by chunk and depth-first, every binding's shortest
+    segment is gathered and each candidate is probed in the other
+    participants.
     """
     stats = run.stats
     parts = run.participants[d]
     fixed = run.fixed.get(d)
+    dedup = None
     if fixed is None:
         starts, lens = [], []
         for ai, depth in parts:
@@ -347,7 +351,23 @@ def _extend(run: _Frontier, d: int, k: int,
                 starts.append(ptr[nodes[ai]])
                 lens.append(ptr[nodes[ai] + 1] - starts[-1])
         seg = np.stack(lens)
+        shortest = seg.min(axis=0)
+        chunks = _chunks(shortest)
         work = int(seg.sum())
+        if run.capacity is not None:
+            # The cache key: the nodes the participants sit on (those
+            # still at depth 0 all sit on the root).
+            held = [nodes[ai] for ai, depth in parts if depth]
+            key = (row_keys(np.stack(held, axis=1))[0] if held
+                   else np.zeros(k, dtype=np.int64))
+            dedup = [_dedup(key, shortest, lo, hi,
+                            1 + 2 * len(parts), run.capacity)
+                     for lo, hi in chunks]
+            hit = np.concatenate([h for _, _, h in dedup])
+            hits = int(hit.sum())
+            work -= int(seg[:, hit].sum())
+            stats.cache_hits += hits
+            stats.cache_misses += k - hits
     else:
         work = len(parts) * k
     stats.extensions += k
@@ -364,39 +384,96 @@ def _extend(run: _Frontier, d: int, k: int,
                  *_probe(run, d, nodes, bind, value, None, None))
         return
     driver = seg.argmin(axis=0)
-    shortest = seg.min(axis=0)
+    for i, (lo, hi) in enumerate(chunks):
+        bind, value, children = _gather(
+            run, d, nodes, starts, driver, shortest, lo, hi,
+            None if dedup is None else dedup[i][0])
+        if dedup is not None:
+            # Every binding takes its representative's survivors, in
+            # binding order, so rows stay lexicographic.
+            rep = dedup[i][1]
+            first = np.searchsorted(bind, rep)
+            count = np.searchsorted(bind, rep, side="right") - first
+            pos = _ranges(first, count)
+            bind = np.repeat(np.arange(lo, hi), count)
+            value = value[pos]
+            children = [None if c is None else c[pos] for c in children]
+        _descend(run, d, nodes, cols, root, bind, value, children)
+
+
+def _chunks(shortest: np.ndarray) -> list[tuple[int, int]]:
+    """Cut the bindings into ``[lo, hi)`` runs gathering at most
+    ``_CHUNK`` candidates (a binding gathering more is a run alone)."""
     gathered = np.cumsum(shortest)
-    lo = 0
-    while lo < k:
+    chunks, lo = [], 0
+    while lo < shortest.shape[0]:
         limit = (int(gathered[lo - 1]) if lo else 0) + _CHUNK
         hi = max(lo + 1, int(np.searchsorted(gathered, limit, side="right")))
-        groups = []
-        for p, (ai, depth) in enumerate(parts):
-            sel = np.flatnonzero(driver[lo:hi] == p) + lo
-            if not sel.shape[0]:
-                continue
-            length = shortest[sel]
-            ends = np.cumsum(length)
-            pos = (np.arange(int(ends[-1]), dtype=np.int64)
-                   + np.repeat(starts[p][sel] - (ends - length), length))
-            groups.append(_probe(
-                run, d, nodes, np.repeat(sel, length),
-                run.levels[ai].vals[depth][pos], p, pos))
-        if len(groups) == 1:
-            bind, value, children = groups[0]
-        else:
-            # Each binding has one driver, so a stable sort by binding
-            # restores lexicographic order across the driver groups.
-            bind = np.concatenate([g[0] for g in groups])
-            by_binding = np.argsort(bind, kind="stable")
-            bind = bind[by_binding]
-            value = np.concatenate([g[1] for g in groups])[by_binding]
-            children = [
-                None if group_children[0] is None
-                else np.concatenate(group_children)[by_binding]
-                for group_children in zip(*(g[2] for g in groups))]
-        _descend(run, d, nodes, cols, root, bind, value, children)
+        chunks.append((lo, hi))
         lo = hi
+    return chunks
+
+
+def _dedup(key: np.ndarray, shortest: np.ndarray, lo: int, hi: int,
+           entry: int, capacity: int):
+    """CacheTrieJoin within the chunk ``[lo, hi)``.
+
+    Bindings with equal ``key`` have the same candidates.  Distinct keys
+    are admitted in first-appearance order while the sum of their entry
+    sizes (``shortest`` x ``entry`` values, an upper bound on what the
+    intersection holds) fits ``capacity``; a binding whose key was
+    admitted earlier in the chunk is a hit.  Returns the representative
+    bindings (each key's first, ascending), every binding's
+    representative, and the hit mask.  Nothing outlives the chunk.
+    """
+    _, first, inverse = np.unique(key[lo:hi], return_index=True,
+                                  return_inverse=True)
+    seen = np.argsort(first)
+    admitted = np.empty(first.shape[0], dtype=bool)
+    # shortest >= 1, so capacity 0 admits nothing.
+    admitted[seen] = np.cumsum(shortest[lo + first[seen]] * entry) <= capacity
+    rep = first[inverse]
+    hit = admitted[inverse] & (rep != np.arange(hi - lo))
+    return lo + first[seen], lo + rep, hit
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index ranges ``starts[i] .. starts[i] + lengths[i]``,
+    concatenated (``lengths`` non-empty)."""
+    ends = np.cumsum(lengths)
+    return (np.arange(int(ends[-1]), dtype=np.int64)
+            + np.repeat(starts - (ends - lengths), lengths))
+
+
+def _gather(run: _Frontier, d: int, nodes: list[np.ndarray | None],
+            starts: list[np.ndarray], driver: np.ndarray,
+            shortest: np.ndarray, lo: int, hi: int,
+            reps: np.ndarray | None):
+    """Gather the driver segment of every binding in ``reps`` (ascending;
+    None: all of ``lo .. hi``) and probe each candidate in the other
+    participants."""
+    groups = []
+    for p, (ai, depth) in enumerate(run.participants[d]):
+        sel = (np.flatnonzero(driver[lo:hi] == p) + lo if reps is None
+               else reps[driver[reps] == p])
+        if not sel.shape[0]:
+            continue
+        pos = _ranges(starts[p][sel], shortest[sel])
+        groups.append(_probe(
+            run, d, nodes, np.repeat(sel, shortest[sel]),
+            run.levels[ai].vals[depth][pos], p, pos))
+    if len(groups) == 1:
+        return groups[0]
+    # Each binding has one driver, so a stable sort by binding restores
+    # lexicographic order across the driver groups.
+    bind = np.concatenate([g[0] for g in groups])
+    by_binding = np.argsort(bind, kind="stable")
+    children = [
+        None if group_children[0] is None
+        else np.concatenate(group_children)[by_binding]
+        for group_children in zip(*(g[2] for g in groups))]
+    return (bind[by_binding],
+            np.concatenate([g[1] for g in groups])[by_binding], children)
 
 
 def _probe(run: _Frontier, d: int, nodes: list[np.ndarray | None],
@@ -461,170 +538,3 @@ def _descend(run: _Frontier, d: int, nodes: list[np.ndarray | None],
         cols = [col[bind] for col in cols] + [value]
     _extend(run, d + 1, t, below, cols,
             None if root is None else root[bind])
-
-
-# -- per-binding recursion ---------------------------------------------------------
-
-class _Recursion:
-    """HCubeJ+Cache's CacheTrieJoin [28]: Leapfrog as a per-binding
-    recursion over trie row ranges, memoizing each level's intersection
-    in an LRU keyed on the row ranges one binding reaches.
-
-    Only ``cache=`` runs here.  A hit skips the intersection's work, so
-    the pinned HCubeJ+Cache counters depend on what this LRU admits and
-    evicts; with a cache that admits nothing every counter equals the
-    frontier evaluation's.
-    """
-
-    def __init__(self, tries: Sequence[Trie],
-                 participants: list[list[tuple[int, int]]],
-                 fixed: dict[int, int], budget: int | None,
-                 stats: LeapfrogStats, rows: list[np.ndarray] | None,
-                 cache: IntersectionCache):
-        self.tries = tries
-        self.participants = participants
-        self.fixed = fixed
-        self.budget = budget
-        self.stats = stats
-        self.rows = rows
-        self.cache = cache
-        self.ranges: list[tuple[int, int]] = [t.root for t in tries]
-        self.prefix: list[int] = [0] * len(participants)
-
-    def candidates_at(self, d: int) -> tuple[np.ndarray, list]:
-        """Intersected values at depth d plus per-participant child spans."""
-        parts = self.participants[d]
-        stats, tries, ranges = self.stats, self.tries, self.ranges
-        if d in self.fixed:
-            # Seek the fixed value directly instead of materializing
-            # every participant's candidate array.
-            v = self.fixed[d]
-            resolved = []
-            stats.intersection_work += len(parts)
-            for ai, ldepth in parts:
-                lo, hi = ranges[ai]
-                l2, h2 = tries[ai].child_range(ldepth, lo, hi, v)
-                if l2 >= h2:
-                    return np.empty(0, dtype=np.int64), []
-                resolved.append((np.array([l2], dtype=np.int64),
-                                 np.array([h2], dtype=np.int64)))
-            return np.array([v], dtype=np.int64), resolved
-        key = (d,) + tuple(ranges[ai] for ai, _ in parts)
-        hit = self.cache.get(key)
-        if hit is not None:
-            stats.cache_hits += 1
-            return hit
-        stats.cache_misses += 1
-        spans = []
-        arrays = []
-        for ai, ldepth in parts:
-            lo, hi = ranges[ai]
-            values, starts, ends = tries[ai].children(ldepth, lo, hi)
-            arrays.append(values)
-            spans.append((values, starts, ends))
-        vals = intersect_sorted(arrays, stats)
-        # Child span per participant for each surviving value.
-        resolved = []
-        for values, starts, ends in spans:
-            idx = np.searchsorted(values, vals)
-            resolved.append((starts[idx], ends[idx]))
-        result = (vals, resolved)
-        self.cache.put(key, result)
-        return result
-
-    def expand(self, d: int) -> None:
-        stats, prefix, ranges = self.stats, self.prefix, self.ranges
-        if self.budget is not None and stats.intersection_work > self.budget:
-            raise BudgetExceeded(stats.intersection_work, self.budget)
-        stats.extensions += 1
-        stats.level_extensions[d] += 1
-        work_before = stats.intersection_work
-        vals, resolved = self.candidates_at(d)
-        stats.level_work[d] += stats.intersection_work - work_before
-        k = int(vals.shape[0])
-        stats.level_tuples[d] += k
-        if k == 0:
-            return
-        n = len(prefix)
-        if d == n - 1:
-            stats.emitted += k
-            if self.rows is not None:
-                chunk = np.empty((k, n), dtype=np.int64)
-                for j in range(d):
-                    chunk[:, j] = prefix[j]
-                chunk[:, d] = vals
-                self.rows.append(chunk)
-            return
-        parts = self.participants[d]
-        saved = [ranges[ai] for ai, _ in parts]
-        for i in range(k):
-            prefix[d] = int(vals[i])
-            for p, (ai, _) in enumerate(parts):
-                starts, ends = resolved[p]
-                ranges[ai] = (int(starts[i]), int(ends[i]))
-            self.expand(d + 1)
-        for p, (ai, _) in enumerate(parts):
-            ranges[ai] = saved[p]
-
-
-def leapfrog_reference(query: JoinQuery, db: Database,
-                       order: Sequence[str] | None = None
-                       ) -> list[tuple[int, ...]]:
-    """Iterator-based leapfrog search (the textbook algorithm).
-
-    Returns the result tuples in ``order``-major lexicographic order.
-    Quadratically slower than :func:`leapfrog_join`; for tests only.
-    """
-    order = tuple(order) if order is not None else query.attributes
-    if set(order) != set(query.attributes):
-        raise PlanError(f"order {order} does not match query attributes")
-    tries = build_tries(query, db, order)
-    if any(len(t) == 0 for t in tries):
-        return []
-    iterators = [t.iterator() for t in tries]
-    participants: list[list[int]] = [[] for _ in order]
-    for ai, atom in enumerate(query.atoms):
-        for attr in atom.attributes:
-            participants[order.index(attr)].append(ai)
-    n = len(order)
-    out: list[tuple[int, ...]] = []
-    binding: list[int] = [0] * n
-
-    def leapfrog_values(iters):
-        """Yield the common keys of iterators opened at the same depth."""
-        if any(it.at_end for it in iters):
-            return
-        iters = sorted(iters, key=lambda it: it.key())
-        k = len(iters)
-        p = 0
-        max_key = iters[-1].key()
-        while True:
-            least = iters[p]
-            if least.key() == max_key:
-                yield max_key
-                least.next()
-                if least.at_end:
-                    return
-                max_key = least.key()
-            else:
-                least.seek(max_key)
-                if least.at_end:
-                    return
-                max_key = least.key()
-            p = (p + 1) % k
-
-    def search(d: int) -> None:
-        iters = [iterators[ai] for ai in participants[d]]
-        for it in iters:
-            it.open()
-        for v in leapfrog_values(iters):
-            binding[d] = int(v)
-            if d == n - 1:
-                out.append(tuple(binding))
-            else:
-                search(d + 1)
-        for it in iters:
-            it.up()
-
-    search(0)
-    return sorted(out)

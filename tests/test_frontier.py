@@ -1,9 +1,11 @@
 """The frontier-at-a-time Leapfrog evaluation (repro.wcoj.leapfrog).
 
-Two oracles: ``leapfrog_reference`` for results, and the per-binding
-recursion — reached through a cache that admits nothing — for every
-``LeapfrogStats`` counter.  Work is accounted from segment lengths, so
-the counters must be the same integers on both paths.
+Two oracles from :mod:`repro.wcoj.reference`: ``leapfrog_reference``
+for results, and ``leapfrog_counters`` — Leapfrog one binding at a time
+— for every ``LeapfrogStats`` counter.  Work is accounted from segment
+lengths, so the counters must be the same integers on both paths.  With
+``cache_capacity=`` (HCubeJ+Cache's CacheTrieJoin) the result and the
+tuple counters stay those of the uncached run; only hits skip work.
 """
 
 import gc
@@ -15,15 +17,15 @@ from hypothesis import strategies as st
 
 import repro.wcoj.leapfrog as leapfrog_mod
 from repro.data import Database, Relation
-from repro.errors import BudgetExceeded
+from repro.errors import BudgetExceeded, ConfigError
 from repro.query import Atom, JoinQuery, paper_query
 from repro.wcoj import (
-    IntersectionCache,
     LeapfrogStats,
     leapfrog_join,
     leapfrog_reference,
     leapfrog_sample_counts,
 )
+from repro.wcoj.reference import leapfrog_counters
 from repro.workloads import graph_database_for
 
 # ``parents * (max - min + 1)`` reaches 2**62: these levels are keyed by
@@ -39,13 +41,8 @@ def counters(result):
             *(getattr(result.stats, name) for name in COUNTERS))
 
 
-def recursion(query, db, order=None, **kwargs):
-    """The per-binding recursion: ``cache=`` runs it; capacity 0 caches
-    nothing, so every intersection is computed and accounted."""
-    cache = IntersectionCache(0)
-    result = leapfrog_join(query, db, order, cache=cache, **kwargs)
-    assert len(cache) == cache.hits == 0
-    return result
+def rows_of(result):
+    return [tuple(row) for row in result.relation.data.tolist()]
 
 
 def skewed_case(query_name, seed, n=160, dom=14):
@@ -97,23 +94,23 @@ class TestCounterParity:
     def test_paper_queries(self, query_name):
         query, db = skewed_case(query_name, seed=3)
         assert counters(leapfrog_join(query, db)) \
-            == counters(recursion(query, db))
+            == counters(leapfrog_counters(query, db))
 
     @settings(max_examples=120, deadline=None)
     @given(case=hypergraphs())
     def test_random_hypergraphs(self, case):
         query, db, order, fixed = case
         frontier = leapfrog_join(query, db, order, materialize=True)
-        assert counters(frontier) == counters(recursion(query, db, order))
+        assert counters(frontier) \
+            == counters(leapfrog_counters(query, db, order))
         expected = leapfrog_reference(query, db, order)
-        assert [tuple(row) for row in frontier.relation.data.tolist()] \
-            == expected
+        assert rows_of(frontier) == expected
         (attr, value), = fixed.items()
         pinned = leapfrog_join(query, db, order, fixed=fixed,
                                materialize=True)
         assert counters(pinned) \
-            == counters(recursion(query, db, order, fixed=fixed))
-        assert [tuple(row) for row in pinned.relation.data.tolist()] \
+            == counters(leapfrog_counters(query, db, order, fixed=fixed))
+        assert rows_of(pinned) \
             == [row for row in expected if row[order.index(attr)] == value]
 
 
@@ -128,7 +125,7 @@ class TestChunking:
         whole = counters(leapfrog_join(query, db))
         monkeypatch.setattr(leapfrog_mod, "_CHUNK", chunk)
         result = leapfrog_join(query, db, materialize=True)
-        rows = [tuple(row) for row in result.relation.data.tolist()]
+        rows = rows_of(result)
         assert rows == leapfrog_reference(query, db)
         assert len(rows) > 0
         assert counters(result) == whole
@@ -142,6 +139,74 @@ class TestChunking:
         # Level c of a<b<c: R2(b, c) and R3(a, c) participate.
         assert np.diff(a_of_r3.ptr[0]).min() < np.diff(b_of_r2.ptr[0]).max()
         assert np.diff(b_of_r2.ptr[0]).min() < np.diff(a_of_r3.ptr[0]).max()
+
+
+class TestCache:
+    """``cache_capacity=``: each distinct node tuple of a chunk is
+    extended once; hits skip work, nothing else moves."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=hypergraphs())
+    def test_zero_capacity_is_the_uncached_run(self, case):
+        query, db, order, fixed = case
+        for kwargs in ({}, {"fixed": fixed}):
+            plain = leapfrog_join(query, db, order, materialize=True,
+                                  **kwargs)
+            cached = leapfrog_join(query, db, order, materialize=True,
+                                   cache_capacity=0, **kwargs)
+            assert counters(cached) == counters(plain)
+            assert rows_of(cached) == rows_of(plain)
+            assert cached.stats.cache_hits == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=hypergraphs())
+    def test_unbounded_capacity_keeps_answer_and_tuple_counters(self, case):
+        query, db, order, fixed = case
+        for kwargs in ({}, {"fixed": fixed}):
+            plain = leapfrog_join(query, db, order, materialize=True,
+                                  **kwargs)
+            cached = leapfrog_join(query, db, order, materialize=True,
+                                   cache_capacity=2 ** 62, **kwargs)
+            assert cached.count == plain.count
+            assert rows_of(cached) == rows_of(plain)
+            for name in ("level_tuples", "extensions", "emitted"):
+                assert getattr(cached.stats, name) \
+                    == getattr(plain.stats, name), name
+            assert cached.stats.intersection_work \
+                <= plain.stats.intersection_work
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=hypergraphs(),
+           capacity=st.sampled_from([0, 9, 60, 2 ** 62]))
+    def test_every_free_extension_is_a_hit_or_a_miss(self, case, capacity):
+        query, db, order, fixed = case
+        pinned = order.index(next(iter(fixed)))
+        for kwargs, fixed_levels in (({}, ()), ({"fixed": fixed}, (pinned,))):
+            stats = leapfrog_join(query, db, order, cache_capacity=capacity,
+                                  **kwargs).stats
+            assert stats.cache_hits + stats.cache_misses == sum(
+                n for d, n in enumerate(stats.level_extensions)
+                if d not in fixed_levels)
+
+    @pytest.mark.parametrize("chunk", [1, 7, leapfrog_mod._CHUNK])
+    def test_small_chunks_keep_rows_lexicographic(self, monkeypatch, chunk):
+        """Scattering a representative's children back keeps every
+        binding's rows in place."""
+        query, db = skewed_case("Q9", seed=5)
+        plain = leapfrog_join(query, db, materialize=True)
+        monkeypatch.setattr(leapfrog_mod, "_CHUNK", chunk)
+        cached = leapfrog_join(query, db, materialize=True,
+                               cache_capacity=2 ** 62)
+        assert rows_of(cached) == rows_of(plain) \
+            == leapfrog_reference(query, db)
+        # A chunk of one binding has nothing to share; these seven-
+        # candidate chunks hold too few bindings to repeat a key.
+        assert (cached.stats.cache_hits > 0) == (chunk > 7)
+
+    def test_negative_capacity_is_a_config_error(self):
+        query, db = skewed_case("Q1", seed=1)
+        with pytest.raises(ConfigError):
+            leapfrog_join(query, db, cache_capacity=-1)
 
 
 class TestFixed:
@@ -158,7 +223,7 @@ class TestFixed:
         assert np.array_equal(result.relation.data, expected)
         assert (value == 99) == (result.count == 0)
         assert counters(result) \
-            == counters(recursion(query, db, fixed={attr: value}))
+            == counters(leapfrog_counters(query, db, fixed={attr: value}))
 
     def test_sample_counts_equal_one_join_per_value(self):
         query, db = skewed_case("Q1", seed=9)

@@ -35,7 +35,6 @@ from repro.kernels.adaptive import choose_kernel
 from repro.obs.metrics import METRICS
 from repro.query import paper_query
 from repro.wcoj import (
-    IntersectionCache,
     build_tries,
     leapfrog_join,
     leapfrog_reference,
@@ -375,16 +374,15 @@ class TestBatchedLeafFallback:
         assert result_tuples(result) == expected
 
     def test_small_values_batch_and_recursive_agree_on_counters(self):
-        """Without ``cache=`` the frontier path is active; its counters
-        must equal the per-binding recursion's (forced here via a cache
-        that admits nothing; it still counts misses, so the comparison
-        is over the counters both paths fill).  tests/test_frontier
-        holds the randomized version of this."""
+        """A cached run whose capacity admits nothing charges every
+        binding as the uncached one does; it still counts misses, so the
+        comparison is over the counters both runs fill.
+        tests/test_frontier holds the randomized version of this."""
         query = paper_query("Q9")
         rng = np.random.default_rng(2)
         db = graph_db(query, rng.integers(0, 15, size=(120, 2)))
         batched = leapfrog_join(query, db)
-        recursive = leapfrog_join(query, db, cache=IntersectionCache(0))
+        recursive = leapfrog_join(query, db, cache_capacity=0)
         assert batched.count == recursive.count
         assert recursive.stats.cache_hits == 0
         for name in ("level_tuples", "level_work", "level_extensions",

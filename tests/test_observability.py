@@ -887,22 +887,28 @@ class TestAgentObservability:
             send_frame,
         )
 
+        from repro.net.agent import agent_stats
+
         agent = WorkerAgent(port=0, slots=1, mode="inline").start()
         try:
             sock = connect("127.0.0.1", agent.port)
-            request(sock, OP_TASK, {"slot": 0},
-                    pickle.dumps((_echo_task, 1)))
-            from repro.net.agent import agent_stats
-
-            stats = agent_stats("127.0.0.1", agent.port)
+            # A STAT right after each reply sees that task: the agent
+            # records it before sending the reply.
+            for n in range(1, 21):
+                request(sock, OP_TASK, {"slot": 0},
+                        pickle.dumps((_echo_task, 1)))
+                stats = agent_stats("127.0.0.1", agent.port)
+                if n == 1:
+                    reply_bytes = stats["metrics"]["agent.reply_bytes"]
+                    assert reply_bytes > 0
+                assert stats["metrics"]["agent.task_seconds"]["count"] == n
+                assert stats["metrics"]["agent.reply_bytes"] \
+                    == n * reply_bytes
+                assert (stats["tasks_active"], stats["tasks_run"]) == (0, n)
             send_frame(sock, OP_BYE, {})
             sock.close()
         finally:
             agent.stop()
-        hist = stats["metrics"]["agent.task_seconds"]
-        assert hist["count"] == 1
-        assert stats["metrics"]["agent.reply_bytes"] > 0
-        assert stats["tasks_active"] == 0
 
     def test_cli_stat_and_top_commands(self, capsys):
         from repro.cli import main

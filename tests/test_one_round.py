@@ -8,7 +8,7 @@ from repro.distributed import Cluster, CostModelParams
 from repro.engines import one_round_execute
 from repro.errors import BudgetExceeded, OutOfMemory
 from repro.query import paper_query
-from repro.wcoj import IntersectionCache, leapfrog_join
+from repro.wcoj import leapfrog_join
 from repro.workloads import graph_database_for
 
 

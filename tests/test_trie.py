@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.data import Relation, Trie
 from repro.errors import SchemaError
+from repro.wcoj.reference import TrieIterator
 
 
 def make_trie(rows, attrs=("a", "b"), order=None):
@@ -31,8 +32,10 @@ class TestTrieBuild:
             Trie(rel, order=("a", "z"))
 
     def test_root_span(self):
+        """The root's children (level 0) own every deeper node."""
         t = make_trie([(1, 1), (2, 2)])
-        assert t.root == (0, 2)
+        ptr = t.levels().ptr[0]
+        assert (int(ptr[0]), int(ptr[-1])) == (0, 2) == (0, len(t))
 
     def test_data_readonly(self):
         t = make_trie([(1, 1)])
@@ -75,39 +78,49 @@ class TestTrieBuild:
         assert not t.data.flags.writeable
 
 
+def children(t, depth, node=None):
+    """The sorted child values of ``node`` (the root at depth 0)."""
+    lv = t.levels()
+    if depth == 0:
+        return lv.vals[0].tolist()
+    return lv.vals[depth][lv.ptr[depth - 1][node]:
+                          lv.ptr[depth - 1][node + 1]].tolist()
+
+
 class TestNavigation:
+    """Node-indexed navigation over :meth:`Trie.levels`."""
+
     def test_candidates_at_root(self):
         t = make_trie([(1, 5), (1, 6), (3, 1), (2, 2)])
-        assert t.children(0, *t.root)[0].tolist() == [1, 2, 3]
+        assert children(t, 0) == [1, 2, 3]
 
     def test_candidates_within_range(self):
         t = make_trie([(1, 5), (1, 6), (2, 2)])
-        lo, hi = t.child_range(0, *t.root, 1)
-        values, starts, ends = t.children(1, lo, hi)
-        assert values.tolist() == [5, 6]
-        assert (starts.tolist(), ends.tolist()) == ([0, 1], [1, 2])
+        nodes, found = t.levels().probe(0, None, np.array([1]))
+        assert found.all()
+        assert children(t, 1, int(nodes[0])) == [5, 6]
+        assert t.levels().ptr[0][nodes[0]:nodes[0] + 2].tolist() == [0, 2]
 
     def test_child_range_missing_value_empty(self):
         t = make_trie([(1, 5), (2, 2)])
-        lo, hi = t.child_range(0, *t.root, 7)
-        assert lo == hi
+        _, found = t.levels().probe(0, None, np.array([7]))
+        assert not found.any()
 
     def test_children_spans_partition_parent(self):
         t = make_trie([(1, 5), (1, 6), (2, 2), (3, 3), (3, 4)])
-        values, starts, ends = t.children(0, *t.root)
-        assert values.tolist() == [1, 2, 3]
-        assert starts[0] == 0
-        assert ends[-1] == len(t)
-        assert (starts[1:] == ends[:-1]).all()
+        ptr = t.levels().ptr[0]
+        assert children(t, 0) == [1, 2, 3]
+        assert ptr[0] == 0
+        assert ptr[-1] == len(t)
+        assert np.all(np.diff(ptr) > 0)
 
     def test_children_empty_range(self):
-        t = make_trie([(1, 5)])
-        values, starts, ends = t.children(0, 1, 1)
-        assert values.shape == (0,)
+        t = Trie(Relation("R", ("a", "b")))
+        assert children(t, 0) == []
 
     def test_count_distinct(self):
         t = make_trie([(1, 5), (1, 6), (2, 2)])
-        assert len(t.children(0, *t.root)[0]) == 2
+        assert len(children(t, 0)) == 2
 
     def test_prefix_count(self):
         """Level ``l`` holds one node per distinct prefix of length
@@ -121,7 +134,7 @@ class TestNavigation:
 
 
 class TestLevels:
-    """The node-indexed level arrays agree with row-range navigation."""
+    """The node-indexed level arrays agree with sorted prefix sets."""
 
     @given(rows=st.lists(st.tuples(st.integers(-3, 4), st.integers(0, 5),
                                    st.integers(2, 6)), max_size=40))
@@ -130,22 +143,17 @@ class TestLevels:
         t = make_trie(rows, attrs=("a", "b", "c"))
         lv = t.levels()
         assert t.levels() is lv                     # memoized
-        assert [len(v) for v in lv.vals] \
-            == [len({row[: d + 1] for row in rows}) for d in range(3)]
-        spans = [t.root]          # row range of every node, level by level
         for depth in range(3):
-            got_vals, below = [], []
-            for lo, hi in spans:
-                values, starts, ends = t.children(depth, lo, hi)
-                got_vals.append(values)
-                below.extend(zip(starts.tolist(), ends.tolist()))
+            # Node i of level ``depth`` is the i-th distinct prefix of
+            # length ``depth + 1``; ``vals`` holds its last value.
+            prefixes = sorted({row[: depth + 1] for row in rows})
+            assert lv.vals[depth].tolist() == [p[-1] for p in prefixes]
             if depth:             # CSR: node i owns ptr[i]:ptr[i + 1]
+                parents = sorted({row[:depth] for row in rows})
                 assert lv.ptr[depth - 1].tolist() == np.concatenate(
-                    [[0], np.cumsum([len(v) for v in got_vals])]).tolist()
+                    [[0], np.cumsum([sum(p[:-1] == q for p in prefixes)
+                                     for q in parents])]).tolist()
                 assert np.all(np.diff(lv.keys[depth]) > 0)
-            assert lv.vals[depth].tolist() \
-                == np.concatenate(got_vals or [[]]).tolist()
-            spans = below
 
     def test_probe_finds_exactly_the_children(self):
         t = make_trie([(1, 5), (1, 7), (2, 5), (4, -3)])
@@ -194,7 +202,7 @@ class TestTrieIterator:
     def test_walk_enumerates_all_tuples(self):
         rows = [(1, 5), (1, 6), (2, 2), (3, 1)]
         t = make_trie(rows)
-        it = t.iterator()
+        it = TrieIterator(t)
         seen = []
         it.open()
         while not it.at_end:
@@ -209,7 +217,7 @@ class TestTrieIterator:
 
     def test_seek_finds_least_upper_bound(self):
         t = make_trie([(1, 0), (3, 0), (7, 0)])
-        it = t.iterator()
+        it = TrieIterator(t)
         it.open()
         it.seek(2)
         assert it.key() == 3
@@ -220,7 +228,7 @@ class TestTrieIterator:
 
     def test_seek_is_monotone_no_backward(self):
         t = make_trie([(1, 0), (5, 0)])
-        it = t.iterator()
+        it = TrieIterator(t)
         it.open()
         it.seek(5)
         # Seeking backwards keeps the position (LFTJ contract: seek only
@@ -230,7 +238,7 @@ class TestTrieIterator:
 
     def test_up_restores_parent_position(self):
         t = make_trie([(1, 5), (2, 6), (2, 7)])
-        it = t.iterator()
+        it = TrieIterator(t)
         it.open()          # at a=1
         it.next()          # at a=2
         assert it.key() == 2
@@ -243,13 +251,13 @@ class TestTrieIterator:
 
     def test_up_above_root_raises(self):
         t = make_trie([(1, 1)])
-        it = t.iterator()
+        it = TrieIterator(t)
         with pytest.raises(IndexError):
             it.up()
 
     def test_open_on_empty_trie(self):
         t = Trie(Relation("R", ("a", "b")))
-        it = t.iterator()
+        it = TrieIterator(t)
         it.open()
         assert it.at_end
 
@@ -279,6 +287,8 @@ def test_trie_equals_sorted_set_property(rows):
 def test_child_range_agrees_with_linear_scan(rows, probe):
     rel = Relation.from_tuples("R", ("a", "b"), rows)
     trie = Trie(rel)
-    lo, hi = trie.child_range(0, *trie.root, probe)
-    expected = sorted({t for t in set(map(tuple, rows)) if t[0] == probe})
-    assert trie.data[lo:hi].tolist() == [list(t) for t in expected]
+    nodes, found = trie.levels().probe(0, None, np.array([probe]))
+    expected = sorted({t[1] for t in rows if t[0] == probe})
+    assert bool(found[0]) == bool(expected)
+    if expected:
+        assert children(trie, 1, int(nodes[0])) == expected

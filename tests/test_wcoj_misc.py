@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.data import Database, Relation
-from repro.errors import BudgetExceeded, PlanError
+from repro.errors import BudgetExceeded, ConfigError, PlanError
 from repro.kernels import create_kernel
 from repro.query import paper_query, parse_query
 from repro.wcoj import (
     BinaryPlan,
-    IntersectionCache,
     agm_bound,
     brute_force_join,
     fractional_edge_cover_number,
@@ -19,58 +18,80 @@ from repro.wcoj import (
 from repro.wcoj.binary_join import run_left_deep
 
 
-def _entry(num_values):
-    vals = np.arange(num_values, dtype=np.int64)
-    return (vals, [(vals.copy(), vals.copy())])
+def _hub_case(num_a=2):
+    """``R(a, b), S(b, c)``: every ``a`` reaches the one ``b = 5``, whose
+    two ``c`` children (an entry of 2 x (1 + 2) = 6 values) every
+    level-``c`` binding shares."""
+    q = parse_query("R(a,b), S(b,c)")
+    db = Database([Relation("R", ("x", "y"), [(a, 5) for a in range(num_a)]),
+                   Relation("S", ("x", "y"), [(5, 7), (5, 8)])])
+    return q, db
 
 
 class TestIntersectionCache:
+    """CacheTrieJoin's admission rules on the frontier (``cache_capacity``
+    values per chunk)."""
+
     def test_put_get_roundtrip(self):
-        c = IntersectionCache(100)
-        c.put(("k",), _entry(5))
-        assert c.get(("k",)) is not None
-        assert c.hits == 1
+        q, db = _hub_case()
+        cached = leapfrog_join(q, db, cache_capacity=100)
+        assert cached.count == leapfrog_join(q, db).count == 4
+        assert cached.stats.cache_hits == 1
+        # The hit's segment (2 values of S) is not charged.
+        assert cached.stats.intersection_work \
+            == leapfrog_join(q, db).stats.intersection_work - 2
 
     def test_miss_counted(self):
-        c = IntersectionCache(100)
-        assert c.get(("missing",)) is None
-        assert c.misses == 1
+        """The first binding of every distinct key is a miss: one at
+        ``a``, two at ``b`` (different ``a`` nodes), one at ``c``."""
+        q, db = _hub_case()
+        assert leapfrog_join(q, db, cache_capacity=100).stats.cache_misses \
+            == 4
 
-    def test_eviction_lru_order(self):
-        c = IntersectionCache(30)
-        c.put(("a",), _entry(5))   # 15 values
-        c.put(("b",), _entry(5))   # 30 values total
-        c.get(("a",))              # a becomes most-recent
-        c.put(("c",), _entry(5))   # evicts b
-        assert c.get(("b",)) is None
-        assert c.get(("a",)) is not None
-        assert c.evictions == 1
+    def test_eviction_lru_order(self, monkeypatch):
+        """Nothing outlives a chunk: one binding per chunk, no hit."""
+        import repro.wcoj.leapfrog as leapfrog_mod
+
+        q, db = _hub_case()
+        monkeypatch.setattr(leapfrog_mod, "_CHUNK", 1)
+        stats = leapfrog_join(q, db, cache_capacity=100).stats
+        assert (stats.cache_hits, stats.cache_misses) == (0, 5)
 
     def test_oversized_entry_never_admitted(self):
-        c = IntersectionCache(10)
-        c.put(("big",), _entry(100))
-        assert len(c) == 0
+        q, db = _hub_case()
+        assert leapfrog_join(q, db, cache_capacity=5).stats.cache_hits == 0
+        assert leapfrog_join(q, db, cache_capacity=6).stats.cache_hits == 1
 
     def test_replace_same_key(self):
-        c = IntersectionCache(100)
-        c.put(("k",), _entry(5))
-        c.put(("k",), _entry(6))
-        assert len(c) == 1
+        """A key repeated by many bindings takes its entry size once."""
+        q, db = _hub_case(num_a=10)
+        assert leapfrog_join(q, db, cache_capacity=6).stats.cache_hits == 9
 
     def test_clear(self):
-        c = IntersectionCache(100)
-        c.put(("k",), _entry(5))
-        c.clear()
-        assert len(c) == 0 and c.used_values == 0
+        """A caller-owned stats object reused across cached runs reports
+        the last run's hits and misses, not their sum."""
+        from repro.wcoj import LeapfrogStats
+
+        q, db = _hub_case()
+        stats = LeapfrogStats()
+        for _ in range(2):
+            leapfrog_join(q, db, cache_capacity=100, stats=stats)
+        fresh = leapfrog_join(q, db, cache_capacity=100).stats
+        assert (stats.cache_hits, stats.cache_misses) \
+            == (fresh.cache_hits, fresh.cache_misses) == (1, 4)
 
     def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            IntersectionCache(-1)
+        q, db = _hub_case()
+        with pytest.raises(ConfigError):
+            leapfrog_join(q, db, cache_capacity=-1)
 
     def test_zero_capacity_admits_nothing(self):
-        c = IntersectionCache(0)
-        c.put(("empty",), _entry(0))
-        assert len(c) == 0 and c.get(("empty",)) is None
+        q, db = _hub_case(num_a=10)
+        stats = leapfrog_join(q, db, cache_capacity=0).stats
+        assert stats.cache_hits == 0
+        assert stats.cache_misses == stats.extensions
+        assert stats.intersection_work \
+            == leapfrog_join(q, db).stats.intersection_work
 
 
 class TestBinaryJoin:
