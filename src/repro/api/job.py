@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import cast
 
-from ..core.optimizer import Optimizer, OptimizerReport
+from ..core.optimizer import OptimizerReport
 from ..core.sampling import CardinalityEstimator
 from ..data.database import Database
 from ..engines import registry
 from ..engines.base import Engine, EngineOptions, EngineResult, \
     run_engine_safely
 from ..errors import ConfigError
-from ..ghd.decomposition import Hypertree, optimal_hypertree
+from ..ghd.decomposition import Hypertree
 from ..obs.metrics import METRICS
 from ..obs.profile import build_profile
 from ..obs.tracing import Tracer, chrome_trace_events, use_tracer
@@ -39,8 +40,9 @@ class ExplainReport:
     #: Modeled model-seconds per phase of the chosen plan:
     #: precompute (costM), communication (costC), computation (costE).
     cost_breakdown: dict[str, float] = field(default_factory=dict)
-    #: Per-bag :mod:`repro.kernels` decisions under the session's
-    #: kernel: ``{bag_index: (key, reason)}``.
+    #: Per-bag :mod:`repro.kernels` decisions under the run's kernel
+    #: (the ``kernel`` option, else the session's): ``{bag_index: (key,
+    #: reason)}``.
     kernel_decisions: dict[int, tuple[str, str]] = \
         field(default_factory=dict)
 
@@ -140,36 +142,30 @@ class QueryJob:
                 **overrides) -> ExplainReport:
         """The ADJ plan for this query: GHD, plan, modeled costs.
 
-        Runs Algorithm 2 on the coordinator only — no shuffle, no
-        executor, no transport traffic.
+        The plan ``run("adj")`` with the same options executes, from the
+        same plan cache (:meth:`repro.engines.adj.ADJ.plan`): a miss
+        runs Algorithm 2 on the coordinator only — no shuffle, no
+        executor, no transport traffic — and a hit samples nothing.
         """
         from ..engines.adj import ADJ
 
         opts = self.session.config.engine_options(options, **overrides)
-        tree = opts.hypertree or optimal_hypertree(self.query)
-        estimator = CardinalityEstimator(
-            self.db, num_samples=opts.samples, seed=opts.seed)
-        # Mirror ADJ's optimizer settings so the explained plan is the
-        # plan job.run("adj") would execute.
-        optimizer = Optimizer(self.query, self.db, self.session.cluster,
-                              hypertree=tree, estimator=estimator,
-                              hcube_impl=ADJ.hcube_impl)
-        report = optimizer.run()
-        plan = report.plan
-        costs = optimizer.cost_model.plan_breakdown(plan.precompute,
-                                                    plan.traversal)
+        adj = cast(ADJ, registry.create("adj", opts))
+        report = adj.plan(self.query, self.db, self.session.cluster)
+        tree = report.plan.hypertree
+        costs = report.breakdown
         breakdown = {"precompute": costs.precompute,
                      "communication": costs.communication,
                      "computation": costs.computation}
         # Per-bag kernel decisions (pure — no spans/metrics recorded):
         # what repro.kernels would pick for each bag's subquery under
-        # the session's configured kernel.
+        # the run's kernel.
         from ..kernels.adaptive import choose_kernel
 
         decisions: dict[int, tuple[str, str]] = {}
         for bag in tree.bags:
-            choice = choose_kernel(self.session.config.kernel,
-                                   bag.subquery(self.query)[0], self.db)
+            choice = choose_kernel(adj.kernel, bag.subquery(self.query)[0],
+                                   self.db)
             decisions[bag.index] = (choice.key, choice.reason)
         return ExplainReport(query=self.query, hypertree=tree,
                              report=report, cost_breakdown=breakdown,

@@ -4,8 +4,10 @@ from .calibration import calibrate, measure_alpha, measure_beta
 from .cost_model import CostModel
 from .exhaustive import ExhaustiveReport, exhaustive_plan
 from .optimizer import (
+    PLAN_CACHE,
     Optimizer,
     OptimizerReport,
+    PlanCache,
     communication_first_plan,
     optimize_plan,
 )
@@ -30,6 +32,8 @@ __all__ = [
     "exhaustive_plan",
     "Optimizer",
     "OptimizerReport",
+    "PlanCache",
+    "PLAN_CACHE",
     "communication_first_plan",
     "optimize_plan",
     "CandidateRelation",

@@ -12,27 +12,44 @@ Only suffix positions are priced during the search (the costE of earlier
 bags is identical across candidates at step i, per the paper's remark
 after Alg. 2).  The loop runs O(n*^2) cost evaluations (Lemma 1), which
 the returned :class:`OptimizerReport` counts so tests can check the bound.
+
+A report is a deterministic function of the query, the data, the sample
+size and seed, the HCube implementation, the cluster and the hypertree,
+so it is computed once per process: :class:`PlanCache` is the one LRU of
+reports (``PLAN_CACHE``, :data:`PLAN_CACHE_CAPACITY` entries), and
+:meth:`repro.engines.adj.ADJ.plan` — the path of ``run("adj")`` and of
+``QueryJob.explain`` alike — is its one user.  ``Optimizer(...).run()``
+stays the uncached computation.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable, Hashable
 
 from ..data.database import Database
 from ..distributed.cluster import Cluster
+from ..distributed.metrics import CostBreakdown
 from ..errors import PlanError
 from ..ghd.decomposition import Hypertree, optimal_hypertree
+from ..obs.metrics import METRICS
 from ..query.query import JoinQuery
 from .cost_model import CostModel
 from .plan import QueryPlan
 from .sampling import CardinalityEstimator
 
 __all__ = ["OptimizerReport", "Optimizer", "optimize_plan",
-           "communication_first_plan"]
+           "communication_first_plan", "PlanCache", "PLAN_CACHE",
+           "PLAN_CACHE_CAPACITY"]
+
+#: Entries kept by the process-wide :data:`PLAN_CACHE`.
+PLAN_CACHE_CAPACITY = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerReport:
     """The chosen plan plus how much work choosing it took."""
 
@@ -40,7 +57,55 @@ class OptimizerReport:
     explored_configurations: int = 0
     sampling_work: int = 0
     wall_seconds: float = 0.0
-    cost_trace: list[tuple[int, bool, float]] = field(default_factory=list)
+    cost_trace: tuple[tuple[int, bool, float], ...] = ()
+    #: The plan's modeled costs per phase (costM, costC, costE^i).
+    breakdown: CostBreakdown = field(default_factory=CostBreakdown)
+
+
+class PlanCache:
+    """LRU of :class:`OptimizerReport` s, bounded by entry count.
+
+    Thread-safe; a miss computes outside the lock, so two concurrent
+    misses on one key compute the same deterministic report twice.
+    Counted under ``core.plan_cache_hits`` / ``core.plan_cache_misses``.
+    """
+
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
+        self.capacity = max(1, int(capacity))
+        self._entries: "OrderedDict[Hashable, OptimizerReport]" = \
+            OrderedDict()
+        self._lock = threading.Lock()
+
+    def lookup(self, key: Hashable, compute: Callable[[], OptimizerReport]
+               ) -> tuple[OptimizerReport, bool]:
+        """The report cached under ``key`` (computed on a miss) and
+        whether it was a hit."""
+        with self._lock:
+            report = self._entries.get(key)
+            if report is not None:
+                self._entries.move_to_end(key)
+        if report is not None:
+            METRICS.counter("core.plan_cache_hits").inc()
+            return report, True
+        METRICS.counter("core.plan_cache_misses").inc()
+        report = compute()
+        with self._lock:
+            self._entries[key] = report
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return report, False
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The process-wide plan cache (see the module docstring).
+PLAN_CACHE = PlanCache()
 
 
 class Optimizer:
@@ -133,7 +198,8 @@ class Optimizer:
             explored_configurations=explored,
             sampling_work=self.estimator.total_work,
             wall_seconds=time.perf_counter() - t0,
-            cost_trace=trace,
+            cost_trace=tuple(trace),
+            breakdown=model.plan_breakdown(chosen_pre, traversal),
         )
 
 

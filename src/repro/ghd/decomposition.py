@@ -17,10 +17,17 @@ product — never cost-effective), build the join tree as a maximum
 spanning tree on shared-attribute counts, and keep partitions satisfying
 the running intersection property.  Bag widths are memoized per
 attribute set, so the LP runs at most 2^n times.
+
+:func:`optimal_hypertree` depends on the query's atoms alone, so it is a
+bounded memo: equal queries (``JoinQuery`` compares on its atoms) get the
+identical, read-only :class:`Hypertree` back, and every caller — ADJ,
+both Yannakakis paths, the communication-first plan, explain — searches
+each query shape once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -60,7 +67,11 @@ class Bag:
 
 
 class Hypertree:
-    """A GHD: bags plus a join tree satisfying running intersection."""
+    """A GHD: bags plus a join tree satisfying running intersection.
+
+    Read-only after construction: :func:`optimal_hypertree` hands one
+    instance to every caller with an equal query.
+    """
 
     def __init__(self, query: JoinQuery, bags: Sequence[Bag],
                  tree_edges: Sequence[tuple[int, int]],
@@ -70,12 +81,12 @@ class Hypertree:
         self.tree_edges = tuple(
             (min(u, v), max(u, v)) for u, v in tree_edges)
         self.bag_widths = tuple(bag_widths)
-        self._valid_order_cache: frozenset[tuple[str, ...]] | None = None
-        self._adjacency: dict[int, set[int]] = {
-            b.index: set() for b in self.bags}
+        adjacency: dict[int, set[int]] = {b.index: set() for b in self.bags}
         for u, v in self.tree_edges:
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        self._adjacency: dict[int, frozenset[int]] = {
+            index: frozenset(adj) for index, adj in adjacency.items()}
 
     # -- shape ----------------------------------------------------------------
 
@@ -89,7 +100,7 @@ class Hypertree:
         return max(self.bag_widths)
 
     def neighbors(self, bag_index: int) -> frozenset[int]:
-        return frozenset(self._adjacency[bag_index])
+        return self._adjacency[bag_index]
 
     def __repr__(self) -> str:
         bags = "; ".join(
@@ -223,15 +234,13 @@ class Hypertree:
     def is_valid_attribute_order(self, order: Sequence[str]) -> bool:
         """Membership test for the valid-order space (used by Fig. 8).
 
-        Exact: materializes the valid-order set once (queries here have at
-        most a handful of attributes, so the space is tiny).
+        Exact: walks the valid-order space (queries here have at most a
+        handful of attributes, so the space is tiny).
         """
         order = tuple(order)
         if set(order) != set(self.query.attributes):
             return False
-        if self._valid_order_cache is None:
-            self._valid_order_cache = frozenset(self.valid_attribute_orders())
-        return order in self._valid_order_cache
+        return order in self.valid_attribute_orders()
 
 
 def _connected_atoms(query: JoinQuery, atom_indices: Sequence[int]) -> bool:
@@ -345,6 +354,7 @@ def enumerate_ghds(query: JoinQuery, max_bags: int | None = None,
         yield candidate
 
 
+@functools.lru_cache(maxsize=128)
 def optimal_hypertree(query: JoinQuery, max_bags: int | None = None,
                       max_partitions: int = 200_000) -> Hypertree:
     """The hypertree minimizing (width, total bag width, -num bags).
@@ -353,6 +363,10 @@ def optimal_hypertree(query: JoinQuery, max_bags: int | None = None,
     exponent of any pre-computed bag.  Among ties, prefer smaller total
     width, then *more* bags — finer decompositions give the ADJ optimizer
     more pre-computation choices.
+
+    Memoized on ``(query, max_bags, max_partitions)`` (LRU, 128 entries):
+    the search reads only the query's atoms and attributes, so an equal
+    query gets the identical tree back.
     """
     best: Hypertree | None = None
     best_key: tuple | None = None

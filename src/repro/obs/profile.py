@@ -12,7 +12,10 @@ attach it as ``result.extra["profile"]``; ``repro profile`` renders it.
 The report reconciles by construction:
 
 - ``measured`` phase seconds are exactly ``telemetry.phase_seconds``
-  (their sum equals ``RuntimeTelemetry.total``);
+  (their sum equals ``RuntimeTelemetry.total``); ADJ's coordinator
+  walls (``optimize``, ``precompute``) are measured too, so a plan-cache
+  hit reads as modeled optimization seconds against measured
+  microseconds;
 - ``data_plane`` is the same dict as ``EngineResult.data_plane``;
 - per-atom bytes aggregate the transport's publish spans (logical
   bytes staged per relation — the pickle transport *ships* those bytes
@@ -37,11 +40,12 @@ PROFILE_SCHEMA_VERSION = 1
 #: Modeled cost phase -> the measured telemetry phases it corresponds
 #: to.  ``communication`` is the shuffle/route + publish wall;
 #: ``computation`` is task execution; ``optimization``/``precompute``
-#: happen on the coordinator before any task is dispatched and have no
-#: telemetry counterpart.
+#: are ADJ's coordinator walls before any task is dispatched — the plan
+#: lookup (Algorithm 2 on a plan-cache miss) and materializing the
+#: chosen bags.  Engines without those phases leave the rows unmeasured.
 _PHASE_MAP: dict[str, tuple[str, ...]] = {
-    "optimization": (),
-    "precompute": (),
+    "optimization": ("optimize",),
+    "precompute": ("precompute",),
     "communication": ("shuffle", "publish"),
     "computation": ("local_join",),
 }
@@ -54,8 +58,8 @@ class PhaseRow:
     name: str
     modeled: float
     #: Measured wall-clock seconds; None when the run carries no
-    #: telemetry (it failed before reporting any) or the phase has no
-    #: measured counterpart (optimization/precompute).
+    #: telemetry (it failed before reporting any) or did not record the
+    #: phase (optimization/precompute outside ADJ).
     measured: float | None = None
     #: The telemetry phases folded into ``measured`` (e.g. shuffle +
     #: publish for communication), for the tree rendering.

@@ -12,15 +12,16 @@ Builds the shared warm-cluster story on top of
         result = future.result()
 
 :class:`QueryService` provides bounded admission, per-tenant work
-budgets (reject / queue / downgrade policies), a GHD plan cache and a
-fingerprint-keyed result cache.  The wire front door lives in
+budgets (reject / queue / downgrade policies) and a fingerprint-keyed
+result cache; plans come from the process-wide
+:data:`repro.core.optimizer.PLAN_CACHE`.  The wire front door lives in
 :mod:`repro.net.service` (``repro serve-sql`` / ``repro query``); see
 docs/service.md for the architecture tour.
 """
 
 from ..api.context import ClusterContext
 from ..errors import AdmissionError
-from .cache import PlanCache, ResultCache, plan_key, result_key
+from .cache import ResultCache, result_key
 from .service import BUDGET_POLICIES, QueryRequest, QueryService
 
 __all__ = [
@@ -28,9 +29,7 @@ __all__ = [
     "QueryRequest",
     "ClusterContext",
     "AdmissionError",
-    "PlanCache",
     "ResultCache",
-    "plan_key",
     "result_key",
     "BUDGET_POLICIES",
 ]

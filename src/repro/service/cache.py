@@ -1,28 +1,22 @@
-"""Plan and result caches for the query service.
+"""The query service's result cache.
 
-Both caches key on a *canonical query signature* — the datalog
-rendering of the :class:`~repro.query.query.JoinQuery`, which is
-deterministic for a given query structure — plus whatever else can
-change the answer:
-
-- :class:`PlanCache` holds GHD hypertrees keyed on the signature and
-  the catalog stats (per-relation cardinalities) the optimizer would
-  consult.  A hit feeds ``EngineOptions.hypertree``, so repeated
-  queries skip hypertree search entirely.
-- :class:`ResultCache` holds successful counts keyed on the signature,
-  the engine/knobs, and :meth:`repro.data.database.Database
-  .fingerprint` — cached entries stay valid exactly as long as the
-  content hash does, and :meth:`ResultCache.invalidate` drops them
-  explicitly when a catalog is known to have changed.
+:class:`ResultCache` holds successful counts keyed on the query's
+datalog rendering (``repr``, deterministic for a given query), the
+engine/knobs, and :meth:`repro.data.database.Database.fingerprint` —
+cached entries stay valid exactly as long as the content hash does, and
+:meth:`ResultCache.invalidate` drops them explicitly when a catalog is
+known to have changed.
 
 Cached *results* are rebuilt on the way out: a warm hit returns a fresh
 :class:`~repro.engines.base.EngineResult` whose ``data_plane`` is all
 zeros with ``transport="cache"`` — the honest report, since a warm run
 publishes and ships nothing.
 
-Both caches are thread-safe (one lock each; entries are immutable) and
-LRU: the plan cache bounds entry *count*, the result cache bounds
-estimated *bytes* (``REPRO_RESULT_CACHE_BYTES``).
+The cache is thread-safe (one lock; entries are immutable) and LRU,
+bounded by estimated *bytes* (``REPRO_RESULT_CACHE_BYTES``).  Plans are
+not cached here: ADJ's plans live in the process-wide
+:data:`repro.core.optimizer.PLAN_CACHE`, keyed on content, which every
+run shares.
 """
 
 from __future__ import annotations
@@ -34,31 +28,11 @@ from dataclasses import dataclass
 from ..data.database import Database
 from ..distributed.metrics import CostBreakdown
 from ..engines.base import EngineOptions, EngineResult
-from ..ghd.decomposition import Hypertree
 from ..obs.metrics import METRICS
 from ..query.query import JoinQuery
 from ..runtime.transport import TransportStats
 
-__all__ = ["PlanCache", "ResultCache", "plan_key", "result_key",
-           "cached_result"]
-
-
-def query_signature(query: JoinQuery) -> str:
-    """Deterministic text form of a query (its datalog rendering)."""
-    return repr(query)
-
-
-def catalog_stats(query: JoinQuery, db: Database) -> tuple:
-    """The per-relation stats a plan for ``query`` depends on."""
-    return tuple(sorted(
-        (atom.relation, len(db[atom.relation]))
-        for atom in query.atoms))
-
-
-def plan_key(query: JoinQuery, db: Database,
-             samples: int | None = None, seed: int | None = None) -> tuple:
-    return (query_signature(query), catalog_stats(query, db),
-            samples, seed)
+__all__ = ["ResultCache", "result_key", "cached_result"]
 
 
 def result_key(query: JoinQuery, db: Database, engine: str,
@@ -75,7 +49,7 @@ def result_key(query: JoinQuery, db: Database, engine: str,
         knobs = (options.samples, options.seed, options.work_budget,
                  options.budget_tuples, options.budget_bindings,
                  options.order, options.kernel)
-    return (query_signature(query), engine, knobs, db.fingerprint())
+    return (repr(query), engine, knobs, db.fingerprint())
 
 
 def cached_result(entry: "_ResultEntry", query_id: str | None = None
@@ -101,39 +75,6 @@ class _ResultEntry:
     rounds: int
     breakdown: CostBreakdown
     nbytes: int
-
-
-class PlanCache:
-    """LRU cache of GHD hypertrees, bounded by entry count."""
-
-    def __init__(self, capacity: int = 128):
-        self.capacity = max(1, int(capacity))
-        self._entries: "OrderedDict[tuple, Hypertree]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Hypertree | None:
-        with self._lock:
-            tree = self._entries.get(key)
-            if tree is not None:
-                self._entries.move_to_end(key)
-                METRICS.counter("service.plan_cache_hits").inc()
-            else:
-                METRICS.counter("service.plan_cache_misses").inc()
-            return tree
-
-    def put(self, key: tuple, tree: Hypertree) -> None:
-        with self._lock:
-            self._entries[key] = tree
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class ResultCache:

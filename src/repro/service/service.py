@@ -24,12 +24,14 @@ callers' queries onto it:
   ``queue_timeout``), or ``"downgrade"`` (run with ``work_budget``
   clamped to what remains — the run itself then trips ``BudgetExceeded``
   cleanly if it needs more).  Other tenants are never affected.
-- **Plan cache** — GHD hypertrees keyed on query + catalog stats; hits
-  skip hypertree search via ``EngineOptions.hypertree``.
 - **Result cache** — successful counts keyed on
   ``(query, engine, knobs, Database.fingerprint())``; a warm hit ships
   zero bytes (``data_plane`` all zeros, ``transport="cache"``) and
   :meth:`invalidate` drops entries when a catalog mutates.
+- **Plans** are not the service's: every ADJ run, whichever tenant or
+  session drives it, plans through the process-wide content-keyed
+  :data:`~repro.core.optimizer.PLAN_CACHE`.  :meth:`invalidate` leaves
+  it alone — a plan keyed on content can at worst be slow, never wrong.
 
 Everything is observable under ``service.*`` metrics (admissions,
 rejections, cache hit/miss, active/queued gauges, latency histogram) —
@@ -45,16 +47,16 @@ from dataclasses import dataclass
 
 from ..api.context import ClusterContext
 from ..api.session import JoinSession
+from ..core.optimizer import PLAN_CACHE
 from ..data.database import Database
 from ..engines.base import EngineOptions, EngineResult
 from ..errors import AdmissionError, ConfigError
-from ..ghd.decomposition import optimal_hypertree
 from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..query.parser import parse_query
 from ..query.query import JoinQuery
-from .cache import PlanCache, ResultCache, plan_key, result_key
+from .cache import ResultCache, result_key
 
 log = get_logger("repro.service")
 
@@ -107,8 +109,7 @@ class QueryService:
                  budget_policy: str = "reject",
                  budget_window: float | None = None,
                  queue_timeout: float = 30.0,
-                 result_cache_bytes: int | None = None,
-                 plan_cache_size: int = 128):
+                 result_cache_bytes: int | None = None):
         if budget_policy not in BUDGET_POLICIES:
             raise ConfigError(
                 f"budget_policy must be one of {BUDGET_POLICIES}, "
@@ -123,7 +124,6 @@ class QueryService:
         self.budget_policy = budget_policy
         self.budget_window = budget_window
         self.queue_timeout = queue_timeout
-        self.plan_cache = PlanCache(capacity=plan_cache_size)
         self.result_cache = ResultCache(
             max_bytes=env("REPRO_RESULT_CACHE_BYTES")
             if result_cache_bytes is None else result_cache_bytes)
@@ -165,7 +165,7 @@ class QueryService:
         finally:
             self._context.release()
         log.info("service closed %s", kv(
-            plans=len(self.plan_cache), results=len(self.result_cache)))
+            plans=len(PLAN_CACHE), results=len(self.result_cache)))
 
     def __enter__(self) -> "QueryService":
         return self
@@ -339,13 +339,6 @@ class QueryService:
                 if hit is not None:
                     METRICS.counter("service.completed").inc()
                     return hit
-            pkey = plan_key(request.query, request.db,
-                            opts.samples, opts.seed)
-            tree = self.plan_cache.get(pkey)
-            if tree is None:
-                tree = optimal_hypertree(request.query)
-                self.plan_cache.put(pkey, tree)
-            opts = opts.merged_with(None, hypertree=tree)
             job = self._session.query_from(request.query, request.db)
             result = job.run(request.engine, options=opts,
                              profile=request.profile)
@@ -370,7 +363,9 @@ class QueryService:
 
     def invalidate(self, db: "Database | str | None" = None) -> int:
         """Drop cached results for ``db`` (a Database or a fingerprint);
-        None drops everything.  Returns the number of entries dropped."""
+        None drops everything.  Returns the number of entries dropped.
+
+        Plans stay: they are keyed on the content they were made from."""
         fingerprint = db.fingerprint() if isinstance(db, Database) else db
         return self.result_cache.invalidate(fingerprint)
 
@@ -386,7 +381,7 @@ class QueryService:
                 "max_concurrent": self.max_concurrent,
                 "queue_depth": self.queue_depth,
                 "budget_policy": self.budget_policy,
-                "plan_cache_entries": len(self.plan_cache),
+                "plan_cache_entries": len(PLAN_CACHE),
                 "result_cache_entries": len(self.result_cache),
                 "tenants": tenants,
                 "closed": self._closed,

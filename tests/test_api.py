@@ -313,6 +313,40 @@ class TestQueryJobLaziness:
             result = job.run("adj")
         assert result.extra["plan"] == explain.plan.describe()
 
+    def test_explain_then_run_is_one_miss_then_one_hit(self):
+        """explain() and run("adj") share ADJ's plan cache: the run
+        executes the explained plan without planning again."""
+        from repro.core import PLAN_CACHE
+        from repro.obs.metrics import METRICS
+
+        def counts():
+            return (METRICS.counter("core.plan_cache_hits").value,
+                    METRICS.counter("core.plan_cache_misses").value)
+
+        query, db = graph_case("Q4", seed=4)
+        PLAN_CACHE.clear()
+        with JoinSession(workers=2, samples=10, seed=0) as session:
+            job = session.query_from(query, db)
+            hits, misses = counts()
+            explain = job.explain()
+            assert counts() == (hits, misses + 1)
+            result = job.run("adj")
+            assert counts() == (hits + 1, misses + 1)
+        assert result.extra["plan_cache"] == "hit"
+        assert result.extra["plan"] == explain.plan.describe()
+
+    def test_explain_kernel_override_wins(self):
+        """explain(kernel=...) reports the kernel run(..., kernel=...)
+        uses, not the session's."""
+        query, db = graph_case("Q4", seed=4)
+        with JoinSession(workers=2, samples=10, kernel="wcoj") as session:
+            job = session.query_from(query, db)
+            explain = job.explain(kernel="binary")
+            result = job.run("adj", kernel="binary")
+        assert result.extra["kernel"] == "binary"
+        assert {key for key, _ in explain.kernel_decisions.values()} \
+            == {"binary"}
+
     @pytest.mark.parametrize("query_name,expected", [
         ("Q5", (0.00035625, 0.0004688, 0.0004937223639455783)),
         ("Q9", (0.0, 0.00024, 1.1891300298062593e-06)),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    PLAN_CACHE,
     CardinalityEstimator,
     Optimizer,
     communication_first_plan,
@@ -11,8 +12,10 @@ from repro.core import (
 )
 from repro.data import Database, Relation
 from repro.distributed import Cluster, CostModelParams
-from repro.ghd import optimal_hypertree
-from repro.query import example_query, paper_query
+from repro.engines import ADJ, YannakakisJoin
+from repro.ghd import Hypertree, enumerate_ghds, optimal_hypertree
+from repro.obs.metrics import METRICS
+from repro.query import JoinQuery, example_query, paper_query
 from repro.workloads import make_testcase
 
 
@@ -110,6 +113,113 @@ class TestCommunicationFirst:
         plan = communication_first_plan(q, db, Cluster(num_workers=4),
                                         hypertree=tree)
         assert plan.hypertree is tree
+
+
+def _plan_hit(adj, query, db, cluster):
+    """Whether ``adj.plan`` was answered by the process-wide cache."""
+    before = METRICS.counter("core.plan_cache_hits").value
+    adj.plan(query, db, cluster)
+    return METRICS.counter("core.plan_cache_hits").value > before
+
+
+def _copy(db, changed=None):
+    """A new Database with the same content; ``changed`` names one
+    relation whose first row is altered."""
+    rels = []
+    for rel in db:
+        data = rel.data.copy()
+        if rel.name == changed:
+            data[0, 0] = data[:, 0].max() + 1
+        rels.append(Relation(rel.name, rel.attributes, data))
+    return Database(rels)
+
+
+class TestPlanCache:
+    """ADJ plans once per (query, data, settings, cluster, hypertree)."""
+
+    def test_hit_is_identical_to_miss_and_samples_nothing(
+            self, q5_case, monkeypatch):
+        import repro.core.sampling as sampling
+
+        q, db = q5_case
+        cluster = Cluster(num_workers=4)
+        calls = []
+        real = sampling.leapfrog_sample_counts
+        monkeypatch.setattr(
+            sampling, "leapfrog_sample_counts",
+            lambda *a, **k: calls.append(1) or real(*a, **k))
+        PLAN_CACHE.clear()
+        miss = ADJ(num_samples=40).run(q, db, cluster)
+        sampled = len(calls)
+        hit = ADJ(num_samples=40).run(q, db, cluster)
+        assert sampled > 0 and len(calls) == sampled
+        assert (miss.extra["plan_cache"], hit.extra["plan_cache"]) \
+            == ("miss", "hit")
+        assert hit.count == miss.count
+        assert hit.breakdown == miss.breakdown
+        for key in ("estimated_cost", "explored_configurations",
+                    "level_tuples", "leapfrog_work", "plan"):
+            assert hit.extra[key] == miss.extra[key], key
+
+    def test_what_hits_and_what_misses(self, q5_case):
+        q, db = q5_case
+        cluster = Cluster(num_workers=4)
+        adj = ADJ(num_samples=40)
+        PLAN_CACHE.clear()
+        adj.plan(q, db, cluster)
+        # Hits: the same content in a new Database object; knobs that
+        # Algorithm 2 does not read.
+        assert _plan_hit(adj, q, _copy(db), cluster)
+        assert _plan_hit(ADJ(num_samples=40, work_budget=10**9),
+                         q, db, cluster)
+        assert _plan_hit(ADJ(num_samples=40, kernel="binary"),
+                         q, db, cluster)
+        # Misses: content, name, samples, seed, cluster.
+        assert not _plan_hit(adj, q, _copy(db, q.atoms[0].relation),
+                             cluster)
+        renamed = JoinQuery(q.atoms, name="Other")
+        assert not _plan_hit(adj, renamed, db, cluster)
+        assert adj.run(renamed, db, cluster).query == "Other"
+        assert not _plan_hit(ADJ(num_samples=41), q, db, cluster)
+        assert not _plan_hit(ADJ(num_samples=40, seed=1), q, db, cluster)
+        assert not _plan_hit(adj, q, db, Cluster(num_workers=3))
+
+    def test_caller_hypertree_keys_on_structure(self, q5_case):
+        q, db = q5_case
+        cluster = Cluster(num_workers=4)
+        PLAN_CACHE.clear()
+        best = optimal_hypertree(q)
+        other = next(t for t in enumerate_ghds(q)
+                     if t.num_bags != best.num_bags)
+        assert not _plan_hit(ADJ(num_samples=40, hypertree=other),
+                             q, db, cluster)
+        twin = Hypertree(q, other.bags, other.tree_edges, other.bag_widths)
+        assert _plan_hit(ADJ(num_samples=40, hypertree=twin),
+                         q, db, cluster)
+        ADJ(num_samples=40).plan(q, db, cluster)
+        assert not _plan_hit(ADJ(num_samples=40, hypertree=best),
+                             q, db, cluster)
+
+
+class TestHypertreeMemo:
+    def test_equal_atoms_return_the_identical_tree(self, q5_case):
+        q, db = q5_case
+        tree = optimal_hypertree(q)
+        assert optimal_hypertree(JoinQuery(q.atoms, name="again")) is tree
+        assert optimal_hypertree(paper_query("Q1")) is not tree
+
+    def test_yannakakis_results_unchanged(self):
+        from repro.wcoj import leapfrog_join
+        from repro.wcoj.yannakakis import yannakakis_join
+
+        q, db = make_testcase("wb", "Q9", scale=1e-5)
+        expected = leapfrog_join(q, db).count
+        tree = optimal_hypertree(q)
+        fresh = Hypertree(q, tree.bags, tree.tree_edges, tree.bag_widths)
+        assert len(yannakakis_join(q, db, tree=fresh)) == expected
+        assert len(yannakakis_join(q, db)) == expected
+        assert YannakakisJoin().run(q, db, Cluster(num_workers=2)).count \
+            == expected
 
 
 class TestSingleBagQueries:

@@ -180,6 +180,29 @@ class TestProfileContents:
         assert set(rows["communication"].parts) == {"shuffle", "publish"}
         assert set(rows["computation"].parts) == {"local_join"}
 
+    def test_adj_coordinator_phases_are_measured(self):
+        """ADJ's optimization and precompute rows carry measured walls;
+        a plan-cache hit shows as a smaller ``optimize`` phase."""
+        from repro.core import PLAN_CACHE
+
+        PLAN_CACHE.clear()
+        with JoinSession(workers=2, samples=50) as session:
+            job = session.query("wb", "Q5", scale=1e-5)
+            first = job.run("adj", profile=True)
+            second = job.run("adj", profile=True)
+        for result in (first, second):
+            assert result.ok, result.failure
+            rows = {row.name: row for row in result.profile.phases}
+            assert rows["optimization"].parts.keys() == {"optimize"}
+            assert rows["precompute"].parts.keys() == {"precompute"}
+            assert rows["optimization"].measured is not None
+            assert rows["precompute"].measured is not None
+            _assert_reconciles(result)
+        assert (first.extra["plan_cache"], second.extra["plan_cache"]) \
+            == ("miss", "hit")
+        assert second.telemetry.phase_seconds["optimize"] \
+            < first.telemetry.phase_seconds["optimize"]
+
     def test_metrics_window_is_scoped_to_the_run(self):
         # Pollute the global registry first: the window must not see it.
         METRICS.counter("runtime.tasks_completed").inc(999)

@@ -15,15 +15,17 @@ import numpy as np
 import pytest
 
 from repro import ClusterContext, JoinSession, QueryService, RunConfig
+from repro.core.optimizer import PLAN_CACHE, PlanCache
 from repro.data import Database, Relation
 from repro.distributed.metrics import CostBreakdown
 from repro.engines import registry
 from repro.engines.base import EngineOptions, EngineResult
 from repro.errors import AdmissionError, ConfigError, NetError
 from repro.knobs import env
+from repro.obs.metrics import METRICS
 from repro.query import paper_query
 from repro.runtime.executor import ExecutorView
-from repro.service import PlanCache, ResultCache, result_key
+from repro.service import ResultCache, result_key
 from repro.wcoj import leapfrog_join
 
 
@@ -41,6 +43,12 @@ def graph_case(query_name, seed=0, n=200, dom=40):
 def threads_config(transport="pickle", workers=2):
     return RunConfig().replace(backend="threads", workers=workers,
                                transport=transport, samples=20)
+
+
+def _plan_cache_counts():
+    """(hits, misses) of the process-wide plan cache so far."""
+    return (METRICS.counter("core.plan_cache_hits").value,
+            METRICS.counter("core.plan_cache_misses").value)
 
 
 @pytest.fixture
@@ -301,12 +309,53 @@ class TestQueryService:
             assert again.extra.get("result_cache") != "hit"
 
     def test_plan_cache_reused_across_tenants(self):
+        """One core plan-cache miss for the first tenant, then a hit for
+        the second; the STAT entry count reads the core cache."""
         q, db = graph_case("Q1")
+        PLAN_CACHE.clear()
         with QueryService() as svc:
-            svc.execute(q, db, tenant="a", use_cache=False)
-            assert len(svc.plan_cache) == 1
-            svc.execute(q, db, tenant="b", use_cache=False)
-            assert len(svc.plan_cache) == 1
+            before = _plan_cache_counts()
+            first = svc.execute(q, db, tenant="a", use_cache=False)
+            assert _plan_cache_counts() == (before[0], before[1] + 1)
+            second = svc.execute(q, db, tenant="b", use_cache=False)
+            assert _plan_cache_counts() == (before[0] + 1, before[1] + 1)
+            assert svc.stats()["plan_cache_entries"] == len(PLAN_CACHE) == 1
+        assert (first.extra["plan_cache"], second.extra["plan_cache"]) \
+            == ("miss", "hit")
+        assert first.extra["plan"] == second.extra["plan"]
+
+    def test_concurrent_submits_share_one_plan(self):
+        """Four threads submit one query: every result carries the same
+        plan and the right count; each run is one lookup, and the cache
+        holds one entry however many misses raced."""
+        q, db = graph_case("Q9", seed=13, n=120, dom=25)
+        expected = leapfrog_join(q, db).count
+        PLAN_CACHE.clear()
+        before = _plan_cache_counts()
+        with QueryService(config=threads_config(),
+                          max_concurrent=4) as svc:
+            barrier = threading.Barrier(4)
+            futures: list = [None] * 4
+
+            def submit(i):
+                barrier.wait(timeout=10.0)
+                futures[i] = svc.submit(q, db, engine="adj",
+                                        use_cache=False)
+
+            threads = [threading.Thread(target=submit, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+            results = [f.result(timeout=60.0) for f in futures]
+        hits, misses = (after - start for after, start
+                        in zip(_plan_cache_counts(), before))
+        assert hits + misses == 4 and misses >= 1
+        assert len(PLAN_CACHE) == 1
+        assert all(r.ok and r.count == expected for r in results)
+        assert len({r.extra["plan"] for r in results}) == 1
+        assert len({r.breakdown.optimization for r in results}) == 1
 
     def test_capacity_rejection_is_backpressure(self, slow_engine):
         slow_engine.release.clear()
@@ -420,14 +469,23 @@ class TestQueryService:
 
 class TestCaches:
     def test_plan_cache_lru_eviction(self):
+        """The core plan cache evicts its least recently used entry."""
         cache = PlanCache(capacity=2)
-        cache.put(("a",), "tree-a")
-        cache.put(("b",), "tree-b")
-        assert cache.get(("a",)) == "tree-a"   # refresh a
-        cache.put(("c",), "tree-c")            # evicts b
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == "tree-a"
-        assert cache.get(("c",)) == "tree-c"
+        calls = []
+
+        def lookup(key):
+            return cache.lookup(key, lambda: calls.append(key) or
+                                f"report-{key}")
+
+        assert lookup("a") == ("report-a", False)
+        assert lookup("b") == ("report-b", False)
+        assert lookup("a") == ("report-a", True)     # refresh a
+        assert lookup("c") == ("report-c", False)    # evicts b
+        assert len(cache) == 2
+        assert lookup("a") == ("report-a", True)
+        assert lookup("c") == ("report-c", True)
+        assert lookup("b") == ("report-b", False)    # recomputed
+        assert calls == ["a", "b", "c", "b"]
 
     def _result(self, count=5):
         return EngineResult(engine="ADJ", query="Q1", count=count,
