@@ -4,8 +4,8 @@ Every ``REPRO_*`` variable is a row of :data:`repro.knobs.TABLE`, and
 :func:`repro.knobs.env` is the one reader: it applies the shared parse
 rule and the error message that names the variable.  Anywhere else in
 the package, ``os.environ`` or ``os.getenv`` is a knob nobody can
-discover and a parse rule of its own.  The benchmark harness
-(``REPRO_BENCH_*``, outside the package) is not checked.
+discover and a parse rule of its own.  Code outside the package is not
+checked.
 """
 
 from __future__ import annotations

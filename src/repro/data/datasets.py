@@ -13,8 +13,8 @@ reproduction anyway, so we generate *seeded scaled analogues*:
   nodes create huge intermediate-binding counts for Leapfrog;
 - graphs are **symmetrized** like the paper's undirected SNAP datasets.
 
-DESIGN.md records this substitution; EXPERIMENTS.md records the scale
-used for every measured number.
+EXPERIMENTS.md (written by ``benchmarks/paper.py``) records the scale
+behind every reported number.
 """
 
 from __future__ import annotations
