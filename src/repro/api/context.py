@@ -19,8 +19,8 @@ id are its own.  Sessions become thin per-caller views::
 Lifecycle is refcounted: every attached session (and the ``with`` block
 itself) holds one reference; the last :meth:`release` closes the
 executor and the shared store.  A session constructed *without* a
-context creates a private one — exactly today's single-caller
-behaviour, bit for bit.
+context creates a private one and closes it itself; its runs get the
+same per-query views.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ from ..errors import ConfigError
 from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..runtime.executor import Executor, ExecutorView, executor_for
-from ..runtime.transport import create_transport, default_transport_name
+from ..runtime.transport import (
+    SharedMemoryTransport,
+    create_transport,
+    default_transport_name,
+)
 from .config import RunConfig
 
 log = get_logger("repro.api.context")
@@ -58,6 +62,7 @@ class ClusterContext:
         self.cluster = cluster or self.config.make_cluster()
         self._executor: Executor | None = None
         self._store = None          # shared tcp block store (lazy)
+        self._shm_ledger: dict[str, None] = {}   # every shm view's segments
         self._refs = 0
         self._epoch_seq = 0
         self._query_seq = 0
@@ -172,9 +177,13 @@ class ClusterContext:
 
     def _view_transport(self):
         name = self.transport_name()
+        if name == "shm":
+            # Per-view segments, one context-wide ledger: any view's
+            # ``active_segments`` lists what any run has not released.
+            return SharedMemoryTransport(ledger=self._shm_ledger)
         if name != "tcp":
-            # pickle/shm stage per-instance: a fresh transport per view
-            # is already fully isolated.
+            # pickle stages per-instance: a fresh transport per view is
+            # already fully isolated.
             return create_transport(name)
         # tcp views share one warm block store owned by the context —
         # repeated queries reuse the listening socket, and uuid-suffixed
@@ -185,16 +194,17 @@ class ClusterContext:
         return TcpTransport(store=self._store_address())
 
     def _store_address(self) -> tuple[str, int]:
+        """Where views' workers dial the shared store (advertise rule)."""
+        from ..net.blockstore import BlockStoreServer, advertised_address
+
         with self._lock:
             self._check_open()
             if self._store is None:
-                from ..net.blockstore import BlockStoreServer
-
                 self._store = BlockStoreServer(
                     host=env("REPRO_BIND_HOST")).start()
                 log.info("shared block store started %s",
                          kv(host=self._store.host, port=self._store.port))
-            return self._store.address
+            return advertised_address(self._store)
 
     @property
     def store_blocks(self) -> tuple[str, ...]:

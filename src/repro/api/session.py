@@ -15,10 +15,12 @@ resources::
 
 Resource ownership actually lives in a
 :class:`~repro.api.context.ClusterContext`: a session constructed the
-historical way creates a *private* context (same behaviour, bit for
-bit), while ``JoinSession(context=ctx)`` attaches to a shared one — many
-sessions then multiplex queries onto one warm pool, each run isolated on
-a per-query :class:`~repro.runtime.executor.ExecutorView`.
+historical way creates a *private* context, while
+``JoinSession(context=ctx)`` attaches to a shared one — many sessions
+then multiplex queries onto one warm pool.  Either way every run is
+isolated on its own per-query
+:class:`~repro.runtime.executor.ExecutorView`; the two differ only in
+who closes the context.
 
 Lifecycle guarantees:
 
@@ -165,28 +167,19 @@ class JoinSession:
         return self._context.executor_created
 
     @property
-    def _executor(self) -> Executor | None:
-        # Compatibility peephole: the base executor now lives on the
-        # context.
-        return self._context._executor
-
-    @property
     def transport_label(self) -> str:
         """Name of the transport that carries task payloads."""
         return self._context.transport_name()
 
     def executor(self) -> Executor:
-        """The executor runs should use, created on first call.
+        """A fresh per-run :class:`~repro.runtime.executor.ExecutorView`.
 
-        A private session hands back the context's base executor (the
-        historical single-caller behaviour); a session attached to a
-        *shared* context gets a fresh per-query
-        :class:`~repro.runtime.executor.ExecutorView`, so concurrent
-        runs never interleave epochs.
+        Every call checks out a new epoch view over the context's one
+        cached base executor — private and shared sessions alike — so
+        concurrent runs on one session never share a transport and
+        never tear down each other's published blocks.
         """
         self._check_open()
-        if self._owns_context:
-            return self._context.executor()
         return self._context.checkout()
 
     def _check_open(self) -> None:

@@ -199,28 +199,16 @@ def _cmd_stat(args) -> int:
     """One STAT snapshot of a running `repro serve` agent."""
     import json as _json
 
-    from .net.agent import agent_stats
+    from .net.protocol import FrameClient
 
     host, port = _parse_host_port(args.agent)
     try:
-        stats = agent_stats(host, port, timeout=args.timeout)
+        with FrameClient(host, port, args.timeout) as client:
+            stats = client.stat({"history": args.history})
     except OSError as exc:
         print(f"cannot reach agent at {host}:{port}: {exc}",
               file=sys.stderr)
         return 1
-    if args.history:
-        # Re-request with history included (agent_stats keeps the
-        # default reply small; history rides an explicit STAT meta).
-        from .net.protocol import OP_BYE, OP_STAT, connect, request, \
-            send_frame
-
-        sock = connect(host, port, timeout=args.timeout)
-        try:
-            _op, stats, _payload = request(
-                sock, OP_STAT, {"history": args.history})
-            send_frame(sock, OP_BYE, {})
-        finally:
-            sock.close()
     if args.json:
         print(_json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -247,28 +235,15 @@ def _cmd_stat(args) -> int:
     return 0
 
 
-def _expo_value(text: str, name: str) -> float | None:
-    """First sample value of ``name`` in Prometheus exposition text."""
-    for line in text.splitlines():
-        if line.startswith("#"):
-            continue
-        sample, _, value = line.rpartition(" ")
-        if sample == name or sample.startswith(name + "{"):
-            try:
-                return float(value)
-            except ValueError:
-                return None
-    return None
-
-
 class _TopHost:
-    """One monitored agent: persistent connection, per-tick sampling.
+    """One monitored server: one persistent connection, per-tick sampling.
 
-    HELLO once at connect (service check + advertised slots), then each
-    tick a PING (measured round-trip = the heartbeat RTT column), a
-    STAT (busy slots, counters, task-latency quantiles) and an EXPO
-    scrape (the exposition-fed bytes column) — the three opcodes
-    `repro top` exercises.  A dead host renders as ``down`` and is
+    HELLO once at connect (version check; any of the three services —
+    worker agent, query service, block store), then each tick a PING
+    (measured round-trip = the heartbeat RTT column) and a STAT (busy
+    slots, counters, task-latency quantiles and the fetched-bytes
+    counter, all from its metrics snapshot; fields a service does not
+    report render as ``-``).  A dead host renders as ``down`` and is
     re-dialed on the next tick.
     """
 
@@ -276,52 +251,41 @@ class _TopHost:
         self.spec = spec
         self.host, self.port = _parse_host_port(spec)
         self.timeout = timeout
-        self._sock = None
-        self.hello: dict = {}
-
-    def _connect(self):
-        from .net.protocol import OP_HELLO, connect, request
-
-        sock = connect(self.host, self.port, timeout=self.timeout)
-        _op, meta, _payload = request(sock, OP_HELLO, {})
-        self.hello = meta
-        self._sock = sock
-        return sock
+        self.service = None
+        self._client = None
 
     def close(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                from .net.protocol import OP_BYE, send_frame
-
-                send_frame(sock, OP_BYE, {})
-            except OSError:
-                pass
-            sock.close()
+        client, self._client = self._client, None
+        if client is not None:
+            client.close()
 
     def sample(self) -> dict:
         """One row of the table; ``{"status": "down"}`` on failure."""
         import time as _time
 
-        from .net.agent import agent_expo
-        from .net.protocol import OP_PING, OP_STAT, request
+        from .errors import NetError
+        from .net.protocol import FrameClient
 
         try:
-            sock = self._sock or self._connect()
+            if self._client is None:
+                client = FrameClient(self.host, self.port, self.timeout)
+                self.service = client.hello(
+                    "worker-agent", "query-service",
+                    "blockstore")["service"]
+                self._client = client
             t0 = _time.perf_counter()
-            request(sock, OP_PING, {})
+            self._client.ping()
             rtt = _time.perf_counter() - t0
-            _op, stats, _payload = request(sock, OP_STAT, {})
-            expo = agent_expo(self.host, self.port,
-                              timeout=self.timeout)
-        except (OSError, EOFError) as exc:
+            stats = self._client.stat()
+        except (OSError, EOFError, NetError) as exc:
             self.close()
             return {"host": self.spec, "status": "down",
                     "error": str(exc)}
         metrics = stats.get("metrics") or {}
         task_hist = metrics.get("agent.task_seconds") or {}
-        fetched = _expo_value(expo, "repro_net_fetched_bytes_total")
+        fetched = metrics.get("net.fetched_bytes")
         return {"host": self.spec, "status": "up",
+                "service": self.service,
                 "pid": stats.get("pid"),
                 "slots": stats.get("slots"),
                 "busy": stats.get("tasks_active", 0),
@@ -342,23 +306,24 @@ def _render_top(rows, clear: bool) -> None:
     print(f"repro top — {len(rows)} host"
           f"{'s' if len(rows) != 1 else ''} @ "
           f"{_time.strftime('%H:%M:%S')}")
-    print(f"{'host':22} {'st':>4} {'slots':>5} {'busy':>4} "
-          f"{'run':>8} {'fail':>5} {'rtt(ms)':>8} {'p95(ms)':>8} "
-          f"{'fetched':>8}")
+    print(f"{'host':22} {'st':>4} {'service':>13} {'slots':>5} "
+          f"{'busy':>4} {'run':>8} {'fail':>5} {'rtt(ms)':>8} "
+          f"{'p95(ms)':>8} {'fetched':>8}")
     for row in rows:
         if row["status"] != "up":
             print(f"{row['host']:22} {'down':>4}")
             continue
         p95 = (f"{row['task_p95_ms']:8.2f}"
                if row["task_p95_ms"] is not None else f"{'-':>8}")
-        print(f"{row['host']:22} {'up':>4} {row['slots']:>5} "
+        slots = "-" if row["slots"] is None else row["slots"]
+        print(f"{row['host']:22} {'up':>4} {row['service']:>13} {slots:>5} "
               f"{row['busy']:>4} {row['tasks_run']:>8} "
               f"{row['tasks_failed']:>5} {row['rtt_ms']:>8.2f} {p95} "
               f"{_fmt_bytes(row['fetched_bytes']):>8}")
 
 
 def _cmd_top(args) -> int:
-    """Live per-host monitor over HELLO/STAT/EXPO."""
+    """Live per-host monitor over HELLO/PING/STAT."""
     import json as _json
     import time as _time
 
@@ -715,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="raw STAT meta as JSON")
 
     top_p = sub.add_parser(
-        "top", help="live per-host cluster monitor (HELLO/STAT/EXPO)")
+        "top", help="live per-host cluster monitor (HELLO/PING/STAT)")
     top_p.add_argument("hosts", metavar="HOSTS",
                        help="comma-separated agent addresses "
                             "(host:port,host:port,...)")

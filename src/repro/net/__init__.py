@@ -4,7 +4,8 @@ Everything the single-host runtime (:mod:`repro.runtime`) needs to span
 real machines, behind the seams that already exist:
 
 - :mod:`repro.net.protocol` — length-prefixed binary frames (one wire
-  format for every service) and the threaded :class:`FrameServer` base;
+  format for every service), the threaded :class:`FrameServer` base
+  that answers the shared control plane, and :class:`FrameClient`;
 - :mod:`repro.net.blockstore` — a TCP block store the coordinator
   publishes routed column blocks into (PUT/GET/LIST/FREE/STAT), plus
   the worker-side cached fetch;
@@ -34,13 +35,14 @@ from .blockstore import (
     fetch_block_array,
 )
 from .executor import HostSpec, RemoteExecutor, parse_host_specs
-from .protocol import PROTOCOL_VERSION, FrameServer
+from .protocol import PROTOCOL_VERSION, FrameClient, FrameServer
 from .service import QueryServer, ServiceClient
 from .transport import TcpTransport
 
 __all__ = [
     "PROTOCOL_VERSION",
     "FrameServer",
+    "FrameClient",
     "BlockStoreServer",
     "BlockStoreClient",
     "BlockStoreStats",

@@ -30,7 +30,6 @@ unpickled, so only bind to interfaces you trust (see docs/net.md).
 
 from __future__ import annotations
 
-import os
 import pickle
 import socket
 import threading
@@ -39,26 +38,16 @@ from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 
 from ..errors import ConfigError
-from ..obs.expo import CONTENT_TYPE_TEXT, prometheus_text, \
-    start_http_exposition
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer, set_thread_tracer, task_tracer
 from ..runtime.executor import available_parallelism
 from .protocol import (
-    OP_BYE,
     OP_DATA,
     OP_ERR,
-    OP_EXPO,
-    OP_HELLO,
-    OP_OK,
-    OP_PING,
-    OP_STAT,
     OP_TASK,
-    PROTOCOL_VERSION,
+    FrameClient,
     FrameServer,
-    connect,
-    request,
     send_frame,
 )
 
@@ -72,8 +61,8 @@ log = get_logger("repro.net.agent")
 
 
 class WorkerAgent(FrameServer):
-    """Serves HELLO/PING/STAT/TASK/EXPO/BYE; runs tasks on a process
-    pool.
+    """Serves TASK (plus the shared control plane); runs tasks on a
+    process pool.
 
     Continuous export: a background sampler appends the task counters
     to a bounded ring buffer every ``history_interval`` seconds (STAT
@@ -81,7 +70,7 @@ class WorkerAgent(FrameServer):
     opcode answers with a Prometheus text exposition of this process's
     metrics plus agent gauges (slots, busy slots), and ``expo_port``
     serves the same document over HTTP for real scrapers
-    (``repro serve --expo-port``).  ``repro top`` polls all of it.
+    (``repro serve --expo-port``).  ``repro top`` polls PING and STAT.
 
     Observability: a TASK frame whose meta carries a ``trace`` context
     makes the agent record spans — its own ``agent_task`` dispatch span
@@ -93,11 +82,13 @@ class WorkerAgent(FrameServer):
     process's metrics snapshot; see :func:`agent_stats`.
     """
 
+    service_name = "worker-agent"
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  slots: int | None = None, mode: str = "processes",
                  expo_port: int | None = None,
                  history_interval: float = 5.0):
-        super().__init__(host, port)
+        super().__init__(host, port, expo_port)
         #: Task slots this host advertises (the coordinator opens this
         #: many task connections).  Defaults to the usable CPU count.
         self.slots = int(slots) if slots else available_parallelism()
@@ -105,9 +96,6 @@ class WorkerAgent(FrameServer):
             raise ConfigError(f"unknown agent mode {mode!r}; "
                               f"choose from ('processes', 'inline')")
         self.mode = mode
-        #: When set, ``start()`` also serves the Prometheus exposition
-        #: over HTTP on this port (``repro serve --expo-port``).
-        self.expo_port = expo_port
         self.tasks_run = 0
         self.tasks_failed = 0
         self.tasks_active = 0
@@ -121,7 +109,6 @@ class WorkerAgent(FrameServer):
         self._history_interval = max(0.1, float(history_interval))
         self._sampler_stop = threading.Event()
         self._sampler: threading.Thread | None = None
-        self._expo_server = None
 
     def _run_task(self, fn, task):
         if self.mode == "inline":
@@ -156,13 +143,6 @@ class WorkerAgent(FrameServer):
             target=self._sample_loop,
             name=f"repro-agent-history-{self.port}", daemon=True)
         self._sampler.start()
-        if self.expo_port is not None:
-            self._expo_server = start_http_exposition(
-                self.host, self.expo_port, self.exposition)
-        log.info("agent listening %s",
-                 kv(host=self.host, port=self.port, slots=self.slots,
-                    mode=self.mode, pid=os.getpid(),
-                    expo_port=self.expo_port))
         return self
 
     def stop(self) -> None:
@@ -171,10 +151,6 @@ class WorkerAgent(FrameServer):
         sampler, self._sampler = self._sampler, None
         if sampler is not None:
             sampler.join(timeout=2.0)
-        server, self._expo_server = self._expo_server, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
         super().stop()
         with self._pool_lock:
             pool, self._pool = self._pool, None
@@ -208,24 +184,24 @@ class WorkerAgent(FrameServer):
             samples = samples[-limit:]
         return samples
 
-    def exposition(self) -> str:
-        """Prometheus text: process metrics plus agent-level gauges."""
+    def gauges(self) -> dict:
         counters = self._counters()
-        return prometheus_text(METRICS, extra={
-            "agent_slots": self.slots,
-            "agent_tasks_active": counters["tasks_active"],
-            "agent_tasks_run": counters["tasks_run"],
-            "agent_tasks_failed": counters["tasks_failed"],
-        })
+        return {"agent_slots": self.slots,
+                "agent_tasks_active": counters["tasks_active"],
+                "agent_tasks_run": counters["tasks_run"],
+                "agent_tasks_failed": counters["tasks_failed"]}
 
-    def _stat_meta(self, history: int | None = None) -> dict:
-        meta = {"service": "worker-agent", "pid": os.getpid(),
-                "slots": self.slots, "mode": self.mode,
-                "metrics": METRICS.snapshot()}
-        meta.update(self._counters())
+    def hello_meta(self) -> dict:
+        return {"slots": self.slots}
+
+    def stat_meta(self, meta: dict) -> dict:
+        reply = {"slots": self.slots, "mode": self.mode,
+                 "metrics": METRICS.snapshot()}
+        reply.update(self._counters())
+        history = meta.get("history")
         if history:
-            meta["history"] = self.history(int(history))
-        return meta
+            reply["history"] = self.history(int(history))
+        return reply
 
     def _handle_task(self, sock: socket.socket, meta: dict,
                      payload: bytes) -> None:
@@ -297,30 +273,9 @@ class WorkerAgent(FrameServer):
 
     def handle(self, sock: socket.socket, op: int, meta: dict,
                payload: bytes) -> bool:
-        if op == OP_HELLO:
-            send_frame(sock, OP_OK, {"version": PROTOCOL_VERSION,
-                                     "service": "worker-agent",
-                                     "slots": self.slots,
-                                     "pid": os.getpid()})
-        elif op == OP_PING:
-            send_frame(sock, OP_OK, {"pid": os.getpid()})
-        elif op == OP_STAT:
-            send_frame(sock, OP_OK,
-                       self._stat_meta(history=meta.get("history")))
-        elif op == OP_EXPO:
-            send_frame(sock, OP_DATA,
-                       {"content_type": CONTENT_TYPE_TEXT},
-                       self.exposition().encode())
-        elif op == OP_TASK:
-            self._handle_task(sock, meta, payload)
-        elif op == OP_BYE:
-            send_frame(sock, OP_OK, {})
+        if op != OP_TASK:
             return False
-        else:
-            send_frame(sock, OP_ERR,
-                       {"error": "unknown-op",
-                        "message": f"opcode {op} is not a worker-agent "
-                                   f"op"})
+        self._handle_task(sock, meta, payload)
         return True
 
 
@@ -332,13 +287,8 @@ def agent_stats(host: str, port: int, timeout: float | None = 10.0
     task counters (``tasks_run``/``tasks_failed``), ``slots``, ``pid``,
     ``mode`` and the agent process's ``metrics`` snapshot.
     """
-    sock = connect(host, port, timeout=timeout)
-    try:
-        _op, meta, _payload = request(sock, OP_STAT, {})
-        send_frame(sock, OP_BYE, {})
-        return meta
-    finally:
-        sock.close()
+    with FrameClient(host, port, timeout) as client:
+        return client.stat()
 
 
 def agent_expo(host: str, port: int, timeout: float | None = 10.0
@@ -347,12 +297,7 @@ def agent_expo(host: str, port: int, timeout: float | None = 10.0
 
     The EXPO opcode's answer: the same exposition document the agent's
     ``--expo-port`` HTTP listener serves, fetched over the existing
-    agent port — what ``repro top`` polls when no scraper is running.
+    agent port.
     """
-    sock = connect(host, port, timeout=timeout)
-    try:
-        _op, _meta, payload = request(sock, OP_EXPO, {})
-        send_frame(sock, OP_BYE, {})
-        return payload.decode()
-    finally:
-        sock.close()
+    with FrameClient(host, port, timeout) as client:
+        return client.expo()

@@ -15,8 +15,11 @@ Ops (see :mod:`repro.net.protocol` for the frame format):
 - ``LIST`` — ids and sizes of everything currently held.
 - ``FREE {block}`` — release one block; double-frees are refused.
 - ``STAT`` — server-side counters (puts/gets/frees, bytes in/out), the
-  source of the per-run ``fetched_bytes`` a coordinator reports.
-- ``PING`` / ``BYE`` — liveness and polite disconnect.
+  source of the per-run ``fetched_bytes`` a coordinator reports.  It
+  carries no metrics snapshot: a coordinator reads it every epoch.
+
+HELLO/PING/STAT/EXPO/BYE are the shared control plane
+(:class:`~repro.net.protocol.FrameServer`).
 
 The server handles clients concurrently (one thread per connection,
 store guarded by a lock) and ``stop()`` closes every socket — a stopped
@@ -38,26 +41,20 @@ from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer
 from .protocol import (
-    OP_BYE,
     OP_DATA,
     OP_ERR,
     OP_FREE,
     OP_GET,
-    OP_HELLO,
     OP_LIST,
     OP_OK,
-    OP_PING,
     OP_PUT,
-    OP_STAT,
-    PROTOCOL_VERSION,
+    FrameClient,
     FrameServer,
-    connect,
-    request,
     send_frame,
 )
 
 __all__ = ["BlockStoreStats", "BlockStoreServer", "BlockStoreClient",
-           "fetch_block_array", "clear_fetch_cache"]
+           "advertised_address", "fetch_block_array", "clear_fetch_cache"]
 
 log = get_logger("repro.net.blockstore")
 
@@ -79,6 +76,8 @@ class BlockStoreStats:
 
 class BlockStoreServer(FrameServer):
     """Concurrent in-memory block server for routed column blocks."""
+
+    service_name = "blockstore"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
@@ -147,76 +146,54 @@ class BlockStoreServer(FrameServer):
                             "message": "double-free or never put"})
             else:
                 send_frame(sock, OP_OK, {"block": block})
-        elif op == OP_STAT:
-            with self._store_lock:
-                stat = dict(self.stats.as_dict(),
-                            blocks_held=len(self._blocks))
-            send_frame(sock, OP_OK, stat)
-        elif op in (OP_PING, OP_HELLO):
-            send_frame(sock, OP_OK, {"version": PROTOCOL_VERSION,
-                                     "service": "blockstore"})
-        elif op == OP_BYE:
-            send_frame(sock, OP_OK, {})
-            return False
         else:
-            send_frame(sock, OP_ERR,
-                       {"error": "unknown-op",
-                        "message": f"opcode {op} is not a block store op"})
+            return False
         return True
 
+    def stat_meta(self, meta: dict) -> dict:
+        with self._store_lock:
+            return dict(self.stats.as_dict(), blocks_held=len(self._blocks))
 
-class BlockStoreClient:
-    """One connection to a block store; methods mirror the ops."""
+    def gauges(self) -> dict:
+        return {f"blockstore_{key}": value
+                for key, value in self.stat_meta({}).items()}
 
-    def __init__(self, host: str, port: int,
-                 timeout: float | None = 10.0):
-        self.host = host
-        self.port = port
-        self._sock = connect(host, port, timeout=timeout)
+
+def advertised_address(server: BlockStoreServer) -> tuple[str, int]:
+    """The ``(host, port)`` workers dial to reach ``server``.
+
+    ``REPRO_ADVERTISE_HOST`` wins; otherwise the bind host, with a
+    wildcard bind mapped to loopback — ``0.0.0.0`` is not a dial address.
+    """
+    host = env("REPRO_ADVERTISE_HOST")
+    if host is None:
+        host = "127.0.0.1" if server.host == "0.0.0.0" else server.host
+    return (host, server.port)
+
+
+class BlockStoreClient(FrameClient):
+    """One connection to a block store; methods mirror the ops.
+
+    No HELLO: every data-path connection (one per worker-side GET) would
+    pay the extra round trip.
+    """
 
     def put(self, block: str, array: np.ndarray) -> None:
         arr = np.ascontiguousarray(array)
-        request(self._sock, OP_PUT,
-                {"block": block, "dtype": str(arr.dtype),
-                 "shape": list(arr.shape)}, arr.tobytes())
+        self.request(OP_PUT, {"block": block, "dtype": str(arr.dtype),
+                              "shape": list(arr.shape)}, arr.tobytes())
 
     def get(self, block: str) -> np.ndarray:
-        _op, meta, payload = request(self._sock, OP_GET, {"block": block})
+        _op, meta, payload = self.request(OP_GET, {"block": block})
         arr = np.frombuffer(payload, dtype=np.dtype(meta["dtype"]))
         return arr.reshape(tuple(meta["shape"]))   # read-only view
 
     def list(self) -> dict[str, int]:
-        _op, meta, _ = request(self._sock, OP_LIST)
+        _op, meta, _ = self.request(OP_LIST)
         return meta["blocks"]
 
     def free(self, block: str) -> None:
-        request(self._sock, OP_FREE, {"block": block})
-
-    def stat(self) -> dict[str, int]:
-        _op, meta, _ = request(self._sock, OP_STAT)
-        return meta
-
-    def ping(self) -> bool:
-        op, _meta, _ = request(self._sock, OP_PING)
-        return op == OP_OK
-
-    def close(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                send_frame(sock, OP_BYE)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def __enter__(self) -> "BlockStoreClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self.request(OP_FREE, {"block": block})
 
 
 # -- worker-side cached fetch -------------------------------------------------

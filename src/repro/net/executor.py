@@ -43,16 +43,7 @@ from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer, trace_context
 from ..runtime.executor import _PoolExecutor
 from ..runtime.transport import Transport, default_transport_name
-from .protocol import (
-    OP_BYE,
-    OP_HELLO,
-    OP_PING,
-    OP_TASK,
-    PROTOCOL_VERSION,
-    connect,
-    request,
-    send_frame,
-)
+from .protocol import OP_TASK, FrameClient
 
 __all__ = ["RemoteExecutor", "HostSpec", "parse_host_specs"]
 
@@ -117,95 +108,6 @@ def parse_host_specs(hosts) -> tuple[HostSpec, ...]:
     return tuple(specs)
 
 
-class _AgentConnection:
-    """One socket to a worker agent (a task slot or the control line).
-
-    ``op_timeout`` bounds each send/recv after the connection is
-    established: task connections pass None (a remote task may compute
-    for minutes without sending a byte), the control connection keeps a
-    bound so heartbeats cannot wedge on a hung host.
-    """
-
-    def __init__(self, spec: HostSpec, timeout: float,
-                 op_timeout: float | None = None):
-        self.spec = spec
-        self._sock = connect(spec.host, spec.port, timeout=timeout)
-        self._sock.settimeout(op_timeout)
-
-    def _live_sock(self):
-        """The socket, or ConnectionError if abort()/close() ran.
-
-        A dead host's idle slots can still sit in the free-slot queue
-        after its sockets were aborted; raising an OSError subclass here
-        routes that case through the normal dead-host handling (host
-        label and all) instead of an anonymous AttributeError.
-        """
-        sock = self._sock
-        if sock is None:
-            # repro: lint-ignore[error-taxonomy] must be an OSError subclass so the dead-host handler catches it like a real socket failure
-            raise ConnectionError(
-                f"connection to {self.spec.label} is closed")
-        return sock
-
-    def hello(self) -> dict:
-        _op, meta, _ = request(self._live_sock(), OP_HELLO)
-        version = meta.get("version")
-        if version != PROTOCOL_VERSION:
-            raise ConfigError(
-                f"worker agent {self.spec.label} speaks protocol "
-                f"{version!r}, this coordinator speaks "
-                f"{PROTOCOL_VERSION}")
-        if meta.get("service") != "worker-agent":
-            raise ConfigError(
-                f"{self.spec.label} is a {meta.get('service', 'unknown')!r}"
-                f" service, not a worker agent — did you point --hosts at "
-                f"a block store?")
-        return meta
-
-    def ping(self) -> None:
-        request(self._live_sock(), OP_PING)
-
-    def run_task(self, fn, task, meta: dict | None = None):
-        """Ship one task; returns ``(result, reply_meta)``.
-
-        ``meta`` rides in the TASK frame (trace context, slot index);
-        the reply meta may carry agent-recorded ``spans``.
-        """
-        sock = self._live_sock()
-        payload = pickle.dumps((fn, task),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        _op, reply_meta, reply = request(sock, OP_TASK, meta=meta,
-                                         payload=payload)
-        return pickle.loads(reply), reply_meta
-
-    def close(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                send_frame(sock, OP_BYE)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def abort(self) -> None:
-        """Hard-close without BYE; wakes a recv blocked on this socket."""
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            import socket as socket_mod
-
-            try:
-                sock.shutdown(socket_mod.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
-
 class RemoteExecutor(_PoolExecutor):
     """Task slots on worker agents (plus optional local threads)."""
 
@@ -229,11 +131,13 @@ class RemoteExecutor(_PoolExecutor):
         #: cluster has no live workers left (keeps dead-host runs from
         #: blocking forever).
         self.slot_timeout = slot_timeout
-        self._slots: "queue.Queue[tuple[str, _AgentConnection | None]]" \
+        #: Free slots: (host, index on that host or -1, its task
+        #: connection or None for a local coordinator thread).
+        self._slots: "queue.Queue[tuple[HostSpec, int, FrameClient | None]]" \
             = queue.Queue()
-        self._connections: list[_AgentConnection] = []
-        self._conns_by_spec: dict[HostSpec, list[_AgentConnection]] = {}
-        self._control: dict[HostSpec, _AgentConnection] = {}
+        self._connections: list[FrameClient] = []
+        self._conns_by_spec: dict[HostSpec, list[FrameClient]] = {}
+        self._control: dict[HostSpec, FrameClient] = {}
         self._dead: set[HostSpec] = set()
         self._dead_lock = threading.Lock()
         self._hb_stop = threading.Event()
@@ -249,38 +153,45 @@ class RemoteExecutor(_PoolExecutor):
         for spec in self.host_specs:
             if spec.kind == "local":
                 for _ in range(spec.slots):
-                    self._slots.put(("local", None))
+                    self._slots.put((spec, -1, None))
                 total_slots += spec.slots
                 continue
             try:
-                control = _AgentConnection(spec, self.connect_timeout,
-                                           op_timeout=self.connect_timeout)
-                meta = control.hello()
+                # Every socket is tracked the moment it exists, so
+                # close() reaches it even if a later dial fails or a
+                # host is listed twice.  The control line keeps its
+                # dial timeout so heartbeats cannot wedge on a hung
+                # host; task lines block (a remote task may compute
+                # for minutes without sending a byte).
+                control = FrameClient(spec.host, spec.port,
+                                      self.connect_timeout)
+                self._connections.append(control)
+                meta = control.hello("worker-agent")
                 slots = max(1, int(meta.get("slots", 1)))
-                conns = [_AgentConnection(spec, self.connect_timeout)
-                         for _ in range(slots)]
-                for slot, conn in enumerate(conns):
-                    conn.slot = slot
+                conns = []
+                for _ in range(slots):
+                    conn = FrameClient(spec.host, spec.port,
+                                       self.connect_timeout)
+                    self._connections.append(conn)
+                    conn.settimeout(None)
+                    conns.append(conn)
                 log.info("host connected %s",
                          kv(host=spec.label, slots=slots,
                             agent_pid=meta.get("pid")))
-            except ConfigError:
+            except NetError as exc:
                 self.close()
-                raise
-            except (OSError, EOFError, NetError) as exc:
+                raise ConfigError(f"worker agent {spec.label} refused "
+                                  f"the handshake: {exc}") from exc
+            except (OSError, EOFError) as exc:
                 self.close()
                 raise ConfigError(
                     f"cannot reach worker agent {spec.label}: "
                     f"{type(exc).__name__}: {exc} — is 'python -m repro "
                     f"serve' running there?") from exc
-            # Control conns are tracked with the task conns so close()
-            # reaches every socket even if a host is listed twice.
             self._control[spec] = control
-            self._connections.append(control)
-            self._connections.extend(conns)
             self._conns_by_spec.setdefault(spec, []).extend(conns)
-            for conn in conns:
-                self._slots.put(("remote", conn))
+            for slot, conn in enumerate(conns):
+                self._slots.put((spec, slot, conn))
             total_slots += slots
         # Exactly one pool thread per slot: with more threads than
         # slots, surplus threads would sit in _slots.get() and trip
@@ -343,23 +254,26 @@ class RemoteExecutor(_PoolExecutor):
 
     def _run_one(self, fn, task):
         try:
-            kind, conn = self._slots.get(timeout=self.slot_timeout)
+            spec, slot, conn = self._slots.get(timeout=self.slot_timeout)
         except queue.Empty:
             raise WorkerCrashed(
                 -1, "no live worker slots (every connected host is dead "
                     "or busy beyond slot_timeout)") from None
-        if kind == "local":
+        if conn is None:
             try:
                 return fn(task)
             finally:
-                self._slots.put((kind, conn))
+                self._slots.put((spec, slot, conn))
+        # The TASK meta carries the trace context (and slot index); the
+        # reply meta may carry agent-recorded spans.
         ctx = trace_context()
         task_meta = None
         if ctx is not None:
-            task_meta = {"trace": ctx,
-                         "slot": getattr(conn, "slot", -1)}
+            task_meta = {"trace": ctx, "slot": slot}
         try:
-            result, reply_meta = conn.run_task(fn, task, meta=task_meta)
+            _op, reply_meta, reply = conn.request(
+                OP_TASK, task_meta,
+                pickle.dumps((fn, task), protocol=pickle.HIGHEST_PROTOCOL))
         except NetError as exc:
             # The agent answered with an ERR frame: the task raised
             # remotely, but the connection itself is still healthy.
@@ -367,22 +281,24 @@ class RemoteExecutor(_PoolExecutor):
             # crashed remote task lands on the merged timeline.
             current_tracer().merge_payload(
                 (getattr(exc, "meta", None) or {}).get("spans"),
-                host=conn.spec.label)
-            self._slots.put((kind, conn))
-            raise WorkerCrashed(conn.spec.port,
-                                f"remote task on {conn.spec.label} "
+                host=spec.label)
+            self._slots.put((spec, slot, conn))
+            raise WorkerCrashed(spec.port,
+                                f"remote task on {spec.label} "
                                 f"failed: {exc}") from exc
         except (OSError, EOFError) as exc:
             # The connection died — retire the slot and flag the host.
-            self._mark_dead(conn.spec)
+            # A closed client (its host already flagged) raises
+            # ConnectionError here too, with the host label intact.
+            self._mark_dead(spec)
             conn.close()
-            raise WorkerCrashed(conn.spec.port,
-                                f"worker agent {conn.spec.label} died: "
+            raise WorkerCrashed(spec.port,
+                                f"worker agent {spec.label} died: "
                                 f"{type(exc).__name__}: {exc}") from exc
         current_tracer().merge_payload(reply_meta.get("spans"),
-                                       host=conn.spec.label)
-        self._slots.put((kind, conn))
-        return result
+                                       host=spec.label)
+        self._slots.put((spec, slot, conn))
+        return pickle.loads(reply)
 
     def submit_tasks(self, fn, tasks):
         # Each streamed task grabs whichever agent slot frees first, so
@@ -401,12 +317,10 @@ class RemoteExecutor(_PoolExecutor):
         thread, self._hb_thread = self._hb_thread, None
         if thread is not None:
             thread.join(timeout=2.0)
-        for conn in self._connections:
+        for conn in self._connections:     # control lines included
             conn.close()
         self._connections.clear()
         self._conns_by_spec.clear()
-        for control in self._control.values():
-            control.close()
         self._control.clear()
         # Drain the slot queue and forget dead-host flags so a reopened
         # executor starts clean — a host that was flagged during the

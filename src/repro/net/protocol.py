@@ -14,20 +14,19 @@ headers) while payloads stay raw — array bytes are never base64'd or
 pickled twice.  Frames are capped at :data:`MAX_FRAME_BYTES` so a
 corrupt length prefix fails loudly instead of attempting a huge read.
 
-Request opcodes: HELLO (handshake), PING (heartbeat), PUT/GET/LIST/FREE
-/STAT (block store), TASK (worker agent), BYE (end of session), EXPO
-(Prometheus-style text exposition of the peer's metrics registry —
-the continuous-export opcode ``repro top`` polls), QUERY (run one
-query on a :class:`~repro.net.service.QueryServer`) and CANCEL
-(best-effort cancel of a queued QUERY ticket).
+Request opcodes every service answers: HELLO (handshake), PING
+(heartbeat), STAT (live counters), EXPO (Prometheus text exposition of
+the peer's metrics) and BYE (end of session).  Per service: PUT/GET/
+LIST/FREE (block store), TASK (worker agent), QUERY and CANCEL (query
+server).
 Response opcodes: OK (meta only), DATA (meta + payload), ERR (meta
 carries ``error`` and ``message``), RESULT (a QUERY's outcome: count,
 data-plane stats, cache disposition).
 
-:class:`FrameServer` is the tiny threaded TCP server both the
-:class:`~repro.net.blockstore.BlockStoreServer` and the
-:class:`~repro.net.agent.WorkerAgent` build on: one accept loop, one
-thread per client connection, ``stop()`` closes every socket.
+:class:`FrameServer` is the threaded TCP server every service builds
+on: one accept loop, one thread per connection, the shared ops above
+and the optional ``expo_port`` HTTP listener; subclasses answer only
+their own ops.  :class:`FrameClient` is the one client side.
 
 Trust model: TASK payloads are unpickled by the agent, exactly like
 Python's own ``multiprocessing`` workers.  repro.net is a data plane for
@@ -39,11 +38,16 @@ to loopback or a private interface (the default bind host is
 from __future__ import annotations
 
 import json
+import os
 import socket
 import struct
 import threading
 
 from ..errors import BlockNotFound, NetError
+from ..obs.expo import CONTENT_TYPE_TEXT, prometheus_text, \
+    start_http_exposition
+from ..obs.log import get_logger, kv
+from ..obs.metrics import METRICS
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES",
@@ -51,6 +55,7 @@ __all__ = [
     "OP_STAT", "OP_TASK", "OP_BYE", "OP_EXPO", "OP_QUERY", "OP_CANCEL",
     "OP_OK", "OP_DATA", "OP_ERR", "OP_RESULT",
     "send_frame", "recv_frame", "request", "connect", "FrameServer",
+    "FrameClient",
 ]
 
 PROTOCOL_VERSION = 1
@@ -164,17 +169,32 @@ def connect(host: str, port: int, timeout: float | None = 10.0
 class FrameServer:
     """Threaded TCP server speaking the frame protocol.
 
-    Subclasses implement ``handle(sock, op, meta, payload) -> bool``
-    (return False to end that client's connection).  ``port=0`` binds an
+    The control plane is answered here, identically for every service:
+    HELLO (``version``, ``service``, ``pid`` plus :meth:`hello_meta`),
+    PING (the same identity), STAT (``service``, ``pid`` plus
+    :meth:`stat_meta`), EXPO (:meth:`exposition`), BYE (reply, then end
+    the connection) and ``ERR unknown-op`` for anything else.
+    Subclasses set :attr:`service_name` and implement
+    ``handle(sock, op, meta, payload) -> bool`` for their own ops only,
+    returning False for an op that is not theirs.  ``port=0`` binds an
     ephemeral port — read the real one from :attr:`port` after
-    :meth:`start`.  ``stop()`` closes the listener and every client
-    socket, so serving threads (all daemonic) unblock and exit; it is
-    idempotent and leaves no listening port behind.
+    :meth:`start`; ``expo_port`` also serves :meth:`exposition` over
+    HTTP.  ``stop()`` closes the listener and every client socket, so
+    serving threads (all daemonic) unblock and exit; it is idempotent
+    and leaves no listening port behind.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+    #: What HELLO/PING/STAT report as ``service``.
+    service_name = "frame-server"
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 expo_port: int | None = None):
         self.host = host
         self.port = port
+        #: When set, ``start()`` also serves the Prometheus exposition
+        #: over HTTP on this port (``--expo-port``).
+        self.expo_port = expo_port
+        self._expo_server = None
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._clients: set[socket.socket] = set()
@@ -197,6 +217,13 @@ class FrameServer:
             target=self._accept_loop, daemon=True,
             name=f"{type(self).__name__}-accept")
         self._accept_thread.start()
+        if self.expo_port is not None:
+            self._expo_server = start_http_exposition(
+                self.host, self.expo_port, self.exposition)
+        get_logger(type(self).__module__).info(
+            "%s listening %s", self.service_name,
+            kv(host=self.host, port=self.port, pid=os.getpid(),
+               expo_port=self.expo_port, **self.hello_meta()))
         return self
 
     @property
@@ -209,6 +236,10 @@ class FrameServer:
 
     def stop(self) -> None:
         self._stopped.set()
+        expo, self._expo_server = self._expo_server, None
+        if expo is not None:
+            expo.shutdown()
+            expo.server_close()
         listener, self._listener = self._listener, None
         if listener is not None:
             # close() alone does not wake a thread blocked in accept()
@@ -246,11 +277,56 @@ class FrameServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- serving -------------------------------------------------------------
+    # -- service hooks -------------------------------------------------------
+
+    def hello_meta(self) -> dict:
+        """Extra HELLO fields (merged last): what a client needs up front."""
+        return {}
+
+    def stat_meta(self, meta: dict) -> dict:
+        """The STAT reply body; ``meta`` is the request's meta."""
+        return {}
+
+    def gauges(self) -> dict:
+        """Service gauges the exposition adds as ``repro_<key>``."""
+        return {}
+
+    def exposition(self) -> str:
+        """Prometheus text: process metrics plus :meth:`gauges`."""
+        return prometheus_text(METRICS, extra=self.gauges())
 
     def handle(self, sock: socket.socket, op: int, meta: dict,
-               payload: bytes) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
+               payload: bytes) -> bool:
+        """Answer one service-specific op; False if ``op`` is not one."""
+        return False
+
+    # -- serving -------------------------------------------------------------
+
+    def _serve(self, sock: socket.socket, op: int, meta: dict,
+               payload: bytes) -> bool:
+        """Answer one request; False ends the connection (BYE)."""
+        if op in (OP_HELLO, OP_PING):
+            reply = {"version": PROTOCOL_VERSION,
+                     "service": self.service_name, "pid": os.getpid()}
+            if op == OP_HELLO:
+                reply.update(self.hello_meta())
+            send_frame(sock, OP_OK, reply)
+        elif op == OP_STAT:
+            send_frame(sock, OP_OK, dict(self.stat_meta(meta),
+                                         service=self.service_name,
+                                         pid=os.getpid()))
+        elif op == OP_EXPO:
+            send_frame(sock, OP_DATA, {"content_type": CONTENT_TYPE_TEXT},
+                       self.exposition().encode())
+        elif op == OP_BYE:
+            send_frame(sock, OP_OK, {})
+            return False
+        elif not self.handle(sock, op, meta, payload):
+            send_frame(sock, OP_ERR,
+                       {"error": "unknown-op",
+                        "message": f"opcode {op} is not a "
+                                   f"{self.service_name} op"})
+        return True
 
     def _accept_loop(self) -> None:
         listener = self._listener
@@ -277,7 +353,7 @@ class FrameServer:
                 except (EOFError, OSError, NetError):
                     return
                 try:
-                    keep_going = self.handle(sock, op, meta, payload)
+                    keep_going = self._serve(sock, op, meta, payload)
                 except (BrokenPipeError, ConnectionError):
                     return
                 except Exception as exc:   # never kill the serving thread
@@ -297,3 +373,105 @@ class FrameServer:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
+
+
+class FrameClient:
+    """One connection to a :class:`FrameServer`: the one client side.
+
+    Dials with ``TCP_NODELAY`` (``timeout`` bounds the dial and, until
+    :meth:`settimeout` changes it, every request).  :meth:`hello` is the
+    optional handshake — callers on the data path skip it, so a block
+    fetch costs no extra round trip.  :meth:`close` sends BYE then
+    closes and is idempotent; :meth:`abort` hard-closes without BYE,
+    waking a request blocked on this socket.  Requests on a closed
+    client raise :class:`ConnectionError`.
+    """
+
+    def __init__(self, host: str, port: int,
+                 timeout: float | None = 10.0):
+        self.host = host
+        self.port = port
+        self._sock: socket.socket | None = connect(host, port, timeout)
+
+    @property
+    def label(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    def settimeout(self, timeout: float | None) -> None:
+        """Bound each later send/recv (None: block for as long as it takes)."""
+        self._live_sock().settimeout(timeout)
+
+    def _live_sock(self) -> socket.socket:
+        sock = self._sock
+        if sock is None:
+            # repro: lint-ignore[error-taxonomy] must be an OSError subclass so callers handle a closed client like a dead peer
+            raise ConnectionError(f"connection to {self.label} is closed")
+        return sock
+
+    def request(self, op: int, meta: dict | None = None,
+                payload: bytes = b"") -> tuple[int, dict, bytes]:
+        """One round trip (:func:`request`): ERR replies raise."""
+        return request(self._live_sock(), op, meta, payload)
+
+    def hello(self, *services: str) -> dict:
+        """HELLO; the peer must speak :data:`PROTOCOL_VERSION` *and* be
+        one of ``services``.  A refused handshake aborts the connection
+        and raises :class:`NetError`; the reply meta comes back
+        otherwise."""
+        try:
+            _op, meta, _payload = self.request(OP_HELLO)
+            version = meta.get("version")
+            if version != PROTOCOL_VERSION:
+                raise NetError(f"{self.label} speaks protocol {version!r}, "
+                               f"this client speaks {PROTOCOL_VERSION}")
+            if meta.get("service") not in services:
+                wanted = " or ".join(s.replace("-", " ") for s in services)
+                raise NetError(f"{self.label} is a "
+                               f"{meta.get('service', 'unknown')!r} "
+                               f"endpoint, not a {wanted}")
+        except BaseException:
+            self.abort()
+            raise
+        return meta
+
+    def ping(self) -> bool:
+        op, _meta, _payload = self.request(OP_PING)
+        return op == OP_OK
+
+    def stat(self, meta: dict | None = None) -> dict:
+        """The peer's STAT reply (``meta`` e.g. ``{"history": n}``)."""
+        _op, reply, _payload = self.request(OP_STAT, meta)
+        return reply
+
+    def expo(self) -> str:
+        """One Prometheus-text scrape over the frame protocol."""
+        _op, _meta, payload = self.request(OP_EXPO)
+        return payload.decode()
+
+    def close(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        try:
+            send_frame(sock, OP_BYE)
+        except OSError:
+            pass
+        finally:
+            sock.close()
+
+    def abort(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        finally:
+            sock.close()
+
+    def __enter__(self) -> "FrameClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -23,10 +23,11 @@ remotely.  CANCEL is best-effort: it can only stop a ticket that is
 still waiting for a driver slot (meta ``{"cancelled": bool}`` says
 whether it won the race).
 
-The server also answers HELLO/PING/STAT/EXPO like every other repro.net
-service, so ``repro top`` and the CI scraper work unchanged against a
-query server; ``--expo-port`` additionally serves the Prometheus text
-over HTTP.
+The server also answers HELLO/PING/STAT/EXPO/BYE like every other
+repro.net service (the shared control plane of
+:class:`~repro.net.protocol.FrameServer`), so a metrics scraper works
+unchanged against a query server; ``--expo-port`` additionally serves
+the Prometheus text over HTTP.
 
 Same trust model as the rest of repro.net: bind to loopback or a
 private interface (queries are parsed, never unpickled, but the
@@ -36,7 +37,6 @@ service is still a cluster-internal tool, not a hardened endpoint).
 from __future__ import annotations
 
 import itertools
-import os
 import socket
 import threading
 from concurrent.futures import CancelledError, Future
@@ -44,8 +44,6 @@ from concurrent.futures import CancelledError, Future
 from ..data.datasets import load_dataset
 from ..engines.base import EngineResult
 from ..errors import AdmissionError, ConfigError, NetError
-from ..obs.expo import CONTENT_TYPE_TEXT, prometheus_text, \
-    start_http_exposition
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..query.catalog import PAPER_QUERIES
@@ -53,21 +51,13 @@ from ..query.parser import parse_query
 from ..service import QueryService
 from ..workloads.generators import graph_database_for, make_testcase
 from .protocol import (
-    OP_BYE,
     OP_CANCEL,
-    OP_DATA,
     OP_ERR,
-    OP_EXPO,
-    OP_HELLO,
     OP_OK,
-    OP_PING,
     OP_QUERY,
     OP_RESULT,
-    OP_STAT,
-    PROTOCOL_VERSION,
+    FrameClient,
     FrameServer,
-    connect,
-    request,
     send_frame,
 )
 
@@ -108,7 +98,7 @@ def result_to_meta(result: EngineResult) -> dict:
 
 
 class QueryServer(FrameServer):
-    """Serves HELLO/PING/QUERY/CANCEL/STAT/EXPO/BYE over one warm
+    """Serves QUERY/CANCEL (plus the shared control plane) over one warm
     :class:`~repro.service.QueryService`.
 
     Construct with an existing ``service`` to share it, or let the
@@ -120,17 +110,15 @@ class QueryServer(FrameServer):
     effective over the wire too.
     """
 
+    service_name = "query-service"
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  service: QueryService | None = None, config=None,
                  expo_port: int | None = None, **service_kwargs):
-        super().__init__(host, port)
+        super().__init__(host, port, expo_port)
         self._owns_service = service is None
         self.service = service or QueryService(config=config,
                                                **service_kwargs)
-        #: When set, ``start()`` also serves the Prometheus exposition
-        #: over HTTP (``repro serve-sql --expo-port``).
-        self.expo_port = expo_port
-        self._expo_server = None
         self._cases: dict[tuple, tuple] = {}
         self._cases_lock = threading.Lock()
         self._tickets: "dict[str, Future]" = {}
@@ -139,37 +127,26 @@ class QueryServer(FrameServer):
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "QueryServer":
-        super().start()
-        if self.expo_port is not None:
-            self._expo_server = start_http_exposition(
-                self.host, self.expo_port, self.exposition)
-        log.info("query server listening %s",
-                 kv(host=self.host, port=self.port,
-                    max_concurrent=self.service.max_concurrent,
-                    pid=os.getpid(), expo_port=self.expo_port))
-        return self
-
     def stop(self) -> None:
         was_running = self.running
-        server, self._expo_server = self._expo_server, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
         super().stop()
         if self._owns_service:
             self.service.close()
         if was_running:
             log.info("query server stopped %s", kv(port=self.port))
 
-    def exposition(self) -> str:
-        """Prometheus text: process metrics plus live service gauges."""
+    def gauges(self) -> dict:
         stats = self.service.stats()
-        return prometheus_text(METRICS, extra={
-            "service_active": stats["active"],
-            "service_queued": stats["queued"],
-            "service_max_concurrent": stats["max_concurrent"],
-        })
+        return {"service_active": stats["active"],
+                "service_queued": stats["queued"],
+                "service_max_concurrent": stats["max_concurrent"]}
+
+    def hello_meta(self) -> dict:
+        return {"max_concurrent": self.service.max_concurrent,
+                "engines": "registry"}
+
+    def stat_meta(self, meta: dict) -> dict:
+        return dict(self.service.stats(), metrics=METRICS.snapshot())
 
     # -- query resolution ----------------------------------------------------
 
@@ -214,17 +191,22 @@ class QueryServer(FrameServer):
                 tenant=meta.get("tenant", "default"),
                 use_cache=bool(meta.get("use_cache", True)),
                 profile=bool(meta.get("profile", False)))
+            with self._tickets_lock:
+                self._tickets[ticket] = future
+            try:
+                result = future.result()
+            finally:
+                with self._tickets_lock:
+                    self._tickets.pop(ticket, None)
         except AdmissionError as exc:
+            # Refused at admission, or (queue/no-window budget
+            # policies) by the driver thread after it.
             METRICS.counter("service.wire_rejected").inc()
             send_frame(sock, OP_ERR, {
                 "error": "admission-rejected", "message": str(exc),
                 "reason": exc.reason, "tenant": exc.tenant,
                 "status": 429, "id": ticket})
             return
-        with self._tickets_lock:
-            self._tickets[ticket] = future
-        try:
-            result = future.result()
         except CancelledError:
             send_frame(sock, OP_ERR, {"error": "cancelled",
                                       "message": f"ticket {ticket} was "
@@ -232,18 +214,6 @@ class QueryServer(FrameServer):
                                                  f"queued",
                                       "id": ticket})
             return
-        except AdmissionError as exc:
-            # The queue/no-window budget policies reject from the
-            # driver thread, after admission.
-            METRICS.counter("service.wire_rejected").inc()
-            send_frame(sock, OP_ERR, {
-                "error": "admission-rejected", "message": str(exc),
-                "reason": exc.reason, "tenant": exc.tenant,
-                "status": 429, "id": ticket})
-            return
-        finally:
-            with self._tickets_lock:
-                self._tickets.pop(ticket, None)
         reply = result_to_meta(result)
         reply["id"] = ticket
         remaining = self.service.tenant_remaining(
@@ -254,16 +224,7 @@ class QueryServer(FrameServer):
 
     def handle(self, sock: socket.socket, op: int, meta: dict,
                payload: bytes) -> bool:
-        if op == OP_HELLO:
-            send_frame(sock, OP_OK, {"version": PROTOCOL_VERSION,
-                                     "service": "query-service",
-                                     "max_concurrent":
-                                         self.service.max_concurrent,
-                                     "engines": "registry",
-                                     "pid": os.getpid()})
-        elif op == OP_PING:
-            send_frame(sock, OP_OK, {"pid": os.getpid()})
-        elif op == OP_QUERY:
+        if op == OP_QUERY:
             self._handle_query(sock, meta)
         elif op == OP_CANCEL:
             ticket = str(meta.get("id", ""))
@@ -274,24 +235,8 @@ class QueryServer(FrameServer):
                 METRICS.counter("service.wire_cancelled").inc()
             send_frame(sock, OP_OK, {"id": ticket,
                                      "cancelled": cancelled})
-        elif op == OP_STAT:
-            stats = self.service.stats()
-            stats["service"] = "query-service"
-            stats["pid"] = os.getpid()
-            stats["metrics"] = METRICS.snapshot()
-            send_frame(sock, OP_OK, stats)
-        elif op == OP_EXPO:
-            send_frame(sock, OP_DATA,
-                       {"content_type": CONTENT_TYPE_TEXT},
-                       self.exposition().encode())
-        elif op == OP_BYE:
-            send_frame(sock, OP_OK, {})
-            return False
         else:
-            send_frame(sock, OP_ERR,
-                       {"error": "unknown-op",
-                        "message": f"opcode {op} is not a query-service "
-                                   f"op"})
+            return False
         return True
 
 
@@ -309,20 +254,11 @@ class ServiceClient:
                  timeout: float | None = 10.0):
         self.host = host
         self.port = port
-        self._sock = connect(host, port, timeout=timeout)
-        try:
-            _op, self.hello, _payload = request(self._sock, OP_HELLO, {})
-            if self.hello.get("service") != "query-service":
-                raise NetError(
-                    f"{host}:{port} is a "
-                    f"{self.hello.get('service', 'unknown')!r} "
-                    f"endpoint, not a query service")
-        except BaseException:
-            self._sock.close()
-            raise
+        self._client = FrameClient(host, port, timeout)
+        self.hello = self._client.hello("query-service")
         # Queries may legitimately run for minutes; only the dial and
         # handshake above are bounded.
-        self._sock.settimeout(None)
+        self._client.settimeout(None)
 
     def run(self, query: str, dataset: str = "wb", *,
             engine: str = "adj", tenant: str = "default",
@@ -340,7 +276,7 @@ class ServiceClient:
         if ticket is not None:
             meta["id"] = ticket
         try:
-            op, reply, _payload = request(self._sock, OP_QUERY, meta)
+            op, reply, _payload = self._client.request(OP_QUERY, meta)
         except NetError as exc:
             err = getattr(exc, "meta", None) or {}
             if err.get("error") == "admission-rejected":
@@ -359,34 +295,20 @@ class ServiceClient:
         Uses its own short-lived connection, so it works while this
         client (or any other) is blocked inside :meth:`run`.
         """
-        sock = connect(self.host, self.port, timeout=timeout)
-        try:
-            _op, meta, _payload = request(sock, OP_CANCEL, {"id": ticket})
-            send_frame(sock, OP_BYE, {})
-            return bool(meta.get("cancelled"))
-        finally:
-            sock.close()
+        with FrameClient(self.host, self.port, timeout) as side:
+            _op, meta, _payload = side.request(OP_CANCEL, {"id": ticket})
+        return bool(meta.get("cancelled"))
 
     def stats(self) -> dict:
         """The server's live :meth:`QueryService.stats` snapshot."""
-        _op, meta, _payload = request(self._sock, OP_STAT, {})
-        return meta
+        return self._client.stat()
 
     def expo(self) -> str:
         """One Prometheus-text scrape over the frame protocol."""
-        _op, _meta, payload = request(self._sock, OP_EXPO, {})
-        return payload.decode()
+        return self._client.expo()
 
     def close(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is None:
-            return
-        try:
-            send_frame(sock, OP_BYE, {})
-        except OSError:
-            pass
-        finally:
-            sock.close()
+        self._client.close()
 
     def __enter__(self) -> "ServiceClient":
         return self

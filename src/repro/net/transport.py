@@ -23,9 +23,9 @@ Epoch lifecycle (mirrors the shm rules in docs/data_plane.md):
 
 Addressing: the store binds ``bind_host`` (default ``127.0.0.1``;
 ``REPRO_BIND_HOST`` or ``0.0.0.0`` for real multi-machine runs) and
-descriptors advertise ``advertise_host`` (``REPRO_ADVERTISE_HOST``) —
-the address *workers* should dial, which differs from the bind address
-exactly when binding a wildcard interface.
+descriptors advertise ``REPRO_ADVERTISE_HOST`` — the address *workers*
+should dial, which differs from the bind address exactly when binding a
+wildcard interface (:func:`~repro.net.blockstore.advertised_address`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..obs.tracing import current_tracer
 from ..runtime.transport import ArrayRef, Transport
-from .blockstore import BlockStoreClient, BlockStoreServer
+from .blockstore import BlockStoreClient, BlockStoreServer, \
+    advertised_address
 
 log = get_logger("repro.net.transport")
 
@@ -62,13 +63,11 @@ class TcpTransport(Transport):
     name = "tcp"
 
     def __init__(self, store: "str | tuple[str, int] | None" = None,
-                 bind_host: str | None = None,
-                 advertise_host: str | None = None):
+                 bind_host: str | None = None):
         super().__init__()
         #: External store address; None means this transport owns one.
         self._external = _parse_addr(store)
         self._bind_host = bind_host or env("REPRO_BIND_HOST")
-        self._advertise = advertise_host or env("REPRO_ADVERTISE_HOST")
         self._server: BlockStoreServer | None = None
         self._client: BlockStoreClient | None = None
         self._addr: tuple[str, int] | None = None
@@ -96,12 +95,7 @@ class TcpTransport(Transport):
         else:
             self._server = BlockStoreServer(host=self._bind_host)
             self._server.start()
-            host = self._advertise
-            if host is None:
-                # A wildcard bind is unreachable as a dial address.
-                host = ("127.0.0.1" if self._bind_host == "0.0.0.0"
-                        else self._bind_host)
-            self._addr = (host, self._server.port)
+            self._addr = advertised_address(self._server)
         self._client = BlockStoreClient(*self._addr)
         if self._external is not None:
             try:
@@ -165,7 +159,8 @@ class TcpTransport(Transport):
                 stat = client.stat()
                 # Coordinator-side traffic is PUT-only, so the server's
                 # GET counters (relative to the connect-time baseline)
-                # are exactly what workers fetched this epoch.
+                # are what workers fetched this epoch — plus, on a
+                # shared store, what overlapping epochs fetched.
                 self.stats.fetched_blocks += max(
                     0, int(stat.get("gets", 0)) - self._stat_base[0])
                 self.stats.fetched_bytes += max(

@@ -180,13 +180,6 @@ class Histogram:
                        "min": self._min, "max": self._max,
                        "mean": self._sum / self._count}
             samples = sorted(self._samples)
-        if not samples:
-            # A histogram folded in via merge_snapshot carries counts
-            # but no reservoir; report the mean as the degenerate
-            # quantile rather than inventing a distribution.
-            mean = summary["mean"]
-            summary.update(p50=mean, p95=mean, p99=mean)
-            return summary
         last = len(samples) - 1
         for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
             summary[key] = samples[min(last, max(0, int(round(q * last))))]
@@ -317,28 +310,6 @@ class MetricsRegistry:
         :func:`snapshot_delta` instead)."""
         with self._lock:
             self._instruments.clear()
-
-    def merge_snapshot(self, snapshot: dict, prefix: str = "") -> None:
-        """Fold a remote host's snapshot in under ``prefix``.
-
-        Counter-like numbers accumulate; histogram summaries merge
-        count/sum/min/max (quantiles are not mergeable across hosts —
-        the folded histogram reports its own reservoir only).  Used when
-        polling ``repro serve`` hosts.
-        """
-        for name, value in (snapshot or {}).items():
-            full = f"{prefix}{name}"
-            if isinstance(value, dict):
-                hist = self.histogram(full)
-                with hist._lock:
-                    count = int(value.get("count", 0))
-                    if count:
-                        hist._count += count
-                        hist._sum += float(value.get("sum", 0.0))
-                        hist._min = min(hist._min, float(value["min"]))
-                        hist._max = max(hist._max, float(value["max"]))
-            else:
-                self.counter(full).inc(float(value))
 
 
 def snapshot_delta(before: dict, after: dict) -> dict:

@@ -29,6 +29,7 @@ Rendering: :meth:`QueryProfile.render` (a tree for terminals) and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 __all__ = ["PhaseRow", "QueryProfile", "build_profile",
@@ -240,6 +241,9 @@ class QueryProfile:
         return "\n".join(lines)
 
 
+_EPOCH_PREFIX = re.compile(r"^e\d+/")
+
+
 def _atom_bytes(spans) -> dict[str, int]:
     """Published bytes per atom relation, from publish-span args."""
     totals: dict[str, int] = {}
@@ -250,7 +254,9 @@ def _atom_bytes(spans) -> dict[str, int]:
         size = span.args.get("bytes")
         if not key or size is None:
             continue
-        name = str(key).split("#", 1)[0]
+        # Drop the per-query epoch namespace (``e0001/rel:R1``) that
+        # ExecutorView transports stamp on every publish key.
+        name = _EPOCH_PREFIX.sub("", str(key).split("#", 1)[0])
         if name.startswith("rel:"):
             name = name[4:]
         totals[name] = totals.get(name, 0) + int(size)

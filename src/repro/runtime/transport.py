@@ -340,16 +340,21 @@ class SharedMemoryTransport(Transport):
 
     name = "shm"
 
-    def __init__(self):
+    def __init__(self, ledger: dict[str, None] | None = None):
         super().__init__()
         # key -> (segment name | None for empty arrays, shape, dtype)
         self._meta: dict[str, tuple[str | None, tuple[int, ...], str]] = {}
         self._segments: dict[str, shared_memory.SharedMemory] = {}
+        #: Names of segments staged and not yet unlinked.  A
+        #: ClusterContext hands all its views one ledger, so a fresh
+        #: view still reports what an earlier run left behind.
+        self._ledger = {} if ledger is None else ledger
 
     @property
     def active_segments(self) -> tuple[str, ...]:
-        """Names of segments currently owned (empty after teardown)."""
-        return tuple(self._segments)
+        """Names of segments staged through this ledger and not yet
+        unlinked (empty once every transport sharing it tore down)."""
+        return tuple(self._ledger.copy())
 
     def publish(self, key: str, array: np.ndarray) -> str:
         with self._lock:
@@ -369,6 +374,7 @@ class SharedMemoryTransport(Transport):
                 np.ndarray(arr.shape, dtype=arr.dtype,
                            buffer=seg.buf)[...] = arr
             self._segments[seg.name] = seg
+            self._ledger[seg.name] = None
             self._meta[key] = (seg.name, tuple(arr.shape), str(arr.dtype))
             self.stats.published_blocks += 1
             self.stats.published_bytes += int(arr.nbytes)
@@ -390,13 +396,14 @@ class SharedMemoryTransport(Transport):
 
     def teardown(self) -> None:
         with self._lock:
-            for seg in self._segments.values():
+            for name, seg in self._segments.items():
                 try:
                     seg.close()
                     seg.unlink()
                     self.stats.freed_blocks += 1
                 except FileNotFoundError:  # pragma: no cover - gone
                     pass
+                self._ledger.pop(name, None)
             self._segments.clear()
             self._meta.clear()
             super().teardown()

@@ -18,16 +18,12 @@ from .yannakakis import (
     YannakakisStats,
     full_reducer,
     join_reduced,
-    materialize_bags,
-    yannakakis_join,
 )
 
 __all__ = [
     "YannakakisStats",
     "full_reducer",
     "join_reduced",
-    "materialize_bags",
-    "yannakakis_join",
     "agm_bound",
     "fractional_edge_cover_number",
     "BinaryPlan",

@@ -5,25 +5,22 @@ combines worst-case optimal joins with tree decompositions and
 Yannakakis' algorithm [27]: materialize every bag with a WCOJ, run a
 *full reducer* (two semijoin sweeps over the join tree) so no dangling
 tuples remain, then join bottom-up with output-bounded intermediates.
-We implement it both as a sequential evaluator (this module) and as a
-distributed engine (:class:`repro.engines.YannakakisJoin`) used by the
-ablation benches — it trades ADJ's one-round shuffle for semijoin rounds
-and heavy materialization, reproducing EmptyHeaded's memory-hunger.
+The one implementation is the engine
+(:class:`repro.engines.YannakakisJoin`), which materializes the bags as
+worker tasks; this module holds the coordinator-side phases it runs
+after that — the full reducer and the bottom-up joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..data.database import Database
 from ..data.relation import Relation
 from ..errors import PlanError
-from ..ghd.decomposition import Hypertree, optimal_hypertree
+from ..ghd.decomposition import Hypertree
 from ..query.query import JoinQuery
-from .leapfrog import leapfrog_join
 
-__all__ = ["YannakakisStats", "materialize_bags", "full_reducer",
-           "join_reduced", "yannakakis_join"]
+__all__ = ["YannakakisStats", "full_reducer", "join_reduced"]
 
 
 @dataclass
@@ -53,24 +50,6 @@ def _root_and_order(tree: Hypertree) -> tuple[int, list[tuple[int, int]]]:
     if len(seen) != tree.num_bags:
         raise PlanError("hypertree is not connected")
     return root, order
-
-
-def materialize_bags(query: JoinQuery, db: Database, tree: Hypertree,
-                     stats: YannakakisStats | None = None,
-                     budget: int | None = None) -> dict[int, Relation]:
-    """Worst-case-optimally materialize every bag's join."""
-    out: dict[int, Relation] = {}
-    for bag in tree.bags:
-        sub, attrs = bag.subquery(query)
-        res = leapfrog_join(sub, db, order=attrs, materialize=True,
-                            budget=budget)
-        rel = Relation(f"bag{bag.index}", attrs, res.relation.data,
-                       dedup=False)
-        out[bag.index] = rel
-        if stats is not None:
-            stats.bag_materialize_work += res.stats.intersection_work
-            stats.bag_sizes.append(len(rel))
-    return out
 
 
 def full_reducer(tree: Hypertree, bags: dict[int, Relation],
@@ -116,14 +95,3 @@ def join_reduced(query: JoinQuery, tree: Hypertree,
         if stats is not None:
             stats.join_intermediate_tuples += len(current)
     return current.reorder(query.attributes, name=f"{query.name}_result")
-
-
-def yannakakis_join(query: JoinQuery, db: Database,
-                    tree: Hypertree | None = None,
-                    stats: YannakakisStats | None = None,
-                    budget: int | None = None) -> Relation:
-    """Evaluate ``query`` via bag materialization + full reduction + joins."""
-    tree = tree or optimal_hypertree(query)
-    bags = materialize_bags(query, db, tree, stats=stats, budget=budget)
-    reduced = full_reducer(tree, bags, stats=stats)
-    return join_reduced(query, tree, reduced, stats=stats)

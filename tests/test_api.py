@@ -7,6 +7,8 @@ data-plane counters) and configuration precedence (explicit > env >
 defaults).
 """
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.engines import (
 from repro.engines.base import EngineResult, engine_from_options
 from repro.errors import ConfigError, WorkerCrashed
 from repro.query import paper_query
+from repro.runtime.executor import ExecutorView
 from repro.runtime.transport import default_transport_name
 from repro.wcoj import leapfrog_join
 
@@ -184,8 +187,7 @@ class TestJoinSession:
         with JoinSession(workers=2, backend="processes",
                          transport="shm", samples=10) as session:
             report = session.query_from(query, db).compare()
-            executor = session._executor
-            assert executor is not None
+            executor = session.context.executor()   # the one base
         assert report.agreed and report.count == expected
         # Teardown happened: the pool is gone and shm segments released.
         assert executor._pool is None
@@ -218,11 +220,89 @@ class TestJoinSession:
                 == session.transport_label == default_transport_name()
 
     def test_executor_is_lazy_and_cached(self):
+        """Each call is a fresh epoch view over one cached base."""
         with JoinSession(workers=2, backend="threads") as session:
             assert not session.executor_created
-            ex = session.executor()
-            assert ex is not None and session.executor_created
-            assert session.executor() is ex
+            e1 = session.executor()
+            assert session.executor_created
+            e2 = session.executor()
+            assert isinstance(e1, ExecutorView) and e1 is not e2
+            assert e1.epoch != e2.epoch
+            assert e1.transport is not e2.transport
+            assert e1.base is e2.base is session.context.executor()
+
+    def test_concurrent_runs_on_one_private_session_under_shm(self):
+        """Runs racing on one private session never unlink each other's
+        shared-memory segments: every run publishes through its own
+        view."""
+        with JoinSession(workers=2, backend="threads",
+                         transport="shm") as session:
+            job = session.query("wb", "Q1", scale=5e-4)
+            results = []
+
+            def client():
+                for _ in range(10):
+                    results.append(job.run("hcubej"))
+
+            threads = [threading.Thread(target=client) for _ in range(3)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 30
+        assert [r.extra.get("crash_reason") for r in results
+                if not r.ok] == []
+        assert {r.count for r in results} == \
+            {leapfrog_join(job.query, job.db).count}
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_every_view_releases_what_it_staged(self, transport):
+        """Every view a private session's runs check out ends with no
+        staged segment, no store address and no block left in the
+        context's store; a fresh view (what a caller reads after its
+        last query) reports the same."""
+        with JoinSession(workers=2, backend="threads",
+                         transport=transport) as session:
+            checkout, views = session.context.checkout, []
+
+            def recording_checkout():
+                views.append(checkout())
+                return views[-1]
+
+            session.context.checkout = recording_checkout
+            job = session.query("wb", "Q1", scale=1e-4)
+            for engine in ("hcubej", "adj", "hcubej"):
+                assert job.run(engine).ok
+            assert len(views) == 3
+            for view in views + [session.executor()]:
+                assert getattr(view.transport, "active_segments", ()) == ()
+                assert getattr(view.transport, "store_address", None) \
+                    is None
+            assert session.context.store_blocks == ()
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_fresh_view_sees_an_earlier_views_leak(self, transport):
+        """Leak state is the context's, not one view's: a block an
+        earlier view never released shows through a fresh view (shm
+        segments) or the context's store (tcp blocks) until freed."""
+        def leaked(session):
+            return (getattr(session.executor().transport,
+                            "active_segments", ())
+                    + session.context.store_blocks)
+
+        with JoinSession(workers=2, backend="threads",
+                         transport=transport) as session:
+            view = session.executor()
+            view.transport.publish("R", np.arange(8, dtype=np.int64))
+            assert len(leaked(session)) == 1
+            view.transport.teardown()
+            assert leaked(session) == ()
 
     def test_close_is_idempotent_and_final(self):
         session = JoinSession(workers=2, backend="threads")
@@ -252,8 +332,7 @@ class TestJoinSession:
                          transport="pickle") as session:
             result = session.query_from(query, db).run("hcubej")
             assert result.failure == "crash"
-            executor = session._executor
-            assert executor is not None
+            executor = session.context.executor()   # the one base
         assert executor._pool is None  # torn down despite the crash
 
     def test_custom_cluster_wins(self):
@@ -289,15 +368,13 @@ class TestQueryJobLaziness:
         query, db = graph_case("Q4", seed=4)
         with JoinSession(workers=2, backend="threads",
                          transport="pickle", samples=10) as session:
+            checkouts = []
+            session.context.checkout = lambda: checkouts.append(1)
             explain = session.query_from(query, db).explain()
-            # No executor was ever created ...
+            # No executor was ever created, and no run view (the only
+            # way to publish or ship anything) was checked out.
             assert not session.executor_created
-            # ... and once one exists, its transport counters are zero:
-            # nothing was published or shipped by explain().
-            stats = session.executor().transport.stats
-            assert stats.published_blocks == 0
-            assert stats.shipped_refs == 0
-            assert stats.shipped_bytes == 0
+            assert checkouts == []
         assert explain.plan.estimated_cost < float("inf")
         assert set(explain.cost_breakdown) == \
             {"precompute", "communication", "computation"}

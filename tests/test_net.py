@@ -25,14 +25,21 @@ from repro.net import (
     WorkerAgent,
     parse_host_specs,
 )
-from repro.net.blockstore import clear_fetch_cache
+from repro.net.blockstore import advertised_address, clear_fetch_cache
 from repro.net.protocol import (
+    OP_BYE,
     OP_DATA,
     OP_ERR,
+    OP_EXPO,
+    OP_HELLO,
     OP_OK,
+    OP_PING,
     OP_PUT,
+    OP_STAT,
     OP_TASK,
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    connect,
     recv_frame,
     request,
     send_frame,
@@ -208,6 +215,109 @@ class TestBlockStore:
         srv.stop()
         assert not port_listening(port)
         srv.stop()   # idempotent
+
+
+def _query_server():
+    from repro.net import QueryServer
+
+    return QueryServer(max_concurrent=1)
+
+
+#: One factory per FrameServer subclass, keyed by the service it names.
+SERVERS = {
+    "blockstore": BlockStoreServer,
+    "worker-agent": lambda: WorkerAgent(slots=1, mode="inline"),
+    "query-service": _query_server,
+}
+
+
+class TestControlPlane:
+    """HELLO/PING/STAT/EXPO/BYE and unknown-op: one answer everywhere."""
+
+    @pytest.mark.parametrize("service", sorted(SERVERS))
+    def test_every_server_answers_the_shared_ops(self, service):
+        import os
+
+        with SERVERS[service]() as server:
+            sock = connect(*server.address)
+            try:
+                _op, hello, _ = request(sock, OP_HELLO)
+                assert hello["version"] == PROTOCOL_VERSION
+                assert hello["service"] == service
+                assert hello["pid"] == os.getpid()
+                assert request(sock, OP_PING)[0] == OP_OK
+                _op, stat, _ = request(sock, OP_STAT)
+                assert (stat["service"], stat["pid"]) == \
+                    (service, os.getpid())
+                op, meta, text = request(sock, OP_EXPO)
+                assert op == OP_DATA
+                assert meta["content_type"].startswith("text/plain")
+                samples = [line for line in text.decode().splitlines()
+                           if line and not line.startswith("#")]
+                assert samples
+                for line in samples:
+                    float(line.rsplit(" ", 1)[1])
+                with pytest.raises(NetError, match="unknown-op"):
+                    request(sock, 99)
+                assert request(sock, OP_BYE)[0] == OP_OK
+                assert sock.recv(1) == b""      # the server hung up
+            finally:
+                sock.close()
+
+    def test_query_service_refuses_a_newer_protocol(self):
+        from repro.net import QueryServer, ServiceClient
+
+        class NewerServer(QueryServer):
+            def hello_meta(self):
+                return dict(super().hello_meta(), version=2)
+
+        with NewerServer(max_concurrent=1) as server:
+            with pytest.raises(NetError, match="protocol 2.*speaks 1"):
+                ServiceClient(*server.address)
+
+    def test_remote_executor_refuses_a_newer_protocol(self):
+        class NewerAgent(WorkerAgent):
+            def hello_meta(self):
+                return dict(super().hello_meta(), version=2)
+
+        with NewerAgent(slots=1, mode="inline") as agent:
+            label = f"127.0.0.1:{agent.port}"
+            ex = RemoteExecutor(hosts=[label], transport="pickle")
+            with pytest.raises(ConfigError, match=label):
+                ex.map_tasks(double_task, [1])
+            ex.close()
+
+
+class TestAdvertisedAddress:
+    """One rule for every store a worker dials: the advertise host
+    wins, a wildcard bind dials loopback."""
+
+    def test_rule(self, monkeypatch):
+        class Bound:
+            host, port = "0.0.0.0", 7070
+
+        monkeypatch.delenv("REPRO_ADVERTISE_HOST", raising=False)
+        assert advertised_address(Bound()) == ("127.0.0.1", 7070)
+        Bound.host = "10.0.0.5"
+        assert advertised_address(Bound()) == ("10.0.0.5", 7070)
+        monkeypatch.setenv("REPRO_ADVERTISE_HOST", "worker-net.example")
+        assert advertised_address(Bound()) == ("worker-net.example", 7070)
+
+    def test_transport_and_shared_context_both_apply_it(self, monkeypatch):
+        from repro import ClusterContext, RunConfig
+
+        monkeypatch.setenv("REPRO_ADVERTISE_HOST", "localhost")
+        transport = TcpTransport()
+        try:
+            transport.setup()
+            assert transport.store_address[0] == "localhost"
+        finally:
+            transport.teardown()
+        with ClusterContext(RunConfig(transport="tcp")) as ctx:
+            view = ctx.checkout()
+            view.setup()
+            assert view.transport.store_address[0] == "localhost"
+            view.close()
 
 
 class TestTcpTransport:
@@ -539,15 +649,16 @@ class TestRemoteExecutor:
                               transport="tcp", hosts=hosts_of(agents),
                               scale=1e-5, samples=10)
         job = session.query("wb", "Q1")
-        ex = session.executor()
-        ex.setup()                      # connections established...
+        # Connections are established on the context's one base
+        # executor (every run is a view over it)...
+        session.context.executor().setup()
         for agent in agents:
             agent.stop()                # ...then every worker host dies
         result = job.run("hcubej")
         assert not result.ok and result.failure == "crash"
         assert "died" in result.extra["crash_reason"]
-        # The failed run's epoch already tore its block store down.
-        assert ex.transport.store_address is None
+        # The failed run's epoch already freed its blocks.
+        assert session.context.store_blocks == ()
         session.close()   # idempotent full teardown with dead workers
 
 

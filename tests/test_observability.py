@@ -346,18 +346,6 @@ class TestMetrics:
         reg.reset()
         assert reg.snapshot() == {}
 
-    def test_merge_snapshot_folds_remote_numbers(self):
-        reg = MetricsRegistry()
-        reg.counter("tasks").inc(1)
-        reg.merge_snapshot({"tasks": 4,
-                            "lat": {"count": 2, "sum": 3.0,
-                                    "min": 1.0, "max": 2.0}},
-                           prefix="agent.")
-        snap = reg.snapshot()
-        assert snap["agent.tasks"] == 4
-        assert snap["tasks"] == 1
-        assert snap["agent.lat"]["count"] == 2
-
     def test_histogram_snapshot_keeps_legacy_keys_and_quantiles(self):
         """Existing ``runtime.task_seconds`` consumers read count/sum/
         min/max/mean; the reservoir adds p50/p95/p99 alongside."""
@@ -938,6 +926,32 @@ class TestAgentObservability:
         finally:
             agent.stop()
 
+    def test_cli_top_polls_each_host_over_one_connection(self, capsys):
+        """One HELLO at connect, then PING + STAT per tick on the same
+        socket: the fetched-bytes column comes from the STAT metrics
+        snapshot, not from a second EXPO connection."""
+        from repro.cli import main
+        from repro.net import WorkerAgent
+
+        agent = WorkerAgent(port=0, slots=1, mode="inline")
+        serve, opened = agent._client_loop, []
+
+        def counting_client_loop(sock):
+            opened.append(sock)
+            serve(sock)
+
+        agent._client_loop = counting_client_loop
+        agent.start()
+        try:
+            assert main(["top", f"127.0.0.1:{agent.port}", "--iterations",
+                         "2", "--interval", "0", "--json"]) == 0
+        finally:
+            agent.stop()
+        ticks = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        assert [t["hosts"][0]["status"] for t in ticks] == ["up", "up"]
+        assert len(opened) == 1
+
     def test_cli_top_marks_dead_hosts_down(self, capsys):
         from repro.cli import main
 
@@ -946,6 +960,26 @@ class TestAgentObservability:
                      "--timeout", "0.5", "--json"]) == 1
         tick = json.loads(capsys.readouterr().out)
         assert tick["hosts"][0]["status"] == "down"
+
+    def test_cli_top_monitors_every_frame_server(self, capsys):
+        """A query server and a block store answer the same HELLO/PING/
+        STAT as an agent, so ``top`` shows them up, named by service."""
+        from repro.cli import main
+        from repro.net import BlockStoreServer, QueryServer
+
+        with QueryServer(port=0, max_concurrent=1) as query_server, \
+                BlockStoreServer() as store:
+            hosts = [f"127.0.0.1:{port}" for port in
+                     (query_server.port, store.port)]
+            assert main(["top", ",".join(hosts), "--iterations", "1",
+                         "--json"]) == 0
+            tick = json.loads(capsys.readouterr().out)
+            assert [(row["status"], row["service"])
+                    for row in tick["hosts"]] == \
+                [("up", "query-service"), ("up", "blockstore")]
+            assert main(["top", ",".join(hosts), "--iterations", "1"]) == 0
+            table = capsys.readouterr().out
+            assert "query-service" in table and "blockstore" in table
 
     def test_remote_run_merges_agent_spans(self, tmp_path):
         from repro import JoinSession

@@ -209,17 +209,17 @@ class TestHypertreeMemo:
         assert optimal_hypertree(paper_query("Q1")) is not tree
 
     def test_yannakakis_results_unchanged(self):
+        from repro.runtime import SerialExecutor
         from repro.wcoj import leapfrog_join
-        from repro.wcoj.yannakakis import yannakakis_join
 
         q, db = make_testcase("wb", "Q9", scale=1e-5)
         expected = leapfrog_join(q, db).count
         tree = optimal_hypertree(q)
         fresh = Hypertree(q, tree.bags, tree.tree_edges, tree.bag_widths)
-        assert len(yannakakis_join(q, db, tree=fresh)) == expected
-        assert len(yannakakis_join(q, db)) == expected
-        assert YannakakisJoin().run(q, db, Cluster(num_workers=2)).count \
-            == expected
+        for hypertree in (fresh, None):      # fresh vs memoized tree
+            result = YannakakisJoin(hypertree=hypertree).run(
+                q, db, Cluster(num_workers=2), executor=SerialExecutor())
+            assert result.count == expected
 
 
 class TestSingleBagQueries:

@@ -312,6 +312,20 @@ class TestProfileSchema:
 
         assert _atom_bytes(spans) == {"R1": 150, "R2": 7}
 
+    def test_atom_bytes_strips_the_epoch_prefix(self):
+        """Every run publishes through an epoch-stamped view, so atom
+        names must not carry the ``eNNNN/`` namespace."""
+        from repro.obs.profile import _atom_bytes
+
+        spans = [Span(name="publish", ts=1.0, dur=0.0, pid=1,
+                      args={"key": "e0001/rel:R1", "bytes": 10}),
+                 Span(name="publish", ts=1.0, dur=0.0, pid=1,
+                      args={"key": "e0012/rel:R2#3", "bytes": 5})]
+        assert _atom_bytes(spans) == {"R1": 10, "R2": 5}
+        result = _profiled_run("Q1", "threads", "shm")
+        names = set(result.profile.atom_bytes)
+        assert names and not any("/" in name for name in names), names
+
 
 class TestProfileCli:
     def test_profile_subcommand_renders_tree(self, capsys):

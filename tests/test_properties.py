@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from repro.data import Relation
 from repro.distributed import (
+    Cluster,
     HypercubeGrid,
     dup_factor,
     hcube_route,
     optimize_shares,
 )
+from repro.engines import YannakakisJoin
 from repro.query import Predicate, SPJQuery, evaluate_spj, paper_query
-from repro.wcoj import leapfrog_join, yannakakis_join
+from repro.runtime import SerialExecutor
+from repro.wcoj import leapfrog_join
 from repro.workloads import graph_database_for
 
 edge_arrays = st.lists(
@@ -72,7 +75,9 @@ class TestEngineEquivalenceProperties:
         q = paper_query(qname)
         rng = np.random.default_rng(seed)
         db = graph_database_for(q, rng.integers(0, 10, size=(60, 2)))
-        assert len(yannakakis_join(q, db)) == leapfrog_join(q, db).count
+        result = YannakakisJoin().run(q, db, Cluster(num_workers=2),
+                                      executor=SerialExecutor())
+        assert result.count == leapfrog_join(q, db).count
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -132,11 +132,16 @@ class TestClusterContext:
                 e2.close()
 
     def test_private_session_keeps_base_executor(self):
+        """A private session keeps one base executor and, like a shared
+        one, hands every run its own epoch view over it."""
         with JoinSession(config=threads_config()) as session:
             e1 = session.executor()
             e2 = session.executor()
-            assert e1 is e2
-            assert not isinstance(e1, ExecutorView)
+            assert isinstance(e1, ExecutorView)
+            assert isinstance(e2, ExecutorView)
+            assert e1.epoch != e2.epoch
+            assert e1.base is e2.base is session.context.executor()
+            assert not isinstance(e1.base, ExecutorView)
 
     def test_query_ids_unique_across_sessions(self):
         with ClusterContext(threads_config()) as ctx:

@@ -1,4 +1,5 @@
-"""Tests for repro.wcoj.yannakakis and the YannakakisJoin engine."""
+"""Tests for the YannakakisJoin engine and its reducer phases
+(repro.wcoj.yannakakis)."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,8 @@ from repro.engines import YannakakisJoin
 from repro.errors import OutOfMemory
 from repro.ghd import optimal_hypertree
 from repro.query import example_query, paper_query, parse_query
-from repro.wcoj import (
-    YannakakisStats,
-    full_reducer,
-    leapfrog_join,
-    materialize_bags,
-    yannakakis_join,
-)
+from repro.runtime import SerialExecutor
+from repro.wcoj import full_reducer, leapfrog_join
 from repro.workloads import graph_database_for
 
 
@@ -25,12 +21,28 @@ def case(qname, seed=0, n=120, dom=15):
     return q, graph_database_for(q, rng.integers(0, dom, size=(n, 2)))
 
 
+def yannakakis(q, db, tree=None):
+    """One YannakakisJoin run on the serial executor."""
+    return YannakakisJoin(hypertree=tree).run(
+        q, db, Cluster(num_workers=2), executor=SerialExecutor())
+
+
+def bags_of(q, db, tree):
+    """Every bag's join, materialized (the reducer's input)."""
+    bags = {}
+    for bag in tree.bags:
+        sub, attrs = bag.subquery(q)
+        res = leapfrog_join(sub, db, order=attrs, materialize=True)
+        bags[bag.index] = Relation(f"bag{bag.index}", attrs,
+                                   res.relation.data, dedup=False)
+    return bags
+
+
 class TestSequentialYannakakis:
     @pytest.mark.parametrize("qname", ["Q1", "Q4", "Q5", "Q9", "Q11"])
     def test_matches_leapfrog(self, qname):
         q, db = case(qname, seed=3)
-        out = yannakakis_join(q, db)
-        assert len(out) == leapfrog_join(q, db).count
+        assert yannakakis(q, db).count == leapfrog_join(q, db).count
 
     def test_example_query(self):
         q = example_query()
@@ -42,28 +54,27 @@ class TestSequentialYannakakis:
             Relation("R4", ("x", "y"), rng.integers(0, 8, (50, 2))),
             Relation("R5", ("x", "y"), rng.integers(0, 8, (50, 2))),
         ])
-        assert len(yannakakis_join(q, db)) == leapfrog_join(q, db).count
+        assert yannakakis(q, db).count == leapfrog_join(q, db).count
 
     def test_acyclic_path_query(self):
         q = parse_query("R1(a,b), R2(b,c), R3(c,d)")
         rng = np.random.default_rng(2)
         db = graph_database_for(q, rng.integers(0, 20, size=(150, 2)))
-        assert len(yannakakis_join(q, db)) == leapfrog_join(q, db).count
+        assert yannakakis(q, db).count == leapfrog_join(q, db).count
 
     def test_stats_populated(self):
         q, db = case("Q4", seed=5)
-        stats = YannakakisStats()
-        yannakakis_join(q, db, stats=stats)
+        extra = yannakakis(q, db).extra
         tree = optimal_hypertree(q)
-        assert len(stats.bag_sizes) == tree.num_bags
+        assert len(extra["bag_sizes"]) == tree.num_bags
         # Full reducer: two sweeps over num_bags - 1 edges.
-        assert stats.semijoin_rounds == 2 * (tree.num_bags - 1)
+        assert extra["semijoin_rounds"] == 2 * (tree.num_bags - 1)
 
     def test_full_reducer_removes_dangling(self):
         """After reduction every bag tuple joins with every neighbor."""
         q, db = case("Q4", seed=7)
         tree = optimal_hypertree(q)
-        bags = materialize_bags(q, db, tree)
+        bags = bags_of(q, db, tree)
         reduced = full_reducer(tree, bags)
         for u, v in tree.tree_edges:
             assert reduced[u].semijoin(reduced[v]) == reduced[u]
@@ -72,7 +83,7 @@ class TestSequentialYannakakis:
     def test_reducer_only_shrinks(self):
         q, db = case("Q5", seed=9)
         tree = optimal_hypertree(q)
-        bags = materialize_bags(q, db, tree)
+        bags = bags_of(q, db, tree)
         reduced = full_reducer(tree, bags)
         for idx, rel in reduced.items():
             assert len(rel) <= len(bags[idx])
@@ -80,7 +91,7 @@ class TestSequentialYannakakis:
     def test_empty_input_empty_output(self):
         q, _ = case("Q4")
         db = graph_database_for(q, np.empty((0, 2), dtype=np.int64))
-        assert len(yannakakis_join(q, db)) == 0
+        assert yannakakis(q, db).count == 0
 
 
 class TestYannakakisEngine:
