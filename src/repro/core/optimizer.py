@@ -15,11 +15,12 @@ the returned :class:`OptimizerReport` counts so tests can check the bound.
 
 A report is a deterministic function of the query, the data, the sample
 size and seed, the HCube implementation, the cluster and the hypertree,
-so it is computed once per process: :class:`PlanCache` is the one LRU of
-reports (``PLAN_CACHE``, :data:`PLAN_CACHE_CAPACITY` entries), and
+so it is computed once per process: ``PLAN_CACHE`` (a :class:`PlanCache`
+of :data:`PLAN_CACHE_CAPACITY` entries) is the one LRU of reports, and
 :meth:`repro.engines.adj.ADJ.plan` — the path of ``run("adj")`` and of
-``QueryJob.explain`` alike — is its one user.  ``Optimizer(...).run()``
-stays the uncached computation.
+``QueryJob.explain`` alike — is its one user.  ADJ keeps its
+pre-computed bags in a second :class:`PlanCache` under its own counters.
+``Optimizer(...).run()`` stays the uncached computation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable
 
 from ..data.database import Database
 from ..distributed.cluster import Cluster
@@ -63,38 +64,41 @@ class OptimizerReport:
 
 
 class PlanCache:
-    """LRU of :class:`OptimizerReport` s, bounded by entry count.
+    """LRU of deterministic results (here :class:`OptimizerReport` s),
+    bounded by entry count.
 
     Thread-safe; a miss computes outside the lock, so two concurrent
-    misses on one key compute the same deterministic report twice.
-    Counted under ``core.plan_cache_hits`` / ``core.plan_cache_misses``.
+    misses on one key compute the same deterministic value twice.
+    Counted under ``<counters>_hits`` / ``<counters>_misses``
+    (``core.plan_cache_*`` for the plan cache).
     """
 
-    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY,
+                 counters: str = "core.plan_cache"):
         self.capacity = max(1, int(capacity))
-        self._entries: "OrderedDict[Hashable, OptimizerReport]" = \
-            OrderedDict()
+        self.counters = counters
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def lookup(self, key: Hashable, compute: Callable[[], OptimizerReport]
-               ) -> tuple[OptimizerReport, bool]:
-        """The report cached under ``key`` (computed on a miss) and
+    def lookup(self, key: Hashable, compute: Callable[[], Any]
+               ) -> tuple[Any, bool]:
+        """The value cached under ``key`` (computed on a miss) and
         whether it was a hit."""
         with self._lock:
-            report = self._entries.get(key)
-            if report is not None:
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
-        if report is not None:
-            METRICS.counter("core.plan_cache_hits").inc()
-            return report, True
-        METRICS.counter("core.plan_cache_misses").inc()
-        report = compute()
+        if value is not None:
+            METRICS.counter(f"{self.counters}_hits").inc()
+            return value, True
+        METRICS.counter(f"{self.counters}_misses").inc()
+        value = compute()
         with self._lock:
-            self._entries[key] = report
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-        return report, False
+        return value, False
 
     def clear(self) -> None:
         with self._lock:

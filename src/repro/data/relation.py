@@ -16,10 +16,14 @@ probe one ``searchsorted``; when the radix product would reach
 ``2**62`` the key does not fit and the same functions fall back to
 ``np.lexsort`` / :func:`row_group_ids`.
 
-A relation remembers when its rows are a lexsorted set (the private
-``_sorted`` slot): the ``dedup=True`` constructor and
+A relation remembers when its rows are a lexsorted set
+(:attr:`Relation.is_sorted_set`): the ``dedup=True`` constructor and
 :meth:`Relation.natural_join` establish it, row filters and renames keep
 it, column permutations drop it.  Nothing that knows it re-sorts.
+:meth:`Relation.lexsorted` is the sort that does not deduplicate: the
+rows in a given column order, sorted once per order and memoized (the
+routed epoch publishes sources through it, so cube slices arrive
+sorted).
 :class:`JoinProbe` is the binary-join step on top of both: sort the
 right side once by (join columns, remaining columns), probe it with the
 left keys, and know the output size — and that the output is born a
@@ -197,7 +201,8 @@ class Relation:
         deduplicated array may pass ``False`` to skip the sort.
     """
 
-    __slots__ = ("name", "attributes", "data", "_distinct", "_sorted")
+    __slots__ = ("name", "attributes", "data", "_distinct", "_sorted",
+                 "_lexsorted")
 
     def __init__(self, name: str, attributes: Sequence[str], data=(),
                  dedup: bool = True):
@@ -219,11 +224,13 @@ class Relation:
         #: Memoized per-column distinct counts (column index -> count);
         #: shared across rename (same data) and remapped by reorder/project.
         self._distinct: dict[int, int] = {}
+        #: Memoized :meth:`lexsorted` copies (column order -> relation).
+        self._lexsorted: dict[tuple[str, ...], Relation] = {}
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _of(cls, name: str, attributes: Sequence[str], data,
+    def wrap(cls, name: str, attributes: Sequence[str], data,
             sorted_set: bool) -> "Relation":
         """Wrap ``data`` as is; ``sorted_set`` vouches for its order."""
         out = cls(name, attributes, data, dedup=False)
@@ -244,6 +251,31 @@ class Relation:
         else:
             data = self.data[:, [self.column_index(a) for a in attrs]]
         return Relation(self.name, attrs, data, dedup=True)
+
+    def lexsorted(self, attrs: Sequence[str]) -> "Relation":
+        """These rows in column order ``attrs``, lexsorted, duplicates kept.
+
+        ``attrs`` is a permutation of the schema.  The sort runs once per
+        order and is memoized on this relation, like the distinct counts;
+        the result is :attr:`is_sorted_set` iff the rows are distinct.
+        ``self`` when it already is a lexsorted set in that order.
+        """
+        attrs = tuple(attrs)
+        if attrs == self.attributes and self._sorted:
+            return self
+        out = self._lexsorted.get(attrs)
+        if out is None:
+            idx = [self.column_index(a) for a in attrs]
+            if sorted(idx) != list(range(self.arity)):
+                raise SchemaError(
+                    f"{attrs} is not a permutation of {self.attributes}")
+            rows = _sorted_rows(self.data[:, idx], dedup=False)
+            distinct = rows.shape[0] <= 1 or bool(
+                np.any(rows[1:] != rows[:-1], axis=1).all())
+            out = self._share_distinct(
+                Relation.wrap(self.name, attrs, rows, distinct), idx)
+            self._lexsorted[attrs] = out
+        return out
 
     @classmethod
     def from_tuples(cls, name: str, attributes: Sequence[str],
@@ -266,6 +298,12 @@ class Relation:
     @property
     def arity(self) -> int:
         return len(self.attributes)
+
+    @property
+    def is_sorted_set(self) -> bool:
+        """True when the rows are known to be a lexsorted set (sorted by
+        :attr:`attributes`, no duplicates); False means unknown."""
+        return self._sorted
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
@@ -373,7 +411,7 @@ class Relation:
     def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
         """Rename attributes via ``mapping`` (missing attrs stay)."""
         attrs = tuple(mapping.get(a, a) for a in self.attributes)
-        out = Relation._of(name or self.name, attrs, self.data, self._sorted)
+        out = Relation.wrap(name or self.name, attrs, self.data, self._sorted)
         out._distinct = self._distinct  # same data, same column order
         return out
 
@@ -387,23 +425,24 @@ class Relation:
         idx = [self.column_index(a) for a in attrs]
         # Only the identity keeps the rows lexsorted by the new schema.
         return self._share_distinct(
-            Relation._of(name or self.name, attrs, self.data[:, idx],
-                         self._sorted and attrs == self.attributes),
+            Relation.wrap(name or self.name, attrs, self.data[:, idx],
+                          self._sorted and attrs == self.attributes),
             idx)
 
     def select_equals(self, attr: str, value: int, name: str | None = None) -> "Relation":
         """Selection sigma_{attr = value}."""
         col = self.column(attr)
-        return Relation._of(name or self.name, self.attributes,
-                            self.data[col == np.int64(value)], self._sorted)
+        return Relation.wrap(name or self.name, self.attributes,
+                             self.data[col == np.int64(value)],
+                             self._sorted)
 
     def select_in(self, attr: str, values: np.ndarray,
                   name: str | None = None) -> "Relation":
         """Selection sigma_{attr in values}."""
         values = np.asarray(values, dtype=np.int64)
         mask = np.isin(self.column(attr), values)
-        return Relation._of(name or self.name, self.attributes,
-                            self.data[mask], self._sorted)
+        return Relation.wrap(name or self.name, self.attributes,
+                             self.data[mask], self._sorted)
 
     def common_attributes(self, other: "Relation") -> tuple[str, ...]:
         return tuple(a for a in self.attributes if a in other.attributes)
@@ -420,8 +459,8 @@ class Relation:
             # Nothing shared keeps everything — unless ``other`` is
             # empty: then the join would be empty too.
             kept = self.data if len(other) else self.data[:0]
-        return Relation._of(name or self.name, self.attributes, kept,
-                            self._sorted)
+        return Relation.wrap(name or self.name, self.attributes, kept,
+                             self._sorted)
 
     def natural_join(self, other: "Relation", name: str | None = None) -> "Relation":
         """Natural join under set semantics (sort-once merge probe).
@@ -508,5 +547,5 @@ class JoinProbe:
             idx = np.repeat(self.starts - first, self.counts)
             idx += np.arange(self.size)
             out[:, left.arity:] = right.data[idx, width:]
-        return Relation._of(name or f"({left.name}><{right.name})", attrs,
-                            out, True)
+        return Relation.wrap(name or f"({left.name}><{right.name})", attrs,
+                             out, True)

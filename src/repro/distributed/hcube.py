@@ -20,7 +20,11 @@ Three implementations are modelled after Sec. V (Fig. 9):
   trie-build rate.
 
 All three move identical data — the implementations differ only in the
-accounted cost, exactly like the paper's Spark prototype.
+accounted cost, exactly like the paper's Spark prototype.  Merge's
+pre-built tries are real on every implementation:
+:func:`repro.engines.one_round.routed_epoch` publishes each source
+lexsorted in its trie order, routing keeps that order (a stable sort by
+block id), and every cube slice reaches its worker as a sorted set.
 """
 
 from __future__ import annotations
@@ -101,10 +105,17 @@ def localized_query(query: JoinQuery) -> JoinQuery:
 
 
 class HypercubeGrid:
-    """The coordinate grid induced by a share vector."""
+    """The coordinate grid induced by a share vector.
+
+    ``order`` fixes the grid's attribute order — cube numbering and the
+    per-attribute hash salts — and defaults to the query's; a caller
+    that relists atom columns passes the original order to keep the
+    same cubes.
+    """
 
     def __init__(self, query: JoinQuery, shares: Shares | Mapping[str, int],
-                 num_workers: int, hash_fn: HashFn = mix_hash):
+                 num_workers: int, hash_fn: HashFn = mix_hash,
+                 order: Sequence[str] | None = None):
         self.query = query
         self.shares: dict[str, int] = (
             shares.as_dict if isinstance(shares, Shares) else dict(shares))
@@ -118,7 +129,10 @@ class HypercubeGrid:
             raise PlanError("need at least one worker")
         self.num_workers = num_workers
         self.hash_fn = hash_fn
-        self.order = query.attributes
+        self.order = query.attributes if order is None else tuple(order)
+        if sorted(self.order) != sorted(query.attributes):
+            raise PlanError(f"grid order {self.order} is not a permutation "
+                            f"of {query.attributes}")
         self.dims = tuple(self.shares[a] for a in self.order)
         self.num_cubes = int(np.prod(self.dims)) if self.dims else 1
 
@@ -153,14 +167,24 @@ class HypercubeGrid:
     def atom_attr_positions(self, atom: Atom) -> list[int]:
         return [self.order.index(a) for a in atom.attributes]
 
+    def num_blocks(self, atom: Atom) -> int:
+        """How many distinct block ids the atom's tuples can take."""
+        return int(np.prod([self.shares[a] for a in atom.attributes]))
+
     def tuple_block_ids(self, atom: Atom, data: np.ndarray) -> np.ndarray:
-        """Mixed-radix block id per tuple over the atom's hashed columns."""
+        """Mixed-radix block id per tuple over the atom's hashed columns,
+        in the narrowest unsigned dtype that holds :meth:`num_blocks` (so
+        a stable argsort of them is numpy's radix sort)."""
         ids = np.zeros(data.shape[0], dtype=np.int64)
         for col, attr in enumerate(atom.attributes):
             p = self.shares[attr]
             ids = ids * p + self.hash_fn(data[:, col],
                                          p, self.order.index(attr))
-        return ids
+        blocks = self.num_blocks(atom)
+        for dtype in (np.uint8, np.uint16, np.uint32):
+            if blocks <= np.iinfo(dtype).max + 1:
+                return ids.astype(dtype)
+        return ids.astype(np.uint64)
 
     def cube_block_id(self, atom: Atom, coordinate: Sequence[int]) -> int:
         """Block id an atom contributes to a given cube coordinate."""
@@ -237,37 +261,18 @@ def _route_atom(grid: HypercubeGrid, atom: Atom, data: np.ndarray,
                 ) -> tuple[list[np.ndarray], int, int, int, dict[int, int]]:
     """Route one atom's tuples: rows per cube plus this atom's counters.
 
-    Self-contained on purpose — atoms route independently, so
-    :func:`hcube_route` may fan atoms out over a coordinator thread pool
-    (pipelined epochs) and merge the returned counters in atom order,
-    keeping stats bit-identical to the serial pass.
-
     Returns ``(rows_per_cube, tuple_copies, blocks_fetched, bytes_copied,
-    worker_load_delta)``.
-
-    Opens a ``route_atom`` span per call; when atoms fan out over the
-    routing pool the spans land on distinct thread ids, so the trace
-    shows the routing overlap directly.
+    worker_load_delta)``.  A block's rows keep their source order (the
+    sort by block id is stable), so a lexsorted source gives lexsorted
+    slices.
     """
-    with current_tracer().span("route_atom", cat="route",
-                               atom=atom.relation,
-                               tuples=int(data.shape[0])):
-        return _route_atom_body(grid, atom, data, impl, coords)
-
-
-def _route_atom_body(grid: HypercubeGrid, atom: Atom, data: np.ndarray,
-                     impl: str, coords: Sequence[tuple[int, ...]]
-                     ) -> tuple[list[np.ndarray], int, int, int,
-                                dict[int, int]]:
     block_ids = grid.tuple_block_ids(atom, data)
     order = np.argsort(block_ids, kind="stable")
-    sorted_ids = block_ids[order]
-    boundaries = np.searchsorted(
-        sorted_ids, np.arange(0, 1 + int(sorted_ids.max(initial=0)) + 1))
+    boundaries = np.zeros(grid.num_blocks(atom) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(block_ids, minlength=grid.num_blocks(atom)),
+              out=boundaries[1:])
 
     def block_rows(block: int) -> np.ndarray:
-        if block + 1 >= boundaries.shape[0]:
-            return order[0:0]
         return order[boundaries[block]:boundaries[block + 1]]
 
     rows_per_cube: list[np.ndarray] = []
@@ -313,10 +318,9 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
     physical transport later carries it.  Cube-local relation names
     follow :func:`local_atom_name`.
 
-    ``routing_threads`` > 1 routes atoms concurrently on a coordinator
-    thread pool (the hashing/argsort work is per-atom independent);
-    counters are merged in atom order afterwards, so the result —
-    routing assignments *and* stats — is identical to the serial pass.
+    ``routing_threads`` is accepted for compatibility and ignored:
+    atoms route serially, in atom order (a per-call thread pool measured
+    slower than the serial pass on every benchmark workload).
     """
     if impl not in HCUBE_IMPLS:
         raise PlanError(f"unknown HCube implementation {impl!r}")
@@ -325,41 +329,25 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
     atom_rows: list[list[np.ndarray]] = []
     worker_loads: dict[int, int] = {w: 0 for w in range(grid.num_workers)}
     coords = [grid.coordinate_of(c) for c in range(num_cubes)]
-
-    atom_data: list[np.ndarray] = []
-    for atom in query.atoms:
-        rel = db[atom.relation]
-        if rel.arity != atom.arity:
-            raise PlanError(f"atom {atom} does not match relation {rel.name}")
-        atom_data.append(rel.data)
-
-    threads = int(routing_threads or 1)
-    with current_tracer().span("route", cat="route", impl=impl,
-                               atoms=len(query.atoms), cubes=num_cubes,
-                               threads=threads):
-        if threads > 1 and len(query.atoms) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                    max_workers=min(threads, len(query.atoms)),
-                    thread_name_prefix="repro-route") as pool:
-                routed = list(pool.map(
-                    _route_atom,
-                    (grid for _ in query.atoms), query.atoms, atom_data,
-                    (impl for _ in query.atoms),
-                    (coords for _ in query.atoms)))
-        else:
-            routed = [_route_atom(grid, atom, data, impl, coords)
-                      for atom, data in zip(query.atoms, atom_data)]
-
-    # Merge in atom order — deterministic regardless of thread timing.
-    for rows_per_cube, copies, fetched, nbytes, loads in routed:
-        stats.tuple_copies += copies
-        stats.blocks_fetched += fetched
-        stats.bytes_copied += nbytes
-        for worker, load in loads.items():
-            worker_loads[worker] += load
-        atom_rows.append(rows_per_cube)
+    tracer = current_tracer()
+    with tracer.span("route", cat="route", impl=impl,
+                     atoms=len(query.atoms), cubes=num_cubes):
+        for atom in query.atoms:
+            rel = db[atom.relation]
+            if rel.arity != atom.arity:
+                raise PlanError(
+                    f"atom {atom} does not match relation {rel.name}")
+            with tracer.span("route_atom", cat="route",
+                             atom=atom.relation,
+                             tuples=int(rel.data.shape[0])):
+                rows_per_cube, copies, fetched, nbytes, loads = \
+                    _route_atom(grid, atom, rel.data, impl, coords)
+            stats.tuple_copies += copies
+            stats.blocks_fetched += fetched
+            stats.bytes_copied += nbytes
+            for worker, load in loads.items():
+                worker_loads[worker] += load
+            atom_rows.append(rows_per_cube)
 
     stats.max_worker_tuples = max(worker_loads.values(), default=0)
     if memory_tuples is not None:

@@ -16,6 +16,13 @@ hit records the same optimization charges as a miss; what was actually
 spent shows on the clock — the run's telemetry carries the measured
 ``optimize`` and ``precompute`` walls — and ``extra["plan_cache"]`` says
 ``"hit"`` or ``"miss"``.
+
+The pre-computed bags are a function of the same key plus the kernel, so
+a planned run takes them from :data:`PRECOMPUTE_CACHE` (its own LRU,
+counted under ``core.precompute_cache_*``).  A hit records the same
+precompute charges as a miss and trips the same work budget; the base
+relations join the working database as they are, so what they memoize
+(their sorted copies, distinct counts) outlives the query.
 """
 
 from __future__ import annotations
@@ -26,18 +33,27 @@ from ..data.database import Database
 from ..data.relation import Relation
 from ..distributed.cluster import Cluster
 from ..distributed.metrics import CostLedger, Moved, Work
-from ..errors import PlanError
+from ..errors import BudgetExceeded, PlanError
 from ..ghd.decomposition import Hypertree
 from ..kernels import create_kernel, select_kernel
 from ..query.query import JoinQuery
 from ..runtime.executor import Executor
 from .base import EngineResult
 from .one_round import one_round_execute
-from ..core.optimizer import PLAN_CACHE, Optimizer, OptimizerReport
+from ..core.optimizer import PLAN_CACHE, Optimizer, OptimizerReport, PlanCache
 from ..core.plan import QueryPlan
 from ..core.sampling import CardinalityEstimator
 
-__all__ = ["ADJ"]
+__all__ = ["ADJ", "PRECOMPUTE_CACHE", "PRECOMPUTE_CACHE_CAPACITY"]
+
+#: Entries kept by :data:`PRECOMPUTE_CACHE`.  Bags are data, so it keeps
+#: far fewer than the plan cache does.
+PRECOMPUTE_CACHE_CAPACITY = 16
+
+#: Materialized candidates per (plan-cache key, kernel): one tuple of
+#: ``(relation, input tuples, intersection work)`` per candidate.
+PRECOMPUTE_CACHE = PlanCache(PRECOMPUTE_CACHE_CAPACITY,
+                             counters="core.precompute_cache")
 
 
 def _tree_key(tree: Hypertree | None) -> tuple | None:
@@ -72,14 +88,18 @@ class ADJ:
              cluster: Cluster) -> OptimizerReport:
         """Algorithm 2's report for this query, data and cluster, from
         the plan cache (computed on a miss)."""
-        return self._lookup(query, db, cluster)[0]
+        key = self._key(query, db, cluster)
+        return self._lookup(query, db, cluster, key)[0]
 
-    def _lookup(self, query: JoinQuery, db: Database, cluster: Cluster
-                ) -> tuple[OptimizerReport, bool]:
+    def _key(self, query: JoinQuery, db: Database, cluster: Cluster
+             ) -> tuple:
         # work_budget and kernel are not in the key: Algorithm 2 reads
         # neither.
-        key = (repr(query), db.fingerprint(), self.num_samples, self.seed,
-               self.hcube_impl, cluster, _tree_key(self.hypertree))
+        return (repr(query), db.fingerprint(), self.num_samples, self.seed,
+                self.hcube_impl, cluster, _tree_key(self.hypertree))
+
+    def _lookup(self, query: JoinQuery, db: Database, cluster: Cluster,
+                key: tuple) -> tuple[OptimizerReport, bool]:
         return PLAN_CACHE.lookup(key, lambda: Optimizer(
             query, db, cluster, hypertree=self.hypertree,
             estimator=CardinalityEstimator(
@@ -89,10 +109,11 @@ class ADJ:
     # -- phases ------------------------------------------------------------------
 
     def _optimize(self, query: JoinQuery, db: Database, cluster: Cluster,
-                  ledger: CostLedger) -> tuple[OptimizerReport, bool]:
+                  ledger: CostLedger, key: tuple
+                  ) -> tuple[OptimizerReport, bool]:
         """The cached plan (and whether it was a hit), charged on the
         ledger as one evaluation's optimization, hit or miss."""
-        report, hit = self._lookup(query, db, cluster)
+        report, hit = self._lookup(query, db, cluster, key)
         # Sampling runs distributed: Leapfrog probes spread over workers.
         ledger.record(Work("optimization", report.sampling_work,
                            workers=cluster.num_workers))
@@ -107,29 +128,46 @@ class ADJ:
         return report, hit
 
     def _precompute(self, plan: QueryPlan, db: Database, cluster: Cluster,
-                    ledger: CostLedger) -> Database:
-        """Materialize every chosen candidate relation."""
-        working = Database(
-            Relation(rel.name, rel.attributes, rel.data, dedup=False)
-            for rel in db)
+                    ledger: CostLedger, key: tuple | None = None
+                    ) -> Database:
+        """``db`` plus every chosen candidate relation, materialized —
+        or, given the plan's cache ``key``, taken from
+        :data:`PRECOMPUTE_CACHE`.  Hit or miss, each candidate charges
+        the ledger and is held to the work budget alike."""
+        if key is None:
+            bags = self._materialize(plan, db)
+        else:
+            bags, _ = PRECOMPUTE_CACHE.lookup(
+                key + (self.kernel,), lambda: self._materialize(plan, db))
+        working = Database(db)
+        for rel, input_tuples, work in bags:
+            if self.work_budget is not None and work > self.work_budget:
+                raise BudgetExceeded(work, self.work_budget)
+            if rel.name in working:
+                raise PlanError(f"candidate name clash: {rel.name}")
+            working.add(rel)
+            ledger.record(
+                Moved("precompute", input_tuples, self.hcube_impl),
+                Work("precompute", work, workers=cluster.num_workers))
+        return working
+
+    def _materialize(self, plan: QueryPlan, db: Database
+                     ) -> tuple[tuple[Relation, int, int], ...]:
+        """Join every candidate: ``(relation, input tuples, work)`` each."""
+        bags = []
         for cand in plan.candidates:
             choice = select_kernel(self.kernel, cand.subquery, db,
                                    scope=f"precompute:{cand.name}")
             result = create_kernel(choice.key).execute(
                 cand.subquery, db, cand.attributes, materialize=True,
                 budget=self.work_budget)
-            rel = Relation(cand.name, cand.attributes,
-                           result.relation.data, dedup=False)
-            if rel.name in working:
-                raise PlanError(f"candidate name clash: {rel.name}")
-            working.add(rel)
-            input_tuples = sum(len(db[a.relation])
-                               for a in cand.subquery.atoms)
-            ledger.record(
-                Moved("precompute", input_tuples, self.hcube_impl),
-                Work("precompute", result.stats.intersection_work,
-                     workers=cluster.num_workers))
-        return working
+            bags.append((
+                Relation.wrap(cand.name, cand.attributes,
+                              result.relation.data,
+                              result.relation.is_sorted_set),
+                sum(len(db[a.relation]) for a in cand.subquery.atoms),
+                result.stats.intersection_work))
+        return tuple(bags)
 
     # -- entry points --------------------------------------------------------------
 
@@ -137,10 +175,12 @@ class ADJ:
             executor: Executor | None = None) -> EngineResult:
         ledger = cluster.new_ledger()
         start = time.perf_counter()
-        report, hit = self._optimize(query, db, cluster, ledger)
+        key = self._key(query, db, cluster)
+        report, hit = self._optimize(query, db, cluster, ledger, key)
         optimize_seconds = time.perf_counter() - start
         result = self._execute(report.plan, db, cluster, ledger,
-                               optimizer_report=report, executor=executor)
+                               optimizer_report=report, executor=executor,
+                               key=key)
         result.telemetry.record("optimize", optimize_seconds)
         result.extra["plan_cache"] = "hit" if hit else "miss"
         return result
@@ -155,10 +195,10 @@ class ADJ:
     def _execute(self, plan: QueryPlan, db: Database, cluster: Cluster,
                  ledger: CostLedger,
                  optimizer_report: OptimizerReport | None = None,
-                 executor: Executor | None = None
-                 ) -> EngineResult:
+                 executor: Executor | None = None,
+                 key: tuple | None = None) -> EngineResult:
         start = time.perf_counter()
-        working = self._precompute(plan, db, cluster, ledger)
+        working = self._precompute(plan, db, cluster, ledger, key)
         precompute_seconds = time.perf_counter() - start
         rewritten = plan.rewritten_query()
         outcome = one_round_execute(

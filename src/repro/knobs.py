@@ -182,9 +182,6 @@ _KNOBS = (
          "address block stores bind"),
     Knob("REPRO_ADVERTISE_HOST", "str", None,
          "address advertised to peers for block fetches", shown="bind host"),
-    Knob("REPRO_NET_CACHE_BYTES", "int", 256 << 20,
-         "per-process budget of the remote block-fetch cache", minimum=0,
-         shown="256 MiB"),
     # -- query service (docs/service.md) --------------------------------------
     Knob("REPRO_SERVICE_PORT", "int", 7075,
          "default port for repro serve-sql and repro query", minimum=0,

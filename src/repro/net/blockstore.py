@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import socket
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ from .protocol import (
 )
 
 __all__ = ["BlockStoreStats", "BlockStoreServer", "BlockStoreClient",
-           "advertised_address", "fetch_block_array", "clear_fetch_cache"]
+           "advertised_address", "fetch_block_array"]
 
 log = get_logger("repro.net.blockstore")
 
@@ -196,68 +195,42 @@ class BlockStoreClient(FrameClient):
         self.request(OP_FREE, {"block": block})
 
 
-# -- worker-side cached fetch -------------------------------------------------
-
-#: Blocks a worker process keeps around between descriptor resolutions.
-#: One WorkerTask carries a ref per (atom, cube), so the same source
-#: block is typically resolved many times — the cache turns that into
-#: one GET per block per worker process.  Block ids embed a per-epoch
-#: uuid (see TcpTransport.publish), so stale entries can never be
-#: requested again and FIFO eviction is safe.  The cap is in *bytes*
-#: (REPRO_NET_CACHE_BYTES, read per miss): long-lived worker
-#: processes see a fresh set of block ids every epoch, so an
-#: entry-count cap would let large dead blocks pile up indefinitely.
-_fetch_cache: OrderedDict[tuple[str, int, str], np.ndarray] = OrderedDict()
-_fetch_cache_bytes = 0
-_fetch_lock = threading.Lock()
-
-
-def clear_fetch_cache() -> None:
-    """Drop every cached block (tests / long-lived agents)."""
-    global _fetch_cache_bytes
-    with _fetch_lock:
-        _fetch_cache.clear()
-        _fetch_cache_bytes = 0
-
+# -- worker-side fetch --------------------------------------------------------
 
 def fetch_block_array(host: str, port: int, block: str, *,
                       shape: tuple[int, ...] | None = None,
-                      dtype: np.dtype | None = None) -> np.ndarray:
-    """GET ``block`` from the store at ``(host, port)``, with caching.
+                      dtype: np.dtype | None = None,
+                      memo: dict | None = None) -> np.ndarray:
+    """GET ``block`` from the store at ``(host, port)``.
 
     Returns a read-only array (callers slice or copy — exactly what
-    :func:`repro.runtime.transport.resolve_array_ref` does).  ``shape``
-    and ``dtype`` are cross-checked against the server's metadata when
-    given: a mismatch means the descriptor and the store disagree, which
-    is a protocol bug worth failing loudly on.
+    :func:`repro.runtime.transport.resolve_array_ref` does).  ``memo``
+    is the caller's dict of blocks already fetched: one
+    :class:`~repro.runtime.worker.WorkerTask` carries a ref per (atom,
+    cube), so a task passes one memo and GETs each block once.  Block
+    ids are single-use (each epoch publishes fresh ones), so nothing is
+    kept past the memo's owner.  ``shape`` and ``dtype`` are
+    cross-checked against the server's metadata when given: a mismatch
+    means the descriptor and the store disagree, which is a protocol bug
+    worth failing loudly on.
     """
-    global _fetch_cache_bytes
     key = (host, port, block)
-    with _fetch_lock:
-        cached = _fetch_cache.get(key)
-    if cached is not None:
+    arr = memo.get(key) if memo is not None else None
+    if arr is not None:
         METRICS.counter("net.fetch_cache_hits").inc()
-    if cached is None:
+    else:
         with current_tracer().span("fetch_block", cat="net",
                                    block=block, store=f"{host}:{port}"):
             with BlockStoreClient(host, port) as client:
-                cached = client.get(block)
+                arr = client.get(block)
         METRICS.counter("net.fetched_blocks").inc()
-        METRICS.counter("net.fetched_bytes").inc(cached.nbytes)
-        limit = env("REPRO_NET_CACHE_BYTES")
-        if cached.nbytes <= limit:
-            with _fetch_lock:
-                if key not in _fetch_cache:
-                    _fetch_cache[key] = cached
-                    _fetch_cache_bytes += cached.nbytes
-                while _fetch_cache_bytes > limit \
-                        and len(_fetch_cache) > 1:
-                    _, evicted = _fetch_cache.popitem(last=False)
-                    _fetch_cache_bytes -= evicted.nbytes
-    if shape is not None and tuple(cached.shape) != tuple(shape):
+        METRICS.counter("net.fetched_bytes").inc(arr.nbytes)
+        if memo is not None:
+            memo[key] = arr
+    if shape is not None and tuple(arr.shape) != tuple(shape):
         raise NetError(f"block {block!r}: descriptor shape {tuple(shape)} "
-                       f"!= stored shape {tuple(cached.shape)}")
-    if dtype is not None and cached.dtype != np.dtype(dtype):
+                       f"!= stored shape {tuple(arr.shape)}")
+    if dtype is not None and arr.dtype != np.dtype(dtype):
         raise NetError(f"block {block!r}: descriptor dtype {dtype} "
-                       f"!= stored dtype {cached.dtype}")
-    return cached
+                       f"!= stored dtype {arr.dtype}")
+    return arr

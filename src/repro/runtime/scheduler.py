@@ -30,6 +30,7 @@ from ..distributed.hcube import HCubeRouting
 from ..errors import BudgetExceeded, WorkerCrashed
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer, trace_context
+from ..wcoj.leapfrog import trie_order
 from .executor import Executor
 from .telemetry import RuntimeTelemetry
 from .transport import PickleTransport, Transport
@@ -78,7 +79,11 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     exactly once; tasks carry one
     :class:`~repro.runtime.transport.ArrayRef` per (atom, cube) instead
     of a materialized partition matrix, so partitioning happens on the
-    worker that owns the cube.
+    worker that owns the cube.  A task flags, per atom, the slices that
+    arrive as sorted sets in the atom's trie order — a source that
+    :attr:`~repro.data.relation.Relation.is_sorted_set` under an atom
+    listed in trie order (routing keeps row order) — and its worker
+    skips their sort.
 
     ``budget`` is the engine's *global* intersection-work cap; each task
     receives it whole and the coordinator re-checks the summed work after
@@ -98,6 +103,10 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     local_query = routing.local_query
     order = tuple(order)
     num_atoms = len(query.atoms)
+    sorted_atoms = tuple(
+        db[a.relation].is_sorted_set
+        and a.attributes == trie_order(a.attributes, order)
+        for a in query.atoms)
     keys: dict[int, str] = {}
     # Per-query epoch id (stamped on ExecutorView transports): namespace
     # publish keys so interleaved epochs from concurrent queries sharing
@@ -127,7 +136,8 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
         task = WorkerTask(worker=worker, query=local_query,
                           order=order, budget=budget,
                           cache_capacity=capacity, trace=ctx,
-                          kernel=kernel, materialize=materialize)
+                          kernel=kernel, materialize=materialize,
+                          sorted_atoms=sorted_atoms)
         for cube in cubes_by_worker[worker]:
             task.cubes.append(tuple(
                 transport.make_ref(key_for(ai),

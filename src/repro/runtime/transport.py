@@ -129,12 +129,14 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def resolve_array_ref(ref) -> np.ndarray:
+def resolve_array_ref(ref, blocks: dict | None = None) -> np.ndarray:
     """Materialize a descriptor into a concrete array (worker-side).
 
     Top-level and self-contained on purpose (spawn-safe).  Accepts plain
     ndarrays unchanged so legacy payloads keep working.  The returned
     array never aliases shared memory — workers may outlive segments.
+    ``blocks`` is the caller's memo of tcp blocks already fetched (one
+    task keeps one, so each block is fetched once per task).
     """
     if isinstance(ref, np.ndarray):
         return ref
@@ -153,10 +155,9 @@ def resolve_array_ref(ref) -> np.ndarray:
                                    rows=ref.num_rows):
             arr = fetch_block_array(ref.host, ref.port, ref.block,
                                     shape=ref.shape,
-                                    dtype=np.dtype(ref.dtype))
-            # The fetched block is a (read-only) process-wide cache
-            # entry; fancy indexing copies, .copy() covers the
-            # whole-array case.
+                                    dtype=np.dtype(ref.dtype), memo=blocks)
+            # The fetched block is read-only and may be memoized; fancy
+            # indexing copies, .copy() covers the whole-array case.
             return arr[ref.rows] if ref.rows is not None else arr.copy()
     if ref.kind != "shm":
         raise ConfigError(f"unknown ArrayRef kind {ref.kind!r}")

@@ -75,6 +75,11 @@ class WorkerTask:
     CacheTrieJoin with that much cache per chunk
     (:func:`~repro.wcoj.leapfrog.leapfrog_join`); only the integer
     crosses the process boundary, and kernels without a cache ignore it.
+
+    ``sorted_atoms[i]`` says atom ``i``'s slices arrive as lexsorted sets
+    whose columns are in the atom's trie order; the worker hands them to
+    the kernel as such, so no trie build or join probe sorts them.
+    Empty means nothing is known.
     """
 
     worker: int
@@ -87,6 +92,7 @@ class WorkerTask:
     kernel: str = "wcoj"                  # repro.kernels key (plain str
                                           # so it survives spawn/remote)
     materialize: bool = False             # ship the joined rows home
+    sorted_atoms: tuple[bool, ...] = ()   # per atom: slices are sorted sets
 
     @property
     def num_tuples(self) -> int:
@@ -157,13 +163,17 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
     result = WorkerTaskResult(worker=task.worker,
                               level_tuples=[0] * num_levels)
     rows: list[np.ndarray] = []
+    sorted_atoms = task.sorted_atoms or (False,) * len(task.query.atoms)
+    # Blocks fetched over tcp, kept for this task only: one GET per block.
+    blocks: dict = {}
     try:
         kernel = create_kernel(task.kernel)
         for refs in task.cubes:
             db = Database(
-                Relation(atom.relation, atom.attributes,
-                         resolve_array_ref(ref), dedup=False)
-                for atom, ref in zip(task.query.atoms, refs))
+                Relation.wrap(atom.relation, atom.attributes,
+                              resolve_array_ref(ref, blocks), known)
+                for atom, ref, known in zip(task.query.atoms, refs,
+                                            sorted_atoms))
             remaining = None
             if task.budget is not None:
                 remaining = task.budget - result.intersection_work

@@ -47,6 +47,7 @@ __all__ = [
     "LeapfrogStats",
     "JoinResult",
     "build_tries",
+    "trie_order",
     "leapfrog_join",
     "leapfrog_sample_counts",
     "intersect_sorted",
@@ -135,8 +136,8 @@ class JoinResult:
             )
 
 
-def _atom_trie_order(atom_attrs: Sequence[str], order: Sequence[str]
-                     ) -> tuple[str, ...]:
+def trie_order(atom_attrs: Sequence[str], order: Sequence[str]
+               ) -> tuple[str, ...]:
     """Atom attributes sorted by their position in the global order."""
     pos = {a: i for i, a in enumerate(order)}
     return tuple(sorted(atom_attrs, key=pos.__getitem__))
@@ -156,7 +157,7 @@ def build_tries(query: JoinQuery, db: Database, order: Sequence[str]
         # A rename keeps the relation's "known sorted set" flag, so a
         # trie in the stored column order is built without a sort.
         renamed = rel.rename(dict(zip(rel.attributes, atom.attributes)))
-        trie = Trie(renamed, order=_atom_trie_order(atom.attributes, order))
+        trie = Trie(renamed, order=trie_order(atom.attributes, order))
         trie.levels()   # index construction, not the join, pays for these
         tries.append(trie)
     return tries

@@ -75,7 +75,7 @@ def test_catalog_is_the_table():
         "REPRO_SAMPLES", "REPRO_SEED", "REPRO_SCALE", "REPRO_WORK_BUDGET",
         "REPRO_KERNEL", "REPRO_MEMORY_TUPLES", "REPRO_PROFILE",
         "REPRO_TRACE", "REPRO_LOG", "REPRO_BIND_HOST",
-        "REPRO_ADVERTISE_HOST", "REPRO_NET_CACHE_BYTES",
+        "REPRO_ADVERTISE_HOST",
         "REPRO_SERVICE_PORT", "REPRO_RESULT_CACHE_BYTES",
         "REPRO_MAX_CONCURRENT"}
 

@@ -25,7 +25,7 @@ from repro.net import (
     WorkerAgent,
     parse_host_specs,
 )
-from repro.net.blockstore import advertised_address, clear_fetch_cache
+from repro.net.blockstore import advertised_address
 from repro.net.protocol import (
     OP_BYE,
     OP_DATA,
@@ -44,10 +44,13 @@ from repro.net.protocol import (
     request,
     send_frame,
 )
+from repro.query import Atom, JoinQuery
 from repro.runtime import (
     TRANSPORTS,
+    WorkerTask,
     create_executor,
     create_transport,
+    execute_worker_task,
     resolve_array_ref,
 )
 from repro.runtime.transport import REF_HEADER_BYTES
@@ -398,17 +401,25 @@ class TestTcpTransport:
         t.teardown()
 
     def test_fetch_cache_one_get_per_block(self):
-        clear_fetch_cache()
-        arr = np.arange(40, dtype=np.int64).reshape(20, 2)
+        """Three refs to one block inside one task make one GET; the memo
+        lasts that task only, so a second task GETs the block again."""
+        arr = np.array([[0, 1], [1, 2], [0, 2], [2, 0], [1, 0]],
+                       dtype=np.int64)
+        triangle = JoinQuery([Atom("E@0", ("a", "b")),
+                              Atom("E@1", ("b", "c")),
+                              Atom("E@2", ("a", "c"))])
         t = TcpTransport()
         try:
-            key = t.publish("a", arr)
-            for rows in ([1, 2], [3], None):
-                rows = None if rows is None else np.asarray(rows)
-                resolve_array_ref(t.make_ref(key, rows))
+            key = t.publish("e", arr)
+            results = [execute_worker_task(WorkerTask(
+                worker=0, query=triangle, order=("a", "b", "c"),
+                cubes=[tuple(t.make_ref(key, rows) for rows in
+                             (None, np.arange(3), np.asarray([0, 2, 4])))]))
+                for _ in range(2)]
         finally:
             t.teardown()
-        assert t.last_epoch.fetched_blocks == 1   # cache absorbed 2 GETs
+        assert [r.count for r in results] == [1, 1]   # (0, 1, 2)
+        assert t.last_epoch.fetched_blocks == 2   # one GET per task
 
     def test_external_store_not_stopped_by_teardown(self):
         arr = np.arange(8, dtype=np.int64).reshape(4, 2)

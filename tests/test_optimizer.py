@@ -13,6 +13,8 @@ from repro.core import (
 from repro.data import Database, Relation
 from repro.distributed import Cluster, CostModelParams
 from repro.engines import ADJ, YannakakisJoin
+from repro.engines.adj import PRECOMPUTE_CACHE, PRECOMPUTE_CACHE_CAPACITY
+from repro.errors import BudgetExceeded
 from repro.ghd import Hypertree, enumerate_ghds, optimal_hypertree
 from repro.obs.metrics import METRICS
 from repro.query import JoinQuery, example_query, paper_query
@@ -199,6 +201,73 @@ class TestPlanCache:
         ADJ(num_samples=40).plan(q, db, cluster)
         assert not _plan_hit(ADJ(num_samples=40, hypertree=best),
                              q, db, cluster)
+
+
+def _precompute_run(adj, query, db, cluster):
+    """``adj.run`` and whether its bags came from the precompute cache."""
+    before = METRICS.counter("core.precompute_cache_hits").value
+    result = adj.run(query, db, cluster)
+    return result, METRICS.counter("core.precompute_cache_hits").value > before
+
+
+class TestPrecomputeCache:
+    """ADJ materializes a plan's bags once per (plan key, kernel)."""
+
+    def test_hit_equals_miss(self, q5_case):
+        q, db = q5_case
+        cluster = Cluster(num_workers=4)
+        ADJ(num_samples=40).plan(q, db, cluster)   # both runs hit the plan
+        PRECOMPUTE_CACHE.clear()
+        miss, miss_hit = _precompute_run(ADJ(num_samples=40), q, db, cluster)
+        hit, hit_hit = _precompute_run(ADJ(num_samples=40), q, db, cluster)
+        assert (miss_hit, hit_hit) == (False, True)
+        assert miss.extra["precomputed"]           # there are bags
+        assert hit.count == miss.count
+        assert hit.breakdown == miss.breakdown
+        assert hit.extra.keys() == miss.extra.keys()
+        for key in miss.extra:
+            if key != "telemetry":
+                assert hit.extra[key] == miss.extra[key], key
+
+    def test_work_budget_trips_on_a_hit(self, q5_case):
+        q, db = q5_case
+        cluster = Cluster(num_workers=4)
+        PRECOMPUTE_CACHE.clear()
+        with pytest.raises(BudgetExceeded) as missed:
+            ADJ(num_samples=40, work_budget=1).run(q, db, cluster)
+        _, hit = _precompute_run(ADJ(num_samples=40), q, db, cluster)
+        assert not hit                     # the tripped miss cached nothing
+        before = METRICS.counter("core.precompute_cache_hits").value
+        with pytest.raises(BudgetExceeded) as tripped:
+            ADJ(num_samples=40, work_budget=1).run(q, db, cluster)
+        assert METRICS.counter("core.precompute_cache_hits").value > before
+        assert tripped.value.budget == missed.value.budget == 1
+
+    def test_what_hits_and_what_misses(self, q5_case):
+        q, db = q5_case
+        cluster = Cluster(num_workers=4)
+        adj = ADJ(num_samples=40)
+        PRECOMPUTE_CACHE.clear()
+        adj.run(q, db, cluster)
+        assert _precompute_run(adj, q, _copy(db), cluster)[1]
+        assert not _precompute_run(ADJ(num_samples=40, kernel="binary"),
+                                   q, db, cluster)[1]
+        changed = _copy(db)
+        name = q.atoms[0].relation
+        changed.replace(_copy(db, name)[name])      # a new fingerprint
+        assert not _precompute_run(adj, q, changed, cluster)[1]
+
+    def test_the_lru_stays_bounded(self, q5_case):
+        q, db = q5_case
+        PRECOMPUTE_CACHE.clear()
+        ADJ(num_samples=40).run(q, db, Cluster(num_workers=4))
+        assert len(PRECOMPUTE_CACHE) == 1
+        for i in range(PRECOMPUTE_CACHE_CAPACITY + 3):
+            PRECOMPUTE_CACHE.lookup(("filler", i), tuple)
+        assert len(PRECOMPUTE_CACHE) == PRECOMPUTE_CACHE_CAPACITY
+        # The run's entry was the least recently used: evicted.
+        assert not _precompute_run(ADJ(num_samples=40), q, db,
+                                   Cluster(num_workers=4))[1]
 
 
 class TestHypertreeMemo:
