@@ -20,10 +20,11 @@ A relation remembers when its rows are a lexsorted set
 (:attr:`Relation.is_sorted_set`): the ``dedup=True`` constructor and
 :meth:`Relation.natural_join` establish it, row filters and renames keep
 it, column permutations drop it.  Nothing that knows it re-sorts.
-:meth:`Relation.lexsorted` is the sort that does not deduplicate: the
-rows in a given column order, sorted once per order and memoized (the
-routed epoch publishes sources through it, so cube slices arrive
-sorted).
+:meth:`Relation.block_layout` is the sort that does not deduplicate:
+the rows in a given column order, grouped into hash blocks and lexsorted
+within each, sorted once per (order, grouping) and memoized (the routed
+epoch publishes sources through it, so every cube slice is one
+contiguous, sorted row range).
 :class:`JoinProbe` is the binary-join step on top of both: sort the
 right side once by (join columns, remaining columns), probe it with the
 left keys, and know the output size — and that the output is born a
@@ -32,19 +33,18 @@ lexsorted set — before a single output row is gathered.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import SchemaError
 
-__all__ = ["Relation", "JoinProbe", "row_group_ids", "row_keys",
-           "lexsorted_rows", "sorted_set_rows"]
+__all__ = ["Relation", "BlockLayout", "JoinProbe", "row_group_ids",
+           "row_keys", "lexsorted_rows", "sorted_set_rows"]
 
 #: Packed keys stay clear of the int64 range (the guard ``TrieLevels.keys``
 #: uses); rows whose radix product reaches it take the fallback paths.
 _KEY_LIMIT = 2 ** 62
-
 
 def _as_data(data, arity: int) -> np.ndarray:
     """Coerce ``data`` to an (n, arity) contiguous int64 array."""
@@ -166,6 +166,33 @@ def _sorted_rows(arr: np.ndarray, dedup: bool) -> np.ndarray:
     return _unpack(key, *radix)
 
 
+def _group_rows(arr: np.ndarray,
+                block_ids: Callable[[np.ndarray], np.ndarray],
+                num_blocks: int, lexsorted: bool
+                ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``arr``'s rows sorted by (block id, row): ``(rows, bounds,
+    distinct)``, block ``b`` being ``rows[bounds[b]:bounds[b + 1]]``.
+
+    A lexsort (none for an ``arr`` that is a ``lexsorted`` set already),
+    then a stable sort by the narrow block ids — numpy's radix sort.
+    """
+    rows = arr if lexsorted else _sorted_rows(arr, dedup=False)
+    distinct = lexsorted or rows.shape[0] <= 1 or bool(
+        np.any(rows[1:] != rows[:-1], axis=1).all())
+    ids = block_ids(rows)
+    if ids.shape[0] > 1 and np.any(ids[1:] < ids[:-1]):
+        # A stable sort by block keeps each block lexsorted.
+        rows = rows[np.argsort(ids, kind="stable")]
+    return rows, _block_bounds(ids, num_blocks), distinct
+
+
+def _block_bounds(ids: np.ndarray, num_blocks: int) -> np.ndarray:
+    """Where each block starts once rows are sorted by block id."""
+    bounds = np.zeros(num_blocks + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=num_blocks), out=bounds[1:])
+    return bounds
+
+
 def sorted_set_rows(arr: np.ndarray) -> np.ndarray:
     """The distinct rows of an (n, k) int64 array in lexicographic order."""
     return _sorted_rows(arr, dedup=True)
@@ -202,7 +229,7 @@ class Relation:
     """
 
     __slots__ = ("name", "attributes", "data", "_distinct", "_sorted",
-                 "_lexsorted")
+                 "_layout")
 
     def __init__(self, name: str, attributes: Sequence[str], data=(),
                  dedup: bool = True):
@@ -224,8 +251,8 @@ class Relation:
         #: Memoized per-column distinct counts (column index -> count);
         #: shared across rename (same data) and remapped by reorder/project.
         self._distinct: dict[int, int] = {}
-        #: Memoized :meth:`lexsorted` copies (column order -> relation).
-        self._lexsorted: dict[tuple[str, ...], Relation] = {}
+        #: The last :meth:`block_layout` as ``((attrs, key), layout)``.
+        self._layout: tuple[tuple, BlockLayout] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -252,30 +279,35 @@ class Relation:
             data = self.data[:, [self.column_index(a) for a in attrs]]
         return Relation(self.name, attrs, data, dedup=True)
 
-    def lexsorted(self, attrs: Sequence[str]) -> "Relation":
-        """These rows in column order ``attrs``, lexsorted, duplicates kept.
+    def block_layout(self, attrs: Sequence[str], key: Hashable,
+                     block_ids: Callable[[np.ndarray], np.ndarray],
+                     num_blocks: int) -> "BlockLayout":
+        """These rows in column order ``attrs``, grouped into blocks.
 
-        ``attrs`` is a permutation of the schema.  The sort runs once per
-        order and is memoized on this relation, like the distinct counts;
-        the result is :attr:`is_sorted_set` iff the rows are distinct.
-        ``self`` when it already is a lexsorted set in that order.
+        ``block_ids(rows)`` maps rows (columns in ``attrs`` order) to
+        block ids in ``[0, num_blocks)``; ``key`` names that function
+        (the memo cannot compare functions).  The rows are sorted once —
+        by block, then lexicographically — and duplicates are kept.  The
+        relation memoizes one layout, the last one asked for: a query
+        lays each relation out once, and a warm query asks for the same
+        one again; another ``(attrs, key)`` replaces it.
         """
         attrs = tuple(attrs)
-        if attrs == self.attributes and self._sorted:
-            return self
-        out = self._lexsorted.get(attrs)
-        if out is None:
-            idx = [self.column_index(a) for a in attrs]
-            if sorted(idx) != list(range(self.arity)):
-                raise SchemaError(
-                    f"{attrs} is not a permutation of {self.attributes}")
-            rows = _sorted_rows(self.data[:, idx], dedup=False)
-            distinct = rows.shape[0] <= 1 or bool(
-                np.any(rows[1:] != rows[:-1], axis=1).all())
-            out = self._share_distinct(
-                Relation.wrap(self.name, attrs, rows, distinct), idx)
-            self._lexsorted[attrs] = out
-        return out
+        memo_key = (attrs, key)
+        memo = self._layout
+        if memo is not None and memo[0] == memo_key:
+            return memo[1]
+        idx = [self.column_index(a) for a in attrs]
+        if sorted(idx) != list(range(self.arity)):
+            raise SchemaError(
+                f"{attrs} is not a permutation of {self.attributes}")
+        rows, bounds, distinct = _group_rows(
+            self.data if attrs == self.attributes else self.data[:, idx],
+            block_ids, num_blocks,
+            lexsorted=attrs == self.attributes and self._sorted)
+        layout = BlockLayout(attrs, rows, bounds, distinct)
+        self._layout = (memo_key, layout)
+        return layout
 
     @classmethod
     def from_tuples(cls, name: str, attributes: Sequence[str],
@@ -483,6 +515,67 @@ class Relation:
     def as_set(self) -> frozenset[tuple[int, ...]]:
         """The tuple set as a frozenset (test helper; O(n) python objects)."""
         return frozenset(map(tuple, self.data.tolist()))
+
+
+class BlockLayout:
+    """A relation's rows in one column order, grouped into blocks.
+
+    Block ``b`` is the contiguous row range ``data[bounds[b]:bounds[b +
+    1]]``, lexsorted within, so a consumer of one block takes a slice —
+    no row index, no gather.  ``is_sorted_set`` says the rows are
+    distinct (every block is then a lexsorted set).  Built by
+    :meth:`Relation.block_layout`; read-only.
+    """
+
+    __slots__ = ("attributes", "data", "bounds", "is_sorted_set",
+                 "_groupings")
+
+    def __init__(self, attributes: tuple[str, ...], data: np.ndarray,
+                 bounds: np.ndarray, is_sorted_set: bool):
+        self.attributes = attributes
+        self.data = data
+        self.data.setflags(write=False)
+        self.bounds = bounds
+        self.is_sorted_set = is_sorted_set
+        self._groupings: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
+
+    def block(self, b: int) -> slice:
+        """Block ``b``'s row range."""
+        return slice(int(self.bounds[b]), int(self.bounds[b + 1]))
+
+    def grouping(self, key: Hashable,
+                 block_ids: Callable[[np.ndarray], np.ndarray],
+                 num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices of these rows under another grouping.
+
+        Returns ``(rows, bounds)``: group ``g`` is ``data[rows[bounds[g]:
+        bounds[g + 1]]]``, in lexicographic order, so its slices are as
+        sorted as this layout's blocks.  For a reader of the same rows
+        hashed on other columns (a self-join's second atom); memoized
+        per ``key`` until :meth:`keep_groupings` drops it.
+        """
+        found = self._groupings.get(key)
+        if found is not None:
+            return found
+        ids = block_ids(self.data)
+        if self.bounds.shape[0] <= 2 or self.data.shape[0] <= 1:
+            # One block (or row): the rows are lexsorted already.
+            lex = np.arange(self.data.shape[0], dtype=np.int64)
+        else:
+            (keys,) = row_keys(self.data)
+            lex = np.argsort(keys, kind="stable").astype(np.int64,
+                                                         copy=False)
+        found = (lex[np.argsort(ids[lex], kind="stable")],
+                 _block_bounds(ids, num_blocks))
+        self._groupings[key] = found
+        return found
+
+    def keep_groupings(self, keys: Iterable[Hashable]) -> None:
+        """Drop every memoized grouping but those of ``keys`` (a route
+        keeps the ones its own grid read).  The memo is swapped, never
+        shrunk in place, so a concurrent :meth:`grouping` is safe."""
+        held = self._groupings
+        self._groupings = {k: held[k] for k in keys if k in held}
 
 
 class JoinProbe:

@@ -20,11 +20,15 @@ Three implementations are modelled after Sec. V (Fig. 9):
   trie-build rate.
 
 All three move identical data — the implementations differ only in the
-accounted cost, exactly like the paper's Spark prototype.  Merge's
-pre-built tries are real on every implementation:
-:func:`repro.engines.one_round.routed_epoch` publishes each source
-lexsorted in its trie order, routing keeps that order (a stable sort by
-block id), and every cube slice reaches its worker as a sorted set.
+accounted cost, exactly like the paper's Spark prototype.  Pull's blocks
+and Merge's pre-built tries are real on every implementation:
+:func:`hcube_route` lays each source out grouped by block
+(:meth:`repro.data.relation.Relation.block_layout`, lexsorted within a
+block, in the trie order of the source's first atom, memoized on the
+relation per grid), so an (atom, cube) slice is one contiguous row
+range of what is published and reaches its worker as a sorted set.  A
+warm query neither hashes nor sorts; a worker copies only its own
+ranges.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..data.database import Database
-from ..data.relation import Relation
+from ..data.relation import BlockLayout, Relation
 from ..errors import OutOfMemory, PlanError
 from ..obs.tracing import current_tracer
 from ..query.query import Atom, JoinQuery
+from ..wcoj.leapfrog import trie_order
 from .metrics import HCUBE_IMPLS, ShuffleStats
 from .partitioner import Shares
 
@@ -199,17 +204,23 @@ class HypercubeGrid:
 class HCubeRouting:
     """Routing-only outcome of an HCube shuffle: assignments, not copies.
 
-    ``atom_rows[ai][cube]`` holds the row indices of atom ``ai``'s source
-    relation that belong to ``cube``.  No tuple is materialized — the
-    data plane (:mod:`repro.runtime.transport`) decides whether those
-    assignments become pickled partition matrices or shared-memory
-    descriptors; :meth:`materialize` copies them into per-cube
-    databases for callers that join cubes in-process.
+    ``layouts[ai]`` is the block layout of atom ``ai``'s source relation
+    (:meth:`~repro.data.relation.Relation.block_layout`; atoms over one
+    relation share it) and ``atom_rows[ai][cube]`` selects that atom's
+    rows for ``cube`` from it: a ``slice`` — the contiguous range of one
+    block — for an atom hashed as the layout is, row indices for one
+    hashed otherwise (a self-join's later atoms).  ``grid`` is over the
+    query with every atom's variables listed in its layout's column
+    order.  No tuple is copied — the data plane
+    (:mod:`repro.runtime.transport`) publishes the layouts and ships the
+    selections; :meth:`materialize` copies them into per-cube databases
+    for callers that join cubes in-process.
     """
 
     grid: HypercubeGrid
     impl: str
-    atom_rows: list[list[np.ndarray]]
+    layouts: list[BlockLayout]
+    atom_rows: list[list[slice | np.ndarray]]
     stats: ShuffleStats
     worker_loads: dict[int, int] = field(default_factory=dict)
     prebuilt_tries: bool = False
@@ -218,18 +229,27 @@ class HCubeRouting:
     def local_query(self) -> JoinQuery:
         return localized_query(self.grid.query)
 
-    def materialize(self, db: Database) -> "HCubeShuffleResult":
-        """Copy the routed rows into per-cube local databases."""
+    def rows_of(self, ai: int, cube: int) -> np.ndarray:
+        """Atom ``ai``'s rows for ``cube`` (a view for a range)."""
+        return self.layouts[ai].data[self.atom_rows[ai][cube]]
+
+    def materialize(self, db: Database | None = None
+                    ) -> "HCubeShuffleResult":
+        """Copy the routed rows into per-cube local databases.
+
+        The rows come from the routing's layouts; ``db`` is accepted for
+        compatibility and not read.
+        """
         query = self.grid.query
         num_cubes = self.grid.num_cubes
         cube_relations: list[list[Relation]] = [[] for _ in range(num_cubes)]
         for ai, atom in enumerate(query.atoms):
-            data = db[atom.relation].data
             local_name = local_atom_name(atom, ai)
+            known = self.layouts[ai].is_sorted_set
             for cube in range(num_cubes):
-                cube_relations[cube].append(
-                    Relation(local_name, atom.attributes,
-                             data[self.atom_rows[ai][cube]], dedup=False))
+                cube_relations[cube].append(Relation.wrap(
+                    local_name, atom.attributes,
+                    self.rows_of(ai, cube).copy(), known))
         return HCubeShuffleResult(
             grid=self.grid,
             impl=self.impl,
@@ -256,35 +276,43 @@ class HCubeShuffleResult:
         return localized_query(self.grid.query)
 
 
-def _route_atom(grid: HypercubeGrid, atom: Atom, data: np.ndarray,
-                impl: str, coords: Sequence[tuple[int, ...]]
-                ) -> tuple[list[np.ndarray], int, int, int, dict[int, int]]:
-    """Route one atom's tuples: rows per cube plus this atom's counters.
+def _block_key(grid: HypercubeGrid, atom: Atom) -> tuple:
+    """What an atom's block ids depend on: per column, its share and
+    hash salt, plus the hash function."""
+    return (tuple((grid.shares[a], grid.order.index(a))
+                  for a in atom.attributes), grid.hash_fn)
 
-    Returns ``(rows_per_cube, tuple_copies, blocks_fetched, bytes_copied,
-    worker_load_delta)``.  A block's rows keep their source order (the
-    sort by block id is stable), so a lexsorted source gives lexsorted
-    slices.
+
+def _select_atom(grid: HypercubeGrid, atom: Atom, layout: BlockLayout,
+                 key: tuple, blocks: Sequence[int]
+                 ) -> list[slice | np.ndarray]:
+    """``atom``'s rows of ``layout`` per cube, given its block per cube.
+
+    A range of the layout when ``atom`` is hashed as the layout is,
+    else row indices into it from a (memoized) regrouping.
     """
-    block_ids = grid.tuple_block_ids(atom, data)
-    order = np.argsort(block_ids, kind="stable")
-    boundaries = np.zeros(grid.num_blocks(atom) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(block_ids, minlength=grid.num_blocks(atom)),
-              out=boundaries[1:])
+    if key == _block_key(grid, atom):
+        return [layout.block(b) for b in blocks]
+    rows, bounds = layout.grouping(
+        _block_key(grid, atom),
+        lambda data: grid.tuple_block_ids(atom, data),
+        grid.num_blocks(atom))
+    return [rows[bounds[b]:bounds[b + 1]] for b in blocks]
 
-    def block_rows(block: int) -> np.ndarray:
-        return order[boundaries[block]:boundaries[block + 1]]
 
-    rows_per_cube: list[np.ndarray] = []
+def _atom_counters(grid: HypercubeGrid, atom: Atom, impl: str,
+                   blocks: Sequence[int],
+                   selections: Sequence[slice | np.ndarray], itemsize: int
+                   ) -> tuple[int, int, int, dict[int, int]]:
+    """One atom's ``(tuple_copies, blocks_fetched, bytes_copied,
+    worker_load_delta)`` under ``impl``."""
     tuple_copies = 0
     blocks_fetched = 0
     loads: dict[int, int] = {}
     seen_by_worker: dict[int, set[int]] = {}
-    for cube in range(grid.num_cubes):
-        block = grid.cube_block_id(atom, coords[cube])
-        rows = block_rows(block)
-        rows_per_cube.append(rows)
-        size = int(rows.shape[0])
+    for cube, (block, sel) in enumerate(zip(blocks, selections)):
+        size = (sel.stop - sel.start if isinstance(sel, slice)
+                else int(sel.shape[0]))
         worker = grid.worker_of_cube(cube)
         if impl == "push":
             # Tuple-at-a-time: every (tuple, cube) pair is a message.
@@ -300,23 +328,31 @@ def _route_atom(grid: HypercubeGrid, atom: Atom, data: np.ndarray,
                 loads[worker] = loads.get(worker, 0) + size
     # Bytes move at the relation's actual element width (an older
     # version hardcoded 8, over-counting narrow dtypes).
-    bytes_copied = tuple_copies * atom.arity * data.dtype.itemsize
-    return rows_per_cube, tuple_copies, blocks_fetched, bytes_copied, loads
+    return (tuple_copies, blocks_fetched,
+            tuple_copies * atom.arity * itemsize, loads)
 
 
 def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
                 impl: str = "pull",
                 memory_tuples: float | None = None,
-                routing_threads: int | None = None) -> HCubeRouting:
+                routing_threads: int | None = None,
+                order: Sequence[str] | None = None) -> HCubeRouting:
     """Compute per-cube routing assignments without copying any tuple.
 
     The only function that assigns tuples to workers: a hash partition
     on a join key is the grid whose whole share budget sits on that one
-    attribute.  Returns row indices per (atom, cube) plus the
-    :class:`ShuffleStats` / OOM accounting of the chosen implementation
-    — the modeled cluster's data movement does not depend on which
-    physical transport later carries it.  Cube-local relation names
-    follow :func:`local_atom_name`.
+    attribute.  Each source relation is laid out once per grid
+    (:meth:`~repro.data.relation.Relation.block_layout`, memoized on the
+    relation): columns in the trie order of its first atom under
+    ``order`` (its own column order when ``order`` is None), rows grouped
+    by that atom's block id and lexsorted within a block.  Returns those
+    layouts, a row range per (atom, cube) — row indices for a later atom
+    hashed on other columns — and the :class:`ShuffleStats` / OOM
+    accounting of the chosen implementation; the modeled cluster's data
+    movement does not depend on the layout or on which physical
+    transport later carries it.  The routing's grid keeps ``grid``'s
+    attribute order, so cubes, loads and counters are ``grid``'s.
+    Cube-local relation names follow :func:`local_atom_name`.
 
     ``routing_threads`` is accepted for compatibility and ignored:
     atoms route serially, in atom order (a per-call thread pool measured
@@ -326,9 +362,12 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
         raise PlanError(f"unknown HCube implementation {impl!r}")
     stats = ShuffleStats()
     num_cubes = grid.num_cubes
-    atom_rows: list[list[np.ndarray]] = []
     worker_loads: dict[int, int] = {w: 0 for w in range(grid.num_workers)}
     coords = [grid.coordinate_of(c) for c in range(num_cubes)]
+    sources: dict[str, tuple[BlockLayout, tuple]] = {}
+    atoms: list[Atom] = []
+    layouts: list[BlockLayout] = []
+    atom_rows: list[list[slice | np.ndarray]] = []
     tracer = current_tracer()
     with tracer.span("route", cat="route", impl=impl,
                      atoms=len(query.atoms), cubes=num_cubes):
@@ -340,14 +379,36 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
             with tracer.span("route_atom", cat="route",
                              atom=atom.relation,
                              tuples=int(rel.data.shape[0])):
-                rows_per_cube, copies, fetched, nbytes, loads = \
-                    _route_atom(grid, atom, rel.data, impl, coords)
+                if atom.relation not in sources:
+                    lead = atom if order is None else Atom(
+                        atom.relation, trie_order(atom.attributes, order))
+                    column = dict(zip(atom.attributes, rel.attributes))
+                    key = _block_key(grid, lead)
+                    sources[atom.relation] = (rel.block_layout(
+                        [column[v] for v in lead.attributes], key,
+                        lambda data: grid.tuple_block_ids(lead, data),
+                        grid.num_blocks(lead)), key)
+                layout, key = sources[atom.relation]
+                variable = dict(zip(rel.attributes, atom.attributes))
+                atom = Atom(atom.relation,
+                            [variable[c] for c in layout.attributes])
+                blocks = [grid.cube_block_id(atom, c) for c in coords]
+                selections = _select_atom(grid, atom, layout, key, blocks)
+            copies, fetched, nbytes, loads = _atom_counters(
+                grid, atom, impl, blocks, selections,
+                rel.data.dtype.itemsize)
             stats.tuple_copies += copies
             stats.blocks_fetched += fetched
             stats.bytes_copied += nbytes
             for worker, load in loads.items():
                 worker_loads[worker] += load
-            atom_rows.append(rows_per_cube)
+            atoms.append(atom)
+            layouts.append(layout)
+            atom_rows.append(selections)
+    # A layout keeps the regroupings of the last grid that read it.
+    for layout, _ in sources.values():
+        layout.keep_groupings({_block_key(grid, a) for a, held
+                               in zip(atoms, layouts) if held is layout})
 
     stats.max_worker_tuples = max(worker_loads.values(), default=0)
     if memory_tuples is not None:
@@ -356,12 +417,15 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
             if load * footprint > memory_tuples:
                 raise OutOfMemory(worker, int(load * footprint),
                                   int(memory_tuples))
+    if any(a.attributes != b.attributes for a, b in zip(atoms, query.atoms)):
+        grid = HypercubeGrid(JoinQuery(atoms, name=query.name), grid.shares,
+                             grid.num_workers, grid.hash_fn, order=grid.order)
     return HCubeRouting(
         grid=grid,
         impl=impl,
+        layouts=layouts,
         atom_rows=atom_rows,
         stats=stats,
         worker_loads=worker_loads,
         prebuilt_tries=(impl == "merge"),
     )
-

@@ -1,22 +1,22 @@
 """The routed epoch, and the one-round execution built on it.
 
 :func:`routed_epoch` is the only place the sequence *route → mint →
-run* is spelled: every source relation is taken lexsorted in the trie
-order of its first atom (:meth:`repro.data.relation.Relation.lexsorted`,
-sorted once per relation and order, then memoized),
-:func:`repro.distributed.hcube.hcube_route` assigns
-tuples to cubes (assignments only, timed as ``shuffle``; the stable sort
-by block id keeps every cube slice lexsorted),
-:func:`repro.runtime.scheduler.iter_routed_tasks` publishes the source
-columns through the executor's data-plane transport and streams workers
-per-cube descriptors — workers slice their own partitions, so under the
-``shm`` transport large arrays never cross the process boundary through
-pickle — and :func:`repro.runtime.scheduler.run_epoch` runs, merges and
-tears down.  What differs per engine is the grid and the kernel: HCubeJ,
-HCubeJ+Cache and ADJ take optimized shares (:func:`one_round_execute`,
-which also records what was moved and worked on the ledger), BigJoin
-spends the whole share budget on its order's first attribute, SparkSQL
-on a step's join key.
+run* is spelled: :func:`repro.distributed.hcube.hcube_route` lays every
+source relation out grouped by block, in the trie order of its first
+atom (sorted once per relation and grid, then memoized on the
+relation), and assigns each cube a row range of it (timed as
+``shuffle``);
+:func:`repro.runtime.scheduler.iter_routed_tasks` publishes those
+layouts through the executor's data-plane transport and streams workers
+per-cube range descriptors — workers copy their own partitions, so
+under the ``shm`` transport large arrays never cross the process
+boundary through pickle, and under ``tcp`` a worker fetches only its
+own ranges — and :func:`repro.runtime.scheduler.run_epoch` runs, merges
+and tears down.  What differs per engine is the grid and the kernel:
+HCubeJ, HCubeJ+Cache and ADJ take optimized shares
+(:func:`one_round_execute`, which also records what was moved and
+worked on the ledger), BigJoin spends the whole share budget on its
+order's first attribute, SparkSQL on a step's join key.
 
 One execution path, on every backend: measured wall-clock telemetry and
 physical data-plane stats are recorded next to the modeled ledger; with
@@ -34,22 +34,18 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..data.database import Database
-from ..data.relation import Relation
 from ..distributed.cluster import Cluster
 from ..distributed.hcube import HCubeRouting, HypercubeGrid, hcube_route
 from ..distributed.metrics import CostLedger, Moved, Work
 from ..distributed.partitioner import optimize_shares
-from ..errors import PlanError
 from ..kernels import select_kernel
-from ..query.query import Atom, JoinQuery
+from ..query.query import JoinQuery
 from ..runtime.executor import Executor
 from ..runtime.scheduler import MergedOutcome, iter_routed_tasks, run_epoch
 from ..runtime.telemetry import RuntimeTelemetry
-from ..wcoj.leapfrog import trie_order
 from .base import _resolve_executor
 
-__all__ = ["OneRoundOutcome", "one_round_execute", "routed_epoch",
-           "sorted_sources"]
+__all__ = ["OneRoundOutcome", "one_round_execute", "routed_epoch"]
 
 
 @dataclass
@@ -76,32 +72,6 @@ class OneRoundOutcome:
     data_plane: dict | None = None
 
 
-def sorted_sources(query: JoinQuery, db: Database, order: Sequence[str]
-                   ) -> tuple[JoinQuery, Database]:
-    """Every source of ``query`` lexsorted in its first atom's trie order.
-
-    Returns the query with each atom's variables relisted in its
-    source's new column order, and the database of those sources.  An
-    atom in its trie order over a set source then routes to slices that
-    are sorted sets its worker need not sort; an atom whose relation was
-    sorted for another atom's order is not, and its worker sorts.
-    """
-    sources: dict[str, Relation] = {}
-    atoms = []
-    for atom in query.atoms:
-        rel = db[atom.relation]
-        if rel.arity != atom.arity:
-            raise PlanError(f"atom {atom} does not match relation {rel.name}")
-        if atom.relation not in sources:
-            column = dict(zip(atom.attributes, rel.attributes))
-            sources[atom.relation] = rel.lexsorted(
-                [column[v] for v in trie_order(atom.attributes, order)])
-        variable = dict(zip(rel.attributes, atom.attributes))
-        atoms.append(Atom(atom.relation, [
-            variable[c] for c in sources[atom.relation].attributes]))
-    return JoinQuery(atoms, name=query.name), Database(sources.values())
-
-
 def routed_epoch(query: JoinQuery, db: Database, grid: HypercubeGrid,
                  order: Sequence[str], executor: Executor,
                  telemetry: RuntimeTelemetry, *, impl: str = "pull",
@@ -112,9 +82,10 @@ def routed_epoch(query: JoinQuery, db: Database, grid: HypercubeGrid,
                  ) -> tuple[HCubeRouting, MergedOutcome]:
     """Route ``query`` over ``grid``, mint one task per worker, run them.
 
-    The sources are taken sorted (:func:`sorted_sources`) and routed on
-    a grid with ``grid``'s attribute order, so cubes, loads and counters
-    are those of ``grid`` itself.  Routing is timed as ``shuffle``;
+    Every source is laid out in its first atom's trie order under
+    ``order`` (:func:`~repro.distributed.hcube.hcube_route`); cubes,
+    loads and counters are those of ``grid`` itself.  Routing is timed
+    as ``shuffle``;
     tasks then stream, so publishing/slicing later tasks (``publish``)
     overlaps the first workers' execution (``local_join``).  The
     transport epoch is torn down when the run finishes, successfully or
@@ -122,11 +93,8 @@ def routed_epoch(query: JoinQuery, db: Database, grid: HypercubeGrid,
     """
     order = tuple(order)
     with telemetry.measure("shuffle"):
-        query, db = sorted_sources(query, db, order)
-        grid = HypercubeGrid(query, grid.shares, grid.num_workers,
-                             grid.hash_fn, order=grid.order)
         routing = hcube_route(query, db, grid, impl=impl,
-                              memory_tuples=memory_tuples)
+                              memory_tuples=memory_tuples, order=order)
     merged = run_epoch(
         executor,
         iter_routed_tasks(routing, db, order, budget=budget,

@@ -10,8 +10,11 @@ Ops (see :mod:`repro.net.protocol` for the frame format):
 
 - ``PUT  {block, dtype, shape} + bytes`` — stage a block; duplicate ids
   are refused (block ids are single-assignment within an epoch).
-- ``GET  {block}`` — fetch a staged block; unknown ids are refused
-  (:class:`~repro.errors.BlockNotFound`), never answered with garbage.
+- ``GET  {block[, rows: [lo, hi]]}`` — fetch a staged block, or only
+  its rows ``[lo, hi)`` (sent straight from the stored bytes; only
+  those bytes count in ``bytes_out``); unknown ids are refused
+  (:class:`~repro.errors.BlockNotFound`) and out-of-range rows answered
+  ``ERR out-of-range``, never with garbage.
 - ``LIST`` — ids and sizes of everything currently held.
 - ``FREE {block}`` — release one block; double-frees are refused.
 - ``STAT`` — server-side counters (puts/gets/frees, bytes in/out), the
@@ -28,6 +31,7 @@ store leaves no listening port.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 from dataclasses import dataclass
@@ -39,6 +43,7 @@ from ..knobs import env
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer
+from ..runtime.transport import TaskFetches
 from .protocol import (
     OP_DATA,
     OP_ERR,
@@ -80,8 +85,9 @@ class BlockStoreServer(FrameServer):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
-        # block id -> (bytes, dtype str, shape tuple)
-        self._blocks: dict[str, tuple[bytes, str, tuple[int, ...]]] = {}
+        # block id -> (payload bytes, dtype str, shape tuple)
+        self._blocks: dict[str, tuple[bytes | bytearray, str,
+                                      tuple[int, ...]]] = {}
         self._store_lock = threading.Lock()
         self.stats = BlockStoreStats()
 
@@ -114,21 +120,7 @@ class BlockStoreServer(FrameServer):
                 self.stats.bytes_in += len(payload)
             send_frame(sock, OP_OK, {"block": block})
         elif op == OP_GET:
-            block = meta["block"]
-            with self._store_lock:
-                entry = self._blocks.get(block)
-                if entry is not None:
-                    self.stats.gets += 1
-                    self.stats.bytes_out += len(entry[0])
-            if entry is None:
-                send_frame(sock, OP_ERR,
-                           {"error": "not-found", "block": block,
-                            "message": "never put, or already freed"})
-            else:
-                data, dtype, shape = entry
-                send_frame(sock, OP_DATA,
-                           {"block": block, "dtype": dtype,
-                            "shape": list(shape)}, data)
+            self._get(sock, meta["block"], meta.get("rows"))
         elif op == OP_LIST:
             with self._store_lock:
                 listing = {b: len(e[0]) for b, e in self._blocks.items()}
@@ -148,6 +140,35 @@ class BlockStoreServer(FrameServer):
         else:
             return False
         return True
+
+    def _get(self, sock: socket.socket, block: str, rows) -> None:
+        """Answer a GET: the whole block, or its rows ``[lo, hi)``."""
+        with self._store_lock:
+            entry = self._blocks.get(block)
+        if entry is None:
+            send_frame(sock, OP_ERR,
+                       {"error": "not-found", "block": block,
+                        "message": "never put, or already freed"})
+            return
+        data, dtype, shape = entry
+        part = memoryview(data)
+        if rows is not None:
+            if not (isinstance(rows, list) and len(rows) == 2
+                    and all(type(r) is int for r in rows) and shape
+                    and 0 <= rows[0] <= rows[1] <= shape[0]):
+                send_frame(sock, OP_ERR,
+                           {"error": "out-of-range", "block": block,
+                            "message": f"rows {rows!r} are not a range "
+                                       f"of a block of shape {shape}"})
+                return
+            row_bytes = np.dtype(dtype).itemsize * math.prod(shape[1:])
+            part = part[rows[0] * row_bytes:rows[1] * row_bytes]
+            shape = (rows[1] - rows[0],) + tuple(shape[1:])
+        with self._store_lock:
+            self.stats.gets += 1
+            self.stats.bytes_out += part.nbytes
+        send_frame(sock, OP_DATA, {"block": block, "dtype": dtype,
+                                   "shape": list(shape)}, part)
 
     def stat_meta(self, meta: dict) -> dict:
         with self._store_lock:
@@ -173,19 +194,26 @@ def advertised_address(server: BlockStoreServer) -> tuple[str, int]:
 class BlockStoreClient(FrameClient):
     """One connection to a block store; methods mirror the ops.
 
-    No HELLO: every data-path connection (one per worker-side GET) would
-    pay the extra round trip.
+    No HELLO: every data-path connection (one per store per worker
+    task) would pay the extra round trip.
     """
 
     def put(self, block: str, array: np.ndarray) -> None:
         arr = np.ascontiguousarray(array)
         self.request(OP_PUT, {"block": block, "dtype": str(arr.dtype),
-                              "shape": list(arr.shape)}, arr.tobytes())
+                              "shape": list(arr.shape)},
+                     memoryview(arr).cast("B"))
 
-    def get(self, block: str) -> np.ndarray:
-        _op, meta, payload = self.request(OP_GET, {"block": block})
+    def get(self, block: str,
+            rows: tuple[int, int] | None = None) -> np.ndarray:
+        """The block, or its rows ``[lo, hi)``, as a read-only array."""
+        request = {"block": block}
+        if rows is not None:
+            request["rows"] = [int(rows[0]), int(rows[1])]
+        _op, meta, payload = self.request(OP_GET, request)
         arr = np.frombuffer(payload, dtype=np.dtype(meta["dtype"]))
-        return arr.reshape(tuple(meta["shape"]))   # read-only view
+        arr.setflags(write=False)
+        return arr.reshape(tuple(meta["shape"]))
 
     def list(self) -> dict[str, int]:
         _op, meta, _ = self.request(OP_LIST)
@@ -198,38 +226,56 @@ class BlockStoreClient(FrameClient):
 # -- worker-side fetch --------------------------------------------------------
 
 def fetch_block_array(host: str, port: int, block: str, *,
+                      rows: tuple[int, int] | None = None,
                       shape: tuple[int, ...] | None = None,
                       dtype: np.dtype | None = None,
-                      memo: dict | None = None) -> np.ndarray:
-    """GET ``block`` from the store at ``(host, port)``.
+                      memo: TaskFetches | None = None) -> np.ndarray:
+    """GET ``block`` — or only its rows ``[lo, hi)`` — from the store at
+    ``(host, port)``.
 
     Returns a read-only array (callers slice or copy — exactly what
     :func:`repro.runtime.transport.resolve_array_ref` does).  ``memo``
-    is the caller's dict of blocks already fetched: one
+    is the caller's :class:`~repro.runtime.transport.TaskFetches`: one
     :class:`~repro.runtime.worker.WorkerTask` carries a ref per (atom,
-    cube), so a task passes one memo and GETs each block once.  Block
-    ids are single-use (each epoch publishes fresh ones), so nothing is
-    kept past the memo's owner.  ``shape`` and ``dtype`` are
+    cube), so a task passes one memo, GETs each block or range once (a
+    range of a block it already holds is sliced locally) and reuses one
+    connection per store.  Without a memo the GET dials and closes its
+    own connection.  ``shape`` (the whole block's) and ``dtype`` are
     cross-checked against the server's metadata when given: a mismatch
     means the descriptor and the store disagree, which is a protocol bug
     worth failing loudly on.
     """
-    key = (host, port, block)
-    arr = memo.get(key) if memo is not None else None
+    if rows is not None:
+        rows = (int(rows[0]), int(rows[1]))
+    fetched = memo.arrays if memo is not None else {}
+    arr = fetched.get((host, port, block, rows))
+    if arr is None and (host, port, block, None) in fetched:
+        arr = fetched[(host, port, block, None)][rows[0]:rows[1]]
     if arr is not None:
         METRICS.counter("net.fetch_cache_hits").inc()
     else:
-        with current_tracer().span("fetch_block", cat="net",
-                                   block=block, store=f"{host}:{port}"):
-            with BlockStoreClient(host, port) as client:
-                arr = client.get(block)
+        with current_tracer().span("fetch_block", cat="net", block=block,
+                                   store=f"{host}:{port}",
+                                   rows=list(rows) if rows else None):
+            if memo is None:
+                with BlockStoreClient(host, port) as client:
+                    arr = client.get(block, rows)
+            else:
+                client = memo.clients.get((host, port))
+                if client is None:
+                    client = memo.clients[(host, port)] = \
+                        BlockStoreClient(host, port)
+                arr = client.get(block, rows)
         METRICS.counter("net.fetched_blocks").inc()
         METRICS.counter("net.fetched_bytes").inc(arr.nbytes)
         if memo is not None:
-            memo[key] = arr
-    if shape is not None and tuple(arr.shape) != tuple(shape):
-        raise NetError(f"block {block!r}: descriptor shape {tuple(shape)} "
-                       f"!= stored shape {tuple(arr.shape)}")
+            memo.arrays[(host, port, block, rows)] = arr
+    if shape is not None:
+        want = tuple(shape) if rows is None else \
+            (rows[1] - rows[0],) + tuple(shape[1:])
+        if tuple(arr.shape) != want:
+            raise NetError(f"block {block!r}: descriptor shape {want} "
+                           f"!= stored shape {tuple(arr.shape)}")
     if dtype is not None and arr.dtype != np.dtype(dtype):
         raise NetError(f"block {block!r}: descriptor dtype {dtype} "
                        f"!= stored dtype {arr.dtype}")

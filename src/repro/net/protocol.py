@@ -86,8 +86,11 @@ _HEADER = struct.Struct("!BI")        # opcode, meta_len
 
 
 def send_frame(sock: socket.socket, op: int, meta: dict | None = None,
-               payload: bytes = b"") -> None:
-    """Serialize and send one frame (single ``sendall`` per part)."""
+               payload: bytes | bytearray | memoryview = b"") -> None:
+    """Serialize and send one frame (single ``sendall`` per part).
+
+    ``payload`` is any bytes-like object; a memoryview (of bytes, not
+    cast to a wider format) is sent without a copy."""
     meta_bytes = json.dumps(meta or {}, separators=(",", ":")).encode()
     length = _HEADER.size + len(meta_bytes) + len(payload)
     if length > MAX_FRAME_BYTES:
@@ -99,38 +102,47 @@ def send_frame(sock: socket.socket, op: int, meta: dict | None = None,
         sock.sendall(payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes; EOFError on clean close at offset 0."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if remaining == n:
-                # repro: lint-ignore[error-taxonomy] clean close at frame boundary is stream-end protocol, which is exactly what EOFError means
-                raise EOFError("connection closed")
-            raise NetError(f"truncated frame: peer closed with "
-                           f"{remaining} of {n} bytes missing")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes straight into one new buffer.
+
+    ``EOFError`` on a clean close at offset 0.
+    """
+    buf = bytearray(n)
+    got = 0
+    with memoryview(buf) as view:
+        while got < n:
+            k = sock.recv_into(view[got:])
+            if not k:
+                if got == 0:
+                    # repro: lint-ignore[error-taxonomy] clean close at frame boundary is stream-end protocol, which is exactly what EOFError means
+                    raise EOFError("connection closed")
+                raise NetError(f"truncated frame: peer closed with "
+                               f"{n - got} of {n} bytes missing")
+            got += k
+    return buf
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, dict, bytes]:
-    """Read one frame; ``EOFError`` on clean close between frames."""
+def recv_frame(sock: socket.socket) -> tuple[int, dict, bytearray]:
+    """Read one frame; ``EOFError`` on clean close between frames.
+
+    The body is received into one buffer, and the payload is that buffer
+    with its header dropped in place (a bytearray drops a prefix without
+    copying), so a payload is copied once: off the socket.
+    """
     (length,) = _PREFIX.unpack(_recv_exact(sock, _PREFIX.size))
     if not _HEADER.size <= length <= MAX_FRAME_BYTES:
         raise NetError(f"invalid frame length {length}")
     body = _recv_exact(sock, length)
     op, meta_len = _HEADER.unpack_from(body)
-    if _HEADER.size + meta_len > length:
+    start = _HEADER.size + meta_len
+    if start > length:
         raise NetError("invalid frame: meta_len exceeds frame length")
-    meta_bytes = body[_HEADER.size:_HEADER.size + meta_len]
     try:
-        meta = json.loads(meta_bytes) if meta_len else {}
+        meta = json.loads(body[_HEADER.size:start]) if meta_len else {}
     except ValueError as exc:
         raise NetError(f"invalid frame meta: {exc}") from None
-    return op, meta, body[_HEADER.size + meta_len:]
+    del body[:start]
+    return op, meta, body
 
 
 def request(sock: socket.socket, op: int, meta: dict | None = None,

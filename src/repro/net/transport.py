@@ -5,14 +5,15 @@ the engines and the executors need zero protocol changes: ``publish``
 PUTs each source array into a :class:`~repro.net.blockstore.BlockStore
 Server` (owned by this transport by default, or an external one shared
 by several coordinators), and ``make_ref`` mints descriptors carrying
-``(host, port, block_id, dtype, shape, rows)`` — workers anywhere fetch
-the block over TCP and slice their own partitions.
+``(host, port, block_id, dtype, shape)`` plus a row range or row
+indices — workers anywhere fetch their own ranges over TCP (or a whole
+block, to gather its indexed rows).
 
 Epoch lifecycle (mirrors the shm rules in docs/data_plane.md):
 
 - ``publish`` lazily stands the store up (or connects to the external
   one) and stages each key exactly once under a fresh uuid-suffixed
-  block id — ids are single-use, so worker-side fetch caches can never
+  block id — ids are single-use, so a worker task's fetch memo can never
   serve a stale epoch.
 - ``teardown`` collects the server's GET counters into
   ``stats.fetched_blocks``/``fetched_bytes`` (what workers physically
@@ -133,20 +134,13 @@ class TcpTransport(Transport):
             self.stats.published_bytes += int(arr.nbytes)
         return key
 
-    def make_ref(self, key: str, rows: np.ndarray | None = None
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
                  ) -> ArrayRef:
         with self._lock:
             block, shape, dtype = self._meta[key]
-        rows = self._normalize_rows(rows)
-        if block is None or (rows is not None and rows.shape[0] == 0):
-            empty_shape = ((0,) + shape[1:]) if rows is not None else shape
-            ref = ArrayRef(kind="inline", shape=empty_shape, dtype=dtype,
-                           data=np.empty(empty_shape, dtype=np.dtype(dtype)))
-        else:
-            host, port = self._addr
-            ref = ArrayRef(kind="tcp", shape=shape, dtype=dtype,
-                           block=block, rows=rows, host=host, port=port)
-        return self._record_shipped(ref)
+        host, port = self._addr
+        return self._staged_ref("tcp", block, shape, dtype, rows,
+                                host=host, port=port)
 
     def teardown(self) -> None:
         with self._lock:

@@ -68,22 +68,24 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
                       materialize: bool = False) -> Iterator[WorkerTask]:
     """Stream worker tasks: yield each task as soon as its refs exist.
 
-    The pipelined-epoch task source.  Source relations are published
-    lazily — each the first time one of its refs is minted — and a
-    worker's :class:`~repro.runtime.worker.WorkerTask` is yielded the
-    moment all of its descriptors are mintable, so an executor consuming
-    this generator through
+    The pipelined-epoch task source.  The routing's source layouts are
+    published lazily — each the first time one of its refs is minted —
+    and a worker's :class:`~repro.runtime.worker.WorkerTask` is yielded
+    the moment all of its descriptors are mintable, so an executor
+    consuming this generator through
     :meth:`~repro.runtime.executor.Executor.submit_tasks` starts
     executing the first workers' tasks while later tasks are still
-    being published and sliced.  Each source relation is published
-    exactly once; tasks carry one
-    :class:`~repro.runtime.transport.ArrayRef` per (atom, cube) instead
-    of a materialized partition matrix, so partitioning happens on the
-    worker that owns the cube.  A task flags, per atom, the slices that
-    arrive as sorted sets in the atom's trie order — a source that
-    :attr:`~repro.data.relation.Relation.is_sorted_set` under an atom
-    listed in trie order (routing keeps row order) — and its worker
-    skips their sort.
+    being published.  Each source relation is published exactly once,
+    in its block layout (``routing.layouts``); tasks carry one
+    :class:`~repro.runtime.transport.ArrayRef` per (atom, cube) — a row
+    range of that layout, or row indices for an atom hashed otherwise —
+    instead of a materialized partition matrix, so partitioning happens
+    on the worker that owns the cube.  A task flags, per atom, the
+    slices that arrive as sorted sets in the atom's trie order — a
+    layout of distinct rows whose column order is the atom's trie order
+    (every block, and every regrouped slice, is lexsorted) — and its
+    worker skips their sort.  ``db`` is accepted for compatibility: the
+    routing carries the layouts it selects from.
 
     ``budget`` is the engine's *global* intersection-work cap; each task
     receives it whole and the coordinator re-checks the summed work after
@@ -104,9 +106,9 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     order = tuple(order)
     num_atoms = len(query.atoms)
     sorted_atoms = tuple(
-        db[a.relation].is_sorted_set
+        layout.is_sorted_set
         and a.attributes == trie_order(a.attributes, order)
-        for a in query.atoms)
+        for a, layout in zip(query.atoms, routing.layouts))
     keys: dict[int, str] = {}
     # Per-query epoch id (stamped on ExecutorView transports): namespace
     # publish keys so interleaved epochs from concurrent queries sharing
@@ -117,9 +119,9 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     def key_for(ai: int) -> str:
         key = keys.get(ai)
         if key is None:
-            atom = query.atoms[ai]
-            key = transport.publish(f"{prefix}rel:{atom.relation}",
-                                    db[atom.relation].data)
+            key = transport.publish(
+                f"{prefix}rel:{query.atoms[ai].relation}",
+                routing.layouts[ai].data)
             keys[ai] = key
         return key
 

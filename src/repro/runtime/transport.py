@@ -8,7 +8,9 @@ copy-heavy data plane the HCube design is meant to avoid.  A
 
 - ``publish(key, array)`` stages a *source* array once, coordinator-side;
 - ``make_ref(key, rows)`` mints a small picklable :class:`ArrayRef`
-  descriptor selecting a row subset of the published array;
+  descriptor selecting rows of the published array — a contiguous
+  range (a ``slice``: what a block-grouped source's cube needs) or row
+  indices;
 - :func:`resolve_array_ref` (top-level, spawn-safe) turns a descriptor
   back into a concrete array on the worker.
 
@@ -20,21 +22,22 @@ Three backends, looked up through :data:`TRANSPORTS` (a
   pickled across the process boundary).
 - :class:`SharedMemoryTransport` — each source array is copied once into
   a ``multiprocessing.shared_memory`` block; descriptors carry only
-  ``(block name, dtype, shape, row indices)``, so large matrices cross
-  the process boundary zero-copy and workers slice their own partitions
-  locally.  Partitioning work moves off the coordinator.
+  ``(block name, dtype, shape, row range | row indices)``, so large
+  matrices cross the process boundary zero-copy and workers copy their
+  own partitions locally.  Partitioning work moves off the coordinator.
 - ``tcp`` (:class:`repro.net.transport.TcpTransport`, registered lazily
   so importing this module never opens a socket) — sources are PUT into
   a TCP block store and descriptors carry ``(host, port, block_id,
-  dtype, shape, rows)``, so *remote* workers fetch and slice their own
-  partitions.  The multi-machine data plane; see docs/net.md.
+  dtype, shape, row range | row indices)``, so *remote* workers fetch
+  their own ranges (or whole blocks to slice).  The multi-machine data
+  plane; see docs/net.md.
 
 Lifetime rules (see docs/data_plane.md): the coordinator owns every
 segment it publishes; ``teardown()`` closes and unlinks all of them and
 is idempotent.  Executors call it from ``close()`` so segments are
 reclaimed even when a worker task crashes mid-run.  Workers must *copy*
 what they need out of a segment before returning (``resolve_array_ref``
-does — fancy indexing copies) and never unlink.
+does) and never unlink.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from ..registry import Registry
 __all__ = [
     "REF_HEADER_BYTES",
     "ArrayRef",
+    "TaskFetches",
     "resolve_array_ref",
     "TransportStats",
     "Transport",
@@ -66,7 +70,7 @@ __all__ = [
 ]
 
 #: Accounted fixed size of one descriptor (kind, block name, dtype,
-#: shape) — the part of a ref that is not the payload.
+#: shape, row range) — the part of a ref that is not the payload.
 REF_HEADER_BYTES = 64
 
 
@@ -76,10 +80,13 @@ class ArrayRef:
 
     ``kind == "inline"`` carries the partition in ``data`` (the pickle
     data plane); ``kind == "shm"`` carries only the segment name plus the
-    row selection, and the worker slices the shared block itself;
+    row selection, and the worker copies it out of the shared block;
     ``kind == "tcp"`` additionally carries the block store's ``(host,
-    port)`` so workers on *other machines* fetch the block over a socket
-    and slice locally.
+    port)`` so workers on *other machines* fetch it over a socket.  The
+    selection ``rows`` is a ``slice`` — a row range ``[lo, hi)``,
+    header-only — or row indices; ``None`` means the whole array.  (A
+    range rides in ``rows`` so that no resolver reads it as the whole
+    array: one built before ranges fails on the slice instead.)
     """
 
     kind: str                          # "inline" | "shm" | "tcp"
@@ -87,12 +94,14 @@ class ArrayRef:
     dtype: str
     data: np.ndarray | None = None     # inline payload (already sliced)
     block: str | None = None           # segment name / block-store id
-    rows: np.ndarray | None = None     # row indices into the source
+    rows: slice | np.ndarray | None = None  # row range or indices
     host: str | None = None            # block store address (tcp only)
     port: int | None = None
 
     @property
     def num_rows(self) -> int:
+        if isinstance(self.rows, slice):
+            return self.rows.stop - self.rows.start
         if self.rows is not None:
             return int(self.rows.shape[0])
         if self.data is not None:
@@ -105,9 +114,34 @@ class ArrayRef:
         size = REF_HEADER_BYTES
         if self.data is not None:
             size += int(self.data.nbytes)
-        if self.rows is not None:
+        if isinstance(self.rows, np.ndarray):
             size += int(self.rows.nbytes)
         return size
+
+
+class TaskFetches:
+    """What one worker task fetched from tcp block stores.
+
+    ``arrays`` maps ``(host, port, block, row range | None)`` to the
+    array fetched, so each block or range is fetched once per task;
+    ``clients`` holds one open connection per store ``(host, port)``.
+    Block ids are single-use (each epoch publishes fresh ones), so
+    nothing here outlives its task: the worker calls :meth:`close` when
+    the task ends.  Plain data, so this module never imports
+    :mod:`repro.net`.
+    """
+
+    __slots__ = ("arrays", "clients")
+
+    def __init__(self):
+        self.arrays: dict[tuple, np.ndarray] = {}
+        self.clients: dict[tuple[str, int], object] = {}
+
+    def close(self) -> None:
+        """Close every connection this task opened."""
+        clients, self.clients = self.clients, {}
+        for client in clients.values():
+            client.close()
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -129,14 +163,16 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def resolve_array_ref(ref, blocks: dict | None = None) -> np.ndarray:
+def resolve_array_ref(ref, fetches: TaskFetches | None = None
+                      ) -> np.ndarray:
     """Materialize a descriptor into a concrete array (worker-side).
 
     Top-level and self-contained on purpose (spawn-safe).  Accepts plain
     ndarrays unchanged so legacy payloads keep working.  The returned
     array never aliases shared memory — workers may outlive segments.
-    ``blocks`` is the caller's memo of tcp blocks already fetched (one
-    task keeps one, so each block is fetched once per task).
+    ``fetches`` is the caller's :class:`TaskFetches` (one task keeps
+    one: each tcp block or range is fetched once per task, over one
+    connection per store).
     """
     if isinstance(ref, np.ndarray):
         return ref
@@ -153,11 +189,16 @@ def resolve_array_ref(ref, blocks: dict | None = None) -> np.ndarray:
         with current_tracer().span("resolve_ref", cat="transport",
                                    kind="tcp", block=ref.block,
                                    rows=ref.num_rows):
-            arr = fetch_block_array(ref.host, ref.port, ref.block,
-                                    shape=ref.shape,
-                                    dtype=np.dtype(ref.dtype), memo=blocks)
-            # The fetched block is read-only and may be memoized; fancy
-            # indexing copies, .copy() covers the whole-array case.
+            ranged = isinstance(ref.rows, slice)
+            arr = fetch_block_array(
+                ref.host, ref.port, ref.block,
+                rows=(ref.rows.start, ref.rows.stop) if ranged else None,
+                shape=ref.shape, dtype=np.dtype(ref.dtype), memo=fetches)
+            # A fetched range arrives as this process's own read-only
+            # buffer; a whole block may be memoized, so its selection is
+            # copied (fancy indexing copies, .copy() the whole array).
+            if ranged:
+                return arr
             return arr[ref.rows] if ref.rows is not None else arr.copy()
     if ref.kind != "shm":
         raise ConfigError(f"unknown ArrayRef kind {ref.kind!r}")
@@ -168,8 +209,11 @@ def resolve_array_ref(ref, blocks: dict | None = None) -> np.ndarray:
         try:
             view = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
                               buffer=seg.buf)
-            # Fancy indexing copies; .copy() covers the whole-array case.
-            arr = view[ref.rows] if ref.rows is not None else view.copy()
+            rows = slice(None) if ref.rows is None else ref.rows
+            # Fancy indexing copies; a slice is a view, so copy it.
+            arr = view[rows]
+            if isinstance(rows, slice):
+                arr = arr.copy()
         finally:
             seg.close()
     return arr
@@ -182,7 +226,8 @@ class TransportStats:
     ``published_bytes`` are bytes staged into shared/remote blocks (one
     memcpy per source array; shm and tcp only); ``shipped_bytes`` are
     bytes that enter pickled task payloads — full partitions under
-    pickle, descriptor bytes (row indices + header) under shm/tcp.  The
+    pickle, descriptor bytes (a header, plus row indices for an index
+    selection) under shm/tcp.  The
     acceptance check for the descriptor-only planes is
     ``shipped_bytes(shm|tcp) < shipped_bytes(pickle)`` on the same run.
 
@@ -250,9 +295,10 @@ class Transport(ABC):
         """Stage ``array`` under ``key`` (idempotent per key)."""
 
     @abstractmethod
-    def make_ref(self, key: str, rows: np.ndarray | None = None
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
                  ) -> ArrayRef:
-        """A descriptor for ``rows`` of the array published under ``key``."""
+        """A descriptor for ``rows`` of the array published under ``key``:
+        a ``slice`` row range, row indices, or None for all rows."""
 
     def teardown(self) -> None:
         """Release everything published this epoch (idempotent).
@@ -296,10 +342,34 @@ class Transport(ABC):
         return ref
 
     @staticmethod
-    def _normalize_rows(rows) -> np.ndarray | None:
+    def _selection(rows: slice | np.ndarray | None
+                   ) -> slice | np.ndarray | None:
+        """A :meth:`make_ref` selection as a ref carries it: a ``slice``
+        of plain ints, contiguous int64 row indices, or None (all rows)."""
         if rows is None:
             return None
+        if isinstance(rows, slice):
+            return slice(int(rows.start), int(rows.stop))
         return np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
+
+    def _staged_ref(self, kind: str, block: str | None,
+                    shape: tuple[int, ...], dtype: str,
+                    rows: slice | np.ndarray | None,
+                    **where) -> ArrayRef:
+        """A descriptor into a staged block (``None``: an empty array),
+        inline when it selects no row; shm and tcp mint through it."""
+        rows = self._selection(rows)
+        selected = (None if rows is None
+                    else rows.stop - rows.start if isinstance(rows, slice)
+                    else rows.shape[0])
+        if block is None or selected == 0:
+            empty_shape = shape if selected is None else (0,) + shape[1:]
+            ref = ArrayRef(kind="inline", shape=empty_shape, dtype=dtype,
+                           data=np.empty(empty_shape, dtype=np.dtype(dtype)))
+        else:
+            ref = ArrayRef(kind=kind, shape=shape, dtype=dtype, block=block,
+                           rows=rows, **where)
+        return self._record_shipped(ref)
 
 
 class PickleTransport(Transport):
@@ -320,12 +390,15 @@ class PickleTransport(Transport):
                     self._published[key] = np.ascontiguousarray(array)
         return key
 
-    def make_ref(self, key: str, rows: np.ndarray | None = None
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
                  ) -> ArrayRef:
         with self._lock:
             src = self._published[key]
-        rows = self._normalize_rows(rows)
-        part = src if rows is None else np.ascontiguousarray(src[rows])
+        rows = self._selection(rows)
+        if isinstance(rows, slice):
+            part = src[rows]                # contiguous: pickles the range
+        else:
+            part = src if rows is None else np.ascontiguousarray(src[rows])
         ref = ArrayRef(kind="inline", shape=tuple(part.shape),
                        dtype=str(part.dtype), data=part)
         return self._record_shipped(ref)
@@ -381,19 +454,11 @@ class SharedMemoryTransport(Transport):
             self.stats.published_bytes += int(arr.nbytes)
         return key
 
-    def make_ref(self, key: str, rows: np.ndarray | None = None
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
                  ) -> ArrayRef:
         with self._lock:
             block, shape, dtype = self._meta[key]
-        rows = self._normalize_rows(rows)
-        if block is None or (rows is not None and rows.shape[0] == 0):
-            empty_shape = ((0,) + shape[1:]) if rows is not None else shape
-            ref = ArrayRef(kind="inline", shape=empty_shape, dtype=dtype,
-                           data=np.empty(empty_shape, dtype=np.dtype(dtype)))
-        else:
-            ref = ArrayRef(kind="shm", shape=shape, dtype=dtype,
-                           block=block, rows=rows)
-        return self._record_shipped(ref)
+        return self._staged_ref("shm", block, shape, dtype, rows)
 
     def teardown(self) -> None:
         with self._lock:

@@ -55,7 +55,7 @@ from ..kernels import create_kernel
 from ..obs.tracing import current_tracer, set_thread_tracer, task_tracer
 from ..query.query import JoinQuery
 from ..wcoj.leapfrog import LeapfrogStats
-from .transport import resolve_array_ref
+from .transport import TaskFetches, resolve_array_ref
 
 __all__ = ["WorkerTask", "WorkerTaskResult", "execute_worker_task"]
 
@@ -164,14 +164,14 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
                               level_tuples=[0] * num_levels)
     rows: list[np.ndarray] = []
     sorted_atoms = task.sorted_atoms or (False,) * len(task.query.atoms)
-    # Blocks fetched over tcp, kept for this task only: one GET per block.
-    blocks: dict = {}
+    # What this task fetched over tcp, and its one connection per store.
+    fetches = TaskFetches()
     try:
         kernel = create_kernel(task.kernel)
         for refs in task.cubes:
             db = Database(
                 Relation.wrap(atom.relation, atom.attributes,
-                              resolve_array_ref(ref, blocks), known)
+                              resolve_array_ref(ref, fetches), known)
                 for atom, ref, known in zip(task.query.atoms, refs,
                                             sorted_atoms))
             remaining = None
@@ -216,6 +216,8 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
             f"{type(exc).__name__}: {exc}",
             traceback.format_exc(limit=5),
         )
+    finally:
+        fetches.close()
     result.total_seconds = time.perf_counter() - start
     # The whole-task span is synthesized after the fact so it can carry
     # the task's outcome (count, groups run, failure mode) in its args.

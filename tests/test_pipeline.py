@@ -282,10 +282,10 @@ class TestStreamedScheduler:
         threaded = hcube_route(query, db, grid, routing_threads=4)
         assert serial.stats == threaded.stats
         assert serial.worker_loads == threaded.worker_loads
-        for a_serial, a_threaded in zip(serial.atom_rows,
-                                        threaded.atom_rows):
-            for r_serial, r_threaded in zip(a_serial, a_threaded):
-                np.testing.assert_array_equal(r_serial, r_threaded)
+        for ai in range(len(query.atoms)):
+            for cube in range(grid.num_cubes):
+                np.testing.assert_array_equal(serial.rows_of(ai, cube),
+                                              threaded.rows_of(ai, cube))
 
     def test_itemsize_respected_in_bytes_accounting(self):
         """Satellite: bytes_copied uses the relation's real dtype width,
@@ -294,16 +294,16 @@ class TestStreamedScheduler:
         rng = np.random.default_rng(5)
         edges64 = rng.integers(0, 30, size=(200, 2))
 
-        class StubRel:
-            def __init__(self, name, data):
-                self.name, self.data, self.arity = name, data, 2
-
         class StubDB:
+            """Relations whose rows are stored at ``dtype`` width."""
+
             def __init__(self, dtype):
                 self.dtype = dtype
 
             def __getitem__(self, name):
-                return StubRel(name, edges64.astype(self.dtype))
+                rel = Relation(name, ("src", "dst"), edges64, dedup=False)
+                rel.data = edges64.astype(self.dtype)
+                return rel
 
         grid = HypercubeGrid(query, {a: 2 for a in query.attributes}, 4)
         wide = hcube_route(query, StubDB(np.int64), grid)
@@ -324,10 +324,11 @@ class _DrainFirst(ExecutorView):
 
 
 #: data_plane keys that must be identical between the two dispatch
-#: orders (fetch counters are excluded: worker-side tcp fetch caching is
-#: per-process and timing-dependent under streaming).
+#: orders.  Fetch counters are among them: a worker's fetch memo lives
+#: for one task, so what a task GETs does not depend on when it runs.
 _PLANE_KEYS = ("published_blocks", "published_bytes", "shipped_refs",
-               "shipped_bytes", "transport")
+               "shipped_bytes", "fetched_blocks", "fetched_bytes",
+               "transport")
 
 
 class TestPipelineParity:

@@ -137,7 +137,7 @@ class TestHCubeProperties:
             data = db[atom.relation].data
             blocks = grid.tuple_block_ids(atom, data)
             for cube in range(grid.num_cubes):
-                routed = data[routing.atom_rows[ai][cube]]
+                routed = routing.rows_of(ai, cube)
                 # Independent oracle: direct block-id membership filter.
                 want = data[blocks == grid.cube_block_id(atom,
                                                          coords[cube])]

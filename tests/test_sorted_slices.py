@@ -1,13 +1,13 @@
 """The sorted-slice contract of the routed epoch.
 
-Every source relation is lexsorted once, on the coordinator, in the trie
-order of its first atom (:meth:`Relation.lexsorted`, memoized);
-routing keeps row order, so each (atom, cube) slice of an atom in that
-order arrives as a sorted set and its worker does not sort it again
-(``WorkerTask.sorted_atoms``).  Cubes, loads and every counter stay
-those of the unsorted routing.  Atoms that read a relation in another
-atom's column order, and sources that are not sets, are left
-unflagged and sort on the worker as before.
+Every source relation is laid out once, on the coordinator, in the trie
+order of its first atom and grouped by that atom's block id
+(:meth:`Relation.block_layout`, lexsorted within a block, memoized);
+each (atom, cube) slice of an atom in that order arrives as a sorted set
+and its worker does not sort it again (``WorkerTask.sorted_atoms``).
+Cubes, loads and every counter stay those of the unsorted routing.
+Atoms that read a relation in another atom's column order, and sources
+that are not sets, are left unflagged and sort on the worker as before.
 """
 
 import threading
@@ -21,7 +21,7 @@ from repro import JoinSession
 from repro.data import Database, Relation
 from repro.distributed import HypercubeGrid, hcube_route
 from repro.engines import registry
-from repro.engines.one_round import routed_epoch, sorted_sources
+from repro.engines.one_round import routed_epoch
 from repro.knobs import env
 from repro.net import WorkerAgent
 from repro.query import Atom, JoinQuery
@@ -90,27 +90,42 @@ class WorkerSorts:
         monkeypatch.setattr(relation_module, "_sorted_rows", sort)
 
 
-def _route(query, db, workers=3):
+def _route(query, db, workers=3, order=None):
     grid = HypercubeGrid(query, {"a": 2, "b": 2, "c": 1}, workers)
-    return grid, hcube_route(query, db, grid)
+    return grid, hcube_route(query, db, grid, order=order)
+
+
+def _one_block(rows):
+    return np.zeros(rows.shape[0], dtype=np.uint8)
 
 
 # -- the pieces ---------------------------------------------------------------
 
 class TestLexsorted:
+    """The block layout is the one coordinator-side sort."""
+
     def test_sorts_once_per_order_and_keeps_duplicates(self):
         rel = Relation("E", ("x", "y"), [[2, 1], [1, 5], [2, 1], [1, 0]],
                        dedup=False)
-        flipped = rel.lexsorted(("y", "x"))
-        assert flipped is rel.lexsorted(("y", "x"))
+        flipped = rel.block_layout(("y", "x"), "one", _one_block, 1)
+        assert flipped is rel.block_layout(("y", "x"), "one", _one_block, 1)
         assert flipped.data.tolist() == [[0, 1], [1, 2], [1, 2], [5, 1]]
         assert not flipped.is_sorted_set           # (1, 2) twice
         unique = Relation("E", ("x", "y"), [[2, 1], [1, 5]], dedup=False)
-        assert unique.lexsorted(("x", "y")).is_sorted_set
+        assert unique.block_layout(("x", "y"), "one", _one_block,
+                                   1).is_sorted_set
+        # Two blocks by parity of y: each block is a lexsorted range.
+        parity = rel.block_layout(("x", "y"), "parity",
+                                  lambda rows: (rows[:, 1] % 2)
+                                  .astype(np.uint8), 2)
+        assert parity.data.tolist() == [[1, 0], [1, 5], [2, 1], [2, 1]]
+        assert parity.bounds.tolist() == [0, 1, 4]
+        assert parity.block(1) == slice(1, 4)
 
     def test_a_sorted_set_in_that_order_is_itself(self):
         rel = Relation("E", ("x", "y"), [[2, 1], [1, 5]])
-        assert rel.lexsorted(("x", "y")) is rel
+        layout = rel.block_layout(("x", "y"), "one", _one_block, 1)
+        assert layout.data is rel.data and layout.is_sorted_set
 
     def test_block_ids_are_narrow(self):
         query, db = cycle_case()
@@ -126,32 +141,28 @@ class TestSortedSources:
         query = JoinQuery([Atom("E", ("b", "a")), Atom("E", ("c", "b")),
                            Atom("E", ("a", "c"))])
         grid, parent = _route(query, db)
-        sorted_query, sorted_db = sorted_sources(query, db, ORDER)
-        regrid = HypercubeGrid(sorted_query, grid.shares, grid.num_workers,
-                               order=grid.order)
-        routing = hcube_route(sorted_query, sorted_db, regrid)
+        _, routing = _route(query, db, order=ORDER)
         assert routing.stats == parent.stats
         assert routing.worker_loads == parent.worker_loads
-        # E is published as (dst, src), and every atom is relisted so.
-        assert sorted_db["E"].attributes == ("dst", "src")
-        assert [a.attributes for a in sorted_query.atoms] \
+        assert routing.grid.order == grid.order
+        # E is laid out as (dst, src), and every atom is relisted so.
+        assert routing.layouts[0].attributes == ("dst", "src")
+        assert [a.attributes for a in routing.grid.query.atoms] \
             == [("a", "b"), ("b", "c"), ("c", "a")]
-        source, published = db["E"].data, sorted_db["E"].data[:, ::-1]
         for ai in range(len(query.atoms)):
             for cube in range(grid.num_cubes):
-                mine = published[routing.atom_rows[ai][cube]]
-                theirs = source[parent.atom_rows[ai][cube]]
-                assert sorted(map(tuple, mine.tolist())) \
+                mine = routing.rows_of(ai, cube)
+                theirs = parent.rows_of(ai, cube)
+                assert sorted(map(tuple, mine[:, ::-1].tolist())) \
                     == sorted(map(tuple, theirs.tolist()))
-                assert mine[:, ::-1].tolist() == sorted(mine[:, ::-1].tolist())
+                assert mine.tolist() == sorted(mine.tolist())
 
     def test_tasks_flag_only_atoms_in_trie_order_over_a_set(self):
         for duplicates, flags in ((0, (True, True, False)),
                                   (25, (False, False, False))):
             query, db = cycle_case(duplicates=duplicates)
-            sorted_query, sorted_db = sorted_sources(query, db, ORDER)
-            _, routing = _route(sorted_query, sorted_db)
-            tasks = list(iter_routed_tasks(routing, sorted_db, ORDER))
+            _, routing = _route(query, db, order=ORDER)
+            tasks = list(iter_routed_tasks(routing, db, ORDER))
             assert {t.sorted_atoms for t in tasks} == {flags}
 
     def test_a_source_that_is_not_a_set_counts_as_before(self):
