@@ -9,6 +9,7 @@ from .optimizer import (
     OptimizerReport,
     PlanCache,
     communication_first_plan,
+    data_key,
     optimize_plan,
 )
 from .plan import (
@@ -34,6 +35,7 @@ __all__ = [
     "OptimizerReport",
     "PlanCache",
     "PLAN_CACHE",
+    "data_key",
     "communication_first_plan",
     "optimize_plan",
     "CandidateRelation",

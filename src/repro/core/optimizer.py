@@ -13,18 +13,21 @@ bags is identical across candidates at step i, per the paper's remark
 after Alg. 2).  The loop runs O(n*^2) cost evaluations (Lemma 1), which
 the returned :class:`OptimizerReport` counts so tests can check the bound.
 
-A report is a deterministic function of the query, the data, the sample
-size and seed, the HCube implementation, the cluster and the hypertree,
-so it is computed once per process: ``PLAN_CACHE`` (a :class:`PlanCache`
-of :data:`PLAN_CACHE_CAPACITY` entries) is the one LRU of reports, and
-:meth:`repro.engines.adj.ADJ.plan` — the path of ``run("adj")`` and of
-``QueryJob.explain`` alike — is its one user.  ADJ keeps its
-pre-computed bags in a second :class:`PlanCache` under its own counters.
-``Optimizer(...).run()`` stays the uncached computation.
+A report is a deterministic function of the query, the relations it
+reads, the sample size and seed, the HCube implementation, what the
+optimizer reads of the cluster and the hypertree, so it is computed once
+per process: ``PLAN_CACHE`` (a :class:`PlanCache`, the library's one
+LRU) holds the reports, and :meth:`repro.engines.adj.ADJ.plan` — the
+path of ``run("adj")`` and of ``QueryJob.explain`` alike — is its one
+user.  Every cache key names its data by :func:`data_key`, the digests
+of the relations the query reads, so no key goes stale and a relation
+the query does not read never moves it.  ``Optimizer(...).run()`` stays
+the uncached computation.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -44,7 +47,7 @@ from .sampling import CardinalityEstimator
 
 __all__ = ["OptimizerReport", "Optimizer", "optimize_plan",
            "communication_first_plan", "PlanCache", "PLAN_CACHE",
-           "PLAN_CACHE_CAPACITY"]
+           "PLAN_CACHE_CAPACITY", "data_key"]
 
 #: Entries kept by the process-wide :data:`PLAN_CACHE`.
 PLAN_CACHE_CAPACITY = 128
@@ -63,46 +66,90 @@ class OptimizerReport:
     breakdown: CostBreakdown = field(default_factory=CostBreakdown)
 
 
-class PlanCache:
-    """LRU of deterministic results (here :class:`OptimizerReport` s),
-    bounded by entry count.
+def data_key(query: JoinQuery, db: Database) -> tuple:
+    """The data part of every cache key: the query text plus the
+    ``(name, digest)`` of each distinct relation the query reads."""
+    return (repr(query), tuple((name, db[name].digest) for name in
+                               sorted(set(query.relation_names()))))
 
-    Thread-safe; a miss computes outside the lock, so two concurrent
+
+class PlanCache:
+    """An LRU bounded by entry count and by the summed sizes its entries
+    were put with (``None`` leaves a bound off).
+
+    Plans and pre-computed bags are bounded by count, the query
+    service's results by bytes; an entry larger than ``max_bytes`` is
+    not admitted, so ``max_bytes=0`` caches nothing.  Thread-safe; a
+    :meth:`lookup` miss computes outside the lock, so two concurrent
     misses on one key compute the same deterministic value twice.
-    Counted under ``<counters>_hits`` / ``<counters>_misses``
-    (``core.plan_cache_*`` for the plan cache).
+    Counted under ``<counters>_hits`` / ``_misses`` / ``_evictions``
+    (``core.plan_cache_*`` for the plan cache); a byte-bounded cache
+    also sets the ``<counters>_bytes`` gauge.
     """
 
-    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY,
-                 counters: str = "core.plan_cache"):
-        self.capacity = max(1, int(capacity))
+    def __init__(self, capacity: int | None = PLAN_CACHE_CAPACITY,
+                 counters: str = "core.plan_cache",
+                 max_bytes: int | None = None):
+        self.capacity = (math.inf if capacity is None
+                         else max(1, int(capacity)))
+        self.max_bytes = (math.inf if max_bytes is None
+                          else max(0, int(max_bytes)))
         self.counters = counters
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.nbytes = 0
+        self._entries: "OrderedDict[Hashable, tuple[Any, int]]" = \
+            OrderedDict()
         self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> Any:
+        """The value cached under ``key`` (refreshed), or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        outcome = "misses" if entry is None else "hits"
+        METRICS.counter(f"{self.counters}_{outcome}").inc()
+        return None if entry is None else entry[0]
+
+    def put(self, key: Hashable, value: Any, nbytes: int = 0) -> None:
+        """Cache ``value`` under ``key``; least recently used entries
+        go while either bound is exceeded."""
+        with self._lock:
+            if nbytes > self.max_bytes:
+                return
+            old = self._entries.pop(key, None)
+            self.nbytes += nbytes - (0 if old is None else old[1])
+            self._entries[key] = (value, nbytes)
+            while (len(self._entries) > self.capacity
+                   or self.nbytes > self.max_bytes):
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
+                METRICS.counter(f"{self.counters}_evictions").inc()
+            self._set_gauge()
 
     def lookup(self, key: Hashable, compute: Callable[[], Any]
                ) -> tuple[Any, bool]:
         """The value cached under ``key`` (computed on a miss) and
         whether it was a hit."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
+        value = self.get(key)
         if value is not None:
-            METRICS.counter(f"{self.counters}_hits").inc()
             return value, True
-        METRICS.counter(f"{self.counters}_misses").inc()
         value = compute()
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self.put(key, value)
         return value, False
 
-    def clear(self) -> None:
+    def clear(self, where: Callable[[Hashable], bool] | None = None
+              ) -> int:
+        """Drop the entries whose key satisfies ``where`` (all of them
+        by default); returns how many were dropped."""
         with self._lock:
-            self._entries.clear()
+            stale = [k for k in self._entries if where is None or where(k)]
+            for key in stale:
+                self.nbytes -= self._entries.pop(key)[1]
+            self._set_gauge()
+        return len(stale)
+
+    def _set_gauge(self) -> None:
+        if self.max_bytes < math.inf:
+            METRICS.gauge(f"{self.counters}_bytes").set(self.nbytes)
 
     def __len__(self) -> int:
         return len(self._entries)

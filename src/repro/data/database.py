@@ -21,7 +21,6 @@ class Database:
 
     def __init__(self, relations: Iterable[Relation] = ()):
         self._relations: dict[str, Relation] = {}
-        self._fingerprint: str | None = None
         for rel in relations:
             self.add(rel)
 
@@ -31,18 +30,15 @@ class Database:
         if relation.name in self._relations:
             raise SchemaError(f"duplicate relation name {relation.name!r}")
         self._relations[relation.name] = relation
-        self._fingerprint = None
 
     def replace(self, relation: Relation) -> None:
         """Add or overwrite a relation (used when materializing bags)."""
         self._relations[relation.name] = relation
-        self._fingerprint = None
 
     def remove(self, name: str) -> None:
         if name not in self._relations:
             raise SchemaError(f"no relation named {name!r}")
         del self._relations[name]
-        self._fingerprint = None
 
     def __getitem__(self, name: str) -> Relation:
         try:
@@ -83,30 +79,13 @@ class Database:
         return sum(r.nbytes for r in self)
 
     def fingerprint(self) -> str:
-        """Content hash of the whole catalog (hex sha256).
-
-        Two databases holding equal relations (same names, attributes and
-        tuple data) fingerprint identically regardless of insertion order.
-        The digest is memoized — :class:`~repro.data.relation.Relation`
-        arrays are immutable, so only catalog mutations (:meth:`add`,
-        :meth:`replace`, :meth:`remove`) can change the content, and each
-        of them drops the cache.  This is the result-cache key material
-        for the query service: cached counts stay valid exactly as long
-        as the fingerprint does.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for name in sorted(self._relations):
-                rel = self._relations[name]
-                digest.update(name.encode())
-                digest.update("\x1f".join(rel.attributes).encode())
-                digest.update(str(rel.data.shape).encode())
-                digest.update(str(rel.data.dtype).encode())
-                # Relation data is C-contiguous and write-protected at
-                # construction, so hashing the raw buffer is stable.
-                digest.update(rel.data.data)
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
+        """Content hash of the whole catalog (hex sha256) over its sorted
+        ``(name, Relation.digest)`` pairs: equal relations under equal
+        names fingerprint equal, whatever the objects or insertion order,
+        and a relation's rows are hashed once, by its first digest."""
+        return hashlib.sha256(repr(sorted(
+            (name, rel.digest) for name, rel in self._relations.items()
+        )).encode()).hexdigest()
 
     def subset(self, names: Iterable[str]) -> "Database":
         """A new database holding only the named relations."""

@@ -33,6 +33,7 @@ lexsorted set — before a single output row is gathered.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -229,7 +230,7 @@ class Relation:
     """
 
     __slots__ = ("name", "attributes", "data", "_distinct", "_sorted",
-                 "_layout")
+                 "_layout", "_digest")
 
     def __init__(self, name: str, attributes: Sequence[str], data=(),
                  dedup: bool = True):
@@ -253,6 +254,7 @@ class Relation:
         self._distinct: dict[int, int] = {}
         #: The last :meth:`block_layout` as ``((attrs, key), layout)``.
         self._layout: tuple[tuple, BlockLayout] | None = None
+        self._digest: str | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -336,6 +338,19 @@ class Relation:
         """True when the rows are known to be a lexsorted set (sorted by
         :attr:`attributes`, no duplicates); False means unknown."""
         return self._sorted
+
+    @property
+    def digest(self) -> str:
+        """Content hash (hex sha256) of the attributes, dtype, shape and
+        rows, not the name: the one place row bytes are hashed.  Kept
+        after first use; the rows are write-protected."""
+        if self._digest is None:
+            digest = hashlib.sha256(repr(
+                (self.attributes, self.data.dtype.str, self.data.shape)
+            ).encode())
+            digest.update(self.data.data)    # C-contiguous (_as_data)
+            self._digest = digest.hexdigest()
+        return self._digest
 
     def __len__(self) -> int:
         return int(self.data.shape[0])

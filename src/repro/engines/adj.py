@@ -8,21 +8,22 @@ cube runs Leapfrog under the plan's attribute order.  Each phase records
 its own quantities on the ledger, tagged with that phase, so the
 Tables II-IV breakdown falls out of one pricing pass.
 
-The plan is a deterministic function of (query, data, samples, seed,
-cluster, hypertree), so :meth:`ADJ.plan` takes it from the process-wide
-:data:`~repro.core.optimizer.PLAN_CACHE`: a repeated query costs only
-plan execution.  The ledger is the paper's model of one evaluation, so a
-hit records the same optimization charges as a miss; what was actually
-spent shows on the clock — the run's telemetry carries the measured
-``optimize`` and ``precompute`` walls — and ``extra["plan_cache"]`` says
-``"hit"`` or ``"miss"``.
+The plan is a deterministic function of (query, the relations it reads,
+samples, seed, cluster, hypertree), so :meth:`ADJ.plan` takes it from
+the process-wide :data:`~repro.core.optimizer.PLAN_CACHE`, keyed on
+those relations' digests: a repeated query costs only plan execution.
+The ledger is the paper's model of one evaluation, so a hit records the
+same optimization charges as a miss; what was actually spent shows on
+the clock — the run's telemetry carries the measured ``optimize`` and
+``precompute`` walls — and ``extra["plan_cache"]`` says ``"hit"`` or
+``"miss"``.
 
 The pre-computed bags are a function of the same key plus the kernel, so
-a planned run takes them from :data:`PRECOMPUTE_CACHE` (its own LRU,
-counted under ``core.precompute_cache_*``).  A hit records the same
-precompute charges as a miss and trips the same work budget; the base
-relations join the working database as they are, so what they memoize
-(their sorted copies, distinct counts) outlives the query.
+a planned run takes them from :data:`PRECOMPUTE_CACHE` (counted under
+``core.precompute_cache_*``).  A hit records the same precompute charges
+as a miss and trips the same work budget; the base relations join the
+working database as they are, so what they memoize (their sorted copies,
+distinct counts) outlives the query.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from ..query.query import JoinQuery
 from ..runtime.executor import Executor
 from .base import EngineResult
 from .one_round import one_round_execute
-from ..core.optimizer import PLAN_CACHE, Optimizer, OptimizerReport, PlanCache
+from ..core.optimizer import (PLAN_CACHE, Optimizer, OptimizerReport,
+                              PlanCache, data_key)
 from ..core.plan import QueryPlan
 from ..core.sampling import CardinalityEstimator
 
@@ -93,10 +95,11 @@ class ADJ:
 
     def _key(self, query: JoinQuery, db: Database, cluster: Cluster
              ) -> tuple:
-        # work_budget and kernel are not in the key: Algorithm 2 reads
-        # neither.
-        return (repr(query), db.fingerprint(), self.num_samples, self.seed,
-                self.hcube_impl, cluster, _tree_key(self.hypertree))
+        # Only what Algorithm 2 reads: not work_budget, kernel or the
+        # cluster's runtime hint.
+        return (data_key(query, db), self.num_samples, self.seed,
+                self.hcube_impl, cluster.num_workers, cluster.params,
+                cluster.memory_tuples_per_worker, _tree_key(self.hypertree))
 
     def _lookup(self, query: JoinQuery, db: Database, cluster: Cluster,
                 key: tuple) -> tuple[OptimizerReport, bool]:

@@ -41,6 +41,7 @@ import socket
 import threading
 from concurrent.futures import CancelledError, Future
 
+from ..core.optimizer import PlanCache
 from ..data.datasets import load_dataset
 from ..engines.base import EngineResult
 from ..errors import AdmissionError, ConfigError, NetError
@@ -68,6 +69,11 @@ log = get_logger("repro.net.service")
 #: Dataset scale used when a QUERY frame names no scale — matches the
 #: CLI's interactive default so ad-hoc queries finish in seconds.
 DEFAULT_WIRE_SCALE = 2e-5
+
+#: Test cases a :class:`QueryServer` keeps.  A mix of hot cases (the
+#: benchmark's ``service-mix`` sends 8) must fit, or every request would
+#: rebuild its ``Database`` and hash its rows again.
+CASE_CAPACITY = 16
 
 
 def result_to_meta(result: EngineResult) -> dict:
@@ -97,17 +103,26 @@ def result_to_meta(result: EngineResult) -> dict:
     return meta
 
 
+def _build_case(text: str, dataset: str, scale: float,
+                seed: int | None) -> tuple:
+    if text.upper() in PAPER_QUERIES:
+        return make_testcase(dataset, text.upper(), scale=scale, seed=seed)
+    query = parse_query(text)
+    return query, graph_database_for(
+        query, load_dataset(dataset, scale=scale, seed=seed))
+
+
 class QueryServer(FrameServer):
     """Serves QUERY/CANCEL (plus the shared control plane) over one warm
     :class:`~repro.service.QueryService`.
 
     Construct with an existing ``service`` to share it, or let the
     server own a fresh one built from ``config`` and
-    ``service_kwargs`` (tenant budgets, concurrency bounds...).  Test
-    cases are cached per ``(query, dataset, scale, seed)``, so a
-    repeated QUERY hits the same :class:`~repro.data.database.Database`
-    object — its memoized fingerprint makes the service's result cache
-    effective over the wire too.
+    ``service_kwargs`` (tenant budgets, concurrency bounds...).  The
+    last :data:`CASE_CAPACITY` test cases are kept per ``(query,
+    dataset, scale, seed)``, so a repeated QUERY neither regenerates its
+    data nor re-hashes its rows; a case built again keys the caches the
+    same way, because their keys are content digests.
     """
 
     service_name = "query-service"
@@ -119,8 +134,7 @@ class QueryServer(FrameServer):
         self._owns_service = service is None
         self.service = service or QueryService(config=config,
                                                **service_kwargs)
-        self._cases: dict[tuple, tuple] = {}
-        self._cases_lock = threading.Lock()
+        self._cases = PlanCache(CASE_CAPACITY, "service.case_cache")
         self._tickets: "dict[str, Future]" = {}
         self._ticket_seq = itertools.count()
         self._tickets_lock = threading.Lock()
@@ -151,7 +165,7 @@ class QueryServer(FrameServer):
     # -- query resolution ----------------------------------------------------
 
     def _resolve_case(self, meta: dict) -> tuple:
-        """(query, db) for a QUERY frame, cached for object identity."""
+        """(query, db) for a QUERY frame, from the case cache."""
         text = meta.get("query")
         if not text or not isinstance(text, str):
             raise ConfigError("QUERY meta needs a 'query' string (a "
@@ -161,23 +175,8 @@ class QueryServer(FrameServer):
         if scale is None:
             scale = DEFAULT_WIRE_SCALE
         seed = meta.get("seed")
-        key = (text, dataset, scale, seed)
-        with self._cases_lock:
-            case = self._cases.get(key)
-        if case is not None:
-            return case
-        if text.upper() in PAPER_QUERIES:
-            query, db = make_testcase(dataset, text.upper(), scale=scale,
-                                      seed=seed)
-        else:
-            query = parse_query(text)
-            edges = load_dataset(dataset, scale=scale, seed=seed)
-            db = graph_database_for(query, edges)
-        with self._cases_lock:
-            # First resolver wins so every connection shares one
-            # Database object (memoized fingerprint).
-            case = self._cases.setdefault(key, (query, db))
-        return case
+        return self._cases.lookup((text, dataset, scale, seed), lambda:
+                                  _build_case(text, dataset, scale, seed))[0]
 
     # -- frame handling ------------------------------------------------------
 

@@ -12,8 +12,9 @@ Builds the shared warm-cluster story on top of
         result = future.result()
 
 :class:`QueryService` provides bounded admission, per-tenant work
-budgets (reject / queue / downgrade policies) and a fingerprint-keyed
-result cache; plans come from the process-wide
+budgets (reject / queue / downgrade policies) and a result cache keyed,
+like every cache, on the digests of the relations a query reads; plans
+come from the process-wide
 :data:`repro.core.optimizer.PLAN_CACHE`.  The wire front door lives in
 :mod:`repro.net.service` (``repro serve-sql`` / ``repro query``); see
 docs/service.md for the architecture tour.

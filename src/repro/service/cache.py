@@ -1,43 +1,40 @@
 """The query service's result cache.
 
-:class:`ResultCache` holds successful counts keyed on the query's
-datalog rendering (``repr``, deterministic for a given query), the
-engine/knobs, and :meth:`repro.data.database.Database.fingerprint` —
-cached entries stay valid exactly as long as the content hash does, and
-:meth:`ResultCache.invalidate` drops them explicitly when a catalog is
-known to have changed.
+:class:`ResultCache` holds successful counts keyed on
+:func:`result_key`: the data part every cache shares
+(:func:`repro.core.optimizer.data_key` — the query text and the
+``(name, digest)`` of each relation it reads) plus the engine and its
+knobs.  A relation's digest is its content, so an entry can never be
+stale: a changed relation is a new key, and a relation the query does
+not read is no part of it.  :meth:`ResultCache.invalidate` frees the
+entries that read a catalog's relations.
 
 Cached *results* are rebuilt on the way out: a warm hit returns a fresh
 :class:`~repro.engines.base.EngineResult` whose ``data_plane`` is all
 zeros with ``transport="cache"`` — the honest report, since a warm run
 publishes and ships nothing.
 
-The cache is thread-safe (one lock; entries are immutable) and LRU,
-bounded by estimated *bytes* (``REPRO_RESULT_CACHE_BYTES``).  Plans are
-not cached here: ADJ's plans live in the process-wide
-:data:`repro.core.optimizer.PLAN_CACHE`, keyed on content, which every
-run shares.
+Entries live in a :class:`~repro.core.optimizer.PlanCache` bounded by
+estimated *bytes* (``REPRO_RESULT_CACHE_BYTES``), counted under
+``service.result_cache_*``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+import dataclasses
 
+from ..core.optimizer import PlanCache, data_key
 from ..data.database import Database
-from ..distributed.metrics import CostBreakdown
 from ..engines.base import EngineOptions, EngineResult
-from ..obs.metrics import METRICS
 from ..query.query import JoinQuery
 from ..runtime.transport import TransportStats
 
-__all__ = ["ResultCache", "result_key", "cached_result"]
+__all__ = ["ResultCache", "result_key"]
 
 
 def result_key(query: JoinQuery, db: Database, engine: str,
                options: EngineOptions | None = None) -> tuple:
-    """Result-cache key: query text + engine + knobs + content hash.
+    """Result-cache key: :func:`data_key` + engine + knobs.
 
     Includes every :class:`EngineOptions` field that can change the
     *count* or the failure mode (budgets, order, kernel...), so a
@@ -49,36 +46,12 @@ def result_key(query: JoinQuery, db: Database, engine: str,
         knobs = (options.samples, options.seed, options.work_budget,
                  options.budget_tuples, options.budget_bindings,
                  options.order, options.kernel)
-    return (repr(query), engine, knobs, db.fingerprint())
-
-
-def cached_result(entry: "_ResultEntry", query_id: str | None = None
-                  ) -> EngineResult:
-    """Materialize a warm hit: same count, zeroed data plane."""
-    extra: dict = {
-        "result_cache": "hit",
-        "data_plane": dict(TransportStats().as_dict(), transport="cache"),
-    }
-    if query_id is not None:
-        extra["query_id"] = query_id
-    return EngineResult(engine=entry.engine, query=entry.query,
-                        count=entry.count, breakdown=entry.breakdown,
-                        shuffled_tuples=0, rounds=entry.rounds,
-                        extra=extra)
-
-
-@dataclass(frozen=True)
-class _ResultEntry:
-    engine: str
-    query: str
-    count: int
-    rounds: int
-    breakdown: CostBreakdown
-    nbytes: int
+    return (data_key(query, db), engine, knobs)
 
 
 class ResultCache:
-    """LRU cache of successful counts, bounded by estimated bytes.
+    """Successful counts, least recently used first out past
+    ``max_bytes``.
 
     Only *successful* results are cached — failures (budget trips,
     crashes) must re-execute, both because they are tenant-specific and
@@ -86,64 +59,39 @@ class ResultCache:
     """
 
     def __init__(self, max_bytes: int = 64 << 20):
-        self.max_bytes = max(0, int(max_bytes))
-        self._entries: "OrderedDict[tuple, _ResultEntry]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _estimate_bytes(key: tuple, result: EngineResult) -> int:
-        # Counts-only results are small; a conservative fixed floor
-        # plus the key text keeps the accounting honest without
-        # serializing anything.
-        return 512 + len(str(key))
+        self._lru = PlanCache(capacity=None, counters="service.result_cache",
+                              max_bytes=max_bytes)
 
     def get(self, key: tuple, query_id: str | None = None
             ) -> EngineResult | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                METRICS.counter("service.result_cache_misses").inc()
-                return None
-            self._entries.move_to_end(key)
-            METRICS.counter("service.result_cache_hits").inc()
-        return cached_result(entry, query_id=query_id)
+        """A fresh copy of the cached result: same count, zeroed data
+        plane."""
+        entry = self._lru.get(key)
+        if entry is None:
+            return None
+        extra: dict = {
+            "result_cache": "hit",
+            "data_plane": dict(TransportStats().as_dict(),
+                               transport="cache"),
+        }
+        if query_id is not None:
+            extra["query_id"] = query_id
+        return dataclasses.replace(entry, extra=extra)
 
     def put(self, key: tuple, result: EngineResult) -> None:
-        if not result.ok or self.max_bytes <= 0:
-            return
-        entry = _ResultEntry(engine=result.engine, query=result.query,
-                             count=result.count, rounds=result.rounds,
-                             breakdown=result.breakdown,
-                             nbytes=self._estimate_bytes(key, result))
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = entry
-            self._bytes += entry.nbytes
-            while self._bytes > self.max_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                METRICS.counter("service.result_cache_evictions").inc()
-            METRICS.gauge("service.result_cache_bytes").set(self._bytes)
+        if result.ok:
+            # Counts-only results are small; a fixed floor plus the key
+            # text keeps the accounting honest without serializing.
+            self._lru.put(key, dataclasses.replace(
+                result, shuffled_tuples=0, extra={}), 512 + len(str(key)))
 
-    def invalidate(self, fingerprint: str | None = None) -> int:
-        """Drop entries for one database fingerprint (or all); returns
-        how many were dropped.  The explicit-invalidation path for
-        callers that mutate a catalog in place."""
-        with self._lock:
-            if fingerprint is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                self._bytes = 0
-            else:
-                stale = [k for k in self._entries if k[-1] == fingerprint]
-                dropped = len(stale)
-                for k in stale:
-                    self._bytes -= self._entries.pop(k).nbytes
-            METRICS.gauge("service.result_cache_bytes").set(self._bytes)
-        return dropped
+    def invalidate(self, db: Database | None = None) -> int:
+        """Drop the entries that read any relation of ``db`` (all of
+        them for None); returns how many were dropped."""
+        if db is None:
+            return self._lru.clear()
+        read = {(rel.name, rel.digest) for rel in db}
+        return self._lru.clear(lambda key: not read.isdisjoint(key[0][1]))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)

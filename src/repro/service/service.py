@@ -25,13 +25,13 @@ callers' queries onto it:
   clamped to what remains — the run itself then trips ``BudgetExceeded``
   cleanly if it needs more).  Other tenants are never affected.
 - **Result cache** — successful counts keyed on
-  ``(query, engine, knobs, Database.fingerprint())``; a warm hit ships
-  zero bytes (``data_plane`` all zeros, ``transport="cache"``) and
-  :meth:`invalidate` drops entries when a catalog mutates.
+  ``(data_key(query, db), engine, knobs)``, where the data part is the
+  digest of each relation the query reads; a warm hit ships zero bytes
+  (``data_plane`` all zeros, ``transport="cache"``).  A changed relation
+  is a new key, so no entry goes stale; :meth:`invalidate` frees entries.
 - **Plans** are not the service's: every ADJ run, whichever tenant or
-  session drives it, plans through the process-wide content-keyed
-  :data:`~repro.core.optimizer.PLAN_CACHE`.  :meth:`invalidate` leaves
-  it alone — a plan keyed on content can at worst be slow, never wrong.
+  session drives it, plans through the process-wide
+  :data:`~repro.core.optimizer.PLAN_CACHE`, keyed on the same digests.
 
 Everything is observable under ``service.*`` metrics (admissions,
 rejections, cache hit/miss, active/queued gauges, latency histogram) —
@@ -361,13 +361,11 @@ class QueryService:
 
     # -- maintenance ---------------------------------------------------------
 
-    def invalidate(self, db: "Database | str | None" = None) -> int:
-        """Drop cached results for ``db`` (a Database or a fingerprint);
-        None drops everything.  Returns the number of entries dropped.
-
-        Plans stay: they are keyed on the content they were made from."""
-        fingerprint = db.fingerprint() if isinstance(db, Database) else db
-        return self.result_cache.invalidate(fingerprint)
+    def invalidate(self, db: Database | None = None) -> int:
+        """Drop the cached results that read any relation of ``db``
+        (every result for None); returns how many were dropped.  Plans
+        stay: their keys name the content they were made from."""
+        return self.result_cache.invalidate(db)
 
     def stats(self) -> dict:
         """A point-in-time snapshot for monitors and the wire STAT op."""

@@ -1,7 +1,11 @@
 """Unit tests for repro.data.database and repro.data.datasets."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import (
     DATASETS,
@@ -13,12 +17,68 @@ from repro.data import (
     load_dataset,
     load_graph_relation,
 )
+from repro.core import data_key
 from repro.errors import SchemaError
 from repro.knobs import env
+from repro.query import parse_query
+from repro.service import result_key
 
 
 def rel(name, attrs=("a", "b"), rows=((1, 2),)):
     return Relation.from_tuples(name, attrs, rows)
+
+
+#: 100 distinct rows: 1600 row bytes, far more than any name, schema or
+#: digest fed to sha256.
+ROWS = tuple((i, i + 1) for i in range(100))
+ROW_BYTES = 100 * 2 * 8
+
+
+def _row_hashes(monkeypatch):
+    """Patch sha256 to record every input of at least :data:`ROW_BYTES`
+    (row data); the returned list fills as rows are hashed."""
+    seen = []
+    real = hashlib.sha256
+
+    class Spy:
+        def __init__(self, data=b""):
+            self._hash = real()
+            self.update(data)
+
+        def update(self, data):
+            if memoryview(data).nbytes >= ROW_BYTES:
+                seen.append(memoryview(data).nbytes)
+            self._hash.update(data)
+
+        def hexdigest(self):
+            return self._hash.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Spy)
+    return seen
+
+
+@st.composite
+def built_relations(draw):
+    """Small relations through every way one is built, so equal content
+    from different builders is common."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         max_size=4))
+    attrs = draw(st.sampled_from([("a", "b"), ("b", "a"), ("a", "c")]))
+    name = draw(st.sampled_from(["R", "S"]))
+    data = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    how = draw(st.sampled_from(["init", "raw", "wrap", "rename",
+                                "reorder"]))
+    if how == "init":
+        return Relation(name, attrs, data)
+    if how == "raw":
+        return Relation(name, attrs, data, dedup=False)
+    if how == "wrap":
+        return Relation.wrap(name, attrs, data, sorted_set=False)
+    if how == "rename":
+        return Relation(name, ("x", "y"), data, dedup=False).rename(
+            dict(zip(("x", "y"), attrs)))
+    return Relation(name, attrs[::-1], data[:, ::-1],
+                    dedup=False).reorder(attrs)
 
 
 class TestDatabase:
@@ -83,9 +143,32 @@ class TestFingerprint:
         b = Database([rel("S"), rel("R")])
         assert a.fingerprint() == b.fingerprint()
 
-    def test_memoized(self):
-        db = Database([rel("R")])
-        assert db.fingerprint() is db.fingerprint()
+    def test_memoized(self, monkeypatch):
+        db = Database([rel("R", rows=ROWS), rel("S", rows=ROWS)])
+        first = db.fingerprint()
+        hashed = _row_hashes(monkeypatch)
+        assert db.fingerprint() == first
+        assert hashed == []        # the digests live on the relations
+
+    def test_row_bytes_hashed_once_per_relation(self, monkeypatch):
+        hashed = _row_hashes(monkeypatch)
+        db = Database([rel("R", rows=ROWS), rel("S", rows=ROWS)])
+        query = parse_query("Q(a,b,c) :- R(a,b), S(b,c)")
+        for _ in range(3):
+            db.fingerprint()
+            Database(db).fingerprint()
+            data_key(query, db)
+            result_key(query, db, "adj")
+        assert hashed == [ROW_BYTES, ROW_BYTES]
+
+    @settings(max_examples=200, deadline=None)
+    @given(built_relations(), built_relations())
+    def test_digest_is_the_content(self, a, b):
+        same = (a.attributes == b.attributes
+                and a.data.dtype == b.data.dtype
+                and a.data.shape == b.data.shape
+                and np.array_equal(a.data, b.data))
+        assert (a.digest == b.digest) == same
 
     def test_data_changes_fingerprint(self):
         a = Database([rel("R", rows=[(1, 2)])])

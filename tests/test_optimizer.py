@@ -186,6 +186,17 @@ class TestPlanCache:
         assert not _plan_hit(ADJ(num_samples=40, seed=1), q, db, cluster)
         assert not _plan_hit(adj, q, db, Cluster(num_workers=3))
 
+    def test_runtime_hint_is_not_in_the_key(self, q5_case):
+        """Algorithm 2 never reads the cluster's backend hint."""
+        q, db = q5_case
+        PLAN_CACHE.clear()
+        PRECOMPUTE_CACHE.clear()
+        ADJ(num_samples=40).run(q, db, Cluster(num_workers=2))
+        result, bags_hit = _precompute_run(
+            ADJ(num_samples=40), q, db,
+            Cluster(num_workers=2, runtime="threads"))
+        assert result.extra["plan_cache"] == "hit" and bags_hit
+
     def test_caller_hypertree_keys_on_structure(self, q5_case):
         q, db = q5_case
         cluster = Cluster(num_workers=4)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterContext, JoinSession, QueryService, RunConfig
-from repro.core.optimizer import PLAN_CACHE, PlanCache
+from repro.core.optimizer import PLAN_CACHE, PlanCache, data_key
 from repro.data import Database, Relation
 from repro.distributed.metrics import CostBreakdown
 from repro.engines import registry
@@ -23,7 +23,8 @@ from repro.engines.base import EngineOptions, EngineResult
 from repro.errors import AdmissionError, ConfigError, NetError
 from repro.knobs import env
 from repro.obs.metrics import METRICS
-from repro.query import paper_query
+from repro.engines.adj import PRECOMPUTE_CACHE
+from repro.query import paper_query, parse_query
 from repro.runtime.executor import ExecutorView
 from repro.service import ResultCache, result_key
 from repro.wcoj import leapfrog_join
@@ -38,6 +39,18 @@ def graph_case(query_name, seed=0, n=200, dom=40):
         rels.setdefault(a.relation,
                         Relation(a.relation, ("x", "y"), edges))
     return query, Database(rels.values())
+
+
+def _cache_hits(svc, query, db):
+    """Whether one query hits the (plan, precompute, result) caches: a
+    forced run probes the first two, then a cached run the third."""
+    before = METRICS.counter("core.precompute_cache_hits").value
+    forced = svc.execute(query, db, use_cache=False)
+    bags = METRICS.counter("core.precompute_cache_hits").value > before
+    cached = svc.execute(query, db)
+    assert forced.ok and cached.ok and forced.count == cached.count
+    return (forced.extra["plan_cache"] == "hit", bags,
+            cached.extra.get("result_cache") == "hit")
 
 
 def threads_config(transport="pickle", workers=2):
@@ -306,6 +319,40 @@ class TestQueryService:
             assert len(svc.result_cache) == 1
             assert svc.execute(q2, db2).extra["result_cache"] == "hit"
 
+    def test_unread_relation_keeps_every_hit(self):
+        q, db = graph_case("Q1", seed=21)
+        PLAN_CACHE.clear()
+        PRECOMPUTE_CACHE.clear()
+        with QueryService() as svc:
+            assert _cache_hits(svc, q, db) == (False, False, False)
+            db.add(Relation("Unread", ("x", "y"), [[1, 2]]))
+            assert _cache_hits(svc, q, db) == (True, True, True)
+
+    def test_replace_misses_exactly_the_readers(self):
+        rng = np.random.default_rng(22)
+        db = Database(Relation(name, ("x", "y"),
+                               rng.integers(0, 30, size=(150, 2)))
+                      for name in "RSTUVW")
+        reads_r = parse_query("A(a,b,c) :- R(a,b), S(b,c), T(a,c)")
+        not_r = parse_query("B(a,b,c) :- U(a,b), V(b,c), W(a,c)")
+        PLAN_CACHE.clear()
+        PRECOMPUTE_CACHE.clear()
+        with QueryService() as svc:
+            for q in (reads_r, not_r):
+                assert _cache_hits(svc, q, db) == (False, False, False)
+            db.replace(Relation("R", ("x", "y"),
+                                rng.integers(0, 30, size=(150, 2))))
+            assert _cache_hits(svc, reads_r, db) == (False, False, False)
+            assert _cache_hits(svc, not_r, db) == (True, True, True)
+
+    def test_equal_content_rebuilt_hits(self):
+        q, db = graph_case("Q1", seed=23)
+        with QueryService() as svc:
+            _cache_hits(svc, q, db)
+            rebuilt = Database(Relation(r.name, r.attributes, r.data.copy())
+                               for r in db)
+            assert _cache_hits(svc, q, rebuilt) == (True, True, True)
+
     def test_use_cache_false_bypasses(self):
         q, db = graph_case("Q1")
         with QueryService() as svc:
@@ -525,11 +572,18 @@ class TestCaches:
         assert cache.get((f"key-3",)) is not None   # newest survives
 
     def test_invalidate_matches_fingerprint_suffix(self):
+        """invalidate(db) drops the entries that read a relation of
+        ``db`` — by name and digest — and None drops all."""
+        q, db = graph_case("Q1", seed=1)
+        other_q, other = graph_case("Q1", seed=2)
         cache = ResultCache()
-        cache.put(("sig1", "adj", None, "fp-a"), self._result())
-        cache.put(("sig2", "adj", None, "fp-b"), self._result())
-        assert cache.invalidate("fp-a") == 1
-        assert len(cache) == 1
+        cache.put(result_key(q, db, "adj"), self._result())
+        cache.put(result_key(other_q, other, "adj"), self._result())
+        read = db[q.atoms[0].relation]
+        renamed = Relation("Elsewhere", read.attributes, read.data)
+        assert cache.invalidate(Database([renamed])) == 0
+        assert cache.invalidate(Database([read])) == 1
+        assert cache.get(result_key(other_q, other, "adj")) is not None
         assert cache.invalidate() == 1
         assert len(cache) == 0
 
@@ -538,7 +592,7 @@ class TestCaches:
         full = result_key(q, db, "adj", EngineOptions(work_budget=None))
         clamped = result_key(q, db, "adj", EngineOptions(work_budget=5))
         assert full != clamped
-        assert full[-1] == db.fingerprint()
+        assert full[0] == clamped[0] == data_key(q, db)
 
 
 # -- the wire front door ------------------------------------------------------
@@ -559,6 +613,21 @@ class TestWireService:
                 text = client.run("T(a,b,c) :- R(a,b), S(b,c), T(a,c)",
                                   dataset="wb")
                 assert text["ok"] and text["count"] == cold["count"]
+
+    def test_case_cache_is_bounded(self):
+        from repro.net.service import CASE_CAPACITY, QueryServer, \
+            ServiceClient
+
+        with QueryServer(port=0) as server:
+            with ServiceClient(server.host, server.port) as client:
+                runs = [client.run("Q1", scale=1e-5, seed=seed)
+                        for seed in range(CASE_CAPACITY + 2)]
+                assert len(server._cases) == CASE_CAPACITY
+                # Seed 0's Database was evicted and is built again:
+                # equal content, so its result is still cached.
+                again = client.run("Q1", scale=1e-5, seed=0)
+                assert again["cached"]
+                assert again["count"] == runs[0]["count"]
 
     def test_over_budget_tenant_rejected_as_429(self):
         from repro.net.service import QueryServer, ServiceClient
