@@ -131,33 +131,40 @@ class Trie:
         # change[r]: row r starts a new prefix of the current length.
         change = np.zeros(rows, dtype=bool)
         change[:1] = True
-        parent_starts = None
         for j in range(self.data.shape[1]):
-            col = np.ascontiguousarray(self.data[:, j])
-            np.logical_or(change[1:], col[1:] != col[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
+            col = self.data[:, j]
+            longer = np.empty(rows, dtype=bool)
+            longer[:1] = True
+            np.not_equal(col[1:], col[:-1], out=longer[1:])
+            longer |= change
+            starts = np.flatnonzero(longer)
             level_vals = col[starts]
             vmin = int(level_vals.min()) if rows else 0
             width = int(level_vals.max()) - vmin + 1 if rows else 1
             level_keys = level_distinct = None
-            if parent_starts is not None:
-                first_child = np.searchsorted(starts, parent_starts)
-                ptr.append(np.append(first_child, starts.shape[0]))
-                parent = np.repeat(
-                    np.arange(parent_starts.shape[0], dtype=np.int64),
-                    np.diff(ptr[-1]))
-                if parent_starts.shape[0] * width < _KEY_LIMIT:
+            if j:
+                # A node that starts a new parent prefix is its parent's
+                # first child.
+                mark = change[starts]
+                ptr.append(np.append(np.flatnonzero(mark), starts.shape[0]))
+                if (ptr[-1].shape[0] - 1) * width < _KEY_LIMIT:
                     offset = level_vals - vmin
                 else:
                     level_distinct = np.unique(level_vals)
                     width = int(level_distinct.shape[0])
                     offset = np.searchsorted(level_distinct, level_vals)
-                level_keys = parent * width + offset
+                # parent * width + offset with parent = cumsum(mark) - 1,
+                # in place: in a pool worker a large temporary is often a
+                # fresh mapping, paid for in page faults.
+                level_keys = np.cumsum(mark, dtype=np.int64)
+                level_keys -= 1
+                level_keys *= width
+                level_keys += offset
             vals.append(level_vals)
             keys.append(level_keys)
             vmins.append(vmin)
             widths.append(width)
             distinct.append(level_distinct)
-            parent_starts = starts
+            change = longer
         return TrieLevels(tuple(vals), tuple(ptr), tuple(keys),
                           tuple(vmins), tuple(widths), tuple(distinct))

@@ -12,14 +12,21 @@
   memory is bounded by depth x chunk and rows come out in lexicographic
   order.  Work is *accounted* from the segment lengths of all
   participants (the paper's cost unit, what Fig. 6 / Fig. 8 plot), not
-  from what was touched.  Supports fixed-value constraints (the
-  sampler's ``T_{A=a}``) and a deterministic work budget (the paper's
-  12-hour timeout analogue).  With ``cache_capacity=`` it is
-  HCubeJ+Cache's CacheTrieJoin [28]: within a chunk, bindings whose
-  level participants sit on the same trie nodes have the same
-  candidates, so each distinct node tuple is extended once and its
-  children are scattered back to every binding; a binding whose tuple
-  was admitted earlier in its chunk is a cache hit and is not charged.
+  from what was touched.  A count-only run does not enumerate its
+  *tail* — the trailing levels that each have one participant and no
+  fixed value: those bindings are all of the participant's children,
+  so per binding each tail atom's descendant node range is carried
+  down through ``ptr`` and every level is counted as a product of range
+  lengths, the same integers the enumeration accounts.  Materializing
+  and cached runs enumerate every level.  Supports fixed-value
+  constraints (the sampler's ``T_{A=a}``) and a deterministic work
+  budget (the paper's 12-hour timeout analogue).  With
+  ``cache_capacity=`` it is HCubeJ+Cache's CacheTrieJoin [28]: within a
+  chunk, bindings whose level participants sit on the same trie nodes
+  have the same candidates, so each distinct node tuple is extended
+  once and its children are scattered back to every binding; a binding
+  whose tuple was admitted earlier in its chunk is a cache hit and is
+  not charged.
 
 - :func:`leapfrog_sample_counts` — ``|T_{A=a}|`` for many values ``a``
   in one frontier evaluation (the sampler's probe).
@@ -104,10 +111,20 @@ class LeapfrogStats:
         return sum(self.level_tuples)
 
     def add(self, other: "LeapfrogStats") -> None:
-        """Accumulate another run's counters (same attribute order)."""
+        """Accumulate another run's counters (same attribute order).
+
+        Stats with no levels yet (a fresh ``LeapfrogStats()``) count as
+        zeros at every level of the other; two runs over different
+        numbers of levels raise :class:`PlanError`.
+        """
         for name in ("level_tuples", "level_work", "level_extensions"):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine and theirs and len(mine) != len(theirs):
+                raise PlanError(
+                    f"cannot add {len(theirs)} levels of {name} to "
+                    f"{len(mine)}")
             setattr(self, name, [a + b for a, b in zip(
-                getattr(self, name), getattr(other, name))])
+                mine or [0] * len(theirs), theirs or [0] * len(mine))])
         for name in ("intersection_work", "extensions", "emitted",
                      "cache_hits", "cache_misses"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -267,9 +284,12 @@ def leapfrog_join(query: JoinQuery, db: Database,
     n = len(order)
     rows: list[np.ndarray] | None = [] if materialize else None
     if all(len(t) for t in tries):
+        # Only a count-only run counts its tail.
+        tail = (_tail_start(participants, fixed_levels)
+                if rows is None and cache_capacity is None else n)
         run = _Frontier([t.levels() for t in tries], participants,
                         fixed_levels, budget, stats, rows, None,
-                        cache_capacity)
+                        cache_capacity, tail)
         _extend(run, 0, 1, [None] * len(tries), [], None)
     relation = None
     if rows is not None:
@@ -294,8 +314,10 @@ def leapfrog_sample_counts(query: JoinQuery, db: Database,
     counts = np.zeros(values.shape[0], dtype=np.int64)
     if not values.shape[0] or not all(len(t) for t in tries):
         return counts, total
-    run = _Frontier([t.levels() for t in tries], participants,
-                    {0: values}, None, total, None, counts, None)
+    fixed = {0: values}
+    run = _Frontier([t.levels() for t in tries], participants, fixed,
+                    None, total, None, counts, None,
+                    _tail_start(participants, fixed))
     _extend(run, 0, values.shape[0], [None] * len(tries), [],
             np.arange(values.shape[0], dtype=np.int64))
     return counts, total
@@ -319,6 +341,17 @@ class _Frontier:
     rows: list[np.ndarray] | None        # result chunks when materializing
     root_counts: np.ndarray | None       # per-root result counts, if asked
     capacity: int | None                 # cache values per chunk, if cached
+    tail: int                            # first level counted, not gathered
+
+
+def _tail_start(participants: list[list[tuple[int, int]]],
+                fixed: Mapping[int, object]) -> int:
+    """The first level from which every level has one participant and
+    no fixed value (``len(participants)``: no tail)."""
+    s = len(participants)
+    while s and len(participants[s - 1]) == 1 and s - 1 not in fixed:
+        s -= 1
+    return s
 
 
 def _extend(run: _Frontier, d: int, k: int,
@@ -334,8 +367,12 @@ def _extend(run: _Frontier, d: int, k: int,
     reads, no element touched — less the cache hits of a cached run.
     Then, chunk by chunk and depth-first, every binding's shortest
     segment is gathered and each candidate is probed in the other
-    participants.
+    participants.  From the run's tail on, nothing is gathered: the
+    levels are counted (:func:`_count_tail`).
     """
+    if d >= run.tail:
+        _count_tail(run, d, k, nodes, root)
+        return
     stats = run.stats
     parts = run.participants[d]
     fixed = run.fixed.get(d)
@@ -400,6 +437,52 @@ def _extend(run: _Frontier, d: int, k: int,
             value = value[pos]
             children = [None if c is None else c[pos] for c in children]
         _descend(run, d, nodes, cols, root, bind, value, children)
+
+
+def _count_tail(run: _Frontier, s: int, k: int,
+                nodes: list[np.ndarray | None],
+                root: np.ndarray | None) -> None:
+    """Count levels ``s ..`` of ``k`` bindings without enumerating them.
+
+    Every tail level has one participant and no fixed value, so the
+    bindings it produces are *all* the participant's children, and the
+    tail is a cross product of its atoms' subtries.  A node's
+    descendants at any depth are one contiguous node range, so per
+    binding each tail atom carries its range ``[lo, hi)`` down through
+    ``ptr``, and a level's bindings under a binding are the product of
+    the range lengths.  Every counter is the integer the enumeration
+    accounts: one participant's segment, summed over the bindings
+    extended, is both the level's work and its tuples.
+    """
+    stats = run.stats
+    lo: dict[int, np.ndarray] = {}
+    hi: dict[int, np.ndarray] = {}
+    extended = k
+    for e in range(s, len(run.participants)):
+        (ai, depth), = run.participants[e]
+        lv = run.levels[ai]
+        if ai in lo:            # the atom's range, one level further down
+            ptr = lv.ptr[depth - 1]
+            lo[ai], hi[ai] = ptr[lo[ai]], ptr[hi[ai]]
+        elif depth == 0:        # still at its root: the whole first level
+            lo[ai] = np.zeros(k, dtype=np.int64)
+            hi[ai] = np.full(k, lv.vals[0].shape[0], dtype=np.int64)
+        else:
+            ptr = lv.ptr[depth - 1]
+            lo[ai], hi[ai] = ptr[nodes[ai]], ptr[nodes[ai] + 1]
+        count = np.prod(np.stack([hi[a] - lo[a] for a in lo]), axis=0)
+        tuples = int(count.sum())
+        stats.extensions += extended
+        stats.level_extensions[e] += extended
+        stats.intersection_work += tuples
+        stats.level_work[e] += tuples
+        if run.budget is not None and stats.intersection_work > run.budget:
+            raise BudgetExceeded(stats.intersection_work, run.budget)
+        stats.level_tuples[e] += tuples
+        extended = tuples
+    stats.emitted += extended
+    if root is not None:
+        np.add.at(run.root_counts, root, count)
 
 
 def _chunks(shortest: np.ndarray) -> list[tuple[int, int]]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro.wcoj.leapfrog as leapfrog_mod
 from repro.data import Database, Relation
-from repro.errors import BudgetExceeded, ConfigError
+from repro.errors import BudgetExceeded, ConfigError, PlanError
 from repro.query import Atom, JoinQuery, paper_query
 from repro.wcoj import (
     LeapfrogStats,
@@ -99,19 +99,34 @@ class TestCounterParity:
     @settings(max_examples=120, deadline=None)
     @given(case=hypergraphs())
     def test_random_hypergraphs(self, case):
+        """Materializing runs enumerate every level; count-only runs
+        (plain, ``fixed=`` and the sampler's) count their tail."""
         query, db, order, fixed = case
+        oracle = counters(leapfrog_counters(query, db, order))
         frontier = leapfrog_join(query, db, order, materialize=True)
-        assert counters(frontier) \
-            == counters(leapfrog_counters(query, db, order))
+        assert counters(frontier) == oracle
+        assert counters(leapfrog_join(query, db, order)) == oracle
         expected = leapfrog_reference(query, db, order)
         assert rows_of(frontier) == expected
         (attr, value), = fixed.items()
+        pinned_oracle = counters(
+            leapfrog_counters(query, db, order, fixed=fixed))
         pinned = leapfrog_join(query, db, order, fixed=fixed,
                                materialize=True)
-        assert counters(pinned) \
-            == counters(leapfrog_counters(query, db, order, fixed=fixed))
+        assert counters(pinned) == pinned_oracle
+        assert counters(leapfrog_join(query, db, order, fixed=fixed)) \
+            == pinned_oracle
         assert rows_of(pinned) \
             == [row for row in expected if row[order.index(attr)] == value]
+        values = np.array([value, value, 3, 0])
+        counts, stats = leapfrog_sample_counts(query, db, order, values)
+        total = LeapfrogStats()
+        for got, v in zip(counts, values):
+            single = leapfrog_counters(query, db, order,
+                                       fixed={order[0]: int(v)})
+            assert got == single.count
+            total.add(single.stats)
+        assert stats == total
 
 
 class TestChunking:
@@ -257,6 +272,154 @@ class TestBudget:
             assert stats.intersection_work == info.value.work_done
             assert sum(stats.level_work) == stats.intersection_work
             assert stats.extensions >= 1
+
+
+def tail_case(atoms, order, seed, rows=60, dom=5):
+    """Random relations for ``atoms`` (``(relation, attributes)``) with a
+    hub first column, so tail segments of many lengths meet."""
+    query = JoinQuery([Atom(r, attrs) for r, attrs in atoms])
+    rng = np.random.default_rng(seed)
+    relations = []
+    for relation, attrs in atoms:
+        data = rng.integers(0, dom, size=(rows, len(attrs)))
+        data[: rows // 3, 0] = 0
+        relations.append(Relation(relation, attrs, data))
+    return query, Database(relations), order
+
+
+def tail_start(query, order):
+    """The first level from which every level has one participant."""
+    s = len(order)
+    while s and sum(order[s - 1] in a.attributes for a in query.atoms) == 1:
+        s -= 1
+    return s
+
+
+# Each a query and an order whose trailing levels have one participant:
+# ADJ's plan for Q5 (tail a, c), an interleaved tail (X, Y, X), a tail
+# from level 0 (one atom; two disjoint atoms, a cross product).
+TAILS = {
+    "adj-q5": tail_case([("B1", ("b", "e", "a")), ("B2", ("b", "c", "d")),
+                         ("R4", ("d", "e")), ("R7", ("b", "d"))],
+                        ("b", "d", "e", "a", "c"), seed=11),
+    "interleaved": tail_case([("X", ("a", "b", "d")), ("Y", ("a", "c"))],
+                             ("a", "b", "c", "d"), seed=12),
+    "one-atom": tail_case([("R", ("a", "b", "c"))], ("a", "b", "c"),
+                          seed=13),
+    "cross-product": tail_case([("R", ("a", "b")), ("S", ("c",))],
+                               ("a", "b", "c"), seed=14),
+}
+
+
+class TestTail:
+    """A count-only run counts its trailing one-participant levels from
+    ``ptr`` ranges instead of gathering them; every counter stays the
+    integer the enumeration accounts."""
+
+    @pytest.mark.parametrize("name", TAILS)
+    def test_counters_and_count(self, name):
+        query, db, order = TAILS[name]
+        assert tail_start(query, order) < len(order)
+        result = leapfrog_join(query, db, order)
+        assert counters(result) \
+            == counters(leapfrog_counters(query, db, order))
+        assert result.count == len(leapfrog_reference(query, db, order)) > 0
+        assert counters(result) == counters(
+            leapfrog_join(query, db, order, materialize=True))
+
+    def test_tail_from_level_zero_is_a_product_of_sizes(self):
+        query, db, order = TAILS["cross-product"]
+        assert tail_start(query, order) == 0
+        assert leapfrog_join(query, db, order).count \
+            == len(db["R"]) * len(db["S"])
+        query, db, order = TAILS["one-atom"]
+        assert leapfrog_join(query, db, order).count == len(db["R"])
+
+    @pytest.mark.parametrize("name", TAILS)
+    def test_sample_counts(self, name):
+        query, db, order = TAILS[name]
+        values = np.array([0, 4, 0, 9, 2])
+        counts, stats = leapfrog_sample_counts(query, db, order, values)
+        total = LeapfrogStats()
+        for got, value in zip(counts, values):
+            single = leapfrog_counters(query, db, order,
+                                       fixed={order[0]: int(value)})
+            assert got == single.count
+            total.add(single.stats)
+        assert stats == total
+        assert counts[3] == 0 < counts[0]
+
+    @pytest.mark.parametrize("value,count", [(1, 3), (3, 3), (99, 0)])
+    def test_empty_segment_in_the_middle(self, value, count):
+        """A fixed level splits a one-atom chain: a binding whose
+        segment lacks the value dies there (``a = 1`` for ``b = 1``,
+        ``a = 0`` for ``b = 3``, all for 99), the rest reach the tail."""
+        rows = [(0, 1, 0), (0, 1, 4), (0, 2, 1), (1, 2, 3), (1, 3, 0),
+                (2, 1, 2), (2, 3, 3), (2, 3, 4)]
+        query = JoinQuery([Atom("R", ("a", "b", "c"))])
+        db = Database([Relation.from_tuples("R", ("x", "y", "z"), rows)])
+        fixed = {"b": value}
+        result = leapfrog_join(query, db, fixed=fixed)
+        assert result.count == count
+        assert counters(result) \
+            == counters(leapfrog_counters(query, db, fixed=fixed))
+
+    @pytest.mark.parametrize("name", ["adj-q5", "interleaved"])
+    def test_budget_trips_inside_the_tail(self, name):
+        query, db, order = TAILS[name]
+        s = tail_start(query, order)
+        free = leapfrog_join(query, db, order)
+        total = free.stats.intersection_work
+        assert counters(leapfrog_join(query, db, order, budget=total)) \
+            == counters(free)
+        before_tail = sum(free.stats.level_work[:s])
+        for budget in (total - 1, before_tail):
+            stats = LeapfrogStats()
+            with pytest.raises(BudgetExceeded) as info:
+                leapfrog_join(query, db, order, budget=budget, stats=stats)
+            assert info.value.work_done > budget
+            assert stats.intersection_work == info.value.work_done
+            assert sum(stats.level_work) == stats.intersection_work
+            assert stats.level_work[s] > 0
+
+    @pytest.mark.parametrize("name", TAILS)
+    def test_only_count_only_runs_skip_the_gather(self, monkeypatch, name):
+        query, db, order = TAILS[name]
+        s = tail_start(query, order)
+        gathered = []
+        real = leapfrog_mod._gather
+
+        def recording(run, d, *args):
+            gathered.append(d)
+            return real(run, d, *args)
+
+        monkeypatch.setattr(leapfrog_mod, "_gather", recording)
+        leapfrog_join(query, db, order)
+        assert all(d < s for d in gathered)
+        for kwargs in ({"materialize": True}, {"cache_capacity": 2 ** 62}):
+            gathered.clear()
+            leapfrog_join(query, db, order, **kwargs)
+            assert set(range(s, len(order))) <= set(gathered), kwargs
+
+
+class TestStatsAdd:
+    def test_an_empty_accumulator_adopts_the_levels(self):
+        query, db = skewed_case("Q5", seed=2)
+        stats = leapfrog_join(query, db).stats
+        total = LeapfrogStats()
+        total.add(stats)
+        assert total == stats
+        assert sum(total.level_work) == total.intersection_work
+        stats.add(LeapfrogStats())
+        assert stats == total
+
+    def test_a_level_mismatch_raises(self):
+        query, db = skewed_case("Q5", seed=2)
+        stats = leapfrog_join(query, db).stats
+        other = LeapfrogStats()
+        other.reset(len(stats.level_tuples) - 1)
+        with pytest.raises(PlanError):
+            stats.add(other)
 
 
 class TestNoReferenceCycles:

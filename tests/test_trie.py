@@ -9,6 +9,9 @@ from repro.data import Relation, Trie
 from repro.errors import SchemaError
 from repro.wcoj.reference import TrieIterator
 
+# Values too wide for an offset key once a level has two parents.
+WIDE = np.array([-2 ** 61, -1, 0, 7, 2 ** 61])
+
 
 def make_trie(rows, attrs=("a", "b"), order=None):
     rel = Relation.from_tuples("R", attrs, rows)
@@ -154,6 +157,53 @@ class TestLevels:
                     [[0], np.cumsum([sum(p[:-1] == q for p in prefixes)
                                      for q in parents])]).tolist()
                 assert np.all(np.diff(lv.keys[depth]) > 0)
+
+    @given(seed=st.integers(0, 2 ** 16), rows=st.sampled_from([0, 1, 2, 9, 60]),
+           arity=st.integers(1, 3), wide=st.booleans(), hub=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_every_array_matches_its_definition(self, seed, rows, arity,
+                                                wide, hub):
+        """``ptr``, parents (read back from ``keys``), codes and widths
+        are derived in one pass per column; each equals its definition
+        over the sorted prefix sets — offset and rank-encoded levels, no
+        row, one row and long runs of one prefix alike."""
+        rng = np.random.default_rng(seed)
+        data = (rng.choice(WIDE, size=(rows, arity)) if wide
+                else rng.integers(0, 4, size=(rows, arity)))
+        if hub:
+            data[: rows // 2, : arity - 1] = data[:1, : arity - 1]
+        lv = Trie(Relation("R", ("a", "b", "c")[:arity], data)).levels()
+        tuples = {tuple(row) for row in data.tolist()}
+        prefixes: list[list[tuple]] = []
+        for depth in range(arity):
+            level = sorted({t[: depth + 1] for t in tuples})
+            assert lv.vals[depth].dtype == np.int64
+            assert lv.vals[depth].tolist() == [p[-1] for p in level]
+            assert lv.vmin[depth] == min((p[-1] for p in level), default=0)
+            if depth:
+                parents = prefixes[-1]
+                index = {p: i for i, p in enumerate(parents)}
+                parent = [index[p[:-1]] for p in level]
+                assert lv.ptr[depth - 1].dtype == np.int64
+                assert lv.ptr[depth - 1].tolist() == [
+                    parent.index(i) for i in range(len(parents))
+                ] + [len(level)]
+                values = [p[-1] for p in level]
+                lo = min(values, default=0)
+                span = max(values, default=0) - lo + 1
+                if len(parents) * span < 2 ** 62:
+                    width, code = span, [v - lo for v in values]
+                    assert lv.distinct[depth] is None
+                else:
+                    distinct = sorted(set(values))
+                    width = len(distinct)
+                    code = [distinct.index(v) for v in values]
+                    assert lv.distinct[depth].tolist() == distinct
+                assert lv.width[depth] == width
+                assert lv.keys[depth].dtype == np.int64
+                assert lv.keys[depth].tolist() == [
+                    p * width + c for p, c in zip(parent, code)]
+            prefixes.append(level)
 
     def test_probe_finds_exactly_the_children(self):
         t = make_trie([(1, 5), (1, 7), (2, 5), (4, -3)])
