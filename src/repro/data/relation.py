@@ -34,11 +34,15 @@ lexsorted set — before a single output row is gathered.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import (TYPE_CHECKING, Callable, Hashable, Iterable, Iterator,
+                    Mapping, Sequence)
 
 import numpy as np
 
 from ..errors import SchemaError
+
+if TYPE_CHECKING:
+    from .trie import Trie
 
 __all__ = ["Relation", "BlockLayout", "JoinProbe", "row_group_ids",
            "row_keys", "lexsorted_rows", "sorted_set_rows"]
@@ -230,7 +234,7 @@ class Relation:
     """
 
     __slots__ = ("name", "attributes", "data", "_distinct", "_sorted",
-                 "_layout", "_digest")
+                 "_layout", "_trie", "_digest")
 
     def __init__(self, name: str, attributes: Sequence[str], data=(),
                  dedup: bool = True):
@@ -254,6 +258,9 @@ class Relation:
         self._distinct: dict[int, int] = {}
         #: The last :meth:`block_layout` as ``((attrs, key), layout)``.
         self._layout: tuple[tuple, BlockLayout] | None = None
+        #: The last :meth:`trie` as ``[(column indices, Trie)]``: one
+        #: cell, shared with renames (same rows, same columns).
+        self._trie: list = [None]
         self._digest: str | None = None
 
     # -- construction helpers -------------------------------------------------
@@ -307,9 +314,41 @@ class Relation:
             self.data if attrs == self.attributes else self.data[:, idx],
             block_ids, num_blocks,
             lexsorted=attrs == self.attributes and self._sorted)
-        layout = BlockLayout(attrs, rows, bounds, distinct)
+        layout = BlockLayout(attrs, rows, bounds, distinct, memo_key)
         self._layout = (memo_key, layout)
         return layout
+
+    def trie(self, attrs: Sequence[str]) -> "Trie":
+        """A :class:`~repro.data.trie.Trie` over these rows in column
+        order ``attrs``, its levels built.
+
+        Memoized like :meth:`block_layout` — the last order asked for —
+        in a cell every rename of this relation shares (same rows, same
+        columns), so a relation kept between tasks (a worker-resident
+        input, :mod:`repro.runtime.residency`) builds its trie once.
+        """
+        from .trie import Trie
+
+        attrs = tuple(attrs)
+        idx = tuple(self.column_index(a) for a in attrs)
+        memo = self._trie[0]
+        if memo is None or memo[0] != idx:
+            trie = Trie(self, attrs)
+            trie.levels()
+            memo = self._trie[0] = (idx, trie)
+        return memo[1].renamed(self.name, attrs)
+
+    @property
+    def index_nbytes(self) -> int:
+        """Bytes the memoized :meth:`trie` holds beyond these rows."""
+        memo = self._trie[0]
+        if memo is None:
+            return 0
+        trie = memo[1]
+        extra = trie.levels().nbytes
+        if trie.data is not self.data:
+            extra += int(trie.data.nbytes)
+        return extra
 
     @classmethod
     def from_tuples(cls, name: str, attributes: Sequence[str],
@@ -460,6 +499,7 @@ class Relation:
         attrs = tuple(mapping.get(a, a) for a in self.attributes)
         out = Relation.wrap(name or self.name, attrs, self.data, self._sorted)
         out._distinct = self._distinct  # same data, same column order
+        out._trie = self._trie
         return out
 
     def reorder(self, attrs: Sequence[str], name: str | None = None) -> "Relation":
@@ -542,12 +582,15 @@ class BlockLayout:
     :meth:`Relation.block_layout`; read-only.
     """
 
-    __slots__ = ("attributes", "data", "bounds", "is_sorted_set",
+    __slots__ = ("attributes", "data", "bounds", "is_sorted_set", "key",
                  "_groupings")
 
     def __init__(self, attributes: tuple[str, ...], data: np.ndarray,
-                 bounds: np.ndarray, is_sorted_set: bool):
+                 bounds: np.ndarray, is_sorted_set: bool, key: Hashable):
         self.attributes = attributes
+        #: What :meth:`Relation.block_layout` memoized it under:
+        #: ``(attributes, grouping key)``.
+        self.key = key
         self.data = data
         self.data.setflags(write=False)
         self.bounds = bounds

@@ -16,7 +16,8 @@ a whole array of ``(p, v)`` pairs, into one ``np.searchsorted``.  A
 value's code is its offset from the level's minimum, or — where that
 would leave int64 — its rank among the level's distinct values, so
 every level below the root has keys.  It is built from the sorted rows
-with one change-mask pass per column and memoized.
+with one change-mask pass per column and memoized; the trie itself is
+memoized on its relation (:meth:`repro.data.relation.Relation.trie`).
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class TrieLevels(NamedTuple):
     vmin: tuple[int, ...]
     width: tuple[int, ...]
     distinct: tuple[np.ndarray | None, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by every level array."""
+        return sum(int(a.nbytes) for group in (self.vals, self.ptr,
+                                                 self.keys, self.distinct)
+                   for a in group if a is not None)
 
     def probe(self, level: int, parents: np.ndarray | None,
               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +113,19 @@ class Trie:
         # comes back as is (its data is contiguous and read-only).
         self.data = relation.sorted_set(order).data
         self._levels: TrieLevels | None = None
+
+    def renamed(self, name: str, attributes: Sequence[str]) -> "Trie":
+        """This trie (same rows, same levels) under new names: ``self``
+        when they are already its own."""
+        attributes = tuple(attributes)
+        if name == self.name and attributes == self.attributes:
+            return self
+        out = Trie.__new__(Trie)
+        out.name = name
+        out.attributes = attributes
+        out.data = self.data
+        out._levels = self._levels
+        return out
 
     # -- basic protocol ---------------------------------------------------------
 

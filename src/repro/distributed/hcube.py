@@ -28,11 +28,15 @@ block, in the trie order of the source's first atom, memoized on the
 relation per grid), so an (atom, cube) slice is one contiguous row
 range of what is published and reaches its worker as a sorted set.  A
 warm query neither hashes nor sorts; a worker copies only its own
-ranges.
+ranges, and on home process slots keeps them
+(:meth:`HCubeRouting.content_keys` names each selection by content,
+:mod:`repro.runtime.residency`), so a warm query moves no rows at all.
 """
 
 from __future__ import annotations
 
+import hashlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -224,10 +228,45 @@ class HCubeRouting:
     stats: ShuffleStats
     worker_loads: dict[int, int] = field(default_factory=dict)
     prebuilt_tries: bool = False
+    #: Per atom, the block id of each cube's selection, and the grouping
+    #: key those ids are under (the layout's own for a range).
+    atom_blocks: list[list[int]] = field(default_factory=list)
+    atom_groupings: list[tuple] = field(default_factory=list)
 
     @property
     def local_query(self) -> JoinQuery:
         return localized_query(self.grid.query)
+
+    def content_keys(self, db: Database) -> list[list[str]] | None:
+        """Per (atom, cube), a name for the rows it selects, by content.
+
+        The rows of ``atom_rows[ai][cube]`` are a function of the source
+        relation's rows (:attr:`Relation.digest`), the layout's memo key,
+        the atom's grouping and its block id, so the name is a hash of
+        the first three, per atom, plus the block id: equal names select
+        equal rows, across queries and routings.  No row is hashed here.
+        None when the grid's hash function has no importable name (it
+        could not be told from another one).
+        """
+        fn = self.grid.hash_fn
+        module = sys.modules.get(getattr(fn, "__module__", None) or "")
+        if getattr(module, getattr(fn, "__qualname__", ""), None) is not fn:
+            return None
+        fn_name = f"{fn.__module__}.{fn.__qualname__}"
+
+        def named(key):
+            return tuple(named(k) for k in key) if isinstance(key, tuple) \
+                else fn_name if key is fn else key
+
+        keys = []
+        for atom, layout, grouping, blocks in zip(
+                self.grid.query.atoms, self.layouts, self.atom_groupings,
+                self.atom_blocks):
+            prefix = hashlib.sha256(repr((
+                db[atom.relation].digest, named(layout.key),
+                named(grouping))).encode()).hexdigest()[:24]
+            keys.append([f"{prefix}:{b}" for b in blocks])
+        return keys
 
     def rows_of(self, ai: int, cube: int) -> np.ndarray:
         """Atom ``ai``'s rows for ``cube`` (a view for a range)."""
@@ -368,6 +407,7 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
     atoms: list[Atom] = []
     layouts: list[BlockLayout] = []
     atom_rows: list[list[slice | np.ndarray]] = []
+    atom_blocks: list[list[int]] = []
     tracer = current_tracer()
     with tracer.span("route", cat="route", impl=impl,
                      atoms=len(query.atoms), cubes=num_cubes):
@@ -405,6 +445,7 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
             atoms.append(atom)
             layouts.append(layout)
             atom_rows.append(selections)
+            atom_blocks.append(blocks)
     # A layout keeps the regroupings of the last grid that read it.
     for layout, _ in sources.values():
         layout.keep_groupings({_block_key(grid, a) for a, held
@@ -428,4 +469,6 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
         stats=stats,
         worker_loads=worker_loads,
         prebuilt_tries=(impl == "merge"),
+        atom_blocks=atom_blocks,
+        atom_groupings=[_block_key(grid, a) for a in atoms],
     )

@@ -8,10 +8,9 @@ distribution, and power the skew ablation bench.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ..errors import ConfigError
 
@@ -36,34 +35,36 @@ class SkewReport:
                 f"gini={self.gini:.2f})")
 
 
-def _gini(values: np.ndarray) -> float:
-    if values.sum() == 0:
+def _gini(values: Sequence[float], total: float) -> float:
+    if total == 0:
         return 0.0
-    sorted_vals = np.sort(values)
-    n = sorted_vals.shape[0]
-    ranks = np.arange(1, n + 1)
-    return float((2 * ranks - n - 1).dot(sorted_vals)
-                 / (n * sorted_vals.sum()))
+    n = len(values)
+    return sum((2 * rank - n - 1) * v
+               for rank, v in enumerate(sorted(values), 1)) / (n * total)
 
 
 def skew_report(loads: Mapping[int, float] | Sequence[float]) -> SkewReport:
-    """Summarize a per-worker load distribution."""
-    if isinstance(loads, Mapping):
-        values = np.array(list(loads.values()), dtype=float)
-    else:
-        values = np.array(list(loads), dtype=float)
-    if values.size == 0:
+    """Summarize a per-worker load distribution.
+
+    Plain Python over one value per worker: numpy's per-call overhead
+    costs more than the arithmetic on a few dozen values.
+    """
+    values = [float(v) for v in (loads.values() if isinstance(loads, Mapping)
+                                 else loads)]
+    if not values:
         raise ConfigError("need at least one worker load")
-    mean = float(values.mean())
-    maximum = float(values.max())
+    total = sum(values)
+    mean = total / len(values)
+    maximum = max(values)
+    variance = sum((v - mean) ** 2 for v in values) / len(values)
     return SkewReport(
-        num_workers=int(values.size),
-        total=float(values.sum()),
+        num_workers=len(values),
+        total=total,
         mean=mean,
         maximum=maximum,
         imbalance=(maximum / mean) if mean > 0 else 1.0,
-        cv=float(values.std() / mean) if mean > 0 else 0.0,
-        gini=_gini(values),
+        cv=math.sqrt(variance) / mean if mean > 0 else 0.0,
+        gini=_gini(values, total),
     )
 
 

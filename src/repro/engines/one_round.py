@@ -11,9 +11,11 @@ layouts through the executor's data-plane transport and streams workers
 per-cube range descriptors — workers copy their own partitions, so
 under the ``shm`` transport large arrays never cross the process
 boundary through pickle, and under ``tcp`` a worker fetches only its
-own ranges — and :func:`repro.runtime.scheduler.run_epoch` runs, merges
-and tears down.  What differs per engine is the grid and the kernel:
-HCubeJ, HCubeJ+Cache and ADJ take optimized shares
+own ranges; a ``processes`` home slot keeps them, so a warm query
+publishes nothing (:mod:`repro.runtime.residency`) — and
+:func:`repro.runtime.scheduler.run_epoch` runs, merges (retrying a task
+whose resident input was evicted) and tears down.  What differs per
+engine is the grid and the kernel: HCubeJ, HCubeJ+Cache and ADJ take optimized shares
 (:func:`one_round_execute`, which also records what was moved and
 worked on the ledger), BigJoin spends the whole share budget on its
 order's first attribute, SparkSQL on a step's join key.

@@ -42,6 +42,7 @@ import os
 import socket
 import struct
 import threading
+import weakref
 
 from ..errors import BlockNotFound, NetError
 from ..obs.expo import CONTENT_TYPE_TEXT, prometheus_text, \
@@ -193,7 +194,10 @@ class FrameServer:
     :meth:`start`; ``expo_port`` also serves :meth:`exposition` over
     HTTP.  ``stop()`` closes the listener and every client socket, so
     serving threads (all daemonic) unblock and exit; it is idempotent
-    and leaves no listening port behind.
+    and leaves no listening port behind.  A process forked while the
+    server runs (a pool's worker) closes its inherited copies of those
+    sockets at once, so the port closes when the server stops, not when
+    the last child exits.
     """
 
     #: What HELLO/PING/STAT report as ``service``.
@@ -232,6 +236,7 @@ class FrameServer:
         if self.expo_port is not None:
             self._expo_server = start_http_exposition(
                 self.host, self.expo_port, self.exposition)
+        _STARTED.add(self)
         get_logger(type(self).__module__).info(
             "%s listening %s", self.service_name,
             kv(host=self.host, port=self.port, pid=os.getpid(),
@@ -282,6 +287,19 @@ class FrameServer:
         thread, self._accept_thread = self._accept_thread, None
         if thread is not None:
             thread.join(timeout=5.0)
+
+    def _drop_inherited(self) -> None:
+        """In a forked child: close the sockets copied from the parent
+        (their serving threads were not).  Takes no lock: one held by
+        a parent thread at the fork stays held here forever."""
+        expo, self._expo_server = self._expo_server, None
+        listener, self._listener = self._listener, None
+        clients, self._clients = self._clients, set()
+        for sock in [listener, *clients]:
+            if sock is not None:
+                sock.close()
+        if expo is not None:
+            expo.server_close()
 
     def __enter__(self) -> "FrameServer":
         return self.start()
@@ -385,6 +403,20 @@ class FrameServer:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
+
+
+
+#: Servers started in this process (weakly held).
+_STARTED: "weakref.WeakSet[FrameServer]" = weakref.WeakSet()
+
+
+def _drop_inherited_servers() -> None:
+    for server in list(_STARTED):
+        server._drop_inherited()
+    _STARTED.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_servers)
 
 
 class FrameClient:

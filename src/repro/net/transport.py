@@ -11,16 +11,22 @@ block, to gather its indexed rows).
 
 Epoch lifecycle (mirrors the shm rules in docs/data_plane.md):
 
-- ``publish`` lazily stands the store up (or connects to the external
-  one) and stages each key exactly once under a fresh uuid-suffixed
-  block id — ids are single-use, so a worker task's fetch memo can never
-  serve a stale epoch.
+- The first ``publish`` of a non-empty array stands the store up (or
+  connects to the external one); an explicit ``setup`` does so ahead of
+  time, and no engine calls it.  So an epoch that publishes nothing —
+  every input resident in the workers' home processes
+  (:mod:`repro.runtime.residency`), or only empty arrays — opens no
+  connection.
+  Each key is staged exactly once under a fresh uuid-suffixed block id:
+  ids are single-use, so a worker task's fetch memo can never serve a
+  stale epoch.
 - ``teardown`` collects the server's GET counters into
   ``stats.fetched_blocks``/``fetched_bytes`` (what workers physically
   pulled — accounted to the block store, not the task payload), FREEs
   every published block, closes the client socket, and stops the owned
-  server.  It is idempotent, robust against a store that already died,
-  and leaves no listening port behind.
+  server; with no connection (nothing was staged) it reads no STAT and
+  frees nothing.  It is idempotent, robust against a store that already
+  died, and leaves no listening port behind.
 
 Addressing: the store binds ``bind_host`` (default ``127.0.0.1``;
 ``REPRO_BIND_HOST`` or ``0.0.0.0`` for real multi-machine runs) and
@@ -116,12 +122,12 @@ class TcpTransport(Transport):
         with self._lock:
             if key in self._meta:
                 return key
-            client = self._ensure_store()
             arr = np.ascontiguousarray(array)
             if arr.nbytes == 0:
                 # Empty arrays ship as (tiny) inline refs, like shm.
                 self._meta[key] = (None, tuple(arr.shape), str(arr.dtype))
                 return key
+            client = self._ensure_store()
             block = f"{key}@{uuid.uuid4().hex[:12]}"
             with current_tracer().span("publish", cat="transport",
                                        transport=self.name, key=key,
@@ -134,12 +140,12 @@ class TcpTransport(Transport):
             self.stats.published_bytes += int(arr.nbytes)
         return key
 
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
-                 ) -> ArrayRef:
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+                 content: str | None = None) -> ArrayRef:
         with self._lock:
             block, shape, dtype = self._meta[key]
-        host, port = self._addr
-        return self._staged_ref("tcp", block, shape, dtype, rows,
+            host, port = self._addr if block is not None else (None, None)
+        return self._staged_ref("tcp", block, shape, dtype, rows, content,
                                 host=host, port=port)
 
     def teardown(self) -> None:

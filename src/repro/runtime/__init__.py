@@ -9,8 +9,9 @@ descriptors, or multi-machine ``tcp`` block refs), one task shape
 (:class:`WorkerTask` — cubes, a GHD bag or a partition pair — run by the
 spawn-safe :func:`execute_worker_task`), a scheduler that mints tasks
 from HCube routing assignments and runs any task stream as one epoch
-(:func:`run_epoch`), and wall-clock telemetry recorded next to the
-modeled cost breakdowns.
+(:func:`run_epoch`), worker-resident inputs on the ``processes``
+backend's home slots (:mod:`repro.runtime.residency`), and wall-clock
+telemetry recorded next to the modeled cost breakdowns.
 
 See docs/runtime.md for backend selection and spawn-safety rules, and
 docs/data_plane.md for transport selection and shared-memory lifetime

@@ -9,10 +9,16 @@ One interface, three implementations here plus ``remote``
 - ``threads``   — a ``ThreadPoolExecutor``.  Cheap to start and shares
   memory, but Leapfrog is Python/numpy-bound so the GIL caps speedup;
   useful for overlap with I/O and for testing task plumbing.
-- ``processes`` — a ``ProcessPoolExecutor``.  Task payloads (numpy column
-  batches inside :class:`repro.runtime.scheduler.WorkerTask`) are pickled
-  to worker processes, so task functions must be importable top-level
-  functions (spawn/fork safe — see docs/runtime.md).
+- ``processes`` — one single-process ``ProcessPoolExecutor`` per slot:
+  task ``worker % slots`` always runs in the same process, its *home*,
+  and tasks with no ``worker`` go round-robin.  Task payloads (numpy
+  column batches or descriptors inside
+  :class:`repro.runtime.scheduler.WorkerTask`) are pickled to worker
+  processes, so task functions must be importable top-level functions
+  (spawn/fork safe — see docs/runtime.md).  A home process keeps the
+  inputs it resolved (:mod:`repro.runtime.residency`); the executor's
+  :attr:`~Executor.residency` view tells the task source what each
+  slot holds, so a warm query publishes nothing a worker already has.
 
 One dispatcher, two spellings:
 
@@ -46,6 +52,7 @@ so segments are reclaimed even when a worker task crashes mid-run.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import (
@@ -55,11 +62,14 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from functools import partial
+from multiprocessing import resource_tracker
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import ConfigError, ReproError, WorkerCrashed
 from ..obs.tracing import current_tracer
 from ..registry import Registry
+from .residency import ResidencyView
 from .transport import Transport, create_transport
 
 __all__ = [
@@ -94,6 +104,11 @@ class Executor:
     #: implementation runs tasks inline between mints, so there is no
     #: overlap to measure.  Pool backends set True.
     concurrent: bool = False
+    #: What each home process holds (a
+    #: :class:`~repro.runtime.residency.ResidencyView`; ``processes``
+    #: only).  Stamped on the executor's transports, where the task
+    #: source reads it.
+    residency: ResidencyView | None = None
 
     def __init__(self, max_workers: int | None = None,
                  transport: "Transport | str | None" = None):
@@ -104,8 +119,13 @@ class Executor:
             raise ConfigError(
                 f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self._transport: Transport | None = (
-            create_transport(transport) if transport is not None else None)
+        self._transport: Transport | None = None
+        if transport is not None:
+            self._adopt(create_transport(transport))
+
+    def _adopt(self, transport: Transport) -> None:
+        self._transport = transport
+        transport.residency = self.residency
 
     @property
     def transport(self) -> Transport:
@@ -115,7 +135,7 @@ class Executor:
         ``REPRO_TRANSPORT`` environment default at first use.
         """
         if self._transport is None:
-            self._transport = create_transport()
+            self._adopt(create_transport())
         return self._transport
 
     def map_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
@@ -334,8 +354,52 @@ class ThreadExecutor(_PoolExecutor):
                                   thread_name_prefix="repro-worker")
 
 
+class _HomeSlots:
+    """One single-process pool per slot, behind one ``submit``.
+
+    Task ``worker % slots`` always runs in the same process — its home
+    — and tasks without an integer ``worker`` go round-robin.  Every
+    result that carries a residency report updates ``residency`` for
+    the slot that ran it.
+    """
+
+    def __init__(self, slots: int, ctx, residency: ResidencyView):
+        self._pools = [ProcessPoolExecutor(max_workers=1, mp_context=ctx)
+                       for _ in range(slots)]
+        # Start every process now, back to back, before any task of this
+        # pool runs: a process forked later, while another query thread
+        # holds a lock the child needs (the shm resource tracker's),
+        # would wait on it forever.  The tracker itself runs first, so
+        # the children share it instead of starting their own (which
+        # would report segments the coordinator freed as leaked).
+        resource_tracker.ensure_running()
+        for pool in self._pools:
+            pool.submit(os.getpid)
+        self._residency = residency
+        self._turn = itertools.count()
+
+    def submit(self, fn, task):
+        worker = getattr(task, "worker", None)
+        if not isinstance(worker, int):
+            worker = next(self._turn)
+        slot = worker % len(self._pools)
+        future = self._pools[slot].submit(fn, task)
+        future.add_done_callback(partial(self._report, slot))
+        return future
+
+    def _report(self, slot: int, future) -> None:
+        if not future.cancelled() and future.exception() is None:
+            self._residency.report(slot, future.result())
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        for pool in self._pools:
+            pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
 class ProcessExecutor(_PoolExecutor):
-    """Process-pool execution: real parallelism via pickled partitions."""
+    """Process execution on home slots: real parallelism, and each
+    worker's inputs stay where they were last used."""
 
     name = "processes"
 
@@ -343,6 +407,9 @@ class ProcessExecutor(_PoolExecutor):
                  transport: "Transport | str | None" = None,
                  start_method: str | None = None):
         super().__init__(max_workers, transport=transport)
+        self.residency = ResidencyView(self.max_workers)
+        if self._transport is not None:
+            self._adopt(self._transport)
         self.start_method = start_method
 
     def _make_pool(self):
@@ -350,8 +417,13 @@ class ProcessExecutor(_PoolExecutor):
 
         ctx = (multiprocessing.get_context(self.start_method)
                if self.start_method else None)
-        return ProcessPoolExecutor(max_workers=self.max_workers,
-                                   mp_context=ctx)
+        # New processes hold nothing.
+        self.residency.clear()
+        return _HomeSlots(self.max_workers, ctx, self.residency)
+
+    def _shutdown_pool(self) -> None:
+        super()._shutdown_pool()
+        self.residency.clear()
 
 
 class ExecutorView(Executor):
@@ -376,6 +448,7 @@ class ExecutorView(Executor):
 
     def __init__(self, base: Executor, transport: "Transport | str | None"
                  = None, epoch: str | None = None):
+        self.residency = base.residency
         super().__init__(base.max_workers, transport=transport)
         self._base = base
         self.name = base.name

@@ -36,7 +36,7 @@ from .telemetry import RuntimeTelemetry
 from .transport import PickleTransport, Transport
 from .worker import WorkerTask, WorkerTaskResult, execute_worker_task
 
-__all__ = ["MergedOutcome", "absorb_result_observability",
+__all__ = ["MergedOutcome", "RoutedTasks", "absorb_result_observability",
            "iter_routed_tasks", "merge_task_results", "run_epoch",
            "run_streamed_tasks"]
 
@@ -65,17 +65,17 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
                       transport: Transport | None = None,
                       cache_capacity: Callable[[int], int] | None = None,
                       kernel: str = "wcoj",
-                      materialize: bool = False) -> Iterator[WorkerTask]:
+                      materialize: bool = False) -> "RoutedTasks":
     """Stream worker tasks: yield each task as soon as its refs exist.
 
     The pipelined-epoch task source.  The routing's source layouts are
     published lazily — each the first time one of its refs is minted —
     and a worker's :class:`~repro.runtime.worker.WorkerTask` is yielded
     the moment all of its descriptors are mintable, so an executor
-    consuming this generator through
+    consuming this stream through
     :meth:`~repro.runtime.executor.Executor.submit_tasks` starts
     executing the first workers' tasks while later tasks are still
-    being published.  Each source relation is published exactly once,
+    being published.  Each source relation is published at most once,
     in its block layout (``routing.layouts``); tasks carry one
     :class:`~repro.runtime.transport.ArrayRef` per (atom, cube) — a row
     range of that layout, or row indices for an atom hashed otherwise —
@@ -84,8 +84,19 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     slices that arrive as sorted sets in the atom's trie order — a
     layout of distinct rows whose column order is the atom's trie order
     (every block, and every regrouped slice, is lexsorted) — and its
-    worker skips their sort.  ``db`` is accepted for compatibility: the
-    routing carries the layouts it selects from.
+    worker skips their sort.
+
+    When the transport carries a residency view (a ``processes``
+    executor's home slots, :mod:`repro.runtime.residency`) and the
+    tasks are count-only, every ref names its rows by content
+    (:meth:`~repro.distributed.hcube.HCubeRouting.content_keys`, over
+    ``db``'s relation digests): a key the worker's home process already
+    holds becomes a header-only ``resident`` ref, and a source none of
+    whose refs needs publishing is never published.  (A materializing
+    task's sources — a SparkSQL step's — are new relations every query,
+    so naming them would hash rows per query; they carry no keys.)
+    :meth:`RoutedTasks.remint` re-mints a worker's task with every ref
+    published, for :func:`run_epoch` to retry a resident miss.
 
     ``budget`` is the engine's *global* intersection-work cap; each task
     receives it whole and the coordinator re-checks the summed work after
@@ -99,53 +110,97 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     makes every task ship its joined rows home (a SparkSQL step needs
     the intermediate relation; cube counts do not).
     """
-    transport = transport or PickleTransport()
-    grid = routing.grid
-    query = grid.query
-    local_query = routing.local_query
-    order = tuple(order)
-    num_atoms = len(query.atoms)
-    sorted_atoms = tuple(
-        layout.is_sorted_set
-        and a.attributes == trie_order(a.attributes, order)
-        for a, layout in zip(query.atoms, routing.layouts))
-    keys: dict[int, str] = {}
-    # Per-query epoch id (stamped on ExecutorView transports): namespace
-    # publish keys so interleaved epochs from concurrent queries sharing
-    # one staging area never collide.
-    epoch = transport.epoch
-    prefix = f"{epoch}/" if epoch else ""
+    return RoutedTasks(routing, db, tuple(order), budget,
+                       transport or PickleTransport(), cache_capacity,
+                       kernel, materialize)
 
-    def key_for(ai: int) -> str:
-        key = keys.get(ai)
+
+class RoutedTasks:
+    """The task stream of :func:`iter_routed_tasks`: one task per worker,
+    in worker order; :meth:`remint` mints a worker's task again."""
+
+    def __init__(self, routing: HCubeRouting, db: Database,
+                 order: tuple[str, ...], budget: int | None,
+                 transport: Transport,
+                 cache_capacity: Callable[[int], int] | None,
+                 kernel: str, materialize: bool):
+        self.routing = routing
+        self.transport = transport
+        self._order = order
+        self._budget = budget
+        self._cache_capacity = cache_capacity
+        self._kernel = kernel
+        self._materialize = materialize
+        self._local_query = routing.local_query
+        query = routing.grid.query
+        self._sorted_atoms = tuple(
+            layout.is_sorted_set
+            and a.attributes == trie_order(a.attributes, order)
+            for a, layout in zip(query.atoms, routing.layouts))
+        self._residency = None if materialize else transport.residency
+        self._content = (routing.content_keys(db)
+                         if self._residency is not None else None)
+        self._keys: dict[int, str] = {}
+        self._cubes: dict[int, list[int]] = {}
+        for cube in range(routing.grid.num_cubes):
+            self._cubes.setdefault(routing.grid.worker_of_cube(cube),
+                                   []).append(cube)
+        self._trace: dict | None = None
+
+    def __iter__(self) -> Iterator[WorkerTask]:
+        self._trace = trace_context()
+        for worker in sorted(self._cubes):
+            yield self._mint(worker, resident=True)
+
+    def remint(self, worker: int) -> WorkerTask:
+        """``worker``'s task again, every ref published."""
+        return self._mint(worker, resident=False)
+
+    def _publish(self, ai: int) -> str:
+        key = self._keys.get(ai)
         if key is None:
-            key = transport.publish(
-                f"{prefix}rel:{query.atoms[ai].relation}",
-                routing.layouts[ai].data)
-            keys[ai] = key
+            # Per-query epoch id (stamped on ExecutorView transports):
+            # namespace publish keys so interleaved epochs from
+            # concurrent queries sharing one staging area never collide.
+            epoch = self.transport.epoch
+            prefix = f"{epoch}/" if epoch else ""
+            key = self.transport.publish(
+                f"{prefix}rel:{self.routing.grid.query.atoms[ai].relation}",
+                self.routing.layouts[ai].data)
+            self._keys[ai] = key
         return key
 
-    cubes_by_worker: dict[int, list[int]] = {}
-    for cube in range(grid.num_cubes):
-        cubes_by_worker.setdefault(grid.worker_of_cube(cube),
-                                   []).append(cube)
-    ctx = trace_context()
-    for worker in sorted(cubes_by_worker):
+    def _mint(self, worker: int, resident: bool) -> WorkerTask:
+        routing, transport = self.routing, self.transport
         capacity = None
-        if cache_capacity is not None:
-            capacity = int(cache_capacity(
+        if self._cache_capacity is not None:
+            capacity = int(self._cache_capacity(
                 routing.worker_loads.get(worker, 0)))
-        task = WorkerTask(worker=worker, query=local_query,
-                          order=order, budget=budget,
-                          cache_capacity=capacity, trace=ctx,
-                          kernel=kernel, materialize=materialize,
-                          sorted_atoms=sorted_atoms)
-        for cube in cubes_by_worker[worker]:
-            task.cubes.append(tuple(
-                transport.make_ref(key_for(ai),
-                                   routing.atom_rows[ai][cube])
-                for ai in range(num_atoms)))
-        yield task
+        task = WorkerTask(worker=worker, query=self._local_query,
+                          order=self._order, budget=self._budget,
+                          cache_capacity=capacity, trace=self._trace,
+                          kernel=self._kernel,
+                          materialize=self._materialize,
+                          sorted_atoms=self._sorted_atoms)
+        content = self._content
+        held = (self._residency.held(worker)
+                if resident and content is not None else frozenset())
+        for cube in self._cubes[worker]:
+            refs = []
+            for ai, layout in enumerate(routing.layouts):
+                rows = routing.atom_rows[ai][cube]
+                key = content[ai][cube] if content is not None else None
+                if key in held:
+                    size = (rows.stop - rows.start
+                            if isinstance(rows, slice) else rows.shape[0])
+                    refs.append(transport.resident_ref(
+                        key, (size,) + layout.data.shape[1:],
+                        str(layout.data.dtype)))
+                else:
+                    refs.append(transport.make_ref(self._publish(ai), rows,
+                                                   key))
+            task.cubes.append(tuple(refs))
+        return task
 
 
 def absorb_result_observability(results: Sequence[WorkerTaskResult]
@@ -165,6 +220,12 @@ def absorb_result_observability(results: Sequence[WorkerTaskResult]
         if res.intersection_work:
             METRICS.counter("runtime.intersection_work").inc(
                 res.intersection_work)
+        for name in ("resident_hits", "resident_misses",
+                     "resident_evictions"):
+            if getattr(res, name):
+                METRICS.counter(f"runtime.{name}").inc(getattr(res, name))
+        if res.failure == "miss":
+            continue       # retried by run_epoch, counted there
         if res.failure:
             METRICS.counter("runtime.tasks_failed").inc()
         else:
@@ -247,7 +308,7 @@ def merge_task_results(results: Sequence[WorkerTaskResult],
     """
     merged = MergedOutcome(level_tuples=[0] * num_levels)
     for res in results:
-        if res.failure == "crash":
+        if res.failure in ("crash", "miss"):
             reason = res.failure_info[0] if res.failure_info else "unknown"
             raise WorkerCrashed(res.worker, reason)
         merged.count += res.count
@@ -285,12 +346,26 @@ def run_epoch(executor: Executor, tasks: Iterable[WorkerTask],
     snapshot is read *after* teardown so ``data_plane`` includes
     teardown-time counters (blocks freed, bytes workers fetched back
     out of a tcp block store).
+
+    A task that missed a resident input (``failure="miss"``) is re-minted
+    by the task source (:meth:`RoutedTasks.remint`, every ref
+    published) and run once more, in the same epoch; the retries count
+    in ``runtime.tasks_retried``.  A re-minted task cannot miss.
     """
     transport = executor.transport
     tracer = current_tracer()
     try:
         results = run_streamed_tasks(executor, tasks, telemetry=telemetry,
                                      run_phase=run_phase)
+        missed = [i for i, res in enumerate(results)
+                  if res.failure == "miss"]
+        if missed and hasattr(tasks, "remint"):
+            METRICS.counter("runtime.tasks_retried").inc(len(missed))
+            retried = run_streamed_tasks(
+                executor, (tasks.remint(results[i].worker) for i in missed),
+                telemetry=telemetry, run_phase=run_phase)
+            for i, res in zip(missed, retried):
+                results[i] = res
         with tracer.span("merge", cat="schedule", tasks=len(results)):
             merged = merge_task_results(results, num_levels, budget=budget)
     finally:

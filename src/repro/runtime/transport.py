@@ -14,6 +14,11 @@ copy-heavy data plane the HCube design is meant to avoid.  A
 - :func:`resolve_array_ref` (top-level, spawn-safe) turns a descriptor
   back into a concrete array on the worker.
 
+A ref may also carry a *content key* (``make_ref(..., key=)``), and a
+key the worker's home process already holds is minted as a header-only
+``resident`` ref instead (:meth:`Transport.resident_ref`), whose source
+is never published — see :mod:`repro.runtime.residency`.
+
 Three backends, looked up through :data:`TRANSPORTS` (a
 :class:`repro.registry.Registry`):
 
@@ -82,14 +87,18 @@ class ArrayRef:
     data plane); ``kind == "shm"`` carries only the segment name plus the
     row selection, and the worker copies it out of the shared block;
     ``kind == "tcp"`` additionally carries the block store's ``(host,
-    port)`` so workers on *other machines* fetch it over a socket.  The
+    port)`` so workers on *other machines* fetch it over a socket;
+    ``kind == "resident"`` carries only ``key`` and the selection's
+    ``shape``: the worker's home process holds those rows already.  Any
+    kind may carry ``key``, the content name of the rows it selects, so
+    the worker keeps what it resolves.  The
     selection ``rows`` is a ``slice`` — a row range ``[lo, hi)``,
     header-only — or row indices; ``None`` means the whole array.  (A
     range rides in ``rows`` so that no resolver reads it as the whole
     array: one built before ranges fails on the slice instead.)
     """
 
-    kind: str                          # "inline" | "shm" | "tcp"
+    kind: str                    # "inline" | "shm" | "tcp" | "resident"
     shape: tuple[int, ...]             # shape of the *source* array
     dtype: str
     data: np.ndarray | None = None     # inline payload (already sliced)
@@ -97,6 +106,7 @@ class ArrayRef:
     rows: slice | np.ndarray | None = None  # row range or indices
     host: str | None = None            # block store address (tcp only)
     port: int | None = None
+    key: str | None = None             # content key (home processes)
 
     @property
     def num_rows(self) -> int:
@@ -176,6 +186,10 @@ def resolve_array_ref(ref, fetches: TaskFetches | None = None
     """
     if isinstance(ref, np.ndarray):
         return ref
+    if ref.kind == "resident":
+        raise ConfigError(
+            f"resident ref {ref.key!r} resolves only in a home process's "
+            f"cache (repro.runtime.residency)")
     if ref.kind == "inline":
         arr = ref.data
         if arr is None:
@@ -286,6 +300,10 @@ class Transport(ABC):
         #: prefixes publish keys with it, so queries running concurrently
         #: against one shared staging area never collide on key names.
         self.epoch: str | None = None
+        #: The executor's :class:`~repro.runtime.residency.ResidencyView`
+        #: (stamped by a ``processes`` executor and its views; None
+        #: elsewhere): what each home process already holds.
+        self.residency = None
 
     def setup(self) -> None:
         """Acquire transport resources (idempotent; optional)."""
@@ -295,10 +313,19 @@ class Transport(ABC):
         """Stage ``array`` under ``key`` (idempotent per key)."""
 
     @abstractmethod
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
-                 ) -> ArrayRef:
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+                 content: str | None = None) -> ArrayRef:
         """A descriptor for ``rows`` of the array published under ``key``:
-        a ``slice`` row range, row indices, or None for all rows."""
+        a ``slice`` row range, row indices, or None for all rows.
+        ``content`` is the selection's content key, carried as
+        :attr:`ArrayRef.key`."""
+
+    def resident_ref(self, content: str, shape: tuple[int, ...],
+                     dtype: str) -> ArrayRef:
+        """A header-only ref to rows the worker's home process holds
+        under ``content`` (``shape``: the selection's)."""
+        return self._record_shipped(ArrayRef(
+            kind="resident", shape=tuple(shape), dtype=dtype, key=content))
 
     def teardown(self) -> None:
         """Release everything published this epoch (idempotent).
@@ -355,7 +382,7 @@ class Transport(ABC):
     def _staged_ref(self, kind: str, block: str | None,
                     shape: tuple[int, ...], dtype: str,
                     rows: slice | np.ndarray | None,
-                    **where) -> ArrayRef:
+                    content: str | None = None, **where) -> ArrayRef:
         """A descriptor into a staged block (``None``: an empty array),
         inline when it selects no row; shm and tcp mint through it."""
         rows = self._selection(rows)
@@ -365,10 +392,11 @@ class Transport(ABC):
         if block is None or selected == 0:
             empty_shape = shape if selected is None else (0,) + shape[1:]
             ref = ArrayRef(kind="inline", shape=empty_shape, dtype=dtype,
-                           data=np.empty(empty_shape, dtype=np.dtype(dtype)))
+                           data=np.empty(empty_shape, dtype=np.dtype(dtype)),
+                           key=content)
         else:
             ref = ArrayRef(kind=kind, shape=shape, dtype=dtype, block=block,
-                           rows=rows, **where)
+                           rows=rows, key=content, **where)
         return self._record_shipped(ref)
 
 
@@ -390,8 +418,8 @@ class PickleTransport(Transport):
                     self._published[key] = np.ascontiguousarray(array)
         return key
 
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
-                 ) -> ArrayRef:
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+                 content: str | None = None) -> ArrayRef:
         with self._lock:
             src = self._published[key]
         rows = self._selection(rows)
@@ -400,7 +428,7 @@ class PickleTransport(Transport):
         else:
             part = src if rows is None else np.ascontiguousarray(src[rows])
         ref = ArrayRef(kind="inline", shape=tuple(part.shape),
-                       dtype=str(part.dtype), data=part)
+                       dtype=str(part.dtype), data=part, key=content)
         return self._record_shipped(ref)
 
     def teardown(self) -> None:
@@ -454,11 +482,11 @@ class SharedMemoryTransport(Transport):
             self.stats.published_bytes += int(arr.nbytes)
         return key
 
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None
-                 ) -> ArrayRef:
+    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+                 content: str | None = None) -> ArrayRef:
         with self._lock:
             block, shape, dtype = self._meta[key]
-        return self._staged_ref("shm", block, shape, dtype, rows)
+        return self._staged_ref("shm", block, shape, dtype, rows, content)
 
     def teardown(self) -> None:
         with self._lock:

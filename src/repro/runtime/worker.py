@@ -29,11 +29,19 @@ rule documented in docs/runtime.md.
 Arrays arrive either as plain ``int64`` matrices (the pickle data plane)
 or as :class:`repro.runtime.transport.ArrayRef` descriptors (shm / tcp);
 both resolve through :func:`repro.runtime.transport.resolve_array_ref`,
-so the worker-side code is transport-agnostic.
+so the worker-side code is transport-agnostic.  A ref with a content
+``key`` (tasks minted for a home process) is kept in this process's
+:func:`~repro.runtime.residency.resident_cache` once resolved, with the
+trie the kernel builds over it; a ``resident`` ref is served from that
+cache, and a task whose resident ref misses returns ``failure="miss"``
+before any join work (the coordinator re-mints it with published refs).
+Such a task reports what the process holds afterwards
+(``resident_keys``).
 
 A task deliberately never raises across the process boundary.  A
 tripped work budget is encoded in the returned :class:`WorkerTaskResult`
-(``failure="budget"``), anything else as ``failure="crash"`` with a
+(``failure="budget"``), an evicted resident input as ``failure="miss"``,
+anything else as ``failure="crash"`` with a
 reason string (OOM is detected at shuffle time, on the coordinator).
 :func:`repro.runtime.scheduler.merge_task_results` re-raises the right
 :mod:`repro.errors` type in the coordinator, so pickling exotic
@@ -55,6 +63,7 @@ from ..kernels import create_kernel
 from ..obs.tracing import current_tracer, set_thread_tracer, task_tracer
 from ..query.query import JoinQuery
 from ..wcoj.leapfrog import LeapfrogStats
+from .residency import ResidentCache, next_report, resident_cache
 from .transport import TaskFetches, resolve_array_ref
 
 __all__ = ["WorkerTask", "WorkerTaskResult", "execute_worker_task"]
@@ -119,16 +128,36 @@ class WorkerTaskResult:
                                           # reports it (0 under binary)
     join_seconds: float = 0.0
     total_seconds: float = 0.0
-    failure: str | None = None            # None | "budget" | "crash"
+    failure: str | None = None            # None | "budget" | "miss"
+                                          # | "crash"
     failure_info: tuple = ()
     spans: list = field(default_factory=list)  # worker-recorded spans
     #: The joined rows (columns = ``task.order``) of a materializing
     #: task that succeeded; None otherwise.
     rows: np.ndarray | None = None
+    #: Residency report of a task with keyed refs (None otherwise): the
+    #: keys this process holds after the task, ``(pid, sequence)``
+    #: ordering its reports, its resident bytes, and this task's cache
+    #: hits, misses and evictions.
+    resident_keys: tuple[str, ...] | None = None
+    resident_stamp: tuple[int, int] = (0, 0)
+    resident_bytes: int = 0
+    resident_hits: int = 0
+    resident_misses: int = 0
+    resident_evictions: int = 0
 
     @property
     def ok(self) -> bool:
         return self.failure is None
+
+
+def _report_residency(result: WorkerTaskResult, cache: ResidentCache,
+                      used: dict[str, Relation]) -> None:
+    """Size what this task used, evict to the budget, and report."""
+    result.resident_evictions = cache.settle(used)
+    result.resident_keys = cache.keys()
+    result.resident_stamp = next_report()
+    result.resident_bytes = cache.bytes
 
 
 def execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
@@ -156,6 +185,50 @@ def execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
     return result
 
 
+class _ResidentMiss(Exception):
+    """A resident ref's key is not held here (evicted or never kept)."""
+
+
+def _kept_inputs(task: WorkerTask, cache: ResidentCache,
+                 result: WorkerTaskResult) -> dict[str, Relation]:
+    """Every keyed input of ``task`` this process holds, looked up
+    before any join work (so a later insertion cannot evict one
+    mid-task); a resident ref whose key is not held raises
+    :class:`_ResidentMiss`."""
+    kept: dict[str, Relation] = {}
+    for refs in task.cubes:
+        for ref in refs:
+            key = getattr(ref, "key", None)
+            if key is None or key in kept:
+                continue
+            rel = cache.get(key)
+            if rel is not None:
+                kept[key] = rel
+                result.resident_hits += 1
+            elif ref.kind == "resident":
+                result.resident_misses += 1
+                raise _ResidentMiss(key)
+    return kept
+
+
+def _input(atom, ref, known: bool, fetches: TaskFetches,
+           kept: dict[str, Relation], cache: ResidentCache | None
+           ) -> Relation:
+    """One atom's input relation: kept (renamed, sharing its trie memo)
+    or resolved — and kept when the ref names its content."""
+    key = getattr(ref, "key", None)
+    rel = kept.get(key)
+    if rel is not None:
+        return rel.rename(dict(zip(rel.attributes, atom.attributes)),
+                          name=atom.relation)
+    rel = Relation.wrap(atom.relation, atom.attributes,
+                        resolve_array_ref(ref, fetches), known)
+    if cache is not None and key is not None:
+        cache.put(key, rel)
+        kept[key] = rel
+    return rel
+
+
 def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
     start = time.perf_counter()
     tracer = current_tracer()
@@ -166,12 +239,17 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
     sorted_atoms = task.sorted_atoms or (False,) * len(task.query.atoms)
     # What this task fetched over tcp, and its one connection per store.
     fetches = TaskFetches()
+    keyed = any(getattr(ref, "key", None) is not None
+                for refs in task.cubes for ref in refs)
+    cache = resident_cache() if keyed else None
+    kept: dict[str, Relation] = {}
     try:
+        if cache is not None:
+            kept = _kept_inputs(task, cache, result)
         kernel = create_kernel(task.kernel)
         for refs in task.cubes:
             db = Database(
-                Relation.wrap(atom.relation, atom.attributes,
-                              resolve_array_ref(ref, fetches), known)
+                _input(atom, ref, known, fetches, kept, cache)
                 for atom, ref, known in zip(task.query.atoms, refs,
                                             sorted_atoms))
             remaining = None
@@ -210,6 +288,9 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
     except BudgetExceeded as exc:
         result.failure = "budget"
         result.failure_info = (int(exc.work_done), int(exc.budget))
+    except _ResidentMiss as exc:
+        result.failure = "miss"
+        result.failure_info = (f"resident input {exc} is not held",)
     except Exception as exc:
         result.failure = "crash"
         result.failure_info = (
@@ -218,6 +299,8 @@ def _execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
         )
     finally:
         fetches.close()
+        if cache is not None:
+            _report_residency(result, cache, kept)
     result.total_seconds = time.perf_counter() - start
     # The whole-task span is synthesized after the fact so it can carry
     # the task's outcome (count, groups run, failure mode) in its args.

@@ -172,11 +172,10 @@ def build_tries(query: JoinQuery, db: Database, order: Sequence[str]
             raise PlanError(
                 f"atom {atom} arity mismatch with relation {rel.name}")
         # A rename keeps the relation's "known sorted set" flag, so a
-        # trie in the stored column order is built without a sort.
+        # trie in the stored column order is built without a sort, and
+        # shares its trie memo, so a kept relation builds it once.
         renamed = rel.rename(dict(zip(rel.attributes, atom.attributes)))
-        trie = Trie(renamed, order=trie_order(atom.attributes, order))
-        trie.levels()   # index construction, not the join, pays for these
-        tries.append(trie)
+        tries.append(renamed.trie(trie_order(atom.attributes, order)))
     return tries
 
 

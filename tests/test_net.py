@@ -267,6 +267,25 @@ class TestControlPlane:
             finally:
                 sock.close()
 
+    @pytest.mark.parametrize("service", sorted(SERVERS))
+    def test_a_forked_child_does_not_keep_the_port_open(self, service):
+        """A pool forked while a server runs must not hold its listening
+        socket: ``stop()`` closes the port with the child still alive."""
+        import multiprocessing
+        import os
+        from concurrent.futures import ProcessPoolExecutor
+
+        server = SERVERS[service]().start()
+        pool = ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork"))
+        try:
+            assert pool.submit(os.getpid).result() != os.getpid()
+            server.stop()
+            assert not port_listening(server.port)
+        finally:
+            server.stop()
+            pool.shutdown()
+
     def test_query_service_refuses_a_newer_protocol(self):
         from repro.net import QueryServer, ServiceClient
 
