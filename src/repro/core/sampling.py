@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.database import Database
+from ..data.relation import sorted_distinct
 from ..errors import EstimationError
 from ..query.query import JoinQuery
 from ..wcoj.leapfrog import leapfrog_sample_counts
@@ -115,7 +116,7 @@ class CardinalityEstimator:
         for atom in query.atoms_with(attr):
             rel = self.db[atom.relation]
             col = atom.attributes.index(attr)
-            arrays.append(np.unique(rel.data[:, col]))
+            arrays.append(sorted_distinct(rel.data[:, col]))
         arrays.sort(key=len)
         vals = arrays[0]
         for other in arrays[1:]:

@@ -25,15 +25,23 @@ the rows in a given column order, grouped into hash blocks and lexsorted
 within each, sorted once per (order, grouping) and memoized (the routed
 epoch publishes sources through it, so every cube slice is one
 contiguous, sorted row range).
-:class:`JoinProbe` is the binary-join step on top of both: sort the
-right side once by (join columns, remaining columns), probe it with the
-left keys, and know the output size — and that the output is born a
-lexsorted set — before a single output row is gathered.
+:class:`JoinProbe` is the binary-join step on top of
+:meth:`Relation.key_groups` — the rows sorted in (join columns,
+remaining columns) order and grouped by join key, memoized like the
+trie: the right side's groups are matched with the left side's groups
+or row keys, so the output size — and that the output is born a
+lexsorted set — is known before a single output row is gathered.  A
+kept relation is sorted and grouped once, however many steps read it.
+
+Distinct values are counted by one sort and a diff
+(:func:`sorted_distinct`), never by plain ``np.unique``, which may take
+a much slower hash path.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from typing import (TYPE_CHECKING, Callable, Hashable, Iterable, Iterator,
                     Mapping, Sequence)
 
@@ -45,7 +53,8 @@ if TYPE_CHECKING:
     from .trie import Trie
 
 __all__ = ["Relation", "BlockLayout", "JoinProbe", "row_group_ids",
-           "row_keys", "lexsorted_rows", "sorted_set_rows"]
+           "row_keys", "lexsorted_rows", "sorted_set_rows",
+           "sorted_distinct"]
 
 #: Packed keys stay clear of the int64 range (the guard ``TrieLevels.keys``
 #: uses); rows whose radix product reaches it take the fallback paths.
@@ -80,14 +89,30 @@ def lexsorted_rows(arr: np.ndarray) -> np.ndarray:
     return arr[order]
 
 
-def _dedup_sorted(arr: np.ndarray) -> np.ndarray:
-    """Drop duplicate rows from a lexicographically sorted array."""
-    if arr.shape[0] <= 1:
-        return arr
-    keep = np.empty(arr.shape[0], dtype=bool)
-    keep[0] = True
-    np.any(arr[1:] != arr[:-1], axis=1, out=keep[1:])
-    return arr[keep]
+def _run_starts(arr: np.ndarray) -> np.ndarray:
+    """Mask of the values (1-D) or rows (2-D) of a sorted array that
+    differ from the one before: the first of each run of equal ones."""
+    starts = np.empty(arr.shape[0], dtype=bool)
+    starts[:1] = True
+    if arr.ndim == 1:
+        np.not_equal(arr[1:], arr[:-1], out=starts[1:])
+        return starts
+    # Column by column: cheaper than an ``any`` over a narrow axis.
+    np.not_equal(arr[1:, 0], arr[:-1, 0], out=starts[1:])
+    for j in range(1, arr.shape[1]):
+        starts[1:] |= arr[1:, j] != arr[:-1, j]
+    return starts
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array: one sort and a diff.
+
+    The one distinct primitive on the query path.  Plain ``np.unique``
+    may take a hash path instead (numpy 2.x), an order of magnitude
+    slower on int64 columns of a few 100 k values.
+    """
+    out = np.sort(values)
+    return out[_run_starts(out)]
 
 
 def row_group_ids(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -163,11 +188,11 @@ def _sorted_rows(arr: np.ndarray, dedup: bool) -> np.ndarray:
     radix = _radix(arr)
     if radix is None:
         arr = lexsorted_rows(arr)
-        return _dedup_sorted(arr) if dedup else arr
+        return arr[_run_starts(arr)] if dedup else arr
     key = _pack(arr, *radix)
     key.sort()
     if dedup:
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        key = key[_run_starts(key)]
     return _unpack(key, *radix)
 
 
@@ -234,7 +259,7 @@ class Relation:
     """
 
     __slots__ = ("name", "attributes", "data", "_distinct", "_sorted",
-                 "_layout", "_trie", "_digest")
+                 "_layout", "_trie", "_groups", "_digest")
 
     def __init__(self, name: str, attributes: Sequence[str], data=(),
                  dedup: bool = True):
@@ -261,6 +286,9 @@ class Relation:
         #: The last :meth:`trie` as ``[(column indices, Trie)]``: one
         #: cell, shared with renames (same rows, same columns).
         self._trie: list = [None]
+        #: The last two :meth:`key_groups` as ``[((column indices,
+        #: width), (rows, bounds))]``, shared with renames like the trie.
+        self._groups: list = []
         self._digest: str | None = None
 
     # -- construction helpers -------------------------------------------------
@@ -338,16 +366,60 @@ class Relation:
             memo = self._trie[0] = (idx, trie)
         return memo[1].renamed(self.name, attrs)
 
+    def key_groups(self, attrs: Sequence[str], width: int
+                   ) -> tuple["Relation", np.ndarray]:
+        """These rows as a lexsorted set in column order ``attrs``,
+        grouped by their first ``width`` columns: ``(rows, bounds)``,
+        group ``g`` being rows ``bounds[g]:bounds[g + 1]`` (no column:
+        all rows are one group, none when there is no row).
+
+        One sort (none for a lexsorted set already in that order) and
+        one diff over the ``width`` columns (none when they are all the
+        columns: a set's rows are its groups).  Memoized — the last two
+        asked for, since a self-join reads one relation in two orders —
+        in a cell every rename shares, so a relation kept between tasks
+        (a worker-resident input) is grouped once.  Entries are never
+        changed in place, so threads racing on the cell at worst group
+        twice.
+        """
+        attrs = tuple(attrs)
+        key = (tuple(self.column_index(a) for a in attrs), width)
+        for memo_key, memo in tuple(self._groups):
+            if memo_key == key:
+                break
+        else:
+            rows = self.sorted_set(attrs).data
+            n = rows.shape[0]
+            if width == len(attrs):     # a set: one row a group
+                bounds = np.arange(n + 1)
+            elif width:
+                bounds = np.flatnonzero(_run_starts(rows[:, :width]))
+                bounds = np.append(bounds, n)
+            else:
+                bounds = np.array([0, n] if n else [0], dtype=np.intp)
+            memo = (rows, bounds)
+            self._groups[:] = [(key, memo)] + self._groups[:1]
+        out = Relation.wrap(self.name, attrs, memo[0], True)
+        # The rows know their own groups: a step that reads them as its
+        # left side finds them without a diff.
+        out._groups.append(((tuple(range(len(attrs))), width), memo))
+        return out, memo[1]
+
     @property
     def index_nbytes(self) -> int:
-        """Bytes the memoized :meth:`trie` holds beyond these rows."""
+        """Bytes the memoized :meth:`trie` and :meth:`key_groups` hold
+        beyond these rows."""
+        extra = 0
         memo = self._trie[0]
-        if memo is None:
-            return 0
-        trie = memo[1]
-        extra = trie.levels().nbytes
-        if trie.data is not self.data:
-            extra += int(trie.data.nbytes)
+        if memo is not None:
+            trie = memo[1]
+            extra += trie.levels().nbytes
+            if trie.data is not self.data:
+                extra += int(trie.data.nbytes)
+        for _, (rows, bounds) in self._groups:
+            extra += int(bounds.nbytes)
+            if rows is not self.data:
+                extra += int(rows.nbytes)
         return extra
 
     @classmethod
@@ -456,19 +528,19 @@ class Relation:
 
     def distinct_values(self, attr: str) -> np.ndarray:
         """Sorted distinct values of ``attr``."""
-        return np.unique(self.column(attr))
+        return sorted_distinct(self.column(attr))
 
     def distinct_count(self, attr: str) -> int:
         """Number of distinct values of ``attr``, memoized per column.
 
         Plan search (:func:`repro.wcoj.binary_join._estimate_join_size`,
         degree-order selection, the adaptive kernel chooser) asks for the
-        same counts repeatedly; the O(n log n) ``np.unique`` runs once.
+        same counts repeatedly; the O(n log n) sort runs once.
         """
         j = self.column_index(attr)
         count = self._distinct.get(j)
         if count is None:
-            count = int(np.unique(self.data[:, j]).shape[0])
+            count = int(sorted_distinct(self.data[:, j]).shape[0])
             self._distinct[j] = count
         return count
 
@@ -500,6 +572,7 @@ class Relation:
         out = Relation.wrap(name or self.name, attrs, self.data, self._sorted)
         out._distinct = self._distinct  # same data, same column order
         out._trie = self._trie
+        out._groups = self._groups
         return out
 
     def reorder(self, attrs: Sequence[str], name: str | None = None) -> "Relation":
@@ -639,13 +712,20 @@ class BlockLayout:
 class JoinProbe:
     """One binary join step: probed and sized, output not yet gathered.
 
-    Both sides are taken as sets.  ``left`` is sorted only if it is not
-    already known to be a lexsorted set; ``right`` is sorted **once**, by
-    (join columns, remaining columns), which deduplicates it in the same
-    pass.  The left rows' join keys then probe the right's with
-    ``searchsorted``: left row ``i`` matches the ``counts[i]`` right rows
-    from ``starts[i]`` on.  ``size = counts.sum()`` is the output size, so
-    a count — or a budget check — needs no output row.
+    Both sides are taken as sets.  The right side is read through
+    :meth:`Relation.key_groups` in column order (join columns, remaining
+    columns): its rows grouped by join key, memoized, so a kept relation
+    (a worker-resident input) is sorted and grouped once, not per step.
+    A ``left`` that is a lexsorted set with its join columns leading is
+    grouped the same way (no sort: a diff, memoized too), and its
+    distinct keys are matched with the right's; any other ``left`` (an
+    intermediate in its own order) is probed row by row, its rows' keys
+    matched among the right's.  Either way the match is one
+    ``searchsorted`` (:func:`_match`), and ``size``, the dot product of
+    the matched groups' row counts, is the output size: a count, or a
+    budget check, needs no output row, and nothing re-sorts a kept
+    right side or argsorts a key.  With no join column each side is
+    one group, so the cartesian product is the same code.
 
     :meth:`rows` gathers left rows in order times their right rests in
     order.  Because both inputs are sets, that output is a set and is
@@ -654,49 +734,98 @@ class JoinProbe:
     right side (cartesian product), through the same gather.
     """
 
-    __slots__ = ("left", "right", "common", "starts", "counts", "size")
+    __slots__ = ("left", "right", "common", "size", "build_seconds",
+                 "_groups")
 
     def __init__(self, left: Relation, right: Relation):
         common = left.common_attributes(right)
-        rest = tuple(a for a in right.attributes if a not in common)
+        width = len(common)
+        t0 = time.perf_counter()
+        #: The two sides as lexsorted sets: ``right`` join columns
+        #: first; ``left`` in its own column order.
+        self.right, rbounds = right.key_groups(common + tuple(
+            a for a in right.attributes if a not in common), width)
         left = left.sorted_set()
-        right = right.sorted_set(common + rest)
-        n, m = len(left), len(right)
-        starts = np.zeros(n, dtype=np.intp)
-        counts = np.zeros(n, dtype=np.intp)
-        if not common:
-            counts += m    # cartesian: every left row meets all of right
-        elif n and m:
-            keys, hay = row_keys(
-                left.data[:, [left.column_index(a) for a in common]],
-                right.data[:, :len(common)])
-            # ``hay`` is non-decreasing (right is sorted join columns
-            # first); probing it in key order keeps both sides sequential.
-            order = np.argsort(keys)
-            keys = keys[order]
-            lo = np.searchsorted(hay, keys, side="left")
-            starts[order] = lo
-            counts[order] = np.searchsorted(hay, keys, side="right") - lo
+        grouped = left.attributes[:width] == common
+        if grouped:
+            left, lbounds = left.key_groups(left.attributes, width)
+        else:
+            lbounds = np.arange(len(left) + 1)
         self.left = left
-        self.right = right
+        #: Seconds spent sorting and grouping the sides (≈ 0 when they
+        #: were memoized).
+        self.build_seconds = time.perf_counter() - t0
         self.common = common
-        self.starts = starts
-        self.counts = counts
-        self.size = int(counts.sum())
+        lkeys = (_group_heads(left.data, lbounds, width) if grouped else
+                 left.data[:, [left.column_index(a) for a in common]])
+        li, ri = _match(*_group_keys(
+            lkeys, _group_heads(self.right.data, rbounds, width)))
+        self._groups = (lbounds, rbounds, li, ri)
+        self.size = int(np.dot(np.diff(lbounds)[li], np.diff(rbounds)[ri]))
+
+    def _per_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, starts)`` per row of ``left.data``: how many right
+        rows it matches and where they start in ``right.data``."""
+        lbounds, rbounds, li, ri = self._groups
+        counts = np.zeros(lbounds.shape[0] - 1, dtype=np.intp)
+        starts = np.zeros(lbounds.shape[0] - 1, dtype=np.intp)
+        counts[li] = np.diff(rbounds)[ri]
+        starts[li] = rbounds[ri]
+        if counts.shape[0] == len(self.left):   # one row a group
+            return counts, starts
+        sizes = np.diff(lbounds)
+        return np.repeat(counts, sizes), np.repeat(starts, sizes)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Right rows matched by each row of ``left.data``."""
+        return self._per_row()[0]
 
     def rows(self, name: str | None = None) -> Relation:
         """Gather the output relation (a lexsorted set)."""
-        left, right = self.left, self.right
-        width = len(self.common)
+        left, right, width = self.left, self.right, len(self.common)
+        counts, starts = self._per_row()
         attrs = left.attributes + right.attributes[width:]
         out = np.empty((self.size, len(attrs)), dtype=np.int64)
-        out[:, :left.arity] = np.repeat(left.data, self.counts, axis=0)
+        out[:, :left.arity] = np.repeat(left.data, counts, axis=0)
         if right.arity > width:
             # Output row r of left row i reads right row
             # starts[i] + (r - first output row of i).
-            first = np.cumsum(self.counts) - self.counts
-            idx = np.repeat(self.starts - first, self.counts)
+            first = np.cumsum(counts) - counts
+            idx = np.repeat(starts - first, counts)
             idx += np.arange(self.size)
             out[:, left.arity:] = right.data[idx, width:]
         return Relation.wrap(name or f"({left.name}><{right.name})", attrs,
                              out, True)
+
+
+def _group_heads(data: np.ndarray, bounds: np.ndarray,
+                 width: int) -> np.ndarray:
+    """The first ``width`` columns of each group's first row."""
+    if bounds.shape[0] - 1 == data.shape[0]:    # one row a group
+        return data[:, :width]
+    return data[bounds[:-1], :width]
+
+
+def _group_keys(a: np.ndarray, b: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """1-D order-preserving keys for the rows of two ``(n, w)`` arrays:
+    :func:`row_keys`, or 0 for every row when there is no column (or
+    no row on one side, where nothing can match)."""
+    if a.shape[1] == 0 or not (a.shape[0] and b.shape[0]):
+        return (np.zeros(a.shape[0], dtype=np.int64),
+                np.zeros(b.shape[0], dtype=np.int64))
+    mine, theirs = row_keys(a, b)
+    return mine, theirs
+
+
+def _match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` with ``a[i] == b[j]``, ``b`` sorted and distinct: one
+    ``searchsorted`` of ``a`` into ``b``."""
+    if not (a.shape[0] and b.shape[0]):
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    pos = np.searchsorted(b, a)
+    np.minimum(pos, b.shape[0] - 1, out=pos)
+    hit = np.flatnonzero(b[pos] == a)
+    return hit, pos[hit]

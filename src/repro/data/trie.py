@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from .relation import Relation
+from .relation import Relation, sorted_distinct
 
 __all__ = ["Trie", "TrieLevels"]
 
@@ -171,7 +171,7 @@ class Trie:
                 if (ptr[-1].shape[0] - 1) * width < _KEY_LIMIT:
                     offset = level_vals - vmin
                 else:
-                    level_distinct = np.unique(level_vals)
+                    level_distinct = sorted_distinct(level_vals)
                     width = int(level_distinct.shape[0])
                     offset = np.searchsorted(level_distinct, level_vals)
                 # parent * width + offset with parent = cumsum(mark) - 1,

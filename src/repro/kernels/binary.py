@@ -1,15 +1,20 @@
-"""The ``binary`` kernel: a left-deep chain of sort-once merge joins.
+"""The ``binary`` kernel: a left-deep chain of key-group joins.
 
 Atom order comes from the greedy System-R style planner in
 :mod:`repro.wcoj.binary_join` (estimates served by the memoized
 :meth:`Relation.distinct_count` catalog stats, and only where the plan
 has a choice); the chain itself is that module's one step loop,
 :func:`~repro.wcoj.binary_join.run_left_deep`.  Each step is a
-:class:`~repro.data.relation.JoinProbe`: the right side sorted once
-through a packed 1-D key, probed by the left keys with ``searchsorted``,
-the output born a lexsorted set — no per-tuple Python loops, no
-re-sort of an intermediate, and with ``materialize=False`` the last
-step is only *sized* (``counts.sum()``), never gathered.
+:class:`~repro.data.relation.JoinProbe`: the right side's rows read
+grouped by join key from their memoized
+:meth:`~repro.data.relation.Relation.key_groups` (join columns first),
+the first step's left side too, later steps' intermediates probed row
+by row, the output born a lexsorted set — no per-tuple Python loops, no
+re-sort of an intermediate or of a kept input, and with
+``materialize=False`` the last step is only *sized* (a dot product of
+matched key-group sizes), never gathered.  The seconds spent sorting
+(or fetching from the memo) those groups are ``stats.build_seconds``;
+a warm worker-resident task reads ≈ 0.
 
 Work accounting: every join step charges ``len(right) + len(output)``
 (plus the initial ``len(left)``; lengths under set semantics) to
@@ -62,6 +67,7 @@ class BinaryKernel:
             if not stats.extensions:
                 stats.intersection_work += len(probe.left)
             stats.extensions += 1
+            stats.build_seconds += probe.build_seconds
             stats.intersection_work += len(probe.right) + probe.size
             if budget is not None and stats.intersection_work > budget:
                 raise BudgetExceeded(stats.intersection_work, budget)

@@ -236,14 +236,18 @@ class _PoolExecutor(Executor):
         super().setup()
         self._ensure_pool()
 
-    def _shutdown_pool(self) -> None:
+    def _shutdown_pool(self, wait: bool = False) -> None:
         """Discard the pool only — the transport (and its epoch counters)
         stays alive, because the *engine* owns the epoch and must be able
         to tear it down itself and read real ``last_epoch`` stats even
-        after a failed run."""
+        after a failed run.
+
+        ``wait`` joins the pool's workers (:meth:`ProcessExecutor.close`
+        does); the crash path never waits, as a worker there may be dead
+        or hung."""
         with self._pool_lock:
             if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool.shutdown(wait=wait, cancel_futures=True)
                 self._pool = None
 
     def _raise_if_cancelled(self, futures) -> None:
@@ -421,9 +425,16 @@ class ProcessExecutor(_PoolExecutor):
         self.residency.clear()
         return _HomeSlots(self.max_workers, ctx, self.residency)
 
-    def _shutdown_pool(self) -> None:
-        super()._shutdown_pool()
+    def _shutdown_pool(self, wait: bool = False) -> None:
+        super()._shutdown_pool(wait)
         self.residency.clear()
+
+    def close(self) -> None:
+        # Join the home processes: a pool's manager thread left running
+        # races the interpreter's exit hook, which then writes to the
+        # pool's closed wakeup pipe (EBADF printed at exit).
+        self._shutdown_pool(wait=True)
+        super().close()
 
 
 class ExecutorView(Executor):

@@ -8,9 +8,10 @@ may keep what it resolved:
 
 - :class:`ResidentCache` (worker side, one per home process) maps a
   *content key* to the resolved rows as a :class:`~repro.data.relation
-  .Relation`; the trie a kernel builds over them is memoized on that
-  relation (:meth:`~repro.data.relation.Relation.trie`), so one
-  byte-bounded, counted LRU holds both.  A key names rows by content —
+  .Relation`; the index a kernel builds over them is memoized on that
+  relation (:meth:`~repro.data.relation.Relation.trie` for ``wcoj``,
+  :meth:`~repro.data.relation.Relation.key_groups` for ``binary``), so
+  one byte-bounded, counted LRU holds both.  A key names rows by content —
   ``(Relation.digest, layout memo key, grouping, block id)``, minted by
   :meth:`~repro.distributed.hcube.HCubeRouting.content_keys` — so a hit
   is never stale and a miss is never wrong.
@@ -45,13 +46,14 @@ from ..obs.metrics import METRICS
 __all__ = ["RESIDENT_BYTES", "ResidentCache", "ResidencyView",
            "next_report", "resident_cache"]
 
-#: Bytes one home process keeps resident (rows plus their tries).  A
-#: constant, sized from the per-slot entry bytes measured on the
-#: benchmark workloads at two slots (docs/runtime.md): 1.7 MB
-#: (``tri-skew``), 4.8 MB (``path-uniform``), 5.4 MB (``adj-cyclic``)
-#: and 3.0 MB for all eight ``service-mix`` cases.  A traced pass lays
-#: the same data out a second way, which doubles the largest to ~11 MB;
-#: the budget is three times that.
+#: Bytes one home process keeps resident (rows plus their tries or key
+#: groups).  A constant, sized from the per-slot entry bytes measured on
+#: the benchmark workloads at two slots (docs/runtime.md): 1.7 MB
+#: (``tri-skew``), 8.5 MB (``path-uniform``: rows plus the binary
+#: kernel's key groups, one side a re-sorted copy), 5.4 MB
+#: (``adj-cyclic``) and 3.0 MB for all eight ``service-mix`` cases.  A
+#: traced pass lays the same data out a second way, which takes the
+#: largest to ~11.6 MB; the budget is about three times that.
 RESIDENT_BYTES = 32 << 20
 
 
@@ -59,9 +61,9 @@ class ResidentCache:
     """A home process's byte-bounded LRU of resolved join inputs.
 
     Entries are :class:`Relation` objects; their size is the rows plus
-    the memoized trie (:attr:`Relation.index_nbytes`), re-measured when
+    the memoized index (:attr:`Relation.index_nbytes`), re-measured when
     a task that used them ends (:meth:`settle`), since a kernel builds
-    the trie after the entry was added.
+    the index after the entry was added.
     """
 
     def __init__(self, budget: int):

@@ -125,7 +125,7 @@ class WorkerTaskResult:
     cache_hits: int = 0
     cache_misses: int = 0
     build_seconds: float = 0.0            # index build, as the kernel
-                                          # reports it (0 under binary)
+                                          # reports it
     join_seconds: float = 0.0
     total_seconds: float = 0.0
     failure: str | None = None            # None | "budget" | "miss"

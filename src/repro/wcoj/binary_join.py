@@ -13,6 +13,7 @@ runs each keyed step with that kernel.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,7 +60,7 @@ def _greedy_plan(query: JoinQuery, db: Database, every_estimate: bool
     repeatedly the connected atom with the smallest estimated join.
 
     A step whose candidate pool holds one atom is forced.  Unless
-    ``every_estimate`` is set its estimate (one cold ``np.unique`` per
+    ``every_estimate`` is set its estimate (one cold distinct count per
     join column) is deferred, and computed only if a later step has a
     real choice to make and therefore needs the running size.
     """
@@ -147,18 +148,35 @@ def run_left_deep(query: JoinQuery, db: Database, plan: BinaryPlan,
     the trie's view of them).  ``on_step`` sees every probe *before* its
     output is gathered — the place to account work and to raise
     :class:`BudgetExceeded` without allocating an over-budget
-    intermediate.  Returns ``(relation, count)``: the result as a
-    lexsorted set over the attributes in join order, or ``None`` with
-    ``materialize=False`` — the last step is then never gathered.
+    intermediate.  The first step's left side is the first atom's
+    memoized :meth:`~repro.data.relation.Relation.key_groups` with its
+    join columns first, so both sides of that step are grouped by key
+    and a count-only one-step plan is one key-group intersection.
+    Returns ``(relation, count)``: the result as a
+    lexsorted set over the attributes in join order (the first atom's
+    join columns first), or ``None`` with ``materialize=False`` — the
+    last step is then never gathered.
     """
     if set(plan.atom_order) != set(range(query.num_atoms)):
         raise PlanError(
             f"plan {plan.atom_order} does not cover all "
             f"{query.num_atoms} atoms")
-    current = _atom_relation(query, db, plan.atom_order[0]).sorted_set()
-    steps = plan.atom_order[1:]
-    for step, i in enumerate(steps, start=1):
-        probe = JoinProbe(current, _atom_relation(query, db, i))
+    current = _atom_relation(query, db, plan.atom_order[0])
+    steps = [_atom_relation(query, db, i) for i in plan.atom_order[1:]]
+    if not steps:
+        current = current.sorted_set()
+        return (current if materialize else None), len(current)
+    # The first step probes by key group: the first atom's memoized
+    # groups, its join columns first, so a kept input is grouped once.
+    t0 = time.perf_counter()
+    common = current.common_attributes(steps[0])
+    current, _ = current.key_groups(common + tuple(
+        a for a in current.attributes if a not in common), len(common))
+    built = time.perf_counter() - t0
+    for step, right in enumerate(steps, start=1):
+        probe = JoinProbe(current, right)
+        probe.build_seconds += built
+        built = 0.0
         on_step(probe)
         if step == len(steps) and not materialize:
             return None, probe.size

@@ -84,7 +84,7 @@ class LeapfrogStats:
     cache_hits: int = 0            # bindings a cached run did not charge
     cache_misses: int = 0          # bindings a cached run charged
     #: Wall-clock the run spent building its own tries (0 when the
-    #: caller passed ``tries=``, and under kernels that build none).
+    #: caller passed ``tries=``; ≈ 0 when they were memoized).
     #: A measurement, not a counter: two runs with equal counters are
     #: equal.
     build_seconds: float = field(default=0.0, compare=False)

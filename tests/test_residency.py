@@ -13,6 +13,7 @@ import os
 import signal
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -129,6 +130,46 @@ class TestWarmQueries:
         again = run(executor, query, db)
         assert again.ok and again.count == expected
         assert again.data_plane == cold.data_plane   # republished
+
+
+def _held_groups(_task) -> dict[str, list[int]]:
+    """In a home process: the identity of every memoized key grouping
+    it keeps."""
+    cache = residency.resident_cache()
+    held = {}
+    for key in cache.keys():
+        memo = cache.get(key)._groups
+        if memo:
+            held[key] = [id(bounds) for _, (_, bounds) in memo]
+    return held
+
+
+def test_a_warm_binary_query_groups_nothing_again(executor):
+    """The binary kernel probes the key groups its home process keeps:
+    a warm query sorts and groups nothing and keeps the cold run's
+    counts and work."""
+    query = paper_query("Q7")
+    edges = np.random.default_rng(4).integers(0, 60, size=(400, 2))
+    db = Database(Relation(a.relation, ("x", "y"), edges)
+                  for a in query.atoms)
+
+    def binary():
+        return run_engine_safely(HCubeJ(order=ORDER, kernel="binary"),
+                                 query, db, Cluster(num_workers=2),
+                                 executor=executor)
+
+    def held():
+        return executor.map_tasks(
+            _held_groups, [types.SimpleNamespace(worker=w) for w in (0, 1)])
+
+    cold = binary()
+    assert cold.ok and cold.count == len(leapfrog_reference(query, db))
+    built = held()
+    assert all(built)          # every slot keeps its inputs' groups
+    warm = binary()
+    assert warm.ok and counters(warm) == counters(cold)
+    assert header_only(warm.data_plane)
+    assert held() == built     # the same memo entries: none rebuilt
 
 
 class TestRetries:
@@ -252,10 +293,43 @@ def test_home_processes_share_the_coordinator_resource_tracker():
         "with JoinSession(workers=2, backend='processes',\n"
         "                 transport='shm') as s:\n"
         "    assert s.query_from(q, db).run('hcubej').ok\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
-                    os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_script_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "leaked" not in proc.stderr, proc.stderr
+
+
+def _script_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+
+
+def test_a_closed_session_exits_with_empty_stderr():
+    """Closing a session joins its home processes, so nothing of the
+    pool races the interpreter's exit (which printed an ignored EBADF
+    from the process pool's exit hook in a few runs out of a hundred)."""
+    import subprocess
+    import sys
+
+    script = (
+        "import numpy as np\n"
+        "from repro import JoinSession\n"
+        "from repro.data import Database, Relation\n"
+        "from repro.query import paper_query\n"
+        "q = paper_query('Q1')\n"
+        "e = np.random.default_rng(0).integers(0, 40, size=(300, 2))\n"
+        "db = Database(Relation(a.relation, ('x', 'y'), e) for a in q.atoms)\n"
+        "s = JoinSession(workers=2, backend='processes', transport='shm')\n"
+        "assert s.query_from(q, db).run('hcubej').ok\n"
+        "s.close()\n")
+    for _ in range(5):      # 10 runs, two at a time
+        procs = [subprocess.Popen([sys.executable, "-c", script],
+                                  env=_script_env(), text=True,
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE)
+                 for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert err == "", err

@@ -514,7 +514,7 @@ class TestOneTaskShape:
         assert binary.ok and binary.count == truth.count
         assert np.array_equal(sorted_set_rows(binary.rows),
                               truth.relation.data)
-        assert binary.build_seconds == 0.0  # no tries under binary
+        assert binary.build_seconds > 0.0   # its tries, built cold
 
     def test_count_only_task_ships_no_rows(self):
         _, _, task = self._bag("wcoj")
