@@ -283,9 +283,9 @@ class Relation:
         self._distinct: dict[int, int] = {}
         #: The last :meth:`block_layout` as ``((attrs, key), layout)``.
         self._layout: tuple[tuple, BlockLayout] | None = None
-        #: The last :meth:`trie` as ``[(column indices, Trie)]``: one
-        #: cell, shared with renames (same rows, same columns).
-        self._trie: list = [None]
+        #: The last two :meth:`trie` as ``[(column indices, Trie)]``:
+        #: one cell, shared with renames (same rows, same columns).
+        self._trie: list = []
         #: The last two :meth:`key_groups` as ``[((column indices,
         #: width), (rows, bounds))]``, shared with renames like the trie.
         self._groups: list = []
@@ -350,21 +350,24 @@ class Relation:
         """A :class:`~repro.data.trie.Trie` over these rows in column
         order ``attrs``, its levels built.
 
-        Memoized like :meth:`block_layout` — the last order asked for —
-        in a cell every rename of this relation shares (same rows, same
+        Memoized like :meth:`key_groups` — the last two orders asked
+        for, since a self-join reads one relation in two orders — in a
+        cell every rename of this relation shares (same rows, same
         columns), so a relation kept between tasks (a worker-resident
-        input, :mod:`repro.runtime.residency`) builds its trie once.
+        input, :mod:`repro.runtime.residency`) builds its tries once.
         """
         from .trie import Trie
 
         attrs = tuple(attrs)
         idx = tuple(self.column_index(a) for a in attrs)
-        memo = self._trie[0]
-        if memo is None or memo[0] != idx:
+        for memo_idx, trie in tuple(self._trie):
+            if memo_idx == idx:
+                break
+        else:
             trie = Trie(self, attrs)
             trie.levels()
-            memo = self._trie[0] = (idx, trie)
-        return memo[1].renamed(self.name, attrs)
+            self._trie[:] = [(idx, trie)] + self._trie[:1]
+        return trie.renamed(self.name, attrs)
 
     def key_groups(self, attrs: Sequence[str], width: int
                    ) -> tuple["Relation", np.ndarray]:
@@ -410,9 +413,7 @@ class Relation:
         """Bytes the memoized :meth:`trie` and :meth:`key_groups` hold
         beyond these rows."""
         extra = 0
-        memo = self._trie[0]
-        if memo is not None:
-            trie = memo[1]
+        for _, trie in tuple(self._trie):
             extra += trie.levels().nbytes
             if trie.data is not self.data:
                 extra += int(trie.data.nbytes)

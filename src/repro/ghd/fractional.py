@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import DecompositionError
 from ..query.hypergraph import Hypergraph
@@ -76,6 +75,10 @@ def fractional_edge_cover(hypergraph: Hypergraph,
     if weights.shape != (num_edges,):
         raise DecompositionError(
             f"need {num_edges} edge weights, got {weights.shape}")
+    # Imported here, not at module scope: scipy.optimize is most of the
+    # package's import time, and only this LP needs it.
+    from scipy.optimize import linprog
+
     # linprog minimizes c @ x with A_ub @ x <= b_ub; coverage constraints
     # sum_{e ni v} x_e >= 1 become -sum <= -1.
     a_ub = np.zeros((len(cover_vertices), num_edges))
@@ -108,6 +111,8 @@ def vertex_cover_lp(hypergraph: Hypergraph) -> float:
     edges = hypergraph.edges
     if not vertices or not edges:
         return 0.0
+    from scipy.optimize import linprog
+
     # maximize sum_v y_v  s.t. for every edge: sum_{v in e} y_v <= 1.
     c = -np.ones(len(vertices))
     a_ub = np.zeros((len(edges), len(vertices)))

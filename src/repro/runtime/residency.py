@@ -48,12 +48,13 @@ __all__ = ["RESIDENT_BYTES", "ResidentCache", "ResidencyView",
 
 #: Bytes one home process keeps resident (rows plus their tries or key
 #: groups).  A constant, sized from the per-slot entry bytes measured on
-#: the benchmark workloads at two slots (docs/runtime.md): 1.7 MB
-#: (``tri-skew``), 8.5 MB (``path-uniform``: rows plus the binary
-#: kernel's key groups, one side a re-sorted copy), 5.4 MB
-#: (``adj-cyclic``) and 3.0 MB for all eight ``service-mix`` cases.  A
-#: traced pass lays the same data out a second way, which takes the
-#: largest to ~11.6 MB; the budget is about three times that.
+#: the benchmark workloads at two slots (docs/runtime.md): 5.4 MB
+#: (``tri-skew``: rows plus tries whose dense levels keep a rank
+#: bitmap), 8.1 MB (``path-uniform``: rows plus the binary kernel's key
+#: groups, one side a re-sorted copy), 9.8 MB (``adj-cyclic``) and
+#: 5.8 MB for all eight ``service-mix`` cases.  A traced pass lays the
+#: same data out a second way, which takes ``adj-cyclic`` to ~21.6 MB;
+#: the budget is about 1.5 times that, and neither evicts.
 RESIDENT_BYTES = 32 << 20
 
 

@@ -6,8 +6,11 @@
   attribute for the whole batch over the tries' CSR level arrays
   (:meth:`repro.data.trie.Trie.levels`).  Per binding the participant
   with the shortest child segment *drives*: only its values are
-  gathered, and each is probed in the other participants with one
-  ``np.searchsorted`` per participant.  Frontiers are cut into chunks of
+  gathered, and each is probed in the other participants
+  (:meth:`repro.data.trie.TrieLevels.probe`: one bitmap word on a
+  direct-addressed level, a ``np.searchsorted`` elsewhere; only
+  :meth:`~repro.data.trie.TrieLevels.contains` for a participant whose
+  trie ends at the level).  Frontiers are cut into chunks of
   at most ``_CHUNK`` gathered candidates and processed depth-first, so
   memory is bounded by depth x chunk and rows come out in lexicographic
   order.  Work is *accounted* from the segment lengths of all
@@ -17,10 +20,12 @@
   fixed value: those bindings are all of the participant's children,
   so per binding each tail atom's descendant node range is carried
   down through ``ptr`` and every level is counted as a product of range
-  lengths, the same integers the enumeration accounts.  Materializing
-  and cached runs enumerate every level.  Supports fixed-value
-  constraints (the sampler's ``T_{A=a}``) and a deterministic work
-  budget (the paper's 12-hour timeout analogue).  With
+  lengths, the same integers the enumeration accounts.  A count-only run
+  with no tail counts its last level instead: each candidate is looked
+  up with ``contains`` and the hits are counted, never filtered into a
+  next frontier.  Materializing and cached runs enumerate every level.
+  Supports fixed-value constraints (the sampler's ``T_{A=a}``) and a
+  deterministic work budget (the paper's 12-hour timeout analogue).  With
   ``cache_capacity=`` it is HCubeJ+Cache's CacheTrieJoin [28]: within a
   chunk, bindings whose level participants sit on the same trie nodes
   have the same candidates, so each distinct node tuple is extended
@@ -367,7 +372,8 @@ def _extend(run: _Frontier, d: int, k: int,
     Then, chunk by chunk and depth-first, every binding's shortest
     segment is gathered and each candidate is probed in the other
     participants.  From the run's tail on, nothing is gathered: the
-    levels are counted (:func:`_count_tail`).
+    levels are counted (:func:`_count_tail`); a count-only run's last
+    level is gathered and counted, not kept (:func:`_count_last`).
     """
     if d >= run.tail:
         _count_tail(run, d, k, nodes, root)
@@ -421,6 +427,11 @@ def _extend(run: _Frontier, d: int, k: int,
                  *_probe(run, d, nodes, bind, value, None, None))
         return
     driver = seg.argmin(axis=0)
+    if (d == len(run.participants) - 1 and run.rows is None
+            and run.capacity is None):
+        for lo, hi in chunks:
+            _count_last(run, d, nodes, starts, driver, shortest, lo, hi, root)
+        return
     for i, (lo, hi) in enumerate(chunks):
         bind, value, children = _gather(
             run, d, nodes, starts, driver, shortest, lo, hi,
@@ -528,6 +539,42 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             + np.repeat(starts - (ends - lengths), lengths))
 
 
+def _count_last(run: _Frontier, d: int, nodes: list[np.ndarray | None],
+                starts: list[np.ndarray], driver: np.ndarray,
+                shortest: np.ndarray, lo: int, hi: int,
+                root: np.ndarray | None) -> None:
+    """Count the bindings of the last level ``d`` under bindings
+    ``lo .. hi`` of a count-only run without enumerating them.
+
+    Each driver group's candidates are looked up in the other
+    participants with :meth:`TrieLevels.contains` (no node index), and
+    only the hits of the last lookup are counted, not kept: nothing is
+    filtered into child arrays and no merge sort restores binding order.
+    The counters are the ones :func:`_descend` would record.
+    """
+    parts = run.participants[d]
+    total = 0
+    for p, (ai, depth) in enumerate(parts):
+        sel = np.flatnonzero(driver[lo:hi] == p) + lo
+        if not sel.shape[0]:
+            continue
+        bind = np.repeat(sel, shortest[sel])
+        value = run.levels[ai].vals[depth][_ranges(starts[p][sel],
+                                                   shortest[sel])]
+        others = parts[:p] + parts[p + 1:]
+        for i, (aq, dq) in enumerate(others):
+            found = run.levels[aq].contains(
+                dq, nodes[aq][bind] if dq else None, value)
+            if i + 1 < len(others):
+                bind, value = bind[found], value[found]
+        total += int(np.count_nonzero(found))
+        if root is not None:
+            run.root_counts += np.bincount(
+                root[bind[found]], minlength=run.root_counts.shape[0])
+    run.stats.level_tuples[d] += total
+    run.stats.emitted += total
+
+
 def _gather(run: _Frontier, d: int, nodes: list[np.ndarray | None],
             starts: list[np.ndarray], driver: np.ndarray,
             shortest: np.ndarray, lo: int, hi: int,
@@ -578,9 +625,15 @@ def _probe(run: _Frontier, d: int, nodes: list[np.ndarray | None],
         if p == driver:
             continue
         parents = nodes[ai][bind] if depth else None
-        child, found = run.levels[ai].probe(depth, parents, value)
+        lv = run.levels[ai]
+        if deeper[p]:
+            child, found = lv.probe(depth, parents, value)
+        else:           # a leaf: only whether it exists matters
+            child, found = None, lv.contains(depth, parents, value)
         if not found.all():
-            bind, value, child = bind[found], value[found], child[found]
+            bind, value = bind[found], value[found]
+            if child is not None:
+                child = child[found]
             children = [c if c is None else c[found] for c in children]
         if deeper[p]:
             children[p] = child

@@ -1,5 +1,9 @@
 """Tests for repro.ghd: fractional covers and hypertree decompositions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import DecompositionError, PlanError
@@ -16,6 +20,21 @@ from repro.query import Hypergraph, JoinQuery, example_query, paper_query, parse
 
 
 class TestFractionalCover:
+    def test_importing_the_package_defers_scipy(self):
+        """Only the cover LP needs ``scipy.optimize`` (about half of a
+        cold ``import repro``), so importing the package — every CLI
+        run, pool child and agent — does not load it."""
+        script = ("import sys, repro, repro.ghd\n"
+                  "assert 'scipy.optimize' not in sys.modules\n"
+                  "repro.ghd.fractional_cover_number("
+                  "repro.query.Hypergraph(['a'], [{'a'}]))\n"
+                  "assert 'scipy.optimize' in sys.modules\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_triangle_is_three_halves(self):
         h = Hypergraph.of_query(paper_query("Q1"))
         assert fractional_cover_number(h) == pytest.approx(1.5)

@@ -67,6 +67,24 @@ class TestTrieBuild:
         with pytest.raises(AssertionError):     # another order must sort
             Trie(rel, order=("b", "a"))
 
+    def test_a_warm_self_join_builds_no_trie(self, monkeypatch):
+        """``E(a, b) ⋈ E(b, c)`` reads ``E`` in two column orders; the
+        relation keeps both tries, so a warm run builds neither."""
+        from repro.data import Database
+        from repro.kernels import create_kernel
+        from repro.query import Atom, JoinQuery
+
+        edges = np.random.default_rng(2).integers(0, 3000, size=(40000, 2))
+        query = JoinQuery([Atom("E", ("a", "b")), Atom("E", ("b", "c"))])
+        db = Database([Relation("E", ("x", "y"), edges)])
+        kernel = create_kernel("wcoj")
+        cold = kernel.execute(query, db, ("b", "a", "c"))
+        monkeypatch.setattr(Trie, "__init__", lambda *a, **k: pytest.fail(
+            "built a trie on a warm self-join"))
+        warm = kernel.execute(query, db, ("b", "a", "c"))
+        assert warm.count == cold.count and warm.stats == cold.stats
+        assert warm.stats.build_seconds < cold.stats.build_seconds / 4
+
     @pytest.mark.parametrize("order", [("a", "b", "c"), ("c", "a", "b")])
     def test_values_too_wide_to_pack_take_the_lexsort_fallback(self, order):
         rng = np.random.default_rng(0)
