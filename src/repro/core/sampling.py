@@ -27,9 +27,10 @@ import numpy as np
 
 from ..data.database import Database
 from ..data.relation import sorted_distinct
+from ..data.trie import Trie
 from ..errors import EstimationError
 from ..query.query import JoinQuery
-from ..wcoj.leapfrog import leapfrog_sample_counts
+from ..wcoj.leapfrog import build_tries, leapfrog_sample_counts
 
 __all__ = ["required_samples", "SampleEstimate", "CardinalityEstimator"]
 
@@ -78,7 +79,10 @@ class CardinalityEstimator:
 
     Estimates are cached by (atom tuple, order), because the ADJ
     optimizer asks for the same sub-queries repeatedly (Lemma 1's L
-    factor is dominated by exactly these calls).
+    factor is dominated by exactly these calls).  The tries sampling
+    reads are built once per (relation, column order) and kept by the
+    estimator, not memoized on the relations: they die with the
+    optimizer run that needed them.
     """
 
     def __init__(self, db: Database, num_samples: int = 500,
@@ -91,6 +95,7 @@ class CardinalityEstimator:
         self.total_work = 0
         self.calls = 0
         self._cache: dict[tuple, SampleEstimate] = {}
+        self._tries: dict[tuple, Trie] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -151,7 +156,9 @@ class CardinalityEstimator:
             chosen = vals
         else:
             chosen = rng.choice(vals, size=k_req, replace=True)
-        counts, stats = leapfrog_sample_counts(query, self.db, order, chosen)
+        counts, stats = leapfrog_sample_counts(
+            query, self.db, order, chosen,
+            tries=build_tries(query, self.db, order, memo=self._tries))
         k = int(chosen.shape[0])
         mean = float(counts.mean())
         scale = val_size / k

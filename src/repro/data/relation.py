@@ -12,9 +12,11 @@ Sorting and matching go through one **packed key**: a row becomes a
 single ``int64``, mixed radix over ``value - min`` per column, so that
 row order is key order and row equality is key equality.  A set is then
 one ``np.sort`` of a 1-D array (:func:`sorted_set_rows`) and a join
-probe one ``searchsorted``; when the radix product would reach
-``2**62`` the key does not fit and the same functions fall back to
-``np.lexsort`` / :func:`row_group_ids`.
+probe one gather from a table indexed by packed key (one
+``searchsorted`` of both sides' keys where they are too sparse for a
+table); when the radix product would reach ``2**62`` the key does not
+fit and the same functions fall back to ``np.lexsort`` /
+:func:`row_group_ids`.
 
 A relation remembers when its rows are a lexsorted set
 (:attr:`Relation.is_sorted_set`): the ``dedup=True`` constructor and
@@ -28,10 +30,12 @@ contiguous, sorted row range).
 :class:`JoinProbe` is the binary-join step on top of
 :meth:`Relation.key_groups` — the rows sorted in (join columns,
 remaining columns) order and grouped by join key, memoized like the
-trie: the right side's groups are matched with the left side's groups
-or row keys, so the output size — and that the output is born a
-lexsorted set — is known before a single output row is gathered.  A
-kept relation is sorted and grouped once, however many steps read it.
+trie, with the group keys packed and, for a right side, a direct
+table from key to group: the left side's group or row keys are looked
+up in the right's table, so the output size — and that the output is
+born a lexsorted set — is known before a single output row is
+gathered.  A kept relation is sorted, grouped and indexed once, however
+many steps read it.
 
 Distinct values are counted by one sort and a diff
 (:func:`sorted_distinct`), never by plain ``np.unique``, which may take
@@ -41,6 +45,7 @@ a much slower hash path.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from typing import (TYPE_CHECKING, Callable, Hashable, Iterable, Iterator,
                     Mapping, Sequence)
@@ -59,6 +64,19 @@ __all__ = ["Relation", "BlockLayout", "JoinProbe", "row_group_ids",
 #: Packed keys stay clear of the int64 range (the guard ``TrieLevels.keys``
 #: uses); rows whose radix product reaches it take the fallback paths.
 _KEY_LIMIT = 2 ** 62
+
+#: Most bytes a direct-addressed index may take, as a multiple of the
+#: bytes of the sorted keys it stands in for: a trie level's rank bitmap
+#: (8 bytes of bits per 64 slots, plus 4 of rank above the deepest
+#: level) against the level's ``keys``, and a key-group table (4 bytes a
+#: slot of the join columns' packed span) against the packed group keys.
+#: A constant, not a setting: on 500 k random probes a bitmap lookup
+#: beat the search of ``keys`` 5-10x at every density measured (2x to
+#: 128x), so the bound only caps resident bytes.  The densest index of
+#: the benchmark workloads is a tri-skew cube's trie level at 12.3x;
+#: a path-uniform cube's table is 1.3x.
+_BITMAP_RATIO = 16
+
 
 def _as_data(data, arity: int) -> np.ndarray:
     """Coerce ``data`` to an (n, arity) contiguous int64 array."""
@@ -378,35 +396,38 @@ class Relation:
 
         One sort (none for a lexsorted set already in that order) and
         one diff over the ``width`` columns (none when they are all the
-        columns: a set's rows are its groups).  Memoized — the last two
-        asked for, since a self-join reads one relation in two orders —
-        in a cell every rename shares, so a relation kept between tasks
-        (a worker-resident input) is grouped once.  Entries are never
-        changed in place, so threads racing on the cell at worst group
+        columns: a set's rows are its groups).  The memo entry also
+        keeps what a join step reads on every query, each part built
+        the first time a step reads it (:class:`_KeyGroups`): the group
+        keys packed in these rows' own radix over the ``width`` columns
+        (a one-column left side's probe), and, for a right side whose
+        key span is dense enough, a table from packed key to group.
+        Memoized — the last two asked for, since a self-join reads one
+        relation in two orders — in a cell every rename shares, so a
+        relation kept between tasks (a worker-resident input) is
+        grouped, packed and tabled once.  An entry only ever gains its
+        keys and table, so threads racing on the cell at worst build
         twice.
         """
+        out, groups = self._key_groups(attrs, width)
+        return out, groups.bounds
+
+    def _key_groups(self, attrs: Sequence[str], width: int
+                    ) -> tuple["Relation", "_KeyGroups"]:
+        """:meth:`key_groups` with its whole memo entry."""
         attrs = tuple(attrs)
         key = (tuple(self.column_index(a) for a in attrs), width)
         for memo_key, memo in tuple(self._groups):
             if memo_key == key:
                 break
         else:
-            rows = self.sorted_set(attrs).data
-            n = rows.shape[0]
-            if width == len(attrs):     # a set: one row a group
-                bounds = np.arange(n + 1)
-            elif width:
-                bounds = np.flatnonzero(_run_starts(rows[:, :width]))
-                bounds = np.append(bounds, n)
-            else:
-                bounds = np.array([0, n] if n else [0], dtype=np.intp)
-            memo = (rows, bounds)
+            memo = _KeyGroups(self.sorted_set(attrs).data, width)
             self._groups[:] = [(key, memo)] + self._groups[:1]
-        out = Relation.wrap(self.name, attrs, memo[0], True)
+        out = Relation.wrap(self.name, attrs, memo.rows, True)
         # The rows know their own groups: a step that reads them as its
         # left side finds them without a diff.
         out._groups.append(((tuple(range(len(attrs))), width), memo))
-        return out, memo[1]
+        return out, memo
 
     @property
     def index_nbytes(self) -> int:
@@ -417,10 +438,10 @@ class Relation:
             extra += trie.levels().nbytes
             if trie.data is not self.data:
                 extra += int(trie.data.nbytes)
-        for _, (rows, bounds) in self._groups:
-            extra += int(bounds.nbytes)
-            if rows is not self.data:
-                extra += int(rows.nbytes)
+        for _, groups in tuple(self._groups):
+            extra += groups.nbytes
+            if groups.rows is not self.data:
+                extra += int(groups.rows.nbytes)
         return extra
 
     @classmethod
@@ -710,23 +731,100 @@ class BlockLayout:
         self._groupings = {k: held[k] for k in keys if k in held}
 
 
+class _KeyGroups:
+    """One :meth:`Relation.key_groups` memo entry: what a join step reads.
+
+    ``rows`` (a lexsorted set) grouped by their first ``width`` columns,
+    group ``g`` being ``rows[bounds[g]:bounds[g + 1]]``.  ``radix`` is
+    those columns' own ``(mins, widths)``, None with no join column, no
+    row, or a radix product that reaches :data:`_KEY_LIMIT`.
+    :meth:`keys` packs every group's key in it and :meth:`table` maps a
+    packed key to its group, each built on first use and kept.
+    """
+
+    __slots__ = ("rows", "bounds", "radix", "_keys", "_table")
+
+    def __init__(self, rows: np.ndarray, width: int):
+        n = rows.shape[0]
+        if width == rows.shape[1]:      # a set: one row a group
+            bounds = np.arange(n + 1)
+        elif width:
+            bounds = np.flatnonzero(_run_starts(rows[:, :width]))
+            bounds = np.append(bounds, n)
+        else:
+            bounds = np.array([0, n] if n else [0], dtype=np.intp)
+        self.rows = rows
+        self.bounds = bounds
+        # The groups' keys hold the same values per column as the rows.
+        self.radix = _radix(rows[:, :width]) if width and n else None
+        self._keys = self._table = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held beyond the rows."""
+        return sum(int(a.nbytes) for a in (self.bounds, self._keys,
+                                           self._table) if a is not None)
+
+    def keys(self) -> np.ndarray | None:
+        """Every group's key packed in :attr:`radix`, ascending (None:
+        no radix)."""
+        if self._keys is None and self.radix is not None:
+            heads = _group_heads(self.rows, self.bounds, len(self.radix[0]))
+            self._keys = _pack(heads, *self.radix)
+        return self._keys
+
+    def table(self) -> np.ndarray | None:
+        """``int32`` group of every packed key over the keys' span (-1:
+        no group), or None when the span is too sparse: the table may
+        take :data:`_BITMAP_RATIO` times the bytes of :meth:`keys`.
+        Built once; a step reads it only for its right side."""
+        groups = self.bounds.shape[0] - 1
+        if self._table is None and self.radix is not None:
+            span = math.prod(self.radix[1])
+            if 4 * span <= _BITMAP_RATIO * 8 * groups and groups < 2 ** 31:
+                table = np.full(span, -1, dtype=np.int32)
+                table[self.keys()] = np.arange(groups, dtype=np.int32)
+                self._table = table
+        return self._table
+
+    def find(self, keys: np.ndarray, known: np.ndarray | None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """``(i, g)``: the probe ``keys[i]`` that are group ``g``'s key,
+        ``keys`` packed in :attr:`radix` and meaningful where ``known``
+        (None: everywhere).  One gather from the :meth:`table`, which
+        must exist."""
+        # Clipped: a key out of range is not ``known``, and reads any slot.
+        group = self._table.take(keys, mode="clip")
+        hit = group >= 0
+        if known is not None:
+            hit &= known
+        i = np.flatnonzero(hit)
+        return i, group[i]
+
+
 class JoinProbe:
     """One binary join step: probed and sized, output not yet gathered.
 
     Both sides are taken as sets.  The right side is read through
     :meth:`Relation.key_groups` in column order (join columns, remaining
-    columns): its rows grouped by join key, memoized, so a kept relation
-    (a worker-resident input) is sorted and grouped once, not per step.
-    A ``left`` that is a lexsorted set with its join columns leading is
-    grouped the same way (no sort: a diff, memoized too), and its
-    distinct keys are matched with the right's; any other ``left`` (an
-    intermediate in its own order) is probed row by row, its rows' keys
-    matched among the right's.  Either way the match is one
-    ``searchsorted`` (:func:`_match`), and ``size``, the dot product of
-    the matched groups' row counts, is the output size: a count, or a
-    budget check, needs no output row, and nothing re-sorts a kept
-    right side or argsorts a key.  With no join column each side is
-    one group, so the cartesian product is the same code.
+    columns): its rows grouped by join key, memoized with the group keys
+    packed in the right's own radix and, where their span is dense, a
+    direct table from packed key to group, so a kept relation (a
+    worker-resident input) is sorted, grouped and indexed once, not per
+    step.  A ``left`` that is a lexsorted set with its join columns
+    leading is grouped the same way (no sort: a diff, memoized too), and
+    its memoized group keys are the probe; any other ``left`` (an
+    intermediate in its own order) is probed row by row, its key
+    columns the probe.  The probe is packed in the right's radix (a
+    value outside a right column's range is a miss) and looked up with
+    one gather from the right's table.  A right with no table (its keys
+    too sparse, or too wide to pack) ranks both sides' keys jointly
+    (:func:`row_keys`) and matches them with one ``searchsorted``
+    (:func:`_match`).  ``size``, the dot product of the matched groups'
+    row counts, is the output size: a count, or a budget check, needs no
+    output row, and nothing re-sorts a kept right side or argsorts a
+    key.  With no join column each side is one group, so the cartesian
+    product is the same code.
 
     :meth:`rows` gathers left rows in order times their right rests in
     order.  Because both inputs are sets, that output is a set and is
@@ -744,23 +842,25 @@ class JoinProbe:
         t0 = time.perf_counter()
         #: The two sides as lexsorted sets: ``right`` join columns
         #: first; ``left`` in its own column order.
-        self.right, rbounds = right.key_groups(common + tuple(
+        self.right, rgroups = right._key_groups(common + tuple(
             a for a in right.attributes if a not in common), width)
         left = left.sorted_set()
-        grouped = left.attributes[:width] == common
-        if grouped:
-            left, lbounds = left.key_groups(left.attributes, width)
+        lgroups = None
+        if left.attributes[:width] == common:
+            left, lgroups = left._key_groups(left.attributes, width)
+            lbounds = lgroups.bounds
         else:
             lbounds = np.arange(len(left) + 1)
+        if rgroups.table() is not None and lgroups is not None \
+                and width == 1:
+            lgroups.keys()      # the probe
         self.left = left
-        #: Seconds spent sorting and grouping the sides (≈ 0 when they
-        #: were memoized).
+        #: Seconds spent sorting, grouping and indexing the sides (≈ 0
+        #: when they were memoized).
         self.build_seconds = time.perf_counter() - t0
         self.common = common
-        lkeys = (_group_heads(left.data, lbounds, width) if grouped else
-                 left.data[:, [left.column_index(a) for a in common]])
-        li, ri = _match(*_group_keys(
-            lkeys, _group_heads(self.right.data, rbounds, width)))
+        rbounds = rgroups.bounds
+        li, ri = _match_groups(left, lgroups, rgroups, common)
         self._groups = (lbounds, rbounds, li, ri)
         self.size = int(np.dot(np.diff(lbounds)[li], np.diff(rbounds)[ri]))
 
@@ -800,6 +900,33 @@ class JoinProbe:
                              out, True)
 
 
+def _match_groups(left: Relation, lgroups: _KeyGroups | None,
+                  rgroups: _KeyGroups, common: tuple[str, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, g)``: left group (``lgroups``) or row (None) ``i`` has the
+    key of right group ``g``."""
+    width = len(common)
+    lcount = len(left) if lgroups is None else lgroups.bounds.shape[0] - 1
+    if not (lcount and rgroups.rows.shape[0]):
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    if not width:       # the right side is one group
+        return (np.arange(lcount, dtype=np.intp),
+                np.zeros(lcount, dtype=np.intp))
+    table = rgroups.table()
+    if table is not None and lgroups is not None and width == 1 \
+            and lgroups.radix is not None:
+        return rgroups.find(*_rebase(lgroups.keys(), lgroups.radix,
+                                     rgroups.radix))
+    lkeys = (left.data[:, [left.column_index(a) for a in common]]
+             if lgroups is None else
+             _group_heads(left.data, lgroups.bounds, width))
+    if table is None:       # too sparse, or too wide to pack: rank jointly
+        return _match(*row_keys(lkeys, _group_heads(
+            rgroups.rows, rgroups.bounds, width)))
+    return rgroups.find(*_pack_within(lkeys, *rgroups.radix))
+
+
 def _group_heads(data: np.ndarray, bounds: np.ndarray,
                  width: int) -> np.ndarray:
     """The first ``width`` columns of each group's first row."""
@@ -808,16 +935,43 @@ def _group_heads(data: np.ndarray, bounds: np.ndarray,
     return data[bounds[:-1], :width]
 
 
-def _group_keys(a: np.ndarray, b: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """1-D order-preserving keys for the rows of two ``(n, w)`` arrays:
-    :func:`row_keys`, or 0 for every row when there is no column (or
-    no row on one side, where nothing can match)."""
-    if a.shape[1] == 0 or not (a.shape[0] and b.shape[0]):
-        return (np.zeros(a.shape[0], dtype=np.int64),
-                np.zeros(b.shape[0], dtype=np.int64))
-    mine, theirs = row_keys(a, b)
-    return mine, theirs
+def _pack_within(arr: np.ndarray, mins: list[int], widths: list[int]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pack` in another relation's radix: ``(keys, known)``,
+    ``known`` False where a value lies outside that column's range (the
+    key is meaningless there, integer wrap-around included)."""
+    known = key = None
+    for j in range(arr.shape[1]):
+        col = arr[:, j]
+        inside = col >= mins[j]
+        inside &= col <= mins[j] + widths[j] - 1
+        known = inside if known is None else known & inside
+        if key is None:
+            key = col - mins[j]
+        else:
+            key *= widths[j]
+            key += col - mins[j]
+    return key, known
+
+
+def _rebase(keys: np.ndarray, src: tuple[list[int], list[int]],
+            dst: tuple[list[int], list[int]]
+            ) -> tuple[np.ndarray, np.ndarray | None]:
+    """One-column keys packed in radix ``src``, re-packed in radix
+    ``dst`` as :func:`_pack_within` does (``known`` None: every key is
+    in range): a shift, with no pass at all when the radixes agree."""
+    (smin,), (swidth,) = src
+    (dmin,), (dwidth,) = dst
+    shift = dmin - smin     # dst's first code, in src's codes
+    if shift >= swidth or shift + dwidth <= 0:      # disjoint ranges
+        return keys, np.zeros(keys.shape[0], dtype=bool)
+    if shift:
+        keys = keys - shift
+    if shift <= 0 and shift + dwidth >= swidth:     # src within dst
+        return keys, None
+    known = keys >= 0
+    known &= keys < dwidth
+    return keys, known
 
 
 def _match(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,21 +33,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from .relation import Relation, sorted_distinct
+# ``parent * width + offset`` keys stay clear of the int64 range
+# (``_KEY_LIMIT``), and a level whose offsets would not switches to
+# ranks; a rank bitmap may take ``_BITMAP_RATIO`` times a level's
+# ``keys`` bytes.  Both are the relation module's, whose packed keys and
+# key-group tables they bound too.
+from .relation import _BITMAP_RATIO, _KEY_LIMIT, Relation, sorted_distinct
 
 __all__ = ["Trie", "TrieLevels"]
-
-# ``parent * width + offset`` keys must stay clear of the int64 range;
-# a level whose offsets would not switches to ranks.
-_KEY_LIMIT = 2 ** 62
-
-# Most bytes a level's rank bitmap (8 bytes of bits per 64 slots, plus 4
-# of rank above the deepest level) may take, as a multiple of its
-# ``keys`` bytes.  A constant, not a setting: on 500 k random probes a
-# bitmap lookup beat the search of ``keys`` 5-10x at every density
-# measured (2x to 128x), so the bound only caps resident bytes.  The
-# densest level of the benchmark workloads (a tri-skew cube) is 12.3x.
-_BITMAP_RATIO = 16
 
 
 class TrieLevels(NamedTuple):

@@ -48,14 +48,16 @@ __all__ = ["RESIDENT_BYTES", "ResidentCache", "ResidencyView",
 
 #: Bytes one home process keeps resident (rows plus their tries or key
 #: groups).  A constant, sized from the per-slot entry bytes measured on
-#: the benchmark workloads at two slots (docs/runtime.md): 5.4 MB
+#: the benchmark workloads at two slots (docs/runtime.md): 4.8-5.7 MB
 #: (``tri-skew``: rows plus tries whose dense levels keep a rank
-#: bitmap), 8.1 MB (``path-uniform``: rows plus the binary kernel's key
-#: groups, one side a re-sorted copy), 9.8 MB (``adj-cyclic``) and
-#: 5.8 MB for all eight ``service-mix`` cases.  A traced pass lays the
-#: same data out a second way, which takes ``adj-cyclic`` to ~21.6 MB;
-#: the budget is about 1.5 times that, and neither evicts.
-RESIDENT_BYTES = 32 << 20
+#: bitmap), 10.4-11.0 MB (``path-uniform``: rows plus the binary
+#: kernel's key groups, one side a re-sorted copy, with both sides'
+#: packed keys and the right's direct table), 9.8-10.2 MB
+#: (``adj-cyclic``) and 5.5-6.1 MB for all eight ``service-mix`` cases.
+#: A traced pass lays the same data out a second way, which takes
+#: ``adj-cyclic`` to ~22.6 MB; the budget is about three times that,
+#: and neither evicts.
+RESIDENT_BYTES = 64 << 20
 
 
 class ResidentCache:

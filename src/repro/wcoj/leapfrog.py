@@ -165,10 +165,15 @@ def trie_order(atom_attrs: Sequence[str], order: Sequence[str]
     return tuple(sorted(atom_attrs, key=pos.__getitem__))
 
 
-def build_tries(query: JoinQuery, db: Database, order: Sequence[str]
-                ) -> list[Trie]:
+def build_tries(query: JoinQuery, db: Database, order: Sequence[str],
+                memo: dict | None = None) -> list[Trie]:
     """One trie per atom, columns renamed to query variables and sorted
-    consistently with the global attribute order."""
+    consistently with the global attribute order.
+
+    Tries are memoized on their relations (:meth:`Relation.trie`), or,
+    given a ``memo`` dict, there instead — keyed by relation name and
+    column order — so they live only as long as the caller keeps it.
+    """
     order = tuple(order)
     tries = []
     for atom in query.atoms:
@@ -180,7 +185,16 @@ def build_tries(query: JoinQuery, db: Database, order: Sequence[str]
         # trie in the stored column order is built without a sort, and
         # shares its trie memo, so a kept relation builds it once.
         renamed = rel.rename(dict(zip(rel.attributes, atom.attributes)))
-        tries.append(renamed.trie(trie_order(atom.attributes, order)))
+        attrs = trie_order(atom.attributes, order)
+        if memo is None:
+            tries.append(renamed.trie(attrs))
+            continue
+        key = (rel.name, tuple(renamed.column_index(a) for a in attrs))
+        trie = memo.get(key)
+        if trie is None:
+            trie = memo[key] = Trie(renamed, attrs)
+            trie.levels()
+        tries.append(trie.renamed(rel.name, attrs))
     return tries
 
 
@@ -304,7 +318,8 @@ def leapfrog_join(query: JoinQuery, db: Database,
 
 def leapfrog_sample_counts(query: JoinQuery, db: Database,
                            order: Sequence[str] | None,
-                           values: np.ndarray
+                           values: np.ndarray,
+                           tries: Sequence[Trie] | None = None
                            ) -> tuple[np.ndarray, LeapfrogStats]:
     """``|T_{A=a}|`` for every ``a`` in ``values``, ``A = order[0]``.
 
@@ -312,8 +327,10 @@ def leapfrog_sample_counts(query: JoinQuery, db: Database,
     evaluation; the per-value counts come back as a bincount of the root
     id carried through the frontier, and the returned stats are the sums
     of what one ``leapfrog_join(fixed={A: a})`` per value would report.
+    ``tries`` are prebuilt tries as :func:`build_tries` returns them
+    (built, and memoized on the relations, when None).
     """
-    order, tries, total, participants = _plan(query, db, order, None, None)
+    order, tries, total, participants = _plan(query, db, order, tries, None)
     values = np.asarray(values, dtype=np.int64)
     counts = np.zeros(values.shape[0], dtype=np.int64)
     if not values.shape[0] or not all(len(t) for t in tries):

@@ -35,28 +35,32 @@ WIDE = 2 ** 61
 
 @st.composite
 def join_pairs(draw):
-    """``(left, right)``: 0-2 shared columns, 0-2 private ones a side,
-    columns shuffled, duplicated rows, optionally empty, disjoint on
-    the join key, sparse or wide."""
+    """``(left, right)``: 0-3 shared columns, 0-2 private ones a side,
+    columns shuffled, duplicated rows, optionally empty, the right's
+    join key shifted part or all of the way out of the left's range,
+    every row one key group, dense, sparse or too wide to pack."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    shared = ["k0", "k1"][:draw(st.integers(0, 2))]
+    shared = ["k0", "k1", "k2"][:draw(st.integers(0, 3))]
     own = {side: [f"{side}{j}" for j in range(draw(st.integers(0, 2)))]
            for side in "lr"}
     if not shared + own["l"]:
         own["l"] = ["l0"]
     if not shared + own["r"]:
         own["r"] = ["r0"]
-    # Narrow, sparse and too-wide-to-pack keys.
+    # Dense (a table), sparse (no table) and too-wide-to-pack keys.
     scale = draw(st.sampled_from([1, 1, 1000, WIDE // 4]))
-    disjoint = draw(st.booleans())
+    shift = draw(st.sampled_from([0, 0, 2, 8]))
+    one_key = draw(st.booleans()) and draw(st.booleans())
     sides = []
     for side in "lr":
         attrs = list(rng.permutation(shared + own[side]))
         n = draw(st.sampled_from([0, 1, 4, 25]))
         data = rng.integers(-3, 4, size=(n, len(attrs))) * scale
-        if disjoint and side == "r":
-            for a in shared:
-                data[:, attrs.index(a)] += 8 * scale
+        for a in shared:
+            if one_key:
+                data[:, attrs.index(a)] = scale
+            if side == "r":
+                data[:, attrs.index(a)] += shift * scale
         sides.append(Relation(side.upper(), attrs,
                               np.vstack([data, data[: n // 2]]),
                               dedup=False))
@@ -205,6 +209,125 @@ class TestJoinProbe:
         empty = Relation("E", ("a",), [])
         assert empty.key_groups(("a",), 0)[1].tolist() == [0]
         assert empty.key_groups(("a",), 1)[1].tolist() == [0]
+
+
+
+def fresh(rel: Relation) -> Relation:
+    """The same rows with nothing memoized."""
+    return Relation(rel.name, rel.attributes, rel.data, dedup=False)
+
+
+def right_groups(probe: JoinProbe):
+    """The right side's memo entry a probe read."""
+    width = len(probe.common)
+    return probe.right._key_groups(probe.right.attributes, width)[1]
+
+
+class TestDirectTable:
+    """The right side's direct table against the joint-rank
+    ``searchsorted`` (every table refused: ``_BITMAP_RATIO`` 0) and the
+    nested-loop join."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=join_pairs())
+    def test_table_search_and_nested_loops_agree(self, pair):
+        left, right = pair
+        seen = []
+        for ratio in (relation_mod._BITMAP_RATIO, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(relation_mod, "_BITMAP_RATIO", ratio)
+                for side in (fresh(left), key_first(fresh(left), right)):
+                    probe = JoinProbe(side, fresh(right))
+                    if not ratio:
+                        assert right_groups(probe).table() is None
+                    seen.append((probe.size, probe.counts.tolist(),
+                                 probe.rows().data.tolist()))
+                    rows = {tuple(r) for r in probe.left.data.tolist()}
+                    assert probe.rows().as_set() == nested_loops(
+                        probe.left.attributes, rows, right)
+        assert seen[:2] == seen[2:]
+
+    def test_dense_sparse_and_wide_rights_index_as_documented(self):
+        rng = np.random.default_rng(9)
+        data = rng.integers(0, 40, size=(300, 2))
+        left = Relation("L", ("a", "b"), data)
+        for scale, table, packs in ((1, True, True), (1000, False, True),
+                                    (WIDE, False, False)):
+            right = Relation("R", ("b", "c"), data * scale)
+            probe = JoinProbe(left, right)
+            groups = right_groups(probe)
+            assert (groups.table() is not None) == table
+            assert (groups.radix is not None) == packs
+            # Keys are packed for a table only.
+            assert (groups._keys is not None) == table
+            assert probe.size == reference_count(left, right)
+        # Two wide join columns do not pack: the joint-rank fallback.
+        right = Relation("R", ("a", "b"), data * WIDE)
+        assert right_groups(JoinProbe(left, right)).radix is None
+        wide = Relation("W", ("a", "b"), data * WIDE)
+        assert JoinProbe(wide, right).size == len(right)
+
+    def test_left_keys_outside_the_rights_range_miss(self):
+        right = Relation("R", ("b", "c"), [[5, 0], [6, 1], [9, 2]])
+        left = Relation("L", ("a", "b"), [[0, 4], [0, 5], [1, 9],
+                                          [2, 10], [3, -2 ** 62]])
+        # Row by row, then key-grouped (b first; -2**62 leaves the
+        # left's own radix, so its group heads are packed).
+        for side, expected in ((left, {(0, 5, 0), (1, 9, 2)}),
+                               (key_first(left, right),
+                                {(5, 0, 0), (9, 1, 2)})):
+            probe = JoinProbe(side, right)
+            assert right_groups(probe).table() is not None
+            assert probe.rows().as_set() == expected
+            assert probe.size == 2
+
+    def test_a_warm_count_only_step_on_a_dense_right_searches_nothing(
+            self, monkeypatch):
+        rng = np.random.default_rng(10)
+        query = JoinQuery([Atom("L", ("a", "b")), Atom("R", ("b", "c"))])
+        db = Database([Relation(n, ("x", "y"),
+                                rng.integers(0, 400, size=(3000, 2)))
+                       for n in "LR"])
+        kernel = create_kernel("binary")
+        cold = kernel.execute(query, db)
+        assert right_groups(JoinProbe(*(
+            r.rename(dict(zip(r.attributes, a.attributes)))
+            for r, a in zip((db["L"], db["R"]), query.atoms)))).table() \
+            is not None
+
+        def fail(name):
+            return lambda *a, **k: pytest.fail(f"{name} ran warm")
+
+        for helper in ("_group_heads", "_pack", "_pack_within",
+                       "_sorted_rows", "_run_starts"):
+            monkeypatch.setattr(relation_mod, helper, fail(helper))
+        monkeypatch.setattr(np, "searchsorted", fail("np.searchsorted"))
+        warm = kernel.execute(query, db)
+        assert warm.count == cold.count and warm.stats == cold.stats
+
+    def test_index_bytes_count_packed_keys_and_tables(self):
+        rng = np.random.default_rng(11)
+        right = Relation("R", ("b", "c"), rng.integers(0, 50, size=(400, 2)))
+        left = Relation("L", ("a", "b"), rng.integers(0, 50, size=(400, 2)))
+        assert right.index_nbytes == 0
+        groups = right_groups(JoinProbe(left, right))
+        # In its own order the right's rows are its data: only the
+        # bounds, the packed keys and the table are extra.
+        assert groups.rows is right.data
+        assert right.index_nbytes == (groups.bounds.nbytes
+                                      + groups.keys().nbytes
+                                      + groups.table().nbytes) > 0
+        assert groups.table().nbytes <= (relation_mod._BITMAP_RATIO
+                                         * groups.keys().nbytes)
+        # A left side keeps its packed keys (the probe) and no table.
+        keyed = key_first(left, right)
+        JoinProbe(keyed, right)
+        held = keyed._key_groups(keyed.attributes, 1)[1]
+        assert held._table is None and held._keys is not None
+        assert held.keys().tolist() == sorted(set(
+            (left.data[:, 1] - left.data[:, 1].min()).tolist()))
+        assert left.index_nbytes == (held.rows.nbytes + held.bounds.nbytes
+                                     + held.keys().nbytes)
 
 
 @st.composite

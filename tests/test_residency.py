@@ -140,7 +140,7 @@ def _held_groups(_task) -> dict[str, list[int]]:
     for key in cache.keys():
         memo = cache.get(key)._groups
         if memo:
-            held[key] = [id(bounds) for _, (_, bounds) in memo]
+            held[key] = [id(groups.bounds) for _, groups in memo]
     return held
 
 

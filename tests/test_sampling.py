@@ -158,7 +158,7 @@ class TestCardinalityEstimator:
         assert violations / trials <= delta + 0.15
 
 
-def looped_sample_counts(query, db, order, values):
+def looped_sample_counts(query, db, order, values, tries=None):
     """``leapfrog_sample_counts`` as one ``leapfrog_join(fixed=)`` per
     sampled value."""
     counts = np.zeros(len(values), dtype=np.int64)
@@ -166,7 +166,7 @@ def looped_sample_counts(query, db, order, values):
                           level_work=[0] * len(order),
                           level_extensions=[0] * len(order))
     for i, value in enumerate(values):
-        single = leapfrog_join(query, db, order,
+        single = leapfrog_join(query, db, order, tries=tries,
                                fixed={order[0]: int(value)})
         counts[i] = single.count
         total.add(single.stats)
@@ -209,3 +209,39 @@ class TestBatchedEqualsLooped:
             assert a.work > 0
         assert batched.total_work == looped.total_work
 
+
+class TestSamplerTries:
+    """The sampler's tries live in its estimator, not on the relations."""
+
+    def test_an_estimator_memoizes_no_trie_on_its_relations(self):
+        q, db = triangle_case(seed=3)
+        est = CardinalityEstimator(db, num_samples=20, seed=1)
+        for order in (q.attributes, q.attributes[::-1], q.attributes):
+            est.estimate(q, order)
+        assert all(db[a.relation].index_nbytes == 0 for a in q.atoms)
+        # One trie per (relation, column order), however many orders
+        # and repeats asked for it.
+        assert len(est._tries) == len({(a.relation, cols) for a in q.atoms
+                                       for cols in ((0, 1), (1, 0))})
+
+    def test_a_cold_adj_run_leaves_no_sampler_trie(self):
+        from repro import JoinSession
+        from repro.core import PLAN_CACHE
+        from repro.engines.adj import PRECOMPUTE_CACHE
+        from repro.workloads import make_testcase
+
+        PLAN_CACHE.clear()
+        PRECOMPUTE_CACHE.clear()
+        q, db = make_testcase("wb", "Q5", scale=5e-5)
+        with JoinSession(backend="serial") as session:
+            job = session.query_from(q, db)
+            result = job.run("adj")
+            plan = job.explain().report.plan      # a hit: samples nothing
+        assert result.ok and result.extra["plan_cache"] == "miss"
+        # Relations a pre-computed bag joins on the coordinator keep
+        # that join's tries; the others were read by the sampler alone.
+        bagged = {a.relation for cand in plan.candidates
+                  for a in cand.subquery.atoms}
+        alone = [a.relation for a in q.atoms if a.relation not in bagged]
+        assert alone
+        assert all(db[name].index_nbytes == 0 for name in alone)
