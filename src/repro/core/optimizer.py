@@ -74,21 +74,24 @@ def data_key(query: JoinQuery, db: Database) -> tuple:
 
 
 class PlanCache:
-    """An LRU bounded by entry count and by the summed sizes its entries
-    were put with (``None`` leaves a bound off).
+    """The library's one LRU, bounded by entry count and by the summed
+    sizes its entries were put with (``None`` leaves a bound off).
 
-    Plans and pre-computed bags are bounded by count, the query
-    service's results by bytes; an entry larger than ``max_bytes`` is
-    not admitted, so ``max_bytes=0`` caches nothing.  Thread-safe; a
-    :meth:`lookup` miss computes outside the lock, so two concurrent
-    misses on one key compute the same deterministic value twice.
-    Counted under ``<counters>_hits`` / ``_misses`` / ``_evictions``
-    (``core.plan_cache_*`` for the plan cache); a byte-bounded cache
-    also sets the ``<counters>_bytes`` gauge.
+    Plans and pre-computed bags are bounded by count; the query
+    service's results and a home process's resident join inputs
+    (:mod:`repro.runtime.residency`, re-put with their measured size
+    once a task has built their index) by bytes.  An entry larger than
+    ``max_bytes`` is not admitted, so ``max_bytes=0`` caches nothing.
+    Thread-safe; a :meth:`lookup` miss computes outside the lock, so two
+    concurrent misses on one key compute the same deterministic value
+    twice.  Counted under ``<counters>_hits`` / ``_misses`` /
+    ``_evictions`` (``core.plan_cache_*`` for the plan cache; ``None``
+    counts nothing, for a caller that reports its own); a byte-bounded
+    cache also sets the ``<counters>_bytes`` gauge.
     """
 
     def __init__(self, capacity: int | None = PLAN_CACHE_CAPACITY,
-                 counters: str = "core.plan_cache",
+                 counters: str | None = "core.plan_cache",
                  max_bytes: int | None = None):
         self.capacity = (math.inf if capacity is None
                          else max(1, int(capacity)))
@@ -106,24 +109,33 @@ class PlanCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-        outcome = "misses" if entry is None else "hits"
-        METRICS.counter(f"{self.counters}_{outcome}").inc()
+        if self.counters is not None:
+            outcome = "misses" if entry is None else "hits"
+            METRICS.counter(f"{self.counters}_{outcome}").inc()
         return None if entry is None else entry[0]
 
-    def put(self, key: Hashable, value: Any, nbytes: int = 0) -> None:
-        """Cache ``value`` under ``key``; least recently used entries
-        go while either bound is exceeded."""
+    def put(self, key: Hashable, value: Any, nbytes: int = 0) -> int:
+        """Cache ``value`` under ``key`` (replacing what it held) as the
+        most recently used entry; least recently used entries go while
+        either bound is exceeded.  Returns how many entries went, a
+        replaced one too large to keep among them."""
         with self._lock:
-            if nbytes > self.max_bytes:
-                return
             old = self._entries.pop(key, None)
-            self.nbytes += nbytes - (0 if old is None else old[1])
-            self._entries[key] = (value, nbytes)
+            if old is not None:
+                self.nbytes -= old[1]
+            admitted = nbytes <= self.max_bytes
+            if admitted:
+                self.nbytes += nbytes
+                self._entries[key] = (value, nbytes)
+            evicted = int(old is not None and not admitted)
             while (len(self._entries) > self.capacity
                    or self.nbytes > self.max_bytes):
                 self.nbytes -= self._entries.popitem(last=False)[1][1]
-                METRICS.counter(f"{self.counters}_evictions").inc()
+                evicted += 1
+            if evicted and self.counters is not None:
+                METRICS.counter(f"{self.counters}_evictions").inc(evicted)
             self._set_gauge()
+        return evicted
 
     def lookup(self, key: Hashable, compute: Callable[[], Any]
                ) -> tuple[Any, bool]:
@@ -148,8 +160,13 @@ class PlanCache:
         return len(stale)
 
     def _set_gauge(self) -> None:
-        if self.max_bytes < math.inf:
+        if self.max_bytes < math.inf and self.counters is not None:
             METRICS.gauge(f"{self.counters}_bytes").set(self.nbytes)
+
+    def keys(self) -> tuple[Hashable, ...]:
+        """The cached keys, least recently used first."""
+        with self._lock:
+            return tuple(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -20,7 +20,8 @@ every level below the root has keys.  A level whose slot space
 also gets a rank bitmap over the slots — one bit a slot and, above
 the deepest level, the number of keys before each 64-slot word — so a
 probe there reads one word per pair instead of binary-searching
-``keys``.  It is built from
+``keys``; a dense root level likewise keeps a direct table from value
+to node.  It is built from
 the sorted rows with one change-mask pass per column and memoized; the
 trie itself is memoized on its relation
 (:meth:`repro.data.relation.Relation.trie`).
@@ -34,13 +35,23 @@ import numpy as np
 
 from ..errors import SchemaError
 # ``parent * width + offset`` keys stay clear of the int64 range
-# (``_KEY_LIMIT``), and a level whose offsets would not switches to
-# ranks; a rank bitmap may take ``_BITMAP_RATIO`` times a level's
-# ``keys`` bytes.  Both are the relation module's, whose packed keys and
-# key-group tables they bound too.
-from .relation import _BITMAP_RATIO, _KEY_LIMIT, Relation, sorted_distinct
+# (``_KEY_LIMIT``, the relation module's, whose packed keys it bounds
+# too), and a level whose offsets would not switches to ranks.
+from .relation import _KEY_LIMIT, Relation, sorted_distinct
 
 __all__ = ["Trie", "TrieLevels"]
+
+#: Most bytes a direct-addressed index may take, as a multiple of the
+#: bytes of the sorted values it stands in for: a level's rank bitmap
+#: (8 bytes of bits per 64 slots, plus 4 of rank above the deepest
+#: level) against the level's ``keys``, and the root's table (4 bytes a
+#: value of its span) against ``vals[0]``.  A constant, not a setting:
+#: on 500 k random probes a bitmap lookup beat the search of ``keys``
+#: 5-10x at every density measured (2x to 128x), so the bound only caps
+#: resident bytes.  The densest index of the benchmark workloads is a
+#: tri-skew cube's level at 12.3x; a path-uniform cube's root tables
+#: are 1.2x and 1.6x.
+_BITMAP_RATIO = 16
 
 
 class TrieLevels(NamedTuple):
@@ -67,7 +78,11 @@ class TrieLevels(NamedTuple):
     only asks whether they exist); both are ``None`` on a level without
     a bitmap.  :meth:`probe` reads the bitmap where a level has a rank,
     :meth:`contains` wherever it has bits; each agrees with the search
-    of ``keys`` it replaces.
+    of ``keys`` it replaces.  Level 0 has no keys; where its span is
+    dense enough it has ``table`` instead: the ``int32`` node of every
+    value ``vmin[0] + i`` at ``table[i]`` (-1: no node), read by
+    :meth:`probe` and :meth:`contains` in place of the search of
+    ``vals[0]``.
     """
 
     vals: tuple[np.ndarray, ...]
@@ -78,13 +93,15 @@ class TrieLevels(NamedTuple):
     distinct: tuple[np.ndarray | None, ...]
     bits: tuple[np.ndarray | None, ...]
     rank: tuple[np.ndarray | None, ...]
+    table: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         """Bytes held by every level array."""
         return sum(int(a.nbytes) for group in (self.vals, self.ptr,
                                                  self.keys, self.distinct,
-                                                 self.bits, self.rank)
+                                                 self.bits, self.rank,
+                                                 (self.table,))
                    for a in group if a is not None)
 
     def _slots(self, level: int, parents: np.ndarray, values: np.ndarray
@@ -126,6 +143,16 @@ class TrieLevels(NamedTuple):
         found)``: the level-``level`` node index of every hit, and the
         hit mask; ``nodes`` is meaningless where ``found`` is False.
         """
+        if level == 0 and self.table is not None:
+            code = values - self.vmin[0]
+            # Unsigned, an offset below the range is above it, and an
+            # int64 wrap-around lands outside it too.
+            found = code.view(np.uint64) < self.width[0]
+            # Clipped: a value out of range reads any slot, and misses.
+            nodes = self.table.take(code, mode="clip")
+            found &= nodes >= 0
+            code[:] = nodes         # the nodes, as int64, in place
+            return code, found
         hay = self.vals[0] if level == 0 else self.keys[level]
         if not hay.shape[0]:
             return (np.zeros(values.shape[0], dtype=np.int64),
@@ -213,6 +240,7 @@ class Trie:
         rows = self.data.shape[0]
         vals, ptr, keys, vmins, widths, distinct = [], [], [], [], [], []
         bits, rank = [], []
+        table = None
         # change[r]: row r starts a new prefix of the current length.
         change = np.zeros(rows, dtype=bool)
         change[:1] = True
@@ -227,6 +255,12 @@ class Trie:
             vmin = int(level_vals.min()) if rows else 0
             width = int(level_vals.max()) - vmin + 1 if rows else 1
             level_keys = level_distinct = level_bits = level_rank = None
+            nodes = level_vals.shape[0]
+            if not j and rows and 4 * width <= (_BITMAP_RATIO
+                                                * level_vals.nbytes) \
+                    and nodes < 2 ** 31:    # an int32 node index
+                table = np.full(width, -1, dtype=np.int32)
+                table[level_vals - vmin] = np.arange(nodes, dtype=np.int32)
             if j:
                 # A node that starts a new parent prefix is its parent's
                 # first child.
@@ -238,14 +272,15 @@ class Trie:
                     level_distinct = sorted_distinct(level_vals)
                     width = int(level_distinct.shape[0])
                     offset = np.searchsorted(level_distinct, level_vals)
-                # parent * width + offset, each parent's base repeated
-                # over its children, in place: in a pool worker a large
-                # temporary is often a fresh mapping, paid for in page
-                # faults.
+                # parent * width + offset, each node's parent the
+                # running count of marks, in place: in a pool worker a
+                # large temporary is often a fresh mapping, paid for in
+                # page faults (a ``np.repeat`` of each parent's base
+                # over its children measured 1.4x slower).
                 parents = ptr[-1].shape[0] - 1
-                level_keys = np.repeat(
-                    np.arange(parents, dtype=np.int64) * width,
-                    np.diff(ptr[-1]))
+                level_keys = np.cumsum(mark, dtype=np.int64)
+                level_keys -= 1
+                level_keys *= width
                 level_keys += offset
                 words = (parents * width + 63) >> 6
                 ranked = j + 1 < self.data.shape[1]
@@ -263,7 +298,7 @@ class Trie:
             change = longer
         return TrieLevels(tuple(vals), tuple(ptr), tuple(keys),
                           tuple(vmins), tuple(widths), tuple(distinct),
-                          tuple(bits), tuple(rank))
+                          tuple(bits), tuple(rank), table)
 
 
 def _rank_bitmap(keys: np.ndarray, words: int, ranked: bool

@@ -1,20 +1,20 @@
-"""The ``binary`` kernel: a left-deep chain of key-group joins.
+"""The ``binary`` kernel: a left-deep chain of trie probes.
 
 Atom order comes from the greedy System-R style planner in
 :mod:`repro.wcoj.binary_join` (estimates served by the memoized
 :meth:`Relation.distinct_count` catalog stats, and only where the plan
 has a choice); the chain itself is that module's one step loop,
 :func:`~repro.wcoj.binary_join.run_left_deep`.  Each step is a
-:class:`~repro.data.relation.JoinProbe`: the right side's rows read
-grouped by join key from their memoized
-:meth:`~repro.data.relation.Relation.key_groups` (join columns first),
-the first step's left side too, later steps' intermediates probed row
-by row, the output born a lexsorted set — no per-tuple Python loops, no
-re-sort of an intermediate or of a kept input, and with
-``materialize=False`` the last step is only *sized* (a dot product of
-matched key-group sizes), never gathered.  The seconds spent sorting
-(or fetching from the memo) those groups are ``stats.build_seconds``;
-a warm worker-resident task reads ≈ 0.
+:class:`~repro.data.relation.JoinProbe`: the right side read through
+its memoized :meth:`~repro.data.relation.Relation.trie` (join columns
+first), the first step's left side too and probed node by node, later
+steps' intermediates probed row by row, the output born a lexsorted set
+— no per-tuple Python loops, no re-sort of an intermediate or of a kept
+input, and with ``materialize=False`` the last step is only *sized* (a
+dot product of matched row counts read off the tries' ``ptr``), never
+gathered.  The seconds spent building (or fetching from the memo)
+those tries are ``stats.build_seconds``; a warm worker-resident task
+reads ≈ 0.
 
 Work accounting: every join step charges ``len(right) + len(output)``
 (plus the initial ``len(left)``; lengths under set semantics) to

@@ -6,12 +6,13 @@ sent.  Here every ``processes`` slot has a *home* process
 worker ``w`` runs in the same process on every query, and that process
 may keep what it resolved:
 
-- :class:`ResidentCache` (worker side, one per home process) maps a
+- :func:`resident_cache` (worker side, one per home process) maps a
   *content key* to the resolved rows as a :class:`~repro.data.relation
-  .Relation`; the index a kernel builds over them is memoized on that
-  relation (:meth:`~repro.data.relation.Relation.trie` for ``wcoj``,
-  :meth:`~repro.data.relation.Relation.key_groups` for ``binary``), so
-  one byte-bounded, counted LRU holds both.  A key names rows by content —
+  .Relation`; the index a kernel builds over them — the relation's
+  memoized :meth:`~repro.data.relation.Relation.trie`, which ``wcoj``
+  and ``binary`` alike read — stays with it, so one byte-bounded LRU
+  (a :class:`~repro.core.optimizer.PlanCache`, the library's one)
+  holds both.  A key names rows by content —
   ``(Relation.digest, layout memo key, grouping, block id)``, minted by
   :meth:`~repro.distributed.hcube.HCubeRouting.content_keys` — so a hit
   is never stale and a miss is never wrong.
@@ -38,92 +39,46 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 
-from ..data.relation import Relation
+from ..core.optimizer import PlanCache
 from ..obs.metrics import METRICS
 
-__all__ = ["RESIDENT_BYTES", "ResidentCache", "ResidencyView",
-           "next_report", "resident_cache"]
+__all__ = ["RESIDENT_BYTES", "ResidencyView", "next_report",
+           "resident_cache"]
 
-#: Bytes one home process keeps resident (rows plus their tries or key
-#: groups).  A constant, sized from the per-slot entry bytes measured on
-#: the benchmark workloads at two slots (docs/runtime.md): 4.8-5.7 MB
-#: (``tri-skew``: rows plus tries whose dense levels keep a rank
-#: bitmap), 10.4-11.0 MB (``path-uniform``: rows plus the binary
-#: kernel's key groups, one side a re-sorted copy, with both sides'
-#: packed keys and the right's direct table), 9.8-10.2 MB
-#: (``adj-cyclic``) and 5.5-6.1 MB for all eight ``service-mix`` cases.
+#: Bytes one home process keeps resident (rows plus their tries).  A
+#: constant, sized from the per-slot entry bytes measured after a warm
+#: window on the benchmark workloads at two slots (docs/runtime.md):
+#: 4.8-5.8 MB (``tri-skew``: rows plus tries whose dense levels keep a
+#: rank bitmap), 16.3-16.4 MB (``path-uniform``: rows plus both sides'
+#: binary-step tries, one side a re-sorted copy), 9.8-10.3 MB
+#: (``adj-cyclic``) and 5.6-6.2 MB for all eight ``service-mix`` cases.
 #: A traced pass lays the same data out a second way, which takes
-#: ``adj-cyclic`` to ~22.6 MB; the budget is about three times that,
-#: and neither evicts.
+#: ``path-uniform`` to 23.9 MB (``adj-cyclic``: 23.3 MB); the budget is
+#: 2.8 times that, and neither evicts.
 RESIDENT_BYTES = 64 << 20
 
 
-class ResidentCache:
-    """A home process's byte-bounded LRU of resolved join inputs.
-
-    Entries are :class:`Relation` objects; their size is the rows plus
-    the memoized index (:attr:`Relation.index_nbytes`), re-measured when
-    a task that used them ends (:meth:`settle`), since a kernel builds
-    the index after the entry was added.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._entries: OrderedDict[str, Relation] = OrderedDict()
-        self._sizes: dict[str, int] = {}
-        self._lock = threading.Lock()
-        self.bytes = 0
-
-    def get(self, key: str) -> Relation | None:
-        """The entry under ``key`` (now most recently used), or None."""
-        with self._lock:
-            rel = self._entries.get(key)
-            if rel is not None:
-                self._entries.move_to_end(key)
-            return rel
-
-    def put(self, key: str, rel: Relation) -> None:
-        """Keep ``rel`` under ``key`` (sized at :meth:`settle`)."""
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = rel
-                self._sizes[key] = 0
-
-    def settle(self, keys) -> int:
-        """Re-measure the entries of ``keys``, then evict least recently
-        used entries until the cache fits its budget; returns how many
-        were evicted."""
-        evicted = 0
-        with self._lock:
-            for key in keys:
-                rel = self._entries.get(key)
-                if rel is not None:
-                    size = rel.nbytes + rel.index_nbytes
-                    self.bytes += size - self._sizes[key]
-                    self._sizes[key] = size
-            while self.bytes > self.budget and self._entries:
-                key, _ = self._entries.popitem(last=False)
-                self.bytes -= self._sizes.pop(key)
-                evicted += 1
-        return evicted
-
-    def keys(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._entries)
-
-
-_CACHE: ResidentCache | None = None
+_CACHE: PlanCache | None = None
 #: Keyed tasks this process has run: orders its residency reports.
 _TASKS = 0
 
 
-def resident_cache() -> ResidentCache:
-    """This process's cache, created by its first keyed task."""
+def resident_cache() -> PlanCache:
+    """This process's cache, created by its first keyed task.
+
+    Bounded by bytes only.  A relation is put with size 0 when a task
+    resolves it, since its kernel builds the index afterwards; the task
+    re-puts each entry it used with its rows plus
+    :attr:`~repro.data.relation.Relation.index_nbytes` when it ends,
+    and that put evicts to the budget.  Its hits, misses and evictions
+    are counted by the task results (``runtime.resident_*``), not by the
+    cache.
+    """
     global _CACHE
     if _CACHE is None:
-        _CACHE = ResidentCache(RESIDENT_BYTES)
+        _CACHE = PlanCache(capacity=None, counters=None,
+                           max_bytes=RESIDENT_BYTES)
     return _CACHE
 
 

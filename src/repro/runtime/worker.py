@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.optimizer import PlanCache
 from ..data.database import Database
 from ..data.relation import Relation
 from ..errors import BudgetExceeded
@@ -63,7 +64,7 @@ from ..kernels import create_kernel
 from ..obs.tracing import current_tracer, set_thread_tracer, task_tracer
 from ..query.query import JoinQuery
 from ..wcoj.leapfrog import LeapfrogStats
-from .residency import ResidentCache, next_report, resident_cache
+from .residency import next_report, resident_cache
 from .transport import TaskFetches, resolve_array_ref
 
 __all__ = ["WorkerTask", "WorkerTaskResult", "execute_worker_task"]
@@ -151,13 +152,15 @@ class WorkerTaskResult:
         return self.failure is None
 
 
-def _report_residency(result: WorkerTaskResult, cache: ResidentCache,
+def _report_residency(result: WorkerTaskResult, cache: PlanCache,
                       used: dict[str, Relation]) -> None:
     """Size what this task used, evict to the budget, and report."""
-    result.resident_evictions = cache.settle(used)
+    result.resident_evictions = sum(
+        cache.put(key, rel, rel.nbytes + rel.index_nbytes)
+        for key, rel in used.items())
     result.resident_keys = cache.keys()
     result.resident_stamp = next_report()
-    result.resident_bytes = cache.bytes
+    result.resident_bytes = cache.nbytes
 
 
 def execute_worker_task(task: WorkerTask) -> WorkerTaskResult:
@@ -189,7 +192,7 @@ class _ResidentMiss(Exception):
     """A resident ref's key is not held here (evicted or never kept)."""
 
 
-def _kept_inputs(task: WorkerTask, cache: ResidentCache,
+def _kept_inputs(task: WorkerTask, cache: PlanCache,
                  result: WorkerTaskResult) -> dict[str, Relation]:
     """Every keyed input of ``task`` this process holds, looked up
     before any join work (so a later insertion cannot evict one
@@ -212,7 +215,7 @@ def _kept_inputs(task: WorkerTask, cache: ResidentCache,
 
 
 def _input(atom, ref, known: bool, fetches: TaskFetches,
-           kept: dict[str, Relation], cache: ResidentCache | None
+           kept: dict[str, Relation], cache: PlanCache | None
            ) -> Relation:
     """One atom's input relation: kept (renamed, sharing its trie memo)
     or resolved — and kept when the ref names its content."""

@@ -9,7 +9,6 @@ from .leapfrog import (
     JoinResult,
     LeapfrogStats,
     build_tries,
-    intersect_sorted,
     leapfrog_join,
     leapfrog_sample_counts,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "JoinResult",
     "LeapfrogStats",
     "build_tries",
-    "intersect_sorted",
     "leapfrog_join",
     "leapfrog_reference",
     "leapfrog_sample_counts",

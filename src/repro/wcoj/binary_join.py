@@ -149,9 +149,10 @@ def run_left_deep(query: JoinQuery, db: Database, plan: BinaryPlan,
     output is gathered — the place to account work and to raise
     :class:`BudgetExceeded` without allocating an over-budget
     intermediate.  The first step's left side is the first atom's
-    memoized :meth:`~repro.data.relation.Relation.key_groups` with its
-    join columns first, so both sides of that step are grouped by key
-    and a count-only one-step plan is one key-group intersection.
+    memoized :meth:`~repro.data.relation.Relation.trie` with its join
+    columns first, so both sides of that step are tries and a
+    count-only one-step plan is one probe of the left's join keys into
+    the right's trie.
     Returns ``(relation, count)``: the result as a
     lexsorted set over the attributes in join order (the first atom's
     join columns first), or ``None`` with ``materialize=False`` — the
@@ -166,19 +167,19 @@ def run_left_deep(query: JoinQuery, db: Database, plan: BinaryPlan,
     if not steps:
         current = current.sorted_set()
         return (current if materialize else None), len(current)
-    # The first step probes by key group: the first atom's memoized
-    # groups, its join columns first, so a kept input is grouped once.
+    # The first step probes by trie node: the first atom's memoized
+    # trie, its join columns first, so a kept input is indexed once.
     t0 = time.perf_counter()
     common = current.common_attributes(steps[0])
-    current, _ = current.key_groups(common + tuple(
-        a for a in current.attributes if a not in common), len(common))
+    left = current.trie(common + tuple(
+        a for a in current.attributes if a not in common))
     built = time.perf_counter() - t0
     for step, right in enumerate(steps, start=1):
-        probe = JoinProbe(current, right)
+        probe = JoinProbe(left, right)
         probe.build_seconds += built
         built = 0.0
         on_step(probe)
         if step == len(steps) and not materialize:
             return None, probe.size
-        current = probe.rows()
-    return (current if materialize else None), len(current)
+        left = probe.rows()
+    return (left if materialize else None), len(left)

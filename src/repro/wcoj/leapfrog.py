@@ -62,7 +62,6 @@ __all__ = [
     "trie_order",
     "leapfrog_join",
     "leapfrog_sample_counts",
-    "intersect_sorted",
 ]
 
 # Most candidates one chunk of a frontier gathers.  A constant, not a
@@ -196,30 +195,6 @@ def build_tries(query: JoinQuery, db: Database, order: Sequence[str],
             trie.levels()
         tries.append(trie.renamed(rel.name, attrs))
     return tries
-
-
-def intersect_sorted(arrays: Sequence[np.ndarray],
-                     stats: LeapfrogStats | None = None) -> np.ndarray:
-    """Intersection of sorted unique int64 arrays, smallest-first.
-
-    Work is accounted as the total number of elements touched, the
-    deterministic unit behind the paper's computation-cost seconds.
-    """
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    arrays = sorted(arrays, key=len)
-    result = arrays[0]
-    if stats is not None:
-        stats.intersection_work += sum(len(a) for a in arrays)
-    for other in arrays[1:]:
-        if result.shape[0] == 0:
-            break
-        idx = np.searchsorted(other, result)
-        idx[idx == other.shape[0]] = other.shape[0] - 1 if other.shape[0] else 0
-        if other.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        result = result[other[idx] == result]
-    return result
 
 
 def _plan(query: JoinQuery, db: Database, order: Sequence[str] | None,

@@ -157,7 +157,7 @@ class TestNaturalJoin:
                                         [3, 1, 9], [3, 2, 0]]
         assert born_sorted(joined)
 
-    def test_wide_values_take_the_fallback_and_agree(self, monkeypatch):
+    def test_wide_values_take_the_fallback_and_agree(self):
         rng = np.random.default_rng(1)
         small_l = rng.integers(-5, 6, size=(60, 2))
         small_r = rng.integers(-5, 6, size=(60, 2))
@@ -168,17 +168,14 @@ class TestNaturalJoin:
                             np.vstack([small_l, extra, -extra]), dedup=False)
             right = Relation("R", ("b", "c"),
                              np.vstack([small_r, extra, -extra]), dedup=False)
-            return left.natural_join(right)
+            return (left.natural_join(right),
+                    right.trie(("b", "c")).levels())
 
-        calls = []
-        real = relation_mod.row_group_ids
-        monkeypatch.setattr(
-            relation_mod, "row_group_ids",
-            lambda *arrays: calls.append(1) or real(*arrays))
-        packed = join(np.empty((0, 2), dtype=np.int64))
-        assert not calls
-        wide = join(stretch)
-        assert calls
+        packed, dense = join(np.empty((0, 2), dtype=np.int64))
+        assert dense.table is not None
+        wide, sparse = join(stretch)
+        # Too wide for the right's root table: its values are searched.
+        assert sparse.table is None
         assert born_sorted(wide)
         # The stretched rows join nothing new on ``b`` = 0 beyond what
         # the small rows with b = 0 already give them.

@@ -1,9 +1,10 @@
-"""The binary join step over memoized key groups, differentially
-(repro.data.relation.JoinProbe, Relation.key_groups, sorted_distinct).
+"""The binary join step over memoized tries, differentially
+(repro.data.relation.JoinProbe, Relation.trie, sorted_distinct).
 
-A step's right side is read through its key groups (join columns
-first); its left side is matched key group against key group when it
-is a lexsorted set whose join columns lead, row by row otherwise.  On
+A step's right side is read through its trie (join columns first),
+each node at the join columns' depth one key group; its left side is
+matched node against node when it is a trie whose join columns lead,
+row by row otherwise.  On
 random pairs with 0, 1 and 2 shared columns, empty
 sides, disjoint keys and values too wide to pack, every form must give
 the textbook join: ``size`` equal to ``len(rows())``, to
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.data.relation as relation_mod
-from repro.data import Database, Relation, lexsorted_rows
+import repro.data.trie as trie_mod
+from repro.data import Database, Relation, Trie, lexsorted_rows
 from repro.data.relation import JoinProbe, sorted_distinct
 from repro.kernels import create_kernel
 from repro.query import Atom, JoinQuery
@@ -93,11 +95,11 @@ def is_sorted_set(rel: Relation) -> bool:
             and len({tuple(r) for r in data.tolist()}) == len(data))
 
 
-def key_first(left: Relation, right: Relation) -> Relation:
-    """``left`` as its key groups' lexsorted set, join columns first."""
+def key_first(left: Relation, right: Relation) -> Trie:
+    """``left``'s memoized trie, join columns first."""
     common = left.common_attributes(right)
-    return left.key_groups(common + tuple(
-        a for a in left.attributes if a not in common), len(common))[0]
+    return left.trie(common + tuple(
+        a for a in left.attributes if a not in common))
 
 
 class TestJoinProbe:
@@ -153,10 +155,15 @@ class TestJoinProbe:
         # replaces the older.
         renamed = left.rename({"a": "x"}, name="L2")
         assert key_first(renamed, right).data is first.left.data
-        left.key_groups(("a", "b"), 1)
+        left.trie(("a", "b"))
         assert key_first(left, right).data is first.left.data
-        left.key_groups(("a", "b"), 0)
-        assert key_first(left, right).data is not first.left.data
+        wide = Relation("W", ("a", "b", "c"),
+                        rng.integers(0, 30, size=(200, 3)))
+        tries = [wide.trie(order) for order in (("b", "a", "c"),
+                                                ("a", "b", "c"),
+                                                ("c", "b", "a"))]
+        assert wide.trie(("c", "b", "a")).levels() is tries[2].levels()
+        assert wide.trie(("b", "a", "c")).levels() is not tries[0].levels()
 
     def test_a_warm_count_only_step_sorts_and_diffs_nothing(self,
                                                            monkeypatch):
@@ -174,22 +181,24 @@ class TestJoinProbe:
         assert warm.count == cold.count and warm.stats == cold.stats
 
     def test_threads_sharing_one_memo_read_the_right_groups(self):
-        # More threads than cores on one relation, three keys for a
+        # More threads than cores on one relation, three orders for a
         # two-entry memo, a short switch interval: a race may repeat
-        # work, never pair a key with another key's groups.
+        # work, never pair an order with another order's trie.
         rng = np.random.default_rng(8)
-        rel = Relation("R", ("a", "b"), rng.integers(0, 50, size=(400, 2)))
-        asks = [(("a", "b"), 1), (("b", "a"), 1), (("b", "a"), 2)]
-        expected = []
-        for attrs, width in asks:
-            twin = Relation("T", rel.attributes, rel.data)
-            rows, bounds = twin.key_groups(attrs, width)
-            expected.append((rows.data.tolist(), bounds.tolist()))
+        rel = Relation("R", ("a", "b", "c"),
+                       rng.integers(0, 50, size=(400, 3)))
+        asks = [("a", "b", "c"), ("b", "a", "c"), ("c", "b", "a")]
+
+        def seen(trie: Trie):
+            levels = trie.levels()
+            return (trie.data.tolist(), [p.tolist() for p in levels.ptr],
+                    [v.tolist() for v in levels.vals])
+
+        expected = [seen(Relation("T", rel.attributes, rel.data).trie(o))
+                    for o in asks]
 
         def read(i: int) -> bool:
-            attrs, width = asks[i % 3]
-            rows, bounds = rel.rename({}).key_groups(attrs, width)
-            return (rows.data.tolist(), bounds.tolist()) == expected[i % 3]
+            return seen(rel.rename({}).trie(asks[i % 3])) == expected[i % 3]
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -202,14 +211,15 @@ class TestJoinProbe:
 
     def test_groups_of_a_sorted_set_in_its_own_order_copy_nothing(self):
         rel = Relation("R", ("a", "b"), [[1, 2], [1, 3], [4, 0], [5, 5]])
-        rows, bounds = rel.key_groups(("a", "b"), 1)
-        assert rows.data is rel.data
-        assert bounds.tolist() == [0, 2, 3, 4]
-        assert rel.key_groups(("a", "b"), 0)[1].tolist() == [0, 4]
-        empty = Relation("E", ("a",), [])
-        assert empty.key_groups(("a",), 0)[1].tolist() == [0]
-        assert empty.key_groups(("a",), 1)[1].tolist() == [0]
-
+        trie = rel.trie(("a", "b"))
+        assert trie.data is rel.data
+        # One key group per level 0 node, its rows carried down ``ptr``.
+        assert trie.levels().vals[0].tolist() == [1, 4, 5]
+        assert trie.levels().ptr[0].tolist() == [0, 2, 3, 4]
+        empty = Relation("E", ("a",), []).trie(("a",)).levels()
+        assert empty.vals[0].tolist() == [] and empty.table is None
+        probe = JoinProbe(rel, Relation("E", ("a",), []))
+        assert probe.size == 0 and probe.counts.tolist() == [0] * 4
 
 
 def fresh(rel: Relation) -> Relation:
@@ -217,15 +227,23 @@ def fresh(rel: Relation) -> Relation:
     return Relation(rel.name, rel.attributes, rel.data, dedup=False)
 
 
-def right_groups(probe: JoinProbe):
-    """The right side's memo entry a probe read."""
-    width = len(probe.common)
-    return probe.right._key_groups(probe.right.attributes, width)[1]
+def right_levels(probe: JoinProbe):
+    """The right side's memoized trie levels a probe read."""
+    return probe.right.trie(probe.right.attributes).levels()
+
+
+def ends(col: np.ndarray) -> np.ndarray:
+    """``col``'s values with each one's neighbours, its range's ends and
+    values near and at the int64 limits: probes in and out of range."""
+    info = np.iinfo(np.int64)
+    near = np.concatenate((col - 1, col, col + 1)) if col.shape[0] \
+        else col
+    return np.concatenate((near, [info.min, -WIDE, 0, WIDE, info.max]))
 
 
 class TestDirectTable:
-    """The right side's direct table against the joint-rank
-    ``searchsorted`` (every table refused: ``_BITMAP_RATIO`` 0) and the
+    """The right trie's level-0 table against the ``searchsorted`` of
+    ``vals[0]`` (every table refused: ``_BITMAP_RATIO`` 0) and the
     nested-loop join."""
 
     @settings(max_examples=200, deadline=None)
@@ -233,15 +251,22 @@ class TestDirectTable:
     def test_table_search_and_nested_loops_agree(self, pair):
         left, right = pair
         seen = []
-        for ratio in (relation_mod._BITMAP_RATIO, 0):
+        for ratio in (trie_mod._BITMAP_RATIO, 0):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(relation_mod, "_BITMAP_RATIO", ratio)
+                patch.setattr(trie_mod, "_BITMAP_RATIO", ratio)
                 for side in (fresh(left), key_first(fresh(left), right)):
                     probe = JoinProbe(side, fresh(right))
+                    levels = right_levels(probe)
                     if not ratio:
-                        assert right_groups(probe).table() is None
+                        assert levels.table is None
+                    values = ends(levels.vals[0])
+                    nodes, found = levels.probe(0, None, values)
                     seen.append((probe.size, probe.counts.tolist(),
-                                 probe.rows().data.tolist()))
+                                 probe.rows().data.tolist(),
+                                 found.tolist(), nodes[found].tolist(),
+                                 levels.contains(0, None, values).tolist()))
+                    assert found.tolist() == np.isin(
+                        values, levels.vals[0]).tolist()
                     rows = {tuple(r) for r in probe.left.data.tolist()}
                     assert probe.rows().as_set() == nested_loops(
                         probe.left.attributes, rows, right)
@@ -251,33 +276,36 @@ class TestDirectTable:
         rng = np.random.default_rng(9)
         data = rng.integers(0, 40, size=(300, 2))
         left = Relation("L", ("a", "b"), data)
-        for scale, table, packs in ((1, True, True), (1000, False, True),
-                                    (WIDE, False, False)):
+        for scale, table in ((1, True), (1000, False), (WIDE, False)):
             right = Relation("R", ("b", "c"), data * scale)
             probe = JoinProbe(left, right)
-            groups = right_groups(probe)
-            assert (groups.table() is not None) == table
-            assert (groups.radix is not None) == packs
-            # Keys are packed for a table only.
-            assert (groups._keys is not None) == table
+            levels = right_levels(probe)
+            assert (levels.table is not None) == table
+            if table:
+                # -1 marks a value of the span that is no node.
+                assert levels.table.dtype == np.int32
+                assert (np.flatnonzero(levels.table >= 0)
+                        == levels.vals[0] - levels.vmin[0]).all()
+                assert (levels.table[levels.table >= 0]
+                        == np.arange(levels.vals[0].shape[0])).all()
             assert probe.size == reference_count(left, right)
-        # Two wide join columns do not pack: the joint-rank fallback.
+        # Two wide join columns: probed level by level, rank-coded below.
         right = Relation("R", ("a", "b"), data * WIDE)
-        assert right_groups(JoinProbe(left, right)).radix is None
+        assert right_levels(JoinProbe(left, right)).distinct[1] is not None
         wide = Relation("W", ("a", "b"), data * WIDE)
         assert JoinProbe(wide, right).size == len(right)
 
     def test_left_keys_outside_the_rights_range_miss(self):
         right = Relation("R", ("b", "c"), [[5, 0], [6, 1], [9, 2]])
         left = Relation("L", ("a", "b"), [[0, 4], [0, 5], [1, 9],
-                                          [2, 10], [3, -2 ** 62]])
-        # Row by row, then key-grouped (b first; -2**62 leaves the
-        # left's own radix, so its group heads are packed).
+                                          [2, 10], [3, -2 ** 62],
+                                          [4, 2 ** 62]])
+        # Row by row, then node by node (b first).
         for side, expected in ((left, {(0, 5, 0), (1, 9, 2)}),
                                (key_first(left, right),
                                 {(5, 0, 0), (9, 1, 2)})):
             probe = JoinProbe(side, right)
-            assert right_groups(probe).table() is not None
+            assert right_levels(probe).table is not None
             assert probe.rows().as_set() == expected
             assert probe.size == 2
 
@@ -290,17 +318,15 @@ class TestDirectTable:
                        for n in "LR"])
         kernel = create_kernel("binary")
         cold = kernel.execute(query, db)
-        assert right_groups(JoinProbe(*(
-            r.rename(dict(zip(r.attributes, a.attributes)))
-            for r, a in zip((db["L"], db["R"]), query.atoms)))).table() \
-            is not None
+        assert db["R"].trie(("x", "y")).levels().table is not None
 
         def fail(name):
             return lambda *a, **k: pytest.fail(f"{name} ran warm")
 
-        for helper in ("_group_heads", "_pack", "_pack_within",
-                       "_sorted_rows", "_run_starts"):
+        for helper in ("_sorted_rows", "_run_starts"):
             monkeypatch.setattr(relation_mod, helper, fail(helper))
+        monkeypatch.setattr(Trie, "__init__", fail("Trie"))
+        monkeypatch.setattr(Trie, "_build_levels", fail("_build_levels"))
         monkeypatch.setattr(np, "searchsorted", fail("np.searchsorted"))
         warm = kernel.execute(query, db)
         assert warm.count == cold.count and warm.stats == cold.stats
@@ -310,24 +336,20 @@ class TestDirectTable:
         right = Relation("R", ("b", "c"), rng.integers(0, 50, size=(400, 2)))
         left = Relation("L", ("a", "b"), rng.integers(0, 50, size=(400, 2)))
         assert right.index_nbytes == 0
-        groups = right_groups(JoinProbe(left, right))
-        # In its own order the right's rows are its data: only the
-        # bounds, the packed keys and the table are extra.
-        assert groups.rows is right.data
-        assert right.index_nbytes == (groups.bounds.nbytes
-                                      + groups.keys().nbytes
-                                      + groups.table().nbytes) > 0
-        assert groups.table().nbytes <= (relation_mod._BITMAP_RATIO
-                                         * groups.keys().nbytes)
-        # A left side keeps its packed keys (the probe) and no table.
+        probe = JoinProbe(left, right)
+        levels = right_levels(probe)
+        # In its own order the right's rows are its trie's data: only
+        # the levels, the root table among them, are extra.
+        assert probe.right.data is right.data
+        assert right.index_nbytes == levels.nbytes > levels.table.nbytes
+        assert levels.table.nbytes <= (trie_mod._BITMAP_RATIO
+                                       * levels.vals[0].nbytes)
+        # A left trie in another order also holds its sorted rows.
         keyed = key_first(left, right)
         JoinProbe(keyed, right)
-        held = keyed._key_groups(keyed.attributes, 1)[1]
-        assert held._table is None and held._keys is not None
-        assert held.keys().tolist() == sorted(set(
-            (left.data[:, 1] - left.data[:, 1].min()).tolist()))
-        assert left.index_nbytes == (held.rows.nbytes + held.bounds.nbytes
-                                     + held.keys().nbytes)
+        assert keyed.data is not left.data
+        assert left.index_nbytes == (keyed.data.nbytes
+                                     + keyed.levels().nbytes)
 
 
 @st.composite

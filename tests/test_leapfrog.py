@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro.data import Database, Relation
 from repro.errors import BudgetExceeded, PlanError
-from repro.query import PAPER_QUERIES, paper_query, parse_query
+from repro.query import (PAPER_QUERIES, Atom, JoinQuery, paper_query,
+                          parse_query)
 from repro.wcoj import (
     brute_force_join,
     build_tries,
-    intersect_sorted,
     leapfrog_join,
     leapfrog_reference,
 )
@@ -37,6 +37,15 @@ def random_edges(seed, n=50, dom=8):
     return rng.integers(0, dom, size=(n, 2))
 
 
+def intersect_sorted(arrays, stats=None):
+    """The kernel's intersection of sorted sets: a materialized
+    ``leapfrog_join`` of one one-column atom per array."""
+    query = JoinQuery([Atom(f"S{i}", ("x",)) for i in range(len(arrays))])
+    db = Database(Relation(f"S{i}", ("x",), a) for i, a in enumerate(arrays))
+    return leapfrog_join(query, db, materialize=True,
+                         stats=stats).relation.column("x")
+
+
 class TestIntersectSorted:
     def test_basic(self):
         a = np.array([1, 3, 5, 7], dtype=np.int64)
@@ -47,7 +56,7 @@ class TestIntersectSorted:
         a = np.array([1, 2], dtype=np.int64)
         e = np.empty(0, dtype=np.int64)
         assert intersect_sorted([a, e]).shape == (0,)
-        assert intersect_sorted([]).shape == (0,)
+        assert intersect_sorted([e, e]).shape == (0,)
 
     def test_single_array(self):
         a = np.array([1, 2], dtype=np.int64)

@@ -162,7 +162,9 @@ class TestResidentBytes:
                        np.random.default_rng(4).integers(0, 9, size=(80, 3)))
         levels = rel.trie(("a", "b", "c")).levels()
         assert levels.bits[1] is not None and levels.rank[1] is not None
-        index = sum(a.nbytes for group in (levels.bits, levels.rank)
+        assert levels.table is not None     # the root is dense too
+        index = sum(a.nbytes for group in (levels.bits, levels.rank,
+                                           (levels.table,))
                     for a in group if a is not None)
         assert index > 0
         assert levels.nbytes == index + sum(

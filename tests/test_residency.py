@@ -133,21 +133,21 @@ class TestWarmQueries:
 
 
 def _held_groups(_task) -> dict[str, list[int]]:
-    """In a home process: the identity of every memoized key grouping
-    it keeps."""
+    """In a home process: the identity of every memoized trie it keeps
+    (a binary step's key groups are trie nodes)."""
     cache = residency.resident_cache()
     held = {}
     for key in cache.keys():
-        memo = cache.get(key)._groups
+        memo = cache.get(key)._trie
         if memo:
-            held[key] = [id(groups.bounds) for _, groups in memo]
+            held[key] = [id(trie.levels()) for _, trie in memo]
     return held
 
 
 def test_a_warm_binary_query_groups_nothing_again(executor):
-    """The binary kernel probes the key groups its home process keeps:
-    a warm query sorts and groups nothing and keeps the cold run's
-    counts and work."""
+    """The binary kernel probes the tries its home process keeps: a
+    warm query sorts and indexes nothing and keeps the cold run's counts
+    and work."""
     query = paper_query("Q7")
     edges = np.random.default_rng(4).integers(0, 60, size=(400, 2))
     db = Database(Relation(a.relation, ("x", "y"), edges)
