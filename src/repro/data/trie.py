@@ -20,7 +20,9 @@ every level below the root has keys.  A level whose slot space
 also gets a rank bitmap over the slots — one bit a slot and, above
 the deepest level, the number of keys before each 64-slot word — so a
 probe there reads one word per pair instead of binary-searching
-``keys``; a dense root level likewise keeps a direct table from value
+``keys``: shifted left until the slot's bit is its sign bit, the word
+answers membership (:meth:`TrieLevels.hits`) and, with its popcount,
+the node; a dense root level likewise keeps a direct table from value
 to node.  It is built from
 the sorted rows with one change-mask pass per column and memoized; the
 trie itself is memoized on its relation
@@ -77,10 +79,11 @@ class TrieLevels(NamedTuple):
     ``rank`` (its nodes have no children to descend to, so the kernel
     only asks whether they exist); both are ``None`` on a level without
     a bitmap.  :meth:`probe` reads the bitmap where a level has a rank,
-    :meth:`contains` wherever it has bits; each agrees with the search
-    of ``keys`` it replaces.  Level 0 has no keys; where its span is
-    dense enough it has ``table`` instead: the ``int32`` node of every
-    value ``vmin[0] + i`` at ``table[i]`` (-1: no node), read by
+    :meth:`contains` wherever it has bits (through :meth:`hits`, the
+    one bit test); each agrees with the search of ``keys`` it replaces.
+    Level 0 has no keys; where its span is dense enough it has ``table``
+    instead: the ``int32`` node of every value ``vmin[0] + i`` at
+    ``table[i]`` (-1: no node), read by
     :meth:`probe` and :meth:`contains` in place of the search of
     ``vals[0]``.
     """
@@ -104,35 +107,60 @@ class TrieLevels(NamedTuple):
                                                  (self.table,))
                    for a in group if a is not None)
 
-    def _slots(self, level: int, parents: np.ndarray, values: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+    def _slots(self, level: int, parents: np.ndarray, values: np.ndarray,
+               repeat: np.ndarray | None = None, inside: bool = False
+               ) -> tuple[np.ndarray, np.ndarray | None]:
         """``(parents * width + code(values), known)``: the key each pair
         would have, and whether ``values[i]`` is a value of the level at
-        all (the key is meaningless where it is not)."""
+        all (the key is meaningless where it is not).
+
+        With ``repeat``, ``parents[i]`` is the parent of the next
+        ``repeat[i]`` values, not of ``values[i]`` alone: its base
+        ``parent * width`` (less ``vmin`` on an offset level) is
+        computed once and repeated.  ``inside`` says every value lies in
+        an offset level's ``[vmin, vmin + width)``; ``known`` is then
+        None (no range mask is built)."""
         width = self.width[level]
         distinct = self.distinct[level]
+        slot = parents * width
         if distinct is None:
             vmin = self.vmin[level]
-            code = values - vmin
-            known = (values >= vmin) & (values < vmin + width)
+            slot -= vmin
+            code = values
+            # Unsigned, an offset below the range is above it.
+            known = (None if inside else
+                     np.subtract(values, vmin).view(np.uint64) < width)
         else:
             code = np.minimum(np.searchsorted(distinct, values), width - 1)
             known = distinct[code] == values
-        code += parents * width
-        return code, known
+        if repeat is not None:
+            slot = np.repeat(slot, repeat)
+        slot += code
+        return slot, known
 
-    def _bit(self, level: int, slot: np.ndarray, known: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per slot (slot 0 where the value is not ``known``): its word
-        index, that bitmap word, its one-bit mask in the word, and the
-        hit mask.  ``slot`` is consumed."""
-        np.copyto(slot, 0, where=~known)
-        mask = np.left_shift(np.uint64(1), (slot & 63).astype(np.uint64))
-        slot >>= 6
-        word = self.bits[level][slot]
-        found = (word & mask).astype(bool)
-        found &= known
-        return slot, word, mask, found
+    def _word(self, level: int, slot: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Per slot: its word index, and its bitmap word shifted left so
+        that the slot's bit is the top bit, the bits below it follow and
+        those above it are gone.  ``slot`` is consumed; one out of range
+        reads a clipped word (a meaningless one, for the caller to mask)."""
+        index = slot >> 6
+        word = self.bits[level].take(index, mode="clip")
+        np.invert(slot, out=slot)
+        slot &= 63                      # 63 - slot % 64
+        word <<= slot.view(np.uint64)
+        return index, word
+
+    def hits(self, level: int, slot: np.ndarray, known: np.ndarray | None
+             ) -> np.ndarray:
+        """Whether each ``slot`` of bitmap level ``level`` holds a key:
+        its bit, read as the sign of its shifted word.  ``known`` masks
+        the slots whose value is not one of the level's (None: the
+        caller knows every value is in range).  ``slot`` is consumed."""
+        found = self._word(level, slot)[1].view(np.int64) < 0
+        if known is not None:
+            found &= known
+        return found
 
     def probe(self, level: int, parents: np.ndarray | None,
               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,13 +190,15 @@ class TrieLevels(NamedTuple):
         else:
             slot, known = self._slots(level, parents, values)
             if self.rank[level] is not None:
-                index, word, mask, found = self._bit(level, slot, known)
+                index, word = self._word(level, slot)
+                found = word.view(np.int64) < 0
+                found &= known
                 # The node is the word's rank plus the keys below the
-                # slot's bit in its word.
-                mask -= np.uint64(1)
-                word &= mask
-                nodes = np.add(self.rank[level][index],
+                # slot's bit in its word: the shifted word's bits, less
+                # the slot's own.
+                nodes = np.add(self.rank[level].take(index, mode="clip"),
                                np.bitwise_count(word), dtype=np.int64)
+                nodes -= 1
                 return nodes, found
             # -1 sorts before every key and matches none.
             needles = np.where(known, slot, -1)
@@ -177,12 +207,17 @@ class TrieLevels(NamedTuple):
         return nodes, hay[nodes] == needles
 
     def contains(self, level: int, parents: np.ndarray | None,
-                 values: np.ndarray) -> np.ndarray:
+                 values: np.ndarray, repeat: np.ndarray | None = None,
+                 inside: bool = False) -> np.ndarray:
         """The ``found`` mask of :meth:`probe`, without the node index
-        (on a bitmap level, no rank is read)."""
+        (on a bitmap level, no rank is read).  ``repeat`` and ``inside``
+        are :meth:`_slots`'."""
         if level == 0 or self.bits[level] is None:
+            if repeat is not None and parents is not None:
+                parents = np.repeat(parents, repeat)
             return self.probe(level, parents, values)[1]
-        return self._bit(level, *self._slots(level, parents, values))[3]
+        return self.hits(level, *self._slots(level, parents, values,
+                                             repeat, inside))
 
 
 class Trie:
@@ -266,18 +301,18 @@ class Trie:
                 # first child.
                 mark = change[starts]
                 ptr.append(np.append(np.flatnonzero(mark), starts.shape[0]))
-                if (ptr[-1].shape[0] - 1) * width < _KEY_LIMIT:
+                parents = ptr[-1].shape[0] - 1
+                if parents * width < _KEY_LIMIT:
                     offset = level_vals - vmin
                 else:
                     level_distinct = sorted_distinct(level_vals)
                     width = int(level_distinct.shape[0])
                     offset = np.searchsorted(level_distinct, level_vals)
                 # parent * width + offset, each node's parent the
-                # running count of marks, in place: in a pool worker a
-                # large temporary is often a fresh mapping, paid for in
-                # page faults (a ``np.repeat`` of each parent's base
-                # over its children measured 1.4x slower).
-                parents = ptr[-1].shape[0] - 1
+                # running count of marks, in place: a ``np.repeat`` of
+                # each parent's base over its children times the same,
+                # but its parent-sized temporaries raised a path-uniform
+                # home process's peak RSS by 0.6 MB.
                 level_keys = np.cumsum(mark, dtype=np.int64)
                 level_keys -= 1
                 level_keys *= width

@@ -41,7 +41,7 @@ from ..errors import ConfigError
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer, set_thread_tracer, task_tracer
-from ..runtime.executor import available_parallelism
+from ..runtime.executor import available_parallelism, keep_heap
 from .protocol import (
     OP_DATA,
     OP_ERR,
@@ -123,7 +123,8 @@ class WorkerAgent(FrameServer):
 
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.slots,
-                    mp_context=multiprocessing.get_context("spawn"))
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=keep_heap)
             pool = self._pool
         try:
             return pool.submit(fn, task).result()

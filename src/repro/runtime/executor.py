@@ -16,7 +16,8 @@ One interface, three implementations here plus ``remote``
   :class:`repro.runtime.scheduler.WorkerTask`) are pickled to worker
   processes, so task functions must be importable top-level functions
   (spawn/fork safe — see docs/runtime.md).  A home process keeps the
-  inputs it resolved (:mod:`repro.runtime.residency`); the executor's
+  inputs it resolved (:mod:`repro.runtime.residency`) and the heap
+  pages it freed (:func:`keep_heap`); the executor's
   :attr:`~Executor.residency` view tells the task source what each
   slot holds, so a warm query publishes nothing a worker already has.
 
@@ -52,6 +53,7 @@ so segments are reclaimed even when a worker task crashes mid-run.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import threading
@@ -69,7 +71,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from ..errors import ConfigError, ReproError, WorkerCrashed
 from ..obs.tracing import current_tracer
 from ..registry import Registry
-from .residency import ResidencyView
+from .residency import RESIDENT_BYTES, ResidencyView
 from .transport import Transport, create_transport
 
 __all__ = [
@@ -82,10 +84,54 @@ __all__ = [
     "create_executor",
     "executor_for",
     "available_parallelism",
+    "keep_heap",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: glibc's ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: Free bytes at the top of a home process's heap that glibc keeps
+#: rather than returning to the OS: ``RESIDENT_BYTES``, so what a
+#: process frees between tasks stays its own up to what it may keep
+#: resident anyway (below 2**31: ``mallopt`` takes an ``int``).
+HEAP_TRIM_BYTES = RESIDENT_BYTES
+
+#: Smallest allocation a home process takes as its own ``mmap`` rather
+#: than from the heap: 4 MiB, eight times a frontier chunk's largest
+#: temporary (``repro.wcoj.leapfrog._CHUNK`` int64 candidates, 512 KB),
+#: so a chunk's temporaries reuse heap pages, while an array this large
+#: or larger stays a mapping of its own, which goes back to the OS when
+#: freed.  glibc refuses a threshold above 32 MiB on 64-bit.
+HEAP_MMAP_BYTES = 4 << 20
+
+
+def keep_heap() -> None:
+    """Pool initializer: this process keeps its heap between tasks.
+
+    glibc returns freed memory at the top of the heap to the OS once it
+    passes a threshold, and serves large blocks from fresh mappings, so
+    every frontier chunk of every warm query faulted its temporaries in
+    again (about 1 500 minor faults and 4 ms of system time per warm
+    ``tri-skew`` query and home process, on a 2-vCPU box; about 3
+    faults with both thresholds set).  Both are set, or neither:
+    setting either one turns off glibc's dynamic adjustment of the
+    other, and either alone measured worse than the defaults, so the
+    trim threshold is set only once glibc has taken the ``mmap`` one.
+    A no-op where the C library is not glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_BYTES)
+
 
 def available_parallelism() -> int:
     """CPUs this process may actually use (affinity-aware)."""
@@ -368,7 +414,8 @@ class _HomeSlots:
     """
 
     def __init__(self, slots: int, ctx, residency: ResidencyView):
-        self._pools = [ProcessPoolExecutor(max_workers=1, mp_context=ctx)
+        self._pools = [ProcessPoolExecutor(max_workers=1, mp_context=ctx,
+                                           initializer=keep_heap)
                        for _ in range(slots)]
         # Start every process now, back to back, before any task of this
         # pool runs: a process forked later, while another query thread

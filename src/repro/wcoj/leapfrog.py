@@ -23,7 +23,10 @@
   lengths, the same integers the enumeration accounts.  A count-only run
   with no tail counts its last level instead: each candidate is looked
   up with ``contains`` and the hits are counted, never filtered into a
-  next frontier.  Materializing and cached runs enumerate every level.
+  next frontier; the last lookup repeats one probe base per binding
+  over its candidates and skips the range mask when the driver level's
+  values all lie in the probed level's range.  Materializing and cached
+  runs enumerate every level.
   Supports fixed-value constraints (the sampler's ``T_{A=a}``) and a
   deterministic work budget (the paper's 12-hour timeout analogue).  With
   ``cache_capacity=`` it is HCubeJ+Cache's CacheTrieJoin [28]: within a
@@ -65,8 +68,12 @@ __all__ = [
 ]
 
 # Most candidates one chunk of a frontier gathers.  A constant, not a
-# setting: 2**14..2**19 measure within noise of each other on latency
-# (larger only costs resident memory), so there is nothing to tune.
+# setting: on a warm tri-skew count 2**15..2**19 measure within noise
+# of each other on latency (larger only costs resident memory) and
+# 2**14 about 20 % slower, so there is nothing to tune.  A chunk's
+# temporaries (512 KB of int64 here) stay below a home process's
+# ``mmap`` threshold (repro.runtime.executor.HEAP_MMAP_BYTES), so they
+# reuse heap pages instead of faulting fresh ones in.
 _CHUNK = 1 << 16
 
 
@@ -418,7 +425,13 @@ def _extend(run: _Frontier, d: int, k: int,
         _descend(run, d, nodes, cols, root,
                  *_probe(run, d, nodes, bind, value, None, None))
         return
-    driver = seg.argmin(axis=0)
+    # The first participant with the shortest segment drives: an
+    # ``argmin`` over the participants, which numpy runs some 30x slower
+    # along axis 0 than these passes (the last pass, participant 0's,
+    # wins every tie).
+    driver = np.zeros(k, dtype=np.int64)
+    for p in range(len(parts) - 1, -1, -1):
+        driver += (lens[p] == shortest) * (p - driver)
     if (d == len(run.participants) - 1 and run.rows is None
             and run.capacity is None):
         for lo, hi in chunks:
@@ -539,10 +552,15 @@ def _count_last(run: _Frontier, d: int, nodes: list[np.ndarray | None],
     ``lo .. hi`` of a count-only run without enumerating them.
 
     Each driver group's candidates are looked up in the other
-    participants with :meth:`TrieLevels.contains` (no node index), and
-    only the hits of the last lookup are counted, not kept: nothing is
+    participants with :meth:`TrieLevels.contains` (no node index); with
+    three or more participants every lookup but the last filters them,
+    and only the hits of the last are counted, not kept: nothing is
     filtered into child arrays and no merge sort restores binding order.
-    The counters are the ones :func:`_descend` would record.
+    Unless an earlier lookup filtered the candidates, the last lookup
+    takes one parent per binding and repeats its probe base over the
+    binding's candidates, and it builds no range mask when the driver
+    level's value range lies inside the probed level's.  The counters
+    are the ones :func:`_descend` would record.
     """
     parts = run.participants[d]
     total = 0
@@ -550,21 +568,39 @@ def _count_last(run: _Frontier, d: int, nodes: list[np.ndarray | None],
         sel = np.flatnonzero(driver[lo:hi] == p) + lo
         if not sel.shape[0]:
             continue
-        bind = np.repeat(sel, shortest[sel])
-        value = run.levels[ai].vals[depth][_ranges(starts[p][sel],
-                                                   shortest[sel])]
-        others = parts[:p] + parts[p + 1:]
-        for i, (aq, dq) in enumerate(others):
-            found = run.levels[aq].contains(
-                dq, nodes[aq][bind] if dq else None, value)
-            if i + 1 < len(others):
-                bind, value = bind[found], value[found]
+        n = shortest[sel]
+        lv = run.levels[ai]
+        value = lv.vals[depth].take(_ranges(starts[p][sel], n))
+        *early, (aq, dq) = parts[:p] + parts[p + 1:]
+        bind = np.repeat(sel, n) if early or root is not None else None
+        for ae, de in early:
+            found = run.levels[ae].contains(
+                de, nodes[ae][bind] if de else None, value)
+            bind, value = bind[found], value[found]
+        lq = run.levels[aq]
+        parents = (None if not dq else nodes[aq][bind] if early
+                   else nodes[aq][sel])
+        found = lq.contains(dq, parents, value,
+                            repeat=None if early else n,
+                            inside=_inside(lv, depth, lq, dq))
         total += int(np.count_nonzero(found))
         if root is not None:
             run.root_counts += np.bincount(
                 root[bind[found]], minlength=run.root_counts.shape[0])
     run.stats.level_tuples[d] += total
     run.stats.emitted += total
+
+
+def _inside(driver: TrieLevels, depth: int, probed: TrieLevels,
+            level: int) -> bool:
+    """Whether every value of the driver's level ``depth`` lies in the
+    range ``[vmin, vmin + width)`` of the probed level ``level``, both
+    offset-coded (a rank-coded level's range is not its width)."""
+    return (driver.distinct[depth] is None
+            and probed.distinct[level] is None
+            and probed.vmin[level] <= driver.vmin[depth]
+            and driver.vmin[depth] + driver.width[depth]
+            <= probed.vmin[level] + probed.width[level])
 
 
 def _gather(run: _Frontier, d: int, nodes: list[np.ndarray | None],
@@ -583,7 +619,7 @@ def _gather(run: _Frontier, d: int, nodes: list[np.ndarray | None],
         pos = _ranges(starts[p][sel], shortest[sel])
         groups.append(_probe(
             run, d, nodes, np.repeat(sel, shortest[sel]),
-            run.levels[ai].vals[depth][pos], p, pos))
+            run.levels[ai].vals[depth].take(pos), p, pos))
     if len(groups) == 1:
         return groups[0]
     # Each binding has one driver, so a stable sort by binding restores

@@ -11,7 +11,12 @@ parents at both ends.  A count-only Leapfrog run counts its last level
 with ``contains`` instead of filtering it into child arrays; its count,
 every ``LeapfrogStats`` counter and the sampler's per-root counts must
 stay those of a materializing run and of the per-binding oracles.
+The last lookup of that count is fused (one probe base per binding, no
+range mask when the driver's values lie in the probed level's range):
+its inputs reach every branch of it, each checked against the oracles.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +26,8 @@ from hypothesis import strategies as st
 import repro.data.trie as trie_mod
 import repro.wcoj.leapfrog as leapfrog_mod
 from repro.data import Database, Relation, Trie
-from repro.query import paper_query
+from repro.data.trie import TrieLevels
+from repro.query import Atom, JoinQuery, paper_query
 from repro.wcoj import (
     LeapfrogStats,
     leapfrog_join,
@@ -261,3 +267,135 @@ class TestCountedLastLevel:
         plain = leapfrog_join(query, db, materialize=True)
         cached = leapfrog_join(query, db, cache_capacity=0)
         assert plain.count == cached.count > 0
+
+
+ORDER = ("a", "b", "c")
+
+
+def last_level_case(seed, three, shift, wide):
+    """A triangle ``R1(a, b) R2(b, c) R3(a, c)``, plus a unary ``R4(c)``
+    when ``three``, atoms in a seeded order: the last level ``c`` has
+    two or three participants, a unary one probed at its root.
+
+    Each relation's ``c`` values sit at an offset of 0 or ``shift``
+    over a domain of 6: 0 lays the ranges on top of each other, 3
+    overlaps them partly and 6 puts them side by side, where a value
+    just past a probed level's range lands in a neighbouring parent's
+    slot unless it is masked.  ``wide`` spreads a tenth of the values
+    over ±2**61: rank-coded levels, and offset levels too sparse for a
+    bitmap.
+    """
+    rng = np.random.default_rng(seed)
+    atoms = [Atom("R1", ("a", "b")), Atom("R2", ("b", "c")),
+             Atom("R3", ("a", "c"))] + ([Atom("R4", ("c",))] if three
+                                         else [])
+    atoms = [atoms[i] for i in rng.permutation(len(atoms))]
+    relations = []
+    for atom in atoms:
+        data = rng.integers(0, 6, size=(40, len(atom.attributes)))
+        if "c" in atom.attributes:
+            data[:, atom.attributes.index("c")] += rng.choice([0, shift])
+        if wide:
+            spread = rng.random(data.shape) < 0.1
+            data[spread] = rng.choice(WIDE, int(spread.sum()))
+        relations.append(Relation(atom.relation,
+                                  ("x", "y")[:data.shape[1]], data))
+    return JoinQuery(atoms), Database(relations)
+
+
+def check_last_level(query, db):
+    """Count-only run, materializing run, the oracles and the sampler."""
+    count_only = leapfrog_join(query, db, ORDER)
+    assert counters(count_only) \
+        == counters(leapfrog_join(query, db, ORDER, materialize=True)) \
+        == counters(leapfrog_counters(query, db, ORDER))
+    assert count_only.count == len(leapfrog_reference(query, db, ORDER))
+    values = np.concatenate((db["R1"].data[:4, 0], WIDE[:2]))
+    counts, stats = leapfrog_sample_counts(query, db, ORDER, values)
+    total = LeapfrogStats()
+    for got, value in zip(counts, values):
+        single = leapfrog_counters(query, db, ORDER, fixed={"a": int(value)})
+        assert got == single.count
+        total.add(single.stats)
+    assert stats == total
+
+
+def lookup_kinds(cases):
+    """Run ``check_last_level`` on every case and return the kinds of
+    last-level lookup it made: ``(probed level kind, repeated parents,
+    inside)`` per ``contains`` call of ``_count_last``, and the numbers
+    of participants counted."""
+    kinds, widths = set(), set()
+    contains = TrieLevels.contains
+    count_last = leapfrog_mod._count_last
+
+    def spy_contains(self, level, parents, values, repeat=None,
+                     inside=False):
+        kind = ("root" if level == 0 else "no bitmap"
+                if self.bits[level] is None else "ranked"
+                if self.distinct[level] is not None else "offset")
+        kinds.add((kind, repeat is not None, inside))
+        return contains(self, level, parents, values, repeat, inside)
+
+    def spy_count_last(run, d, *args):
+        widths.add(len(run.participants[d]))
+        with mock.patch.object(TrieLevels, "contains", spy_contains):
+            return count_last(run, d, *args)
+
+    with mock.patch.object(leapfrog_mod, "_count_last", spy_count_last):
+        for case in cases:
+            check_last_level(*case)
+    return kinds, widths
+
+
+class TestFusedLastLookup:
+    """The count's last lookup against the oracles, on every branch."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), three=st.booleans(),
+           shift=st.sampled_from([0, 3, 6]), wide=st.booleans(),
+           bitmap=st.booleans())
+    def test_counts_and_counters_match_the_oracles(self, seed, three,
+                                                  shift, wide, bitmap):
+        query, db = last_level_case(seed, three, shift, wide)
+        with mock.patch.object(trie_mod, "_BITMAP_RATIO",
+                               trie_mod._BITMAP_RATIO if bitmap else 0):
+            check_last_level(query, db)
+
+    def test_the_cases_reach_every_branch(self, monkeypatch):
+        def cases():        # fresh relations: tries are memoized on them
+            return [last_level_case(seed, three, shift, wide)
+                    for seed in range(6) for three in (False, True)
+                    for shift in (0, 3, 6) for wide in (False, True)]
+
+        kinds, widths = lookup_kinds(cases())
+        assert widths == {2, 3}
+        # Fused: an offset bitmap level, per binding or per candidate
+        # (after an earlier lookup filtered), masked or not.
+        for repeated in (False, True):
+            for inside in (False, True):
+                assert ("offset", repeated, inside) in kinds
+        # Today's lookups: rank-coded levels, and roots.
+        assert {kind for kind, *_ in kinds} >= {"ranked", "root"}
+        monkeypatch.setattr(trie_mod, "_BITMAP_RATIO", 0)
+        kinds, _ = lookup_kinds(cases())
+        assert {kind for kind, *_ in kinds} == {"no bitmap", "root"}
+
+    @pytest.mark.parametrize("shift", [6, -6])
+    def test_a_driver_beside_the_probed_range_finds_nothing(self, shift):
+        """Every driver value lies just past the probed level's range, in
+        a slot a neighbouring parent's key holds: only the range mask
+        keeps it from counting."""
+        query = JoinQuery([Atom("R1", ("a", "b")), Atom("R2", ("b", "c")),
+                           Atom("R3", ("a", "c"))])
+        pairs = np.array([(p, v) for p in range(4) for v in range(6)])
+        db = Database([Relation("R1", ("x", "y"), pairs[:, ::-1]),
+                       Relation("R2", ("x", "y"), pairs + (0, shift)),
+                       Relation("R3", ("x", "y"), pairs)])
+        levels = [db[name].trie(("x", "y")).levels()
+                  for name in ("R2", "R3")]
+        assert all(lv.bits[1] is not None for lv in levels)
+        result = leapfrog_join(query, db, ORDER)
+        assert result.count == len(leapfrog_reference(query, db, ORDER)) == 0
+        assert counters(result) == counters(leapfrog_counters(query, db,
+                                                              ORDER))

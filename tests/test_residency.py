@@ -10,7 +10,10 @@ correct, and a spawned pool behaves like a forked one.
 """
 
 import os
+import platform
+import resource
 import signal
+import sys
 import threading
 import time
 import types
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import JoinSession
-from repro.data import Database, Relation
+from repro.data import Database, Relation, generate_power_law_edges
 from repro.distributed import Cluster, HypercubeGrid, hcube_route, \
     optimize_shares
 from repro.engines import HCubeJ, run_engine_safely
@@ -170,6 +173,60 @@ def test_a_warm_binary_query_groups_nothing_again(executor):
     assert warm.ok and counters(warm) == counters(cold)
     assert header_only(warm.data_plane)
     assert held() == built     # the same memo entries: none rebuilt
+
+
+def _minor_faults(_task) -> int:
+    """In a home process: the minor page faults it has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting is glibc's")
+def test_a_warm_query_faults_no_heap_pages_in():
+    """A home process keeps its heap (``keep_heap``): a warm triangle
+    count reuses the pages its frontier chunks freed instead of faulting
+    them in again (glibc's defaults took 270-590 faults per query and
+    process at this size)."""
+    query = paper_query("Q1")
+    edges = generate_power_law_edges(8000, num_nodes=8000 // 6,
+                                     exponent=1.7, seed=1, symmetric=True)
+    db = Database(Relation(a.relation, ("x", "y"), edges)
+                  for a in query.atoms)
+    homes = [types.SimpleNamespace(worker=w) for w in (0, 1)]
+    queries = 5
+    with ProcessExecutor(2, transport="shm") as ex:
+        for _ in range(2):
+            assert run(ex, query, db).ok
+        before = ex.map_tasks(_minor_faults, homes)
+        for _ in range(queries):
+            assert run(ex, query, db).ok
+        after = ex.map_tasks(_minor_faults, homes)
+    per_query = [(a - b) / queries for a, b in zip(after, before)]
+    assert max(per_query) < 50, per_query
+
+
+@pytest.mark.parametrize("taken", [1, 0])
+def test_the_heap_thresholds_are_set_both_or_neither(monkeypatch, taken):
+    """``keep_heap`` sets the trim threshold only once glibc has taken
+    the ``mmap`` one (either alone measured worse than the defaults),
+    and both values are ones ``mallopt`` accepts."""
+    from repro.runtime import executor
+    from repro.wcoj.leapfrog import _CHUNK
+
+    assert 8 * _CHUNK * 8 <= executor.HEAP_MMAP_BYTES <= 32 << 20
+    assert executor.HEAP_TRIM_BYTES < 2 ** 31
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return taken
+
+    monkeypatch.setattr(executor.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    executor.keep_heap()
+    both = [(-3, executor.HEAP_MMAP_BYTES), (-1, executor.HEAP_TRIM_BYTES)]
+    assert calls == both[:1 + taken]
 
 
 class TestRetries:
