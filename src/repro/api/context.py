@@ -167,13 +167,8 @@ class ClusterContext:
 
     def transport_name(self) -> str:
         """The transport views publish through (config/env resolved)."""
-        if self.config.transport:
-            return self.config.transport
-        if self.config.backend == "remote":
-            # Mirror RemoteExecutor's default: the remote backend rides
-            # the tcp block store unless REPRO_TRANSPORT says otherwise.
-            return default_transport_name(fallback="tcp")
-        return default_transport_name()
+        return self.config.transport or default_transport_name(
+            self.config.backend)
 
     def _view_transport(self):
         name = self.transport_name()

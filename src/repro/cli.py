@@ -706,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "CPU count)")
     serve_p.add_argument("--inline", action="store_true",
                          help="run tasks on the connection thread "
-                              "instead of the process pool (debugging; "
-                              "GIL-bound)")
+                              "instead of each slot's home process "
+                              "(debugging; GIL-bound)")
 
     sql_p = sub.add_parser(
         "serve-sql", help="stand up the multi-tenant query service "

@@ -11,11 +11,13 @@ partitions from the coordinator's block store itself; the task frame
 stays descriptor-only.
 
 Concurrency model: the agent serves each connection on its own thread,
-and the coordinator opens one task connection per advertised slot — so
-per-host parallelism is exactly the slot count, with no queueing logic
-on the agent.  Task *execution* happens on a ``slots``-wide process
-pool (spawn context — the agent process itself is multi-threaded), so
-CPU-bound Leapfrog work actually uses the host's cores instead of being
+and the coordinator opens one task connection per advertised slot and
+names that slot in every TASK frame — so per-host parallelism is
+exactly the slot count, with no queueing logic on the agent.  Each slot
+has a *home*: a one-process :class:`~repro.runtime.executor
+.ProcessExecutor` (spawn — the agent process itself is
+multi-threaded), so a slot's tasks always run in the same process, and
+CPU-bound Leapfrog work uses the host's cores instead of being
 GIL-serialized; ``mode="inline"`` keeps execution on the connection
 thread for debugging and cheap tests.  An agent outlives coordinator
 sessions: BYE (or a dropped connection) ends one session's connection,
@@ -24,6 +26,8 @@ the listener keeps serving the next session.
 Failure contract: a task function that raises is answered with an ERR
 frame (type name + message) — the agent thread never dies, and the
 coordinator converts the ERR into :class:`~repro.errors.WorkerCrashed`.
+A home process that dies fails its task the same way and restarts on
+the slot's next task; the other slots keep theirs.
 The same trust model as ``multiprocessing`` applies: TASK frames are
 unpickled, so only bind to interfaces you trust (see docs/net.md).
 """
@@ -35,13 +39,12 @@ import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 
-from ..errors import ConfigError
+from ..errors import ConfigError, WorkerCrashed
 from ..obs.log import get_logger, kv
 from ..obs.metrics import METRICS
 from ..obs.tracing import current_tracer, set_thread_tracer, task_tracer
-from ..runtime.executor import available_parallelism, keep_heap
+from ..runtime.executor import ProcessExecutor, available_parallelism
 from .protocol import (
     OP_DATA,
     OP_ERR,
@@ -61,8 +64,8 @@ log = get_logger("repro.net.agent")
 
 
 class WorkerAgent(FrameServer):
-    """Serves TASK (plus the shared control plane); runs tasks on a
-    process pool.
+    """Serves TASK (plus the shared control plane); runs each slot's
+    tasks in that slot's home process.
 
     Continuous export: a background sampler appends the task counters
     to a bounded ring buffer every ``history_interval`` seconds (STAT
@@ -100,8 +103,10 @@ class WorkerAgent(FrameServer):
         self.tasks_failed = 0
         self.tasks_active = 0
         self._counter_lock = threading.Lock()
-        self._pool = None
-        self._pool_lock = threading.Lock()
+        #: One home per slot; each starts its process on its first task.
+        self._homes = [ProcessExecutor(1, start_method="spawn")
+                       for _ in range(self.slots if mode == "processes"
+                                      else 0)]
         #: Ring buffer of periodic counter samples — the continuous
         #: STAT history a monitor fetches via STAT meta
         #: ``{"history": n}`` without having polled the whole time.
@@ -110,32 +115,15 @@ class WorkerAgent(FrameServer):
         self._sampler_stop = threading.Event()
         self._sampler: threading.Thread | None = None
 
-    def _run_task(self, fn, task):
+    def _run_task(self, slot: int, fn, task):
         if self.mode == "inline":
             return fn(task)
-        with self._pool_lock:
-            if self._pool is None:
-                # Spawn, not fork: the agent process is multi-threaded
-                # (one serving thread per connection), and forking a
-                # threaded process is unsafe / deprecated on 3.12+.
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.slots,
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=keep_heap)
-            pool = self._pool
         try:
-            return pool.submit(fn, task).result()
-        except BrokenProcessPool:
-            # A dead pool worker breaks the whole pool; replace it so
-            # the next task gets a fresh one, then report the failure.
-            with self._pool_lock:
-                if self._pool is pool:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    self._pool = None
-            raise
+            return self._homes[slot % self.slots].map_tasks(fn, [task])[0]
+        except WorkerCrashed as exc:
+            # Answer with what the task raised (or the pool's
+            # BrokenProcessPool), not with map_tasks' wrapper.
+            raise exc.__cause__ or exc
 
     def start(self) -> "WorkerAgent":
         super().start()
@@ -153,10 +141,8 @@ class WorkerAgent(FrameServer):
         if sampler is not None:
             sampler.join(timeout=2.0)
         super().stop()
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        for home in self._homes:
+            _close_now(home)
         if was_running:
             log.info("agent stopped %s",
                      kv(port=self.port, tasks_run=self.tasks_run,
@@ -225,7 +211,7 @@ class WorkerAgent(FrameServer):
                                    slot=meta.get("slot", -1),
                                    mode=self.mode):
                     fn, task = pickle.loads(payload)
-                    result = self._run_task(fn, task)
+                    result = self._run_task(meta.get("slot", 0), fn, task)
                     reply = pickle.dumps(result,
                                          protocol=pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
@@ -257,8 +243,8 @@ class WorkerAgent(FrameServer):
         Runs *before* the reply is sent, so a STAT that follows the
         reply always sees the task; ``agent.task_seconds`` therefore
         excludes the reply send.  This is the agent-process view of
-        task latency/load — recorded here (not in the pool child) so
-        STAT/EXPO serve it in both pool modes; what `repro top`'s p95
+        task latency/load — recorded here (not in the home process) so
+        STAT/EXPO serve it in both modes; what `repro top`'s p95
         column reads.
         """
         METRICS.histogram("agent.task_seconds").observe(
@@ -278,6 +264,15 @@ class WorkerAgent(FrameServer):
             return False
         self._handle_task(sock, meta, payload)
         return True
+
+
+def _close_now(home: ProcessExecutor) -> None:
+    """Close a home at once: ``close()`` alone waits out a running task
+    (a ``ProcessPoolExecutor`` cannot cancel one), so end its process."""
+    for pool in getattr(home._pool, "_pools", ()):
+        for process in list((pool._processes or {}).values()):
+            process.terminate()
+    home.close()
 
 
 def agent_stats(host: str, port: int, timeout: float | None = 10.0

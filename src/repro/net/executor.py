@@ -118,11 +118,8 @@ class RemoteExecutor(_PoolExecutor):
                  hosts=None, heartbeat_interval: float = 5.0,
                  connect_timeout: float = 10.0,
                  slot_timeout: float = 60.0):
-        if transport is None:
-            # The remote backend's natural data plane is the block
-            # store; an explicit REPRO_TRANSPORT still wins.
-            transport = default_transport_name(fallback="tcp")
-        super().__init__(max_workers, transport=transport)
+        super().__init__(max_workers, transport=transport
+                         or default_transport_name(self.name))
         self.host_specs = parse_host_specs(
             hosts if hosts is not None else env("REPRO_HOSTS"))
         self.heartbeat_interval = heartbeat_interval
@@ -264,12 +261,13 @@ class RemoteExecutor(_PoolExecutor):
                 return fn(task)
             finally:
                 self._slots.put((spec, slot, conn))
-        # The TASK meta carries the trace context (and slot index); the
-        # reply meta may carry agent-recorded spans.
+        # The TASK meta names the slot, whose home runs the task, and
+        # carries the trace context; the reply meta may carry
+        # agent-recorded spans.
+        task_meta = {"slot": slot}
         ctx = trace_context()
-        task_meta = None
         if ctx is not None:
-            task_meta = {"trace": ctx, "slot": slot}
+            task_meta["trace"] = ctx
         try:
             _op, reply_meta, reply = conn.request(
                 OP_TASK, task_meta,

@@ -506,9 +506,9 @@ class SharedMemoryTransport(Transport):
 TRANSPORTS = Registry("transport")
 
 
-def default_transport_name(fallback: str = "pickle") -> str:
-    """Transport name from ``REPRO_TRANSPORT`` (default ``fallback``)."""
-    return env("REPRO_TRANSPORT") or fallback
+def default_transport_name(backend: str | None = None) -> str:
+    """``REPRO_TRANSPORT``; unset, ``tcp`` for ``remote``, else pickle."""
+    return env("REPRO_TRANSPORT") or ("tcp" if backend == "remote" else "pickle")
 
 
 def create_transport(name: "str | Transport | None" = None) -> Transport:

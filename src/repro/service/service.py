@@ -277,29 +277,30 @@ class QueryService:
                 if remaining < state.budget:
                     METRICS.counter("service.downgraded").inc()
                 return max(1, remaining)
-            if self.budget_policy == "queue" and remaining <= 0:
+            deadline = now + self.queue_timeout
+            while self.budget_policy == "queue" and remaining <= 0:
                 if state.window_seconds is None:
                     raise AdmissionError(
                         f"tenant {request.tenant!r} is over its work "
                         f"budget and has no refill window",
                         reason="budget", tenant=request.tenant)
-                deadline = now + self.queue_timeout
-                while remaining <= 0:
-                    if self._closed:
-                        raise ConfigError("this QueryService is closed")
-                    now = time.monotonic()
-                    if now >= deadline:
-                        METRICS.counter("service.rejected_budget").inc()
-                        raise AdmissionError(
-                            f"tenant {request.tenant!r} stayed over "
-                            f"budget for {self.queue_timeout}s",
-                            reason="budget", tenant=request.tenant)
-                    refill_in = max(0.01, state.window_seconds
-                                    - (now - state.window_start))
-                    METRICS.counter("service.budget_waits").inc()
-                    self._budget_cond.wait(
-                        timeout=min(refill_in, deadline - now))
-                    remaining = state.remaining(time.monotonic())
+                if self._closed:
+                    raise ConfigError("this QueryService is closed")
+                now = time.monotonic()
+                if now >= deadline:
+                    METRICS.counter("service.rejected_budget").inc()
+                    raise AdmissionError(
+                        f"tenant {request.tenant!r} stayed over "
+                        f"budget for {self.queue_timeout}s",
+                        reason="budget", tenant=request.tenant)
+                refill_in = max(0.01, state.window_seconds
+                                - (now - state.window_start))
+                METRICS.counter("service.budget_waits").inc()
+                self._budget_cond.wait(
+                    timeout=min(refill_in, deadline - now))
+                # set_tenant_budget may have replaced the state.
+                state = self._tenants[request.tenant]
+                remaining = state.remaining(time.monotonic())
             return max(1, remaining) if remaining < state.budget else None
 
     def _charge(self, request: QueryRequest, result: EngineResult,

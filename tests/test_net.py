@@ -9,14 +9,19 @@ teardown), and the acceptance criterion: all six engines return serial
 counts over >= 2 loopback agents with descriptor-only shipping.
 """
 
+import os
 import pickle
 import socket
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import JoinSession
-from repro.errors import BlockNotFound, ConfigError, NetError
+from repro.errors import BlockNotFound, ConfigError, NetError, WorkerCrashed
 from repro.net import (
     BlockStoreClient,
     BlockStoreServer,
@@ -77,6 +82,22 @@ def pid_task(_x):
     import os
 
     return os.getpid()
+
+
+def exit_task(_x):
+    import os
+
+    os._exit(13)
+
+
+def marked_sleep_task(args):
+    """Touch ``path``, then sleep: the test knows the task has begun."""
+    import time
+
+    path, seconds = args
+    open(path, "w").close()
+    time.sleep(seconds)
+    return seconds
 
 
 @pytest.fixture
@@ -575,6 +596,102 @@ class TestWorkerAgent:
             finally:
                 sock.close()
         assert agent.tasks_failed == 1 and agent.tasks_run == 1
+
+
+@pytest.fixture
+def home_agent():
+    """A processes-mode agent with two slots behind a RemoteExecutor."""
+    agent = WorkerAgent(slots=2).start()
+    ex = RemoteExecutor(hosts=[f"127.0.0.1:{agent.port}"],
+                        transport="pickle")
+    yield agent, ex
+    ex.close()
+    agent.stop()
+
+
+def one_at_a_time(ex, fn, tasks) -> list:
+    """Run ``tasks`` one by one: the executor's free-slot queue then
+    hands a two-slot agent's slots out in turn, 0, 1, 0, 1, ..."""
+    return [ex.map_tasks(fn, [task])[0] for task in tasks]
+
+
+class TestAgentHomes:
+    """A processes-mode agent runs each slot's tasks in that slot's
+    home process; a dead home restarts only its own slot."""
+
+    def test_each_slot_runs_in_one_home(self, home_agent):
+        _agent, ex = home_agent
+        pids = one_at_a_time(ex, pid_task, range(10))
+        slot0, slot1 = pids[0::2], pids[1::2]
+        assert len(set(slot0)) == 1 and len(set(slot1)) == 1
+        assert slot0[0] != slot1[0]
+        assert os.getpid() not in pids
+
+    def test_a_dead_home_restarts_only_its_slot(self, home_agent):
+        _agent, ex = home_agent
+        slot0, slot1 = one_at_a_time(ex, pid_task, range(2))
+        with pytest.raises(WorkerCrashed, match="BrokenProcessPool"):
+            ex.map_tasks(exit_task, [0])              # slot 0
+        again1, again0 = one_at_a_time(ex, pid_task, range(2))
+        assert again1 == slot1
+        assert again0 not in (slot0, slot1)
+        # The ERR frame names what the task raised, not the wrapper.
+        with pytest.raises(WorkerCrashed,
+                           match="RuntimeError: task 1 exploded"):
+            ex.map_tasks(failing_task, [1])
+
+    def test_stop_is_prompt_and_leaves_no_home(self, home_agent, tmp_path):
+        agent, ex = home_agent
+        homes = one_at_a_time(ex, pid_task, range(2))
+        marker = tmp_path / "started"
+        crashed = []
+
+        def run():
+            try:
+                ex.map_tasks(marked_sleep_task, [(str(marker), 60.0)])
+            except WorkerCrashed as exc:
+                crashed.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        deadline = time.monotonic() + 10.0
+        while not marker.exists():
+            assert time.monotonic() < deadline, "the task never began"
+            time.sleep(0.01)
+        start = time.monotonic()
+        agent.stop()
+        assert time.monotonic() - start < 5.0
+        for pid in homes:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        runner.join(timeout=10.0)
+        assert not runner.is_alive() and len(crashed) == 1
+
+    def test_a_stopped_agent_exits_with_empty_stderr(self):
+        """Stopping an agent joins its homes, so nothing of them races
+        the interpreter's exit."""
+        script = (
+            "from repro.net import RemoteExecutor, WorkerAgent\n"
+            "agent = WorkerAgent(slots=2).start()\n"
+            "ex = RemoteExecutor(hosts=[f'127.0.0.1:{agent.port}'],\n"
+            "                    transport='pickle')\n"
+            "assert ex.map_tasks(abs, [-3]) == [3]\n"
+            "ex.close()\n"
+            "agent.stop()\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (os.path.join(os.path.dirname(__file__), "..",
+                                     "src"),
+                        os.environ.get("PYTHONPATH")) if p))
+        for _ in range(5):      # 10 runs, two at a time
+            procs = [subprocess.Popen([sys.executable, "-c", script],
+                                      env=env, text=True,
+                                      stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE)
+                     for _ in range(2)]
+            for proc in procs:
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err
+                assert err == "", err
 
 
 class TestRemoteExecutor:

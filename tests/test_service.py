@@ -457,6 +457,46 @@ class TestQueryService:
             with pytest.raises(AdmissionError, match="no refill"):
                 svc.execute(q, db, tenant="t", use_cache=False)
 
+    def test_set_tenant_budget_replaces_the_budget(self):
+        q, db = graph_case("Q1", n=80, dom=20)
+        with QueryService(tenant_budgets={"t": 1}) as svc:
+            assert svc.execute(q, db, tenant="t", use_cache=False).ok
+            assert svc.tenant_remaining("t") <= 0
+            svc.set_tenant_budget("t", 10 ** 9)
+            assert svc.tenant_remaining("t") == 10 ** 9
+            assert svc.tenant_remaining("new") is None
+            svc.set_tenant_budget("new", 50)
+            assert svc.tenant_remaining("new") == 50
+
+    def test_set_tenant_budget_wakes_a_queued_request(self):
+        q, db = graph_case("Q1", n=80, dom=20)
+        with QueryService(tenant_budgets={"t": 1}, budget_policy="queue",
+                          budget_window=60.0) as svc:
+            assert svc.execute(q, db, tenant="t", use_cache=False).ok
+            waits = METRICS.counter("service.budget_waits").value
+            future = svc.submit(q, db, tenant="t", use_cache=False)
+            deadline = time.monotonic() + 10.0
+            while METRICS.counter("service.budget_waits").value == waits:
+                assert time.monotonic() < deadline, "never queued"
+                time.sleep(0.01)
+            # The window refills in a minute; a new budget must not
+            # wait for it.
+            svc.set_tenant_budget("t", 10 ** 9)
+            assert future.result(timeout=10.0).ok
+            assert svc.tenant_remaining("t") < 10 ** 9
+
+    def test_set_tenant_budget_applies_its_window(self):
+        q, db = graph_case("Q1", n=80, dom=20)
+        with QueryService(budget_policy="queue") as svc:
+            svc.set_tenant_budget("t", 1, window_seconds=0.3)
+            assert svc.execute(q, db, tenant="t", use_cache=False).ok
+            assert svc.tenant_remaining("t") <= 0
+            # Without the override the service has no window, and the
+            # queue policy would reject; with it, the request waits.
+            assert svc.execute(q, db, tenant="t", use_cache=False).ok
+            time.sleep(0.35)
+            assert svc.tenant_remaining("t") == 1
+
     def test_budget_downgrade_policy_trips_cleanly(self):
         q, db = graph_case("Q1")
         with QueryService(tenant_budgets={"t": 5},
