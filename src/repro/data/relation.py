@@ -23,8 +23,8 @@ it, column permutations drop it.  Nothing that knows it re-sorts.
 :meth:`Relation.block_layout` is the sort that does not deduplicate:
 the rows in a given column order, grouped into hash blocks and lexsorted
 within each, sorted once per (order, grouping) and memoized (the routed
-epoch publishes sources through it, so every cube slice is one
-contiguous, sorted row range).
+epoch publishes each atom's source through it, so every cube slice is
+one contiguous, sorted row range).
 :class:`JoinProbe` is the binary-join step on top of the relation's one
 index, its memoized :meth:`Relation.trie`: the right side's trie in
 (join columns, remaining columns) order, whose nodes at the join
@@ -282,8 +282,8 @@ class Relation:
         #: Memoized per-column distinct counts (column index -> count);
         #: shared across rename (same data) and remapped by reorder/project.
         self._distinct: dict[int, int] = {}
-        #: The last :meth:`block_layout` as ``((attrs, key), layout)``.
-        self._layout: tuple[tuple, BlockLayout] | None = None
+        #: The layouts the last route read, by ``(attrs, key)``.
+        self._layout: dict[tuple, BlockLayout] = {}
         #: The last two :meth:`trie` as ``[(column indices, Trie)]``:
         #: one cell, shared with renames (same rows, same columns).
         self._trie: list = []
@@ -322,16 +322,17 @@ class Relation:
         ``block_ids(rows)`` maps rows (columns in ``attrs`` order) to
         block ids in ``[0, num_blocks)``; ``key`` names that function
         (the memo cannot compare functions).  The rows are sorted once —
-        by block, then lexicographically — and duplicates are kept.  The
-        relation memoizes one layout, the last one asked for: a query
-        lays each relation out once, and a warm query asks for the same
-        one again; another ``(attrs, key)`` replaces it.
+        by block, then lexicographically — and duplicates are kept.
+        Memoized per ``(attrs, key)``: a route lays each of its atoms out
+        in that atom's own order and hashing (a self-join reads one
+        relation in several), a warm query asks for the same layouts
+        again, and :meth:`keep_layouts` drops the ones it no longer reads.
         """
         attrs = tuple(attrs)
         memo_key = (attrs, key)
-        memo = self._layout
-        if memo is not None and memo[0] == memo_key:
-            return memo[1]
+        layout = self._layout.get(memo_key)
+        if layout is not None:
+            return layout
         idx = [self.column_index(a) for a in attrs]
         if sorted(idx) != list(range(self.arity)):
             raise SchemaError(
@@ -341,8 +342,16 @@ class Relation:
             block_ids, num_blocks,
             lexsorted=attrs == self.attributes and self._sorted)
         layout = BlockLayout(attrs, rows, bounds, distinct, memo_key)
-        self._layout = (memo_key, layout)
+        self._layout = {**self._layout, memo_key: layout}
         return layout
+
+    def keep_layouts(self, keys: Iterable[Hashable]) -> None:
+        """Drop every memoized layout but those of ``keys`` (a route keeps
+        the ones it read).  The memo is swapped, never changed in place,
+        so a concurrent :meth:`block_layout` is safe: a lost race only
+        lays a relation out twice."""
+        held = self._layout
+        self._layout = {k: held[k] for k in keys if k in held}
 
     def trie(self, attrs: Sequence[str]) -> "Trie":
         """A :class:`~repro.data.trie.Trie` over these rows in column
@@ -607,11 +616,11 @@ class BlockLayout:
     1]]``, lexsorted within, so a consumer of one block takes a slice —
     no row index, no gather.  ``is_sorted_set`` says the rows are
     distinct (every block is then a lexsorted set).  Built by
-    :meth:`Relation.block_layout`; read-only.
+    :meth:`Relation.block_layout`, one per (column order, grouping);
+    read-only.
     """
 
-    __slots__ = ("attributes", "data", "bounds", "is_sorted_set", "key",
-                 "_groupings")
+    __slots__ = ("attributes", "data", "bounds", "is_sorted_set", "key")
 
     def __init__(self, attributes: tuple[str, ...], data: np.ndarray,
                  bounds: np.ndarray, is_sorted_set: bool, key: Hashable):
@@ -623,47 +632,10 @@ class BlockLayout:
         self.data.setflags(write=False)
         self.bounds = bounds
         self.is_sorted_set = is_sorted_set
-        self._groupings: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
 
     def block(self, b: int) -> slice:
         """Block ``b``'s row range."""
         return slice(int(self.bounds[b]), int(self.bounds[b + 1]))
-
-    def grouping(self, key: Hashable,
-                 block_ids: Callable[[np.ndarray], np.ndarray],
-                 num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices of these rows under another grouping.
-
-        Returns ``(rows, bounds)``: group ``g`` is ``data[rows[bounds[g]:
-        bounds[g + 1]]]``, in lexicographic order, so its slices are as
-        sorted as this layout's blocks.  For a reader of the same rows
-        hashed on other columns (a self-join's second atom); memoized
-        per ``key`` until :meth:`keep_groupings` drops it.
-        """
-        found = self._groupings.get(key)
-        if found is not None:
-            return found
-        ids = block_ids(self.data)
-        if self.bounds.shape[0] <= 2 or self.data.shape[0] <= 1:
-            # One block (or row): the rows are lexsorted already.
-            lex = np.arange(self.data.shape[0], dtype=np.int64)
-        else:
-            (keys,) = row_keys(self.data)
-            lex = np.argsort(keys, kind="stable").astype(np.int64,
-                                                         copy=False)
-        found = (lex[np.argsort(ids[lex], kind="stable")],
-                 _block_bounds(ids, num_blocks))
-        self._groupings[key] = found
-        return found
-
-    def keep_groupings(self, keys: Iterable[Hashable]) -> None:
-        """Drop every memoized grouping but those of ``keys`` (a route
-        keeps the ones its own grid read).  The memo is swapped, never
-        shrunk in place, so a concurrent :meth:`grouping` is safe."""
-        held = self._groupings
-        self._groupings = {k: held[k] for k in keys if k in held}
-
-
 
 
 class JoinProbe:

@@ -22,11 +22,13 @@ Three implementations are modelled after Sec. V (Fig. 9):
 All three move identical data — the implementations differ only in the
 accounted cost, exactly like the paper's Spark prototype.  Pull's blocks
 and Merge's pre-built tries are real on every implementation:
-:func:`hcube_route` lays each source out grouped by block
-(:meth:`repro.data.relation.Relation.block_layout`, lexsorted within a
-block, in the trie order of the source's first atom, memoized on the
-relation per grid), so an (atom, cube) slice is one contiguous row
-range of what is published and reaches its worker as a sorted set.  A
+:func:`hcube_route` lays each atom's source out grouped by that atom's
+block id (:meth:`repro.data.relation.Relation.block_layout`, lexsorted
+within a block, in the atom's trie order, memoized on the relation), so
+an (atom, cube) slice is one contiguous row range of what is published
+and reaches its worker as a sorted set.  Like the paper's test-cases,
+where each atom of a query has its own copy of the relation, a
+self-join's atoms read separate layouts of one relation.  A
 warm query neither hashes nor sorts; a worker copies only its own
 ranges, and on home process slots keeps them
 (:meth:`HCubeRouting.content_keys` names each selection by content,
@@ -208,30 +210,26 @@ class HypercubeGrid:
 class HCubeRouting:
     """Routing-only outcome of an HCube shuffle: assignments, not copies.
 
-    ``layouts[ai]`` is the block layout of atom ``ai``'s source relation
-    (:meth:`~repro.data.relation.Relation.block_layout`; atoms over one
-    relation share it) and ``atom_rows[ai][cube]`` selects that atom's
-    rows for ``cube`` from it: a ``slice`` — the contiguous range of one
-    block — for an atom hashed as the layout is, row indices for one
-    hashed otherwise (a self-join's later atoms).  ``grid`` is over the
-    query with every atom's variables listed in its layout's column
-    order.  No tuple is copied — the data plane
-    (:mod:`repro.runtime.transport`) publishes the layouts and ships the
-    selections; :meth:`materialize` copies them into per-cube databases
-    for callers that join cubes in-process.
+    ``layouts[ai]`` is atom ``ai``'s block layout of its source relation
+    (:meth:`~repro.data.relation.Relation.block_layout`: in the atom's
+    trie order, grouped by the atom's block id) and
+    ``atom_rows[ai][cube]`` is the contiguous range of the block that
+    atom contributes to ``cube``.  ``grid`` is over the query with every
+    atom's variables listed in its trie order.  No tuple is copied — the
+    data plane (:mod:`repro.runtime.transport`) publishes the layouts
+    and ships the ranges; :meth:`materialize` copies them into per-cube
+    databases for callers that join cubes in-process.
     """
 
     grid: HypercubeGrid
     impl: str
     layouts: list[BlockLayout]
-    atom_rows: list[list[slice | np.ndarray]]
+    atom_rows: list[list[slice]]
     stats: ShuffleStats
     worker_loads: dict[int, int] = field(default_factory=dict)
     prebuilt_tries: bool = False
-    #: Per atom, the block id of each cube's selection, and the grouping
-    #: key those ids are under (the layout's own for a range).
+    #: Per atom, the block id of each cube's range.
     atom_blocks: list[list[int]] = field(default_factory=list)
-    atom_groupings: list[tuple] = field(default_factory=list)
 
     @property
     def local_query(self) -> JoinQuery:
@@ -241,12 +239,12 @@ class HCubeRouting:
         """Per (atom, cube), a name for the rows it selects, by content.
 
         The rows of ``atom_rows[ai][cube]`` are a function of the source
-        relation's rows (:attr:`Relation.digest`), the layout's memo key,
-        the atom's grouping and its block id, so the name is a hash of
-        the first three, per atom, plus the block id: equal names select
-        equal rows, across queries and routings.  No row is hashed here.
-        None when the grid's hash function has no importable name (it
-        could not be told from another one).
+        relation's rows (:attr:`Relation.digest`), the layout's memo key
+        and the block id, so the name is a hash of the first two, per
+        atom, plus the block id: equal names select equal rows, across
+        queries and routings.  No row is hashed here.  None when the
+        grid's hash function has no importable name (it could not be
+        told from another one).
         """
         fn = self.grid.hash_fn
         module = sys.modules.get(getattr(fn, "__module__", None) or "")
@@ -259,17 +257,16 @@ class HCubeRouting:
                 else fn_name if key is fn else key
 
         keys = []
-        for atom, layout, grouping, blocks in zip(
-                self.grid.query.atoms, self.layouts, self.atom_groupings,
-                self.atom_blocks):
+        for atom, layout, blocks in zip(self.grid.query.atoms, self.layouts,
+                                        self.atom_blocks):
             prefix = hashlib.sha256(repr((
-                db[atom.relation].digest, named(layout.key),
-                named(grouping))).encode()).hexdigest()[:24]
+                db[atom.relation].digest, named(layout.key))).encode()
+            ).hexdigest()[:24]
             keys.append([f"{prefix}:{b}" for b in blocks])
         return keys
 
     def rows_of(self, ai: int, cube: int) -> np.ndarray:
-        """Atom ``ai``'s rows for ``cube`` (a view for a range)."""
+        """Atom ``ai``'s rows for ``cube`` (a view of its layout)."""
         return self.layouts[ai].data[self.atom_rows[ai][cube]]
 
     def materialize(self, db: Database | None = None
@@ -322,27 +319,9 @@ def _block_key(grid: HypercubeGrid, atom: Atom) -> tuple:
                   for a in atom.attributes), grid.hash_fn)
 
 
-def _select_atom(grid: HypercubeGrid, atom: Atom, layout: BlockLayout,
-                 key: tuple, blocks: Sequence[int]
-                 ) -> list[slice | np.ndarray]:
-    """``atom``'s rows of ``layout`` per cube, given its block per cube.
-
-    A range of the layout when ``atom`` is hashed as the layout is,
-    else row indices into it from a (memoized) regrouping.
-    """
-    if key == _block_key(grid, atom):
-        return [layout.block(b) for b in blocks]
-    rows, bounds = layout.grouping(
-        _block_key(grid, atom),
-        lambda data: grid.tuple_block_ids(atom, data),
-        grid.num_blocks(atom))
-    return [rows[bounds[b]:bounds[b + 1]] for b in blocks]
-
-
 def _atom_counters(grid: HypercubeGrid, atom: Atom, impl: str,
-                   blocks: Sequence[int],
-                   selections: Sequence[slice | np.ndarray], itemsize: int
-                   ) -> tuple[int, int, int, dict[int, int]]:
+                   blocks: Sequence[int], selections: Sequence[slice],
+                   itemsize: int) -> tuple[int, int, int, dict[int, int]]:
     """One atom's ``(tuple_copies, blocks_fetched, bytes_copied,
     worker_load_delta)`` under ``impl``."""
     tuple_copies = 0
@@ -350,8 +329,7 @@ def _atom_counters(grid: HypercubeGrid, atom: Atom, impl: str,
     loads: dict[int, int] = {}
     seen_by_worker: dict[int, set[int]] = {}
     for cube, (block, sel) in enumerate(zip(blocks, selections)):
-        size = (sel.stop - sel.start if isinstance(sel, slice)
-                else int(sel.shape[0]))
+        size = sel.stop - sel.start
         worker = grid.worker_of_cube(cube)
         if impl == "push":
             # Tuple-at-a-time: every (tuple, cube) pair is a message.
@@ -380,18 +358,19 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
 
     The only function that assigns tuples to workers: a hash partition
     on a join key is the grid whose whole share budget sits on that one
-    attribute.  Each source relation is laid out once per grid
+    attribute.  Each atom's source relation is laid out for that atom
     (:meth:`~repro.data.relation.Relation.block_layout`, memoized on the
-    relation): columns in the trie order of its first atom under
-    ``order`` (its own column order when ``order`` is None), rows grouped
-    by that atom's block id and lexsorted within a block.  Returns those
-    layouts, a row range per (atom, cube) — row indices for a later atom
-    hashed on other columns — and the :class:`ShuffleStats` / OOM
-    accounting of the chosen implementation; the modeled cluster's data
-    movement does not depend on the layout or on which physical
-    transport later carries it.  The routing's grid keeps ``grid``'s
-    attribute order, so cubes, loads and counters are ``grid``'s.
-    Cube-local relation names follow :func:`local_atom_name`.
+    relation): columns in the atom's trie order under ``order`` (its own
+    column order when ``order`` is None), rows grouped by the atom's
+    block id and lexsorted within a block.  A relation keeps the layouts
+    its last route read (:meth:`~repro.data.relation.Relation
+    .keep_layouts`).  Returns those layouts, a row range per (atom,
+    cube), and the :class:`ShuffleStats` / OOM accounting of the chosen
+    implementation; the modeled cluster's data movement does not depend
+    on the layout or on which physical transport later carries it.  The
+    routing's grid keeps ``grid``'s attribute order, so cubes, loads and
+    counters are ``grid``'s.  Cube-local relation names follow
+    :func:`local_atom_name`.
 
     ``routing_threads`` is accepted for compatibility and ignored:
     atoms route serially, in atom order (a per-call thread pool measured
@@ -403,10 +382,10 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
     num_cubes = grid.num_cubes
     worker_loads: dict[int, int] = {w: 0 for w in range(grid.num_workers)}
     coords = [grid.coordinate_of(c) for c in range(num_cubes)]
-    sources: dict[str, tuple[BlockLayout, tuple]] = {}
+    read: dict[str, tuple[Relation, set]] = {}
     atoms: list[Atom] = []
     layouts: list[BlockLayout] = []
-    atom_rows: list[list[slice | np.ndarray]] = []
+    atom_rows: list[list[slice]] = []
     atom_blocks: list[list[int]] = []
     tracer = current_tracer()
     with tracer.span("route", cat="route", impl=impl,
@@ -419,21 +398,17 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
             with tracer.span("route_atom", cat="route",
                              atom=atom.relation,
                              tuples=int(rel.data.shape[0])):
-                if atom.relation not in sources:
-                    lead = atom if order is None else Atom(
-                        atom.relation, trie_order(atom.attributes, order))
-                    column = dict(zip(atom.attributes, rel.attributes))
-                    key = _block_key(grid, lead)
-                    sources[atom.relation] = (rel.block_layout(
-                        [column[v] for v in lead.attributes], key,
-                        lambda data: grid.tuple_block_ids(lead, data),
-                        grid.num_blocks(lead)), key)
-                layout, key = sources[atom.relation]
-                variable = dict(zip(rel.attributes, atom.attributes))
-                atom = Atom(atom.relation,
-                            [variable[c] for c in layout.attributes])
+                column = dict(zip(atom.attributes, rel.attributes))
+                if order is not None:
+                    atom = Atom(atom.relation,
+                                trie_order(atom.attributes, order))
+                layout = rel.block_layout(
+                    [column[v] for v in atom.attributes],
+                    _block_key(grid, atom),
+                    lambda data: grid.tuple_block_ids(atom, data),
+                    grid.num_blocks(atom))
                 blocks = [grid.cube_block_id(atom, c) for c in coords]
-                selections = _select_atom(grid, atom, layout, key, blocks)
+                selections = [layout.block(b) for b in blocks]
             copies, fetched, nbytes, loads = _atom_counters(
                 grid, atom, impl, blocks, selections,
                 rel.data.dtype.itemsize)
@@ -442,14 +417,13 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
             stats.bytes_copied += nbytes
             for worker, load in loads.items():
                 worker_loads[worker] += load
+            read.setdefault(atom.relation, (rel, set()))[1].add(layout.key)
             atoms.append(atom)
             layouts.append(layout)
             atom_rows.append(selections)
             atom_blocks.append(blocks)
-    # A layout keeps the regroupings of the last grid that read it.
-    for layout, _ in sources.values():
-        layout.keep_groupings({_block_key(grid, a) for a, held
-                               in zip(atoms, layouts) if held is layout})
+    for rel, keys in read.values():
+        rel.keep_layouts(keys)
 
     stats.max_worker_tuples = max(worker_loads.values(), default=0)
     if memory_tuples is not None:
@@ -470,5 +444,4 @@ def hcube_route(query: JoinQuery, db: Database, grid: HypercubeGrid,
         worker_loads=worker_loads,
         prebuilt_tries=(impl == "merge"),
         atom_blocks=atom_blocks,
-        atom_groupings=[_block_key(grid, a) for a in atoms],
     )

@@ -84,7 +84,7 @@ def routed_epoch(query: JoinQuery, db: Database, grid: HypercubeGrid,
                  ) -> tuple[HCubeRouting, MergedOutcome]:
     """Route ``query`` over ``grid``, mint one task per worker, run them.
 
-    Every source is laid out in its first atom's trie order under
+    Every atom's source is laid out in the atom's trie order under
     ``order`` (:func:`~repro.distributed.hcube.hcube_route`); cubes,
     loads and counters are those of ``grid`` itself.  Routing is timed
     as ``shuffle``;

@@ -26,8 +26,9 @@ the listener keeps serving the next session.
 Failure contract: a task function that raises is answered with an ERR
 frame (type name + message) — the agent thread never dies, and the
 coordinator converts the ERR into :class:`~repro.errors.WorkerCrashed`.
-A home process that dies fails its task the same way and restarts on
-the slot's next task; the other slots keep theirs.
+Every home process starts with the agent (:meth:`WorkerAgent.start`);
+one that dies fails its task the same way and restarts on the slot's
+next task; the other slots keep theirs.
 The same trust model as ``multiprocessing`` applies: TASK frames are
 unpickled, so only bind to interfaces you trust (see docs/net.md).
 """
@@ -103,7 +104,7 @@ class WorkerAgent(FrameServer):
         self.tasks_failed = 0
         self.tasks_active = 0
         self._counter_lock = threading.Lock()
-        #: One home per slot; each starts its process on its first task.
+        #: One home per slot; :meth:`start` starts their processes.
         self._homes = [ProcessExecutor(1, start_method="spawn")
                        for _ in range(self.slots if mode == "processes"
                                       else 0)]
@@ -127,6 +128,10 @@ class WorkerAgent(FrameServer):
 
     def start(self) -> "WorkerAgent":
         super().start()
+        # Spawn every home now, not inside the first query's wall.  (Not
+        # ``setup()``: that would also stand up a transport.)
+        for home in self._homes:
+            home._ensure_pool()
         self._sampler_stop.clear()
         self._sampler = threading.Thread(
             target=self._sample_loop,

@@ -16,10 +16,11 @@ Ops (see :mod:`repro.net.protocol` for the frame format):
   (:class:`~repro.errors.BlockNotFound`) and out-of-range rows answered
   ``ERR out-of-range``, never with garbage.
 - ``LIST`` — ids and sizes of everything currently held.
-- ``FREE {block}`` — release one block; double-frees are refused.
-- ``STAT`` — server-side counters (puts/gets/frees, bytes in/out), the
-  source of the per-run ``fetched_bytes`` a coordinator reports.  It
-  carries no metrics snapshot: a coordinator reads it every epoch.
+- ``FREE {block}`` — release one block, answered with that block's
+  own ``gets`` and ``bytes_out`` (the source of the per-run
+  ``fetched_bytes`` a coordinator reports, exact however many
+  coordinators share the store); double-frees are refused.
+- ``STAT`` — server-side counters (puts/gets/frees, bytes in/out).
 
 HELLO/PING/STAT/EXPO/BYE are the shared control plane
 (:class:`~repro.net.protocol.FrameServer`).
@@ -88,6 +89,8 @@ class BlockStoreServer(FrameServer):
         # block id -> (payload bytes, dtype str, shape tuple)
         self._blocks: dict[str, tuple[bytes | bytearray, str,
                                       tuple[int, ...]]] = {}
+        # block id -> [GETs answered, bytes sent] for that block
+        self._served: dict[str, list[int]] = {}
         self._store_lock = threading.Lock()
         self.stats = BlockStoreStats()
 
@@ -116,6 +119,7 @@ class BlockStoreServer(FrameServer):
                     return True
                 self._blocks[block] = (payload, meta["dtype"],
                                        tuple(meta["shape"]))
+                self._served[block] = [0, 0]
                 self.stats.puts += 1
                 self.stats.bytes_in += len(payload)
             send_frame(sock, OP_OK, {"block": block})
@@ -131,12 +135,14 @@ class BlockStoreServer(FrameServer):
                 entry = self._blocks.pop(block, None)
                 if entry is not None:
                     self.stats.frees += 1
+                    gets, sent = self._served.pop(block)
             if entry is None:
                 send_frame(sock, OP_ERR,
                            {"error": "not-found", "block": block,
                             "message": "double-free or never put"})
             else:
-                send_frame(sock, OP_OK, {"block": block})
+                send_frame(sock, OP_OK, {"block": block, "gets": gets,
+                                         "bytes_out": sent})
         else:
             return False
         return True
@@ -167,6 +173,10 @@ class BlockStoreServer(FrameServer):
         with self._store_lock:
             self.stats.gets += 1
             self.stats.bytes_out += part.nbytes
+            served = self._served.get(block)
+            if served is not None:
+                served[0] += 1
+                served[1] += part.nbytes
         send_frame(sock, OP_DATA, {"block": block, "dtype": dtype,
                                    "shape": list(shape)}, part)
 
@@ -219,8 +229,10 @@ class BlockStoreClient(FrameClient):
         _op, meta, _ = self.request(OP_LIST)
         return meta["blocks"]
 
-    def free(self, block: str) -> None:
-        self.request(OP_FREE, {"block": block})
+    def free(self, block: str) -> tuple[int, int]:
+        """Release ``block``; returns its ``(gets, bytes_out)``."""
+        _op, meta, _ = self.request(OP_FREE, {"block": block})
+        return int(meta["gets"]), int(meta["bytes_out"])
 
 
 # -- worker-side fetch --------------------------------------------------------
@@ -237,10 +249,9 @@ def fetch_block_array(host: str, port: int, block: str, *,
     :func:`repro.runtime.transport.resolve_array_ref` does).  ``memo``
     is the caller's :class:`~repro.runtime.transport.TaskFetches`: one
     :class:`~repro.runtime.worker.WorkerTask` carries a ref per (atom,
-    cube), so a task passes one memo, GETs each block or range once (a
-    range of a block it already holds is sliced locally) and reuses one
-    connection per store.  Without a memo the GET dials and closes its
-    own connection.  ``shape`` (the whole block's) and ``dtype`` are
+    cube), so a task passes one memo, GETs each block or range once and
+    reuses one connection per store.  Without a memo the GET dials and
+    closes its own connection.  ``shape`` (the whole block's) and ``dtype`` are
     cross-checked against the server's metadata when given: a mismatch
     means the descriptor and the store disagree, which is a protocol bug
     worth failing loudly on.
@@ -249,8 +260,6 @@ def fetch_block_array(host: str, port: int, block: str, *,
         rows = (int(rows[0]), int(rows[1]))
     fetched = memo.arrays if memo is not None else {}
     arr = fetched.get((host, port, block, rows))
-    if arr is None and (host, port, block, None) in fetched:
-        arr = fetched[(host, port, block, None)][rows[0]:rows[1]]
     if arr is not None:
         METRICS.counter("net.fetch_cache_hits").inc()
     else:

@@ -5,9 +5,8 @@ the engines and the executors need zero protocol changes: ``publish``
 PUTs each source array into a :class:`~repro.net.blockstore.BlockStore
 Server` (owned by this transport by default, or an external one shared
 by several coordinators), and ``make_ref`` mints descriptors carrying
-``(host, port, block_id, dtype, shape)`` plus a row range or row
-indices — workers anywhere fetch their own ranges over TCP (or a whole
-block, to gather its indexed rows).
+``(host, port, block_id, dtype, shape)`` plus a row range — workers
+anywhere fetch their own ranges over TCP.
 
 Epoch lifecycle (mirrors the shm rules in docs/data_plane.md):
 
@@ -20,13 +19,15 @@ Epoch lifecycle (mirrors the shm rules in docs/data_plane.md):
   Each key is staged exactly once under a fresh uuid-suffixed block id:
   ids are single-use, so a worker task's fetch memo can never serve a
   stale epoch.
-- ``teardown`` collects the server's GET counters into
+- ``teardown`` FREEs every published block and sums the GET counters
+  each FREE reply carries for its block into
   ``stats.fetched_blocks``/``fetched_bytes`` (what workers physically
-  pulled — accounted to the block store, not the task payload), FREEs
-  every published block, closes the client socket, and stops the owned
-  server; with no connection (nothing was staged) it reads no STAT and
-  frees nothing.  It is idempotent, robust against a store that already
-  died, and leaves no listening port behind.
+  pulled — accounted to the block store, not the task payload; exact
+  even when other epochs fetch from the same store meanwhile), closes
+  the client socket, and stops the owned server; with no connection
+  (nothing was staged) it frees nothing.  It is idempotent, robust
+  against a store that already died, and leaves no listening port
+  behind.
 
 Addressing: the store binds ``bind_host`` (default ``127.0.0.1``;
 ``REPRO_BIND_HOST`` or ``0.0.0.0`` for real multi-machine runs) and
@@ -78,9 +79,6 @@ class TcpTransport(Transport):
         self._server: BlockStoreServer | None = None
         self._client: BlockStoreClient | None = None
         self._addr: tuple[str, int] | None = None
-        #: Server GET counters at connect time — an external store is
-        #: shared and monotonic, so per-epoch fetch stats are deltas.
-        self._stat_base: tuple[int, int] = (0, 0)
         # key -> (block id | None for empty arrays, shape, dtype)
         self._meta: dict[str, tuple[str | None, tuple[int, ...], str]] = {}
 
@@ -104,15 +102,6 @@ class TcpTransport(Transport):
             self._server.start()
             self._addr = advertised_address(self._server)
         self._client = BlockStoreClient(*self._addr)
-        if self._external is not None:
-            try:
-                stat = self._client.stat()
-                self._stat_base = (int(stat.get("gets", 0)),
-                                   int(stat.get("bytes_out", 0)))
-            except (NetError, OSError, EOFError):  # pragma: no cover
-                self._stat_base = (0, 0)
-        else:
-            self._stat_base = (0, 0)
         return self._client
 
     def publish(self, key: str, array: np.ndarray) -> str:
@@ -140,7 +129,7 @@ class TcpTransport(Transport):
             self.stats.published_bytes += int(arr.nbytes)
         return key
 
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+    def make_ref(self, key: str, rows: slice | None = None,
                  content: str | None = None) -> ArrayRef:
         with self._lock:
             block, shape, dtype = self._meta[key]
@@ -156,23 +145,18 @@ class TcpTransport(Transport):
         client, self._client = self._client, None
         if client is not None:
             try:
-                stat = client.stat()
-                # Coordinator-side traffic is PUT-only, so the server's
-                # GET counters (relative to the connect-time baseline)
-                # are what workers fetched this epoch — plus, on a
-                # shared store, what overlapping epochs fetched.
-                self.stats.fetched_blocks += max(
-                    0, int(stat.get("gets", 0)) - self._stat_base[0])
-                self.stats.fetched_bytes += max(
-                    0, int(stat.get("bytes_out", 0)) - self._stat_base[1])
+                # Block ids are this epoch's own, so each block's GET
+                # counters are what workers fetched of it.
                 for block, _shape, _dtype in self._meta.values():
                     if block is None:
                         continue
                     try:
-                        client.free(block)
-                        self.stats.freed_blocks += 1
+                        gets, sent = client.free(block)
                     except BlockNotFound:  # pragma: no cover - freed twice
-                        pass
+                        continue
+                    self.stats.fetched_blocks += gets
+                    self.stats.fetched_bytes += sent
+                    self.stats.freed_blocks += 1
             except (NetError, OSError, EOFError):
                 # The store died (or an external one vanished) — there
                 # is nothing left to free; still stop our server below.

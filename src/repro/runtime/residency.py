@@ -13,7 +13,7 @@ may keep what it resolved:
   and ``binary`` alike read — stays with it, so one byte-bounded LRU
   (a :class:`~repro.core.optimizer.PlanCache`, the library's one)
   holds both.  A key names rows by content —
-  ``(Relation.digest, layout memo key, grouping, block id)``, minted by
+  ``(Relation.digest, layout key, block id)``, minted by
   :meth:`~repro.distributed.hcube.HCubeRouting.content_keys` — so a hit
   is never stale and a miss is never wrong.
 - :class:`ResidencyView` (coordinator side, one per executor) holds,

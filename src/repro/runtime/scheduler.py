@@ -75,16 +75,16 @@ def iter_routed_tasks(routing: HCubeRouting, db: Database,
     consuming this stream through
     :meth:`~repro.runtime.executor.Executor.submit_tasks` starts
     executing the first workers' tasks while later tasks are still
-    being published.  Each source relation is published at most once,
-    in its block layout (``routing.layouts``); tasks carry one
+    being published.  Each layout (``routing.layouts``: one per atom,
+    so a self-join publishes its relation once per atom) is published
+    at most once; tasks carry one
     :class:`~repro.runtime.transport.ArrayRef` per (atom, cube) — a row
-    range of that layout, or row indices for an atom hashed otherwise —
-    instead of a materialized partition matrix, so partitioning happens
-    on the worker that owns the cube.  A task flags, per atom, the
-    slices that arrive as sorted sets in the atom's trie order — a
-    layout of distinct rows whose column order is the atom's trie order
-    (every block, and every regrouped slice, is lexsorted) — and its
-    worker skips their sort.
+    range of that atom's layout — instead of a materialized partition
+    matrix, so partitioning happens on the worker that owns the cube.
+    A task flags, per atom, the slices that arrive as sorted sets in
+    the atom's trie order — a layout of distinct rows whose column
+    order is the atom's trie order (every block is lexsorted) — and
+    its worker skips their sort.
 
     When the transport carries a residency view (a ``processes``
     executor's home slots, :mod:`repro.runtime.residency`) and the
@@ -141,6 +141,11 @@ class RoutedTasks:
         self._content = (routing.content_keys(db)
                          if self._residency is not None else None)
         self._keys: dict[int, str] = {}
+        # A layout is published under the first atom that reads it (a
+        # self-join's atoms read different layouts of one relation).
+        self._first = [next(i for i, held in enumerate(routing.layouts)
+                            if held is layout)
+                       for layout in routing.layouts]
         self._cubes: dict[int, list[int]] = {}
         for cube in range(routing.grid.num_cubes):
             self._cubes.setdefault(routing.grid.worker_of_cube(cube),
@@ -157,6 +162,7 @@ class RoutedTasks:
         return self._mint(worker, resident=False)
 
     def _publish(self, ai: int) -> str:
+        ai = self._first[ai]
         key = self._keys.get(ai)
         if key is None:
             # Per-query epoch id (stamped on ExecutorView transports):
@@ -164,9 +170,9 @@ class RoutedTasks:
             # concurrent queries sharing one staging area never collide.
             epoch = self.transport.epoch
             prefix = f"{epoch}/" if epoch else ""
-            key = self.transport.publish(
-                f"{prefix}rel:{self.routing.grid.query.atoms[ai].relation}",
-                self.routing.layouts[ai].data)
+            relation = self.routing.grid.query.atoms[ai].relation
+            key = self.transport.publish(f"{prefix}rel:{relation}#{ai}",
+                                         self.routing.layouts[ai].data)
             self._keys[ai] = key
         return key
 
@@ -191,10 +197,9 @@ class RoutedTasks:
                 rows = routing.atom_rows[ai][cube]
                 key = content[ai][cube] if content is not None else None
                 if key in held:
-                    size = (rows.stop - rows.start
-                            if isinstance(rows, slice) else rows.shape[0])
                     refs.append(transport.resident_ref(
-                        key, (size,) + layout.data.shape[1:],
+                        key, (rows.stop - rows.start,)
+                        + layout.data.shape[1:],
                         str(layout.data.dtype)))
                 else:
                     refs.append(transport.make_ref(self._publish(ai), rows,

@@ -9,8 +9,8 @@ copy-heavy data plane the HCube design is meant to avoid.  A
 - ``publish(key, array)`` stages a *source* array once, coordinator-side;
 - ``make_ref(key, rows)`` mints a small picklable :class:`ArrayRef`
   descriptor selecting rows of the published array — a contiguous
-  range (a ``slice``: what a block-grouped source's cube needs) or row
-  indices;
+  range (a ``slice``: one block of a block-grouped source) or all of
+  them;
 - :func:`resolve_array_ref` (top-level, spawn-safe) turns a descriptor
   back into a concrete array on the worker.
 
@@ -27,15 +27,14 @@ Three backends, looked up through :data:`TRANSPORTS` (a
   pickled across the process boundary).
 - :class:`SharedMemoryTransport` — each source array is copied once into
   a ``multiprocessing.shared_memory`` block; descriptors carry only
-  ``(block name, dtype, shape, row range | row indices)``, so large
+  ``(block name, dtype, shape, row range)``, so large
   matrices cross the process boundary zero-copy and workers copy their
   own partitions locally.  Partitioning work moves off the coordinator.
 - ``tcp`` (:class:`repro.net.transport.TcpTransport`, registered lazily
   so importing this module never opens a socket) — sources are PUT into
   a TCP block store and descriptors carry ``(host, port, block_id,
-  dtype, shape, row range | row indices)``, so *remote* workers fetch
-  their own ranges (or whole blocks to slice).  The multi-machine data
-  plane; see docs/net.md.
+  dtype, shape, row range)``, so *remote* workers fetch their own
+  ranges.  The multi-machine data plane; see docs/net.md.
 
 Lifetime rules (see docs/data_plane.md): the coordinator owns every
 segment it publishes; ``teardown()`` closes and unlinks all of them and
@@ -93,9 +92,9 @@ class ArrayRef:
     kind may carry ``key``, the content name of the rows it selects, so
     the worker keeps what it resolves.  The
     selection ``rows`` is a ``slice`` — a row range ``[lo, hi)``,
-    header-only — or row indices; ``None`` means the whole array.  (A
-    range rides in ``rows`` so that no resolver reads it as the whole
-    array: one built before ranges fails on the slice instead.)
+    header-only — and ``None`` means the whole array.  (A range rides
+    in ``rows`` so that no resolver reads it as the whole array: one
+    built before ranges fails on the slice instead.)
     """
 
     kind: str                    # "inline" | "shm" | "tcp" | "resident"
@@ -103,17 +102,15 @@ class ArrayRef:
     dtype: str
     data: np.ndarray | None = None     # inline payload (already sliced)
     block: str | None = None           # segment name / block-store id
-    rows: slice | np.ndarray | None = None  # row range or indices
+    rows: slice | None = None          # row range; None: all rows
     host: str | None = None            # block store address (tcp only)
     port: int | None = None
     key: str | None = None             # content key (home processes)
 
     @property
     def num_rows(self) -> int:
-        if isinstance(self.rows, slice):
-            return self.rows.stop - self.rows.start
         if self.rows is not None:
-            return int(self.rows.shape[0])
+            return self.rows.stop - self.rows.start
         if self.data is not None:
             return int(self.data.shape[0])
         return int(self.shape[0]) if self.shape else 0
@@ -124,8 +121,6 @@ class ArrayRef:
         size = REF_HEADER_BYTES
         if self.data is not None:
             size += int(self.data.nbytes)
-        if isinstance(self.rows, np.ndarray):
-            size += int(self.rows.nbytes)
         return size
 
 
@@ -203,17 +198,12 @@ def resolve_array_ref(ref, fetches: TaskFetches | None = None
         with current_tracer().span("resolve_ref", cat="transport",
                                    kind="tcp", block=ref.block,
                                    rows=ref.num_rows):
-            ranged = isinstance(ref.rows, slice)
-            arr = fetch_block_array(
+            rows = ref.rows
+            # What arrives is this process's own read-only buffer.
+            return fetch_block_array(
                 ref.host, ref.port, ref.block,
-                rows=(ref.rows.start, ref.rows.stop) if ranged else None,
+                rows=None if rows is None else (rows.start, rows.stop),
                 shape=ref.shape, dtype=np.dtype(ref.dtype), memo=fetches)
-            # A fetched range arrives as this process's own read-only
-            # buffer; a whole block may be memoized, so its selection is
-            # copied (fancy indexing copies, .copy() the whole array).
-            if ranged:
-                return arr
-            return arr[ref.rows] if ref.rows is not None else arr.copy()
     if ref.kind != "shm":
         raise ConfigError(f"unknown ArrayRef kind {ref.kind!r}")
     with current_tracer().span("resolve_ref", cat="transport",
@@ -224,10 +214,7 @@ def resolve_array_ref(ref, fetches: TaskFetches | None = None
             view = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
                               buffer=seg.buf)
             rows = slice(None) if ref.rows is None else ref.rows
-            # Fancy indexing copies; a slice is a view, so copy it.
-            arr = view[rows]
-            if isinstance(rows, slice):
-                arr = arr.copy()
+            arr = view[rows].copy()
         finally:
             seg.close()
     return arr
@@ -240,15 +227,15 @@ class TransportStats:
     ``published_bytes`` are bytes staged into shared/remote blocks (one
     memcpy per source array; shm and tcp only); ``shipped_bytes`` are
     bytes that enter pickled task payloads — full partitions under
-    pickle, descriptor bytes (a header, plus row indices for an index
-    selection) under shm/tcp.  The
+    pickle, a header per descriptor under shm/tcp.  The
     acceptance check for the descriptor-only planes is
     ``shipped_bytes(shm|tcp) < shipped_bytes(pickle)`` on the same run.
 
     ``fetched_blocks``/``fetched_bytes`` count what workers pulled back
-    out of the staging area (tcp only: the block store's GET counters,
-    collected at teardown); ``freed_blocks`` counts blocks reclaimed at
-    teardown (shm segments unlinked, tcp blocks freed).
+    out of the staging area (tcp only: each published block's own GET
+    counters, reported by the store as it frees the block at teardown);
+    ``freed_blocks`` counts blocks reclaimed at teardown (shm segments
+    unlinked, tcp blocks freed).
     """
 
     published_blocks: int = 0
@@ -313,12 +300,11 @@ class Transport(ABC):
         """Stage ``array`` under ``key`` (idempotent per key)."""
 
     @abstractmethod
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+    def make_ref(self, key: str, rows: slice | None = None,
                  content: str | None = None) -> ArrayRef:
         """A descriptor for ``rows`` of the array published under ``key``:
-        a ``slice`` row range, row indices, or None for all rows.
-        ``content`` is the selection's content key, carried as
-        :attr:`ArrayRef.key`."""
+        a ``slice`` row range, or None for all rows.  ``content`` is the
+        selection's content key, carried as :attr:`ArrayRef.key`."""
 
     def resident_ref(self, content: str, shape: tuple[int, ...],
                      dtype: str) -> ArrayRef:
@@ -369,26 +355,19 @@ class Transport(ABC):
         return ref
 
     @staticmethod
-    def _selection(rows: slice | np.ndarray | None
-                   ) -> slice | np.ndarray | None:
+    def _selection(rows: slice | None) -> slice | None:
         """A :meth:`make_ref` selection as a ref carries it: a ``slice``
-        of plain ints, contiguous int64 row indices, or None (all rows)."""
-        if rows is None:
-            return None
-        if isinstance(rows, slice):
-            return slice(int(rows.start), int(rows.stop))
-        return np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
+        of plain ints, or None (all rows)."""
+        return None if rows is None else slice(int(rows.start),
+                                               int(rows.stop))
 
     def _staged_ref(self, kind: str, block: str | None,
-                    shape: tuple[int, ...], dtype: str,
-                    rows: slice | np.ndarray | None,
+                    shape: tuple[int, ...], dtype: str, rows: slice | None,
                     content: str | None = None, **where) -> ArrayRef:
         """A descriptor into a staged block (``None``: an empty array),
         inline when it selects no row; shm and tcp mint through it."""
         rows = self._selection(rows)
-        selected = (None if rows is None
-                    else rows.stop - rows.start if isinstance(rows, slice)
-                    else rows.shape[0])
+        selected = None if rows is None else rows.stop - rows.start
         if block is None or selected == 0:
             empty_shape = shape if selected is None else (0,) + shape[1:]
             ref = ArrayRef(kind="inline", shape=empty_shape, dtype=dtype,
@@ -418,15 +397,12 @@ class PickleTransport(Transport):
                     self._published[key] = np.ascontiguousarray(array)
         return key
 
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+    def make_ref(self, key: str, rows: slice | None = None,
                  content: str | None = None) -> ArrayRef:
         with self._lock:
             src = self._published[key]
         rows = self._selection(rows)
-        if isinstance(rows, slice):
-            part = src[rows]                # contiguous: pickles the range
-        else:
-            part = src if rows is None else np.ascontiguousarray(src[rows])
+        part = src if rows is None else src[rows]  # pickles the range
         ref = ArrayRef(kind="inline", shape=tuple(part.shape),
                        dtype=str(part.dtype), data=part, key=content)
         return self._record_shipped(ref)
@@ -482,7 +458,7 @@ class SharedMemoryTransport(Transport):
             self.stats.published_bytes += int(arr.nbytes)
         return key
 
-    def make_ref(self, key: str, rows: slice | np.ndarray | None = None,
+    def make_ref(self, key: str, rows: slice | None = None,
                  content: str | None = None) -> ArrayRef:
         with self._lock:
             block, shape, dtype = self._meta[key]

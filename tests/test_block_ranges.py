@@ -1,10 +1,11 @@
-"""Row ranges, not row indices: the block-layout data plane.
+"""Row ranges: the block-layout data plane.
 
-A routed source is published once in its block layout
-(:meth:`Relation.block_layout`, memoized per relation and grid), so an
-(atom, cube) slice is a row range ``[lo, hi)`` of what was published:
-refs carry the range in their header, a tcp worker GETs only its own
-rows, and a warm query neither hashes nor sorts on the coordinator.
+Each atom's source is published once in that atom's block layout
+(:meth:`Relation.block_layout`, memoized on the relation), so an (atom,
+cube) slice is a row range ``[lo, hi)`` of what was published — a
+self-join's atoms read separate layouts of one relation: refs carry the
+range in their header, a tcp worker GETs only its own rows, and a warm
+query neither hashes nor sorts on the coordinator.
 """
 
 import socket
@@ -14,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.data.relation as relation_module
 import repro.runtime.worker as worker_module
@@ -29,14 +32,15 @@ from repro.runtime import create_transport, iter_routed_tasks, \
     resolve_array_ref
 from repro.runtime.transport import REF_HEADER_BYTES
 from repro.wcoj import leapfrog_reference
+from repro.wcoj.leapfrog import trie_order
 
 ORDER = ("a", "b", "c")
 TRANSPORTS = ("pickle", "shm", "tcp")
 
 
 def triangle_case(seed=0, n=400, dom=40):
-    """The directed triangle over one relation, rows shuffled: its later
-    atoms read the first atom's layout hashed on other columns."""
+    """The directed triangle over one relation, rows shuffled: each atom
+    reads its own layout of it."""
     rng = np.random.default_rng(seed)
     edges = np.unique(rng.integers(0, dom, size=(n, 2)), axis=0)
     edges = edges[rng.permutation(len(edges))]
@@ -121,23 +125,20 @@ def test_a_range_rides_in_rows(transport):
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_range_ref_resolves_like_the_index_ref(transport):
+def test_a_range_ref_resolves_to_its_rows(transport):
     arr = np.arange(60, dtype=np.int64).reshape(20, 3)
     with create_transport(transport) as t:
         key = t.publish("a", arr)
         for lo, hi in ((0, 20), (3, 11), (19, 20), (7, 7)):
             ranged = t.make_ref(key, slice(lo, hi))
-            indexed = t.make_ref(key, np.arange(lo, hi))
             assert ranged.num_rows == hi - lo
-            assert np.array_equal(resolve_array_ref(ranged),
-                                  resolve_array_ref(indexed))
             assert np.array_equal(resolve_array_ref(ranged), arr[lo:hi])
             if transport == "pickle":
                 # The slice itself is shipped, nothing else.
                 assert ranged.payload_bytes \
                     == REF_HEADER_BYTES + (hi - lo) * 3 * 8
             else:
-                # A range is header-only; indices cost 8 bytes a row.
+                # A range is header-only.
                 assert ranged.payload_bytes == REF_HEADER_BYTES
 
 
@@ -253,34 +254,35 @@ def test_replacing_a_relation_misses_the_memo(monkeypatch):
 
 
 def test_memo_stays_bounded():
-    """A relation keeps one layout (the last grid's), and that layout
-    the regroupings of the grid that read it last: the triangle's two
-    later atoms."""
+    """A relation keeps the layouts its last route read: one per atom of
+    the triangle, whatever grids came before."""
     query, db = triangle_case()
     rel = db["E"]
     for p in range(1, 9):
         grid = HypercubeGrid(query, {"a": p, "b": 2, "c": 9 - p}, 3)
         routing = hcube_route(query, db, grid, order=ORDER)
-        layout = routing.layouts[0]
-        assert rel._layout[1] is layout
-        assert len(layout._groupings) <= 2
+        assert len({id(layout) for layout in routing.layouts}) == 3
+        assert sorted(map(id, rel._layout.values())) \
+            == sorted(map(id, routing.layouts))
     # The newest grid is still memoized: routing it again is a hit.
-    assert hcube_route(query, db, grid, order=ORDER).layouts[0] is layout
-    # A grid with the same first-atom hashing but other later atoms
-    # replaces the regroupings instead of adding to them.
+    again = hcube_route(query, db, grid, order=ORDER)
+    assert all(a is b for a, b in zip(again.layouts, routing.layouts))
+    # A grid that hashes the first atom alike but reads E otherwise
+    # keeps that atom's layout and replaces the others.
     lead = query.atoms[0]
     other = JoinQuery([lead, Atom("E", ("a", "c"))], name="wedge")
-    assert len(layout._groupings) == 2
     wedge = HypercubeGrid(other, {"a": 8, "b": 2, "c": 1}, 3)
-    assert hcube_route(other, db, wedge, order=ORDER).layouts[0] is layout
-    assert len(layout._groupings) == 1
+    routed = hcube_route(other, db, wedge, order=ORDER)
+    assert routed.layouts[0] is routing.layouts[0]
+    assert sorted(map(id, rel._layout.values())) \
+        == sorted(map(id, routed.layouts))
 
 
 def test_concurrent_routing_shares_one_bounded_memo():
     """Threads routing one relation over more grids than the memo holds
     (as a service's drivers do) agree with a private relation's routing
-    and never break the memo: a lost race only lays a relation out, or
-    regroups it, twice."""
+    and never break the memo: a lost race only lays a relation out
+    twice."""
     query, _ = triangle_case()
     edges = np.random.default_rng(0).integers(0, 10, size=(12, 2))
 
@@ -319,27 +321,68 @@ def test_concurrent_routing_shares_one_bounded_memo():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert db["E"]._layout is not None
+    # The last route to prune the memo left its own layouts at most.
+    assert 1 <= len(db["E"]._layout) <= len(query.atoms)
 
 
-def test_ranges_and_indices_select_the_routed_rows():
-    """Every slice is the rows of its cube's block, as a range for the
-    layout's own atom and as indices for the later ones."""
+def test_every_slice_is_a_range_of_its_atoms_layout():
+    """Every slice is the rows of its cube's block, a range of the
+    atom's own layout, and every atom of a set is flagged sorted."""
     query, db = triangle_case()
     grid = HypercubeGrid(query, {"a": 2, "b": 3, "c": 2}, 3)
     routing = hcube_route(query, db, grid, order=ORDER)
-    kinds = [{type(sel) for sel in rows} for rows in routing.atom_rows]
-    assert kinds == [{slice}, {np.ndarray}, {np.ndarray}]
+    assert {type(sel) for rows in routing.atom_rows for sel in rows} \
+        == {slice}
     source = db["E"].data
-    for ai, atom in enumerate(routing.grid.query.atoms):
+    for ai, atom in enumerate(query.atoms):
         ids = grid.tuple_block_ids(atom, source)
+        mine = routing.grid.query.atoms[ai]
+        columns = [atom.attributes.index(v) for v in mine.attributes]
         for cube in range(grid.num_cubes):
             want = source[ids == grid.cube_block_id(
-                atom, grid.coordinate_of(cube))]
+                atom, grid.coordinate_of(cube))][:, columns]
             got = routing.rows_of(ai, cube)
             assert got.tolist() == sorted(map(list, want.tolist()))
     tasks = list(iter_routed_tasks(routing, db, ORDER))
-    assert {t.sorted_atoms for t in tasks} == {(True, True, False)}
+    assert {t.sorted_atoms for t in tasks} == {(True, True, True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_self_join_slices_are_their_blocks_rows(data):
+    """Random self-joins (2-3 atoms on one relation, random column
+    orders, shares and trie order): every slice is exactly the rows
+    whose block id, hashed row by row, is its cube's, lexsorted in its
+    atom's trie order; every atom is flagged sorted."""
+    seed = data.draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, data.draw(st.integers(1, 12)),
+                         size=(data.draw(st.integers(0, 80)), 2))
+    db = Database([Relation("E", ("src", "dst"), edges)])
+    pairs = st.permutations(("a", "b", "c")).map(lambda p: p[:2])
+    atoms = [Atom("E", pair) for pair in
+             data.draw(st.lists(pairs, min_size=2, max_size=3))]
+    query = JoinQuery(atoms, name="self")
+    shares = {v: data.draw(st.integers(1, 3)) for v in query.attributes}
+    grid = HypercubeGrid(query, shares, data.draw(st.integers(1, 4)))
+    order = tuple(data.draw(st.permutations(query.attributes)))
+    routing = hcube_route(query, db, grid, order=order)
+    source = db["E"].data
+    for ai, atom in enumerate(query.atoms):
+        mine = routing.grid.query.atoms[ai]
+        assert mine.attributes == trie_order(atom.attributes, order)
+        columns = [atom.attributes.index(v) for v in mine.attributes]
+        ids = np.array([grid.tuple_block_ids(atom, row[None, :])[0]
+                        for row in source], dtype=np.int64)
+        for cube in range(grid.num_cubes):
+            sel = routing.atom_rows[ai][cube]
+            assert type(sel) is slice
+            want = source[ids == grid.cube_block_id(
+                atom, grid.coordinate_of(cube))][:, columns]
+            got = routing.rows_of(ai, cube)
+            assert got.tolist() == sorted(want.tolist())
+    tasks = list(iter_routed_tasks(routing, db, order))
+    assert {t.sorted_atoms for t in tasks} == {(True,) * len(atoms)}
 
 
 # -- end to end ---------------------------------------------------------------
@@ -355,3 +398,27 @@ def test_directed_triangle_agrees_with_reference(transport):
         == {registry.display_name(k) for k in registry.available()}
     assert report.agreed, report.counts
     assert report.count == expected
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_a_self_join_on_home_processes_ships_ranges_then_nothing(
+        transport):
+    """On a real pool, a self-join's cold refs are header-only ranges
+    under shm/tcp, and a warm run publishes and fetches nothing."""
+    query, db = triangle_case(seed=5)
+    expected = len(leapfrog_reference(query, db))
+    with JoinSession(workers=2, backend="processes",
+                     transport=transport) as session:
+        job = session.query_from(query, db)
+        cold, warm = job.run("hcubej"), job.run("hcubej")
+    assert cold.count == warm.count == expected
+    plane = cold.data_plane
+    if transport != "pickle":
+        # One layout per atom.
+        assert plane["published_blocks"] == len(query.atoms)
+        assert plane["shipped_bytes"] \
+            == plane["shipped_refs"] * REF_HEADER_BYTES
+    assert warm.data_plane["published_bytes"] == 0
+    assert warm.data_plane["fetched_bytes"] == 0
+    assert warm.data_plane["shipped_bytes"] \
+        == warm.data_plane["shipped_refs"] * REF_HEADER_BYTES

@@ -375,22 +375,21 @@ class TestTcpTransport:
 
     def test_row_subsets(self):
         arr = np.arange(24, dtype=np.int64).reshape(12, 2)
-        for rows in ([], [0], [11, 0, 5], list(range(12))):
-            rows = np.asarray(rows, dtype=np.int64)
+        for rows in (slice(4, 4), slice(0, 1), slice(5, 11), slice(0, 12)):
             with create_transport("tcp") as t:
                 key = t.publish("a", arr)
                 out = resolve_array_ref(t.make_ref(key, rows))
                 assert np.array_equal(out, arr[rows])
 
     def test_refs_are_descriptor_only(self):
-        """A tcp ref ships header+rows, never the partition matrix."""
+        """A tcp ref ships its header, never the partition matrix."""
         arr = np.arange(400, dtype=np.int64).reshape(200, 2)
         t = TcpTransport()
         try:
-            ref = t.make_ref(t.publish("a", arr), np.arange(50))
+            ref = t.make_ref(t.publish("a", arr), slice(0, 50))
             assert ref.kind == "tcp"
             assert ref.host and ref.port
-            assert ref.payload_bytes == REF_HEADER_BYTES + 50 * 8
+            assert ref.payload_bytes == REF_HEADER_BYTES
             assert t.stats.published_bytes == arr.nbytes
             # The same selection through pickle ships the whole slice.
             assert ref.payload_bytes < REF_HEADER_BYTES + 50 * 2 * 8
@@ -410,11 +409,10 @@ class TestTcpTransport:
     def test_resolved_array_survives_teardown(self):
         arr = np.arange(10, dtype=np.int64).reshape(5, 2)
         t = TcpTransport()
-        ref = t.make_ref(t.publish("a", arr), np.array([3, 1]))
+        ref = t.make_ref(t.publish("a", arr), slice(1, 4))
         out = resolve_array_ref(ref)
         t.teardown()
-        assert np.array_equal(out, arr[[3, 1]])
-        assert out.flags.writeable   # a private copy, not the cache
+        assert np.array_equal(out, arr[1:4])
 
     def test_teardown_frees_blocks_and_closes_port(self):
         arr = np.arange(20, dtype=np.int64).reshape(10, 2)
@@ -441,8 +439,8 @@ class TestTcpTransport:
         t.teardown()
 
     def test_fetch_cache_one_get_per_block(self):
-        """Three refs to one block inside one task make one GET; the memo
-        lasts that task only, so a second task GETs the block again."""
+        """Three refs to one range inside one task make one GET; the memo
+        lasts that task only, so a second task GETs the range again."""
         arr = np.array([[0, 1], [1, 2], [0, 2], [2, 0], [1, 0]],
                        dtype=np.int64)
         triangle = JoinQuery([Atom("E@0", ("a", "b")),
@@ -453,13 +451,33 @@ class TestTcpTransport:
             key = t.publish("e", arr)
             results = [execute_worker_task(WorkerTask(
                 worker=0, query=triangle, order=("a", "b", "c"),
-                cubes=[tuple(t.make_ref(key, rows) for rows in
-                             (None, np.arange(3), np.asarray([0, 2, 4])))]))
+                cubes=[tuple(t.make_ref(key, slice(0, 3))
+                             for _ in range(3))]))
                 for _ in range(2)]
         finally:
             t.teardown()
         assert [r.count for r in results] == [1, 1]   # (0, 1, 2)
         assert t.last_epoch.fetched_blocks == 2   # one GET per task
+
+    def test_overlapping_epochs_on_one_store_count_their_own_fetches(self):
+        """Each block's FREE reply carries its own GET counters, so two
+        epochs sharing a store never count each other's fetches."""
+        arr = np.arange(40, dtype=np.int64).reshape(20, 2)
+        with BlockStoreServer() as srv:
+            first = TcpTransport(store=(srv.host, srv.port))
+            second = TcpTransport(store=(srv.host, srv.port))
+            mine = first.make_ref(first.publish("a", arr), slice(0, 5))
+            theirs = second.make_ref(second.publish("a", arr), slice(5, 20))
+            resolve_array_ref(theirs)
+            resolve_array_ref(mine)
+            resolve_array_ref(theirs)
+            first.teardown()
+            resolve_array_ref(theirs)
+            second.teardown()
+        assert (first.last_epoch.fetched_blocks,
+                first.last_epoch.fetched_bytes) == (1, 5 * 2 * 8)
+        assert (second.last_epoch.fetched_blocks,
+                second.last_epoch.fetched_bytes) == (3, 3 * 15 * 2 * 8)
 
     def test_external_store_not_stopped_by_teardown(self):
         arr = np.arange(8, dtype=np.int64).reshape(4, 2)
@@ -618,6 +636,20 @@ def one_at_a_time(ex, fn, tasks) -> list:
 class TestAgentHomes:
     """A processes-mode agent runs each slot's tasks in that slot's
     home process; a dead home restarts only its own slot."""
+
+    def test_every_home_is_alive_right_after_start(self):
+        """Homes spawn with the agent, not inside the first query."""
+        agent = WorkerAgent(slots=2).start()
+        try:
+            homes = [process for home in agent._homes
+                     for pool in home._pool._pools
+                     for process in pool._processes.values()]
+            assert len(homes) == 2
+            assert all(process.is_alive() for process in homes)
+            assert agent.tasks_run == 0
+        finally:
+            agent.stop()
+        assert not any(process.is_alive() for process in homes)
 
     def test_each_slot_runs_in_one_home(self, home_agent):
         _agent, ex = home_agent

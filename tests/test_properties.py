@@ -159,10 +159,8 @@ class TestHCubeProperties:
         arr = rng.integers(np.iinfo(np.int64).min,
                            np.iinfo(np.int64).max,
                            size=(rows, arity), dtype=np.int64)
-        sel = None if whole else rng.integers(
-            0, max(rows, 1), size=rng.integers(0, rows + 1)) % max(rows, 1)
-        if not whole and rows == 0:
-            sel = np.empty(0, dtype=np.int64)
+        lo, hi = np.sort(rng.integers(0, rows + 1, size=2))
+        sel = None if whole else slice(lo, hi)
         with SharedMemoryTransport() as t:
             out = resolve_array_ref(t.make_ref(t.publish("a", arr), sel))
         want = arr if sel is None else arr[sel]

@@ -1,13 +1,13 @@
 """The sorted-slice contract of the routed epoch.
 
-Every source relation is laid out once, on the coordinator, in the trie
-order of its first atom and grouped by that atom's block id
-(:meth:`Relation.block_layout`, lexsorted within a block, memoized);
-each (atom, cube) slice of an atom in that order arrives as a sorted set
-and its worker does not sort it again (``WorkerTask.sorted_atoms``).
-Cubes, loads and every counter stay those of the unsorted routing.
-Atoms that read a relation in another atom's column order, and sources
-that are not sets, are left unflagged and sort on the worker as before.
+Every atom's source relation is laid out once, on the coordinator, in
+the atom's trie order and grouped by its block id
+(:meth:`Relation.block_layout`, lexsorted within a block, memoized; a
+self-join's atoms read separate layouts), so each (atom, cube) slice
+arrives as a sorted set and its worker does not sort it again
+(``WorkerTask.sorted_atoms``).  Cubes, loads and every counter stay
+those of the unsorted routing.  Sources that are not sets are left
+unflagged and sort on the worker as before.
 """
 
 import threading
@@ -35,7 +35,7 @@ def cycle_case(seed=0, n=300, dom=30, duplicates=0):
     """A directed triangle over one relation, rows shuffled.
 
     Under ``a < b < c`` the third atom ``E(c, a)`` reads ``E`` in the
-    other column order than the first, so it cannot share its sort.
+    other column order than the first, so it reads its own layout.
     ``duplicates`` repeats that many rows (the source is then no set).
     """
     rng = np.random.default_rng(seed)
@@ -145,20 +145,23 @@ class TestSortedSources:
         assert routing.stats == parent.stats
         assert routing.worker_loads == parent.worker_loads
         assert routing.grid.order == grid.order
-        # E is laid out as (dst, src), and every atom is relisted so.
-        assert routing.layouts[0].attributes == ("dst", "src")
+        # Each atom lays E out in its own trie order, and is relisted so.
+        assert [layout.attributes for layout in routing.layouts] \
+            == [("dst", "src"), ("dst", "src"), ("src", "dst")]
         assert [a.attributes for a in routing.grid.query.atoms] \
-            == [("a", "b"), ("b", "c"), ("c", "a")]
-        for ai in range(len(query.atoms)):
+            == [("a", "b"), ("b", "c"), ("a", "c")]
+        for ai, atom in enumerate(query.atoms):
+            relisted = routing.grid.query.atoms[ai].attributes
+            columns = [atom.attributes.index(v) for v in relisted]
             for cube in range(grid.num_cubes):
                 mine = routing.rows_of(ai, cube)
                 theirs = parent.rows_of(ai, cube)
-                assert sorted(map(tuple, mine[:, ::-1].tolist())) \
-                    == sorted(map(tuple, theirs.tolist()))
+                assert sorted(map(tuple, mine.tolist())) \
+                    == sorted(map(tuple, theirs[:, columns].tolist()))
                 assert mine.tolist() == sorted(mine.tolist())
 
     def test_tasks_flag_only_atoms_in_trie_order_over_a_set(self):
-        for duplicates, flags in ((0, (True, True, False)),
+        for duplicates, flags in ((0, (True, True, True)),
                                   (25, (False, False, False))):
             query, db = cycle_case(duplicates=duplicates)
             _, routing = _route(query, db, order=ORDER)
@@ -252,8 +255,8 @@ def test_flags_cross_the_wire(monkeypatch):
             agent.stop()
     assert result.count == len(leapfrog_reference(query, db))
     assert sorts.count == 0
-    # The counter is live: the directed triangle's third atom sorts.
-    query, db = cycle_case()
+    # The counter is live: slices of a source that is no set sort.
+    query, db = cycle_case(duplicates=25)
     with JoinSession(workers=2, backend="serial", samples=20) as session:
         session.query_from(query, db).run("hcubej")
     assert sorts.count > 0
