@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..errors import SchemaError
 from .relation import Relation
 
-__all__ = ["Database"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.optimizer import PlanCache
+
+__all__ = ["Database", "ROUTE_MEMO_ENTRIES"]
+
+#: Routes one database remembers (:attr:`Database.routes`).
+ROUTE_MEMO_ENTRIES = 8
 
 
 class Database:
@@ -21,8 +27,25 @@ class Database:
 
     def __init__(self, relations: Iterable[Relation] = ()):
         self._relations: dict[str, Relation] = {}
+        self._routes: "PlanCache | None" = None
         for rel in relations:
             self.add(rel)
+
+    @property
+    def routes(self) -> "PlanCache":
+        """What routing a query over this database decided, kept for
+        the next query (:func:`repro.engines.one_round
+        .one_round_execute`): at most :data:`ROUTE_MEMO_ENTRIES`
+        entries, counted under ``engines.route_memo_*``, and dropped by
+        every :meth:`add`, :meth:`replace` and :meth:`remove`, so a memo
+        dies with its database and never outlives a relation."""
+        routes = self._routes
+        if routes is None:
+            from ..core.optimizer import PlanCache
+
+            routes = self._routes = PlanCache(ROUTE_MEMO_ENTRIES,
+                                              "engines.route_memo")
+        return routes
 
     # -- container protocol -------------------------------------------------------
 
@@ -30,15 +53,18 @@ class Database:
         if relation.name in self._relations:
             raise SchemaError(f"duplicate relation name {relation.name!r}")
         self._relations[relation.name] = relation
+        self._routes = None
 
     def replace(self, relation: Relation) -> None:
         """Add or overwrite a relation (used when materializing bags)."""
         self._relations[relation.name] = relation
+        self._routes = None
 
     def remove(self, name: str) -> None:
         if name not in self._relations:
             raise SchemaError(f"no relation named {name!r}")
         del self._relations[name]
+        self._routes = None
 
     def __getitem__(self, name: str) -> Relation:
         try:

@@ -230,6 +230,9 @@ class HCubeRouting:
     prebuilt_tries: bool = False
     #: Per atom, the block id of each cube's range.
     atom_blocks: list[list[int]] = field(default_factory=list)
+    #: :meth:`content_keys`' last answer and the digests it was for.
+    _content: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def local_query(self) -> JoinQuery:
@@ -244,25 +247,31 @@ class HCubeRouting:
         atom, plus the block id: equal names select equal rows, across
         queries and routings.  No row is hashed here.  None when the
         grid's hash function has no importable name (it could not be
-        told from another one).
+        told from another one).  Memoized on the routing for the digests
+        it was asked for, so a routing reused by a warm query (a route
+        memo hit) names its selections once.
         """
+        digests = tuple(db[a.relation].digest for a in self.grid.query.atoms)
+        if self._content is not None and self._content[0] == digests:
+            return self._content[1]
         fn = self.grid.hash_fn
         module = sys.modules.get(getattr(fn, "__module__", None) or "")
-        if getattr(module, getattr(fn, "__qualname__", ""), None) is not fn:
-            return None
-        fn_name = f"{fn.__module__}.{fn.__qualname__}"
+        keys: list[list[str]] | None = None
+        if getattr(module, getattr(fn, "__qualname__", ""), None) is fn:
+            fn_name = f"{fn.__module__}.{fn.__qualname__}"
 
-        def named(key):
-            return tuple(named(k) for k in key) if isinstance(key, tuple) \
-                else fn_name if key is fn else key
+            def named(key):
+                return tuple(named(k) for k in key) \
+                    if isinstance(key, tuple) \
+                    else fn_name if key is fn else key
 
-        keys = []
-        for atom, layout, blocks in zip(self.grid.query.atoms, self.layouts,
-                                        self.atom_blocks):
-            prefix = hashlib.sha256(repr((
-                db[atom.relation].digest, named(layout.key))).encode()
-            ).hexdigest()[:24]
-            keys.append([f"{prefix}:{b}" for b in blocks])
+            keys = []
+            for digest, layout, blocks in zip(digests, self.layouts,
+                                              self.atom_blocks):
+                prefix = hashlib.sha256(repr((
+                    digest, named(layout.key))).encode()).hexdigest()[:24]
+                keys.append([f"{prefix}:{b}" for b in blocks])
+        self._content = (digests, keys)
         return keys
 
     def rows_of(self, ai: int, cube: int) -> np.ndarray:

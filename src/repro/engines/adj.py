@@ -65,6 +65,16 @@ def _tree_key(tree: Hypertree | None) -> tuple | None:
     return (tuple(b.atom_indices for b in tree.bags), tree.tree_edges)
 
 
+def _with_bags(db: Database, bags) -> Database:
+    """``db`` plus the pre-computed relations of ``bags``."""
+    working = Database(db)
+    for rel, _input_tuples, _work in bags:
+        if rel.name in working:
+            raise PlanError(f"candidate name clash: {rel.name}")
+        working.add(rel)
+    return working
+
+
 class ADJ:
     """Adaptive Distributed Join."""
 
@@ -135,24 +145,25 @@ class ADJ:
                     ) -> Database:
         """``db`` plus every chosen candidate relation, materialized —
         or, given the plan's cache ``key``, taken from
-        :data:`PRECOMPUTE_CACHE`.  Hit or miss, each candidate charges
-        the ledger and is held to the work budget alike."""
+        :data:`PRECOMPUTE_CACHE`, and the database holding them from
+        ``db``'s route memo, so a warm repeat routes over the same
+        database (and hits its route memo).  Hit or miss, each candidate
+        charges the ledger and is held to the work budget alike."""
         if key is None:
             bags = self._materialize(plan, db)
         else:
             bags, _ = PRECOMPUTE_CACHE.lookup(
                 key + (self.kernel,), lambda: self._materialize(plan, db))
-        working = Database(db)
-        for rel, input_tuples, work in bags:
+        for _rel, input_tuples, work in bags:
             if self.work_budget is not None and work > self.work_budget:
                 raise BudgetExceeded(work, self.work_budget)
-            if rel.name in working:
-                raise PlanError(f"candidate name clash: {rel.name}")
-            working.add(rel)
             ledger.record(
                 Moved("precompute", input_tuples, self.hcube_impl),
                 Work("precompute", work, workers=cluster.num_workers))
-        return working
+        if key is None:
+            return _with_bags(db, bags)
+        return db.routes.lookup(("precomputed",) + key + (self.kernel,),
+                                lambda: _with_bags(db, bags))[0]
 
     def _materialize(self, plan: QueryPlan, db: Database
                      ) -> tuple[tuple[Relation, int, int], ...]:

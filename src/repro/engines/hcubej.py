@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..core.optimizer import data_key
 from ..data.database import Database
 from ..distributed.cluster import Cluster
 from ..distributed.metrics import CostLedger, Work
@@ -71,7 +72,9 @@ class HCubeJ:
             executor: Executor | None = None) -> EngineResult:
         ledger = cluster.new_ledger()
         self._record_optimization(query, cluster, ledger)
-        order = self.order or attach_degree_order(query, db)
+        order = self.order or db.routes.lookup(
+            ("degree_order", data_key(query, db)),
+            lambda: attach_degree_order(query, db))[0]
         outcome = one_round_execute(
             query, db, cluster, order, ledger, impl=self.hcube_impl,
             cache_capacity=self._cache_capacity(cluster),

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..core.optimizer import data_key
 from ..data.database import Database
 from ..distributed.cluster import Cluster
 from ..distributed.hcube import HCubeRouting, HypercubeGrid, hcube_route
@@ -97,14 +98,25 @@ def routed_epoch(query: JoinQuery, db: Database, grid: HypercubeGrid,
     with telemetry.measure("shuffle"):
         routing = hcube_route(query, db, grid, impl=impl,
                               memory_tuples=memory_tuples, order=order)
-    merged = run_epoch(
+    return routing, _run_routing(routing, db, order, executor, telemetry,
+                                 budget=budget,
+                                 cache_capacity=cache_capacity,
+                                 kernel=kernel, materialize=materialize)
+
+
+def _run_routing(routing: HCubeRouting, db: Database,
+                 order: tuple[str, ...], executor: Executor,
+                 telemetry: RuntimeTelemetry, *, budget: int | None,
+                 cache_capacity: Callable[[int], int] | None,
+                 kernel: str, materialize: bool = False) -> MergedOutcome:
+    """Mint ``routing``'s tasks and run them as one epoch."""
+    return run_epoch(
         executor,
         iter_routed_tasks(routing, db, order, budget=budget,
                           transport=executor.transport,
                           cache_capacity=cache_capacity, kernel=kernel,
                           materialize=materialize),
         len(order), budget=budget, telemetry=telemetry)
-    return routing, merged
 
 
 def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
@@ -131,20 +143,44 @@ def one_round_execute(query: JoinQuery, db: Database, cluster: Cluster,
     concrete kernel once, on the coordinator, against the full database
     — every cube then runs the same choice).  ``wcoj`` is pure Leapfrog,
     bit-identical to the seed counters.
+
+    A warm repeat does not re-plan: the kernel choice and the routing
+    (its shares, grid and layouts) are kept in ``db``'s route memo
+    (:attr:`~repro.data.database.Database.routes`) under
+    :func:`~repro.core.optimizer.data_key` — the query and the digests
+    of the relations it reads — plus every other input of the route:
+    ``impl``, ``order``, the requested ``kernel``, the cluster's worker
+    count and per-worker memory.  The memo lives and dies with ``db``:
+    ``add``, ``replace`` and ``remove`` drop it.  A hit still records
+    the ``kernel_select`` span and counter, a ``shuffle`` phase (the
+    lookup) and the same ledger entries as the miss.
     """
     executor = _resolve_executor(executor)
-    kernel_choice = select_kernel(kernel, query, db,
-                                  scope=f"one_round:{impl}")
+    order = tuple(order)
     telemetry = RuntimeTelemetry(backend=executor.name,
                                  num_workers=cluster.num_workers)
-    sizes = {a.relation: len(db[a.relation]) for a in query.atoms}
-    shares = optimize_shares(query, sizes, cluster.num_workers,
-                             memory_tuples=cluster.memory_tuples_per_worker)
-    grid = HypercubeGrid(query, shares, cluster.num_workers)
-    routing, merged = routed_epoch(
-        query, db, grid, order, executor, telemetry, impl=impl,
-        memory_tuples=cluster.memory_tuples_per_worker, budget=work_budget,
-        cache_capacity=cache_capacity, kernel=kernel_choice.key)
+    memory = cluster.memory_tuples_per_worker
+    key = (data_key(query, db), impl, order, kernel, cluster.num_workers,
+           memory)
+    with telemetry.measure("shuffle"):
+        routed = db.routes.get(key)
+    kernel_choice = select_kernel(kernel, query, db,
+                                  scope=f"one_round:{impl}",
+                                  choice=routed and routed[0])
+    if routed is None:
+        sizes = {a.relation: len(db[a.relation]) for a in query.atoms}
+        shares = optimize_shares(query, sizes, cluster.num_workers,
+                                 memory_tuples=memory)
+        grid = HypercubeGrid(query, shares, cluster.num_workers)
+        with telemetry.measure("shuffle"):
+            routing = hcube_route(query, db, grid, impl=impl,
+                                  memory_tuples=memory, order=order)
+        db.routes.put(key, (kernel_choice, routing))
+    else:
+        routing = routed[1]
+    merged = _run_routing(routing, db, order, executor, telemetry,
+                          budget=work_budget, cache_capacity=cache_capacity,
+                          kernel=kernel_choice.key)
     ledger.record(Moved("communication", routing.stats.tuple_copies, impl,
                         blocks=routing.stats.blocks_fetched))
     # Local trie construction (skipped cost-wise by Merge: blocks arrive

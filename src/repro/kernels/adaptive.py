@@ -83,16 +83,20 @@ def choose_kernel(requested: str, query: JoinQuery, db: Database
 
 
 def select_kernel(requested: str, query: JoinQuery, db: Database, *,
-                  scope: str = "") -> KernelChoice:
+                  scope: str = "",
+                  choice: KernelChoice | None = None) -> KernelChoice:
     """:func:`choose_kernel` + observability.
 
     Records a ``kernel_select`` span (category ``kernel``) on the active
     tracer and bumps the process-wide ``kernel.selected.<key>`` counter,
-    so traces and ``session.metrics()`` show every decision.
+    so traces and ``session.metrics()`` show every decision — also one
+    made before and passed in as ``choice`` (a memoized route's), which
+    is recorded, not made again.
     """
     start = time.time()
     t0 = time.perf_counter()
-    choice = choose_kernel(requested, query, db)
+    if choice is None:
+        choice = choose_kernel(requested, query, db)
     dur = time.perf_counter() - t0
     current_tracer().add_span(
         "kernel_select", start, dur, cat="kernel", kernel=choice.key,

@@ -122,8 +122,8 @@ class WorkerAgent(FrameServer):
         try:
             return self._homes[slot % self.slots].map_tasks(fn, [task])[0]
         except WorkerCrashed as exc:
-            # Answer with what the task raised (or the pool's
-            # BrokenProcessPool), not with map_tasks' wrapper.
+            # Answer with what the task raised, not with map_tasks'
+            # wrapper (a dead home has no cause: the wrapper says so).
             raise exc.__cause__ or exc
 
     def start(self) -> "WorkerAgent":
@@ -272,11 +272,10 @@ class WorkerAgent(FrameServer):
 
 
 def _close_now(home: ProcessExecutor) -> None:
-    """Close a home at once: ``close()`` alone waits out a running task
-    (a ``ProcessPoolExecutor`` cannot cancel one), so end its process."""
-    for pool in getattr(home._pool, "_pools", ()):
-        for process in list((pool._processes or {}).values()):
-            process.terminate()
+    """Close a home at once: ``close()`` alone waits out a running task,
+    so end its process first."""
+    for slot in home._pool or ():
+        slot.process.terminate()
     home.close()
 
 

@@ -9,12 +9,14 @@ One interface, three implementations here plus ``remote``
 - ``threads``   — a ``ThreadPoolExecutor``.  Cheap to start and shares
   memory, but Leapfrog is Python/numpy-bound so the GIL caps speedup;
   useful for overlap with I/O and for testing task plumbing.
-- ``processes`` — one single-process ``ProcessPoolExecutor`` per slot:
-  task ``worker % slots`` always runs in the same process, its *home*,
-  and tasks with no ``worker`` go round-robin.  Task payloads (numpy
-  column batches or descriptors inside
-  :class:`repro.runtime.scheduler.WorkerTask`) are pickled to worker
-  processes, so task functions must be importable top-level functions
+- ``processes`` — one process and one duplex pipe per slot: task
+  ``worker % slots`` always runs in the same process, its *home*, and
+  tasks with no ``worker`` go round-robin.  A home runs a loop — read
+  ``(fn, task)``, run it, write back the result or the exception it
+  raised — with no pool, manager thread or call queue between it and
+  the coordinator.  Task payloads (numpy column batches or descriptors
+  inside :class:`repro.runtime.scheduler.WorkerTask`) are pickled down
+  the pipe, so task functions must be importable top-level functions
   (spawn/fork safe — see docs/runtime.md).  A home process keeps the
   inputs it resolved (:mod:`repro.runtime.residency`) and the heap
   pages it freed (:func:`keep_heap`); the executor's
@@ -40,9 +42,12 @@ cleanly instead of hanging or leaking backend internals.  A recoverable
 :class:`ReproError` (e.g. ``BudgetExceeded``) propagates unchanged and
 leaves the pool *and* the transport untouched: the engine's own
 teardown owns the epoch, so failed runs still report real data-plane
-counters.  Only a genuine crash (``BrokenProcessPool`` / non-ReproError)
-shuts the pool down — and even then the transport is never torn down
-from the submission path.
+counters.  What else a failure discards depends on the backend: a
+``threads`` or ``remote`` pool is shut down by any other exception; on
+``processes`` a raised exception is only a reply — the home keeps its
+process, heap and resident inputs — and only a dead home process (EOF
+or EPIPE on its pipe) discards the homes and their residency.  The
+transport is never torn down from the submission path.
 
 Every executor also owns a data-plane :class:`Transport`
 (:mod:`repro.runtime.transport`) and exposes ``setup``/``teardown``
@@ -54,18 +59,22 @@ so segments are reclaimed even when a worker task crashes mid-run.
 from __future__ import annotations
 
 import ctypes
+import importlib
 import itertools
+import multiprocessing
 import os
+import pickle
+import sys
 import threading
+import weakref
 from concurrent.futures import (
     FIRST_EXCEPTION,
     BrokenExecutor,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from functools import partial
 from multiprocessing import resource_tracker
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..errors import ConfigError, ReproError, WorkerCrashed
@@ -110,7 +119,7 @@ HEAP_MMAP_BYTES = 4 << 20
 
 
 def keep_heap() -> None:
-    """Pool initializer: this process keeps its heap between tasks.
+    """A home process's first call: it keeps its heap between tasks.
 
     glibc returns freed memory at the top of the heap to the OS once it
     passes a threshold, and serves large blocks from fresh mappings, so
@@ -252,7 +261,9 @@ class SerialExecutor(Executor):
 
 
 class _PoolExecutor(Executor):
-    """Shared submit/collect logic for the two real pool backends."""
+    """A lazily made, lock-guarded pool; ``threads`` and ``remote``
+    submit to a ``concurrent.futures`` pool through it, and
+    ``processes`` keeps its homes in it."""
 
     concurrent = True
 
@@ -288,9 +299,8 @@ class _PoolExecutor(Executor):
         to tear it down itself and read real ``last_epoch`` stats even
         after a failed run.
 
-        ``wait`` joins the pool's workers (:meth:`ProcessExecutor.close`
-        does); the crash path never waits, as a worker there may be dead
-        or hung."""
+        ``wait`` joins the pool's workers; the crash path never waits,
+        as a worker there may be dead or hung."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=wait, cancel_futures=True)
@@ -319,9 +329,9 @@ class _PoolExecutor(Executor):
             # Recoverable (budget trips, modelled OOM, an already-wrapped
             # WorkerCrashed): the pool itself is healthy — keep it.
             raise exc
-        # Genuine crash: a broken pool (dead worker process) or an
-        # unexpected exception.  The pool may be unusable; discard it —
-        # but never the transport (the engine's teardown owns the epoch).
+        # Genuine crash: a broken pool or an unexpected exception.  The
+        # pool may be unusable; discard it — but never the transport
+        # (the engine's teardown owns the epoch).
         self._shutdown_pool()
         raise WorkerCrashed(
             futures.index(failed),
@@ -404,53 +414,176 @@ class ThreadExecutor(_PoolExecutor):
                                   thread_name_prefix="repro-worker")
 
 
-class _HomeSlots:
-    """One single-process pool per slot, behind one ``submit``.
+#: Every live home in this process.  A forked child closes its copies
+#: of their coordinator ends (:func:`_drop_inherited_ends`), so only the
+#: coordinator holds one: a home sees EOF, and exits, once the
+#: coordinator closes its end or dies.
+_HOMES: "weakref.WeakSet[_Home]" = weakref.WeakSet()
+#: Serializes home starts in this process: a home forked while another
+#: one's end of its pipe is still open here would hold that end too, and
+#: the other home's death would then never read as EOF.
+_STARTING = threading.Lock()
 
-    Task ``worker % slots`` always runs in the same process — its home
-    — and tasks without an integer ``worker`` go round-robin.  Every
-    result that carries a residency report updates ``residency`` for
-    the slot that ran it.
+
+def _drop_inherited_ends() -> None:
+    for home in list(_HOMES):
+        home.conn.close()
+    _HOMES.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_ends)
+
+
+def _dumps(obj) -> bytes:
+    return ForkingPickler.dumps(obj, pickle.HIGHEST_PROTOCOL)
+
+
+#: What a task imports on first use: the tcp ref resolver.  A home
+#: imports those its coordinator has loaded before its first read.
+_LAZY_TASK_PATH = ("repro.net.blockstore",)
+
+
+def _home_loop(conn, preload: tuple[str, ...]) -> None:
+    """A home process: run each ``(fn, task)`` its coordinator sends and
+    write back ``(True, result)`` or ``(False, exception raised)``.
+
+    It keeps its heap, imports the task path (``repro.runtime.worker``,
+    its kernels, and the ``preload`` modules) and says it is ready (its
+    pid) before its first read, so a spawned home pays for its imports
+    while its executor starts, not inside the first query.  EOF (the
+    coordinator closed its end, or died) ends the loop.
+    """
+    keep_heap()
+    from . import worker  # noqa: F401  (the task path and its kernels)
+
+    for module in preload:
+        importlib.import_module(module)
+    try:
+        conn.send_bytes(_dumps(os.getpid()))
+        while True:
+            message = conn.recv_bytes()
+            try:
+                fn, task = pickle.loads(message)
+                reply = _dumps((True, fn(task)))
+            except Exception as exc:
+                try:
+                    reply = _dumps((False, exc))
+                except Exception:
+                    reply = _dumps((False, RuntimeError(
+                        f"{type(exc).__name__}: {exc}")))
+            conn.send_bytes(reply)
+    except (EOFError, OSError, KeyboardInterrupt):
+        return
+
+
+class _HomeDied(Exception):
+    """A home process's pipe closed under a task (the process died)."""
+
+
+class _Ticket:
+    """One sent task's reply: its pickled bytes, or why none came."""
+
+    __slots__ = ("data", "lost")
+
+    def __init__(self, lost: str | None = None):
+        self.data: bytes | None = None
+        self.lost = lost
+
+    @property
+    def done(self) -> bool:
+        return self.data is not None or self.lost is not None
+
+
+class _Home:
+    """One home process and the coordinator's end of its duplex pipe.
+
+    A home holds at most one task at a time: a task for a busy home is
+    written once the reply before it has been read, so the coordinator
+    never writes to a home that is blocked writing a reply nobody
+    reads, whatever their sizes.  Whichever thread reads a reply — the
+    task's owner, or a sender waiting for the home to free up — keeps it
+    on the task's ticket for its owner; so concurrent queries share a
+    home without a thread in between.
     """
 
-    def __init__(self, slots: int, ctx, residency: ResidencyView):
-        self._pools = [ProcessPoolExecutor(max_workers=1, mp_context=ctx,
-                                           initializer=keep_heap)
-                       for _ in range(slots)]
-        # Start every process now, back to back, before any task of this
-        # pool runs: a process forked later, while another query thread
-        # holds a lock the child needs (the shm resource tracker's),
-        # would wait on it forever.  The tracker itself runs first, so
-        # the children share it instead of starting their own (which
-        # would report segments the coordinator freed as leaked).
-        resource_tracker.ensure_running()
-        for pool in self._pools:
-            pool.submit(os.getpid)
-        self._residency = residency
-        self._turn = itertools.count()
+    def __init__(self, ctx, slot: int, preload: tuple[str, ...]):
+        self.slot = slot
+        self.conn, theirs = ctx.Pipe()
+        self.process = ctx.Process(target=_home_loop,
+                                   args=(theirs, preload),
+                                   name=f"repro-home-{slot}", daemon=True)
+        _HOMES.add(self)
+        self.process.start()
+        theirs.close()
+        self._sending = threading.Lock()
+        self._reading = threading.Lock()
+        self._flight: _Ticket | None = None
+        self._lost: str | None = None
 
-    def submit(self, fn, task):
-        worker = getattr(task, "worker", None)
-        if not isinstance(worker, int):
-            worker = next(self._turn)
-        slot = worker % len(self._pools)
-        future = self._pools[slot].submit(fn, task)
-        future.add_done_callback(partial(self._report, slot))
-        return future
+    def ready(self) -> None:
+        """Wait for the process's first message (it has started)."""
+        self._flight = _Ticket()
+        self.reply(self._flight)
 
-    def _report(self, slot: int, future) -> None:
-        if not future.cancelled() and future.exception() is None:
-            self._residency.report(slot, future.result())
+    def send(self, payload: bytes) -> _Ticket:
+        """Write one pickled ``(fn, task)``; its reply comes to the
+        returned ticket (lost at once if the home is already dead)."""
+        with self._sending:
+            if self._flight is not None:
+                self._await(self._flight)
+            ticket = self._flight = _Ticket(self._lost)
+            if not ticket.done:
+                try:
+                    self.conn.send_bytes(payload)
+                except OSError:
+                    self._lose(ticket)
+            return ticket
 
-    def shutdown(self, wait: bool = True, *,
-                 cancel_futures: bool = False) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+    def reply(self, ticket: _Ticket):
+        """``ticket``'s ``(ok, value)``; :class:`_HomeDied` if lost."""
+        self._await(ticket)
+        if ticket.lost:
+            raise _HomeDied(ticket.lost)
+        return pickle.loads(ticket.data)
+
+    def _await(self, ticket: _Ticket) -> None:
+        # A ticket not yet done is the one in flight, so the next reply
+        # on the pipe is its own.
+        with self._reading:
+            if ticket.done:
+                return
+            try:
+                ticket.data = self.conn.recv_bytes()
+            except (EOFError, OSError):
+                self._lose(ticket)
+
+    def _lose(self, ticket: _Ticket) -> None:
+        self._lost = self._lost or (f"home process died (slot "
+                                    f"{self.slot}, pid {self.process.pid})")
+        ticket.lost = self._lost
+
+    def stop(self, wait: bool) -> None:
+        """End the process: after its running task (``wait``), or now."""
+        if wait:
+            with self._sending:
+                if self._flight is not None:
+                    self._await(self._flight)
+                self._lost = self._lost or "home closed"
+                with self._reading:
+                    self.conn.close()       # EOF ends the loop
+            self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=5.0)
+        _HOMES.discard(self)
 
 
 class ProcessExecutor(_PoolExecutor):
     """Process execution on home slots: real parallelism, and each
-    worker's inputs stay where they were last used."""
+    worker's inputs stay where they were last used.
+
+    ``_pool`` is the list of :class:`_Home` slots (None until started).
+    """
 
     name = "processes"
 
@@ -462,24 +595,95 @@ class ProcessExecutor(_PoolExecutor):
         if self._transport is not None:
             self._adopt(self._transport)
         self.start_method = start_method
+        self._turn = itertools.count()
 
-    def _make_pool(self):
-        import multiprocessing
-
-        ctx = (multiprocessing.get_context(self.start_method)
-               if self.start_method else None)
+    def _make_pool(self) -> list[_Home]:
+        ctx = multiprocessing.get_context(self.start_method)
         # New processes hold nothing.
         self.residency.clear()
-        return _HomeSlots(self.max_workers, ctx, self.residency)
+        # Start every home now, back to back, before any task runs: a
+        # process forked later, while another query thread holds a lock
+        # the child needs (the shm resource tracker's), would wait on it
+        # forever.  The tracker itself runs first, so the homes share it
+        # instead of starting their own (which would report segments the
+        # coordinator freed as leaked).
+        resource_tracker.ensure_running()
+        preload = tuple(m for m in _LAZY_TASK_PATH if m in sys.modules)
+        with _STARTING:
+            homes = [_Home(ctx, slot, preload)
+                     for slot in range(self.max_workers)]
+        try:
+            for home in homes:
+                home.ready()
+        except _HomeDied as exc:
+            for home in homes:
+                home.stop(wait=False)
+            raise WorkerCrashed(-1, f"a home did not start: {exc}") \
+                from None
+        return homes
+
+    def submit_tasks(self, fn: Callable[[T], R], tasks: Iterable[T]
+                     ) -> Iterator[R]:
+        """Write each task to its home as the (possibly lazy) iterable
+        produces it, then read the replies in submission order.
+
+        Task ``worker % slots`` goes to that slot's home; a task with no
+        integer ``worker`` goes round-robin.  A task that raised is a
+        reply: a :class:`ReproError` propagates unchanged and anything
+        else becomes :class:`WorkerCrashed`, and either way the home
+        keeps its process and its resident inputs.  Only a dead home
+        process (EOF or EPIPE on its pipe) discards the homes and clears
+        :attr:`residency`.
+        """
+        homes = self._ensure_pool()
+        sent: list[tuple[_Home, _Ticket]] = []
+        with current_tracer().span("submit_tasks", cat="executor",
+                                   backend=self.name):
+            for task in tasks:
+                worker = getattr(task, "worker", None)
+                if not isinstance(worker, int):
+                    worker = next(self._turn)
+                home = homes[worker % len(homes)]
+                try:
+                    payload = _dumps((fn, task))
+                except Exception as exc:
+                    raise WorkerCrashed(
+                        len(sent), f"task submission failed: "
+                                   f"{type(exc).__name__}: {exc}") from exc
+                sent.append((home, home.send(payload)))
+            for i, (home, ticket) in enumerate(sent):
+                try:
+                    ok, value = home.reply(ticket)
+                except _HomeDied as exc:
+                    self._discard(homes)
+                    raise WorkerCrashed(i, str(exc)) from None
+                except Exception as exc:     # a reply that does not load
+                    raise WorkerCrashed(
+                        i, f"{type(exc).__name__}: {exc}") from exc
+                if not ok:
+                    if isinstance(value, ReproError):
+                        raise value
+                    raise WorkerCrashed(
+                        i, f"{type(value).__name__}: {value}") from value
+                self.residency.report(home.slot, value)
+                yield value
+
+    def _discard(self, homes: list[_Home]) -> None:
+        """The crash path: discard ``homes`` unless already replaced."""
+        with self._pool_lock:
+            if self._pool is homes:
+                self._shutdown_pool()
 
     def _shutdown_pool(self, wait: bool = False) -> None:
-        super()._shutdown_pool(wait)
+        """Discard the homes — joined after their running tasks
+        (``wait``), or ended at once — and what they held."""
+        with self._pool_lock:
+            homes, self._pool = self._pool, None
+        for home in homes or ():
+            home.stop(wait)
         self.residency.clear()
 
     def close(self) -> None:
-        # Join the home processes: a pool's manager thread left running
-        # races the interpreter's exit hook, which then writes to the
-        # pool's closed wakeup pipe (EBADF printed at exit).
         self._shutdown_pool(wait=True)
         super().close()
 

@@ -30,9 +30,9 @@ with ``failure="miss"`` before any join work, and
 :func:`~repro.runtime.scheduler.run_epoch` re-mints that task with
 published refs and runs it once more.
 
-Resident inputs are process-private and die with the pool; staged shm
-segments and tcp blocks still never outlive their epoch
-(docs/data_plane.md).
+Resident inputs are process-private and die with their home process
+(a task that only raised keeps it); staged shm segments and tcp blocks
+still never outlive their epoch (docs/data_plane.md).
 """
 
 from __future__ import annotations

@@ -264,6 +264,10 @@ def run_streamed_tasks(executor: Executor,
     tasks concurrently (``executor.concurrent``): the serial backend
     executes each task inline between mints, so its window would count
     plain execution time as overlap.
+
+    Dispatch: each epoch observes ``runtime.dispatch_seconds``, its wall
+    minus its slowest task's ``total_seconds`` — what getting the tasks
+    to their workers and the results back cost beyond the join.
     """
     start = time.perf_counter()
     mint_seconds = 0.0
@@ -292,6 +296,9 @@ def run_streamed_tasks(executor: Executor,
                                          timed_stream()))
     elapsed = time.perf_counter() - start
     absorb_result_observability(results)
+    if results:
+        METRICS.histogram("runtime.dispatch_seconds").observe(max(
+            0.0, elapsed - max(res.total_seconds for res in results)))
     if telemetry is not None:
         telemetry.record("publish", mint_seconds)
         telemetry.record(run_phase, max(0.0, elapsed - mint_seconds))

@@ -641,9 +641,8 @@ class TestAgentHomes:
         """Homes spawn with the agent, not inside the first query."""
         agent = WorkerAgent(slots=2).start()
         try:
-            homes = [process for home in agent._homes
-                     for pool in home._pool._pools
-                     for process in pool._processes.values()]
+            homes = [slot.process for home in agent._homes
+                     for slot in home._pool]
             assert len(homes) == 2
             assert all(process.is_alive() for process in homes)
             assert agent.tasks_run == 0
@@ -662,7 +661,7 @@ class TestAgentHomes:
     def test_a_dead_home_restarts_only_its_slot(self, home_agent):
         _agent, ex = home_agent
         slot0, slot1 = one_at_a_time(ex, pid_task, range(2))
-        with pytest.raises(WorkerCrashed, match="BrokenProcessPool"):
+        with pytest.raises(WorkerCrashed, match="home process died"):
             ex.map_tasks(exit_task, [0])              # slot 0
         again1, again0 = one_at_a_time(ex, pid_task, range(2))
         assert again1 == slot1

@@ -458,6 +458,24 @@ class TestTelemetry:
         rec = modeled_vs_measured(CostBreakdown(), None)
         assert rec["measured_seconds"] is None
 
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_every_epoch_observes_its_dispatch(self, backend):
+        """``runtime.dispatch_seconds``: one sample per epoch, the epoch
+        wall minus its slowest task, never negative."""
+        from repro.obs.metrics import METRICS
+
+        query, db = graph_case("Q1", seed=9)
+        dispatch = METRICS.histogram("runtime.dispatch_seconds")
+        with create_executor(backend, 2, transport="pickle") as ex:
+            before = dispatch.count
+            for _ in range(3):
+                result = run_engine_safely(HCubeJ(), query, db,
+                                           Cluster(num_workers=2),
+                                           executor=ex)
+                assert result.ok
+        assert dispatch.count - before == 3
+        assert dispatch.snapshot()["min"] >= 0.0
+
 
 class TestWorkerTaskPayload:
     def test_num_tuples(self):
